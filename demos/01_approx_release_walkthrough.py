@@ -3,7 +3,8 @@
 The release adds truncated integer Gaussian noise, but only where it has
 to: one shared random shift realigns every count against a coarse grid,
 and a coordinate whose rounded value is already pinned down for every
-possible noise value is released with zero random bits.
+possible noise value is released with zero random bits. A coordinate whose
+noise window straddles a cell edge draws the cell itself, about two bits.
 """
 
 from fractions import Fraction
@@ -40,7 +41,7 @@ print("randomness accounting")
 print(f"  total bits          : {result.report.bits_total}")
 print(f"  bits by category    : {dict(result.report.bits_by_category)}")
 print(f"  boundary coordinates: {result.report.boundary_coordinates} "
-      f"({len(result.report.boundary_coordinates)} of {counts.d} drew noise)")
+      f"({len(result.report.boundary_coordinates)} of {counts.d} drew their cell)")
 print()
 print("Every other coordinate was released silently: after the shared shift,")
 print("its rounded value is the same for every noise magnitude below r.")

@@ -3,7 +3,8 @@
 Integer Laplace noise splits into a rare tail event (|noise| >= m) and a
 bounded body. The release first decides, entropy-optimally, how many
 coordinates take tail noise and which ones; everything else either rounds
-silently under the shared shift or pays for one truncated body draw.
+silently under the shared shift or draws its grid cell from the truncated
+body law.
 """
 
 from fractions import Fraction

@@ -9,7 +9,8 @@ random shift lets most coordinates be released with zero noise bits, which
 is where the randomness savings come from.
 
 The audit harness provides brute-force oracle distributions, goodness-of-fit
-statistics, and certified privacy-ratio checks for everything above.
+statistics, and certified privacy-ratio checks for everything above. It is
+loaded on first use, so releasing needs nothing beyond the standard library.
 """
 
 from .approx_mech import (
@@ -23,21 +24,6 @@ from .approx_mech import (
     is_silent,
     mech_approx_efficient,
     mech_approx_reference,
-)
-from .audit_harness import (
-    DiscreteDist,
-    PrivacyAuditResult,
-    accuracy_audit,
-    chi_square,
-    crossing_shifts,
-    oracle_coord_dist_approx,
-    oracle_coord_dist_pure,
-    oracle_joint_dist_approx,
-    oracle_joint_dist_pure,
-    privacy_audit,
-    randomness_audit,
-    tv_distance,
-    two_sample_chi_square,
 )
 from .bit_tape import BitTape
 from .core_samplers import (
@@ -68,6 +54,7 @@ from .errors import (
     EnclosureContractError,
     EntropySourceError,
     FrugalDPError,
+    InternalError,
     MathDomainError,
     ParameterDomainError,
     SampleBudgetError,
@@ -95,6 +82,35 @@ from .pure_mech import (
 
 __version__ = "0.1.0"
 
+# The audit harness needs numpy and scipy; a release does not, so its names
+# are resolved on first access instead of at import.
+_AUDIT_NAMES = frozenset(
+    {
+        "DiscreteDist",
+        "PrivacyAuditResult",
+        "accuracy_audit",
+        "chi_square",
+        "crossing_shifts",
+        "oracle_coord_dist_approx",
+        "oracle_coord_dist_pure",
+        "oracle_joint_dist_approx",
+        "oracle_joint_dist_pure",
+        "privacy_audit",
+        "randomness_audit",
+        "tv_distance",
+        "two_sample_chi_square",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name in _AUDIT_NAMES:
+        from . import audit_harness
+
+        return getattr(audit_harness, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 __all__ = [
     "ApproxParams",
     "BitTape",
@@ -107,6 +123,7 @@ __all__ = [
     "FrugalDPError",
     "GaussParam",
     "IntervalValue",
+    "InternalError",
     "LaplaceScale",
     "MathDomainError",
     "MechanismResult",

@@ -2,8 +2,9 @@
 
 Implements the reference chain (plain Gaussian noise; noise conditioned to
 stay inside a window; shared shift plus coarse rounding) and the efficient
-release that draws per-coordinate noise only when the shifted count lands
-within noise range of a grid-cell edge. The efficient release has exactly
+release that spends randomness on a coordinate only when the shifted count
+lands within noise range of a grid-cell edge, and then draws the released
+cell directly rather than a noise value. The efficient release has exactly
 the same output distribution as the reference chain's final stage, which
 the audit harness checks against a brute-force oracle.
 """
@@ -15,7 +16,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bit_tape import BitTape
-from .core_samplers import GaussParam, _truncated_attempts, discrete_gaussian
+from .core_samplers import (
+    GaussParam,
+    GaussianCells,
+    _truncated_attempts,
+    discrete_gaussian,
+    draw_cell,
+)
 from .errors import EnclosureContractError, FrugalDPError, ParameterDomainError
 from .precise_math import IntervalValue, exp_neg, exp_pos, interval_div, ln_enclose
 
@@ -69,9 +76,10 @@ def floor_multiple(v: int, k: int) -> int:
 
 def is_silent(sum_i: int, omega: int, halfwidth: int, grid: int) -> bool:
     """True when rounding is unaffected by any noise in (-halfwidth, halfwidth)."""
-    return floor_multiple(sum_i + omega - halfwidth, grid) == floor_multiple(
-        sum_i + omega + halfwidth, grid
-    )
+    if grid < 1:
+        raise ParameterDomainError("grid unit must be a positive integer")
+    center, reach = sum_i + omega, halfwidth - 1
+    return (center - reach) // grid == (center + reach) // grid
 
 
 class ApproxParams:
@@ -96,6 +104,7 @@ class ApproxParams:
         "r",
         "grid",
         "gauss",
+        "cells",
     )
 
     def __init__(
@@ -126,6 +135,7 @@ class ApproxParams:
         self.epsilon = epsilon
         self.delta = delta
         self.gauss = GaussParam(self.sigma_sq)
+        self.cells = GaussianCells(self.sigma_sq, r)
 
     @property
     def accuracy_bound(self) -> int:
@@ -343,7 +353,8 @@ def mech_approx_efficient(
 
     After the shared shift, a coordinate whose rounded value is already
     determined for every noise magnitude below r is released silently with
-    zero noise bits; only boundary coordinates draw truncated Gaussian noise.
+    zero noise bits; a boundary coordinate draws its grid cell from the
+    truncated Gaussian's tail mass beyond the cell edge, about two bits.
     """
     _check_inputs(counts, params)
     _check_shift(omega, params.r, params.s)
@@ -351,18 +362,18 @@ def mech_approx_efficient(
     if omega is None:
         with tape.category("shift"):
             omega = params.r * tape.uniform_range(params.s)
-    r, grid = params.r, params.grid
+    r, grid, cells = params.r, params.grid, params.cells
     values = []
     boundary = []
-    attempts: dict[int, int] = {}
-    for i, s_i in enumerate(counts.sums):
-        if is_silent(s_i, omega, r, grid):
-            values.append(floor_multiple(s_i + omega, grid))
-            continue
-        with tape.category("gaussian"):
-            eta, attempts[i] = _truncated_gaussian(tape, params)
-        boundary.append(i)
-        values.append(floor_multiple(s_i + omega + eta, grid))
+    # Silent coordinates draw nothing, so one category block covers the loop.
+    with tape.category("gaussian"):
+        for i, s_i in enumerate(counts.sums):
+            if is_silent(s_i, omega, r, grid):
+                values.append(floor_multiple(s_i + omega - (r - 1), grid))
+            else:
+                boundary.append(i)
+                values.append(draw_cell(tape, cells, s_i + omega, grid))
     values = tuple(values)
     _assert_envelope(values, counts, params)
+    attempts = dict.fromkeys(boundary, 1)
     return MechanismResult(values, _report(tape, start, tuple(boundary), attempts))

@@ -25,21 +25,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .approx_mech import CountVector, derive_approx_params, mech_approx_efficient
-from .audit_harness import (
-    accuracy_audit,
-    chi_square,
-    oracle_joint_dist_approx,
-    oracle_joint_dist_pure,
-    randomness_audit,
-    tv_distance,
-)
 from .bit_tape import BitTape, _SplitMix64
-from .errors import DatasetFormatError, FrugalDPError, ParameterDomainError
+from .errors import DatasetFormatError, FrugalDPError, InternalError, ParameterDomainError
 from .pure_mech import derive_pure_params, mech_pure_efficient
 
 EXIT_OK = 0
 EXIT_PARAMETER = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 _AUDIT_TRIALS = 200
 _EQUIVALENCE_TRIALS = 20000
@@ -139,6 +132,16 @@ def _trial_seeds(seed: int | None, count: int) -> list[int | None]:
 
 
 def _run_audit(config: RunConfig, counts: CountVector, params) -> dict:
+    # Imported here: the audits need numpy and scipy, a plain release does not.
+    from .audit_harness import (
+        accuracy_audit,
+        chi_square,
+        oracle_joint_dist_approx,
+        oracle_joint_dist_pure,
+        randomness_audit,
+        tv_distance,
+    )
+
     mode = config.mode
     if config.audit == "randomness":
         results, traces = [], []
@@ -214,8 +217,8 @@ def run(config: RunConfig) -> tuple[int, dict]:
         audit_block = None
         if config.audit != "none":
             audit_block = _run_audit(config, counts, params)
-    except ParameterDomainError as exc:
-        return EXIT_PARAMETER, {"error": str(exc)}
+    except InternalError as exc:
+        return EXIT_INTERNAL, {"error": f"internal error: {exc}"}
     except FrugalDPError as exc:
         return EXIT_PARAMETER, {"error": str(exc)}
     report = {

@@ -11,13 +11,16 @@ one and makes every sampler exact; no floating point is involved anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable
 
 from .bit_tape import BitTape
 from .errors import EnclosureContractError, ParameterDomainError, SampleBudgetError
 from .precise_math import (
     DYADIC_ONE,
+    BoundedCache,
     IntervalValue,
+    _pow_scaled,
     exp_neg,
     floor_sqrt,
     scaled_bounds,
@@ -179,15 +182,13 @@ class GaussParam:
         return oracle
 
 
-_SCALE_CACHE: dict[Fraction, LaplaceScale] = {}
+_SCALE_CACHE: BoundedCache = BoundedCache(4096)
 
 
 def _cached_scale(gamma: "Fraction | int") -> LaplaceScale:
     key = Fraction(gamma)
     scale = _SCALE_CACHE.get(key)
     if scale is None:
-        if len(_SCALE_CACHE) > 4096:
-            _SCALE_CACHE.clear()
         scale = LaplaceScale(key)
         _SCALE_CACHE[key] = scale
     return scale
@@ -203,7 +204,7 @@ def geometric(tape: BitTape, scale: LaplaceScale) -> int:
     """Geo(1 - exp(-1/t)) on {0, 1, 2, ...}: failures before the first success.
 
     This is the plain flip-until-one construction; expected trials are
-    1/(1 - exp(-1/t)) = O(t). The tail sampler uses it directly.
+    1/(1 - exp(-1/t)) = O(t).
     """
     count = 0
     while bernoulli_from_prob(tape, scale.success_oracle) == 0:
@@ -277,5 +278,159 @@ def laplace_tail_sample(tape: BitTape, scale: LaplaceScale, threshold: int) -> i
     if threshold < 1:
         raise ParameterDomainError("tail threshold must be a positive integer")
     positive = tape.next_bit()
-    magnitude = threshold + geometric(tape, scale)
+    magnitude = threshold + geometric_fast(tape, scale)
     return magnitude if positive else -magnitude
+
+
+# ---------------------------------------------------------------------------
+# Grid-cell draws for truncated noise
+# ---------------------------------------------------------------------------
+
+
+def _mul_down(a: int, b: int, w: int) -> int:
+    return (a * b) >> w
+
+
+def _mul_up(a: int, b: int, w: int) -> int:
+    return -((-a * b) >> w)
+
+
+class CellLaw:
+    """Upper-tail masses of a symmetric integer noise law truncated to |eta| < halfwidth.
+
+    With weights w(eta) on the support, S(k) = sum_{k <= eta < halfwidth} w(eta)
+    and Z = S(1 - halfwidth). Subclasses precompute scaled-integer data per
+    working precision (``_build``) and return outward bounds of S(k) and Z on
+    one common scale (``_tail_sums``). Levels are built on first use and
+    cached by index; each doubles the precision of the last. Two threads that
+    build the same level store equal data, so no lock is needed.
+    """
+
+    __slots__ = ("halfwidth", "_guard", "_levels")
+
+    def __init__(self, halfwidth: int, guard: int):
+        if halfwidth < 1:
+            raise ParameterDomainError("noise half-width must be a positive integer")
+        self.halfwidth = halfwidth
+        self._guard = guard
+        self._levels: dict = {}
+
+    def _build(self, w: int):
+        raise NotImplementedError
+
+    def _tail_sums(self, data, k: int) -> tuple[int, int, int, int]:
+        raise NotImplementedError
+
+    def tail_ratio(self, k: int, level: int) -> tuple[int, int, int, int]:
+        """Bounds (P, lo, hi, limit) of S(k)/Z, in the format of :meth:`RefinableProb.level`."""
+        p = _LEVEL_START << level
+        data = self._levels.get(level)
+        if data is None:
+            if p > _LEVEL_MAX:
+                raise EnclosureContractError("cell probability failed to refine")
+            data = self._levels[level] = self._build(p + self._guard)
+        s_lo, s_hi, z_lo, z_hi = self._tail_sums(data, k)
+        lo = (s_lo << p) // z_hi
+        hi = -(-(s_hi << p) // z_lo)
+        return p, lo, hi, p - (hi - lo).bit_length()
+
+
+class GaussianCells(CellLaw):
+    """Weights exp(-eta^2 / (2 sigma^2)) on |eta| < r, as a table of tail sums.
+
+    The weights follow w(j+1) = w(j) q^(2j+1) with q = exp(-1/(2 sigma^2)), so a
+    level costs one ``exp_neg`` and two scaled-integer products per entry.
+    The guard bits cover the error the recurrence accumulates over r steps.
+    """
+
+    __slots__ = ("_x",)
+
+    def __init__(self, sigma_sq: "Fraction | int", r: int):
+        super().__init__(r, 2 * r.bit_length() + 8)
+        self._x = 1 / (2 * Fraction(sigma_sq))
+
+    def _build(self, w: int):
+        q_lo, q_hi = scaled_bounds(exp_neg(self._x, w), w)
+        sq_lo, sq_hi = _mul_down(q_lo, q_lo, w), _mul_up(q_hi, q_hi, w)
+        w_lo = w_hi = 1 << w
+        lo, hi = [w_lo], [w_hi]
+        for _ in range(1, self.halfwidth):
+            w_lo, w_hi = _mul_down(w_lo, q_lo, w), _mul_up(w_hi, q_hi, w)
+            q_lo, q_hi = _mul_down(q_lo, sq_lo, w), _mul_up(q_hi, sq_hi, w)
+            lo.append(w_lo)
+            hi.append(w_hi)
+        # Tail sums C[j] = sum_{i >= j} w(i) over i < r, with C[r] = 0.
+        c_lo = list(accumulate(reversed(lo), initial=0))[::-1]
+        c_hi = list(accumulate(reversed(hi), initial=0))[::-1]
+        return c_lo, c_hi, c_lo[0] + c_lo[1], c_hi[0] + c_hi[1]
+
+    def _tail_sums(self, data, k: int) -> tuple[int, int, int, int]:
+        c_lo, c_hi, z_lo, z_hi = data
+        if k >= 0:
+            return c_lo[k], c_hi[k], z_lo, z_hi
+        # By symmetry, S(k) = Z - S(1 - k).
+        return z_lo - c_lo[1 - k], z_hi - c_hi[1 - k], z_lo, z_hi
+
+
+class LaplaceCells(CellLaw):
+    """Weights q^|eta| on |eta| < m, q = exp(-1/t), through closed-form geometric sums.
+
+    For k >= 0, S(k)/Z = (q^k - q^m) / (1 + q - 2 q^m); negative k mirrors
+    through S(k) = Z - S(1 - k). Each draw computes its power of q by
+    repeated squaring, so nothing of size m is ever built.
+    """
+
+    __slots__ = ("_x",)
+
+    def __init__(self, scale: LaplaceScale, m: int):
+        t = scale.t
+        super().__init__(m, m.bit_length() + (t.numerator // t.denominator + 1).bit_length() + 8)
+        self._x = 1 / t
+
+    def _build(self, w: int):
+        q_lo, q_hi = scaled_bounds(exp_neg(self._x, w), w)
+        qm_lo, qm_hi = _pow_scaled(q_lo, q_hi, self.halfwidth, w)
+        one = 1 << w
+        return w, q_lo, q_hi, qm_lo, qm_hi, one + q_lo - 2 * qm_hi, one + q_hi - 2 * qm_lo
+
+    def _tail_sums(self, data, k: int) -> tuple[int, int, int, int]:
+        w, q_lo, q_hi, qm_lo, qm_hi, d_lo, d_hi = data
+        if k >= 0:
+            a_lo, a_hi = _pow_scaled(q_lo, q_hi, k, w)
+            return a_lo - qm_hi, a_hi - qm_lo, d_lo, d_hi
+        a_lo, a_hi = _pow_scaled(q_lo, q_hi, 1 - k, w)
+        return d_lo - (a_hi - qm_lo), d_hi - (a_lo - qm_hi), d_lo, d_hi
+
+
+def draw_cell(tape: BitTape, law: CellLaw, center: int, grid: int) -> int:
+    """The grid cell of center + eta, for eta from ``law``, without drawing eta.
+
+    Returns the largest multiple of ``grid`` at or below center + eta. The
+    release reaches a grid multiple E inside the noise window exactly when
+    eta >= E - center, which has probability S(E - center)/Z. One uniform
+    point u, streamed bit by bit, is compared against each such ratio in
+    increasing order of E, refining the enclosure on demand as
+    :func:`bernoulli_from_prob` does. A cell costs about two bits however
+    wide the noise; a window with no grid multiple inside costs none.
+    """
+    reach = law.halfwidth - 1
+    value = (center - reach) // grid * grid
+    next_bit = tape.next_bit
+    u = nb = 0
+    for edge in range(value + grid, center + reach + 1, grid):
+        level = 0
+        p, lo, hi, limit = law.tail_ratio(edge - center, level)
+        while True:
+            if nb + 2 > limit:  # too coarse for u's next bit, or for bits kept from a lower edge
+                level += 1
+                p, lo, hi, limit = law.tail_ratio(edge - center, level)
+                continue
+            shift = p - nb
+            if (u + 1) << shift <= lo:
+                break  # u < S/Z: the release reaches this edge
+            if u << shift >= hi:
+                return value
+            u = (u << 1) | next_bit()
+            nb += 1
+        value = edge
+    return value

@@ -18,7 +18,7 @@ from typing import Callable
 
 from .bit_tape import BitTape
 from .errors import EnclosureContractError, ParameterDomainError
-from .precise_math import IntervalValue, binom_prob_enclose, scaled_bounds
+from .precise_math import BoundedCache, IntervalValue, binom_prob_enclose, scaled_bounds
 
 _MAX_DEPTH = 6000
 
@@ -137,7 +137,7 @@ def sample_point_mass(
 
 ProbInput = "Fraction | IntervalValue | Callable[[int], IntervalValue]"
 
-_RATIONAL_SPEC_CACHE: dict[tuple[int, Fraction], PointMassSpec] = {}
+_RATIONAL_SPEC_CACHE: BoundedCache = BoundedCache(64)
 
 
 def binomial_spec(d: int, p: ProbInput) -> PointMassSpec:

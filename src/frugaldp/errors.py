@@ -5,7 +5,11 @@ class FrugalDPError(Exception):
     """Base class for all package-specific errors."""
 
 
-class EntropySourceError(FrugalDPError):
+class InternalError(FrugalDPError):
+    """A fault inside the package rather than in the caller's input or parameters."""
+
+
+class EntropySourceError(InternalError):
     """The OS entropy backend failed; the tape cannot continue."""
 
 
@@ -17,7 +21,7 @@ class MathDomainError(FrugalDPError, ValueError):
     """Input outside the mathematical domain of an enclosure function."""
 
 
-class SampleBudgetError(FrugalDPError, RuntimeError):
+class SampleBudgetError(InternalError, RuntimeError):
     """A rejection loop exceeded its diagnostic attempt cap.
 
     At valid mechanism parameters the cap is unreachable except with
@@ -26,7 +30,7 @@ class SampleBudgetError(FrugalDPError, RuntimeError):
     """
 
 
-class EnclosureContractError(FrugalDPError, RuntimeError):
+class EnclosureContractError(InternalError, RuntimeError):
     """A probability oracle violated monotone refinement or ordering."""
 
 

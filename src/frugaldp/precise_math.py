@@ -18,6 +18,23 @@ from math import comb, factorial, isqrt
 from .errors import MathDomainError
 
 
+class BoundedCache(dict):
+    """A dict that empties itself when an insert would take it past ``cap`` entries.
+
+    The package's memo tables all follow this one policy, so a long-running
+    process keeps them bounded; a cleared entry is simply recomputed.
+    """
+
+    def __init__(self, cap: int):
+        super().__init__()
+        self.cap = cap
+
+    def __setitem__(self, key, value):
+        if key not in self and len(self) >= self.cap:
+            self.clear()
+        super().__setitem__(key, value)
+
+
 class Dyadic:
     """Exact binary rational mantissa * 2**exponent.
 
@@ -364,7 +381,7 @@ def _atanh_series(z: Fraction, w: int) -> tuple[Fraction, Fraction]:
     return 2 * total, remainder
 
 
-_LN2_CACHE: dict[int, tuple[Fraction, Fraction]] = {}
+_LN2_CACHE: BoundedCache = BoundedCache(64)
 
 
 def _ln2_bounds(w: int) -> tuple[Fraction, Fraction]:

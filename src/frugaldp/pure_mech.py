@@ -5,7 +5,8 @@ shift, and rounds to the grid m*s. The decomposed variants split each
 coordinate's noise into a rare tail event (|noise| >= m, probability p) and
 a truncated body draw; the efficient release samples the tail set up front
 with an entropy-optimal binomial draw and then touches randomness only for
-tail coordinates and for body coordinates whose rounding is ambiguous.
+tail coordinates and for body coordinates whose rounding is ambiguous,
+which draw their grid cell directly.
 """
 
 from __future__ import annotations
@@ -25,11 +26,13 @@ from .approx_mech import (
     is_silent,
 )
 from .core_samplers import (
+    LaplaceCells,
     LaplaceScale,
     RefinableProb,
     _truncated_attempts,
     bernoulli_from_prob,
     discrete_laplace,
+    draw_cell,
     laplace_tail_sample,
 )
 from .entropy_sampler import PointMassSpec, binomial_spec, sample_point_mass
@@ -71,6 +74,7 @@ class PureParams:
         "_p_fn",
         "membership",
         "binomial",
+        "cells",
     )
 
     def __init__(self, d: int, s: int, epsilon: Fraction, m: int):
@@ -102,6 +106,7 @@ class PureParams:
                 raise EnclosureContractError("tail probability failed to certify below 1")
         self.membership = RefinableProb(p_fn)
         self.binomial: PointMassSpec = binomial_spec(d, p_fn)
+        self.cells = LaplaceCells(self.scale, m)
 
     def p_enclosure(self, precision: int) -> IntervalValue:
         """Refinable enclosure of the exact tail probability."""
@@ -243,7 +248,8 @@ def mech_pure_efficient(
     Draws the tail-set size entropy-optimally, places the tail uniformly,
     then releases every non-tail coordinate silently whenever the shifted
     count rounds identically for all body noise values; only ambiguous body
-    coordinates pay for a truncated Laplace draw.
+    coordinates pay, drawing their grid cell from the truncated Laplace
+    law's closed-form tail mass.
     """
     _check_inputs(counts, params)
     _check_shift(omega, params.m, params.s)
@@ -265,15 +271,13 @@ def mech_pure_efficient(
             values.append(floor_multiple(s_i + omega + eta, grid))
             branches.append("tail")
         elif is_silent(s_i, omega, m, grid):
-            values.append(floor_multiple(s_i + omega - m, grid))
+            values.append(floor_multiple(s_i + omega - (m - 1), grid))
             branches.append("silent")
         else:
             with tape.category("laplace"):
-                eta, attempts[i] = _truncated_attempts(
-                    tape, lambda t: discrete_laplace(t, params.scale), m
-                )
+                values.append(draw_cell(tape, params.cells, s_i + omega, grid))
+            attempts[i] = 1
             boundary.append(i)
-            values.append(floor_multiple(s_i + omega + eta, grid))
             branches.append("body")
     result = MechanismResult(tuple(values), _report(tape, start, tuple(boundary), attempts))
     trace = PureTrace(tail_set=tail, tail_size=len(tail), shift=omega, branches=tuple(branches))

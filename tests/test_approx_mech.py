@@ -104,6 +104,20 @@ class TestHandEvaluations:
         assert is_silent(10, 4, 2, 6)
         assert not is_silent(10, 2, 2, 6)
 
+    def test_silent_test_rejects_bad_grid(self):
+        with pytest.raises(ParameterDomainError):
+            is_silent(10, 4, 2, 0)
+
+    def test_touching_an_edge_only_at_r_is_silent(self):
+        # Shifted count 10: the noise reaches 9..11 and all of it rounds to 6.
+        # Only noise +2 = r would reach the grid multiple 12, and |noise| < r.
+        assert is_silent(8, 2, 2, 6)
+        counts = CountVector(d=1, n=20, sums=(8,))
+        res = mech_approx_efficient(counts, self._params(), BitTape(seed=913), omega=2)
+        assert res.values == (6,)
+        assert res.report.bits_total == 0
+        assert res.report.boundary_coordinates == ()
+
     def test_variant3_forced_shift_tiny_noise(self):
         counts = CountVector(d=1, n=20, sums=(10,))
         params = ApproxParams(1, 3, Fraction(1, 10000), 2)
@@ -197,6 +211,37 @@ class TestEfficientMechanism:
             hist[mech_approx_efficient(counts, params, tape).values] += 1
         assert chi_square(hist, oracle) >= 0.001
         assert float(tv_distance(hist, oracle)) <= 0.02
+
+    def test_equivalence_at_s_one(self):
+        # s = 1: the grid equals r, so a noise window can straddle two edges
+        # and a boundary coordinate has three possible cells.
+        from frugaldp.audit_harness import chi_square, oracle_joint_dist_approx, tv_distance
+
+        params = approx_params_from_sigma(2, 1, Fraction(2), Fraction(1, 1024))
+        counts = CountVector(d=2, n=20, sums=(3, 11))
+        oracle = oracle_joint_dist_approx(counts, params)
+        assert len({v[0] for v in oracle.mass}) == 3  # two cells for the second count
+        tape = BitTape(seed=914)
+        hist = Counter()
+        for _ in range(100_000):
+            hist[mech_approx_efficient(counts, params, tape).values] += 1
+        assert chi_square(hist, oracle) >= 0.001
+        assert float(tv_distance(hist, oracle)) <= 0.02
+
+    def test_cell_bits_per_boundary_at_criterion_06_parameters(self):
+        d = 256
+        n_rows = 1_000_003
+        counts = CountVector(d=d, n=n_rows, sums=tuple((40_009 * i) % n_rows for i in range(d)))
+        for idx, s in enumerate((4, 16, 64, 256)):
+            params = derive_approx_params(Fraction(1), Fraction(1, 1 << 20), d, s)
+            tape = BitTape(seed=915 + idx)
+            noise = boundary = 0
+            for _ in range(100):
+                res = mech_approx_efficient(counts, params, tape)
+                noise += res.report.bits_by_category.get("gaussian", 0)
+                boundary += len(res.report.boundary_coordinates)
+            assert boundary > 0
+            assert noise / boundary <= 3
 
     def test_report_accounting(self):
         counts = CountVector(d=4, n=20, sums=(3, 7, 11, 19))

@@ -264,7 +264,7 @@ class TestPrivacyAudit:
         params = pure_params_explicit(1, 2, eps, 2)
         a = CountVector(d=1, n=5, sums=(0,))
         b = CountVector(d=1, n=5, sums=(1,))
-        res = privacy_audit("pure", a, b, params, eps, Fraction(0), trials=2000, seed=9)
+        res = privacy_audit("pure", a, b, params, eps, Fraction(0), trials=2000, seed=10)
         assert res.sample_count == 4000
         assert res.mc_epsilon_hat is not None
         assert res.mc_epsilon_hat <= float(eps) + 0.2  # smoke check, sampling slack

@@ -1,12 +1,32 @@
 """Tests for dataset ingestion and the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from frugaldp.cli import EXIT_IO, EXIT_OK, EXIT_PARAMETER, RunConfig, load_dataset, main, run
-from frugaldp.errors import DatasetFormatError, ParameterDomainError
+import frugaldp.cli as cli
+from frugaldp.cli import (
+    EXIT_INTERNAL,
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_PARAMETER,
+    RunConfig,
+    load_dataset,
+    main,
+    run,
+)
+from frugaldp.errors import (
+    DatasetFormatError,
+    EnclosureContractError,
+    EntropySourceError,
+    InternalError,
+    ParameterDomainError,
+    SampleBudgetError,
+)
 
 
 @pytest.fixture
@@ -233,3 +253,33 @@ class TestMain:
         with pytest.raises(Exception):
             _seed_arg(str(1 << 64))
         assert _seed_arg("0") == 0
+
+
+class TestInternalFaults:
+    @pytest.mark.parametrize("error", [EnclosureContractError, SampleBudgetError, EntropySourceError])
+    def test_internal_fault_exits_internal(self, csv_file, monkeypatch, error):
+        assert issubclass(error, InternalError)
+
+        def broken(*args, **kwargs):
+            raise error("injected fault")
+
+        monkeypatch.setattr(cli, "mech_pure_efficient", broken)
+        data = csv_file("a\n1\n")
+        code, report = run(RunConfig("pure", Fraction(1, 16), None, 2, 1, data, None))
+        assert code == EXIT_INTERNAL == 4
+        assert "injected fault" in report["error"]
+
+    def test_parameter_errors_keep_their_code(self, csv_file):
+        data = csv_file("a\n1\n")
+        code, _ = run(RunConfig("pure", Fraction(1), None, 2, 1, data, None))
+        assert code == EXIT_PARAMETER
+
+
+def test_cli_import_leaves_numpy_and_scipy_out():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, frugaldp.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
+    )
+    assert proc.stdout.strip() == "[]"

@@ -14,13 +14,16 @@ import frugaldp.core_samplers as cs
 from frugaldp.audit_harness import two_sample_chi_square
 from frugaldp.bit_tape import BitTape
 from frugaldp.core_samplers import (
+    GaussianCells,
     GaussParam,
+    LaplaceCells,
     LaplaceScale,
     bernoulli_exp,
     bernoulli_from_prob,
     constant_prob,
     discrete_gaussian,
     discrete_laplace,
+    draw_cell,
     geometric,
     geometric_fast,
     laplace_tail_sample,
@@ -256,6 +259,97 @@ class TestLaplaceTailSample:
         tape = BitTape(seed=706)
         with pytest.raises(ParameterDomainError):
             laplace_tail_sample(tape, LaplaceScale(2), 0)
+
+    def test_bits_stay_small_at_large_scale(self):
+        # The magnitude comes from geometric_fast, not the O(t) coin-flip loop.
+        _, bits = collect_histogram(lambda t: laplace_tail_sample(t, LaplaceScale(4096), 5), 200, 707)
+        assert bits / 200 <= 100
+
+
+def _gauss_weight(sigma_sq):
+    return lambda eta: math.exp(-eta * eta / (2 * float(sigma_sq)))
+
+
+def _laplace_weight(t):
+    return lambda eta: math.exp(-abs(eta) / float(t))
+
+
+def _cell_probs(weight, halfwidth, center, grid):
+    """Float oracle: law of floor_grid(center + eta) by enumerating eta."""
+    support = range(-(halfwidth - 1), halfwidth)
+    z = sum(weight(eta) for eta in support)
+    probs = {}
+    for eta in support:
+        cell = (center + eta) // grid * grid
+        probs[cell] = probs.get(cell, 0.0) + weight(eta) / z
+    return probs
+
+
+_LAWS = [
+    ("gaussian", lambda: GaussianCells(Fraction(7, 3), 9), _gauss_weight(Fraction(7, 3)), 9),
+    ("laplace", lambda: LaplaceCells(LaplaceScale(Fraction(5, 2)), 11), _laplace_weight(Fraction(5, 2)), 11),
+]
+
+
+class TestCellDraw:
+    @pytest.mark.parametrize("name,make,weight,h", _LAWS)
+    def test_tail_ratio_encloses_the_tail_mass(self, name, make, weight, h):
+        law = make()
+        support = range(-(h - 1), h)
+        z = sum(weight(eta) for eta in support)
+        for k in range(-(h - 2), h):
+            ratio = sum(weight(eta) for eta in range(k, h)) / z
+            for level in (0, 1):
+                p, lo, hi, limit = law.tail_ratio(k, level)
+                assert lo / 2**p <= ratio * (1 + 1e-12)
+                assert hi / 2**p >= ratio * (1 - 1e-12)
+                assert limit >= 40 << level
+
+    @pytest.mark.parametrize("name,make,weight,h", _LAWS)
+    @pytest.mark.parametrize("center,grid", [(40, 20), (9, 10), (50, 9)])
+    def test_cell_law_matches_enumeration(self, name, make, weight, h, center, grid):
+        # grid 20 leaves one edge in the window, 10 and 9 leave two (three cells).
+        law = make()
+        n = 40_000
+        hist, bits = collect_histogram(lambda t: draw_cell(t, law, center, grid), n, 708)
+        probs = _cell_probs(weight, h, center, grid)
+        assert set(hist) <= set(probs)
+        observed = [hist.get(c, 0) for c in sorted(probs)]
+        expected = [probs[c] * n for c in sorted(probs)]
+        from scipy import stats
+
+        assert stats.chisquare(observed, expected).pvalue >= 0.001
+        assert bits / n <= 2 * (len(probs) - 1) + 1
+
+    def test_silent_window_draws_nothing(self):
+        law = GaussianCells(Fraction(7, 3), 9)
+        tape = BitTape(seed=709)
+        assert draw_cell(tape, law, 50, 100) == 0
+        assert tape.bits_consumed == 0
+
+    def test_refinement_keeps_the_law(self, monkeypatch):
+        # Start at 4-bit levels so that most draws must refine their enclosure.
+        monkeypatch.setattr(cs, "_LEVEL_START", 4)
+        law = LaplaceCells(LaplaceScale(Fraction(5, 2)), 11)
+        n = 20_000
+        hist, _ = collect_histogram(lambda t: draw_cell(t, law, 9, 10), n, 710)
+        assert len(law._levels) >= 2
+        probs = _cell_probs(_laplace_weight(Fraction(5, 2)), 11, 9, 10)
+        observed = [hist.get(c, 0) for c in sorted(probs)]
+        expected = [probs[c] * n for c in sorted(probs)]
+        from scipy import stats
+
+        assert stats.chisquare(observed, expected).pvalue >= 0.001
+
+    def test_halfwidth_validation(self):
+        with pytest.raises(ParameterDomainError):
+            GaussianCells(Fraction(2), 0)
+
+
+def test_scale_cache_stays_bounded():
+    for i in range(cs._SCALE_CACHE.cap + 10):
+        cs._cached_scale(Fraction(i + 1, 7))
+        assert len(cs._SCALE_CACHE) <= cs._SCALE_CACHE.cap
 
 
 def test_scale_validation():

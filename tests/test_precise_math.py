@@ -9,7 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from frugaldp.errors import MathDomainError
+import frugaldp.precise_math as pm
 from frugaldp.precise_math import (
+    BoundedCache,
     Dyadic,
     IntervalValue,
     binom_prob_enclose,
@@ -211,3 +213,24 @@ def test_enclosure_soundness_sweep():
         biv = binom_prob_enclose(d, i, IntervalValue.from_fraction(p, prec + 16), prec)
         exact = math.comb(d, i) * p**i * (1 - p) ** (d - i)
         assert biv.contains(exact)
+
+
+class TestBoundedCache:
+    def test_clears_before_exceeding_cap(self):
+        cache = BoundedCache(3)
+        for key in range(10):
+            cache[key] = key
+            assert len(cache) <= 3
+        assert cache[9] == 9
+
+    def test_overwriting_a_key_at_cap_keeps_the_rest(self):
+        cache = BoundedCache(2)
+        cache["a"], cache["b"] = 1, 2
+        cache["a"] = 3
+        assert cache == {"a": 3, "b": 2}
+
+    def test_ln2_cache_stays_bounded(self):
+        for w in range(8, 8 + pm._LN2_CACHE.cap + 10):
+            lo, hi = pm._ln2_bounds(w)
+            assert lo <= Fraction(math.log(2)) + Fraction(1, 1 << 40) and hi >= lo
+            assert len(pm._LN2_CACHE) <= pm._LN2_CACHE.cap

@@ -95,6 +95,21 @@ class TestHandEvaluations:
                 seen_silent = True
         assert seen_silent
 
+    def test_touching_an_edge_only_at_m_is_silent(self):
+        # Shifted count 10: body noise reaches 9..11, all of which rounds to 6;
+        # only noise +2 = m, a tail value, would reach the grid multiple 12.
+        params = pure_params_explicit(1, 3, Fraction(1, 2), 2)
+        counts = CountVector(d=1, n=20, sums=(8,))
+        seen_silent = False
+        for seed in range(40):
+            res, trace = mech_pure_efficient(counts, params, BitTape(seed=seed), omega=2)
+            if trace.tail_size == 0:
+                assert trace.branches == ("silent",)
+                assert res.values == (6,)
+                assert res.report.bits_by_category.get("laplace", 0) == 0
+                seen_silent = True
+        assert seen_silent
+
     def test_noisy_when_shift_crosses(self):
         params = pure_params_explicit(1, 3, Fraction(1, 2), 2)
         counts = CountVector(d=1, n=20, sums=(10,))
@@ -137,6 +152,21 @@ class TestDistributionalStructure:
             h2[mech_pure_reference(counts, params, 2, t2).values] += 1
             h5[mech_pure_efficient(counts, params, t5)[0].values] += 1
         assert two_sample_chi_square(h2, h5) >= 0.001
+
+    def test_equivalence_at_s_one(self):
+        # s = 1 with m = 4: the grid is 4 and the body window 7 wide, so the
+        # first count's window straddles two edges (three body cells).
+        from frugaldp.audit_harness import chi_square, oracle_joint_dist_pure, tv_distance
+
+        params = pure_params_explicit(2, 1, Fraction(1), 4)
+        counts = CountVector(d=2, n=10, sums=(5, 7))
+        oracle = oracle_joint_dist_pure(counts, params)
+        tape = BitTape(seed=933)
+        hist = Counter()
+        for _ in range(100_000):
+            hist[mech_pure_efficient(counts, params, tape)[0].values] += 1
+        assert chi_square(hist, oracle) >= 0.001
+        assert float(tv_distance(hist, oracle)) <= 0.02
 
     def test_subset_law(self):
         # P[J = S] = p^|S| (1-p)^(d-|S|) for every S, with rational p = 1/4.
