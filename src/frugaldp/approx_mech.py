@@ -4,82 +4,31 @@ Implements the reference chain (plain Gaussian noise; noise conditioned to
 stay inside a window; shared shift plus coarse rounding) and the efficient
 release that spends randomness on a coordinate only when the shifted count
 lands within noise range of a grid-cell edge, and then draws the released
-cell directly rather than a noise value. The efficient release has exactly
-the same output distribution as the reference chain's final stage, which
-the audit harness checks against a brute-force oracle.
+cell directly rather than a noise value (the shift-and-round loop of
+``frugaldp.release``). The efficient release has exactly the same output
+distribution as the reference chain's final stage, which the audit harness
+checks against a brute-force oracle.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bit_tape import BitTape
-from .core_samplers import (
-    GaussParam,
-    GaussianCells,
-    _truncated_attempts,
-    discrete_gaussian,
-    draw_cell,
-)
+from .core_samplers import GaussParam, GaussianCells, _truncated_attempts, discrete_gaussian
 from .errors import EnclosureContractError, FrugalDPError, ParameterDomainError
 from .precise_math import IntervalValue, exp_neg, exp_pos, interval_div, ln_enclose
+from .release import (
+    CountVector,
+    MechanismResult,
+    build_report,
+    check_release,
+    draw_shift,
+    floor_multiple,
+    shift_and_round,
+)
 
 _CERTIFY_MAX_BITS = 1 << 13
-
-
-@dataclass(frozen=True)
-class CountVector:
-    """True column sums of a binary dataset: d counts over n rows."""
-
-    d: int
-    n: int
-    sums: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.d < 1 or len(self.sums) != self.d:
-            raise ParameterDomainError("sums must have length d >= 1")
-        if self.n < 0:
-            raise ParameterDomainError("dataset size must be non-negative")
-        for i, v in enumerate(self.sums):
-            if not 0 <= v <= self.n:
-                raise ParameterDomainError(f"count {i} outside [0, n]")
-
-
-@dataclass(frozen=True)
-class RandomnessReport:
-    """Exact bit accounting for one mechanism invocation."""
-
-    bits_total: int
-    bits_by_category: dict[str, int]
-    boundary_coordinates: tuple[int, ...]
-    draws_attempted: dict[int, int]
-
-    def __post_init__(self):
-        if sum(self.bits_by_category.values()) != self.bits_total:
-            raise FrugalDPError("category bit counts do not sum to the total")
-
-
-@dataclass(frozen=True)
-class MechanismResult:
-    values: tuple[int, ...]
-    report: RandomnessReport
-
-
-def floor_multiple(v: int, k: int) -> int:
-    """Largest multiple of k that is <= v (floor toward minus infinity)."""
-    if k < 1:
-        raise ParameterDomainError("grid unit must be a positive integer")
-    return (v // k) * k
-
-
-def is_silent(sum_i: int, omega: int, halfwidth: int, grid: int) -> bool:
-    """True when rounding is unaffected by any noise in (-halfwidth, halfwidth)."""
-    if grid < 1:
-        raise ParameterDomainError("grid unit must be a positive integer")
-    center, reach = sum_i + omega, halfwidth - 1
-    return (center - reach) // grid == (center + reach) // grid
 
 
 class ApproxParams:
@@ -256,38 +205,6 @@ def approx_params_from_sigma(
     )
 
 
-def _check_inputs(counts: CountVector, params) -> None:
-    if counts.d != params.d:
-        raise ParameterDomainError("dimension mismatch between counts and parameters")
-
-
-def _check_shift(omega: int | None, unit: int, s: int) -> None:
-    if omega is None:
-        return
-    if omega % unit != 0 or not unit <= omega <= unit * s:
-        raise ParameterDomainError("forced shift must be a unit multiple in {unit..unit*s}")
-
-
-def _report(
-    tape: BitTape,
-    start: tuple[int, Counter],
-    boundary: tuple[int, ...] = (),
-    attempts: dict[int, int] | None = None,
-) -> RandomnessReport:
-    start_bits, start_log = start
-    by_cat = {}
-    for name, count in tape.draw_log.items():
-        delta = count - start_log.get(name, 0)
-        if delta:
-            by_cat[name] = delta
-    return RandomnessReport(
-        bits_total=tape.bits_consumed - start_bits,
-        bits_by_category=by_cat,
-        boundary_coordinates=boundary,
-        draws_attempted=attempts or {},
-    )
-
-
 def _truncated_gaussian(tape: BitTape, params: ApproxParams) -> tuple[int, int]:
     return _truncated_attempts(tape, lambda t: discrete_gaussian(t, params.gauss), params.r)
 
@@ -315,16 +232,13 @@ def mech_approx_reference(
 
     Variant 3 defines the exact output law the efficient release must match.
     """
-    _check_inputs(counts, params)
+    check_release(counts, params, params.r, omega)
     if variant not in (1, 2, 3):
         raise ParameterDomainError("variant must be 1, 2 or 3")
-    _check_shift(omega, params.r, params.s)
     start = tape.snapshot()
     attempts: dict[int, int] = {}
-    if variant == 3:
-        if omega is None:
-            with tape.category("shift"):
-                omega = params.r * tape.uniform_range(params.s)
+    if variant == 3 and omega is None:
+        omega = draw_shift(tape, params.r, params.s)
     values = []
     for i, s_i in enumerate(counts.sums):
         with tape.category("gaussian"):
@@ -340,7 +254,7 @@ def mech_approx_reference(
     values = tuple(values)
     if variant == 3:
         _assert_envelope(values, counts, params)
-    return MechanismResult(values, _report(tape, start, tuple(range(counts.d)), attempts))
+    return MechanismResult(values, build_report(tape, start, tuple(range(counts.d)), attempts))
 
 
 def mech_approx_efficient(
@@ -356,24 +270,7 @@ def mech_approx_efficient(
     zero noise bits; a boundary coordinate draws its grid cell from the
     truncated Gaussian's tail mass beyond the cell edge, about two bits.
     """
-    _check_inputs(counts, params)
-    _check_shift(omega, params.r, params.s)
-    start = tape.snapshot()
-    if omega is None:
-        with tape.category("shift"):
-            omega = params.r * tape.uniform_range(params.s)
-    r, grid, cells = params.r, params.grid, params.cells
-    values = []
-    boundary = []
-    # Silent coordinates draw nothing, so one category block covers the loop.
-    with tape.category("gaussian"):
-        for i, s_i in enumerate(counts.sums):
-            if is_silent(s_i, omega, r, grid):
-                values.append(floor_multiple(s_i + omega - (r - 1), grid))
-            else:
-                boundary.append(i)
-                values.append(draw_cell(tape, cells, s_i + omega, grid))
-    values = tuple(values)
-    _assert_envelope(values, counts, params)
-    attempts = dict.fromkeys(boundary, 1)
-    return MechanismResult(values, _report(tape, start, tuple(boundary), attempts))
+    check_release(counts, params, params.r, omega)
+    result, _ = shift_and_round(tape, tape.snapshot(), counts, params.s, params.cells, "gaussian", omega)
+    _assert_envelope(result.values, counts, params)
+    return result

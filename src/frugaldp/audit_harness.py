@@ -4,14 +4,12 @@ The oracles compute the exact per-coordinate (and small-d joint) output
 laws of the reference mechanisms as interval-valued pmfs, so distributional
 equivalence, accuracy envelopes and privacy ratios can be checked against
 ground truth rather than against another sampler. Privacy is audited
-through certified oracle ratios wherever the oracle exists; Monte Carlo
-ratio checks are smoke tests only.
+through certified oracle ratios only.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
@@ -20,18 +18,11 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy import stats
 
-from .approx_mech import (
-    ApproxParams,
-    CountVector,
-    MechanismResult,
-    floor_multiple,
-    is_silent,
-    mech_approx_efficient,
-)
-from .bit_tape import BitTape
+from .approx_mech import ApproxParams
 from .errors import ParameterDomainError
 from .precise_math import IntervalValue, exp_neg, exp_pos, interval_div
-from .pure_mech import PureParams, mech_pure_efficient
+from .pure_mech import PureParams
+from .release import CountVector, MechanismResult, floor_multiple, is_silent
 
 _ZERO = IntervalValue.exact(0)
 
@@ -67,9 +58,7 @@ class PrivacyAuditResult:
     epsilon_hat: float
     delta_slack: float
     events_examined: int
-    sample_count: int
     passed: bool
-    mc_epsilon_hat: float | None = None
 
     def __post_init__(self):
         if self.epsilon_hat < 0:
@@ -429,9 +418,7 @@ def privacy_audit(
     params,
     epsilon: Fraction,
     delta: Fraction,
-    trials: int = 0,
     tail_tol: Fraction = Fraction(1, 1 << 30),
-    seed: int = 0,
 ) -> PrivacyAuditResult:
     """Certified likelihood-ratio audit of the reference law on neighbors.
 
@@ -439,16 +426,12 @@ def privacy_audit(
     only if some event provably violates P[o] <= e^eps Q[o] + delta, i.e.
     the certified lower bound of the additive slack exceeds delta. The
     reported epsilon_hat is the largest certified log ratio over singleton
-    events in either direction. With ``trials`` > 0 an empirical smoke
-    check of the efficient mechanism's histogram ratio is run as well
-    (reported via sample_count; it never overrides the oracle verdict).
+    events in either direction.
     """
     if kind == "approx":
         oracle = oracle_joint_dist_approx
-        run = lambda counts, tape: mech_approx_efficient(counts, params, tape)  # noqa: E731
     elif kind == "pure":
         oracle = oracle_joint_dist_pure
-        run = lambda counts, tape: mech_pure_efficient(counts, params, tape)[0]  # noqa: E731
     else:
         raise ParameterDomainError("kind must be 'approx' or 'pure'")
     dist_a = oracle(x, params, tail_tol)
@@ -459,21 +442,9 @@ def privacy_audit(
         _one_sided_slack(dist_b, dist_a, e_eps_hi),
     )
     eps_hat = max(_max_log_ratio(dist_a, dist_b), _max_log_ratio(dist_b, dist_a))
-    passed = slack <= delta
-    mc_eps = None
-    if trials > 0:
-        tape = BitTape(seed=seed)
-        hist_a = Counter(run(x, tape).values for _ in range(trials))
-        hist_b = Counter(run(x_neighbor, tape).values for _ in range(trials))
-        mc_eps = 0.0
-        for outcome in set(hist_a) & set(hist_b):
-            if hist_a[outcome] >= 10 and hist_b[outcome] >= 10:
-                mc_eps = max(mc_eps, abs(math.log(hist_a[outcome] / hist_b[outcome])))
     return PrivacyAuditResult(
         epsilon_hat=eps_hat,
         delta_slack=float(slack),
         events_examined=len(set(dist_a.mass) | set(dist_b.mass)),
-        sample_count=max(trials, 0) * 2,
-        passed=passed,
-        mc_epsilon_hat=mc_eps,
+        passed=slack <= delta,
     )

@@ -24,10 +24,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .approx_mech import CountVector, derive_approx_params, mech_approx_efficient
+from .approx_mech import derive_approx_params, mech_approx_efficient
 from .bit_tape import BitTape, _SplitMix64
 from .errors import DatasetFormatError, FrugalDPError, InternalError, ParameterDomainError
 from .pure_mech import derive_pure_params, mech_pure_efficient
+from .release import CountVector
 
 EXIT_OK = 0
 EXIT_PARAMETER = 2
@@ -133,14 +134,19 @@ def _trial_seeds(seed: int | None, count: int) -> list[int | None]:
 
 def _run_audit(config: RunConfig, counts: CountVector, params) -> dict:
     # Imported here: the audits need numpy and scipy, a plain release does not.
-    from .audit_harness import (
-        accuracy_audit,
-        chi_square,
-        oracle_joint_dist_approx,
-        oracle_joint_dist_pure,
-        randomness_audit,
-        tv_distance,
-    )
+    try:
+        from .audit_harness import (
+            accuracy_audit,
+            chi_square,
+            oracle_joint_dist_approx,
+            oracle_joint_dist_pure,
+            randomness_audit,
+            tv_distance,
+        )
+    except ModuleNotFoundError as exc:
+        raise FrugalDPError(
+            f"--audit needs {exc.name}; install it with: pip install 'frugaldp[audit]'"
+        ) from exc
 
     mode = config.mode
     if config.audit == "randomness":

@@ -10,21 +10,14 @@ one and makes every sampler exact; no floating point is involved anywhere.
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from itertools import accumulate
 from typing import Callable
 
 from .bit_tape import BitTape
 from .errors import EnclosureContractError, ParameterDomainError, SampleBudgetError
-from .precise_math import (
-    DYADIC_ONE,
-    BoundedCache,
-    IntervalValue,
-    _pow_scaled,
-    exp_neg,
-    floor_sqrt,
-    scaled_bounds,
-)
+from .precise_math import IntervalValue, _pow_scaled, exp_neg, floor_sqrt, scaled_bounds
 
 #: Rejection loops raise SampleBudgetError after this many attempts. At valid
 #: mechanism parameters even 40 attempts fail with probability < 2**-40.
@@ -33,6 +26,10 @@ ATTEMPT_CAP = 1 << 20
 _MAX_COMPARE_DEPTH = 6000
 _LEVEL_START = 64
 _LEVEL_MAX = 1 << 15
+
+# Serializes the building of RefinableProb levels (reads take no lock), so
+# that threads sharing an oracle build the levels one thread alone would.
+_LEVEL_LOCK = threading.RLock()
 
 
 class RefinableProb:
@@ -43,6 +40,7 @@ class RefinableProb:
     precision whenever a comparison needs a tighter enclosure. ``limit`` is
     the largest comparison depth the level can certify: a level at precision
     P with width w serves any depth up to about P - log2(w * 2**P).
+    Threads may share an instance; see ``_LEVEL_LOCK``.
     """
 
     __slots__ = ("_fn", "_levels")
@@ -57,32 +55,29 @@ class RefinableProb:
         for rec in self._levels:
             if need <= rec[3]:
                 return rec
-        p = max(_LEVEL_START, min_bits + 8)
-        if self._levels:
-            p = max(p, self._levels[-1][0] * 2)
-        while True:
-            iv = self._fn(p)
-            lo, hi = scaled_bounds(iv, p)
-            lo, hi = max(lo, 0), min(hi, 1 << p)
+        with _LEVEL_LOCK:
+            for rec in self._levels:  # another thread may have built it meanwhile
+                if need <= rec[3]:
+                    return rec
+            p = max(_LEVEL_START, min_bits + 8)
             if self._levels:
-                prev = self._levels[-1]
-                # Levels must overlap; disjoint enclosures mean a broken oracle.
-                if lo << prev[0] > prev[2] << p or hi << prev[0] < prev[1] << p:
-                    raise EnclosureContractError("refined enclosure disjoint from previous level")
-            rec = (p, lo, hi, p - (hi - lo).bit_length())
-            self._levels.append(rec)
-            if need <= rec[3]:
-                return rec
-            if p > _LEVEL_MAX:
-                raise EnclosureContractError("enclosure failed to refine")
-            p *= 2
-
-
-def constant_prob(value: Fraction) -> RefinableProb:
-    """RefinableProb for an exactly known rational probability."""
-    if not 0 <= value <= 1:
-        raise ParameterDomainError("probability must lie in [0, 1]")
-    return RefinableProb(lambda p: IntervalValue.from_fraction(value, p))
+                p = max(p, self._levels[-1][0] * 2)
+            while True:
+                iv = self._fn(p)
+                lo, hi = scaled_bounds(iv, p)
+                lo, hi = max(lo, 0), min(hi, 1 << p)
+                if self._levels:
+                    prev = self._levels[-1]
+                    # Levels must overlap; disjoint enclosures mean a broken oracle.
+                    if lo << prev[0] > prev[2] << p or hi << prev[0] < prev[1] << p:
+                        raise EnclosureContractError("refined enclosure disjoint from previous level")
+                rec = (p, lo, hi, p - (hi - lo).bit_length())
+                self._levels.append(rec)
+                if need <= rec[3]:
+                    return rec
+                if p > _LEVEL_MAX:
+                    raise EnclosureContractError("enclosure failed to refine")
+                p *= 2
 
 
 def bernoulli_from_prob(tape: BitTape, prob: RefinableProb) -> int:
@@ -111,43 +106,24 @@ def bernoulli_from_prob(tape: BitTape, prob: RefinableProb) -> int:
             raise EnclosureContractError("Bernoulli comparison failed to resolve")
 
 
-def _one_minus(iv: IntervalValue) -> IntervalValue:
-    return IntervalValue.exact(DYADIC_ONE) - iv
-
-
 _EXP_NEG_ONE = RefinableProb(lambda p: exp_neg(1, p))
 
 
 class LaplaceScale:
     """Scale t > 0 of the integer Laplace distribution Lap_Z(t).
 
-    Holds the derived success probability q = 1 - exp(-1/t) of the
-    geometric coin plus per-residue acceptance oracles, all cached since
-    enclosure refinement is deterministic.
+    Holds the per-residue acceptance oracles of :func:`geometric_fast`,
+    cached since enclosure refinement is deterministic.
     """
 
-    __slots__ = ("t", "_success", "_residues", "_q_snapshot")
+    __slots__ = ("t", "_residues")
 
     def __init__(self, t: "Fraction | int"):
         t = Fraction(t)
         if t <= 0:
             raise ParameterDomainError("Laplace scale must be positive")
         self.t = t
-        inv = 1 / t
-        self._success = RefinableProb(lambda p, x=inv: _one_minus(exp_neg(x, p)))
         self._residues: dict[int, RefinableProb] = {}
-        self._q_snapshot: IntervalValue | None = None
-
-    @property
-    def success_prob_q(self) -> IntervalValue:
-        """64-bit enclosure of 1 - exp(-1/t)."""
-        if self._q_snapshot is None:
-            self._q_snapshot = _one_minus(exp_neg(1 / self.t, 64))
-        return self._q_snapshot
-
-    @property
-    def success_oracle(self) -> RefinableProb:
-        return self._success
 
     def residue_oracle(self, u: int) -> RefinableProb:
         """Oracle for exp(-u/a) where a is the numerator of t."""
@@ -182,43 +158,14 @@ class GaussParam:
         return oracle
 
 
-_SCALE_CACHE: BoundedCache = BoundedCache(4096)
-
-
-def _cached_scale(gamma: "Fraction | int") -> LaplaceScale:
-    key = Fraction(gamma)
-    scale = _SCALE_CACHE.get(key)
-    if scale is None:
-        scale = LaplaceScale(key)
-        _SCALE_CACHE[key] = scale
-    return scale
-
-
-def bernoulli_exp(tape: BitTape, gamma: "Fraction | int | LaplaceScale") -> int:
-    """Exact draw from Ber(1 - exp(-1/gamma)) for rational gamma > 0."""
-    scale = gamma if isinstance(gamma, LaplaceScale) else _cached_scale(gamma)
-    return bernoulli_from_prob(tape, scale.success_oracle)
-
-
-def geometric(tape: BitTape, scale: LaplaceScale) -> int:
-    """Geo(1 - exp(-1/t)) on {0, 1, 2, ...}: failures before the first success.
-
-    This is the plain flip-until-one construction; expected trials are
-    1/(1 - exp(-1/t)) = O(t).
-    """
-    count = 0
-    while bernoulli_from_prob(tape, scale.success_oracle) == 0:
-        count += 1
-    return count
-
-
 def geometric_fast(tape: BitTape, scale: LaplaceScale) -> int:
-    """Same distribution as :func:`geometric` in O(polylog t) expected bits.
+    """Geo(1 - exp(-1/t)) on {0, 1, 2, ...}, in O(polylog t) expected bits.
 
-    Draws the residue u uniformly mod a (a = numerator of t), accepts it
-    with probability exp(-u/a), adds an independent unit-rate geometric
-    block a*v, and divides by the denominator. Each piece is exact, so the
-    result is exactly Geo(1 - exp(-1/t)).
+    Counts failures before the first success, without the O(t) coin flips of
+    the plain construction: draws the residue u uniformly mod a (a = numerator
+    of t), accepts it with probability exp(-u/a), adds an independent
+    unit-rate geometric block a*v, and divides by the denominator. Each piece
+    is exact, so the result is exactly Geo(1 - exp(-1/t)).
     """
     a = scale.t.numerator
     b = scale.t.denominator
@@ -259,14 +206,6 @@ def _truncated_attempts(
         if abs(v) < bound:
             return v, attempt
     raise SampleBudgetError("truncated sampler exceeded the attempt cap")
-
-
-def truncated_sample(tape: BitTape, base: Callable[[BitTape], int], bound: int) -> int:
-    """Draw from ``base`` conditioned on |value| < bound, by rejection."""
-    if bound < 1:
-        raise ParameterDomainError("truncation bound must be a positive integer")
-    value, _ = _truncated_attempts(tape, base, bound)
-    return value
 
 
 def laplace_tail_sample(tape: BitTape, scale: LaplaceScale, threshold: int) -> int:

@@ -12,7 +12,6 @@ a transcendental p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -23,14 +22,6 @@ from .precise_math import BoundedCache, IntervalValue, binom_prob_enclose, scale
 _MAX_DEPTH = 6000
 
 
-@dataclass(frozen=True)
-class PointMassState:
-    """Final sampler state: the dyadic prefix u = mantissa * 2**-depth."""
-
-    mantissa: int
-    depth: int
-
-
 class PointMassSpec:
     """Finite distribution described by enclosures of its cumulatives.
 
@@ -38,6 +29,8 @@ class PointMassSpec:
     cumulative P_i (P_0 = 0 <= P_1 <= ... <= P_k = 1) with width at most
     2**-precision. Results are cached per precision; refinements of the same
     cumulative must overlap earlier enclosures or the spec is rejected.
+    Threads may share a spec: a row is created once, and the overlap check
+    reads a snapshot of the rows while other threads may add one.
     """
 
     __slots__ = ("k", "prob_oracle", "_rows")
@@ -53,14 +46,13 @@ class PointMassSpec:
         """Scaled integer bounds of P_i at the given precision."""
         row = self._rows.get(precision)
         if row is None:
-            row = [None] * (self.k + 1)
-            self._rows[precision] = row
+            row = self._rows.setdefault(precision, [None] * (self.k + 1))
         rec = row[i]
         if rec is None:
             iv = self.prob_oracle(i, precision)
             lo, hi = scaled_bounds(iv, precision)
             rec = (max(lo, 0), min(hi, 1 << precision))
-            for other_p, other_row in self._rows.items():
+            for other_p, other_row in tuple(self._rows.items()):
                 prev = other_row[i]
                 if prev is None or other_p == precision:
                     continue
@@ -98,9 +90,7 @@ def _precision_for(depth: int) -> int:
     return p
 
 
-def sample_point_mass(
-    tape: BitTape, spec: PointMassSpec, return_state: bool = False
-) -> "int | tuple[int, PointMassState]":
+def sample_point_mass(tape: BitTape, spec: PointMassSpec) -> int:
     """Draw index i in {1..k} with probability exactly P_i - P_{i-1}.
 
     Maintains a window of still-possible outcomes; both window ends move
@@ -124,8 +114,6 @@ def sample_point_mass(
             prev_hi = spec.bounds(lo_idx - 1, prec)[1]
             cur_lo = spec.bounds(lo_idx, prec)[0]
             if prev_hi <= box_lo and box_hi <= cur_lo:
-                if return_state:
-                    return lo_idx, PointMassState(u, depth)
                 return lo_idx
         u = (u << 1) | tape.next_bit()
         depth += 1
@@ -205,7 +193,3 @@ def _enclosed_binomial_oracle(
 
     return oracle
 
-
-def binomial_draw(tape: BitTape, d: int, p: ProbInput) -> int:
-    """Exact Bin(d, p) in H(Bin(d, p)) + O(1) = O(log d) expected bits."""
-    return sample_point_mass(tape, binomial_spec(d, p)) - 1

@@ -1,7 +1,7 @@
 """Exact dyadic and interval arithmetic for the samplers' irrational constants.
 
 Everything a mechanism compares a random bit stream against (exp(-x), ln,
-sqrt, binomial probabilities) is produced here as a rigorous two-sided
+binomial probabilities) is produced here as a rigorous two-sided
 enclosure at a requested precision. No floating point enters any sampling
 path; floats appear only when callers convert results for reporting.
 
@@ -75,13 +75,6 @@ class Dyadic:
         if self.exponent >= 0:
             return Fraction(self.mantissa << self.exponent)
         return Fraction(self.mantissa, 1 << -self.exponent)
-
-    def scaled(self, precision_bits: int) -> int:
-        """self * 2**precision_bits, exact; requires exponent >= -precision_bits."""
-        shift = self.exponent + precision_bits
-        if shift < 0:
-            raise ValueError("value is finer than the requested scale")
-        return self.mantissa << shift
 
     def floor(self) -> int:
         if self.exponent >= 0:
@@ -421,21 +414,6 @@ def ln_enclose(x: "Fraction | int | Dyadic", precision_bits: int) -> IntervalVal
         Dyadic.from_fraction(lo_f, precision_bits + 2, round_up=False),
         Dyadic.from_fraction(hi_f, precision_bits + 2, round_up=True),
     )
-
-
-def sqrt_enclose(x: "Fraction | int | Dyadic", precision_bits: int) -> IntervalValue:
-    """Enclosure of sqrt(x) for x >= 0, width <= 2**-precision_bits."""
-    xf = _to_fraction(x)
-    if xf < 0:
-        raise MathDomainError("sqrt_enclose requires x >= 0")
-    w = precision_bits + 2
-    scaled = xf * (1 << (2 * w))
-    n_lo = scaled.numerator // scaled.denominator
-    root = isqrt(n_lo)
-    if root * root * scaled.denominator == scaled.numerator:
-        return IntervalValue.exact(Dyadic(root, -w))
-    n_hi = -((-scaled.numerator) // scaled.denominator)
-    return IntervalValue(Dyadic(root, -w), Dyadic(isqrt(n_hi) + 1, -w))
 
 
 def floor_sqrt(x: "Fraction | int") -> int:

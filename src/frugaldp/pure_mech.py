@@ -4,9 +4,10 @@ The reference chain adds Laplace noise of scale d/eps, applies one shared
 shift, and rounds to the grid m*s. The decomposed variants split each
 coordinate's noise into a rare tail event (|noise| >= m, probability p) and
 a truncated body draw; the efficient release samples the tail set up front
-with an entropy-optimal binomial draw and then touches randomness only for
-tail coordinates and for body coordinates whose rounding is ambiguous,
-which draw their grid cell directly.
+with an entropy-optimal binomial draw and then, in the shift-and-round loop
+it shares with approx mode, touches randomness only for tail coordinates
+and for body coordinates whose rounding is ambiguous, which draw their grid
+cell directly.
 """
 
 from __future__ import annotations
@@ -16,15 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bit_tape import BitTape
-from .approx_mech import (
-    CountVector,
-    MechanismResult,
-    _check_inputs,
-    _check_shift,
-    _report,
-    floor_multiple,
-    is_silent,
-)
 from .core_samplers import (
     LaplaceCells,
     LaplaceScale,
@@ -32,12 +24,20 @@ from .core_samplers import (
     _truncated_attempts,
     bernoulli_from_prob,
     discrete_laplace,
-    draw_cell,
     laplace_tail_sample,
 )
 from .entropy_sampler import PointMassSpec, binomial_spec, sample_point_mass
 from .errors import EnclosureContractError, ParameterDomainError
 from .precise_math import IntervalValue, exp_neg, exp_pos, interval_div, ln_enclose
+from .release import (
+    CountVector,
+    MechanismResult,
+    build_report,
+    check_release,
+    draw_shift,
+    floor_multiple,
+    shift_and_round,
+)
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,6 @@ class PureParams:
         "m",
         "grid",
         "p",
-        "_p_fn",
         "membership",
         "binomial",
         "cells",
@@ -96,7 +95,6 @@ class PureParams:
             den = exp_pos(y, precision + 6) + IntervalValue.exact(1)
             return interval_div(num, den, precision)
 
-        self._p_fn = p_fn
         self.p = p_fn(64)
         prec = 128
         while self.p.hi.as_fraction() >= 1:  # p < 1 holds analytically; certify it
@@ -107,10 +105,6 @@ class PureParams:
         self.membership = RefinableProb(p_fn)
         self.binomial: PointMassSpec = binomial_spec(d, p_fn)
         self.cells = LaplaceCells(self.scale, m)
-
-    def p_enclosure(self, precision: int) -> IntervalValue:
-        """Refinable enclosure of the exact tail probability."""
-        return self._p_fn(precision)
 
 
 def derive_pure_params(epsilon: Fraction, d: int, s: int, precision: int = 96) -> PureParams:
@@ -137,15 +131,6 @@ def derive_pure_params(epsilon: Fraction, d: int, s: int, precision: int = 96) -
         scaled = product.scale(t, precision)
         m = math.ceil(scaled.hi.as_fraction()) + 1
     return PureParams(d, s, epsilon, m)
-
-
-def pure_params_explicit(d: int, s: int, epsilon: Fraction, m: int) -> PureParams:
-    """Parameters with a forced threshold m, for oracles and equivalence tests.
-
-    The distributional equivalences hold for every (eps, m, s); only the
-    randomness-complexity guarantees need the derived m and d/eps > 10.
-    """
-    return PureParams(d, s, Fraction(epsilon), m)
 
 
 def sample_tail_set(
@@ -193,15 +178,13 @@ def mech_pure_reference(
     leaves its origin open; pass ``omega`` to condition on a fixed shift or
     leave it None to draw one.
     """
-    _check_inputs(counts, params)
+    check_release(counts, params, params.m, omega)
     if variant not in (1, 2, 3, 4):
         raise ParameterDomainError("variant must be 1, 2, 3 or 4")
-    _check_shift(omega, params.m, params.s)
     start = tape.snapshot()
     attempts: dict[int, int] = {}
     if variant != 1 and omega is None:
-        with tape.category("shift"):
-            omega = params.m * tape.uniform_range(params.s)
+        omega = draw_shift(tape, params.m, params.s)
     values = []
     if variant in (1, 2):
         etas = []
@@ -234,7 +217,7 @@ def mech_pure_reference(
                         tape, lambda t: discrete_laplace(t, params.scale), params.m
                     )
             values.append(floor_multiple(s_i + omega + eta, params.grid))
-    return MechanismResult(tuple(values), _report(tape, start, tuple(range(counts.d)), attempts))
+    return MechanismResult(tuple(values), build_report(tape, start, tuple(range(counts.d)), attempts))
 
 
 def mech_pure_efficient(
@@ -251,34 +234,18 @@ def mech_pure_efficient(
     coordinates pay, drawing their grid cell from the truncated Laplace
     law's closed-form tail mass.
     """
-    _check_inputs(counts, params)
-    _check_shift(omega, params.m, params.s)
+    check_release(counts, params, params.m, omega)
     start = tape.snapshot()
     tail = sample_tail_set(tape, params.d, spec=params.binomial)
-    if omega is None:
-        with tape.category("shift"):
-            omega = params.m * tape.uniform_range(params.s)
-    m, grid = params.m, params.grid
-    values = []
-    branches = []
-    boundary = []
-    attempts: dict[int, int] = {}
-    for i, s_i in enumerate(counts.sums):
-        if i in tail:
-            with tape.category("tail"):
-                eta = laplace_tail_sample(tape, params.scale, m)
-            attempts[i] = 1
-            values.append(floor_multiple(s_i + omega + eta, grid))
-            branches.append("tail")
-        elif is_silent(s_i, omega, m, grid):
-            values.append(floor_multiple(s_i + omega - (m - 1), grid))
-            branches.append("silent")
-        else:
-            with tape.category("laplace"):
-                values.append(draw_cell(tape, params.cells, s_i + omega, grid))
-            attempts[i] = 1
-            boundary.append(i)
-            branches.append("body")
-    result = MechanismResult(tuple(values), _report(tape, start, tuple(boundary), attempts))
-    trace = PureTrace(tail_set=tail, tail_size=len(tail), shift=omega, branches=tuple(branches))
-    return result, trace
+    # The lambda reads this module's laplace_tail_sample at each call, so a
+    # wrapper installed on that global sees every tail draw.
+    result, omega = shift_and_round(
+        tape, start, counts, params.s, params.cells, "laplace", omega,
+        tail, lambda t: laplace_tail_sample(t, params.scale, params.m),
+    )
+    branches = ["silent"] * counts.d
+    for i in tail:
+        branches[i] = "tail"
+    for i in result.report.boundary_coordinates:
+        branches[i] = "body"
+    return result, PureTrace(tail_set=tail, tail_size=len(tail), shift=omega, branches=tuple(branches))

@@ -1,0 +1,151 @@
+"""The shift-and-round release core shared by the approximate and pure modes.
+
+Both efficient releases follow one recipe: draw one shift from
+{unit, 2 unit, ..., s unit}, then walk the coordinates. A coordinate whose
+rounded value is the same for every noise value in (-unit, unit) is released
+silently and costs no bits; any other coordinate draws its grid cell from
+the truncated noise law. The grid is unit * s, where the unit is the noise
+half-width (r in approx mode, m in pure mode). Pure mode adds one pre-step,
+a tail set drawn up front whose coordinates take noise from the law's tail.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from dataclasses import dataclass
+from typing import Callable
+
+from .bit_tape import BitTape
+from .core_samplers import CellLaw, draw_cell
+from .errors import FrugalDPError, ParameterDomainError
+
+
+@dataclass(frozen=True)
+class CountVector:
+    """True column sums of a binary dataset: d counts over n rows."""
+
+    d: int
+    n: int
+    sums: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.d < 1 or len(self.sums) != self.d:
+            raise ParameterDomainError("sums must have length d >= 1")
+        if self.n < 0:
+            raise ParameterDomainError("dataset size must be non-negative")
+        for i, v in enumerate(self.sums):
+            if not 0 <= v <= self.n:
+                raise ParameterDomainError(f"count {i} outside [0, n]")
+
+
+@dataclass(frozen=True)
+class RandomnessReport:
+    """Exact bit accounting for one mechanism invocation."""
+
+    bits_total: int
+    bits_by_category: dict[str, int]
+    boundary_coordinates: tuple[int, ...]
+    draws_attempted: dict[int, int]
+
+    def __post_init__(self):
+        if sum(self.bits_by_category.values()) != self.bits_total:
+            raise FrugalDPError("category bit counts do not sum to the total")
+
+
+@dataclass(frozen=True)
+class MechanismResult:
+    values: tuple[int, ...]
+    report: RandomnessReport
+
+
+def floor_multiple(v: int, k: int) -> int:
+    """Largest multiple of k that is <= v (floor toward minus infinity)."""
+    if k < 1:
+        raise ParameterDomainError("grid unit must be a positive integer")
+    return (v // k) * k
+
+
+def is_silent(sum_i: int, omega: int, halfwidth: int, grid: int) -> bool:
+    """True when rounding is unaffected by any noise in (-halfwidth, halfwidth)."""
+    if grid < 1:
+        raise ParameterDomainError("grid unit must be a positive integer")
+    center, reach = sum_i + omega, halfwidth - 1
+    return (center - reach) // grid == (center + reach) // grid
+
+
+def check_release(counts: CountVector, params, unit: int, omega: int | None) -> None:
+    """Reject counts of the wrong dimension and a forced shift off {unit, ..., unit*s}."""
+    if counts.d != params.d:
+        raise ParameterDomainError("dimension mismatch between counts and parameters")
+    if omega is not None and (omega % unit != 0 or not unit <= omega <= unit * params.s):
+        raise ParameterDomainError("forced shift must be a unit multiple in {unit..unit*s}")
+
+
+def draw_shift(tape: BitTape, unit: int, s: int) -> int:
+    """The shared shift, uniform on {unit, 2 unit, ..., s unit}."""
+    with tape.category("shift"):
+        return unit * tape.uniform_range(s)
+
+
+def build_report(
+    tape: BitTape,
+    start: tuple[int, Counter],
+    boundary: tuple[int, ...] = (),
+    attempts: dict[int, int] | None = None,
+) -> RandomnessReport:
+    """The bits drawn since the ``tape.snapshot()`` taken as ``start``, by category."""
+    start_bits, start_log = start
+    by_cat = {}
+    for name, count in tape.draw_log.items():
+        delta = count - start_log.get(name, 0)
+        if delta:
+            by_cat[name] = delta
+    return RandomnessReport(
+        bits_total=tape.bits_consumed - start_bits,
+        bits_by_category=by_cat,
+        boundary_coordinates=boundary,
+        draws_attempted=attempts or {},
+    )
+
+
+def shift_and_round(
+    tape: BitTape,
+    start: tuple[int, Counter],
+    counts: CountVector,
+    s: int,
+    cells: CellLaw,
+    noise: str,
+    omega: int | None = None,
+    tail: frozenset[int] = frozenset(),
+    tail_noise: Callable[[BitTape], int] | None = None,
+) -> tuple[MechanismResult, int]:
+    """Release ``counts`` on the grid cells.halfwidth * s; returns the result and the shift.
+
+    Draws the shift unless ``omega`` forces it. Coordinates in ``tail`` add
+    ``tail_noise(tape)`` (bits under "tail"); the others are silent or draw
+    their cell from ``cells`` (bits under ``noise``). ``start`` is the tape
+    snapshot the report counts from, taken before any pre-step.
+    """
+    unit = cells.halfwidth
+    grid = unit * s
+    reach = unit - 1
+    if omega is None:
+        omega = draw_shift(tape, unit, s)
+    values = []
+    boundary = []
+    attempts: dict[int, int] = {}
+    # Silent coordinates draw nothing, so one category block covers the loop.
+    with tape.category(noise):
+        for i, s_i in enumerate(counts.sums):
+            center = s_i + omega
+            if i in tail:
+                with tape.category("tail"):
+                    values.append(floor_multiple(center + tail_noise(tape), grid))
+                attempts[i] = 1
+            elif is_silent(s_i, omega, unit, grid):
+                values.append(floor_multiple(center - reach, grid))
+            else:
+                values.append(draw_cell(tape, cells, center, grid))
+                attempts[i] = 1
+                boundary.append(i)
+    return MechanismResult(tuple(values), build_report(tape, start, tuple(boundary), attempts)), omega

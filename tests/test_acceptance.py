@@ -13,7 +13,6 @@ from fractions import Fraction
 from scipy import stats
 
 from frugaldp.approx_mech import (
-    CountVector,
     approx_params_from_sigma,
     derive_approx_params,
     mech_approx_efficient,
@@ -33,11 +32,12 @@ from frugaldp.cli import RunConfig, run
 from frugaldp.entropy_sampler import binomial_spec, sample_point_mass, spec_from_fractions
 from frugaldp.precise_math import exp_pos
 from frugaldp.pure_mech import (
+    PureParams,
     derive_pure_params,
     mech_pure_efficient,
     mech_pure_reference,
-    pure_params_explicit,
 )
+from frugaldp.release import CountVector
 
 
 def _verdict(number: int, description: str, ok: bool, detail: str = "") -> None:
@@ -71,7 +71,7 @@ def test_criterion_01_approx_equivalence():
 
 def test_criterion_02_pure_equivalence():
     """Efficient pure release vs exact oracle, plus pairwise variant tests."""
-    params = pure_params_explicit(2, 2, Fraction(1), 2)  # t = d/eps = 2, m = 2
+    params = PureParams(2, 2, Fraction(1), 2)  # t = d/eps = 2, m = 2
     counts = CountVector(d=2, n=10, sums=(3, 7))
     oracle = oracle_joint_dist_pure(counts, params)
     n = 100_000

@@ -275,11 +275,38 @@ class TestInternalFaults:
         assert code == EXIT_PARAMETER
 
 
-def test_cli_import_leaves_numpy_and_scipy_out():
+def _run_python(probe, *args):
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, frugaldp.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
-    proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
+    return subprocess.run(
+        [sys.executable, "-c", probe, *args], capture_output=True, text=True, env=env
     )
-    assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_numpy_and_scipy_out():
+    for module in ("frugaldp.cli", "frugaldp"):
+        probe = f"import sys, {module}; print(sorted({{'numpy', 'scipy'}} & set(sys.modules)))"
+        proc = _run_python(probe)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+    import frugaldp
+
+    assert len(frugaldp.__all__) <= 20
+    for name in frugaldp.__all__:
+        assert getattr(frugaldp, name) is not None
+
+
+def test_audit_without_numpy_names_the_extra(csv_file):
+    data = csv_file("a,b\n1,0\n0,1\n1,1\n")
+    # None in sys.modules makes every import of numpy fail as if it were absent.
+    probe = (
+        "import sys; sys.modules['numpy'] = None; from frugaldp.cli import main; "
+        "sys.exit(main(sys.argv[1:]))"
+    )
+    proc = _run_python(
+        probe, "--mode", "approx", "--epsilon", "1", "--delta", "0.25",
+        "--input", data, "--seed", "1", "--audit", "randomness",
+    )
+    assert proc.returncode == EXIT_PARAMETER == 2
+    assert "frugaldp[audit]" in proc.stderr
+    assert "Traceback" not in proc.stderr

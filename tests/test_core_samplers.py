@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import pytest
 
+from scipy import stats
+
 import frugaldp.core_samplers as cs
 from frugaldp.audit_harness import two_sample_chi_square
 from frugaldp.bit_tape import BitTape
@@ -18,27 +20,55 @@ from frugaldp.core_samplers import (
     GaussParam,
     LaplaceCells,
     LaplaceScale,
-    bernoulli_exp,
+    RefinableProb,
+    _truncated_attempts,
     bernoulli_from_prob,
-    constant_prob,
     discrete_gaussian,
     discrete_laplace,
     draw_cell,
-    geometric,
     geometric_fast,
     laplace_tail_sample,
-    truncated_sample,
 )
 from frugaldp.errors import ParameterDomainError, SampleBudgetError
+from frugaldp.precise_math import IntervalValue, exp_neg
 
 from conftest import collect_histogram
+
+
+def _bernoulli_exp_oracle(gamma):
+    """RefinableProb for 1 - exp(-1/gamma)."""
+    return RefinableProb(lambda p: IntervalValue.exact(1) - exp_neg(1 / Fraction(gamma), p))
+
+
+def _constant_oracle(value):
+    return RefinableProb(lambda p: IntervalValue.from_fraction(value, p))
+
+
+def _geometric_pmf(t):
+    """Exact pmf of Geo(1 - exp(-1/t)) on {0, 1, ...}, in floats."""
+    q = math.exp(-1 / float(t))
+    return lambda k: (1 - q) * q**k
+
+
+def _chi_square_against(hist, pmf):
+    """Goodness-of-fit p-value; values past the last bin expecting >= 5 are pooled."""
+    n = sum(hist.values())
+    observed, expected, k = [], [], 0
+    while pmf(k) * n >= 5:
+        observed.append(hist.get(k, 0))
+        expected.append(pmf(k) * n)
+        k += 1
+    observed.append(n - sum(observed))
+    expected.append(n - sum(expected))
+    return stats.chisquare(observed, expected).pvalue
 
 
 class TestBernoulliExp:
     def test_mean_at_gamma_one(self):
         tape = BitTape(seed=101)
         n = 100_000
-        mean = sum(bernoulli_exp(tape, 1) for _ in range(n)) / n
+        prob = _bernoulli_exp_oracle(1)
+        mean = sum(bernoulli_from_prob(tape, prob) for _ in range(n)) / n
         assert abs(mean - (1 - math.exp(-1))) <= 0.01
 
     def test_tiny_success_probability(self):
@@ -46,26 +76,23 @@ class TestBernoulliExp:
         tape = BitTape(seed=102)
         n = 1_000_000
         gamma = Fraction(1 << 20)
-        successes = sum(bernoulli_exp(tape, gamma) for _ in range(n))
+        prob = _bernoulli_exp_oracle(gamma)
+        successes = sum(bernoulli_from_prob(tape, prob) for _ in range(n))
         q = 1 - math.exp(-float(1 / gamma))
         assert abs(successes / n - q) <= 3 * math.sqrt(q / n)
 
     def test_seeded_runs_identical(self):
         a = BitTape(seed=103)
         b = BitTape(seed=103)
-        seq_a = [bernoulli_exp(a, Fraction(3, 2)) for _ in range(200)]
-        seq_b = [bernoulli_exp(b, Fraction(3, 2)) for _ in range(200)]
+        prob = _bernoulli_exp_oracle(Fraction(3, 2))
+        seq_a = [bernoulli_from_prob(a, prob) for _ in range(200)]
+        seq_b = [bernoulli_from_prob(b, prob) for _ in range(200)]
         assert seq_a == seq_b
-
-    def test_invalid_gamma(self):
-        tape = BitTape(seed=1)
-        with pytest.raises(ParameterDomainError):
-            bernoulli_exp(tape, 0)
 
 
 class TestBernoulliFromProb:
     def test_rational_probability(self):
-        prob = constant_prob(Fraction(1, 3))
+        prob = _constant_oracle(Fraction(1, 3))
         tape = BitTape(seed=105)
         n = 50_000
         mean = sum(bernoulli_from_prob(tape, prob) for _ in range(n)) / n
@@ -73,47 +100,43 @@ class TestBernoulliFromProb:
 
     def test_certain_outcomes_cost_no_bits(self):
         tape = BitTape(seed=106)
-        assert bernoulli_from_prob(tape, constant_prob(Fraction(1))) == 1
-        assert bernoulli_from_prob(tape, constant_prob(Fraction(0))) == 0
+        assert bernoulli_from_prob(tape, _constant_oracle(Fraction(1))) == 1
+        assert bernoulli_from_prob(tape, _constant_oracle(Fraction(0))) == 0
         assert tape.bits_consumed == 0
-
-    def test_probability_domain(self):
-        with pytest.raises(ParameterDomainError):
-            constant_prob(Fraction(3, 2))
 
 
 class TestGeometric:
     def test_mass_at_zero(self):
         scale = LaplaceScale(2)
-        hist, _ = collect_histogram(lambda t: geometric(t, scale), 100_000, 201)
+        hist, _ = collect_histogram(lambda t: geometric_fast(t, scale), 100_000, 201)
         n = sum(hist.values())
         assert abs(hist[0] / n - (1 - math.exp(-0.5))) <= 0.01
 
     def test_successive_ratio(self):
         scale = LaplaceScale(2)
-        hist, _ = collect_histogram(lambda t: geometric(t, scale), 100_000, 202)
+        hist, _ = collect_histogram(lambda t: geometric_fast(t, scale), 100_000, 202)
         for k in range(3):
             ratio = hist[k + 1] / hist[k]
             assert abs(ratio - math.exp(-0.5)) <= 0.03
 
     def test_tiny_scale_collapses_to_zero(self):
         scale = LaplaceScale(Fraction(1, 64))
-        hist, _ = collect_histogram(lambda t: geometric(t, scale), 10_000, 203)
+        hist, _ = collect_histogram(lambda t: geometric_fast(t, scale), 10_000, 203)
         assert set(hist) == {0}  # P[nonzero] <= exp(-64)
 
-    def test_fast_matches_slow_distribution(self):
-        # Non-integer scale 7/2 exercises the residue and divisor paths.
-        scale = LaplaceScale(Fraction(7, 2))
-        slow, _ = collect_histogram(lambda t: geometric(t, scale), 30_000, 204)
-        fast, _ = collect_histogram(lambda t: geometric_fast(t, scale), 30_000, 205)
-        assert two_sample_chi_square(slow, fast) >= 0.001
+    def test_matches_exact_pmf(self):
+        # The non-integer scale 7/2 exercises the residue and divisor paths.
+        for seed, t in ((204, Fraction(2)), (205, Fraction(7, 2))):
+            scale = LaplaceScale(t)
+            hist, _ = collect_histogram(lambda tp: geometric_fast(tp, scale), 30_000, seed)
+            assert _chi_square_against(hist, _geometric_pmf(t)) >= 0.001
 
     def test_fast_uses_fewer_bits_at_large_scale(self):
+        # Flipping coins until the first success takes 1/(1 - exp(-1/t)) > t
+        # trials on average, at least one bit each.
         scale = LaplaceScale(128)
-        _, slow_bits = collect_histogram(lambda t: geometric(t, scale), 2_000, 206)
         _, fast_bits = collect_histogram(lambda t: geometric_fast(t, scale), 2_000, 207)
-        assert fast_bits < slow_bits / 5
-
+        assert fast_bits / 2_000 < 128 / 5
 
 class TestDiscreteLaplace:
     def test_mass_at_zero(self):
@@ -182,22 +205,22 @@ class TestDiscreteGaussian:
         assert set(hist) == {0}  # P[X != 0] ~ 2 exp(-50)
 
 
+def _truncated(base, bound):
+    return lambda tape: _truncated_attempts(tape, base, bound)[0]
+
+
 class TestTruncatedSample:
     def test_huge_bound_is_identity(self):
         scale = LaplaceScale(2)
         base, _ = collect_histogram(lambda t: discrete_laplace(t, scale), 20_000, 601)
         trunc, _ = collect_histogram(
-            lambda t: truncated_sample(t, lambda tp: discrete_laplace(tp, scale), 10**9),
-            20_000,
-            602,
+            _truncated(lambda tp: discrete_laplace(tp, scale), 10**9), 20_000, 602
         )
         assert two_sample_chi_square(base, trunc) >= 0.001
 
     def test_bound_one_pins_to_zero(self):
         scale = LaplaceScale(1)
-        hist, _ = collect_histogram(
-            lambda t: truncated_sample(t, lambda tp: discrete_laplace(tp, scale), 1), 2_000, 603
-        )
+        hist, _ = collect_histogram(_truncated(lambda tp: discrete_laplace(tp, scale), 1), 2_000, 603)
         assert set(hist) == {0}
 
     def test_conditional_pmf(self):
@@ -207,9 +230,7 @@ class TestTruncatedSample:
         z = sum(weights.values())
         oracle = {k: w / z for k, w in weights.items()}
         hist, _ = collect_histogram(
-            lambda t: truncated_sample(t, lambda tp: discrete_laplace(tp, scale), 3),
-            100_000,
-            604,
+            _truncated(lambda tp: discrete_laplace(tp, scale), 3), 100_000, 604
         )
         n = sum(hist.values())
         empirical = {k: c / n for k, c in hist.items()}
@@ -220,12 +241,7 @@ class TestTruncatedSample:
         monkeypatch.setattr(cs, "ATTEMPT_CAP", 50)
         tape = BitTape(seed=605)
         with pytest.raises(SampleBudgetError):
-            truncated_sample(tape, lambda t: 7, 1)
-
-    def test_bad_bound(self):
-        tape = BitTape(seed=606)
-        with pytest.raises(ParameterDomainError):
-            truncated_sample(tape, lambda t: 0, 0)
+            _truncated_attempts(tape, lambda t: 7, 1)
 
 
 class TestLaplaceTailSample:
@@ -248,12 +264,13 @@ class TestLaplaceTailSample:
         assert abs(ratio - math.exp(0.5)) <= 0.06
 
     def test_memorylessness_matches_geometric(self):
-        scale = LaplaceScale(2)
-        excess, _ = collect_histogram(
-            lambda t: abs(laplace_tail_sample(t, scale, 5)) - 5, 50_000, 704
-        )
-        geo, _ = collect_histogram(lambda t: geometric(t, scale), 50_000, 705)
-        assert two_sample_chi_square(excess, geo) >= 0.001
+        # The excess over the threshold is exactly Geo(1 - exp(-1/t)).
+        for seed, t in ((704, Fraction(2)), (705, Fraction(7, 2))):
+            scale = LaplaceScale(t)
+            excess, _ = collect_histogram(
+                lambda tp: abs(laplace_tail_sample(tp, scale, 5)) - 5, 50_000, seed
+            )
+            assert _chi_square_against(excess, _geometric_pmf(t)) >= 0.001
 
     def test_threshold_validation(self):
         tape = BitTape(seed=706)
@@ -316,8 +333,6 @@ class TestCellDraw:
         assert set(hist) <= set(probs)
         observed = [hist.get(c, 0) for c in sorted(probs)]
         expected = [probs[c] * n for c in sorted(probs)]
-        from scipy import stats
-
         assert stats.chisquare(observed, expected).pvalue >= 0.001
         assert bits / n <= 2 * (len(probs) - 1) + 1
 
@@ -337,19 +352,11 @@ class TestCellDraw:
         probs = _cell_probs(_laplace_weight(Fraction(5, 2)), 11, 9, 10)
         observed = [hist.get(c, 0) for c in sorted(probs)]
         expected = [probs[c] * n for c in sorted(probs)]
-        from scipy import stats
-
         assert stats.chisquare(observed, expected).pvalue >= 0.001
 
     def test_halfwidth_validation(self):
         with pytest.raises(ParameterDomainError):
             GaussianCells(Fraction(2), 0)
-
-
-def test_scale_cache_stays_bounded():
-    for i in range(cs._SCALE_CACHE.cap + 10):
-        cs._cached_scale(Fraction(i + 1, 7))
-        assert len(cs._SCALE_CACHE) <= cs._SCALE_CACHE.cap
 
 
 def test_scale_validation():

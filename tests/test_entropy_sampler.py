@@ -10,7 +10,6 @@ import frugaldp.entropy_sampler as es
 from frugaldp.bit_tape import BitTape
 from frugaldp.entropy_sampler import (
     PointMassSpec,
-    binomial_draw,
     binomial_spec,
     sample_point_mass,
     spec_from_fractions,
@@ -50,14 +49,6 @@ class TestSamplePointMass:
         _, p = stats.chisquare(counts, [float(q) * sum(counts) for q in probs])
         assert p >= 0.001
 
-    def test_state_reports_depth(self):
-        spec = spec_from_fractions([Fraction(1, 2), Fraction(1, 2)])
-        tape = BitTape(seed=804)
-        before = tape.bits_consumed
-        _, state = sample_point_mass(tape, spec, return_state=True)
-        assert state.depth == tape.bits_consumed - before
-        assert 0 <= state.mantissa < (1 << state.depth)
-
     def test_invalid_specs(self):
         with pytest.raises(ParameterDomainError):
             spec_from_fractions([Fraction(1, 2), Fraction(1, 3)])
@@ -86,21 +77,26 @@ class TestSamplePointMass:
                 sample_point_mass(tape, spec)
 
 
+def _binomial(d, p):
+    spec = binomial_spec(d, p)
+    return lambda tape: sample_point_mass(tape, spec) - 1
+
+
 class TestBinomialDraw:
     def test_bernoulli_reduction(self):
         p = Fraction(3, 10)
-        hist, _ = collect_histogram(lambda t: binomial_draw(t, 1, p), 100_000, 806)
+        hist, _ = collect_histogram(_binomial(1, p), 100_000, 806)
         n = sum(hist.values())
         assert abs(hist[1] / n - 0.3) <= 3 * math.sqrt(0.3 * 0.7 / n) + 0.001
 
     def test_symmetric_midpoint(self):
-        hist, _ = collect_histogram(lambda t: binomial_draw(t, 4, Fraction(1, 2)), 100_000, 807)
+        hist, _ = collect_histogram(_binomial(4, Fraction(1, 2)), 100_000, 807)
         n = sum(hist.values())
         assert abs(hist[2] / n - 3 / 8) <= 0.01
 
     def test_rare_success(self):
         p = Fraction(1, 1024)
-        hist, _ = collect_histogram(lambda t: binomial_draw(t, 8, p), 100_000, 808)
+        hist, _ = collect_histogram(_binomial(8, p), 100_000, 808)
         n = sum(hist.values())
         expected = float((1 - p) ** 8)
         assert abs(hist[0] / n - expected) <= 3 * math.sqrt(expected * (1 - expected) / n) + 0.001
@@ -124,7 +120,7 @@ class TestBinomialDraw:
 
     def test_fixed_interval_accepted(self):
         p = IntervalValue.from_fraction(Fraction(1, 3), 96)
-        hist, _ = collect_histogram(lambda t: binomial_draw(t, 3, p), 20_000, 810)
+        hist, _ = collect_histogram(_binomial(3, p), 20_000, 810)
         n = sum(hist.values())
         assert abs(hist[0] / n - (2 / 3) ** 3) <= 0.02
 

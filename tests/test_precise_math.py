@@ -20,7 +20,6 @@ from frugaldp.precise_math import (
     floor_sqrt,
     interval_div,
     ln_enclose,
-    sqrt_enclose,
 )
 
 dyadics = st.builds(
@@ -135,15 +134,6 @@ class TestLnSqrt:
         with pytest.raises(MathDomainError):
             ln_enclose(Fraction(-3, 2), 20)
 
-    def test_sqrt_exact_square(self):
-        iv = sqrt_enclose(4, 40)
-        assert iv.lo == iv.hi == Dyadic(2)
-
-    def test_sqrt_two(self):
-        iv = sqrt_enclose(2, 40)
-        assert iv.contains(Fraction(math.sqrt(2)).limit_denominator(10**12))
-        assert iv.width() <= Fraction(1, 1 << 40)
-
     def test_floor_sqrt(self):
         assert floor_sqrt(Fraction(41, 10)) == 2
         assert floor_sqrt(Fraction(39, 10)) == 1
@@ -200,12 +190,6 @@ def test_enclosure_soundness_sweep():
         assert lniv.lo.as_fraction() <= lnfine.midpoint() <= lniv.hi.as_fraction()
         assert lnfine.width() <= lniv.width()
         assert abs(float(lniv.lo) - math.log(float(x))) < 1e-6
-
-        sqiv = sqrt_enclose(x, prec)
-        sqfine = sqrt_enclose(x, 2 * prec)
-        assert sqiv.lo.as_fraction() <= sqfine.midpoint() <= sqiv.hi.as_fraction()
-        assert sqfine.width() <= sqiv.width()
-        assert abs(float(sqiv.lo) - math.sqrt(float(x))) < 1e-6
 
         d = rng.randint(1, 12)
         i = rng.randint(0, d)

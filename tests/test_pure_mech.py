@@ -7,23 +7,23 @@ from itertools import combinations
 
 import pytest
 
-from frugaldp.approx_mech import CountVector, floor_multiple
 from frugaldp.audit_harness import crossing_shifts, two_sample_chi_square
 from frugaldp.bit_tape import BitTape
 from frugaldp.core_samplers import (
+    _truncated_attempts,
     bernoulli_from_prob,
     discrete_laplace,
     laplace_tail_sample,
-    truncated_sample,
 )
 from frugaldp.errors import ParameterDomainError
 from frugaldp.pure_mech import (
+    PureParams,
     derive_pure_params,
     mech_pure_efficient,
     mech_pure_reference,
-    pure_params_explicit,
     sample_tail_set,
 )
+from frugaldp.release import CountVector, floor_multiple
 
 from conftest import collect_histogram
 
@@ -48,7 +48,7 @@ class TestDeriveParams:
 
     def test_tail_probability_is_twice_one_sided_sum(self):
         # Independent oracle: sum the pmf over k >= m directly.
-        params = pure_params_explicit(4, 2, Fraction(1), 3)
+        params = PureParams(4, 2, Fraction(1), 3)
         t = float(params.scale.t)
         c = (math.exp(1 / t) - 1) / (math.exp(1 / t) + 1)
         one_sided = sum(c * math.exp(-k / t) for k in range(params.m, params.m + 2000))
@@ -69,9 +69,9 @@ class TestDeriveParams:
 
     def test_explicit_constructor_validation(self):
         with pytest.raises(ParameterDomainError):
-            pure_params_explicit(2, 2, Fraction(0), 2)
+            PureParams(2, 2, Fraction(0), 2)
         with pytest.raises(ParameterDomainError):
-            pure_params_explicit(2, 2, Fraction(1), 0)
+            PureParams(2, 2, Fraction(1), 0)
 
 
 class TestHandEvaluations:
@@ -80,7 +80,7 @@ class TestHandEvaluations:
         assert floor_multiple(10 + 4 + 0, 6) == 12
 
     def test_silent_branch_zero_noise_bits(self):
-        params = pure_params_explicit(1, 3, Fraction(1, 2), 2)
+        params = PureParams(1, 3, Fraction(1, 2), 2)
         counts = CountVector(d=1, n=20, sums=(10,))
         seen_silent = False
         for seed in range(40):
@@ -98,7 +98,7 @@ class TestHandEvaluations:
     def test_touching_an_edge_only_at_m_is_silent(self):
         # Shifted count 10: body noise reaches 9..11, all of which rounds to 6;
         # only noise +2 = m, a tail value, would reach the grid multiple 12.
-        params = pure_params_explicit(1, 3, Fraction(1, 2), 2)
+        params = PureParams(1, 3, Fraction(1, 2), 2)
         counts = CountVector(d=1, n=20, sums=(8,))
         seen_silent = False
         for seed in range(40):
@@ -111,7 +111,7 @@ class TestHandEvaluations:
         assert seen_silent
 
     def test_noisy_when_shift_crosses(self):
-        params = pure_params_explicit(1, 3, Fraction(1, 2), 2)
+        params = PureParams(1, 3, Fraction(1, 2), 2)
         counts = CountVector(d=1, n=20, sums=(10,))
         for seed in range(40):
             tape = BitTape(seed=seed)
@@ -121,7 +121,7 @@ class TestHandEvaluations:
 
 class TestDistributionalStructure:
     def test_variant3_vs_variant4(self):
-        params = pure_params_explicit(2, 2, Fraction(1), 2)
+        params = PureParams(2, 2, Fraction(1), 2)
         counts = CountVector(d=2, n=10, sums=(3, 7))
         h3, h4 = Counter(), Counter()
         t3, t4 = BitTape(seed=921), BitTape(seed=922)
@@ -131,7 +131,7 @@ class TestDistributionalStructure:
         assert two_sample_chi_square(h3, h4) >= 0.001
 
     def test_variant1_tail_frequency(self):
-        params = pure_params_explicit(1, 2, Fraction(1, 2), 2)
+        params = PureParams(1, 2, Fraction(1, 2), 2)
         counts = CountVector(d=1, n=10, sums=(0,))
         tape = BitTape(seed=923)
         n = 50_000
@@ -144,7 +144,7 @@ class TestDistributionalStructure:
         assert abs(hits / n - expected) <= 3 * math.sqrt(expected * (1 - expected) / n) + 0.001
 
     def test_efficient_matches_variant2_smoke(self):
-        params = pure_params_explicit(2, 2, Fraction(1), 2)
+        params = PureParams(2, 2, Fraction(1), 2)
         counts = CountVector(d=2, n=10, sums=(3, 7))
         h2, h5 = Counter(), Counter()
         t2, t5 = BitTape(seed=924), BitTape(seed=925)
@@ -158,7 +158,7 @@ class TestDistributionalStructure:
         # first count's window straddles two edges (three body cells).
         from frugaldp.audit_harness import chi_square, oracle_joint_dist_pure, tv_distance
 
-        params = pure_params_explicit(2, 1, Fraction(1), 4)
+        params = PureParams(2, 1, Fraction(1), 4)
         counts = CountVector(d=2, n=10, sums=(5, 7))
         oracle = oracle_joint_dist_pure(counts, params)
         tape = BitTape(seed=933)
@@ -207,20 +207,20 @@ class TestDistributionalStructure:
         assert sum(outside_bits) / runs <= 4 * math.log2(64) * (1 + dp) + 2 * math.log2(4) + 10
 
     def test_body_boundary_enumeration(self):
-        params = pure_params_explicit(1, 5, Fraction(1, 3), 3)
+        params = PureParams(1, 5, Fraction(1, 3), 3)
         for y in (0, 2, 7, 19, 60, 113):
             assert len(crossing_shifts(y, params.m, params.s)) <= 2
 
     def test_decomposed_noise_marginal(self):
         # Tail coin + conditional draws must reproduce the plain Laplace law
         # exactly; this is the per-coordinate heart of the decomposition.
-        params = pure_params_explicit(1, 2, Fraction(1, 2), 2)
+        params = PureParams(1, 2, Fraction(1, 2), 2)
         scale = params.scale
 
         def decomposed(tape):
             if bernoulli_from_prob(tape, params.membership):
                 return laplace_tail_sample(tape, scale, params.m)
-            return truncated_sample(tape, lambda t: discrete_laplace(t, scale), params.m)
+            return _truncated_attempts(tape, lambda t: discrete_laplace(t, scale), params.m)[0]
 
         mixed, _ = collect_histogram(decomposed, 50_000, 931)
         plain, _ = collect_histogram(lambda t: discrete_laplace(t, scale), 50_000, 932)
@@ -229,7 +229,7 @@ class TestDistributionalStructure:
 
 class TestTraceAndReport:
     def test_trace_consistency(self):
-        params = pure_params_explicit(4, 3, Fraction(1), 2)
+        params = PureParams(4, 3, Fraction(1), 2)
         counts = CountVector(d=4, n=20, sums=(3, 7, 11, 19))
         tape = BitTape(seed=928)
         res, trace = mech_pure_efficient(counts, params, tape)
@@ -248,7 +248,7 @@ class TestTraceAndReport:
         assert params.m <= trace.shift <= params.grid
 
     def test_outputs_on_grid(self):
-        params = pure_params_explicit(3, 4, Fraction(1), 2)
+        params = PureParams(3, 4, Fraction(1), 2)
         counts = CountVector(d=3, n=20, sums=(0, 9, 20))
         tape = BitTape(seed=929)
         for _ in range(300):
@@ -256,7 +256,7 @@ class TestTraceAndReport:
             assert all(v % params.grid == 0 for v in res.values)
 
     def test_variant_validation(self):
-        params = pure_params_explicit(1, 2, Fraction(1), 2)
+        params = PureParams(1, 2, Fraction(1), 2)
         counts = CountVector(d=1, n=5, sums=(3,))
         with pytest.raises(ParameterDomainError):
             mech_pure_reference(counts, params, 5, BitTape(seed=1))
