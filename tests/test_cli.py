@@ -296,6 +296,17 @@ def test_cli_import_leaves_numpy_and_scipy_out():
         assert getattr(frugaldp, name) is not None
 
 
+def test_module_entry_point_imports_the_cli_once():
+    # runpy warns, an error here, when importing the package has already
+    # loaded frugaldp.cli, which would then run a second time as __main__.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "frugaldp.cli", "--help"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+
+
 def test_audit_without_numpy_names_the_extra(csv_file):
     data = csv_file("a,b\n1,0\n0,1\n1,1\n")
     # None in sys.modules makes every import of numpy fail as if it were absent.

@@ -138,6 +138,17 @@ class TestGeometric:
         _, fast_bits = collect_histogram(lambda t: geometric_fast(t, scale), 2_000, 207)
         assert fast_bits / 2_000 < 128 / 5
 
+    def test_residue_cache_stays_bounded(self):
+        # At t = 4 096 000 nearly every attempt draws a new residue: 5 000
+        # draws ask for about 8 000 acceptance oracles.
+        scale = LaplaceScale(4_096_000)
+        cap = scale._residues.cap
+        tape = BitTape(seed=208)
+        for _ in range(5_000):
+            geometric_fast(tape, scale)
+            assert len(scale._residues) <= cap
+
+
 class TestDiscreteLaplace:
     def test_mass_at_zero(self):
         scale = LaplaceScale(1)

@@ -15,7 +15,9 @@ from frugaldp.entropy_sampler import (
     spec_from_fractions,
 )
 from frugaldp.errors import EnclosureContractError, ParameterDomainError
-from frugaldp.precise_math import IntervalValue, exp_neg, interval_div
+from frugaldp.precise_math import Dyadic, IntervalValue, binom_prob_enclose, exp_neg, interval_div
+from frugaldp.pure_mech import derive_pure_params, mech_pure_efficient, sample_tail_set
+from frugaldp.release import CountVector
 
 from conftest import collect_histogram
 
@@ -129,6 +131,42 @@ class TestBinomialDraw:
             binomial_spec(2, Fraction(0))
         with pytest.raises(ParameterDomainError):
             binomial_spec(0, Fraction(1, 2))
+
+
+class TestEnclosedBinomialCost:
+    """A cold draw sums only the cumulatives it reads, and still checks them."""
+
+    def test_cold_tail_draw_reads_a_prefix(self, monkeypatch):
+        calls = []
+
+        def counted(d, i, p, precision_bits):
+            calls.append(i)
+            return binom_prob_enclose(d, i, p, precision_bits)
+
+        monkeypatch.setattr(es, "binom_prob_enclose", counted)
+        params = derive_pure_params(Fraction(1), 65536, 4)
+        tail = sample_tail_set(BitTape(seed=830), params.d, spec=params.binomial)
+        precisions = len(params.binomial._rows)
+        assert 0 < len(calls) <= (len(tail) + 2) * precisions
+
+    def test_cold_pure_release_at_large_d(self):
+        d = 100_000
+        counts = CountVector(d, 1000, tuple(i % 1001 for i in range(d)))
+        params = derive_pure_params(Fraction(1), d, 4)
+        result, trace = mech_pure_efficient(counts, params, BitTape(seed=831))
+        assert len(result.values) == d
+        assert all(v % params.grid == 0 for v in result.values)
+        assert trace.tail_size == len(trace.tail_set)
+
+    def test_undersized_terms_break_the_contract(self, monkeypatch):
+        def halved(d, i, p, precision_bits):
+            iv = binom_prob_enclose(d, i, p, precision_bits)
+            return IntervalValue(*(Dyadic(x.mantissa, x.exponent - 1) for x in (iv.lo, iv.hi)))
+
+        monkeypatch.setattr(es, "binom_prob_enclose", halved)
+        params = derive_pure_params(Fraction(1), 64, 4)
+        with pytest.raises(EnclosureContractError):
+            sample_point_mass(BitTape(seed=832), params.binomial)
 
 
 def test_entropy_bound_across_reference_specs():

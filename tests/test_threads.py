@@ -11,9 +11,10 @@ import sys
 import threading
 from fractions import Fraction
 
+from frugaldp.bit_tape import BitTape
 from frugaldp.core_samplers import GaussianCells, GaussParam, LaplaceCells, LaplaceScale, RefinableProb
-from frugaldp.entropy_sampler import PointMassSpec, binomial_spec
-from frugaldp.precise_math import exp_neg, scaled_bounds
+from frugaldp.entropy_sampler import PointMassSpec, binomial_spec, sample_point_mass
+from frugaldp.precise_math import IntervalValue, exp_neg, scaled_bounds
 
 THREADS = 6
 ROUNDS = 20
@@ -58,6 +59,25 @@ def test_point_mass_bounds_at_different_precisions():
     expected = [read(single, k) for k in range(THREADS)]
     for _ in range(ROUNDS):
         shared = PointMassSpec(base.k, base.prob_oracle)
+        assert _run_together(lambda k: read(shared, k)) == expected
+
+
+def test_enclosed_binomial_prefix():
+    # The enclosed binomial sums its cumulatives lazily; draws at p = 1/2
+    # reach index d/2 and bounds reads reach d, so threads extend the same
+    # prefixes at once.
+    def p_fn(precision):
+        return IntervalValue.from_fraction(Fraction(1, 2), precision)
+
+    def read(spec, k):
+        tape = BitTape(seed=900 + k)
+        draws = [sample_point_mass(tape, spec) for _ in range(10)]
+        precisions = (32, 64, 128)[k % 3 :] + (32, 64, 128)[: k % 3]
+        return draws, [spec.bounds(i, p) for p in precisions for i in range(spec.k + 1)]
+
+    expected = [read(binomial_spec(64, p_fn), k) for k in range(THREADS)]
+    for _ in range(ROUNDS):
+        shared = binomial_spec(64, p_fn)
         assert _run_together(lambda k: read(shared, k)) == expected
 
 
