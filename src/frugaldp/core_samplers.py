@@ -1,11 +1,14 @@
 """Exact samplers for the primitive distributions the mechanisms draw from.
 
 Every sampler here consumes fair bits from a :class:`~frugaldp.bit_tape.BitTape`
-and nothing else. Events with irrational probabilities (anything involving
-exp) are decided by lazily comparing a bit-by-bit uniform dyadic against a
-refinable interval enclosure of the probability: refine until the uniform
-point falls strictly outside the interval. This terminates with probability
-one and makes every sampler exact; no floating point is involved anywhere.
+and nothing else. Every decision that spends bits goes through one
+comparator, :func:`locate`: it streams a uniform dyadic u bit by bit against
+refinable integer bounds of a run of thresholds (a Bernoulli probability,
+the upper tails of a finite law, the tail masses past each grid edge) and
+refines the bounds, one level of doubled precision at a time, until u is
+certified above or below each threshold it reads. This terminates with
+probability one and makes every sampler exact; no floating point is
+involved anywhere.
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ from .precise_math import BoundedCache, IntervalValue, _pow_scaled, exp_neg, flo
 #: mechanism parameters even 40 attempts fail with probability < 2**-40.
 ATTEMPT_CAP = 1 << 20
 
-_MAX_COMPARE_DEPTH = 6000
 _LEVEL_START = 64
+#: Refinement gives up past this precision. A comparison streams no deeper
+#: than the precision it compares at, so this also caps the bits it reads.
 _LEVEL_MAX = 1 << 15
 
 # Serializes the building of RefinableProb levels (reads take no lock), so
@@ -32,15 +36,68 @@ _LEVEL_MAX = 1 << 15
 _LEVEL_LOCK = threading.RLock()
 
 
+def level_record(p: int, lo: int, hi: int) -> tuple[int, int, int, int]:
+    """Bounds [lo, hi] / 2**p of a probability, clipped to [0, 1], with their limit.
+
+    The limit is the deepest comparison the bounds certify: about
+    p - log2(hi - lo), so a wide enclosure asks for refinement early.
+    """
+    one = 1 << p
+    # Comparisons, not max/min: this runs for every grid edge a release reads.
+    if lo < 0:
+        lo = 0
+    if hi > one:
+        hi = one
+    return p, lo, hi, p - (hi - lo).bit_length()
+
+
+def disjoint(a: tuple[int, int, int, int], b: tuple[int, int, int, int]) -> bool:
+    """True when two level records of the same threshold cannot both be sound."""
+    return a[1] << b[0] > b[2] << a[0] or a[2] << b[0] < b[1] << a[0]
+
+
+def locate(tape: BitTape, bounds: Callable[[object, int], tuple[int, int, int, int]], keys) -> int:
+    """How many leading thresholds along ``keys`` lie above one uniform u.
+
+    ``bounds(key, level)`` returns the :func:`level_record` of the key's
+    threshold at precision 64 * 2**level; the thresholds must not increase
+    along ``keys``. Streams u bit by bit, moves past a threshold once the
+    box [u, u + 2**-n) is certified below it, and stops at the first
+    threshold the box is certified at or above. Bounds are refined one
+    level at a time whenever the next bit would outrun their limit;
+    refinement consumes no randomness. With the upper tails P[X >= 1],
+    P[X >= 2], ... as thresholds the count is distributed as X, in about
+    H(X) + 2 bits.
+    """
+    next_bit = tape.next_bit
+    u = nb = count = 0
+    for key in keys:
+        level = 0
+        p, lo, hi, limit = bounds(key, 0)
+        while True:
+            if nb + 2 > limit:  # too coarse for u's next bit, or for bits kept from an earlier key
+                level += 1
+                if _LEVEL_START << level > _LEVEL_MAX:
+                    raise EnclosureContractError("enclosure failed to refine")
+                p, lo, hi, limit = bounds(key, level)
+                continue
+            shift = p - nb
+            if (u + 1) << shift <= lo:
+                break  # u is below this threshold
+            if u << shift >= hi:
+                return count
+            u = (u << 1) | next_bit()
+            nb += 1
+        count += 1
+    return count
+
+
 class RefinableProb:
     """A probability in [0, 1] with certified scaled-integer bounds.
 
     Wraps an enclosure function ``fn(precision_bits) -> IntervalValue`` and
-    caches levels of (precision, lo, hi, limit) integer bounds, doubling the
-    precision whenever a comparison needs a tighter enclosure. ``limit`` is
-    the largest comparison depth the level can certify: a level at precision
-    P with width w serves any depth up to about P - log2(w * 2**P).
-    Threads may share an instance; see ``_LEVEL_LOCK``.
+    caches its level records, level j at precision 64 * 2**j. Threads may
+    share an instance; see ``_LEVEL_LOCK``.
     """
 
     __slots__ = ("_fn", "_levels")
@@ -49,61 +106,28 @@ class RefinableProb:
         self._fn = fn
         self._levels: list[tuple[int, int, int, int]] = []
 
-    def level(self, min_bits: int) -> tuple[int, int, int, int]:
-        """Bounds (P, lo, hi, limit) usable while min_bits + 2 <= limit."""
-        need = min_bits + 2
-        for rec in self._levels:
-            if need <= rec[3]:
-                return rec
+    def bounds(self, _key, level: int) -> tuple[int, int, int, int]:
+        """The probability's :func:`level_record` at ``level``, in the form :func:`locate` reads."""
+        levels = self._levels
+        if level < len(levels):
+            return levels[level]
         with _LEVEL_LOCK:
-            for rec in self._levels:  # another thread may have built it meanwhile
-                if need <= rec[3]:
-                    return rec
-            p = max(_LEVEL_START, min_bits + 8)
-            if self._levels:
-                p = max(p, self._levels[-1][0] * 2)
-            while True:
-                iv = self._fn(p)
-                lo, hi = scaled_bounds(iv, p)
-                lo, hi = max(lo, 0), min(hi, 1 << p)
-                if self._levels:
-                    prev = self._levels[-1]
-                    # Levels must overlap; disjoint enclosures mean a broken oracle.
-                    if lo << prev[0] > prev[2] << p or hi << prev[0] < prev[1] << p:
-                        raise EnclosureContractError("refined enclosure disjoint from previous level")
-                rec = (p, lo, hi, p - (hi - lo).bit_length())
-                self._levels.append(rec)
-                if need <= rec[3]:
-                    return rec
-                if p > _LEVEL_MAX:
-                    raise EnclosureContractError("enclosure failed to refine")
-                p *= 2
+            while len(levels) <= level:
+                p = _LEVEL_START << len(levels)
+                rec = level_record(p, *scaled_bounds(self._fn(p), p))
+                # Levels must overlap; disjoint enclosures mean a broken oracle.
+                if levels and disjoint(rec, levels[-1]):
+                    raise EnclosureContractError("refined enclosure disjoint from previous level")
+                levels.append(rec)
+        return levels[level]
 
 
 def bernoulli_from_prob(tape: BitTape, prob: RefinableProb) -> int:
-    """Exact Ber(q) for the probability enclosed by ``prob``.
+    """Exact Ber(q) for the probability enclosed by ``prob``: 1 when u < q.
 
-    Streams uniform bits u_1 u_2 ... and returns as soon as the dyadic box
-    [u, u + 2**-n) is certified to lie entirely below or above q. Expected
-    tape cost is about two bits regardless of q; the enclosure refinement
-    consumes no randomness.
+    Expected tape cost is about two bits regardless of q.
     """
-    p, lo, hi, limit = prob.level(0)
-    next_bit = tape.next_bit
-    u = 0
-    nb = 0
-    while True:
-        shift = p - nb
-        if (u + 1) << shift <= lo:
-            return 1
-        if (u << shift) >= hi:
-            return 0
-        u = (u << 1) | next_bit()
-        nb += 1
-        if nb + 2 > limit:
-            p, lo, hi, limit = prob.level(nb)
-        if nb > _MAX_COMPARE_DEPTH:
-            raise EnclosureContractError("Bernoulli comparison failed to resolve")
+    return locate(tape, prob.bounds, (None,))
 
 
 _EXP_NEG_ONE = RefinableProb(lambda p: exp_neg(1, p))
@@ -223,7 +247,7 @@ def laplace_tail_sample(tape: BitTape, scale: LaplaceScale, threshold: int) -> i
 
 
 # ---------------------------------------------------------------------------
-# Grid-cell draws for truncated noise
+# Tail masses past the grid edges, for the release's cell draws
 # ---------------------------------------------------------------------------
 
 
@@ -262,17 +286,13 @@ class CellLaw:
         raise NotImplementedError
 
     def tail_ratio(self, k: int, level: int) -> tuple[int, int, int, int]:
-        """Bounds (P, lo, hi, limit) of S(k)/Z, in the format of :meth:`RefinableProb.level`."""
+        """The :func:`level_record` of S(k)/Z at ``level``, in the form :func:`locate` reads."""
         p = _LEVEL_START << level
         data = self._levels.get(level)
         if data is None:
-            if p > _LEVEL_MAX:
-                raise EnclosureContractError("cell probability failed to refine")
             data = self._levels[level] = self._build(p + self._guard)
         s_lo, s_hi, z_lo, z_hi = self._tail_sums(data, k)
-        lo = (s_lo << p) // z_hi
-        hi = -(-(s_hi << p) // z_lo)
-        return p, lo, hi, p - (hi - lo).bit_length()
+        return level_record(p, (s_lo << p) // z_hi, -(-(s_hi << p) // z_lo))
 
 
 class GaussianCells(CellLaw):
@@ -340,37 +360,3 @@ class LaplaceCells(CellLaw):
             return a_lo - qm_hi, a_hi - qm_lo, d_lo, d_hi
         a_lo, a_hi = _pow_scaled(q_lo, q_hi, 1 - k, w)
         return d_lo - (a_hi - qm_lo), d_hi - (a_lo - qm_hi), d_lo, d_hi
-
-
-def draw_cell(tape: BitTape, law: CellLaw, center: int, grid: int) -> int:
-    """The grid cell of center + eta, for eta from ``law``, without drawing eta.
-
-    Returns the largest multiple of ``grid`` at or below center + eta. The
-    release reaches a grid multiple E inside the noise window exactly when
-    eta >= E - center, which has probability S(E - center)/Z. One uniform
-    point u, streamed bit by bit, is compared against each such ratio in
-    increasing order of E, refining the enclosure on demand as
-    :func:`bernoulli_from_prob` does. A cell costs about two bits however
-    wide the noise; a window with no grid multiple inside costs none.
-    """
-    reach = law.halfwidth - 1
-    value = (center - reach) // grid * grid
-    next_bit = tape.next_bit
-    u = nb = 0
-    for edge in range(value + grid, center + reach + 1, grid):
-        level = 0
-        p, lo, hi, limit = law.tail_ratio(edge - center, level)
-        while True:
-            if nb + 2 > limit:  # too coarse for u's next bit, or for bits kept from a lower edge
-                level += 1
-                p, lo, hi, limit = law.tail_ratio(edge - center, level)
-                continue
-            shift = p - nb
-            if (u + 1) << shift <= lo:
-                break  # u < S/Z: the release reaches this edge
-            if u << shift >= hi:
-                return value
-            u = (u << 1) | next_bit()
-            nb += 1
-        value = edge
-    return value

@@ -1,9 +1,9 @@
 """Entropy-optimal sampling from finite distributions with enclosed probabilities.
 
-The sampler streams a uniform dyadic point u one bit at a time and returns
-outcome i as soon as the box [u, u + 2**-depth] provably sits inside the
-cumulative interval (P_{i-1}, P_i), where the cumulatives are only known
-through refinable enclosures. Expected bit cost is H(X) + O(1); enclosure
+A draw is one :func:`~frugaldp.core_samplers.locate`: a uniform u, streamed
+one bit at a time, against the upper tails 1 - P_1 >= 1 - P_2 >= ... of the
+cumulatives, which are only known through refinable enclosures. Each tail
+is refined by its enclosure's width, so expected bit cost is H(X) + O(1);
 refinement is deterministic and costs no randomness. A draw that returns i
 reads no cumulative above P_i.
 
@@ -22,19 +22,20 @@ from math import comb
 from typing import Callable
 
 from .bit_tape import BitTape
+from .core_samplers import _LEVEL_START, disjoint, level_record, locate
 from .errors import EnclosureContractError, ParameterDomainError
 from .precise_math import BoundedCache, IntervalValue, binom_prob_enclose, scaled_bounds
-
-_MAX_DEPTH = 6000
 
 
 class PointMassSpec:
     """Finite distribution described by enclosures of its cumulatives.
 
     ``prob_oracle(i, precision)`` must return an IntervalValue enclosing the
-    cumulative P_i (P_0 = 0 <= P_1 <= ... <= P_k = 1) with width at most
-    2**-precision. Results are cached per precision; refinements of the same
-    cumulative must overlap earlier enclosures or the spec is rejected.
+    cumulative P_i (P_0 = 0 <= P_1 <= ... <= P_k = 1), ideally of width at
+    most 2**-precision; a wider enclosure costs refinements, not bits.
+    Results are cached per level (precision 64 * 2**level); refinements of
+    the same cumulative must overlap earlier enclosures or the spec is
+    rejected.
     Threads may share a spec: a row is created once, and the overlap check
     reads a snapshot of the rows while other threads may add one.
     """
@@ -46,27 +47,24 @@ class PointMassSpec:
             raise ParameterDomainError("support size must be at least 1")
         self.k = k
         self.prob_oracle = prob_oracle
-        self._rows: dict[int, list[tuple[int, int] | None]] = {}
+        self._rows: dict[int, list[tuple[int, int, int, int] | None]] = {}
 
-    def bounds(self, i: int, precision: int) -> tuple[int, int]:
-        """Scaled integer bounds of P_i at the given precision."""
-        row = self._rows.get(precision)
+    def bounds(self, i: int, level: int) -> tuple[int, int, int, int]:
+        """The :func:`~frugaldp.core_samplers.level_record` of the upper tail 1 - P_i at ``level``."""
+        row = self._rows.get(level)
         if row is None:
-            row = self._rows.setdefault(precision, [None] * (self.k + 1))
+            row = self._rows.setdefault(level, [None] * (self.k + 1))
         rec = row[i]
         if rec is None:
-            iv = self.prob_oracle(i, precision)
-            lo, hi = scaled_bounds(iv, precision)
-            rec = (max(lo, 0), min(hi, 1 << precision))
-            for other_p, other_row in tuple(self._rows.items()):
+            p = _LEVEL_START << level
+            lo, hi = scaled_bounds(self.prob_oracle(i, p), p)
+            rec = level_record(p, (1 << p) - hi, (1 << p) - lo)
+            for other_level, other_row in tuple(self._rows.items()):
                 prev = other_row[i]
-                if prev is None or other_p == precision:
-                    continue
                 # Enclosures of the same cumulative must intersect.
-                if rec[0] << other_p > prev[1] << precision or rec[1] << other_p < prev[0] << precision:
+                if prev is not None and disjoint(rec, prev):
                     raise EnclosureContractError(
-                        f"cumulative {i} enclosure at precision {precision} "
-                        f"disjoint from precision {other_p}"
+                        f"cumulative {i} enclosure at level {level} disjoint from level {other_level}"
                     )
             row[i] = rec
         return rec
@@ -89,85 +87,36 @@ def spec_from_fractions(probs: "list[Fraction]") -> PointMassSpec:
     return PointMassSpec(len(probs), oracle)
 
 
-def _precision_for(depth: int) -> int:
-    p = 32
-    while p < depth + 8:
-        p *= 2
-    return p
-
-
 def sample_point_mass(tape: BitTape, spec: PointMassSpec) -> int:
     """Draw index i in {1..k} with probability exactly P_i - P_{i-1}.
 
-    Scans up from index 1 only: the lowest index whose cumulative may still
-    reach the streamed box moves monotonically up as bits arrive, and the
-    draw returns it once the box sits between P_{i-1} and P_i. No cumulative
-    above P_i is read, so the scan cost is bounded by the index drawn, not
-    by k, on top of the emitted bits.
+    The index is 1 plus the number of upper tails 1 - P_1, 1 - P_2, ... that
+    lie above one uniform u, so no cumulative above P_i is read: the scan
+    cost is bounded by the index drawn, not by k, on top of the emitted bits.
     """
-    k = spec.k
-    u = 0
-    depth = 0
-    prec = _precision_for(0)
-    lo_idx = 1
-    while True:
-        shift = prec - depth
-        box_lo = u << shift
-        box_hi = (u + 1) << shift
-        while lo_idx < k and spec.bounds(lo_idx, prec)[1] <= box_lo:
-            lo_idx += 1
-        if spec.bounds(lo_idx - 1, prec)[1] <= box_lo and box_hi <= spec.bounds(lo_idx, prec)[0]:
-            return lo_idx
-        u = (u << 1) | tape.next_bit()
-        depth += 1
-        if prec < depth + 8:
-            prec = _precision_for(depth)
-        if depth > _MAX_DEPTH:
-            raise EnclosureContractError("point-mass sampling failed to resolve")
+    return 1 + locate(tape, spec.bounds, range(1, spec.k))
 
-
-ProbInput = "Fraction | IntervalValue | Callable[[int], IntervalValue]"
 
 _RATIONAL_SPEC_CACHE: BoundedCache = BoundedCache(64)
 
 
-def binomial_spec(d: int, p: ProbInput) -> PointMassSpec:
+def binomial_spec(d: int, p: "Fraction | Callable[[int], IntervalValue]") -> PointMassSpec:
     """PointMassSpec over {0..d} (as indices 1..d+1) for Bin(d, p).
 
-    ``p`` may be an exact Fraction, a refinable enclosure callable
-    ``precision -> IntervalValue``, or a fixed IntervalValue whose width is
-    already far below the sampler's termination scale.
+    ``p`` may be an exact Fraction or a refinable enclosure callable
+    ``precision -> IntervalValue``.
     """
     if d < 1:
         raise ParameterDomainError("binomial requires d >= 1")
-    if isinstance(p, Fraction):
-        if not 0 < p < 1:
-            raise ParameterDomainError("binomial probability must be in (0, 1)")
-        key = (d, p)
-        spec = _RATIONAL_SPEC_CACHE.get(key)
-        if spec is None:
-            spec = PointMassSpec(d + 1, _rational_binomial_oracle(d, p))
-            _RATIONAL_SPEC_CACHE[key] = spec
-        return spec
-    if isinstance(p, IntervalValue):
-        fixed = p
-        p_fn = lambda precision: fixed  # noqa: E731 - tiny adapter
-    else:
-        p_fn = p
-    return PointMassSpec(d + 1, _enclosed_binomial_oracle(d, p_fn))
-
-
-def _rational_binomial_oracle(d: int, p: Fraction) -> Callable[[int, int], IntervalValue]:
-    q = 1 - p
-    cums = [Fraction(0)]
-    for j in range(d + 1):
-        cums.append(cums[-1] + comb(d, j) * p**j * q ** (d - j))
-    assert cums[-1] == 1
-
-    def oracle(i: int, precision: int) -> IntervalValue:
-        return IntervalValue.from_fraction(cums[i], precision)
-
-    return oracle
+    if not isinstance(p, Fraction):
+        return PointMassSpec(d + 1, _enclosed_binomial_oracle(d, p))
+    if not 0 < p < 1:
+        raise ParameterDomainError("binomial probability must be in (0, 1)")
+    spec = _RATIONAL_SPEC_CACHE.get((d, p))
+    if spec is None:
+        pmf = [comb(d, j) * p**j * (1 - p) ** (d - j) for j in range(d + 1)]
+        spec = _RATIONAL_SPEC_CACHE[(d, p)] = spec_from_fractions(pmf)
+    return spec
 
 
 def _enclosed_binomial_oracle(

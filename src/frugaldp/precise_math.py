@@ -443,14 +443,15 @@ def binom_prob_enclose(d: int, i: int, p: IntervalValue, precision_bits: int) ->
     """
     if not 0 <= i <= d:
         raise MathDomainError("binomial index out of range")
-    w = precision_bits + d.bit_length() + 8
+    c = comb(d, i)
+    # The powers' rounding error is multiplied by C(d, i), up to 2**d.
+    w = precision_bits + d.bit_length() + c.bit_length() + 8
     one = 1 << w
     p_lo = max(0, _floor_scaled(p.lo.as_fraction(), w))
     p_hi = min(one, _ceil_scaled(p.hi.as_fraction(), w))
     q_lo, q_hi = one - p_hi, one - p_lo
     a_lo, a_hi = _pow_scaled(p_lo, p_hi, i, w)
     b_lo, b_hi = _pow_scaled(q_lo, q_hi, d - i, w)
-    c = comb(d, i)
     lo = (c * a_lo * b_lo) >> w
     hi = -((-c * a_hi * b_hi) >> w)
     return IntervalValue(Dyadic(lo, -w), Dyadic(min(hi, one), -w))

@@ -4,9 +4,11 @@ Both efficient releases follow one recipe: draw one shift from
 {unit, 2 unit, ..., s unit}, then walk the coordinates. A coordinate whose
 rounded value is the same for every noise value in (-unit, unit) is released
 silently and costs no bits; any other coordinate draws its grid cell from
-the truncated noise law. The grid is unit * s, where the unit is the noise
-half-width (r in approx mode, m in pure mode). Pure mode adds one pre-step,
-a tail set drawn up front whose coordinates take noise from the law's tail.
+the truncated noise law, with one :func:`~frugaldp.core_samplers.locate`
+over the tail masses past the grid edges in its window. The grid is
+unit * s, where the unit is the noise half-width (r in approx mode, m in
+pure mode). Pure mode adds one pre-step, a tail set drawn up front whose
+coordinates take noise from the law's tail.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .bit_tape import BitTape
-from .core_samplers import CellLaw, draw_cell
+from .core_samplers import CellLaw, locate
 from .errors import FrugalDPError, ParameterDomainError
 
 
@@ -142,10 +144,15 @@ def shift_and_round(
                 with tape.category("tail"):
                     values.append(floor_multiple(center + tail_noise(tape), grid))
                 attempts[i] = 1
-            elif is_silent(s_i, omega, unit, grid):
-                values.append(floor_multiple(center - reach, grid))
-            else:
-                values.append(draw_cell(tape, cells, center, grid))
+                continue
+            # The grid edges E in (center - reach, center + reach], as keys
+            # E - center: the release reaches E exactly when eta >= E - center.
+            # No edge means the coordinate is silent (is_silent) and draws nothing.
+            low = (center - reach) // grid * grid
+            keys = range(low + grid - center, unit, grid)
+            if keys:
+                low += grid * locate(tape, cells.tail_ratio, keys)
                 attempts[i] = 1
                 boundary.append(i)
+            values.append(low)
     return MechanismResult(tuple(values), build_report(tape, start, tuple(boundary), attempts)), omega

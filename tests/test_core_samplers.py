@@ -13,6 +13,7 @@ import pytest
 from scipy import stats
 
 import frugaldp.core_samplers as cs
+from frugaldp.approx_mech import approx_params_from_sigma, mech_approx_efficient
 from frugaldp.audit_harness import two_sample_chi_square
 from frugaldp.bit_tape import BitTape
 from frugaldp.core_samplers import (
@@ -25,12 +26,14 @@ from frugaldp.core_samplers import (
     bernoulli_from_prob,
     discrete_gaussian,
     discrete_laplace,
-    draw_cell,
     geometric_fast,
     laplace_tail_sample,
+    locate,
 )
 from frugaldp.errors import ParameterDomainError, SampleBudgetError
 from frugaldp.precise_math import IntervalValue, exp_neg
+from frugaldp.pure_mech import PureParams, mech_pure_efficient
+from frugaldp.release import CountVector, is_silent, shift_and_round
 
 from conftest import collect_histogram
 
@@ -313,6 +316,21 @@ def _cell_probs(weight, halfwidth, center, grid):
     return probs
 
 
+def _release_cell(tape, law, s, count):
+    """The value shift_and_round releases for one count, with the shift forced to the unit."""
+    counts = CountVector(1, 100, (count,))
+    result, _ = shift_and_round(tape, tape.snapshot(), counts, s, law, "noise", law.halfwidth)
+    return result.values[0]
+
+
+def _assert_cell_law(hist, probs):
+    assert set(hist) <= set(probs)
+    n = sum(hist.values())
+    observed = [hist.get(c, 0) for c in sorted(probs)]
+    expected = [probs[c] * n for c in sorted(probs)]
+    assert stats.chisquare(observed, expected).pvalue >= 0.001
+
+
 _LAWS = [
     ("gaussian", lambda: GaussianCells(Fraction(7, 3), 9), _gauss_weight(Fraction(7, 3)), 9),
     ("laplace", lambda: LaplaceCells(LaplaceScale(Fraction(5, 2)), 11), _laplace_weight(Fraction(5, 2)), 11),
@@ -336,21 +354,35 @@ class TestCellDraw:
     @pytest.mark.parametrize("name,make,weight,h", _LAWS)
     @pytest.mark.parametrize("center,grid", [(40, 20), (9, 10), (50, 9)])
     def test_cell_law_matches_enumeration(self, name, make, weight, h, center, grid):
-        # grid 20 leaves one edge in the window, 10 and 9 leave two (three cells).
+        # The comparator alone, for grids the release never uses: grid 20
+        # leaves one edge in the window, 10 and 9 leave two (three cells).
         law = make()
+        low = (center - (h - 1)) // grid * grid
+        keys = range(low + grid - center, h, grid)
         n = 40_000
-        hist, bits = collect_histogram(lambda t: draw_cell(t, law, center, grid), n, 708)
+        hist, bits = collect_histogram(lambda t: low + grid * locate(t, law.tail_ratio, keys), n, 708)
         probs = _cell_probs(weight, h, center, grid)
-        assert set(hist) <= set(probs)
-        observed = [hist.get(c, 0) for c in sorted(probs)]
-        expected = [probs[c] * n for c in sorted(probs)]
-        assert stats.chisquare(observed, expected).pvalue >= 0.001
+        _assert_cell_law(hist, probs)
+        assert bits / n <= 2 * (len(probs) - 1) + 1
+
+    @pytest.mark.parametrize("name,make,weight,h", _LAWS)
+    @pytest.mark.parametrize("s,count,cells", [(1, 0, 2), (1, 3, 3), (2, 3, 2)])
+    def test_release_cell_law_matches_enumeration(self, name, make, weight, h, s, count, cells):
+        # Unit h and the shift forced to h put the window at (count, count + 2h):
+        # one edge in it for count 0 at s = 1 and count 3 at s = 2, two for count 3 at s = 1.
+        law = make()
+        probs = _cell_probs(weight, h, count + h, h * s)
+        assert len(probs) == cells
+        n = 40_000
+        hist, bits = collect_histogram(lambda t: _release_cell(t, law, s, count), n, 708)
+        _assert_cell_law(hist, probs)
         assert bits / n <= 2 * (len(probs) - 1) + 1
 
     def test_silent_window_draws_nothing(self):
+        # center 27 on grid 18: the window (19, 35) holds no edge.
         law = GaussianCells(Fraction(7, 3), 9)
         tape = BitTape(seed=709)
-        assert draw_cell(tape, law, 50, 100) == 0
+        assert _release_cell(tape, law, 2, 18) == 18
         assert tape.bits_consumed == 0
 
     def test_refinement_keeps_the_law(self, monkeypatch):
@@ -358,12 +390,35 @@ class TestCellDraw:
         monkeypatch.setattr(cs, "_LEVEL_START", 4)
         law = LaplaceCells(LaplaceScale(Fraction(5, 2)), 11)
         n = 20_000
-        hist, _ = collect_histogram(lambda t: draw_cell(t, law, 9, 10), n, 710)
+        hist, _ = collect_histogram(lambda t: _release_cell(t, law, 1, 3), n, 710)
         assert len(law._levels) >= 2
-        probs = _cell_probs(_laplace_weight(Fraction(5, 2)), 11, 9, 10)
-        observed = [hist.get(c, 0) for c in sorted(probs)]
-        expected = [probs[c] * n for c in sorted(probs)]
-        assert stats.chisquare(observed, expected).pvalue >= 0.001
+        _assert_cell_law(hist, _cell_probs(_laplace_weight(Fraction(5, 2)), 11, 14, 11))
+
+    @pytest.mark.parametrize("mode", ["approx", "pure"])
+    def test_boundary_set_is_the_non_silent_coordinates(self, mode):
+        # Counts sweep every residue of the grid, under every forced shift.
+        d, s = 8, 3
+        if mode == "approx":
+            params = approx_params_from_sigma(d, s, Fraction(2), Fraction(1, 1024))
+            unit = params.r
+        else:
+            params = PureParams(d, s, Fraction(1, 2), 5)
+            unit = params.m
+        grid = unit * s
+        tape = BitTape(seed=711)
+        for base in range(0, grid, d):
+            counts = CountVector(d, grid + d, tuple(base + i for i in range(d)))
+            for omega in range(unit, grid + 1, unit):
+                if mode == "approx":
+                    report, tail = mech_approx_efficient(counts, params, tape, omega).report, ()
+                else:
+                    result, trace = mech_pure_efficient(counts, params, tape, omega)
+                    report, tail = result.report, trace.tail_set
+                expected = [
+                    i for i, s_i in enumerate(counts.sums)
+                    if i not in tail and not is_silent(s_i, omega, unit, grid)
+                ]
+                assert list(report.boundary_coordinates) == expected
 
     def test_halfwidth_validation(self):
         with pytest.raises(ParameterDomainError):

@@ -65,7 +65,7 @@ class TestSamplePointMass:
                 return IntervalValue.from_fraction(0, precision)
             if i == 2:
                 return IntervalValue.from_fraction(1, precision)
-            if precision <= 32:
+            if precision <= 64:
                 return IntervalValue(
                     IntervalValue.from_fraction(Fraction(1, 8), 16).lo,
                     IntervalValue.from_fraction(Fraction(3, 8), 16).hi,
@@ -120,11 +120,21 @@ class TestBinomialDraw:
         _, pval = stats.chisquare([hist[k] for k in range(3)], [e * n for e in expected])
         assert pval >= 0.001
 
-    def test_fixed_interval_accepted(self):
-        p = IntervalValue.from_fraction(Fraction(1, 3), 96)
-        hist, _ = collect_histogram(_binomial(3, p), 20_000, 810)
-        n = sum(hist.values())
-        assert abs(hist[0] / n - (2 / 3) ** 3) <= 0.02
+    @pytest.mark.parametrize("d", [256, 1024])
+    def test_enclosed_half_is_frugal(self, d):
+        # p = 1/2 through a callable: the middle terms are enclosed, not exact,
+        # so the draw's cost rests on how tight binom_prob_enclose is.
+        spec = binomial_spec(d, lambda prec: IntervalValue.from_fraction(Fraction(1, 2), prec))
+        n = 3000
+        hist, bits = collect_histogram(lambda t: sample_point_mass(t, spec) - 1, n, 811)
+        pmf = [Fraction(math.comb(d, k), 2**d) for k in range(d + 1)]
+        assert bits / n <= _entropy(pmf) + 8
+        # The law is symmetric; pool each tail until its bin expects 5 draws.
+        cut = next(k for k in range(d // 2) if sum(pmf[: k + 1]) * n >= 5)
+        bins = [range(cut + 1), *(range(k, k + 1) for k in range(cut + 1, d - cut)), range(d - cut, d + 1)]
+        observed = [sum(hist[k] for k in b) for b in bins]
+        expected = [float(sum(pmf[k] for k in b)) * n for b in bins]
+        assert stats.chisquare(observed, expected).pvalue >= 0.001
 
     def test_degenerate_probability_rejected(self):
         with pytest.raises(ParameterDomainError):

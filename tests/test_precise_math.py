@@ -163,6 +163,14 @@ class TestBinomProb:
         assert iv.contains(expected)
         assert iv.width() <= Fraction(1, 1 << 50)
 
+    @pytest.mark.parametrize("d", [256, 1024])
+    def test_width_holds_for_large_coefficients(self, d):
+        # C(d, d/2) is close to 2**d, so it must not scale the rounding error.
+        i = d // 2
+        iv = binom_prob_enclose(d, i, IntervalValue.exact(Dyadic(1, -1)), 32)
+        assert iv.width() <= Fraction(1, 1 << 32)
+        assert iv.contains(Fraction(math.comb(d, i), 2**d))
+
     def test_index_out_of_range(self):
         p = IntervalValue.from_fraction(Fraction(1, 2), 60)
         with pytest.raises(MathDomainError):

@@ -52,8 +52,8 @@ def test_point_mass_bounds_at_different_precisions():
     base = binomial_spec(32, Fraction(1, 3))
 
     def read(spec, k):
-        # Each thread adds rows at its own precisions while the others scan theirs.
-        return [spec.bounds(i, 24 + 8 * (k + THREADS * (i % 4))) for i in range(base.k + 1)]
+        # Each thread adds rows at its own levels while the others scan theirs.
+        return [spec.bounds(i, (k + i) % 4) for i in range(base.k + 1)]
 
     single = PointMassSpec(base.k, base.prob_oracle)
     expected = [read(single, k) for k in range(THREADS)]
@@ -72,8 +72,8 @@ def test_enclosed_binomial_prefix():
     def read(spec, k):
         tape = BitTape(seed=900 + k)
         draws = [sample_point_mass(tape, spec) for _ in range(10)]
-        precisions = (32, 64, 128)[k % 3 :] + (32, 64, 128)[: k % 3]
-        return draws, [spec.bounds(i, p) for p in precisions for i in range(spec.k + 1)]
+        levels = (0, 1, 2)[k % 3 :] + (0, 1, 2)[: k % 3]
+        return draws, [spec.bounds(i, level) for level in levels for i in range(spec.k + 1)]
 
     expected = [read(binomial_spec(64, p_fn), k) for k in range(THREADS)]
     for _ in range(ROUNDS):
@@ -83,30 +83,27 @@ def test_enclosed_binomial_prefix():
 
 def test_refinable_prob_levels_stay_ordered():
     fn = lambda p: exp_neg(Fraction(1, 3), p)  # noqa: E731
-    exact = {}
 
-    def exact_level(p):
-        if p not in exact:
-            lo, hi = scaled_bounds(fn(p), p)
-            lo, hi = max(lo, 0), min(hi, 1 << p)
-            exact[p] = p, lo, hi, p - (hi - lo).bit_length()
-        return exact[p]
+    def exact_level(j):
+        p = 64 << j
+        lo, hi = scaled_bounds(fn(p), p)
+        lo, hi = max(lo, 0), min(hi, 1 << p)
+        return p, lo, hi, p - (hi - lo).bit_length()
+
+    exact = [exact_level(j) for j in range(4)]
 
     for _ in range(ROUNDS):
         shared = RefinableProb(fn)
-        needs = [range(k, 300, 7 * (k + 1)) for k in range(THREADS)]
-        results = _run_together(lambda k: [shared.level(n) for n in needs[k]])
-        for need, recs in zip(needs, results):
-            for n, rec in zip(need, recs):
-                assert n + 2 <= rec[3]
-                assert rec == exact_level(rec[0])
-        precisions = [rec[0] for rec in shared._levels]
-        assert precisions == sorted(set(precisions))
+        wanted = [[(j * (k + 1)) % 4 for j in range(12)] for k in range(THREADS)]
+        results = _run_together(lambda k: [shared.bounds(None, level) for level in wanted[k]])
+        for levels, recs in zip(wanted, results):
+            assert recs == [exact[level] for level in levels]
+        assert shared._levels == exact[: len(shared._levels)]
 
 
 def test_gauss_accept_oracles():
     def read(param):
-        return [param.accept_oracle(m).level(64) for m in range(30)]
+        return [param.accept_oracle(m).bounds(None, 1) for m in range(30)]
 
     expected = read(GaussParam(Fraction(7, 3)))
     for _ in range(ROUNDS):
