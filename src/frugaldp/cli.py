@@ -4,8 +4,12 @@ Usage:
     frugaldp --mode approx --epsilon 1 --delta 0.25 --input data.csv --seed 7
     frugaldp --mode pure --epsilon 0.5 --s 8 --input data.csv --output out.json
 
-The input is a CSV with a header row naming d binary predicates and one
-row of 0/1 cells per dataset member. The output is a single JSON object
+The input is a UTF-8 CSV with a header row naming d binary predicates and
+one row of 0/1 cells per dataset member. It is streamed in one pass with
+O(d) memory: rows of the canonical form ``0,1,...,1\\n`` are summed a
+byte per column in one big integer, and from the first row of any other
+form on, the rest goes through ``csv.reader`` cell by cell (see
+``load_dataset``). The output is a single JSON object
 with the released values, every derived parameter (enclosure endpoints
 included), the exact randomness accounting, and wall time. Epsilon and
 delta are parsed as decimal strings into exact rationals; no float touches
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
@@ -23,6 +28,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .approx_mech import derive_approx_params, mech_approx_efficient
 from .bit_tape import BitTape, _SplitMix64
@@ -65,37 +71,86 @@ class RunConfig:
             raise ParameterDomainError("unknown audit mode")
 
 
+# A canonical data row is "c,c,...,c\n" with every cell c either 0 or 1.
+# Its cells become bytes 0 and 1, one byte per column of an accumulator.
+_CELL_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+# Flushed before any byte of the accumulator could carry into the next.
+_FLUSH_ROWS = 255
+
+
 def load_dataset(path: str) -> CountVector:
-    """Stream a binary-predicate CSV into column sums using O(d) memory."""
+    """Stream a binary-predicate CSV into column sums using O(d) memory.
+
+    The header row is parsed by ``csv.reader``. Each following row of the
+    canonical form ``c,c,...,c\\n``, every cell ``0`` or ``1`` and nothing
+    else, is checked by slicing and added, as one byte per column, into a
+    single big integer that is flushed into the column sums every 255 rows.
+    At the first row of any other form (padded or quoted cells, CRLF, blank
+    lines, ragged rows, bad cells, no final newline) that row and the rest
+    of the file go through ``csv.reader`` cell by cell, so every CSV the
+    cell-by-cell reader accepts gives the same sums. The file is read once,
+    one line at a time, so memory is O(d) and a pipe works as input.
+
+    Malformed input raises ``DatasetFormatError``. Its ``row`` is the
+    record number (header = 1), or for CSV syntax errors such as an
+    oversize field the physical line; input that is not UTF-8 has no row.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
+        lines_before = 0  # physical lines read before `reader` started
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetFormatError("empty file: missing header row") from None
-        d = len(header)
-        if d < 1 or any(not name.strip() for name in header):
-            raise DatasetFormatError("header must name at least one predicate", row=1)
-        sums = [0] * d
-        n = 0
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue  # tolerate a trailing blank line
-            if len(row) != d:
-                raise DatasetFormatError(
-                    f"row {line} has {len(row)} cells, expected {d}", row=line
-                )
-            for col, cell in enumerate(row):
-                value = cell.strip()
-                if value == "1":
-                    sums[col] += 1
-                elif value != "0":
-                    raise DatasetFormatError(
-                        f"row {line}, column {col + 1}: non-binary cell {cell!r}",
-                        row=line,
-                        column=col + 1,
-                    )
-            n += 1
+            header = next(reader, None)
+            if header is None:
+                raise DatasetFormatError("empty file: missing header row")
+            d = len(header)
+            if d < 1 or any(not name.strip() for name in header):
+                raise DatasetFormatError("header must name at least one predicate", row=1)
+            sums = [0] * d
+            n = acc = 0
+            width, commas = 2 * d, "," * (d - 1)
+            rest = None
+            for line in fh:
+                raw = line[:-1:2].encode()
+                if (
+                    len(line) != width
+                    or line[-1] != "\n"
+                    or line[1:-1:2] != commas
+                    or raw.translate(None, b"01")
+                ):
+                    rest = line
+                    break
+                acc += int.from_bytes(raw.translate(_CELL_BYTES), "big")
+                n += 1
+                if n % _FLUSH_ROWS == 0:
+                    sums = list(map(add, sums, acc.to_bytes(d, "big")))
+                    acc = 0
+            sums = list(map(add, sums, acc.to_bytes(d, "big")))
+            if rest is not None:
+                lines_before = reader.line_num + n
+                reader = csv.reader(itertools.chain([rest], fh))
+                for record, row in enumerate(reader, start=n + 2):
+                    if not row:
+                        continue  # tolerate a trailing blank line
+                    if len(row) != d:
+                        raise DatasetFormatError(
+                            f"row {record} has {len(row)} cells, expected {d}", row=record
+                        )
+                    for col, cell in enumerate(row):
+                        value = cell.strip()
+                        if value == "1":
+                            sums[col] += 1
+                        elif value != "0":
+                            raise DatasetFormatError(
+                                f"row {record}, column {col + 1}: non-binary cell {cell!r}",
+                                row=record,
+                                column=col + 1,
+                            )
+                    n += 1
+        except csv.Error as exc:
+            line_no = lines_before + reader.line_num
+            raise DatasetFormatError(f"line {line_no}: malformed CSV: {exc}", row=line_no) from exc
+        except UnicodeDecodeError as exc:
+            raise DatasetFormatError(f"input is not UTF-8 text: {exc.reason}") from exc
     return CountVector(d=d, n=n, sums=tuple(sums))
 
 

@@ -1,12 +1,16 @@
 """Tests for dataset ingestion and the command-line front end."""
 
+import csv
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import frugaldp.cli as cli
 from frugaldp.cli import (
@@ -27,6 +31,7 @@ from frugaldp.errors import (
     ParameterDomainError,
     SampleBudgetError,
 )
+from frugaldp.release import CountVector
 
 
 @pytest.fixture
@@ -71,6 +76,118 @@ class TestLoadDataset:
     def test_whitespace_tolerated(self, csv_file):
         counts = load_dataset(csv_file("a,b\n 1 ,0\n"))
         assert counts.sums == (1, 0)
+
+    @pytest.mark.parametrize("rows", [254, 255, 256, 510, 511])
+    def test_sums_across_accumulator_flushes(self, csv_file, rows):
+        # One byte per column holds 255 ones; rows 255 and 510 are flushes.
+        counts = load_dataset(csv_file("a,b,c\n" + "1,0,1\n" * rows))
+        assert (counts.n, counts.sums) == (rows, (rows, 0, rows))
+
+    def test_non_utf8_input_is_a_format_error(self, tmp_path, capsys):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"a,b\n1,0\n\xff,1\n")
+        with pytest.raises(DatasetFormatError, match="UTF-8"):
+            load_dataset(str(path))
+        argv = ["--mode", "approx", "--epsilon", "1", "--delta", "0.25", "--input", str(path)]
+        assert main(argv) == EXIT_IO
+        assert "UTF-8" in capsys.readouterr().err
+
+    def test_oversize_field_is_a_format_error(self, csv_file):
+        path = csv_file('a,b\n1,0\n"' + "1" * (csv.field_size_limit() + 1) + '",0\n')
+        with pytest.raises(DatasetFormatError, match="field limit") as err:
+            load_dataset(path)
+        assert err.value.row == 3
+        code, report = run(RunConfig("approx", Fraction(1), Fraction(1, 4), None, 1, path, None))
+        assert code == EXIT_IO
+        assert "line 3" in report["error"]
+
+    def test_memory_stays_within_a_few_rows(self, csv_file):
+        d, rows = 512, 2000
+        row = ",".join("1" if j % 3 else "0" for j in range(d)) + "\n"
+        path = csv_file(",".join(f"q{j}" for j in range(d)) + "\n" + row * rows)
+        tracemalloc.start()
+        try:
+            counts = load_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.n == rows
+        # The file is 2 MB. Allow the read buffers and a few rows in flight
+        # plus the O(d) header and column sums, a few hundred bytes per column.
+        assert peak < 16 * len(row) + 256 * d
+
+
+def _load_cell_by_cell(path: str) -> CountVector:
+    """Reference ingest: csv.reader and a per-cell check of every row."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DatasetFormatError("empty file: missing header row") from None
+        d = len(header)
+        if d < 1 or any(not name.strip() for name in header):
+            raise DatasetFormatError("header must name at least one predicate", row=1)
+        sums = [0] * d
+        n = 0
+        for line, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != d:
+                raise DatasetFormatError(
+                    f"row {line} has {len(row)} cells, expected {d}", row=line
+                )
+            for col, cell in enumerate(row):
+                value = cell.strip()
+                if value == "1":
+                    sums[col] += 1
+                elif value != "0":
+                    raise DatasetFormatError(
+                        f"row {line}, column {col + 1}: non-binary cell {cell!r}",
+                        row=line,
+                        column=col + 1,
+                    )
+            n += 1
+    return CountVector(d=d, n=n, sums=tuple(sums))
+
+
+def _outcome(load, path):
+    try:
+        counts = load(path)
+    except DatasetFormatError as exc:
+        return ("error", str(exc), exc.row, exc.column)
+    return (counts.d, counts.n, counts.sums)
+
+
+# Cells that leave the canonical form: padded, quoted (one spanning two
+# lines), empty, non-binary and non-ASCII. Rows end in LF, CRLF or CR.
+_MESSY_CELLS = ("0", "1", " 1", "0 ", '"1"', '"0"', '"1\n"', "", "00", "101", "2", "x", "\u00e9")
+
+
+@st.composite
+def _csv_texts(draw):
+    d = draw(st.integers(1, 4))
+    canonical = st.lists(st.sampled_from("01"), min_size=d, max_size=d).map(",".join)
+    messy = st.lists(st.sampled_from(_MESSY_CELLS), max_size=d + 1).map(",".join)
+    endings = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+    text = ",".join(f"q{i}" for i in range(d)) + draw(endings)
+    for _ in range(draw(st.integers(0, 6))):
+        row = draw(st.one_of(canonical, canonical, messy))
+        text += (row + draw(endings)) * draw(st.one_of(st.just(1), st.integers(1, 300)))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_csv_texts())
+@example(text="a,b\n1,0\n1,00")  # 2d characters, but the last is not a newline
+@example(text="a,b,c\n1,0,1\n1,101\n")  # 2d characters, cells at odd positions
+@example(text="a,b\r1,0\r0,1\n")  # lone CR line ends
+def test_fast_and_cell_by_cell_ingest_agree(tmp_path, text):
+    path = tmp_path / "mixed.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome(load_dataset, str(path)) == _outcome(_load_cell_by_cell, str(path))
 
 
 class TestRunConfig:
@@ -321,3 +438,26 @@ def test_audit_without_numpy_names_the_extra(csv_file):
     assert proc.returncode == EXIT_PARAMETER == 2
     assert "frugaldp[audit]" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_piped_input_is_read_in_one_pass(tmp_path):
+    # A pipe cannot be rewound or reopened: a second read would see no rows.
+    rows = ["1,0,1,1,0,0,1,0\n", "0,1,1,0,0,1,0,1\n"] * 300
+    rows[311] = " 1,0,1,1,0,0,1,0\n"  # falls back to csv.reader part way
+    data = ("a,b,c,d,e,f,g,h\n" + "".join(rows)).encode()
+    path = tmp_path / "data.csv"
+    path.write_bytes(data)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    argv = [sys.executable, "-m", "frugaldp.cli", "--mode", "approx", "--epsilon", "1",
+            "--delta", "0.25", "--seed", "9", "--input"]
+    reports = []
+    for source, stdin in ((str(path), None), ("/dev/stdin", data)):
+        proc = subprocess.run(
+            argv + [source], input=stdin, capture_output=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        reports.append(json.loads(proc.stdout))
+    assert reports[0]["meta"]["n"] == reports[1]["meta"]["n"] == 600
+    assert reports[0]["values"] == reports[1]["values"]
