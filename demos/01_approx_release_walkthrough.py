@@ -4,7 +4,10 @@ The release adds truncated integer Gaussian noise, but only where it has
 to: one shared random shift realigns every count against a coarse grid,
 and a coordinate whose rounded value is already pinned down for every
 possible noise value is released with zero random bits. A coordinate whose
-noise window straddles a cell edge draws the cell itself, about two bits.
+noise window straddles a cell edge draws the cell itself. It usually stays
+in the cell of its centre, so these cells are drawn in runs: one draw says
+how many stay home before one leaves, for about the cells' entropy plus two
+bits per cell that leaves.
 """
 
 from fractions import Fraction

@@ -1,8 +1,10 @@
 """Demonstration: random-bit consumption versus the coarseness knob s.
 
 At dimension d, roughly 2d/s coordinates land near a grid edge and need a
-noise draw; the rest are free. Total expected bits therefore fall like 1/s
-(plus the ~log2(s) cost of the shared shift), reaching O(log d) at s = d.
+cell draw; the rest are free. Those cells are drawn in runs of coordinates
+that stay in their centre's cell, for about their entropy plus two bits per
+cell that leaves. Total expected bits therefore fall like 1/s (plus the
+~log2(s) cost of the shared shift), reaching O(log d) at s = d.
 """
 
 from fractions import Fraction

@@ -267,8 +267,9 @@ def mech_approx_efficient(
 
     After the shared shift, a coordinate whose rounded value is already
     determined for every noise magnitude below r is released silently with
-    zero noise bits; a boundary coordinate draws its grid cell from the
-    truncated Gaussian's tail mass beyond the cell edge, about two bits.
+    zero noise bits; boundary coordinates draw their grid cells from the
+    truncated Gaussian's tail mass beyond the cell edge, in runs of cells
+    that stay home: about their entropy plus two bits per cell that leaves.
     """
     check_release(counts, params, params.r, omega)
     result, _ = shift_and_round(tape, tape.snapshot(), counts, params.s, params.cells, "gaussian", omega)

@@ -6,10 +6,10 @@ Usage:
 
 The input is a UTF-8 CSV with a header row naming d binary predicates and
 one row of 0/1 cells per dataset member. It is streamed in one pass with
-O(d) memory: rows of the canonical form ``0,1,...,1\\n`` are summed a
-byte per column in one big integer, and from the first row of any other
-form on, the rest goes through ``csv.reader`` cell by cell (see
-``load_dataset``). The output is a single JSON object
+O(d) memory: rows of the canonical form ``0,1,...,1\\n`` (or ``\\r\\n``)
+are summed a byte per column in one big integer, and from the first row
+of any other form on, the rest goes through ``csv.reader`` cell by cell
+(see ``load_dataset``). The output is a single JSON object
 with the released values, every derived parameter (enclosure endpoints
 included), the exact randomness accounting, and wall time. Epsilon and
 delta are parsed as decimal strings into exact rationals; no float touches
@@ -71,7 +71,7 @@ class RunConfig:
             raise ParameterDomainError("unknown audit mode")
 
 
-# A canonical data row is "c,c,...,c\n" with every cell c either 0 or 1.
+# A canonical data row is "c,c,...,c\n" or "c,c,...,c\r\n", every cell c 0 or 1.
 # Its cells become bytes 0 and 1, one byte per column of an accumulator.
 _CELL_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 # Flushed before any byte of the accumulator could carry into the next.
@@ -82,14 +82,15 @@ def load_dataset(path: str) -> CountVector:
     """Stream a binary-predicate CSV into column sums using O(d) memory.
 
     The header row is parsed by ``csv.reader``. Each following row of the
-    canonical form ``c,c,...,c\\n``, every cell ``0`` or ``1`` and nothing
-    else, is checked by slicing and added, as one byte per column, into a
-    single big integer that is flushed into the column sums every 255 rows.
-    At the first row of any other form (padded or quoted cells, CRLF, blank
-    lines, ragged rows, bad cells, no final newline) that row and the rest
-    of the file go through ``csv.reader`` cell by cell, so every CSV the
-    cell-by-cell reader accepts gives the same sums. The file is read once,
-    one line at a time, so memory is O(d) and a pipe works as input.
+    canonical form ``c,c,...,c\\n`` or ``c,c,...,c\\r\\n``, every cell ``0``
+    or ``1`` and nothing else, is checked by slicing and added, as one byte
+    per column, into a single big integer that is flushed into the column
+    sums every 255 rows. At the first row of any other form (padded or
+    quoted cells, lone CR, blank lines, ragged rows, bad cells, no final
+    newline) that row and the rest of the file go through ``csv.reader``
+    cell by cell, so every CSV the cell-by-cell reader accepts gives the
+    same sums. The file is read once, one line at a time, so memory is O(d)
+    and a pipe works as input.
 
     Malformed input raises ``DatasetFormatError``. Its ``row`` is the
     record number (header = 1), or for CSV syntax errors such as an
@@ -110,11 +111,11 @@ def load_dataset(path: str) -> CountVector:
             width, commas = 2 * d, "," * (d - 1)
             rest = None
             for line in fh:
-                raw = line[:-1:2].encode()
+                raw = line[: width - 1 : 2].encode()
+                end = line[width - 1 :]
                 if (
-                    len(line) != width
-                    or line[-1] != "\n"
-                    or line[1:-1:2] != commas
+                    (end != "\n" and end != "\r\n")
+                    or line[1 : width - 1 : 2] != commas
                     or raw.translate(None, b"01")
                 ):
                     rest = line
@@ -354,6 +355,8 @@ def main(argv: list[str] | None = None) -> int:
     except ParameterDomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMETER
+    if config.seed is not None:
+        print("note: --seed makes this release reproducible, so it is not private", file=sys.stderr)
     code, report = run(config)
     text = json.dumps(report, indent=2, sort_keys=True)
     if config.output_path and code == EXIT_OK:

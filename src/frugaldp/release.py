@@ -4,11 +4,15 @@ Both efficient releases follow one recipe: draw one shift from
 {unit, 2 unit, ..., s unit}, then walk the coordinates. A coordinate whose
 rounded value is the same for every noise value in (-unit, unit) is released
 silently and costs no bits; any other coordinate draws its grid cell from
-the truncated noise law, with one :func:`~frugaldp.core_samplers.locate`
-over the tail masses past the grid edges in its window. The grid is
-unit * s, where the unit is the noise half-width (r in approx mode, m in
-pure mode). Pure mode adds one pre-step, a tail set drawn up front whose
-coordinates take noise from the law's tail.
+the truncated noise law. Windows with one grid edge (all, when s >= 2)
+are drawn in runs (:func:`draw_runs`): one
+:func:`~frugaldp.core_samplers.locate` draws how many coordinates stay in
+their centre's cell before one leaves, for about the cells' entropy plus
+two bits per leaving coordinate, not two bits per coordinate. A window with
+two edges (s = 1) has its own locate. The grid is unit * s, where the unit
+is the noise half-width (r in approx mode, m in pure mode). Pure mode adds
+one pre-step, a tail set drawn up front whose coordinates take noise from
+the law's tail.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .bit_tape import BitTape
-from .core_samplers import CellLaw, locate
+from .core_samplers import CellLaw, level_record, locate
 from .errors import FrugalDPError, ParameterDomainError
 
 
@@ -136,6 +140,7 @@ def shift_and_round(
     values = []
     boundary = []
     attempts: dict[int, int] = {}
+    queued, keys = [], []  # the single-edge coordinates, for draw_runs
     # Silent coordinates draw nothing, so one category block covers the loop.
     with tape.category(noise):
         for i, s_i in enumerate(counts.sums):
@@ -149,10 +154,59 @@ def shift_and_round(
             # E - center: the release reaches E exactly when eta >= E - center.
             # No edge means the coordinate is silent (is_silent) and draws nothing.
             low = (center - reach) // grid * grid
-            keys = range(low + grid - center, unit, grid)
-            if keys:
-                low += grid * locate(tape, cells.tail_ratio, keys)
+            k = low + grid - center
+            if k < unit:
                 attempts[i] = 1
                 boundary.append(i)
+                if k + grid < unit:  # two edges, only when s = 1
+                    low += grid * locate(tape, cells.tail_ratio, range(k, unit, grid))
+                else:  # one edge at key k: queued, holding its home cell (see draw_runs)
+                    if k <= 0:
+                        low += grid
+                    queued.append(len(values))
+                    keys.append(k)
             values.append(low)
+        if keys:
+            draw_runs(tape, cells.tail_ratio, grid, queued, keys, values)
     return MechanismResult(tuple(values), build_report(tape, start, tuple(boundary), attempts)), omega
+
+
+def draw_runs(tape: BitTape, tail_ratio, grid: int, queued: list, keys: list, values: list) -> None:
+    """Draw the cells of single-edge coordinates, one :func:`locate` per run that stays home.
+
+    Coordinate ``queued[i]``, with its edge at key k = ``keys[i]``, holds its
+    home cell, the one of its centre: the lower cell when k > 0, else the
+    upper. It departs across the edge with probability p = tail_ratio(k')
+    <= 1/2, k' = k if k > 0 else 1 - k by symmetry. From a run start b, the
+    count L that stay home has upper tails T_j = prod_{b <= i < b + j} (1 - p_i),
+    so one locate draws L; b + L departs and the next run starts after it.
+    """
+    levels: list[tuple[int, tuple[int, int, int, int] | None]] = []
+
+    def bounds(j: int, level: int) -> tuple[int, int, int, int]:
+        """T_(j - start + 1) at ``level``: one running product per level, extended to key j."""
+        if level == len(levels):  # locate asks for the levels of a key in order
+            levels.append((start - 1, None))
+        i, rec = levels[level]
+        while i < j:
+            i += 1
+            k = keys[i]
+            p, a_lo, a_hi, _ = tail_ratio(k if k > 0 else 1 - k, level)
+            one = 1 << p
+            lo, hi = (rec[1], rec[2]) if rec else (one, one)
+            # Outward rounding: the lower product down, the upper product up.
+            rec = level_record(p, lo * (one - a_hi) >> p, -(-hi * (one - a_lo) >> p))
+        levels[level] = i, rec
+        return rec
+
+    start, end = 0, len(keys)
+    while start < end:
+        if start + 1 == end:  # a lone coordinate departs when u < p, with no products to build
+            k = keys[start]
+            start += 1 - locate(tape, tail_ratio, (k if k > 0 else 1 - k,))
+        else:
+            levels.clear()
+            start += locate(tape, bounds, range(start, end))
+        if start < end:
+            values[queued[start]] += grid if keys[start] > 0 else -grid
+        start += 1

@@ -1,6 +1,7 @@
 """Tests for the approximate-DP release mechanisms."""
 
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -240,6 +241,49 @@ class TestEfficientMechanism:
                 boundary += len(res.report.boundary_coordinates)
             assert boundary > 0
             assert noise / boundary <= 3
+
+    def test_cell_bits_stay_within_the_run_bound(self):
+        # Drawn in runs, the cells of a release cost at most their entropy
+        # sum h(p_i) plus two bits per locate: one per departure, plus one.
+        d, s = 1024, 4
+        params = derive_approx_params(Fraction(1), Fraction(1, 1 << 20), d, s)
+        rng = random.Random(1024)
+        counts = CountVector(d, 10**7, tuple(rng.randrange(10**7 + 1) for _ in range(d)))
+        unit, grid = params.r, params.grid
+
+        def bound(omega):
+            entropy = departures = 0.0
+            for c in counts.sums:
+                center = c + omega
+                k = (center - unit + 1) // grid * grid + grid - center
+                if k < unit:  # the boundary coordinate's single edge, at key k
+                    p, lo, hi, _ = params.cells.tail_ratio(k if k > 0 else 1 - k, 1)
+                    q = (lo + hi) / 2 ** (p + 1)
+                    entropy -= q * math.log2(q) + (1 - q) * math.log2(1 - q)
+                    departures += q
+            return entropy + 2 * (departures + 1)
+
+        bounds = {omega: bound(omega) for omega in range(unit, grid + 1, unit)}
+        tape = BitTape(seed=916)
+        bits = limit = 0.0
+        for i in range(200):
+            omega = unit * (1 + i % s)
+            report = mech_approx_efficient(counts, params, tape, omega).report
+            bits += report.bits_by_category["gaussian"]
+            limit += bounds[omega]
+        assert bits / 200 <= limit / 200 * 1.03
+
+    def test_release_without_boundary_spends_only_shift_bits(self):
+        # Equal counts are all silent or all on a boundary, by the shift drawn.
+        params = derive_approx_params(Fraction(1), Fraction(1, 1 << 20), 1024, 4)
+        counts = CountVector(1024, 10**7, (params.grid * 100 - params.r // 2,) * 1024)
+        silent = 0
+        for seed in range(20):
+            res = mech_approx_efficient(counts, params, BitTape(seed=seed))
+            if not res.report.boundary_coordinates:
+                silent += 1
+                assert res.report.bits_by_category == {"shift": res.report.bits_total}
+        assert 0 < silent < 20
 
     def test_report_accounting(self):
         counts = CountVector(d=4, n=20, sums=(3, 7, 11, 19))

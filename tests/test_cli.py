@@ -83,6 +83,17 @@ class TestLoadDataset:
         counts = load_dataset(csv_file("a,b,c\n" + "1,0,1\n" * rows))
         assert (counts.n, counts.sums) == (rows, (rows, 0, rows))
 
+    @pytest.mark.parametrize("rows", [254, 255, 256, 510, 511])
+    def test_crlf_rows_give_the_lf_sums_on_the_fast_path(self, csv_file, monkeypatch, rows):
+        body = "".join(("1,0,1\n", "0,1,1\n", "1,1,0\n")[i % 3] for i in range(rows))
+        lf = load_dataset(csv_file("a,b,c\n" + body, "lf.csv"))
+        readers = []
+        real = csv.reader
+        monkeypatch.setattr(csv, "reader", lambda fh: readers.append(fh) or real(fh))
+        crlf = load_dataset(csv_file("a,b,c\r\n" + body.replace("\n", "\r\n"), "crlf.csv"))
+        assert (crlf.n, crlf.sums) == (lf.n, lf.sums) == (rows, lf.sums)
+        assert len(readers) == 1  # the header's reader only: no row fell back
+
     def test_non_utf8_input_is_a_format_error(self, tmp_path, capsys):
         path = tmp_path / "latin.csv"
         path.write_bytes(b"a,b\n1,0\n\xff,1\n")
@@ -348,6 +359,18 @@ class TestMain:
         report = json.loads(out.read_text())
         assert report["meta"]["seed"] == 7
         assert len(report["values"]) == 2
+
+    @pytest.mark.parametrize("seed", [None, 7])
+    def test_seeded_run_says_it_is_not_private(self, csv_file, tmp_path, capsys, seed):
+        argv = ["--mode", "approx", "--epsilon", "1", "--delta", "0.25"]
+        argv += ["--input", csv_file("a,b\n1,0\n"), "--output", str(tmp_path / "out.json")]
+        assert main(argv + ([] if seed is None else ["--seed", str(seed)])) == EXIT_OK
+        err = capsys.readouterr().err
+        if seed is None:
+            assert err == ""
+        else:
+            assert len(err.splitlines()) == 1
+            assert "reproducible" in err and "not private" in err
 
     def test_decimal_parsing_is_exact(self):
         from frugaldp.cli import _fraction_arg

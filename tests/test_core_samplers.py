@@ -5,6 +5,7 @@ Every asserted probability is computed from an independent oracle first
 compared against seeded empirical frequencies.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -336,6 +337,54 @@ _LAWS = [
     ("laplace", lambda: LaplaceCells(LaplaceScale(Fraction(5, 2)), 11), _laplace_weight(Fraction(5, 2)), 11),
 ]
 
+# Releases of several coordinates, as (s, keys): with unit h and the shift
+# forced to h, count (s - 1) h - k puts the edge s h at key k from the
+# centre (home is the lower cell for k > 0, the upper one otherwise), and
+# None is count 0, a silent coordinate.
+_RUNS = [
+    (2, (1, 0, -1, 2, 0)),
+    (2, (-1, 1, None, 0, 2, 1)),
+    (3, (1, None, -1, 0, None, 2)),
+]
+
+
+def _run_case(law, weight, s, keys):
+    """The counts of a _RUNS case and the exact cell law of each coordinate."""
+    h = law.halfwidth
+    sums = tuple(0 if k is None else (s - 1) * h - k for k in keys)
+    laws = [_cell_probs(weight, h, c + h, h * s) for c in sums]
+    assert [len(probs) for probs in laws] == [1 if k is None else 2 for k in keys]
+    return CountVector(len(sums), 4 * h * s, sums), laws
+
+
+def _release_row(tape, law, s, counts):
+    result, _ = shift_and_round(tape, tape.snapshot(), counts, s, law, "noise", law.halfwidth)
+    return result.values
+
+
+def _assert_joint_law(hist, laws):
+    """Chi-square of a joint histogram against the product of the cell laws."""
+    joint = {}
+    for row in itertools.product(*(sorted(probs.items()) for probs in laws)):
+        joint[tuple(c for c, _ in row)] = math.prod(p for _, p in row)
+    assert set(hist) <= set(joint)
+    n = sum(hist.values())
+    # Outcomes expecting fewer than 5 draws are pooled into one bin.
+    big = [v for v in joint if joint[v] * n >= 5]
+    observed = [hist.get(v, 0) for v in big]
+    expected = [joint[v] * n for v in big]
+    if len(big) < len(joint):
+        observed.append(n - sum(observed))
+        expected.append(n - sum(expected))
+    assert stats.chisquare(observed, expected).pvalue >= 0.001
+
+
+def _first_departures(hist, counts, law, s):
+    """The first coordinate off its home cell, over the outcomes seen (None: all home)."""
+    grid = law.halfwidth * s
+    homes = [(c + law.halfwidth) // grid * grid for c in counts.sums]
+    return {next((i for i, (v, e) in enumerate(zip(row, homes)) if v != e), None) for row in hist}
+
 
 class TestCellDraw:
     @pytest.mark.parametrize("name,make,weight,h", _LAWS)
@@ -393,6 +442,28 @@ class TestCellDraw:
         hist, _ = collect_histogram(lambda t: _release_cell(t, law, 1, 3), n, 710)
         assert len(law._levels) >= 2
         _assert_cell_law(hist, _cell_probs(_laplace_weight(Fraction(5, 2)), 11, 14, 11))
+
+    @pytest.mark.parametrize("name,make,weight,h", _LAWS)
+    @pytest.mark.parametrize("s,keys", _RUNS)
+    def test_run_law_matches_the_product_of_cell_laws(self, name, make, weight, h, s, keys):
+        law = make()
+        counts, laws = _run_case(law, weight, s, keys)
+        hist, _ = collect_histogram(lambda t: _release_row(t, law, s, counts), 40_000, 712)
+        _assert_joint_law(hist, laws)
+        boundary = [i for i, k in enumerate(keys) if k is not None]
+        # Departures at the first, every middle and the last boundary coordinate,
+        # and releases that keep every coordinate home.
+        assert _first_departures(hist, counts, law, s) == {*boundary, None}
+
+    def test_refinement_mid_run_keeps_the_law(self, monkeypatch):
+        # 4-bit levels: the running products widen within a few coordinates,
+        # so draws refine partway along a run and rebuild that level's prefix.
+        monkeypatch.setattr(cs, "_LEVEL_START", 4)
+        law = LaplaceCells(LaplaceScale(Fraction(5, 2)), 11)
+        counts, laws = _run_case(law, _laplace_weight(Fraction(5, 2)), 2, _RUNS[0][1])
+        hist, _ = collect_histogram(lambda t: _release_row(t, law, 2, counts), 20_000, 713)
+        assert len(law._levels) >= 2
+        _assert_joint_law(hist, laws)
 
     @pytest.mark.parametrize("mode", ["approx", "pure"])
     def test_boundary_set_is_the_non_silent_coordinates(self, mode):
