@@ -1,13 +1,12 @@
 """Approximate-DP counting-query release via truncated integer Gaussian noise.
 
-Implements the reference chain (plain Gaussian noise; noise conditioned to
-stay inside a window; shared shift plus coarse rounding) and the efficient
-release that spends randomness on a coordinate only when the shifted count
-lands within noise range of a grid-cell edge, and then draws the released
-cell directly rather than a noise value (the shift-and-round loop of
-``frugaldp.release``). The efficient release has exactly the same output
-distribution as the reference chain's final stage, which the audit harness
-checks against a brute-force oracle.
+The output law is the final stage of the reference chain: Gaussian noise
+conditioned to stay inside (-r, r), one shared shift, and rounding down to
+the grid r*s (``audit_harness.oracle_joint_dist_approx`` computes it
+exactly). The efficient release spends randomness on a coordinate only when
+the shifted count lands within noise range of a grid-cell edge, and then
+draws the released cell directly rather than a noise value (the
+shift-and-round loop of ``frugaldp.release``).
 """
 
 from __future__ import annotations
@@ -15,18 +14,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .bit_tape import BitTape
-from .core_samplers import GaussParam, GaussianCells, _truncated_attempts, discrete_gaussian
+from .core_samplers import GaussianCells
 from .errors import EnclosureContractError, FrugalDPError, ParameterDomainError
 from .precise_math import IntervalValue, exp_neg, exp_pos, interval_div, ln_enclose
-from .release import (
-    CountVector,
-    MechanismResult,
-    build_report,
-    check_release,
-    draw_shift,
-    floor_multiple,
-    shift_and_round,
-)
+from .release import CountVector, MechanismResult, check_release, shift_and_round
 
 _CERTIFY_MAX_BITS = 1 << 13
 
@@ -52,7 +43,6 @@ class ApproxParams:
         "sigma_sq",
         "r",
         "grid",
-        "gauss",
         "cells",
     )
 
@@ -83,7 +73,6 @@ class ApproxParams:
         self.gamma_floor = gamma_floor
         self.epsilon = epsilon
         self.delta = delta
-        self.gauss = GaussParam(self.sigma_sq)
         self.cells = GaussianCells(self.sigma_sq, r)
 
     @property
@@ -185,76 +174,11 @@ def derive_approx_params(
     )
 
 
-def approx_params_from_sigma(
-    d: int, s: int, sigma_sq: Fraction, gamma: Fraction
-) -> ApproxParams:
-    """Parameters with a forced rational variance; r still certified from gamma.
-
-    Intended for audits and equivalence tests, which hold for any (sigma, r, s).
-    """
-    sigma_sq = Fraction(sigma_sq)
-    gamma = Fraction(gamma)
-    r = certify_window_radius(sigma_sq, gamma / d)
-    return ApproxParams(
-        d,
-        s,
-        sigma_sq,
-        r,
-        gamma=IntervalValue.from_fraction(gamma, 96),
-        gamma_floor=gamma,
-    )
-
-
-def _truncated_gaussian(tape: BitTape, params: ApproxParams) -> tuple[int, int]:
-    return _truncated_attempts(tape, lambda t: discrete_gaussian(t, params.gauss), params.r)
-
-
 def _assert_envelope(values, counts, params) -> None:
     bound = params.accuracy_bound
     for y, s_i in zip(values, counts.sums):
         if abs(y - s_i) > bound:
             raise FrugalDPError("deterministic accuracy envelope violated")
-
-
-def mech_approx_reference(
-    counts: CountVector,
-    params: ApproxParams,
-    variant: int,
-    tape: BitTape,
-    omega: int | None = None,
-) -> MechanismResult:
-    """Reference mechanisms, in increasing order of structure.
-
-    variant 1: counts + Gaussian noise per coordinate.
-    variant 2: noise conditioned on staying inside (-r, r).
-    variant 3: one shared shift from {r, 2r, ..., rs}, truncated noise,
-        rounding down to the grid r*s.
-
-    Variant 3 defines the exact output law the efficient release must match.
-    """
-    check_release(counts, params, params.r, omega)
-    if variant not in (1, 2, 3):
-        raise ParameterDomainError("variant must be 1, 2 or 3")
-    start = tape.snapshot()
-    attempts: dict[int, int] = {}
-    if variant == 3 and omega is None:
-        omega = draw_shift(tape, params.r, params.s)
-    values = []
-    for i, s_i in enumerate(counts.sums):
-        with tape.category("gaussian"):
-            if variant == 1:
-                eta = discrete_gaussian(tape, params.gauss)
-                attempts[i] = 1
-            else:
-                eta, attempts[i] = _truncated_gaussian(tape, params)
-        if variant == 3:
-            values.append(floor_multiple(s_i + omega + eta, params.grid))
-        else:
-            values.append(s_i + eta)
-    values = tuple(values)
-    if variant == 3:
-        _assert_envelope(values, counts, params)
-    return MechanismResult(values, build_report(tape, start, tuple(range(counts.d)), attempts))
 
 
 def mech_approx_efficient(
@@ -263,7 +187,7 @@ def mech_approx_efficient(
     tape: BitTape,
     omega: int | None = None,
 ) -> MechanismResult:
-    """Efficient release: same output law as reference variant 3.
+    """Efficient release: same output law as the reference chain's final stage.
 
     After the shared shift, a coordinate whose rounded value is already
     determined for every noise magnitude below r is released silently with

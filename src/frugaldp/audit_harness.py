@@ -22,7 +22,7 @@ from .approx_mech import ApproxParams
 from .errors import ParameterDomainError
 from .precise_math import IntervalValue, exp_neg, exp_pos, interval_div
 from .pure_mech import PureParams
-from .release import CountVector, MechanismResult, floor_multiple, is_silent
+from .release import CountVector, MechanismResult, floor_multiple
 
 _ZERO = IntervalValue.exact(0)
 
@@ -277,37 +277,6 @@ def chi_square(histogram: Mapping, reference: DiscreteDist, min_expected: float 
     exp *= obs.sum() / exp.sum()
     stat = float(((obs - exp) ** 2 / exp).sum())
     return float(stats.chi2.sf(stat, len(observed) - 1))
-
-
-def two_sample_chi_square(hist_a: Mapping, hist_b: Mapping, min_expected: float = 5.0) -> float:
-    """Homogeneity p-value for two histograms over a shared discrete support."""
-    keys = sorted(set(hist_a) | set(hist_b))
-    a = np.array([hist_a.get(k, 0) for k in keys], dtype=float)
-    b = np.array([hist_b.get(k, 0) for k in keys], dtype=float)
-    total = a.sum() + b.sum()
-    if total == 0:
-        raise ParameterDomainError("empty histograms")
-    expected_col = (a + b) * (a.sum() / total)
-    small = expected_col < min_expected
-    if small.any():
-        a = np.concatenate([a[~small], [a[small].sum()]])
-        b = np.concatenate([b[~small], [b[small].sum()]])
-    table = np.vstack([a, b])
-    keep = table.sum(axis=0) > 0
-    table = table[:, keep]
-    if table.shape[1] < 2:
-        return 1.0
-    _, p, _, _ = stats.chi2_contingency(table)
-    return float(p)
-
-
-def crossing_shifts(sum_i: int, unit: int, s: int) -> list[int]:
-    """Shift indices v for which the silent test fails at this coordinate.
-
-    Exhaustive enumeration over v in {1..s}; the rounding-monotonicity
-    argument promises at most two such v.
-    """
-    return [v for v in range(1, s + 1) if not is_silent(sum_i, unit * v, unit, unit * s)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,39 +1,30 @@
-"""Exact samplers for the primitive distributions the mechanisms draw from.
+"""The one exact comparator, and the cell laws the release draws through it.
 
-Every sampler here consumes fair bits from a :class:`~frugaldp.bit_tape.BitTape`
-and nothing else. Every decision that spends bits goes through one
-comparator, :func:`locate`: it streams a uniform dyadic u bit by bit against
-refinable integer bounds of a run of thresholds (a Bernoulli probability,
-the upper tails of a finite law, the tail masses past each grid edge) and
-refines the bounds, one level of doubled precision at a time, until u is
-certified above or below each threshold it reads. This terminates with
-probability one and makes every sampler exact; no floating point is
-involved anywhere.
+Every release decision that spends bits is one :func:`locate`: it streams a
+uniform dyadic u bit by bit from a :class:`~frugaldp.bit_tape.BitTape`
+against refinable integer bounds of a run of thresholds (the upper tails of
+a finite law, the tail masses past each grid edge, the geometric tail past
+a pure-mode tail threshold) and refines the bounds, one level of doubled
+precision at a time, until u is certified above or below each threshold it
+reads. This terminates with probability one and makes every draw exact; no
+floating point is involved anywhere. There is no rejection loop: a draw
+never discards bits it has read.
 """
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from itertools import accumulate
 from typing import Callable
 
 from .bit_tape import BitTape
-from .errors import EnclosureContractError, ParameterDomainError, SampleBudgetError
-from .precise_math import BoundedCache, IntervalValue, _pow_scaled, exp_neg, floor_sqrt, scaled_bounds
-
-#: Rejection loops raise SampleBudgetError after this many attempts. At valid
-#: mechanism parameters even 40 attempts fail with probability < 2**-40.
-ATTEMPT_CAP = 1 << 20
+from .errors import EnclosureContractError, ParameterDomainError
+from .precise_math import _pow_scaled, exp_neg, scaled_bounds
 
 _LEVEL_START = 64
 #: Refinement gives up past this precision. A comparison streams no deeper
 #: than the precision it compares at, so this also caps the bits it reads.
 _LEVEL_MAX = 1 << 15
-
-# Serializes the building of RefinableProb levels (reads take no lock), so
-# that threads sharing an oracle build the levels one thread alone would.
-_LEVEL_LOCK = threading.RLock()
 
 
 def level_record(p: int, lo: int, hi: int) -> tuple[int, int, int, int]:
@@ -92,158 +83,16 @@ def locate(tape: BitTape, bounds: Callable[[object, int], tuple[int, int, int, i
     return count
 
 
-class RefinableProb:
-    """A probability in [0, 1] with certified scaled-integer bounds.
-
-    Wraps an enclosure function ``fn(precision_bits) -> IntervalValue`` and
-    caches its level records, level j at precision 64 * 2**j. Threads may
-    share an instance; see ``_LEVEL_LOCK``.
-    """
-
-    __slots__ = ("_fn", "_levels")
-
-    def __init__(self, fn: Callable[[int], IntervalValue]):
-        self._fn = fn
-        self._levels: list[tuple[int, int, int, int]] = []
-
-    def bounds(self, _key, level: int) -> tuple[int, int, int, int]:
-        """The probability's :func:`level_record` at ``level``, in the form :func:`locate` reads."""
-        levels = self._levels
-        if level < len(levels):
-            return levels[level]
-        with _LEVEL_LOCK:
-            while len(levels) <= level:
-                p = _LEVEL_START << len(levels)
-                rec = level_record(p, *scaled_bounds(self._fn(p), p))
-                # Levels must overlap; disjoint enclosures mean a broken oracle.
-                if levels and disjoint(rec, levels[-1]):
-                    raise EnclosureContractError("refined enclosure disjoint from previous level")
-                levels.append(rec)
-        return levels[level]
-
-
-def bernoulli_from_prob(tape: BitTape, prob: RefinableProb) -> int:
-    """Exact Ber(q) for the probability enclosed by ``prob``: 1 when u < q.
-
-    Expected tape cost is about two bits regardless of q.
-    """
-    return locate(tape, prob.bounds, (None,))
-
-
-_EXP_NEG_ONE = RefinableProb(lambda p: exp_neg(1, p))
-
-
 class LaplaceScale:
-    """Scale t > 0 of the integer Laplace distribution Lap_Z(t).
+    """Scale t > 0 of the integer Laplace distribution Lap_Z(t)."""
 
-    Holds the per-residue acceptance oracles of :func:`geometric_fast`,
-    cached since enclosure refinement is deterministic. A scale with a large
-    numerator draws many distinct residues, so the cache is bounded.
-    """
-
-    __slots__ = ("t", "_residues")
+    __slots__ = ("t",)
 
     def __init__(self, t: "Fraction | int"):
         t = Fraction(t)
         if t <= 0:
             raise ParameterDomainError("Laplace scale must be positive")
         self.t = t
-        self._residues: BoundedCache = BoundedCache(4096)
-
-    def residue_oracle(self, u: int) -> RefinableProb:
-        """Oracle for exp(-u/a) where a is the numerator of t."""
-        oracle = self._residues.get(u)
-        if oracle is None:
-            x = Fraction(u, self.t.numerator)
-            oracle = RefinableProb(lambda p, x=x: exp_neg(x, p))
-            self._residues[u] = oracle
-        return oracle
-
-
-class GaussParam:
-    """Variance parameter sigma^2 > 0 for the integer Gaussian sampler."""
-
-    __slots__ = ("sigma_sq", "proposal_scale", "_accept")
-
-    def __init__(self, sigma_sq: "Fraction | int"):
-        sigma_sq = Fraction(sigma_sq)
-        if sigma_sq <= 0:
-            raise ParameterDomainError("sigma_sq must be positive")
-        self.sigma_sq = sigma_sq
-        self.proposal_scale = LaplaceScale(max(1, floor_sqrt(sigma_sq)))
-        self._accept: dict[int, RefinableProb] = {}
-
-    def accept_oracle(self, magnitude: int) -> RefinableProb:
-        """Oracle for exp(-(|y| - sigma^2/t)^2 / (2 sigma^2))."""
-        oracle = self._accept.get(magnitude)
-        if oracle is None:
-            gap = (magnitude - self.sigma_sq / self.proposal_scale.t) ** 2 / (2 * self.sigma_sq)
-            oracle = RefinableProb(lambda p, x=gap: exp_neg(x, p))
-            self._accept[magnitude] = oracle
-        return oracle
-
-
-def geometric_fast(tape: BitTape, scale: LaplaceScale) -> int:
-    """Geo(1 - exp(-1/t)) on {0, 1, 2, ...}, in O(polylog t) expected bits.
-
-    Counts failures before the first success, without the O(t) coin flips of
-    the plain construction: draws the residue u uniformly mod a (a = numerator
-    of t), accepts it with probability exp(-u/a), adds an independent
-    unit-rate geometric block a*v, and divides by the denominator. Each piece
-    is exact, so the result is exactly Geo(1 - exp(-1/t)).
-    """
-    a = scale.t.numerator
-    b = scale.t.denominator
-    while True:
-        u = tape.uniform_range(a) - 1
-        if u == 0 or bernoulli_from_prob(tape, scale.residue_oracle(u)) == 1:
-            break
-    v = 0
-    while bernoulli_from_prob(tape, _EXP_NEG_ONE) == 1:
-        v += 1
-    return (u + a * v) // b
-
-
-def discrete_laplace(tape: BitTape, scale: LaplaceScale) -> int:
-    """Lap_Z(t): difference U - V of two i.i.d. Geo(1 - exp(-1/t)) draws."""
-    return geometric_fast(tape, scale) - geometric_fast(tape, scale)
-
-
-def discrete_gaussian(tape: BitTape, param: GaussParam) -> int:
-    """Integer Gaussian with pmf proportional to exp(-y^2 / (2 sigma^2)).
-
-    Rejection from Lap_Z(max(1, floor(sigma))) with an exact Bernoulli
-    acceptance test on the exponent gap; expected attempts are O(1).
-    """
-    scale = param.proposal_scale
-    for _ in range(ATTEMPT_CAP):
-        y = discrete_laplace(tape, scale)
-        if bernoulli_from_prob(tape, param.accept_oracle(abs(y))) == 1:
-            return y
-    raise SampleBudgetError("discrete Gaussian rejection exceeded the attempt cap")
-
-
-def _truncated_attempts(
-    tape: BitTape, base: Callable[[BitTape], int], bound: int
-) -> tuple[int, int]:
-    for attempt in range(1, ATTEMPT_CAP + 1):
-        v = base(tape)
-        if abs(v) < bound:
-            return v, attempt
-    raise SampleBudgetError("truncated sampler exceeded the attempt cap")
-
-
-def laplace_tail_sample(tape: BitTape, scale: LaplaceScale, threshold: int) -> int:
-    """Lap_Z(t) conditioned on |X| >= threshold, for threshold >= 1.
-
-    One fair bit picks the tail (the two tails carry equal mass), then the
-    magnitude is threshold plus a geometric, by memorylessness.
-    """
-    if threshold < 1:
-        raise ParameterDomainError("tail threshold must be a positive integer")
-    positive = tape.next_bit()
-    magnitude = threshold + geometric_fast(tape, scale)
-    return magnitude if positive else -magnitude
 
 
 # ---------------------------------------------------------------------------
@@ -285,12 +134,14 @@ class CellLaw:
     def _tail_sums(self, data, k: int) -> tuple[int, int, int, int]:
         raise NotImplementedError
 
+    def _build_level(self, level: int):
+        data = self._levels[level] = self._build((_LEVEL_START << level) + self._guard)
+        return data
+
     def tail_ratio(self, k: int, level: int) -> tuple[int, int, int, int]:
         """The :func:`level_record` of S(k)/Z at ``level``, in the form :func:`locate` reads."""
         p = _LEVEL_START << level
-        data = self._levels.get(level)
-        if data is None:
-            data = self._levels[level] = self._build(p + self._guard)
+        data = self._levels.get(level) or self._build_level(level)
         s_lo, s_hi, z_lo, z_hi = self._tail_sums(data, k)
         return level_record(p, (s_lo << p) // z_hi, -(-(s_hi << p) // z_lo))
 
@@ -360,3 +211,15 @@ class LaplaceCells(CellLaw):
             return a_lo - qm_hi, a_hi - qm_lo, d_lo, d_hi
         a_lo, a_hi = _pow_scaled(q_lo, q_hi, 1 - k, w)
         return d_lo - (a_hi - qm_lo), d_hi - (a_lo - qm_hi), d_lo, d_hi
+
+    def geometric_tail(self, g: int, level: int) -> tuple[int, int, int, int]:
+        """The :func:`level_record` of q^g = P[G >= g], G ~ Geo(1 - q), in the form :func:`locate` reads.
+
+        Past the threshold m the Laplace tail is m + G by memorylessness, so
+        a tail coordinate's cell edges are thresholds on G. The bounds reuse
+        this level's enclosure of q at its working precision; directed
+        rounding keeps them sound for any g; for g far past m they are only
+        wider, so :func:`locate` refines sooner.
+        """
+        w, q_lo, q_hi = (self._levels.get(level) or self._build_level(level))[:3]
+        return level_record(w, *_pow_scaled(q_lo, q_hi, g, w))

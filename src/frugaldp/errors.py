@@ -21,15 +21,6 @@ class MathDomainError(FrugalDPError, ValueError):
     """Input outside the mathematical domain of an enclosure function."""
 
 
-class SampleBudgetError(InternalError, RuntimeError):
-    """A rejection loop exceeded its diagnostic attempt cap.
-
-    At valid mechanism parameters the cap is unreachable except with
-    probability far below 2**-40; hitting it indicates a misconfigured
-    sampler rather than bad luck.
-    """
-
-
 class EnclosureContractError(InternalError, RuntimeError):
     """A probability oracle violated monotone refinement or ordering."""
 

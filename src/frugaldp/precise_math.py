@@ -13,7 +13,7 @@ precision never widens an enclosure.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, isqrt
+from math import comb, factorial
 
 from .errors import MathDomainError
 
@@ -414,19 +414,6 @@ def ln_enclose(x: "Fraction | int | Dyadic", precision_bits: int) -> IntervalVal
         Dyadic.from_fraction(lo_f, precision_bits + 2, round_up=False),
         Dyadic.from_fraction(hi_f, precision_bits + 2, round_up=True),
     )
-
-
-def floor_sqrt(x: "Fraction | int") -> int:
-    """Exact floor of sqrt(x) for a non-negative rational."""
-    xf = Fraction(x)
-    if xf < 0:
-        raise MathDomainError("floor_sqrt requires x >= 0")
-    k = isqrt(xf.numerator // xf.denominator)
-    while (k + 1) * (k + 1) * xf.denominator <= xf.numerator:
-        k += 1
-    while k > 0 and k * k * xf.denominator > xf.numerator:
-        k -= 1
-    return k
 
 
 # ---------------------------------------------------------------------------

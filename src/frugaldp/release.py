@@ -11,15 +11,17 @@ their centre's cell before one leaves, for about the cells' entropy plus
 two bits per leaving coordinate, not two bits per coordinate. A window with
 two edges (s = 1) has its own locate. The grid is unit * s, where the unit
 is the noise half-width (r in approx mode, m in pure mode). Pure mode adds
-one pre-step, a tail set drawn up front whose coordinates take noise from
-the law's tail.
+one pre-step, a tail set drawn up front. A tail coordinate's noise is
++-(m + G) with G geometric, so it too draws only its cell: one fair sign
+bit, then one locate over the geometric tail masses at its grid edges.
+Every paid coordinate thus draws its cell, never a noise value.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable
+from itertools import count
 
 from .bit_tape import BitTape
 from .core_samplers import CellLaw, level_record, locate
@@ -123,14 +125,14 @@ def shift_and_round(
     noise: str,
     omega: int | None = None,
     tail: frozenset[int] = frozenset(),
-    tail_noise: Callable[[BitTape], int] | None = None,
 ) -> tuple[MechanismResult, int]:
     """Release ``counts`` on the grid cells.halfwidth * s; returns the result and the shift.
 
-    Draws the shift unless ``omega`` forces it. Coordinates in ``tail`` add
-    ``tail_noise(tape)`` (bits under "tail"); the others are silent or draw
-    their cell from ``cells`` (bits under ``noise``). ``start`` is the tape
-    snapshot the report counts from, taken before any pre-step.
+    Draws the shift unless ``omega`` forces it. Coordinates in ``tail`` take
+    noise +-(unit + G) with G geometric: one fair sign bit, then their cell
+    from ``cells.geometric_tail`` (bits under "tail"). The others are silent
+    or draw their cell from ``cells`` (bits under ``noise``). ``start`` is
+    the tape snapshot the report counts from, taken before any pre-step.
     """
     unit = cells.halfwidth
     grid = unit * s
@@ -147,7 +149,13 @@ def shift_and_round(
             center = s_i + omega
             if i in tail:
                 with tape.category("tail"):
-                    values.append(floor_multiple(center + tail_noise(tape), grid))
+                    if tape.next_bit():  # eta = unit + G: past edge E once G >= E - center - unit
+                        low = (center + unit) // grid * grid
+                        first, step = low + grid - center - unit, grid
+                    else:  # eta = -(unit + G): below edge E once G >= center - unit - E + 1
+                        low = (center - unit) // grid * grid
+                        first, step = center - unit - low + 1, -grid
+                    values.append(low + step * locate(tape, cells.geometric_tail, count(first, grid)))
                 attempts[i] = 1
                 continue
             # The grid edges E in (center - reach, center + reach], as keys

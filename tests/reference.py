@@ -1,0 +1,389 @@
+"""Reference samplers and mechanisms that the tests check the package against.
+
+The package releases through :func:`frugaldp.core_samplers.locate` over
+cell laws and never draws a noise value. The code here does: rejection
+samplers for the integer Laplace and Gaussian laws (with their exact
+Bernoulli oracles, ``RefinableProb``) and the reference chains that add
+noise per coordinate, shift and round. It is independent of ``CellLaw`` on
+purpose, so that agreement between the two is evidence about both. None of
+it is part of the package's API.
+"""
+
+from __future__ import annotations
+
+import threading
+from fractions import Fraction
+from functools import lru_cache
+from math import isqrt
+from typing import Callable, Mapping
+
+import numpy as np
+from scipy import stats
+
+from frugaldp.approx_mech import ApproxParams, _assert_envelope, certify_window_radius
+from frugaldp.bit_tape import BitTape
+from frugaldp.core_samplers import _LEVEL_START, LaplaceScale, disjoint, level_record, locate
+from frugaldp.errors import EnclosureContractError, MathDomainError, ParameterDomainError
+from frugaldp.precise_math import BoundedCache, IntervalValue, exp_neg, scaled_bounds
+from frugaldp.pure_mech import PureParams
+from frugaldp.release import (
+    CountVector,
+    MechanismResult,
+    build_report,
+    check_release,
+    draw_shift,
+    floor_multiple,
+    is_silent,
+)
+
+
+class SampleBudgetError(RuntimeError):
+    """A rejection loop exceeded its diagnostic attempt cap.
+
+    At valid mechanism parameters the cap is unreachable except with
+    probability far below 2**-40; hitting it indicates a misconfigured
+    sampler rather than bad luck.
+    """
+
+
+#: Rejection loops raise SampleBudgetError after this many attempts. At valid
+#: mechanism parameters even 40 attempts fail with probability < 2**-40.
+ATTEMPT_CAP = 1 << 20
+
+# Serializes the building of RefinableProb levels (reads take no lock), so
+# that threads sharing an oracle build the levels one thread alone would.
+_LEVEL_LOCK = threading.RLock()
+
+
+def floor_sqrt(x: "Fraction | int") -> int:
+    """Exact floor of sqrt(x) for a non-negative rational."""
+    xf = Fraction(x)
+    if xf < 0:
+        raise MathDomainError("floor_sqrt requires x >= 0")
+    k = isqrt(xf.numerator // xf.denominator)
+    while (k + 1) * (k + 1) * xf.denominator <= xf.numerator:
+        k += 1
+    while k > 0 and k * k * xf.denominator > xf.numerator:
+        k -= 1
+    return k
+
+
+# ---------------------------------------------------------------------------
+# Exact Bernoulli oracles and rejection samplers
+# ---------------------------------------------------------------------------
+
+
+class RefinableProb:
+    """A probability in [0, 1] with certified scaled-integer bounds.
+
+    Wraps an enclosure function ``fn(precision_bits) -> IntervalValue`` and
+    caches its level records, level j at precision 64 * 2**j. Threads may
+    share an instance; see ``_LEVEL_LOCK``.
+    """
+
+    __slots__ = ("_fn", "_levels")
+
+    def __init__(self, fn: Callable[[int], IntervalValue]):
+        self._fn = fn
+        self._levels: list[tuple[int, int, int, int]] = []
+
+    def bounds(self, _key, level: int) -> tuple[int, int, int, int]:
+        """The probability's :func:`level_record` at ``level``, in the form :func:`locate` reads."""
+        levels = self._levels
+        if level < len(levels):
+            return levels[level]
+        with _LEVEL_LOCK:
+            while len(levels) <= level:
+                p = _LEVEL_START << len(levels)
+                rec = level_record(p, *scaled_bounds(self._fn(p), p))
+                # Levels must overlap; disjoint enclosures mean a broken oracle.
+                if levels and disjoint(rec, levels[-1]):
+                    raise EnclosureContractError("refined enclosure disjoint from previous level")
+                levels.append(rec)
+        return levels[level]
+
+
+def bernoulli_from_prob(tape: BitTape, prob: RefinableProb) -> int:
+    """Exact Ber(q) for the probability enclosed by ``prob``: 1 when u < q.
+
+    Expected tape cost is about two bits regardless of q.
+    """
+    return locate(tape, prob.bounds, (None,))
+
+
+_EXP_NEG_ONE = RefinableProb(lambda p: exp_neg(1, p))
+
+#: Acceptance oracles exp(-x) of :func:`geometric_fast`, keyed by the exponent
+#: x = u/a (a the numerator of t), cached since refinement is deterministic.
+#: A scale with a large numerator draws many distinct residues, so the cache
+#: is bounded.
+_RESIDUES: BoundedCache = BoundedCache(4096)
+
+
+def residue_oracle(scale: LaplaceScale, u: int) -> RefinableProb:
+    """Oracle for exp(-u/a) where a is the numerator of t."""
+    x = Fraction(u, scale.t.numerator)
+    oracle = _RESIDUES.get(x)
+    if oracle is None:
+        oracle = _RESIDUES[x] = RefinableProb(lambda p, x=x: exp_neg(x, p))
+    return oracle
+
+
+class GaussParam:
+    """Variance parameter sigma^2 > 0 for the integer Gaussian sampler."""
+
+    __slots__ = ("sigma_sq", "proposal_scale", "_accept")
+
+    def __init__(self, sigma_sq: "Fraction | int"):
+        sigma_sq = Fraction(sigma_sq)
+        if sigma_sq <= 0:
+            raise ParameterDomainError("sigma_sq must be positive")
+        self.sigma_sq = sigma_sq
+        self.proposal_scale = LaplaceScale(max(1, floor_sqrt(sigma_sq)))
+        self._accept: dict[int, RefinableProb] = {}
+
+    def accept_oracle(self, magnitude: int) -> RefinableProb:
+        """Oracle for exp(-(|y| - sigma^2/t)^2 / (2 sigma^2))."""
+        oracle = self._accept.get(magnitude)
+        if oracle is None:
+            gap = (magnitude - self.sigma_sq / self.proposal_scale.t) ** 2 / (2 * self.sigma_sq)
+            oracle = RefinableProb(lambda p, x=gap: exp_neg(x, p))
+            self._accept[magnitude] = oracle
+        return oracle
+
+
+def geometric_fast(tape: BitTape, scale: LaplaceScale) -> int:
+    """Geo(1 - exp(-1/t)) on {0, 1, 2, ...}, in O(polylog t) expected bits.
+
+    Counts failures before the first success, without the O(t) coin flips of
+    the plain construction: draws the residue u uniformly mod a (a = numerator
+    of t), accepts it with probability exp(-u/a), adds an independent
+    unit-rate geometric block a*v, and divides by the denominator. Each piece
+    is exact, so the result is exactly Geo(1 - exp(-1/t)).
+    """
+    a = scale.t.numerator
+    b = scale.t.denominator
+    while True:
+        u = tape.uniform_range(a) - 1
+        if u == 0 or bernoulli_from_prob(tape, residue_oracle(scale, u)) == 1:
+            break
+    v = 0
+    while bernoulli_from_prob(tape, _EXP_NEG_ONE) == 1:
+        v += 1
+    return (u + a * v) // b
+
+
+def discrete_laplace(tape: BitTape, scale: LaplaceScale) -> int:
+    """Lap_Z(t): difference U - V of two i.i.d. Geo(1 - exp(-1/t)) draws."""
+    return geometric_fast(tape, scale) - geometric_fast(tape, scale)
+
+
+def discrete_gaussian(tape: BitTape, param: GaussParam) -> int:
+    """Integer Gaussian with pmf proportional to exp(-y^2 / (2 sigma^2)).
+
+    Rejection from Lap_Z(max(1, floor(sigma))) with an exact Bernoulli
+    acceptance test on the exponent gap; expected attempts are O(1).
+    """
+    scale = param.proposal_scale
+    for _ in range(ATTEMPT_CAP):
+        y = discrete_laplace(tape, scale)
+        if bernoulli_from_prob(tape, param.accept_oracle(abs(y))) == 1:
+            return y
+    raise SampleBudgetError("discrete Gaussian rejection exceeded the attempt cap")
+
+
+def _truncated_attempts(
+    tape: BitTape, base: Callable[[BitTape], int], bound: int
+) -> tuple[int, int]:
+    for attempt in range(1, ATTEMPT_CAP + 1):
+        v = base(tape)
+        if abs(v) < bound:
+            return v, attempt
+    raise SampleBudgetError("truncated sampler exceeded the attempt cap")
+
+
+def laplace_tail_sample(tape: BitTape, scale: LaplaceScale, threshold: int) -> int:
+    """Lap_Z(t) conditioned on |X| >= threshold, for threshold >= 1.
+
+    One fair bit picks the tail (the two tails carry equal mass), then the
+    magnitude is threshold plus a geometric, by memorylessness.
+    """
+    if threshold < 1:
+        raise ParameterDomainError("tail threshold must be a positive integer")
+    positive = tape.next_bit()
+    magnitude = threshold + geometric_fast(tape, scale)
+    return magnitude if positive else -magnitude
+
+
+# ---------------------------------------------------------------------------
+# Reference chains
+# ---------------------------------------------------------------------------
+
+
+def approx_params_from_sigma(
+    d: int, s: int, sigma_sq: Fraction, gamma: Fraction
+) -> ApproxParams:
+    """Parameters with a forced rational variance; r still certified from gamma.
+
+    Intended for audits and equivalence tests, which hold for any (sigma, r, s).
+    """
+    sigma_sq = Fraction(sigma_sq)
+    gamma = Fraction(gamma)
+    r = certify_window_radius(sigma_sq, gamma / d)
+    return ApproxParams(
+        d,
+        s,
+        sigma_sq,
+        r,
+        gamma=IntervalValue.from_fraction(gamma, 96),
+        gamma_floor=gamma,
+    )
+
+
+@lru_cache(maxsize=64)
+def gauss_param(sigma_sq: Fraction) -> GaussParam:
+    """The Gaussian sampler's parameter for a variance, shared so its oracles stay cached."""
+    return GaussParam(sigma_sq)
+
+
+def _truncated_gaussian(tape: BitTape, params: ApproxParams) -> tuple[int, int]:
+    gauss = gauss_param(params.sigma_sq)
+    return _truncated_attempts(tape, lambda t: discrete_gaussian(t, gauss), params.r)
+
+
+def mech_approx_reference(
+    counts: CountVector,
+    params: ApproxParams,
+    variant: int,
+    tape: BitTape,
+    omega: int | None = None,
+) -> MechanismResult:
+    """Reference mechanisms, in increasing order of structure.
+
+    variant 1: counts + Gaussian noise per coordinate.
+    variant 2: noise conditioned on staying inside (-r, r).
+    variant 3: one shared shift from {r, 2r, ..., rs}, truncated noise,
+        rounding down to the grid r*s.
+
+    Variant 3 defines the exact output law the efficient release must match.
+    """
+    check_release(counts, params, params.r, omega)
+    if variant not in (1, 2, 3):
+        raise ParameterDomainError("variant must be 1, 2 or 3")
+    start = tape.snapshot()
+    attempts: dict[int, int] = {}
+    if variant == 3 and omega is None:
+        omega = draw_shift(tape, params.r, params.s)
+    values = []
+    for i, s_i in enumerate(counts.sums):
+        with tape.category("gaussian"):
+            if variant == 1:
+                eta = discrete_gaussian(tape, gauss_param(params.sigma_sq))
+                attempts[i] = 1
+            else:
+                eta, attempts[i] = _truncated_gaussian(tape, params)
+        if variant == 3:
+            values.append(floor_multiple(s_i + omega + eta, params.grid))
+        else:
+            values.append(s_i + eta)
+    values = tuple(values)
+    if variant == 3:
+        _assert_envelope(values, counts, params)
+    return MechanismResult(values, build_report(tape, start, tuple(range(counts.d)), attempts))
+
+
+@lru_cache(maxsize=64)
+def membership(params: PureParams) -> RefinableProb:
+    """Oracle for the tail probability p, the per-coordinate coin of variant 4."""
+    return RefinableProb(params.tail_mass)
+
+
+def mech_pure_reference(
+    counts: CountVector,
+    params: PureParams,
+    variant: int,
+    tape: BitTape,
+    omega: int | None = None,
+) -> MechanismResult:
+    """Reference mechanisms, in increasing order of structure.
+
+    variant 1: counts + Laplace noise per coordinate (no shift, no grid).
+    variant 2: shared shift from {m, ..., ms}, noise vector, round to m*s.
+    variant 4: per-coordinate tail/body split: an independent membership
+        coin with the exact tail probability decides whether the coordinate
+        draws conditioned-tail noise or truncated body noise.
+
+    Variant 4 consumes the shift like the others but the printed recipe
+    leaves its origin open; pass ``omega`` to condition on a fixed shift or
+    leave it None to draw one.
+    """
+    check_release(counts, params, params.m, omega)
+    if variant not in (1, 2, 4):
+        raise ParameterDomainError("variant must be 1, 2 or 4")
+    start = tape.snapshot()
+    attempts: dict[int, int] = {}
+    if variant != 1 and omega is None:
+        omega = draw_shift(tape, params.m, params.s)
+    values = []
+    if variant in (1, 2):
+        etas = []
+        with tape.category("laplace"):
+            for i in range(counts.d):
+                etas.append(discrete_laplace(tape, params.scale))
+                attempts[i] = 1
+        for s_i, eta in zip(counts.sums, etas):
+            if variant == 1:
+                values.append(s_i + eta)
+            else:
+                values.append(floor_multiple(s_i + omega + eta, params.grid))
+    else:
+        for i, s_i in enumerate(counts.sums):
+            with tape.category("subset"):
+                in_tail = bernoulli_from_prob(tape, membership(params))
+            if in_tail:
+                with tape.category("tail"):
+                    eta = laplace_tail_sample(tape, params.scale, params.m)
+                attempts[i] = 1
+            else:
+                with tape.category("laplace"):
+                    eta, attempts[i] = _truncated_attempts(
+                        tape, lambda t: discrete_laplace(t, params.scale), params.m
+                    )
+            values.append(floor_multiple(s_i + omega + eta, params.grid))
+    return MechanismResult(tuple(values), build_report(tape, start, tuple(range(counts.d)), attempts))
+
+
+# ---------------------------------------------------------------------------
+# Statistics and enumerations used only by the tests
+# ---------------------------------------------------------------------------
+
+
+def two_sample_chi_square(hist_a: Mapping, hist_b: Mapping, min_expected: float = 5.0) -> float:
+    """Homogeneity p-value for two histograms over a shared discrete support."""
+    keys = sorted(set(hist_a) | set(hist_b))
+    a = np.array([hist_a.get(k, 0) for k in keys], dtype=float)
+    b = np.array([hist_b.get(k, 0) for k in keys], dtype=float)
+    total = a.sum() + b.sum()
+    if total == 0:
+        raise ParameterDomainError("empty histograms")
+    expected_col = (a + b) * (a.sum() / total)
+    small = expected_col < min_expected
+    if small.any():
+        a = np.concatenate([a[~small], [a[small].sum()]])
+        b = np.concatenate([b[~small], [b[small].sum()]])
+    table = np.vstack([a, b])
+    keep = table.sum(axis=0) > 0
+    table = table[:, keep]
+    if table.shape[1] < 2:
+        return 1.0
+    _, p, _, _ = stats.chi2_contingency(table)
+    return float(p)
+
+
+def crossing_shifts(sum_i: int, unit: int, s: int) -> list[int]:
+    """Shift indices v for which the silent test fails at this coordinate.
+
+    Exhaustive enumeration over v in {1..s}; the rounding-monotonicity
+    argument promises at most two such v.
+    """
+    return [v for v in range(1, s + 1) if not is_silent(sum_i, unit * v, unit, unit * s)]

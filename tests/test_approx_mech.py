@@ -11,16 +11,19 @@ from hypothesis import strategies as st
 
 from frugaldp.approx_mech import (
     ApproxParams,
-    approx_params_from_sigma,
     certify_window_radius,
     derive_approx_params,
     mech_approx_efficient,
-    mech_approx_reference,
 )
-from frugaldp.audit_harness import crossing_shifts, two_sample_chi_square
 from frugaldp.bit_tape import BitTape
 from frugaldp.errors import ParameterDomainError
 from frugaldp.release import CountVector, floor_multiple, is_silent
+from reference import (
+    approx_params_from_sigma,
+    crossing_shifts,
+    mech_approx_reference,
+    two_sample_chi_square,
+)
 
 
 class TestFloorMultiple:

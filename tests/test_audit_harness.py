@@ -6,12 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from frugaldp.approx_mech import (
-    ApproxParams,
-    approx_params_from_sigma,
-    mech_approx_efficient,
-    mech_approx_reference,
-)
+from frugaldp.approx_mech import ApproxParams, mech_approx_efficient
 from frugaldp.audit_harness import (
     DiscreteDist,
     accuracy_audit,
@@ -23,13 +18,18 @@ from frugaldp.audit_harness import (
     privacy_audit,
     randomness_audit,
     tv_distance,
-    two_sample_chi_square,
 )
 from frugaldp.bit_tape import BitTape
 from frugaldp.errors import ParameterDomainError
 from frugaldp.precise_math import IntervalValue, exp_pos
-from frugaldp.pure_mech import PureParams, mech_pure_efficient, mech_pure_reference
+from frugaldp.pure_mech import PureParams, mech_pure_efficient
 from frugaldp.release import CountVector
+from reference import (
+    approx_params_from_sigma,
+    mech_approx_reference,
+    mech_pure_reference,
+    two_sample_chi_square,
+)
 
 
 def _dist(pairs) -> DiscreteDist:

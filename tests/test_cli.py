@@ -29,7 +29,6 @@ from frugaldp.errors import (
     EntropySourceError,
     InternalError,
     ParameterDomainError,
-    SampleBudgetError,
 )
 from frugaldp.release import CountVector
 
@@ -396,7 +395,7 @@ class TestMain:
 
 
 class TestInternalFaults:
-    @pytest.mark.parametrize("error", [EnclosureContractError, SampleBudgetError, EntropySourceError])
+    @pytest.mark.parametrize("error", [EnclosureContractError, EntropySourceError])
     def test_internal_fault_exits_internal(self, csv_file, monkeypatch, error):
         assert issubclass(error, InternalError)
 

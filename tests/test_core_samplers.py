@@ -14,27 +14,27 @@ import pytest
 from scipy import stats
 
 import frugaldp.core_samplers as cs
-from frugaldp.approx_mech import approx_params_from_sigma, mech_approx_efficient
-from frugaldp.audit_harness import two_sample_chi_square
+import reference
+from frugaldp.approx_mech import mech_approx_efficient
 from frugaldp.bit_tape import BitTape
-from frugaldp.core_samplers import (
-    GaussianCells,
+from frugaldp.core_samplers import GaussianCells, LaplaceCells, LaplaceScale, locate
+from frugaldp.errors import ParameterDomainError
+from frugaldp.precise_math import IntervalValue, exp_neg
+from frugaldp.pure_mech import PureParams, mech_pure_efficient
+from frugaldp.release import CountVector, is_silent, shift_and_round
+from reference import (
     GaussParam,
-    LaplaceCells,
-    LaplaceScale,
     RefinableProb,
+    SampleBudgetError,
     _truncated_attempts,
+    approx_params_from_sigma,
     bernoulli_from_prob,
     discrete_gaussian,
     discrete_laplace,
     geometric_fast,
     laplace_tail_sample,
-    locate,
+    two_sample_chi_square,
 )
-from frugaldp.errors import ParameterDomainError, SampleBudgetError
-from frugaldp.precise_math import IntervalValue, exp_neg
-from frugaldp.pure_mech import PureParams, mech_pure_efficient
-from frugaldp.release import CountVector, is_silent, shift_and_round
 
 from conftest import collect_histogram
 
@@ -146,11 +146,11 @@ class TestGeometric:
         # At t = 4 096 000 nearly every attempt draws a new residue: 5 000
         # draws ask for about 8 000 acceptance oracles.
         scale = LaplaceScale(4_096_000)
-        cap = scale._residues.cap
+        cap = reference._RESIDUES.cap
         tape = BitTape(seed=208)
         for _ in range(5_000):
             geometric_fast(tape, scale)
-            assert len(scale._residues) <= cap
+            assert len(reference._RESIDUES) <= cap
 
 
 class TestDiscreteLaplace:
@@ -253,7 +253,7 @@ class TestTruncatedSample:
         assert tv <= 0.02
 
     def test_attempt_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(cs, "ATTEMPT_CAP", 50)
+        monkeypatch.setattr(reference, "ATTEMPT_CAP", 50)
         tape = BitTape(seed=605)
         with pytest.raises(SampleBudgetError):
             _truncated_attempts(tape, lambda t: 7, 1)
@@ -494,6 +494,95 @@ class TestCellDraw:
     def test_halfwidth_validation(self):
         with pytest.raises(ParameterDomainError):
             GaussianCells(Fraction(2), 0)
+
+
+def _tail_cell_probs(t, m, grid, center):
+    """Float oracle of a tail coordinate's cell, by enumerating eta = +-(m + G) with G geometric.
+
+    Returns the law of each sign, each conditioned on that sign.
+    """
+    q = math.exp(-1 / float(t))
+    sides = ({}, {})
+    g = 0
+    while q**g > 1e-18:
+        mass = (1 - q) * q**g
+        for side, eta in zip(sides, (m + g, -(m + g))):
+            cell = (center + eta) // grid * grid
+            side[cell] = side.get(cell, 0.0) + mass
+        g += 1
+    return sides
+
+
+def _entropy_bits(probs):
+    return -sum(p * math.log2(p) for p in probs.values() if p > 0)
+
+
+def _locate_bits(thresholds):
+    """Expected bits of one locate over these thresholds, with exact enclosures.
+
+    Bit n + 1 is read exactly when the level-n dyadic box [u, u + 2**-n)
+    holds a threshold inside it, so the expectation is the sum over n of
+    2**-n times the number of such boxes (floats resolve n up to about 50).
+    """
+    bits = 0.0
+    for n in range(56):
+        scaled = [t * 2**n for t in thresholds]
+        bits += len({math.floor(x) for x in scaled if x % 1}) / 2**n
+    return bits
+
+
+# (t, m) at audit-desk and at a scale where one cell spans few geometric steps.
+_TAIL_LAWS = [(Fraction(12), 22), (Fraction(2), 2)]
+
+
+class TestTailCellDraw:
+    @pytest.mark.parametrize("t,m", _TAIL_LAWS)
+    def test_geometric_tail_encloses_q_to_the_g(self, t, m):
+        law = LaplaceCells(LaplaceScale(t), m)
+        for g in range(0, 12 * m):
+            exact = math.exp(-g / float(t))
+            for level in (0, 1):
+                p, lo, hi, limit = law.geometric_tail(g, level)
+                assert lo / 2**p <= exact * (1 + 1e-12)
+                assert hi / 2**p >= exact * (1 - 1e-12)
+                assert limit >= 40 << level
+
+    @pytest.mark.parametrize("t,m", _TAIL_LAWS)
+    @pytest.mark.parametrize("offset", [0, 1, -1])
+    def test_cell_law_matches_the_geometric_tail(self, t, m, offset):
+        # s = 2 and the shift forced to m put the centre at count + m. Offset
+        # 0 puts c + m and c - m on grid edges; 1 and -1 put them just past
+        # and just short of one.
+        s, grid = 2, 2 * m
+        count = 2 * grid + offset
+        center = count + m
+        law = LaplaceCells(LaplaceScale(t), m)
+        counts, tail = CountVector(1, 4 * grid, (count,)), frozenset({0})
+
+        def draw(tape):
+            result, _ = shift_and_round(tape, tape.snapshot(), counts, s, law, "noise", m, tail)
+            assert result.report.draws_attempted == {0: 1}
+            assert set(result.report.bits_by_category) == {"tail"}  # the sign bit at least
+            return result.values
+
+        n = 20_000
+        hist, bits = collect_histogram(draw, n, 714)
+        positive, negative = _tail_cell_probs(t, m, grid, center)
+        # Both signs with probability 1/2; the grid is 2m, so their cells do not overlap.
+        assert max(negative) < min(positive)
+        joint = {cell: p / 2 for side in (positive, negative) for cell, p in side.items()}
+        _assert_joint_law(hist, [joint])
+        assert {v[0] >= min(positive) for v in hist} == {True, False}
+        # One sign bit, then one locate over q^g1, q^(g1 + grid), ... on that side.
+        # That locate is the interval algorithm, within H(cell | sign) + 3 bits
+        # (Han and Hoshi); near an edge it exceeds H + 2 (3.53 > 3.37 at t=12, offset 0).
+        q = math.exp(-1 / float(t))
+        firsts = (min(positive) + grid - center - m, center - m - max(negative) + 1)
+        sides = [[q ** (g + j * grid) for j in range(60)] for g in firsts]
+        expected = 1 + sum(_locate_bits(thresholds) for thresholds in sides) / 2
+        entropy = (_entropy_bits(positive) + _entropy_bits(negative)) / 2
+        assert bits / n <= expected + 0.05
+        assert expected <= 1 + entropy + 3
 
 
 def test_scale_validation():

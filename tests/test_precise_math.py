@@ -17,10 +17,10 @@ from frugaldp.precise_math import (
     binom_prob_enclose,
     exp_neg,
     exp_pos,
-    floor_sqrt,
     interval_div,
     ln_enclose,
 )
+from reference import floor_sqrt
 
 dyadics = st.builds(
     Dyadic,

@@ -12,9 +12,10 @@ import threading
 from fractions import Fraction
 
 from frugaldp.bit_tape import BitTape
-from frugaldp.core_samplers import GaussianCells, GaussParam, LaplaceCells, LaplaceScale, RefinableProb
+from frugaldp.core_samplers import GaussianCells, LaplaceCells, LaplaceScale
 from frugaldp.entropy_sampler import PointMassSpec, binomial_spec, sample_point_mass
 from frugaldp.precise_math import IntervalValue, exp_neg, scaled_bounds
+from reference import GaussParam, RefinableProb
 
 THREADS = 6
 ROUNDS = 20
@@ -112,15 +113,18 @@ def test_gauss_accept_oracles():
 
 
 def test_cell_law_tail_ratios():
-    def read(law, h, k):
-        return [law.tail_ratio(j, (j + k) % 3) for j in range(-(h - 2), h)]
+    def read(law, source, keys, k):
+        bounds = getattr(law, source)
+        return [bounds(j, (j + k) % 3) for j in keys]
 
     laws = [
-        (lambda: GaussianCells(Fraction(7, 3), 9), 9),
-        (lambda: LaplaceCells(LaplaceScale(Fraction(5, 2)), 11), 11),
+        (lambda: GaussianCells(Fraction(7, 3), 9), "tail_ratio", range(-7, 9)),
+        (lambda: LaplaceCells(LaplaceScale(Fraction(5, 2)), 11), "tail_ratio", range(-9, 11)),
+        # The geometric tail of a pure-mode tail coordinate, past the half-width.
+        (lambda: LaplaceCells(LaplaceScale(Fraction(5, 2)), 11), "geometric_tail", range(1, 60, 3)),
     ]
-    for make, h in laws:
-        expected = [read(make(), h, k) for k in range(THREADS)]
+    for make, source, keys in laws:
+        expected = [read(make(), source, keys, k) for k in range(THREADS)]
         for _ in range(ROUNDS):
             shared = make()
-            assert _run_together(lambda k: read(shared, h, k)) == expected
+            assert _run_together(lambda k: read(shared, source, keys, k)) == expected
