@@ -19,12 +19,14 @@ from typing import Callable
 
 from .bit_tape import BitTape
 from .errors import EnclosureContractError, ParameterDomainError
-from .precise_math import _pow_scaled, exp_neg, scaled_bounds
+from .precise_math import BoundedCache, _pow_scaled, exp_neg, scaled_bounds
 
 _LEVEL_START = 64
 #: Refinement gives up past this precision. A comparison streams no deeper
 #: than the precision it compares at, so this also caps the bits it reads.
 _LEVEL_MAX = 1 << 15
+#: Records one level of a cell law memoizes per bounds source.
+_MEMO_CAP = 1 << 14
 
 
 def level_record(p: int, lo: int, hi: int) -> tuple[int, int, int, int]:
@@ -57,8 +59,9 @@ def locate(tape: BitTape, bounds: Callable[[object, int], tuple[int, int, int, i
     threshold the box is certified at or above. Bounds are refined one
     level at a time whenever the next bit would outrun their limit;
     refinement consumes no randomness. With the upper tails P[X >= 1],
-    P[X >= 2], ... as thresholds the count is distributed as X, in about
-    H(X) + 2 bits.
+    P[X >= 2], ... as thresholds the count is distributed as X. This is the
+    interval algorithm, so it reads fewer than H(X) + 3 bits on average
+    (Han and Hoshi); near a grid edge it can exceed H(X) + 2.
     """
     next_bit = tape.next_bit
     u = nb = count = 0
@@ -115,8 +118,12 @@ class CellLaw:
     and Z = S(1 - halfwidth). Subclasses precompute scaled-integer data per
     working precision (``_build``) and return outward bounds of S(k) and Z on
     one common scale (``_tail_sums``). Levels are built on first use and
-    cached by index; each doubles the precision of the last. Two threads that
-    build the same level store equal data, so no lock is needed.
+    cached by index; each doubles the precision of the last. A level also
+    memoizes the records its bounds sources return, in one
+    :class:`~frugaldp.precise_math.BoundedCache` of ``_MEMO_CAP`` records per
+    source, so a threshold is computed once, not on every read. Records are
+    deterministic: two threads that build the same level or record store
+    equal data, so no lock is needed.
     """
 
     __slots__ = ("halfwidth", "_guard", "_levels")
@@ -135,15 +142,20 @@ class CellLaw:
         raise NotImplementedError
 
     def _build_level(self, level: int):
-        data = self._levels[level] = self._build((_LEVEL_START << level) + self._guard)
-        return data
+        """The level's data and its two record memos (tail ratios, geometric tails), built whole."""
+        data = self._build((_LEVEL_START << level) + self._guard)
+        entry = self._levels[level] = data, BoundedCache(_MEMO_CAP), BoundedCache(_MEMO_CAP)
+        return entry
 
     def tail_ratio(self, k: int, level: int) -> tuple[int, int, int, int]:
         """The :func:`level_record` of S(k)/Z at ``level``, in the form :func:`locate` reads."""
-        p = _LEVEL_START << level
-        data = self._levels.get(level) or self._build_level(level)
-        s_lo, s_hi, z_lo, z_hi = self._tail_sums(data, k)
-        return level_record(p, (s_lo << p) // z_hi, -(-(s_hi << p) // z_lo))
+        data, memo, _ = self._levels.get(level) or self._build_level(level)
+        rec = memo.get(k)
+        if rec is None:
+            p = _LEVEL_START << level
+            s_lo, s_hi, z_lo, z_hi = self._tail_sums(data, k)
+            rec = memo[k] = level_record(p, (s_lo << p) // z_hi, -(-(s_hi << p) // z_lo))
+        return rec
 
 
 class GaussianCells(CellLaw):
@@ -183,12 +195,57 @@ class GaussianCells(CellLaw):
         return z_lo - c_lo[1 - k], z_hi - c_hi[1 - k], z_lo, z_hi
 
 
+#: Digit tables of a power of q: rows j < _ROWS hold q^(b * _RADIX**j) for b < _RADIX.
+_RADIX_BITS = 8
+_RADIX = 1 << _RADIX_BITS
+_ROWS = 4
+
+
+def _power_table(q_lo: int, q_hi: int, w: int):
+    """Digit rows of outward bounds of q^(b * R**j), and the top base q^(R**_ROWS).
+
+    Each entry is the previous one times the row's base q^(R**j), rounded
+    down for the lower and up for the upper bound, as in ``_pow_scaled``.
+    """
+    rows = []
+    base_lo, base_hi = q_lo, q_hi
+    for _ in range(_ROWS):
+        lo = hi = 1 << w
+        row_lo, row_hi = [lo], [hi]
+        for _ in range(1, _RADIX):
+            lo, hi = _mul_down(lo, base_lo, w), _mul_up(hi, base_hi, w)
+            row_lo.append(lo)
+            row_hi.append(hi)
+        rows.append((row_lo, row_hi))
+        base_lo, base_hi = _mul_down(lo, base_lo, w), _mul_up(hi, base_hi, w)
+    return rows, (base_lo, base_hi)
+
+
+def _power(table, k: int, w: int) -> tuple[int, int]:
+    """Outward bounds of q^k from a :func:`_power_table`: one product per base-R digit of k."""
+    rows, top = table
+    lo = hi = 1 << w
+    for row_lo, row_hi in rows:
+        if not k:
+            return lo, hi
+        b = k & (_RADIX - 1)
+        k >>= _RADIX_BITS
+        lo = (lo * row_lo[b]) >> w
+        hi = -((-hi * row_hi[b]) >> w)
+    if k:  # past the table: the remaining digits by squaring the top base
+        t_lo, t_hi = _pow_scaled(*top, k, w)
+        lo, hi = _mul_down(lo, t_lo, w), _mul_up(hi, t_hi, w)
+    return lo, hi
+
+
 class LaplaceCells(CellLaw):
     """Weights q^|eta| on |eta| < m, q = exp(-1/t), through closed-form geometric sums.
 
     For k >= 0, S(k)/Z = (q^k - q^m) / (1 + q - 2 q^m); negative k mirrors
-    through S(k) = Z - S(1 - k). Each draw computes its power of q by
-    repeated squaring, so nothing of size m is ever built.
+    through S(k) = Z - S(1 - k). Each level keeps digit tables of
+    q^(b * 256**j) for b < 256, j < 4 (:func:`_power_table`), so a power of q
+    costs one product per base-256 digit of its exponent, and nothing whose
+    size grows with m or t is built.
     """
 
     __slots__ = ("_x",)
@@ -200,16 +257,17 @@ class LaplaceCells(CellLaw):
 
     def _build(self, w: int):
         q_lo, q_hi = scaled_bounds(exp_neg(self._x, w), w)
-        qm_lo, qm_hi = _pow_scaled(q_lo, q_hi, self.halfwidth, w)
+        table = _power_table(q_lo, q_hi, w)
+        qm_lo, qm_hi = _power(table, self.halfwidth, w)
         one = 1 << w
-        return w, q_lo, q_hi, qm_lo, qm_hi, one + q_lo - 2 * qm_hi, one + q_hi - 2 * qm_lo
+        return w, table, qm_lo, qm_hi, one + q_lo - 2 * qm_hi, one + q_hi - 2 * qm_lo
 
     def _tail_sums(self, data, k: int) -> tuple[int, int, int, int]:
-        w, q_lo, q_hi, qm_lo, qm_hi, d_lo, d_hi = data
+        w, table, qm_lo, qm_hi, d_lo, d_hi = data
         if k >= 0:
-            a_lo, a_hi = _pow_scaled(q_lo, q_hi, k, w)
+            a_lo, a_hi = _power(table, k, w)
             return a_lo - qm_hi, a_hi - qm_lo, d_lo, d_hi
-        a_lo, a_hi = _pow_scaled(q_lo, q_hi, 1 - k, w)
+        a_lo, a_hi = _power(table, 1 - k, w)
         return d_lo - (a_hi - qm_lo), d_hi - (a_lo - qm_hi), d_lo, d_hi
 
     def geometric_tail(self, g: int, level: int) -> tuple[int, int, int, int]:
@@ -217,9 +275,13 @@ class LaplaceCells(CellLaw):
 
         Past the threshold m the Laplace tail is m + G by memorylessness, so
         a tail coordinate's cell edges are thresholds on G. The bounds reuse
-        this level's enclosure of q at its working precision; directed
+        this level's power table at its working precision; directed
         rounding keeps them sound for any g; for g far past m they are only
         wider, so :func:`locate` refines sooner.
         """
-        w, q_lo, q_hi = (self._levels.get(level) or self._build_level(level))[:3]
-        return level_record(w, *_pow_scaled(q_lo, q_hi, g, w))
+        data, _, memo = self._levels.get(level) or self._build_level(level)
+        rec = memo.get(g)
+        if rec is None:
+            w, table = data[:2]
+            rec = memo[g] = level_record(w, *_power(table, g, w))
+        return rec

@@ -584,6 +584,65 @@ class TestTailCellDraw:
         assert bits / n <= expected + 0.05
         assert expected <= 1 + entropy + 3
 
+    def test_power_table_encloses_q_to_the_k_past_its_rows(self):
+        # t = 2**40 keeps q^g away from 0 for keys past the four 256-entry rows,
+        # where the table multiplies in powers of its top base q^(2**32).
+        t = 2**40
+        law = LaplaceCells(LaplaceScale(t), 5)
+        for g in (1, 255, 256, 65_535, 65_536, 2**24 + 3, 2**32 - 1, 2**32, 2**33 + 2**8 + 1):
+            exact = math.exp(-g / t)
+            for level in (0, 1):
+                p, lo, hi, limit = law.geometric_tail(g, level)
+                assert lo / 2**p <= exact * (1 + 1e-12)
+                assert hi / 2**p >= exact * (1 - 1e-12)
+                assert limit >= 40 << level
+
+
+# Counts over several residues of each grid below, so that releases mix
+# silent, boundary and (in pure mode) tail coordinates.
+_MEMO_COUNTS = (0, 7, 19, 33, 44, 61, 80, 97, 120, 150)
+
+
+def _seeded_batch(params, release, seeds):
+    """Values and bits of one release per seed, each on a fresh tape."""
+    out = []
+    for seed in seeds:
+        tape = BitTape(seed=seed)
+        result = release(CountVector(params.d, 200, _MEMO_COUNTS), params, tape)
+        out.append((result.values, tape.bits_consumed))
+    return out
+
+
+class TestRecordMemo:
+    @pytest.mark.parametrize("mode", ["approx", "pure"])
+    def test_memo_keeps_seeded_releases(self, mode, monkeypatch):
+        def make():
+            if mode == "approx":
+                return approx_params_from_sigma(10, 2, Fraction(9), Fraction(1, 1024)), mech_approx_efficient
+            return PureParams(10, 2, Fraction(1, 2), 18), lambda *args: mech_pure_efficient(*args)[0]
+
+        seeds = range(1000, 1300)
+        params, release = make()
+        fresh = _seeded_batch(params, release, seeds)
+        warm = _seeded_batch(params, release, seeds)
+        monkeypatch.setattr(cs, "_MEMO_CAP", 1)
+        tiny = _seeded_batch(*make(), seeds)
+        assert fresh == warm == tiny
+        _, ratios, tails = params.cells._levels[0]
+        assert ratios and bool(tails) == (mode == "pure")  # boundary cells, and pure tails, were drawn
+
+    def test_memo_stays_bounded(self):
+        # Half-width 20 000 leaves 40 000 distinct tail-ratio keys; the
+        # geometric tail has keys without end.
+        law = LaplaceCells(LaplaceScale(4096), 20_000)
+        cap = cs._MEMO_CAP
+        for k in range(-19_999, 20_001):
+            law.tail_ratio(k, 0)
+            law.geometric_tail(k + 20_000, 0)
+            _, ratios, tails = law._levels[0]
+            assert len(ratios) <= cap and len(tails) <= cap
+        assert len(ratios) > 0 and len(tails) > 0
+
 
 def test_scale_validation():
     with pytest.raises(ParameterDomainError):

@@ -11,6 +11,7 @@ import sys
 import threading
 from fractions import Fraction
 
+from frugaldp import core_samplers
 from frugaldp.bit_tape import BitTape
 from frugaldp.core_samplers import GaussianCells, LaplaceCells, LaplaceScale
 from frugaldp.entropy_sampler import PointMassSpec, binomial_spec, sample_point_mass
@@ -128,3 +129,9 @@ def test_cell_law_tail_ratios():
         for _ in range(ROUNDS):
             shared = make()
             assert _run_together(lambda k: read(shared, source, keys, k)) == expected
+
+
+def test_cell_law_tail_ratios_with_tiny_memos(monkeypatch):
+    # A memo cap of 2 empties the record memos while other threads read them.
+    monkeypatch.setattr(core_samplers, "_MEMO_CAP", 2)
+    test_cell_law_tail_ratios()
