@@ -104,19 +104,9 @@ def certify_window_radius(sigma_sq: Fraction, tail_budget: Fraction) -> int:
     if tail_budget <= 0:
         raise ParameterDomainError("tail budget must be positive")
 
-    def ok(r: int) -> bool:
-        if r == 0:
-            return False
+    def ok(r: int) -> bool:  # exp(-r^2 / (2 sigma^2)) <= tail_budget / 2
         x = Fraction(r * r, 1) / (2 * sigma_sq)
-        prec = 64
-        while prec <= _CERTIFY_MAX_BITS:
-            iv = exp_neg(x, prec)
-            if 2 * iv.hi.as_fraction() <= tail_budget:
-                return True
-            if 2 * iv.lo.as_fraction() > tail_budget:
-                return False
-            prec *= 2
-        raise EnclosureContractError("window radius certification failed to resolve")
+        return not _certified_le(tail_budget / 2, lambda p: exp_neg(x, p))
 
     hi = 1
     while not ok(hi):

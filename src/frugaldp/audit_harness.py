@@ -5,6 +5,14 @@ laws of the reference mechanisms as interval-valued pmfs, so distributional
 equivalence, accuracy envelopes and privacy ratios can be checked against
 ground truth rather than against another sampler. Privacy is audited
 through certified oracle ratios only.
+
+Both modes share one pipeline, as their releases share one shift-and-round
+core: the noise law is pushed onto the grid under each of the s equally
+likely shifts, the coordinates' laws are multiplied, and the products are
+averaged over the shifts. Only the noise law is per mode, and the type of
+the params object picks it: the truncated Gaussian on (-r, r), which is
+finite, or the Laplace law truncated at a horizon whose certified tail mass
+is the deficit. A coordinate's law is the joint law at d = 1.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from .pure_mech import PureParams
 from .release import CountVector, MechanismResult, floor_multiple
 
 _ZERO = IntervalValue.exact(0)
+_TAIL_TOL = Fraction(1, 1 << 30)
 
 
 @dataclass(frozen=True)
@@ -71,59 +80,26 @@ def _tolerance_bits(tail_tol: Fraction, terms: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Exact per-coordinate output laws of the reference mechanisms
+# Exact output laws of the reference mechanisms
 # ---------------------------------------------------------------------------
 
 
-def _approx_noise_weights(params: ApproxParams, w: int) -> dict[int, IntervalValue]:
-    """Unnormalized truncated-Gaussian weights exp(-eta^2/(2 sigma^2)), |eta| < r."""
-    weights: dict[int, IntervalValue] = {}
-    for mag in range(params.r):
-        iv = exp_neg(Fraction(mag * mag, 1) / (2 * params.sigma_sq), w)
-        weights[mag] = iv
-        weights[-mag] = iv
-    return weights
+# Each mode's noise law is (weights, total, deficit), in ascending eta: a
+# cell's mass is the sum of the weights the shift-and-round maps into it,
+# divided by ``total`` (None when the weights are already normalized), and
+# ``deficit`` bounds the mass of the noise values left out.
+_Noise = tuple[dict[int, IntervalValue], "IntervalValue | None", Fraction]
 
 
-def _conditional_law_approx(
-    sum_i: int, v: int, params: ApproxParams, weights: Mapping[int, IntervalValue]
-) -> dict[int, IntervalValue]:
-    """Law of one coordinate given shift index v, unnormalized by Z."""
-    acc: dict[int, IntervalValue] = {}
-    shifted = sum_i + params.r * v
-    for eta in range(-(params.r - 1), params.r):
-        g = floor_multiple(shifted + eta, params.grid)
-        acc[g] = acc.get(g, _ZERO) + weights[eta]
-    return acc
+def _approx_noise(params: ApproxParams, w: int) -> _Noise:
+    """Truncated-Gaussian weights exp(-eta^2/(2 sigma^2)) on |eta| < r, their total, no deficit."""
+    half = [exp_neg(Fraction(mag * mag, 1) / (2 * params.sigma_sq), w) for mag in range(params.r)]
+    weights = {eta: half[abs(eta)] for eta in range(1 - params.r, params.r)}
+    return weights, sum(weights.values(), _ZERO), Fraction(0)
 
 
-def oracle_coord_dist_approx(
-    sum_i: int, params: ApproxParams, tail_tol: Fraction = Fraction(1, 1 << 30)
-) -> DiscreteDist:
-    """Exact per-coordinate law of approx reference variant 3.
-
-    Averages the truncated-Gaussian pushforward under v -> floor to the grid
-    over the s equally likely shifts. The support is finite, so the only
-    inexactness is enclosure width, kept below tail_tol in total.
-    """
-    w = _tolerance_bits(tail_tol, 4 * params.r * params.s)
-    weights = _approx_noise_weights(params, w)
-    z = _ZERO
-    for eta in range(-(params.r - 1), params.r):
-        z = z + weights[eta]
-    acc: dict[int, IntervalValue] = {}
-    for v in range(1, params.s + 1):
-        for g, iv in _conditional_law_approx(sum_i, v, params, weights).items():
-            acc[g] = acc.get(g, _ZERO) + iv
-    denom = z.scale(params.s, w)
-    mass = {g: interval_div(iv, denom, w) for g, iv in acc.items()}
-    return DiscreteDist(mass=mass, deficit=Fraction(0))
-
-
-def _pure_noise_weights(
-    params: PureParams, tail_tol: Fraction, w: int
-) -> tuple[dict[int, IntervalValue], int, Fraction]:
-    """Laplace pmf enclosures on [-H, H] plus the certified tail deficit."""
+def _pure_noise(params: PureParams, tail_tol: Fraction, w: int) -> _Noise:
+    """Laplace pmf enclosures on [-H, H] and the certified deficit of the tails past H."""
     t = params.scale.t
     horizon = max(1, int(float(t) * math.log(2.0 / float(tail_tol))) + 1)
     while not 2 * exp_neg(Fraction(horizon) / t, w).hi.as_fraction() <= tail_tol:
@@ -131,50 +107,36 @@ def _pure_noise_weights(
     e_t = exp_pos(1 / t, w)
     one = IntervalValue.exact(1)
     base = interval_div(e_t - one, e_t + one, w)
-    weights: dict[int, IntervalValue] = {}
-    for mag in range(horizon + 1):
-        iv = base * exp_neg(Fraction(mag) / t, w)
-        weights[mag] = iv
-        weights[-mag] = iv
+    half = [base * exp_neg(Fraction(mag) / t, w) for mag in range(horizon + 1)]
     deficit = min(tail_tol, 2 * exp_neg(Fraction(horizon) / t, w).hi.as_fraction())
-    return weights, horizon, deficit
+    return {eta: half[abs(eta)] for eta in range(-horizon, horizon + 1)}, None, deficit
 
 
-def _conditional_law_pure(
-    sum_i: int, v: int, params: PureParams, weights: Mapping[int, IntervalValue], horizon: int
-) -> dict[int, IntervalValue]:
-    acc: dict[int, IntervalValue] = {}
-    shifted = sum_i + params.m * v
-    for eta in range(-horizon, horizon + 1):
-        g = floor_multiple(shifted + eta, params.grid)
-        acc[g] = acc.get(g, _ZERO) + weights[eta]
-    return acc
-
-
-def oracle_coord_dist_pure(
-    sum_i: int, params: PureParams, tail_tol: Fraction = Fraction(1, 1 << 30)
-) -> DiscreteDist:
-    """Exact per-coordinate law of pure reference variant 2.
-
-    The Laplace weights have full support; they are truncated at a horizon
-    whose certified tail mass (the deficit) is at most tail_tol.
-    """
-    w = _tolerance_bits(tail_tol, 8 * params.s)
-    weights, horizon, deficit = _pure_noise_weights(params, tail_tol, w)
-    acc: dict[int, IntervalValue] = {}
+def _shift_laws(sums: Sequence[int], params, noise: _Noise, w: int) -> list[list[dict]]:
+    """Law of each coordinate given each shift v = 1..s: the noise pushed onto the grid."""
+    weights, total, _ = noise
+    grid = params.grid
+    unit = grid // params.s
+    laws = []
     for v in range(1, params.s + 1):
-        for g, iv in _conditional_law_pure(sum_i, v, params, weights, horizon).items():
-            acc[g] = acc.get(g, _ZERO) + iv
-    mass = {g: iv.scale(Fraction(1, params.s), w) for g, iv in acc.items()}
-    return DiscreteDist(mass=mass, deficit=deficit)
+        per_coord = []
+        for sum_i in sums:
+            shifted = sum_i + unit * v
+            law: dict[int, IntervalValue] = {}
+            for eta, iv in weights.items():
+                g = floor_multiple(shifted + eta, grid)
+                law[g] = law.get(g, _ZERO) + iv
+            if total is not None:
+                law = {g: interval_div(iv, total, w) for g, iv in law.items()}
+            per_coord.append(law)
+        laws.append(per_coord)
+    return laws
 
 
-def _joint_from_conditionals(
-    conditionals: Sequence[Sequence[Mapping]], s: int, w: int, deficit: Fraction
-) -> DiscreteDist:
-    """Average over shifts of the product law across coordinates."""
+def _joint_dist(laws: Sequence[Sequence[Mapping]], s: int, w: int, deficit: Fraction) -> DiscreteDist:
+    """Average over the s shifts of the product law across coordinates."""
     acc: dict[tuple, IntervalValue] = {}
-    for per_coord in conditionals:
+    for per_coord in laws:
         for combo in iter_product(*(law.items() for law in per_coord)):
             outcome = tuple(g for g, _ in combo)
             iv = combo[0][1]
@@ -185,39 +147,34 @@ def _joint_from_conditionals(
     return DiscreteDist(mass=mass, deficit=deficit)
 
 
-def oracle_joint_dist_approx(
-    counts: CountVector, params: ApproxParams, tail_tol: Fraction = Fraction(1, 1 << 30)
-) -> DiscreteDist:
-    """Exact joint law of approx variant 3 (coordinates couple only via the shift)."""
-    w = _tolerance_bits(tail_tol, 4 * params.r * params.s * max(params.d, 1))
-    weights = _approx_noise_weights(params, w)
-    z = _ZERO
-    for eta in range(-(params.r - 1), params.r):
-        z = z + weights[eta]
-    conditionals = []
-    for v in range(1, params.s + 1):
-        per_coord = []
-        for sum_i in counts.sums:
-            law = _conditional_law_approx(sum_i, v, params, weights)
-            per_coord.append({g: interval_div(iv, z, w) for g, iv in law.items()})
-        conditionals.append(per_coord)
-    return _joint_from_conditionals(conditionals, params.s, w, Fraction(0))
+def oracle_joint_dist(counts: CountVector, params, tail_tol: Fraction = _TAIL_TOL) -> DiscreteDist:
+    """Exact joint law of the reference release of ``counts``; the params type picks the mode.
+
+    Enclosure widths total at most tail_tol; the Laplace noise is also
+    truncated, with certified deficit at most tail_tol over all coordinates.
+    """
+    d = counts.d
+    if isinstance(params, ApproxParams):
+        w = _tolerance_bits(tail_tol, 4 * params.r * params.s * d)
+        noise = _approx_noise(params, w)
+    elif isinstance(params, PureParams):
+        tail_tol = Fraction(tail_tol) / d
+        w = _tolerance_bits(tail_tol, 8 * params.s * d)
+        noise = _pure_noise(params, tail_tol, w)
+    else:
+        raise ParameterDomainError("params must be ApproxParams or PureParams")
+    return _joint_dist(_shift_laws(counts.sums, params, noise, w), params.s, w, noise[2] * d)
 
 
-def oracle_joint_dist_pure(
-    counts: CountVector, params: PureParams, tail_tol: Fraction = Fraction(1, 1 << 30)
-) -> DiscreteDist:
-    """Exact joint law of pure variant 2, truncated with deficit <= d * tail_tol."""
-    per_coord_tol = Fraction(tail_tol) / max(counts.d, 1)
-    w = _tolerance_bits(per_coord_tol, 8 * params.s * max(counts.d, 1))
-    weights, horizon, deficit = _pure_noise_weights(params, per_coord_tol, w)
-    conditionals = []
-    for v in range(1, params.s + 1):
-        per_coord = [
-            _conditional_law_pure(sum_i, v, params, weights, horizon) for sum_i in counts.sums
-        ]
-        conditionals.append(per_coord)
-    return _joint_from_conditionals(conditionals, params.s, w, deficit * counts.d)
+def oracle_coord_dist(sum_i: int, params, tail_tol: Fraction = _TAIL_TOL) -> DiscreteDist:
+    """Exact law of one coordinate: the joint law at d = 1, keyed by the released value."""
+    joint = oracle_joint_dist(CountVector(d=1, n=sum_i, sums=(sum_i,)), params, tail_tol)
+    return DiscreteDist(mass={g: iv for (g,), iv in joint.mass.items()}, deficit=joint.deficit)
+
+
+# Per-mode names; the params type alone decides the mode.
+oracle_coord_dist_approx = oracle_coord_dist_pure = oracle_coord_dist
+oracle_joint_dist_approx = oracle_joint_dist_pure = oracle_joint_dist
 
 
 # ---------------------------------------------------------------------------
@@ -381,30 +338,24 @@ def _max_log_ratio(p: DiscreteDist, q: DiscreteDist) -> float:
 
 
 def privacy_audit(
-    kind: str,
     x: CountVector,
     x_neighbor: CountVector,
     params,
     epsilon: Fraction,
     delta: Fraction,
-    tail_tol: Fraction = Fraction(1, 1 << 30),
+    tail_tol: Fraction = _TAIL_TOL,
 ) -> PrivacyAuditResult:
     """Certified likelihood-ratio audit of the reference law on neighbors.
 
-    Computes exact oracle distributions for both inputs and flags a failure
+    Computes exact oracle distributions for both inputs, in the mode of
+    ``params`` (ApproxParams or PureParams), and flags a failure
     only if some event provably violates P[o] <= e^eps Q[o] + delta, i.e.
     the certified lower bound of the additive slack exceeds delta. The
     reported epsilon_hat is the largest certified log ratio over singleton
     events in either direction.
     """
-    if kind == "approx":
-        oracle = oracle_joint_dist_approx
-    elif kind == "pure":
-        oracle = oracle_joint_dist_pure
-    else:
-        raise ParameterDomainError("kind must be 'approx' or 'pure'")
-    dist_a = oracle(x, params, tail_tol)
-    dist_b = oracle(x_neighbor, params, tail_tol)
+    dist_a = oracle_joint_dist(x, params, tail_tol)
+    dist_b = oracle_joint_dist(x_neighbor, params, tail_tol)
     e_eps_hi = exp_pos(Fraction(epsilon), 96).hi.as_fraction()
     slack = max(
         _one_sided_slack(dist_a, dist_b, e_eps_hi),

@@ -188,14 +188,21 @@ def _trial_seeds(seed: int | None, count: int) -> list[int | None]:
     return [gen.next_word() for _ in range(count)]
 
 
+def _release(mode: str, counts: CountVector, params, seed: int | None):
+    """One release on a fresh tape: (result, trace), the trace None in approx mode."""
+    tape = BitTape(seed=seed)
+    if mode == "approx":
+        return mech_approx_efficient(counts, params, tape), None
+    return mech_pure_efficient(counts, params, tape)
+
+
 def _run_audit(config: RunConfig, counts: CountVector, params) -> dict:
     # Imported here: the audits need numpy and scipy, a plain release does not.
     try:
         from .audit_harness import (
             accuracy_audit,
             chi_square,
-            oracle_joint_dist_approx,
-            oracle_joint_dist_pure,
+            oracle_joint_dist,
             randomness_audit,
             tv_distance,
         )
@@ -204,51 +211,32 @@ def _run_audit(config: RunConfig, counts: CountVector, params) -> dict:
             f"--audit needs {exc.name}; install it with: pip install 'frugaldp[audit]'"
         ) from exc
 
-    mode = config.mode
+    if config.audit == "equivalence":
+        # exact oracle comparison, tractable only at desk scale
+        if counts.d > 3 or params.s > 8 or params.grid > 256:
+            raise ParameterDomainError(
+                "equivalence audit needs desk-scale parameters (d <= 3, s <= 8, grid <= 256)"
+            )
+        trials = _EQUIVALENCE_TRIALS
+    else:
+        trials = _AUDIT_TRIALS
+    releases = (
+        _release(config.mode, counts, params, seed) for seed in _trial_seeds(config.seed, trials)
+    )
     if config.audit == "randomness":
-        results, traces = [], []
-        for trial_seed in _trial_seeds(config.seed, _AUDIT_TRIALS):
-            tape = BitTape(seed=trial_seed)
-            if mode == "approx":
-                results.append(mech_approx_efficient(counts, params, tape))
-            else:
-                result, trace = mech_pure_efficient(counts, params, tape)
-                results.append(result)
-                traces.append(trace)
-        return randomness_audit(results, traces or None)
+        results, traces = zip(*releases)
+        return randomness_audit(results, None if traces[0] is None else traces)
     if config.audit == "accuracy":
-        if mode == "approx":
+        if config.mode == "approx":
             alpha, beta = params.accuracy_bound, 0.0
         else:
             beta = 0.1
             alpha = float(params.scale.t) * math.log(counts.d / beta) + 2 * params.grid
-        results = []
-        for trial_seed in _trial_seeds(config.seed, _AUDIT_TRIALS):
-            tape = BitTape(seed=trial_seed)
-            if mode == "approx":
-                results.append(mech_approx_efficient(counts, params, tape))
-            else:
-                results.append(mech_pure_efficient(counts, params, tape)[0])
-        return accuracy_audit(results, counts, alpha, beta)
-    # equivalence: exact oracle comparison, tractable only at desk scale
-    if counts.d > 3 or params.s > 8 or params.grid > 256:
-        raise ParameterDomainError(
-            "equivalence audit needs desk-scale parameters (d <= 3, s <= 8, grid <= 256)"
-        )
-    oracle = (
-        oracle_joint_dist_approx(counts, params)
-        if mode == "approx"
-        else oracle_joint_dist_pure(counts, params)
-    )
-    histogram: Counter = Counter()
-    for trial_seed in _trial_seeds(config.seed, _EQUIVALENCE_TRIALS):
-        tape = BitTape(seed=trial_seed)
-        if mode == "approx":
-            histogram[mech_approx_efficient(counts, params, tape).values] += 1
-        else:
-            histogram[mech_pure_efficient(counts, params, tape)[0].values] += 1
+        return accuracy_audit([result for result, _ in releases], counts, alpha, beta)
+    oracle = oracle_joint_dist(counts, params)
+    histogram = Counter(result.values for result, _ in releases)
     return {
-        "trials": _EQUIVALENCE_TRIALS,
+        "trials": trials,
         "chi_square_p": chi_square(histogram, oracle),
         "tv_distance": float(tv_distance(histogram, oracle)),
     }
@@ -269,13 +257,7 @@ def run(config: RunConfig) -> tuple[int, dict]:
             params = derive_approx_params(config.epsilon, config.delta, counts.d, s)
         else:
             params = derive_pure_params(config.epsilon, counts.d, s)
-        tape = BitTape(seed=config.seed)
-        tail_count = 0
-        if config.mode == "approx":
-            result = mech_approx_efficient(counts, params, tape)
-        else:
-            result, trace = mech_pure_efficient(counts, params, tape)
-            tail_count = trace.tail_size
+        result, trace = _release(config.mode, counts, params, config.seed)
         audit_block = None
         if config.audit != "none":
             audit_block = _run_audit(config, counts, params)
@@ -290,7 +272,7 @@ def run(config: RunConfig) -> tuple[int, dict]:
             "bits_total": result.report.bits_total,
             "bits_by_category": dict(sorted(result.report.bits_by_category.items())),
             "boundary_count": len(result.report.boundary_coordinates),
-            "tail_count": tail_count,
+            "tail_count": 0 if trace is None else trace.tail_size,
         },
         "meta": {
             "n": counts.n,

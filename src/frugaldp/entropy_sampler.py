@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from functools import partial
 from math import comb
 from typing import Callable
 
 from .bit_tape import BitTape
 from .core_samplers import _LEVEL_START, disjoint, level_record, locate
 from .errors import EnclosureContractError, ParameterDomainError
-from .precise_math import BoundedCache, IntervalValue, binom_prob_enclose, scaled_bounds
+from .precise_math import IntervalValue, binom_prob_enclose, scaled_bounds
 
 
 class PointMassSpec:
@@ -97,26 +98,19 @@ def sample_point_mass(tape: BitTape, spec: PointMassSpec) -> int:
     return 1 + locate(tape, spec.bounds, range(1, spec.k))
 
 
-_RATIONAL_SPEC_CACHE: BoundedCache = BoundedCache(64)
-
-
 def binomial_spec(d: int, p: "Fraction | Callable[[int], IntervalValue]") -> PointMassSpec:
     """PointMassSpec over {0..d} (as indices 1..d+1) for Bin(d, p).
 
     ``p`` may be an exact Fraction or a refinable enclosure callable
-    ``precision -> IntervalValue``.
+    ``precision -> IntervalValue``; both go through the enclosed binomial.
     """
     if d < 1:
         raise ParameterDomainError("binomial requires d >= 1")
-    if not isinstance(p, Fraction):
-        return PointMassSpec(d + 1, _enclosed_binomial_oracle(d, p))
-    if not 0 < p < 1:
-        raise ParameterDomainError("binomial probability must be in (0, 1)")
-    spec = _RATIONAL_SPEC_CACHE.get((d, p))
-    if spec is None:
-        pmf = [comb(d, j) * p**j * (1 - p) ** (d - j) for j in range(d + 1)]
-        spec = _RATIONAL_SPEC_CACHE[(d, p)] = spec_from_fractions(pmf)
-    return spec
+    if isinstance(p, Fraction):
+        if not 0 < p < 1:
+            raise ParameterDomainError("binomial probability must be in (0, 1)")
+        p = partial(IntervalValue.from_fraction, p)
+    return PointMassSpec(d + 1, _enclosed_binomial_oracle(d, p))
 
 
 def _enclosed_binomial_oracle(

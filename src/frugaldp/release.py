@@ -209,12 +209,8 @@ def draw_runs(tape: BitTape, tail_ratio, grid: int, queued: list, keys: list, va
 
     start, end = 0, len(keys)
     while start < end:
-        if start + 1 == end:  # a lone coordinate departs when u < p, with no products to build
-            k = keys[start]
-            start += 1 - locate(tape, tail_ratio, (k if k > 0 else 1 - k,))
-        else:
-            levels.clear()
-            start += locate(tape, bounds, range(start, end))
+        levels.clear()
+        start += locate(tape, bounds, range(start, end))
         if start < end:
             values[queued[start]] += grid if keys[start] > 0 else -grid
         start += 1

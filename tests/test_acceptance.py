@@ -260,13 +260,13 @@ def test_criterion_08_oracle_privacy():
     pure_params = derive_pure_params(eps_pure, 1, 2)
     zero = CountVector(d=1, n=8, sums=(0,))
     one = CountVector(d=1, n=8, sums=(1,))
-    pure_res = privacy_audit("pure", zero, one, pure_params, eps_pure, Fraction(0))
+    pure_res = privacy_audit(zero, one, pure_params, eps_pure, Fraction(0))
     eps_a, delta_a = Fraction(1), Fraction(1, 4)
     approx_params = derive_approx_params(eps_a, delta_a, 1, 3)
     envelope = (
         exp_pos(eps_a, 96).hi.as_fraction() + 1
     ) * approx_params.gamma.hi.as_fraction() + delta_a
-    approx_res = privacy_audit("approx", zero, one, approx_params, eps_a, envelope)
+    approx_res = privacy_audit(zero, one, approx_params, eps_a, envelope)
     ok = (
         pure_res.passed
         and pure_res.epsilon_hat <= float(eps_pure) + 1e-9

@@ -11,8 +11,10 @@ from frugaldp.audit_harness import (
     DiscreteDist,
     accuracy_audit,
     chi_square,
+    oracle_coord_dist,
     oracle_coord_dist_approx,
     oracle_coord_dist_pure,
+    oracle_joint_dist,
     oracle_joint_dist_approx,
     oracle_joint_dist_pure,
     privacy_audit,
@@ -168,6 +170,34 @@ class TestPureOracle:
         assert float(tv_distance(hist, joint)) <= 0.03
 
 
+@pytest.mark.parametrize(
+    "params, counts",
+    [
+        (
+            approx_params_from_sigma(2, 3, Fraction(2), Fraction(1, 1024)),
+            CountVector(d=2, n=20, sums=(5, 11)),
+        ),
+        (PureParams(2, 2, Fraction(1), 2), CountVector(d=2, n=10, sums=(3, 7))),
+    ],
+    ids=["approx", "pure"],
+)
+def test_coordinate_law_is_the_marginal_of_the_joint_law(params, counts):
+    joint = oracle_joint_dist(counts, params)
+    for i, sum_i in enumerate(counts.sums):
+        coord = oracle_coord_dist(sum_i, params)
+        lo, hi = Counter(), Counter()
+        for outcome, iv in joint.mass.items():
+            lo[outcome[i]] += iv.lo.as_fraction()
+            hi[outcome[i]] += iv.hi.as_fraction()
+        assert set(coord.mass) <= set(lo)  # pure mode: the joint's horizon reaches further
+        for g in lo:
+            iv = coord.mass.get(g, IntervalValue.exact(0))
+            # Both enclose the true marginal, up to their deficits.
+            assert lo[g] <= iv.hi.as_fraction() + coord.deficit
+            assert iv.lo.as_fraction() <= hi[g] + joint.deficit
+            assert abs(iv.midpoint() - (lo[g] + hi[g]) / 2) <= Fraction(1, 1 << 30)
+
+
 class TestBatchAudits:
     def _approx_batch(self, runs=50):
         params = approx_params_from_sigma(3, 4, Fraction(2), Fraction(1, 1024))
@@ -225,7 +255,7 @@ class TestPrivacyAudit:
         params = PureParams(1, 2, eps, 32)
         a = CountVector(d=1, n=5, sums=(0,))
         b = CountVector(d=1, n=5, sums=(1,))
-        res = privacy_audit("pure", a, b, params, eps, Fraction(0))
+        res = privacy_audit(a, b, params, eps, Fraction(0))
         assert res.passed
         assert res.epsilon_hat <= float(eps) + 1e-9
         assert res.delta_slack == 0.0
@@ -235,7 +265,7 @@ class TestPrivacyAudit:
         eps = Fraction(1, 16)
         params = PureParams(1, 2, eps, 32)
         a = CountVector(d=1, n=5, sums=(2,))
-        res = privacy_audit("pure", a, a, params, eps, Fraction(0))
+        res = privacy_audit(a, a, params, eps, Fraction(0))
         assert res.passed
         assert res.epsilon_hat <= 1e-12
 
@@ -245,7 +275,7 @@ class TestPrivacyAudit:
         params = PureParams(1, 2, eps, 4)
         a = CountVector(d=1, n=5, sums=(0,))
         b = CountVector(d=1, n=5, sums=(1,))
-        res = privacy_audit("pure", a, b, params, Fraction(1, 100), Fraction(0))
+        res = privacy_audit(a, b, params, Fraction(1, 100), Fraction(0))
         assert not res.passed
 
     def test_approx_truncated_envelope(self):
@@ -256,10 +286,11 @@ class TestPrivacyAudit:
         a = CountVector(d=1, n=5, sums=(0,))
         b = CountVector(d=1, n=5, sums=(1,))
         envelope = (exp_pos(eps, 64).hi.as_fraction() + 1) * params.gamma.hi.as_fraction() + delta
-        res = privacy_audit("approx", a, b, params, eps, envelope)
+        res = privacy_audit(a, b, params, eps, envelope)
         assert res.passed
 
     def test_unknown_kind(self):
+        """Params of an unknown type are rejected: the params type is the mode."""
         a = CountVector(d=1, n=5, sums=(0,))
         with pytest.raises(ParameterDomainError):
-            privacy_audit("other", a, a, None, Fraction(1), Fraction(0))
+            privacy_audit(a, a, object(), Fraction(1), Fraction(0))

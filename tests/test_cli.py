@@ -290,44 +290,46 @@ class TestRun:
         assert report["params"]["sigma_sq_pinned"] == str(params.sigma_sq)
         assert Fraction(report["params"]["epsilon"]) == Fraction(1)
 
-    def test_randomness_audit_block(self, csv_file, monkeypatch):
-        import frugaldp.cli as cli_module
+    # Desk scale (d = 3, s = 2) in both modes: the audit-desk parameters in pure mode.
+    AUDIT_MODES = {"approx": (Fraction(1), Fraction(1, 4)), "pure": (Fraction(1, 4), None)}
 
-        monkeypatch.setattr(cli_module, "_AUDIT_TRIALS", 20)
-        path = csv_file(self._rows(3, 5))
-        config = RunConfig("approx", Fraction(1), Fraction(1, 4), 3, 42, path, None, audit="randomness")
-        code, report = run(config)
+    def _audit_config(self, csv_file, mode, audit):
+        epsilon, delta = self.AUDIT_MODES[mode]
+        return RunConfig(mode, epsilon, delta, 2, 42, csv_file(self._rows(3, 5)), None, audit=audit)
+
+    @pytest.mark.parametrize("mode", ["approx", "pure"])
+    def test_randomness_audit_block(self, csv_file, monkeypatch, mode):
+        monkeypatch.setattr(cli, "_AUDIT_TRIALS", 20)
+        code, report = run(self._audit_config(csv_file, mode, "randomness"))
         assert code == EXIT_OK
         assert report["audit"]["runs"] == 20
         assert "mean_bits_total" in report["audit"]
+        assert ("mean_tail_count" in report["audit"]) == (mode == "pure")
 
-    def test_accuracy_audit_block(self, csv_file, monkeypatch):
-        import frugaldp.cli as cli_module
-
-        # The audit needs enough trials to resolve beta = 0.1.
-        monkeypatch.setattr(cli_module, "_AUDIT_TRIALS", 100)
-        path = csv_file(self._rows(12, 4))
-        config = RunConfig("pure", Fraction(1), None, 2, 42, path, None, audit="accuracy")
-        code, report = run(config)
+    @pytest.mark.parametrize("mode", ["approx", "pure"])
+    def test_accuracy_audit_block(self, csv_file, monkeypatch, mode):
+        # The audit needs enough trials to resolve pure mode's beta = 0.1.
+        monkeypatch.setattr(cli, "_AUDIT_TRIALS", 100)
+        code, report = run(self._audit_config(csv_file, mode, "accuracy"))
         assert code == EXIT_OK
-        assert report["audit"]["pass"] in (True, False)
+        assert report["audit"]["runs"] == 100
+        assert report["audit"]["pass"]
 
-    def test_equivalence_audit_guard(self, csv_file):
+    def test_equivalence_audit_guard(self, csv_file, monkeypatch):
+        releases = []
+        release = cli._release
+        monkeypatch.setattr(cli, "_release", lambda *args: releases.append(args) or release(*args))
         path = csv_file(self._rows(16, 4))
         config = RunConfig("pure", Fraction(1), None, 2, 42, path, None, audit="equivalence")
         code, report = run(config)
         assert code == EXIT_PARAMETER
         assert "desk-scale" in report["error"]
+        assert len(releases) == 1  # the published release; the guard stops every trial
 
-    def test_equivalence_audit_runs_at_desk_scale(self, csv_file, monkeypatch):
-        import frugaldp.cli as cli_module
-
-        monkeypatch.setattr(cli_module, "_EQUIVALENCE_TRIALS", 2_000)
-        path = csv_file(self._rows(2, 3))
-        config = RunConfig(
-            "approx", Fraction(1), Fraction(1, 4), 2, 42, path, None, audit="equivalence"
-        )
-        code, report = run(config)
+    @pytest.mark.parametrize("mode", ["approx", "pure"])
+    def test_equivalence_audit_runs_at_desk_scale(self, csv_file, monkeypatch, mode):
+        monkeypatch.setattr(cli, "_EQUIVALENCE_TRIALS", 2_000)
+        code, report = run(self._audit_config(csv_file, mode, "equivalence"))
         assert code == EXIT_OK
         assert report["audit"]["trials"] == 2_000
         assert report["audit"]["chi_square_p"] >= 0.001

@@ -189,10 +189,3 @@ def test_entropy_bound_across_reference_specs():
         spec = spec_from_fractions(probs)
         _, bits = collect_histogram(lambda t: sample_point_mass(t, spec), 30_000, 820 + idx)
         assert bits / 30_000 <= _entropy(probs) + 8
-
-
-def test_rational_spec_cache_stays_bounded():
-    cap = es._RATIONAL_SPEC_CACHE.cap
-    for i in range(cap + 10):
-        binomial_spec(2, Fraction(1, i + 2))
-        assert len(es._RATIONAL_SPEC_CACHE) <= cap
