@@ -10,7 +10,8 @@ is where the randomness savings come from.
 
 The audit harness provides brute-force oracle distributions, goodness-of-fit
 statistics, and certified privacy-ratio checks for everything above. It is
-loaded on first use, so releasing needs nothing beyond the standard library.
+loaded on first use. The package, audits included, needs nothing beyond the
+standard library.
 """
 
 from importlib import import_module
@@ -25,9 +26,9 @@ from .release import CountVector, MechanismResult, RandomnessReport
 __version__ = "0.1.0"
 
 # Names resolved on first access instead of at import, by the module that
-# defines them. The audit harness needs numpy and scipy, which a release does
-# not. The CLI module must not be imported here: ``python -m frugaldp.cli``
-# imports the package first and would then run the module a second time.
+# defines them. A release has no use for the audit harness's oracles. The CLI
+# module must not be imported here: ``python -m frugaldp.cli`` imports the
+# package first and would then run the module a second time.
 _LAZY_NAMES = {
     "RunConfig": "cli",
     "load_dataset": "cli",

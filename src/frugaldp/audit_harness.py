@@ -13,18 +13,19 @@ averaged over the shifts. Only the noise law is per mode, and the type of
 the params object picks it: the truncated Gaussian on (-r, r), which is
 finite, or the Laplace law truncated at a horizon whose certified tail mass
 is the deficit. A coordinate's law is the joint law at d = 1.
+
+The harness needs only the standard library: the chi-square p-value comes
+from the closed-form upper tail of the chi-square law, and the batch
+summaries from ``math`` and ``statistics``.
 """
 
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
 from typing import Mapping, Sequence
-
-import numpy as np
-from scipy import stats
 
 from .approx_mech import ApproxParams
 from .errors import ParameterDomainError
@@ -134,14 +135,18 @@ def _shift_laws(sums: Sequence[int], params, noise: _Noise, w: int) -> list[list
 
 
 def _joint_dist(laws: Sequence[Sequence[Mapping]], s: int, w: int, deficit: Fraction) -> DiscreteDist:
-    """Average over the s shifts of the product law across coordinates."""
+    """Average over the s shifts of the product law across coordinates.
+
+    The product is built one coordinate at a time, so each partial product
+    is computed once and shared by every outcome that extends it; the fold
+    order stays ((a*b)*c) and outcomes come in lexicographic order of cells.
+    """
     acc: dict[tuple, IntervalValue] = {}
-    for per_coord in laws:
-        for combo in iter_product(*(law.items() for law in per_coord)):
-            outcome = tuple(g for g, _ in combo)
-            iv = combo[0][1]
-            for _, factor in combo[1:]:
-                iv = iv * factor
+    for first, *rest in laws:
+        partial = [((g,), iv) for g, iv in first.items()]
+        for law in rest:
+            partial = [(prefix + (g,), iv * factor) for prefix, iv in partial for g, factor in law.items()]
+        for outcome, iv in partial:
             acc[outcome] = acc.get(outcome, _ZERO) + iv
     mass = {k: iv.scale(Fraction(1, s), w) for k, iv in acc.items()}
     return DiscreteDist(mass=mass, deficit=deficit)
@@ -229,11 +234,28 @@ def chi_square(histogram: Mapping, reference: DiscreteDist, min_expected: float 
         expected.append(pool_exp)
     if len(observed) < 2:
         return 1.0
-    obs = np.asarray(observed, dtype=float)
-    exp = np.asarray(expected, dtype=float)
-    exp *= obs.sum() / exp.sum()
-    stat = float(((obs - exp) ** 2 / exp).sum())
-    return float(stats.chi2.sf(stat, len(observed) - 1))
+    scale = math.fsum(observed) / math.fsum(expected)
+    expected = [e * scale for e in expected]
+    stat = math.fsum((o - e) ** 2 / e for o, e in zip(observed, expected))
+    return _chi2_sf(stat, len(observed) - 1)
+
+
+def _chi2_sf(x: float, k: int) -> float:
+    """Upper tail P[X >= x] of the chi-square law with k degrees of freedom.
+
+    This is the regularized gamma tail Q(k/2, y), y = x/2, in closed form:
+    sum_{i < k/2} e^-y y^i / i! for even k, and erfc(sqrt(y)) +
+    sum_{i < (k-1)/2} e^-y y^(i+1/2) / Gamma(i+3/2) for odd k. Every term
+    is positive, so the sum loses nothing to cancellation.
+    """
+    if x <= 0:
+        return 1.0
+    y = x / 2
+    log_y = math.log(y)
+    half = k % 2 / 2  # the shapes a are i + 1/2 for odd k
+    terms = [math.exp(-y + (i + half) * log_y - math.lgamma(i + half + 1)) for i in range(k // 2)]
+    head = math.erfc(math.sqrt(y)) if k % 2 else 0.0
+    return min(1.0, math.fsum([head, *terms]))
 
 
 # ---------------------------------------------------------------------------
@@ -245,27 +267,23 @@ def randomness_audit(results: Sequence[MechanismResult], traces: Sequence | None
     """Bit-consumption summary of a batch of seed-disjoint runs."""
     if not results:
         raise ParameterDomainError("randomness audit needs at least one run")
-    totals = np.array([r.report.bits_total for r in results], dtype=float)
+    totals = [r.report.bits_total for r in results]
+    # Percentiles interpolate linearly between order statistics; one run is its own percentile.
+    cuts = statistics.quantiles(totals, n=100, method="inclusive") if len(totals) > 1 else totals * 99
     categories = sorted({c for r in results for c in r.report.bits_by_category})
     by_cat = {
-        c: float(np.mean([r.report.bits_by_category.get(c, 0) for r in results]))
+        c: statistics.fmean(r.report.bits_by_category.get(c, 0) for r in results)
         for c in categories
     }
     report = {
         "runs": len(results),
-        "mean_bits_total": float(totals.mean()),
-        "percentile_bits": {
-            "p50": float(np.percentile(totals, 50)),
-            "p90": float(np.percentile(totals, 90)),
-            "p99": float(np.percentile(totals, 99)),
-        },
+        "mean_bits_total": statistics.fmean(totals),
+        "percentile_bits": {f"p{q}": float(cuts[q - 1]) for q in (50, 90, 99)},
         "mean_bits_by_category": by_cat,
-        "mean_boundary_count": float(
-            np.mean([len(r.report.boundary_coordinates) for r in results])
-        ),
+        "mean_boundary_count": statistics.fmean(len(r.report.boundary_coordinates) for r in results),
     }
     if traces is not None:
-        report["mean_tail_count"] = float(np.mean([t.tail_size for t in traces]))
+        report["mean_tail_count"] = statistics.fmean(t.tail_size for t in traces)
     return report
 
 

@@ -197,19 +197,14 @@ def _release(mode: str, counts: CountVector, params, seed: int | None):
 
 
 def _run_audit(config: RunConfig, counts: CountVector, params) -> dict:
-    # Imported here: the audits need numpy and scipy, a plain release does not.
-    try:
-        from .audit_harness import (
-            accuracy_audit,
-            chi_square,
-            oracle_joint_dist,
-            randomness_audit,
-            tv_distance,
-        )
-    except ModuleNotFoundError as exc:
-        raise FrugalDPError(
-            f"--audit needs {exc.name}; install it with: pip install 'frugaldp[audit]'"
-        ) from exc
+    # Imported here, so that a plain release does not load the oracles.
+    from .audit_harness import (
+        accuracy_audit,
+        chi_square,
+        oracle_joint_dist,
+        randomness_audit,
+        tv_distance,
+    )
 
     if config.audit == "equivalence":
         # exact oracle comparison, tractable only at desk scale

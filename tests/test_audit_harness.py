@@ -3,12 +3,20 @@
 import math
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
+import numpy as np
 import pytest
+from scipy import stats
 
 from frugaldp.approx_mech import ApproxParams, mech_approx_efficient
 from frugaldp.audit_harness import (
     DiscreteDist,
+    _chi2_sf,
+    _joint_dist,
+    _pure_noise,
+    _shift_laws,
+    _tolerance_bits,
     accuracy_audit,
     chi_square,
     oracle_coord_dist,
@@ -85,11 +93,40 @@ class TestStatistics:
         hist = {0: 900, 5: 100}
         assert chi_square(hist, ref) == 0.0
 
+    def test_chi_square_matches_scipy(self):
+        ref = _dist({0: Fraction(1, 8), 1: Fraction(3, 8), 2: Fraction(1, 2)})
+        hist = {0: 140, 1: 360, 2: 500}
+        expected = np.array([125.0, 375.0, 500.0])
+        p = stats.chisquare(np.array([140, 360, 500]), expected).pvalue
+        assert chi_square(hist, ref) == pytest.approx(p, rel=1e-12)
+
     def test_two_sample_detects_shift(self):
         a = {0: 5000, 1: 5000}
         b = {0: 6000, 1: 4000}
         assert two_sample_chi_square(a, b) < 1e-6
         assert two_sample_chi_square(a, dict(a)) == 1.0
+
+
+class TestChiSquareTail:
+    DEGREES = [*range(1, 61), 255, 256, 999, 2716]
+
+    def test_matches_scipy(self):
+        checked = 0
+        for k in self.DEGREES:
+            top = k + 10 * math.sqrt(2 * k)
+            xs = [*np.geomspace(0.01, top, 25), *np.linspace(0.01, top, 25), 700.0, 1400.0]
+            for x in xs:
+                ref = stats.chi2.sf(x, k)
+                if ref == 0:
+                    continue
+                assert _chi2_sf(float(x), k) == pytest.approx(ref, rel=1e-9, abs=0), (k, x)
+                checked += 1
+        assert checked > 3000
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 2716])
+    def test_nonpositive_statistic_is_certain(self, k):
+        assert _chi2_sf(0.0, k) == 1.0
+        assert _chi2_sf(-2.5, k) == 1.0
 
 
 class TestApproxOracle:
@@ -170,6 +207,27 @@ class TestPureOracle:
         assert float(tv_distance(hist, joint)) <= 0.03
 
 
+def test_joint_law_is_the_left_fold_over_every_combination():
+    """Shared partial products give every mass bit for bit, in the same outcome order."""
+    params = PureParams(3, 2, Fraction(1), 2)
+    tol = Fraction(1, 1 << 10) / 3  # a short horizon keeps the enumeration small
+    w = _tolerance_bits(tol, 8 * params.s * 3)
+    laws = _shift_laws((3, 7, 8), params, _pure_noise(params, tol, w), w)
+    acc = {}
+    for per_coord in laws:
+        for combo in product(*(law.items() for law in per_coord)):
+            iv = combo[0][1]
+            for _, factor in combo[1:]:
+                iv = iv * factor
+            outcome = tuple(g for g, _ in combo)
+            acc[outcome] = acc.get(outcome, IntervalValue.exact(0)) + iv
+    joint = _joint_dist(laws, params.s, w, Fraction(0))
+    assert list(joint.mass) == list(acc)
+    for outcome, iv in acc.items():
+        mass = iv.scale(Fraction(1, params.s), w)
+        assert (joint.mass[outcome].lo, joint.mass[outcome].hi) == (mass.lo, mass.hi)
+
+
 @pytest.mark.parametrize(
     "params, counts",
     [
@@ -212,6 +270,22 @@ class TestBatchAudits:
         assert report["mean_bits_total"] >= 0
         assert set(report["percentile_bits"]) == {"p50", "p90", "p99"}
         assert "shift" in report["mean_bits_by_category"]
+
+    @pytest.mark.parametrize("runs", [1, 2, 3, 7, 200])
+    def test_randomness_audit_matches_numpy(self, runs):
+        results, _, _ = self._approx_batch(runs)
+        totals = [r.report.bits_total for r in results]
+        report = randomness_audit(results)
+        for q in (50, 90, 99):
+            assert report["percentile_bits"][f"p{q}"] == pytest.approx(np.percentile(totals, q), rel=1e-12)
+        assert report["mean_bits_total"] == pytest.approx(np.mean(totals), rel=1e-12)
+
+    def test_one_run_is_its_own_percentile(self):
+        results, _, _ = self._approx_batch(1)
+        total = results[0].report.bits_total
+        report = randomness_audit(results)
+        assert report["percentile_bits"] == {"p50": total, "p90": total, "p99": total}
+        assert report["mean_bits_total"] == total
 
     def test_accuracy_audit_deterministic_bound(self):
         results, counts, params = self._approx_batch()

@@ -425,8 +425,11 @@ def _run_python(probe, *args):
 
 
 def test_cli_import_leaves_numpy_and_scipy_out():
-    for module in ("frugaldp.cli", "frugaldp"):
-        probe = f"import sys, {module}; print(sorted({{'numpy', 'scipy'}} & set(sys.modules)))"
+    # The last load goes through the package's lazy names into the audit harness.
+    loads = ("import frugaldp.cli", "import frugaldp", "import frugaldp.audit_harness",
+             "import frugaldp; frugaldp.privacy_audit")
+    for load in loads:
+        probe = f"import sys; {load}; print(sorted({{'numpy', 'scipy'}} & set(sys.modules)))"
         proc = _run_python(probe)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
@@ -448,19 +451,30 @@ def test_module_entry_point_imports_the_cli_once():
     assert proc.returncode == EXIT_OK, proc.stderr
 
 
-def test_audit_without_numpy_names_the_extra(csv_file):
-    data = csv_file("a,b\n1,0\n0,1\n1,1\n")
-    # None in sys.modules makes every import of numpy fail as if it were absent.
+def test_audits_run_without_numpy_or_scipy(csv_file):
+    data = csv_file("a,b,c\n1,0,1\n0,1,1\n1,1,0\n0,0,1\n1,0,0\n")
+    # None in sys.modules makes every import of a module fail as if it were absent.
     probe = (
-        "import sys; sys.modules['numpy'] = None; from frugaldp.cli import main; "
-        "sys.exit(main(sys.argv[1:]))"
+        "import contextlib, io, json, sys\n"
+        "sys.modules['numpy'] = sys.modules['scipy'] = None\n"
+        "from frugaldp.cli import main\n"
+        "modes = (['--mode', 'approx', '--epsilon', '1', '--delta', '0.25'],"
+        " ['--mode', 'pure', '--epsilon', '0.25'])\n"
+        "for mode in modes:\n"
+        "    for audit in ('randomness', 'accuracy', 'equivalence'):\n"
+        "        out = io.StringIO()\n"
+        "        with contextlib.redirect_stdout(out):\n"
+        "            code = main(mode + ['--s', '2', '--seed', '1', '--input', sys.argv[1], '--audit', audit])\n"
+        "        print(mode[1], audit, code, sorted(json.loads(out.getvalue()).get('audit', {})))\n"
     )
-    proc = _run_python(
-        probe, "--mode", "approx", "--epsilon", "1", "--delta", "0.25",
-        "--input", data, "--seed", "1", "--audit", "randomness",
-    )
-    assert proc.returncode == EXIT_PARAMETER == 2
-    assert "frugaldp[audit]" in proc.stderr
+    proc = _run_python(probe, data)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 6, proc.stdout
+    for line in lines:
+        mode, audit, code, keys = line.split(" ", 3)
+        assert code == str(EXIT_OK), line
+        assert keys != "[]", line
     assert "Traceback" not in proc.stderr
 
 
