@@ -16,20 +16,20 @@ from fractions import Fraction
 from .bit_tape import BitTape
 from .core_samplers import GaussianCells
 from .errors import EnclosureContractError, FrugalDPError, ParameterDomainError
-from .precise_math import IntervalValue, exp_neg, exp_pos, interval_div, ln_enclose
+from .precise_math import RationalBounds, _ceil_scaled, _floor_scaled, certified_le, exp_neg, exp_pos
+from .precise_math import ln_enclose, rational_enclose
 from .release import CountVector, MechanismResult, check_release, shift_and_round
-
-_CERTIFY_MAX_BITS = 1 << 13
 
 
 class ApproxParams:
     """Validated parameters of the approximate-DP release.
 
-    ``sigma_sq_interval`` is the derived enclosure of 4 d ln(2/delta) / eps^2;
-    the variance actually sampled, ``sigma_sq``, is pinned to the enclosure's
-    upper endpoint (an exact rational). Enlarging the variance only increases
-    the noise, so the privacy guarantee survives the pinning, and the window
-    radius r is certified directly against the pinned value.
+    ``sigma_sq_interval`` holds the derived bounds of 4 d ln(2/delta) / eps^2
+    and ``gamma`` those of delta / (2 (e^eps + 1)), both as exact rationals;
+    the variance actually sampled, ``sigma_sq``, is pinned to the upper
+    bound. Enlarging the variance only increases the noise, so the privacy
+    guarantee survives the pinning, and the window radius r is certified
+    directly against the pinned value.
     """
 
     __slots__ = (
@@ -38,7 +38,6 @@ class ApproxParams:
         "epsilon",
         "delta",
         "gamma",
-        "gamma_floor",
         "sigma_sq_interval",
         "sigma_sq",
         "r",
@@ -53,9 +52,8 @@ class ApproxParams:
         sigma_sq: Fraction,
         r: int,
         *,
-        sigma_sq_interval: IntervalValue | None = None,
-        gamma: IntervalValue | None = None,
-        gamma_floor: Fraction | None = None,
+        sigma_sq_interval: RationalBounds | None = None,
+        gamma: RationalBounds | None = None,
         epsilon: Fraction | None = None,
         delta: Fraction | None = None,
     ):
@@ -66,11 +64,10 @@ class ApproxParams:
         self.d = d
         self.s = s
         self.sigma_sq = Fraction(sigma_sq)
-        self.sigma_sq_interval = sigma_sq_interval or IntervalValue.from_fraction(self.sigma_sq, 96)
+        self.sigma_sq_interval = sigma_sq_interval or RationalBounds(self.sigma_sq, self.sigma_sq)
         self.r = r
         self.grid = r * s
         self.gamma = gamma
-        self.gamma_floor = gamma_floor
         self.epsilon = epsilon
         self.delta = delta
         self.cells = GaussianCells(self.sigma_sq, r)
@@ -81,32 +78,20 @@ class ApproxParams:
         return self.r * (2 * self.s + 1)
 
 
-def _certified_le(value: Fraction, target_fn) -> bool:
-    """Decide value <= target where target_fn(prec) encloses an irrational target."""
-    prec = 64
-    while prec <= _CERTIFY_MAX_BITS:
-        iv = target_fn(prec)
-        if value <= iv.lo.as_fraction():
-            return True
-        if value > iv.hi.as_fraction():
-            return False
-        prec *= 2
-    raise EnclosureContractError("comparison against enclosure failed to resolve")
-
-
 def certify_window_radius(sigma_sq: Fraction, tail_budget: Fraction) -> int:
     """Smallest integer r >= 1 with 2 exp(-r^2 / (2 sigma^2)) <= tail_budget.
 
     The two-sided Gaussian tail bound then gives P[|noise| >= r] <= budget,
-    which is the property the privacy argument consumes. Certified by
-    interval evaluation; monotone in r, so binary search is sound.
+    which is the property the privacy argument consumes. Each test is
+    certified by refining an enclosure; monotone in r, so binary search is
+    sound.
     """
     if tail_budget <= 0:
         raise ParameterDomainError("tail budget must be positive")
 
     def ok(r: int) -> bool:  # exp(-r^2 / (2 sigma^2)) <= tail_budget / 2
         x = Fraction(r * r, 1) / (2 * sigma_sq)
-        return not _certified_le(tail_budget / 2, lambda p: exp_neg(x, p))
+        return not certified_le(tail_budget / 2, lambda w: exp_neg(x, w))
 
     hi = 1
     while not ok(hi):
@@ -126,9 +111,9 @@ def derive_approx_params(
 ) -> ApproxParams:
     """Derive all constants of the approximate-DP release from (eps, delta, d, s).
 
-    Requires delta <= exp(-eps/2), certified by interval refinement. All
-    derived irrationals are carried as enclosures; see ApproxParams for how
-    the sampled variance is pinned.
+    Requires delta <= exp(-eps/2), certified by refining its enclosure. All
+    derived irrationals are carried as exact rational bounds; see
+    ApproxParams for how the sampled variance is pinned.
     """
     epsilon = Fraction(epsilon)
     delta = Fraction(delta)
@@ -138,19 +123,27 @@ def derive_approx_params(
         raise ParameterDomainError("delta must lie in (0, 1)")
     if d < 1 or s < 1:
         raise ParameterDomainError("d and s must be positive integers")
-    if not _certified_le(delta, lambda p: exp_neg(epsilon / 2, p)):
+    if not certified_le(delta, lambda w: exp_neg(epsilon / 2, w)):
         raise ParameterDomainError("delta must satisfy delta <= exp(-epsilon/2)")
-    # gamma = delta / (2 (e^eps + 1))
-    exp_eps = exp_pos(epsilon, precision + 4)
-    denom = (exp_eps + IntervalValue.exact(1)).scale(2, precision + 4)
-    gamma = interval_div(IntervalValue.from_fraction(delta, precision + 4), denom, precision)
-    gamma_floor = gamma.lo.as_fraction()
-    if gamma_floor <= 0:
+    # gamma = delta / (2 (e^eps + 1)): delta and the denominator rounded
+    # outward at w = precision + 4, their quotient at precision.
+    w = precision + 4
+    e_lo, e_hi = exp_pos(epsilon, w + 2)
+    one = 1 << (w + 2)
+    den_lo, den_hi = (e_lo + one) >> 1, -(-(e_hi + one) >> 1)
+    num_lo, num_hi = rational_enclose(delta, w)
+    gamma_lo = (num_lo << precision) // den_hi
+    gamma = RationalBounds.scaled(gamma_lo, -(-(num_hi << precision) // den_lo), precision)
+    if gamma_lo <= 0:
         raise EnclosureContractError("gamma enclosure collapsed to zero")
-    # sigma^2 = 4 d ln(2/delta) / eps^2
-    sigma_sq_interval = ln_enclose(2 / delta, precision).scale(4 * d / epsilon**2, precision)
-    sigma_sq = sigma_sq_interval.hi.as_fraction()
-    r = certify_window_radius(sigma_sq, gamma_floor / d)
+    # sigma^2 = 4 d ln(2/delta) / eps^2, rounded outward at precision
+    ln_lo, ln_hi = ln_enclose(2 / delta, precision + 2)
+    factor = Fraction(4 * d, 1 << (precision + 2)) / epsilon**2
+    sigma_sq_interval = RationalBounds.scaled(
+        _floor_scaled(ln_lo * factor, precision), _ceil_scaled(ln_hi * factor, precision), precision
+    )
+    sigma_sq = sigma_sq_interval.hi
+    r = certify_window_radius(sigma_sq, gamma.lo / d)
     return ApproxParams(
         d,
         s,
@@ -158,7 +151,6 @@ def derive_approx_params(
         r,
         sigma_sq_interval=sigma_sq_interval,
         gamma=gamma,
-        gamma_floor=gamma_floor,
         epsilon=epsilon,
         delta=delta,
     )

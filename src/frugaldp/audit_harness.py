@@ -1,7 +1,8 @@
 """Brute-force oracles and statistical audits for the release mechanisms.
 
 The oracles compute the exact per-coordinate (and small-d joint) output
-laws of the reference mechanisms as interval-valued pmfs, so distributional
+laws of the reference mechanisms as pmfs whose masses are enclosed by
+integer pairs at one scale 2**-w, so distributional
 equivalence, accuracy envelopes and privacy ratios can be checked against
 ground truth rather than against another sampler. Privacy is audited
 through certified oracle ratios only.
@@ -9,7 +10,9 @@ through certified oracle ratios only.
 Both modes share one pipeline, as their releases share one shift-and-round
 core: the noise law is pushed onto the grid under each of the s equally
 likely shifts, the coordinates' laws are multiplied, and the products are
-averaged over the shifts. Only the noise law is per mode, and the type of
+averaged over the shifts. Masses are non-negative, so the product of two
+enclosures (a, b) and (c, d) is (a c, b d), kept exact; only the average
+rounds, once, to w. Only the noise law is per mode, and the type of
 the params object picks it: the truncated Gaussian on (-r, r), which is
 finite, or the Laplace law truncated at a horizon whose certified tail mass
 is the deficit. A coordinate's law is the joint law at d = 1.
@@ -29,18 +32,19 @@ from typing import Mapping, Sequence
 
 from .approx_mech import ApproxParams
 from .errors import ParameterDomainError
-from .precise_math import IntervalValue, exp_neg, exp_pos, interval_div
+from .precise_math import _exp_neg_guarded, exp_pos
+from .precise_math import exp_neg  # noqa: F401 - bench/tracer.py wraps exp_neg in every module
 from .pure_mech import PureParams
 from .release import CountVector, MechanismResult, floor_multiple
 
-_ZERO = IntervalValue.exact(0)
 _TAIL_TOL = Fraction(1, 1 << 30)
 
 
 @dataclass(frozen=True)
 class DiscreteDist:
-    """Finite-support distribution with interval-valued masses.
+    """Finite-support distribution with enclosed masses.
 
+    ``mass`` maps each outcome to integers (lo, hi) with lo <= 2**w P[o] <= hi.
     ``deficit`` bounds the true mass of outcomes not listed in ``mass``
     (zero for exactly finite laws, the truncated tail otherwise), so the
     listed masses sum to at least 1 - deficit.
@@ -48,17 +52,15 @@ class DiscreteDist:
 
     mass: dict
     deficit: Fraction
+    w: int
 
     def midpoints(self) -> dict:
-        return {k: iv.midpoint() for k, iv in self.mass.items()}
-
-    def support(self) -> tuple:
-        return tuple(sorted(self.mass))
+        return {k: Fraction(lo + hi, 2 << self.w) for k, (lo, hi) in self.mass.items()}
 
     def total_mass(self) -> tuple[Fraction, Fraction]:
-        lo = sum((iv.lo.as_fraction() for iv in self.mass.values()), Fraction(0))
-        hi = sum((iv.hi.as_fraction() for iv in self.mass.values()), Fraction(0))
-        return lo, hi + self.deficit
+        lo = sum(lo for lo, _ in self.mass.values())
+        hi = sum(hi for _, hi in self.mass.values())
+        return Fraction(lo, 1 << self.w), Fraction(hi, 1 << self.w) + self.deficit
 
 
 @dataclass(frozen=True)
@@ -85,37 +87,49 @@ def _tolerance_bits(tail_tol: Fraction, terms: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-# Each mode's noise law is (weights, total, deficit), in ascending eta: a
-# cell's mass is the sum of the weights the shift-and-round maps into it,
-# divided by ``total`` (None when the weights are already normalized), and
-# ``deficit`` bounds the mass of the noise values left out.
-_Noise = tuple[dict[int, IntervalValue], "IntervalValue | None", Fraction]
+# Each mode's noise law is (weights, total, deficit, scale), in ascending
+# eta: the weights are integer pairs at 2**-scale, a cell's mass is the sum
+# of the weights the shift-and-round maps into it, divided by ``total``
+# (None when the weights are already normalized), and ``deficit`` bounds the
+# mass of the noise values left out.
+_Noise = tuple[dict[int, tuple[int, int]], "tuple[int, int] | None", Fraction, int]
 
 
 def _approx_noise(params: ApproxParams, w: int) -> _Noise:
     """Truncated-Gaussian weights exp(-eta^2/(2 sigma^2)) on |eta| < r, their total, no deficit."""
-    half = [exp_neg(Fraction(mag * mag, 1) / (2 * params.sigma_sq), w) for mag in range(params.r)]
+    x = 1 / (2 * params.sigma_sq)
+    half = [_exp_neg_guarded(mag * mag * x, w) for mag in range(params.r)]
     weights = {eta: half[abs(eta)] for eta in range(1 - params.r, params.r)}
-    return weights, sum(weights.values(), _ZERO), Fraction(0)
+    total = sum(lo for lo, _ in weights.values()), sum(hi for _, hi in weights.values())
+    return weights, total, Fraction(0), w + 4
 
 
 def _pure_noise(params: PureParams, tail_tol: Fraction, w: int) -> _Noise:
     """Laplace pmf enclosures on [-H, H] and the certified deficit of the tails past H."""
     t = params.scale.t
+
+    def tails(h: int) -> Fraction:  # upper bound of P[|eta| >= h] <= 2 exp(-h/t)
+        return Fraction(_exp_neg_guarded(Fraction(h) / t, w)[1], 1 << (w + 3))
+
     horizon = max(1, int(float(t) * math.log(2.0 / float(tail_tol))) + 1)
-    while not 2 * exp_neg(Fraction(horizon) / t, w).hi.as_fraction() <= tail_tol:
+    while not tails(horizon) <= tail_tol:
         horizon += max(1, horizon // 8)
-    e_t = exp_pos(1 / t, w)
-    one = IntervalValue.exact(1)
-    base = interval_div(e_t - one, e_t + one, w)
-    half = [base * exp_neg(Fraction(mag) / t, w) for mag in range(horizon + 1)]
-    deficit = min(tail_tol, 2 * exp_neg(Fraction(horizon) / t, w).hi.as_fraction())
-    return {eta: half[abs(eta)] for eta in range(-horizon, horizon + 1)}, None, deficit
+    # The pmf at 0, (e^(1/t) - 1) / (e^(1/t) + 1), rounded outward at w.
+    e_lo, e_hi = exp_pos(1 / t, w + 2)
+    one = 1 << (w + 2)
+    b_lo, b_hi = ((e_lo - one) << w) // (e_hi + one), -(-((e_hi - one) << w) // (e_lo + one))
+    decay = (_exp_neg_guarded(Fraction(mag) / t, w) for mag in range(horizon + 1))
+    half = [(b_lo * lo, b_hi * hi) for lo, hi in decay]
+    weights = {eta: half[abs(eta)] for eta in range(-horizon, horizon + 1)}
+    return weights, None, min(tail_tol, tails(horizon)), 2 * w + 4
 
 
-def _shift_laws(sums: Sequence[int], params, noise: _Noise, w: int) -> list[list[dict]]:
-    """Law of each coordinate given each shift v = 1..s: the noise pushed onto the grid."""
-    weights, total, _ = noise
+def _shift_laws(sums: Sequence[int], params, noise: _Noise, w: int) -> tuple[list[list[dict]], int]:
+    """Law of each coordinate given each shift v = 1..s: the noise pushed onto the grid.
+
+    Returns the laws and their scale: w once divided by the total, else the noise's.
+    """
+    weights, total, _, scale = noise
     grid = params.grid
     unit = grid // params.s
     laws = []
@@ -123,33 +137,42 @@ def _shift_laws(sums: Sequence[int], params, noise: _Noise, w: int) -> list[list
         per_coord = []
         for sum_i in sums:
             shifted = sum_i + unit * v
-            law: dict[int, IntervalValue] = {}
-            for eta, iv in weights.items():
+            law: dict[int, tuple[int, int]] = {}
+            for eta, (lo, hi) in weights.items():
                 g = floor_multiple(shifted + eta, grid)
-                law[g] = law.get(g, _ZERO) + iv
+                a, b = law.get(g, (0, 0))
+                law[g] = a + lo, b + hi
             if total is not None:
-                law = {g: interval_div(iv, total, w) for g, iv in law.items()}
+                t_lo, t_hi = total
+                law = {g: ((lo << w) // t_hi, -(-(hi << w) // t_lo)) for g, (lo, hi) in law.items()}
             per_coord.append(law)
         laws.append(per_coord)
-    return laws
+    return laws, (scale if total is None else w)
 
 
-def _joint_dist(laws: Sequence[Sequence[Mapping]], s: int, w: int, deficit: Fraction) -> DiscreteDist:
-    """Average over the s shifts of the product law across coordinates.
+def _joint_dist(laws: Sequence[Sequence[Mapping]], scale: int, s: int, w: int, deficit: Fraction):
+    """Average over the s shifts of the product law across coordinates, rounded outward to w.
 
     The product is built one coordinate at a time, so each partial product
     is computed once and shared by every outcome that extends it; the fold
     order stays ((a*b)*c) and outcomes come in lexicographic order of cells.
+    The d coordinate laws are at 2**-scale, so a product is at 2**-(d scale).
     """
-    acc: dict[tuple, IntervalValue] = {}
+    acc: dict[tuple, tuple[int, int]] = {}
     for first, *rest in laws:
         partial = [((g,), iv) for g, iv in first.items()]
         for law in rest:
-            partial = [(prefix + (g,), iv * factor) for prefix, iv in partial for g, factor in law.items()]
-        for outcome, iv in partial:
-            acc[outcome] = acc.get(outcome, _ZERO) + iv
-    mass = {k: iv.scale(Fraction(1, s), w) for k, iv in acc.items()}
-    return DiscreteDist(mass=mass, deficit=deficit)
+            partial = [
+                (prefix + (g,), (lo * f_lo, hi * f_hi))
+                for prefix, (lo, hi) in partial
+                for g, (f_lo, f_hi) in law.items()
+            ]
+        for outcome, (lo, hi) in partial:
+            a, b = acc.get(outcome, (0, 0))
+            acc[outcome] = a + lo, b + hi
+    den = s << (len(laws[0]) * scale - w)
+    mass = {k: (lo // den, -(-hi // den)) for k, (lo, hi) in acc.items()}
+    return DiscreteDist(mass=mass, deficit=deficit, w=w)
 
 
 def oracle_joint_dist(counts: CountVector, params, tail_tol: Fraction = _TAIL_TOL) -> DiscreteDist:
@@ -168,13 +191,15 @@ def oracle_joint_dist(counts: CountVector, params, tail_tol: Fraction = _TAIL_TO
         noise = _pure_noise(params, tail_tol, w)
     else:
         raise ParameterDomainError("params must be ApproxParams or PureParams")
-    return _joint_dist(_shift_laws(counts.sums, params, noise, w), params.s, w, noise[2] * d)
+    laws, scale = _shift_laws(counts.sums, params, noise, w)
+    return _joint_dist(laws, scale, params.s, w, noise[2] * d)
 
 
 def oracle_coord_dist(sum_i: int, params, tail_tol: Fraction = _TAIL_TOL) -> DiscreteDist:
     """Exact law of one coordinate: the joint law at d = 1, keyed by the released value."""
     joint = oracle_joint_dist(CountVector(d=1, n=sum_i, sums=(sum_i,)), params, tail_tol)
-    return DiscreteDist(mass={g: iv for (g,), iv in joint.mass.items()}, deficit=joint.deficit)
+    mass = {g: iv for (g,), iv in joint.mass.items()}
+    return DiscreteDist(mass=mass, deficit=joint.deficit, w=joint.w)
 
 
 # Per-mode names; the params type alone decides the mode.
@@ -322,15 +347,13 @@ def accuracy_audit(
 
 
 def _upper_mass(dist: DiscreteDist, outcome) -> Fraction:
-    iv = dist.mass.get(outcome)
-    if iv is None:
-        return dist.deficit
-    return iv.hi.as_fraction() + dist.deficit
+    _, hi = dist.mass.get(outcome, (0, 0))
+    return Fraction(hi, 1 << dist.w) + dist.deficit
 
 
 def _lower_mass(dist: DiscreteDist, outcome) -> Fraction:
-    iv = dist.mass.get(outcome)
-    return iv.lo.as_fraction() if iv is not None else Fraction(0)
+    lo, _ = dist.mass.get(outcome, (0, 0))
+    return Fraction(lo, 1 << dist.w)
 
 
 def _one_sided_slack(p: DiscreteDist, q: DiscreteDist, e_eps_hi: Fraction) -> Fraction:
@@ -374,7 +397,7 @@ def privacy_audit(
     """
     dist_a = oracle_joint_dist(x, params, tail_tol)
     dist_b = oracle_joint_dist(x_neighbor, params, tail_tol)
-    e_eps_hi = exp_pos(Fraction(epsilon), 96).hi.as_fraction()
+    e_eps_hi = Fraction(exp_pos(Fraction(epsilon), 98)[1], 1 << 98)
     slack = max(
         _one_sided_slack(dist_a, dist_b, e_eps_hi),
         _one_sided_slack(dist_b, dist_a, e_eps_hi),

@@ -23,6 +23,7 @@ import csv
 import itertools
 import json
 import math
+import os
 import sys
 import time
 from collections import Counter
@@ -155,19 +156,15 @@ def load_dataset(path: str) -> CountVector:
     return CountVector(d=d, n=n, sums=tuple(sums))
 
 
-def _interval_endpoints(iv) -> list[float]:
-    return [float(iv.lo), float(iv.hi)]
-
-
 def _params_block(params, mode: str) -> dict:
     if mode == "approx":
         return {
             "epsilon": str(params.epsilon),
             "delta": str(params.delta),
             "s": params.s,
-            "sigma_sq": _interval_endpoints(params.sigma_sq_interval),
+            "sigma_sq": list(map(float, params.sigma_sq_interval)),
             "sigma_sq_pinned": str(params.sigma_sq),
-            "gamma": _interval_endpoints(params.gamma),
+            "gamma": list(map(float, params.gamma)),
             "r": params.r,
             "grid": params.grid,
         }
@@ -176,7 +173,7 @@ def _params_block(params, mode: str) -> dict:
         "s": params.s,
         "m": params.m,
         "scale": str(params.scale.t),
-        "p": _interval_endpoints(params.p),
+        "p": list(map(float, params.p)),
         "grid": params.grid,
     }
 
@@ -344,7 +341,12 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: cannot write {config.output_path}: {exc}", file=sys.stderr)
             return EXIT_IO
     else:
-        print(text)
+        try:
+            print(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader left early (``| head``); the exit flush must not fail too.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     if code != EXIT_OK:
         print(f"error: {report.get('error', 'failed')}", file=sys.stderr)
     return code

@@ -19,7 +19,7 @@ from typing import Callable
 
 from .bit_tape import BitTape
 from .errors import EnclosureContractError, ParameterDomainError
-from .precise_math import BoundedCache, _pow_scaled, exp_neg, scaled_bounds
+from .precise_math import BoundedCache, _pow_scaled, exp_neg
 
 _LEVEL_START = 64
 #: Refinement gives up past this precision. A comparison streams no deeper
@@ -173,7 +173,7 @@ class GaussianCells(CellLaw):
         self._x = 1 / (2 * Fraction(sigma_sq))
 
     def _build(self, w: int):
-        q_lo, q_hi = scaled_bounds(exp_neg(self._x, w), w)
+        q_lo, q_hi = exp_neg(self._x, w)
         sq_lo, sq_hi = _mul_down(q_lo, q_lo, w), _mul_up(q_hi, q_hi, w)
         w_lo = w_hi = 1 << w
         lo, hi = [w_lo], [w_hi]
@@ -256,7 +256,7 @@ class LaplaceCells(CellLaw):
         self._x = 1 / t
 
     def _build(self, w: int):
-        q_lo, q_hi = scaled_bounds(exp_neg(self._x, w), w)
+        q_lo, q_hi = exp_neg(self._x, w)
         table = _power_table(q_lo, q_hi, w)
         qm_lo, qm_hi = _power(table, self.halfwidth, w)
         one = 1 << w

@@ -25,15 +25,16 @@ from typing import Callable
 from .bit_tape import BitTape
 from .core_samplers import _LEVEL_START, disjoint, level_record, locate
 from .errors import EnclosureContractError, ParameterDomainError
-from .precise_math import IntervalValue, binom_prob_enclose, scaled_bounds
+from .precise_math import binom_prob_enclose, rational_enclose
 
 
 class PointMassSpec:
     """Finite distribution described by enclosures of its cumulatives.
 
-    ``prob_oracle(i, precision)`` must return an IntervalValue enclosing the
-    cumulative P_i (P_0 = 0 <= P_1 <= ... <= P_k = 1), ideally of width at
-    most 2**-precision; a wider enclosure costs refinements, not bits.
+    ``prob_oracle(i, w)`` must return integers (lo, hi) with
+    lo <= 2**w P_i <= hi for the cumulative P_i (P_0 = 0 <= P_1 <= ... <=
+    P_k = 1), ideally with hi - lo of a unit or two; a wider enclosure
+    costs refinements, not bits.
     Results are cached per level (precision 64 * 2**level); refinements of
     the same cumulative must overlap earlier enclosures or the spec is
     rejected.
@@ -43,7 +44,7 @@ class PointMassSpec:
 
     __slots__ = ("k", "prob_oracle", "_rows")
 
-    def __init__(self, k: int, prob_oracle: Callable[[int, int], IntervalValue]):
+    def __init__(self, k: int, prob_oracle: Callable[[int, int], tuple[int, int]]):
         if k < 1:
             raise ParameterDomainError("support size must be at least 1")
         self.k = k
@@ -58,7 +59,7 @@ class PointMassSpec:
         rec = row[i]
         if rec is None:
             p = _LEVEL_START << level
-            lo, hi = scaled_bounds(self.prob_oracle(i, p), p)
+            lo, hi = self.prob_oracle(i, p)
             rec = level_record(p, (1 << p) - hi, (1 << p) - lo)
             for other_level, other_row in tuple(self._rows.items()):
                 prev = other_row[i]
@@ -81,11 +82,7 @@ def spec_from_fractions(probs: "list[Fraction]") -> PointMassSpec:
     cums = [Fraction(0)]
     for p in probs:
         cums.append(cums[-1] + p)
-
-    def oracle(i: int, precision: int) -> IntervalValue:
-        return IntervalValue.from_fraction(cums[i], precision)
-
-    return PointMassSpec(len(probs), oracle)
+    return PointMassSpec(len(probs), lambda i, w: rational_enclose(cums[i], w))
 
 
 def sample_point_mass(tape: BitTape, spec: PointMassSpec) -> int:
@@ -98,53 +95,56 @@ def sample_point_mass(tape: BitTape, spec: PointMassSpec) -> int:
     return 1 + locate(tape, spec.bounds, range(1, spec.k))
 
 
-def binomial_spec(d: int, p: "Fraction | Callable[[int], IntervalValue]") -> PointMassSpec:
+def binomial_spec(d: int, p: "Fraction | Callable[[int], tuple[int, int]]") -> PointMassSpec:
     """PointMassSpec over {0..d} (as indices 1..d+1) for Bin(d, p).
 
     ``p`` may be an exact Fraction or a refinable enclosure callable
-    ``precision -> IntervalValue``; both go through the enclosed binomial.
+    ``w -> (lo, hi)`` with lo <= 2**w p <= hi; both go through the enclosed
+    binomial.
     """
     if d < 1:
         raise ParameterDomainError("binomial requires d >= 1")
     if isinstance(p, Fraction):
         if not 0 < p < 1:
             raise ParameterDomainError("binomial probability must be in (0, 1)")
-        p = partial(IntervalValue.from_fraction, p)
+        p = partial(rational_enclose, p)
     return PointMassSpec(d + 1, _enclosed_binomial_oracle(d, p))
 
 
 def _enclosed_binomial_oracle(
-    d: int, p_fn: Callable[[int], IntervalValue]
-) -> Callable[[int, int], IntervalValue]:
-    # Each precision keeps (w, p enclosed at w, cumulatives 0..n). A draw
-    # reads no cumulative above the index it returns, so the prefix is
+    d: int, p_fn: Callable[[int], tuple[int, int]]
+) -> Callable[[int, int], tuple[int, int]]:
+    # Each precision keeps (w, p enclosed at w, cumulatives 0..n at w), with
+    # w past the precision asked for by the rounding of up to d + 1 terms. A
+    # draw reads no cumulative above the index it returns, so the prefix is
     # summed up to the index asked for, under a lock so that two threads
     # never add the same term; reads take no lock.
-    rows: dict[int, tuple[int, IntervalValue, list[IntervalValue]]] = {}
-    one = IntervalValue.exact(1)
+    rows: dict[int, tuple[int, tuple[int, int], list[tuple[int, int]]]] = {}
     lock = threading.Lock()
 
-    def oracle(i: int, precision: int) -> IntervalValue:
+    def oracle(i: int, precision: int) -> tuple[int, int]:
         if i > d:
-            return one
+            return 1 << precision, 1 << precision
         row = rows.get(precision)
         if row is None or i >= len(row[2]):
             with lock:
                 row = rows.get(precision)
                 if row is None:
                     w = precision + 2 * (d + 1).bit_length() + 8
-                    row = rows[precision] = (w, p_fn(w), [IntervalValue.exact(0)])
-                w, p_iv, prefix = row
-                p_hi = p_iv.hi.as_fraction()
+                    row = rows[precision] = (w, p_fn(w), [(0, 0)])
+                w, p, prefix = row
                 while len(prefix) <= i:
                     j = len(prefix) - 1
-                    run = prefix[j] + binom_prob_enclose(d, j, p_iv, w)
+                    t_lo, t_hi = binom_prob_enclose(d, j, p, w)
+                    lo, hi = prefix[j][0] + t_lo, prefix[j][1] + t_hi
                     # Union bound: P[X > j] <= C(d, j+1) p^(j+1), so a sound
                     # enclosure of P[X <= j] cannot end below 1 minus it.
-                    upper_tail = comb(d, j + 1) * p_hi ** (j + 1)
-                    if run.lo.as_fraction() > 1 or run.hi.as_fraction() + upper_tail < 1:
+                    gap = ((1 << w) - hi) << (w * j)
+                    if lo > 1 << w or comb(d, j + 1) * p[1] ** (j + 1) < gap:
                         raise EnclosureContractError(f"binomial terms 0..{j} cannot sum toward 1")
-                    prefix.append(run)
-        return row[2][i]
+                    prefix.append((lo, hi))
+        shift = row[0] - precision
+        lo, hi = row[2][i]
+        return lo >> shift, -(-hi >> shift)
 
     return oracle

@@ -1,21 +1,26 @@
-"""Exact dyadic and interval arithmetic for the samplers' irrational constants.
+"""Exact enclosures of the samplers' irrational constants, as integer pairs.
 
 Everything a mechanism compares a random bit stream against (exp(-x), ln,
 binomial probabilities) is produced here as a rigorous two-sided
-enclosure at a requested precision. No floating point enters any sampling
-path; floats appear only when callers convert results for reporting.
-
-Convention: a value is enclosed by [lo, hi] with lo <= true <= hi, both
-endpoints exact dyadics, width hi - lo <= 2**-precision_bits. Raising the
-precision never widens an enclosure.
+enclosure at a requested precision w: a pair of integers (lo, hi) with
+lo <= 2**w * value <= hi. Each function's docstring bounds its width
+hi - lo in units of 2**-w. No floating point enters any sampling path;
+floats appear only when callers convert results for reporting. Derived
+parameters keep their bounds as exact rationals (:class:`RationalBounds`),
+and :func:`certified_le` decides a comparison with an irrational by
+refining its enclosure until one side is certain.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
+from typing import Callable, NamedTuple
 
-from .errors import MathDomainError
+from .errors import EnclosureContractError, MathDomainError
+
+#: A comparison with an irrational gives up past this precision.
+_CERTIFY_MAX_BITS = 1 << 13
 
 
 class BoundedCache(dict):
@@ -35,182 +40,6 @@ class BoundedCache(dict):
         super().__setitem__(key, value)
 
 
-class Dyadic:
-    """Exact binary rational mantissa * 2**exponent.
-
-    Canonical form keeps the mantissa odd (or zero with exponent zero), so
-    equal values have equal representations. Addition, subtraction and
-    multiplication are exact; there is no division.
-    """
-
-    __slots__ = ("mantissa", "exponent")
-
-    def __init__(self, mantissa: int, exponent: int = 0):
-        if mantissa == 0:
-            exponent = 0
-        else:
-            shift = (mantissa & -mantissa).bit_length() - 1
-            if shift:
-                mantissa >>= shift
-                exponent += shift
-        object.__setattr__(self, "mantissa", mantissa)
-        object.__setattr__(self, "exponent", exponent)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Dyadic is immutable")
-
-    @classmethod
-    def from_fraction(cls, value: Fraction | int, precision_bits: int, round_up: bool) -> "Dyadic":
-        """Directed rounding of a rational to a multiple of 2**-precision_bits."""
-        frac = Fraction(value)
-        num = frac.numerator << precision_bits if precision_bits >= 0 else frac.numerator
-        den = frac.denominator if precision_bits >= 0 else frac.denominator << -precision_bits
-        if round_up:
-            m = -((-num) // den)
-        else:
-            m = num // den
-        return cls(m, -precision_bits)
-
-    def as_fraction(self) -> Fraction:
-        if self.exponent >= 0:
-            return Fraction(self.mantissa << self.exponent)
-        return Fraction(self.mantissa, 1 << -self.exponent)
-
-    def floor(self) -> int:
-        if self.exponent >= 0:
-            return self.mantissa << self.exponent
-        return self.mantissa >> -self.exponent
-
-    def _pair(self, other: "Dyadic") -> tuple[int, int, int]:
-        e = min(self.exponent, other.exponent)
-        return self.mantissa << (self.exponent - e), other.mantissa << (other.exponent - e), e
-
-    def __add__(self, other: "Dyadic") -> "Dyadic":
-        a, b, e = self._pair(other)
-        return Dyadic(a + b, e)
-
-    def __sub__(self, other: "Dyadic") -> "Dyadic":
-        a, b, e = self._pair(other)
-        return Dyadic(a - b, e)
-
-    def __mul__(self, other: "Dyadic") -> "Dyadic":
-        return Dyadic(self.mantissa * other.mantissa, self.exponent + other.exponent)
-
-    def __neg__(self) -> "Dyadic":
-        return Dyadic(-self.mantissa, self.exponent)
-
-    def __abs__(self) -> "Dyadic":
-        return Dyadic(abs(self.mantissa), self.exponent)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Dyadic):
-            return NotImplemented
-        return self.mantissa == other.mantissa and self.exponent == other.exponent
-
-    def __lt__(self, other: "Dyadic") -> bool:
-        a, b, _ = self._pair(other)
-        return a < b
-
-    def __le__(self, other: "Dyadic") -> bool:
-        a, b, _ = self._pair(other)
-        return a <= b
-
-    def __gt__(self, other: "Dyadic") -> bool:
-        return other < self
-
-    def __ge__(self, other: "Dyadic") -> bool:
-        return other <= self
-
-    def __hash__(self):
-        return hash((self.mantissa, self.exponent))
-
-    def __float__(self) -> float:
-        try:
-            return float(self.as_fraction())
-        except OverflowError:  # pragma: no cover - astronomically large values
-            return float("inf") if self.mantissa > 0 else float("-inf")
-
-    def __repr__(self) -> str:
-        return f"Dyadic({self.mantissa}, {self.exponent})"
-
-
-DYADIC_ZERO = Dyadic(0)
-DYADIC_ONE = Dyadic(1)
-
-
-class IntervalValue:
-    """Closed interval [lo, hi] of dyadics enclosing a real value."""
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo: Dyadic, hi: Dyadic):
-        if hi < lo:
-            raise ValueError("interval endpoints out of order")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntervalValue is immutable")
-
-    @classmethod
-    def exact(cls, value: "Dyadic | int") -> "IntervalValue":
-        d = value if isinstance(value, Dyadic) else Dyadic(value)
-        return cls(d, d)
-
-    @classmethod
-    def from_fraction(cls, value: Fraction | int, precision_bits: int) -> "IntervalValue":
-        """Tightest dyadic enclosure of a rational at the given precision."""
-        lo = Dyadic.from_fraction(value, precision_bits, round_up=False)
-        hi = Dyadic.from_fraction(value, precision_bits, round_up=True)
-        return cls(lo, hi)
-
-    def width(self) -> Fraction:
-        return (self.hi - self.lo).as_fraction()
-
-    def midpoint(self) -> Fraction:
-        return (self.lo.as_fraction() + self.hi.as_fraction()) / 2
-
-    def contains(self, value: "Fraction | int | Dyadic") -> bool:
-        f = value.as_fraction() if isinstance(value, Dyadic) else Fraction(value)
-        return self.lo.as_fraction() <= f <= self.hi.as_fraction()
-
-    def encloses(self, other: "IntervalValue") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
-    def __add__(self, other: "IntervalValue") -> "IntervalValue":
-        return IntervalValue(self.lo + other.lo, self.hi + other.hi)
-
-    def __sub__(self, other: "IntervalValue") -> "IntervalValue":
-        return IntervalValue(self.lo - other.hi, self.hi - other.lo)
-
-    def __neg__(self) -> "IntervalValue":
-        return IntervalValue(-self.hi, -self.lo)
-
-    def __mul__(self, other: "IntervalValue") -> "IntervalValue":
-        products = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
-        return IntervalValue(min(products), max(products))
-
-    def scale(self, value: Fraction | int, precision_bits: int) -> "IntervalValue":
-        """Multiply by an exact rational, rounding outward at the precision."""
-        f = Fraction(value)
-        a = self.lo.as_fraction() * f
-        b = self.hi.as_fraction() * f
-        if f < 0:
-            a, b = b, a
-        return IntervalValue(
-            Dyadic.from_fraction(a, precision_bits, round_up=False),
-            Dyadic.from_fraction(b, precision_bits, round_up=True),
-        )
-
-    def __repr__(self) -> str:
-        return f"IntervalValue({float(self.lo)!r}, {float(self.hi)!r})"
-
-
 def _floor_scaled(f: Fraction, w: int) -> int:
     return (f.numerator << w) // f.denominator
 
@@ -219,36 +48,40 @@ def _ceil_scaled(f: Fraction, w: int) -> int:
     return -((-(f.numerator << w)) // f.denominator)
 
 
-def interval_div(num: IntervalValue, den: IntervalValue, precision_bits: int) -> IntervalValue:
-    """Enclosure of num/den for num.lo >= 0 and den.lo > 0, rounded outward."""
-    if den.lo.mantissa <= 0:
-        raise MathDomainError("interval division requires a strictly positive denominator")
-    if num.lo.mantissa < 0:
-        raise MathDomainError("interval division implemented for non-negative numerators only")
-    lo = num.lo.as_fraction() / den.hi.as_fraction()
-    hi = num.hi.as_fraction() / den.lo.as_fraction()
-    return IntervalValue(
-        Dyadic.from_fraction(lo, precision_bits, round_up=False),
-        Dyadic.from_fraction(hi, precision_bits, round_up=True),
-    )
+def rational_enclose(x: "Fraction | int", w: int) -> tuple[int, int]:
+    """The tightest enclosure (lo, hi) of 2**w x for an exact rational x, with hi - lo <= 1."""
+    f = Fraction(x)
+    return _floor_scaled(f, w), _ceil_scaled(f, w)
 
 
-def scaled_bounds(iv: IntervalValue, precision_bits: int) -> tuple[int, int]:
-    """Outward integer bounds (lo, hi) with value = n * 2**-precision_bits.
+class RationalBounds(NamedTuple):
+    """Exact rational bounds lo <= value <= hi of a derived parameter."""
 
-    The samplers compare streamed uniform bits against these integers; this
-    is the bridge from enclosures to the hot comparison loops.
+    lo: Fraction
+    hi: Fraction
+
+    @classmethod
+    def scaled(cls, lo: int, hi: int, w: int) -> "RationalBounds":
+        """The bounds that the pair (lo, hi) at scale 2**-w stands for."""
+        return cls(Fraction(lo, 1 << w), Fraction(hi, 1 << w))
+
+
+def certified_le(value: Fraction, enclose: Callable[[int], tuple[int, int]]) -> bool:
+    """Decide value <= y for an irrational y, where ``enclose(w)`` encloses 2**w * y.
+
+    The precision doubles from 64 until the enclosure lies on one side of
+    the value; y must not equal the value, which holds whenever y is
+    irrational.
     """
-    return (
-        _floor_scaled(iv.lo.as_fraction(), precision_bits),
-        _ceil_scaled(iv.hi.as_fraction(), precision_bits),
-    )
-
-
-def _to_fraction(x) -> Fraction:
-    if isinstance(x, Dyadic):
-        return x.as_fraction()
-    return Fraction(x)
+    w = 64
+    while w <= _CERTIFY_MAX_BITS:
+        lo, hi = enclose(w)
+        if value.numerator << w <= lo * value.denominator:
+            return True
+        if value.numerator << w > hi * value.denominator:
+            return False
+        w *= 2
+    raise EnclosureContractError("comparison against enclosure failed to resolve")
 
 
 # ---------------------------------------------------------------------------
@@ -306,52 +139,64 @@ def _pow_scaled(lo: int, hi: int, k: int, w: int) -> tuple[int, int]:
     return r_lo, r_hi
 
 
-def exp_neg(x: "Fraction | int | Dyadic", precision_bits: int) -> IntervalValue:
-    """Enclosure of exp(-x) for x >= 0, width <= 2**-precision_bits.
+def _exp_neg_guarded(x: "Fraction | int", w: int) -> tuple[int, int]:
+    """Enclosure (lo, hi) of 2**(w + 4) exp(-x) for x >= 0, with hi - lo <= 16.
 
-    Accepts any exact rational; non-dyadic inputs are bracketed by dyadics
-    first, which is sound because exp(-x) is monotone.
+    The Taylor sums run at a working precision of w + 8 bits or more. The
+    four guard bits past w let a caller that doubles or divides the result
+    round once, at its own scale; :func:`exp_neg` rounds them away.
     """
-    xf = _to_fraction(x)
+    xf = Fraction(x)
     if xf < 0:
         raise MathDomainError("exp_neg requires x >= 0")
-    w = precision_bits + 8
+    wi = w + 8
+    out = w + 4
     k = xf.numerator // xf.denominator
-    if k > w:
-        # exp(-x) < 2**-w already; [0, 2**-precision] is tight enough.
-        return IntervalValue(DYADIC_ZERO, Dyadic(1, -precision_bits))
+    if k > wi:
+        # exp(-x) < 2**-wi already; [0, 2**-w] is tight enough.
+        return 0, 1 << (out - w)
     frac = xf - k
-    lo_m = _floor_scaled(frac, w)
-    hi_m = _ceil_scaled(frac, w)
-    wp = w + 2 * max(1, k.bit_length()) + 8
+    lo_m = _floor_scaled(frac, wi)
+    hi_m = _ceil_scaled(frac, wi)
+    wp = wi + 2 * max(1, k.bit_length()) + 8
     # exp is decreasing: lower bound from the upper bracket and vice versa.
-    unit_lo, _ = _exp_neg_unit_scaled(hi_m << (wp - w), wp, wp)
-    _, unit_hi = _exp_neg_unit_scaled(lo_m << (wp - w), wp, wp)
+    unit_lo, _ = _exp_neg_unit_scaled(hi_m << (wp - wi), wp, wp)
+    _, unit_hi = _exp_neg_unit_scaled(lo_m << (wp - wi), wp, wp)
     if k:
         e1_lo, e1_hi = _exp_neg_unit_scaled(1, 0, wp)
         p_lo, p_hi = _pow_scaled(e1_lo, e1_hi, k, wp)
         unit_lo = (unit_lo * p_lo) >> wp
         unit_hi = -((-unit_hi * p_hi) >> wp)
-    out = precision_bits + 4
-    lo = unit_lo >> (wp - out)
-    hi = -((-unit_hi) >> (wp - out))
-    return IntervalValue(Dyadic(max(0, lo), -out), Dyadic(min(hi, 1 << out), -out))
+    return max(0, unit_lo >> (wp - out)), min(-((-unit_hi) >> (wp - out)), 1 << out)
 
 
-def exp_pos(x: "Fraction | int | Dyadic", precision_bits: int) -> IntervalValue:
-    """Enclosure of exp(x) for x >= 0 via the reciprocal of exp(-x)."""
-    xf = _to_fraction(x)
+def exp_neg(x: "Fraction | int", w: int) -> tuple[int, int]:
+    """Enclosure (lo, hi) of 2**w exp(-x) for x >= 0, with hi - lo <= 2.
+
+    Accepts any exact rational; non-dyadic inputs are bracketed by dyadics
+    first, which is sound because exp(-x) is monotone.
+    """
+    lo, hi = _exp_neg_guarded(x, w)
+    return lo >> 4, -(-hi >> 4)
+
+
+def exp_pos(x: "Fraction | int", w: int) -> tuple[int, int]:
+    """Enclosure (lo, hi) of 2**w exp(x) for x >= 0, with hi - lo <= 2.
+
+    It is the reciprocal of exp(-x) enclosed with 3 (1 + floor(x)) + w + 6
+    bits, which is enough for the quotient to keep w.
+    """
+    xf = Fraction(x)
     if xf < 0:
         raise MathDomainError("exp_pos requires x >= 0")
-    if xf == 0:
-        return IntervalValue.exact(DYADIC_ONE)
-    guard = 3 * (1 + xf.numerator // xf.denominator) + precision_bits + 8
-    inv = exp_neg(xf, guard)
-    return interval_div(IntervalValue.exact(DYADIC_ONE), inv, precision_bits + 2)
+    guard = 3 * (1 + xf.numerator // xf.denominator) + w + 6
+    inv_lo, inv_hi = _exp_neg_guarded(xf, guard)
+    num = 1 << (w + guard + 4)
+    return num // inv_hi, -(-num // inv_lo)
 
 
 # ---------------------------------------------------------------------------
-# ln and sqrt
+# ln
 # ---------------------------------------------------------------------------
 
 
@@ -384,12 +229,12 @@ def _ln2_bounds(w: int) -> tuple[Fraction, Fraction]:
     return _LN2_CACHE[w]
 
 
-def ln_enclose(x: "Fraction | int | Dyadic", precision_bits: int) -> IntervalValue:
-    """Enclosure of ln(x) for x > 0, width <= 2**-precision_bits."""
-    xf = _to_fraction(x)
+def ln_enclose(x: "Fraction | int", w: int) -> tuple[int, int]:
+    """Enclosure (lo, hi) of 2**w ln(x) for x > 0, with hi - lo <= 2."""
+    xf = Fraction(x)
     if xf <= 0:
         raise MathDomainError("ln_enclose requires x > 0")
-    w = precision_bits + 8
+    wi = w + 6
     # Normalize x = m * 2**e with m in [1, 2).
     e = xf.numerator.bit_length() - xf.denominator.bit_length()
     m = xf / Fraction(2) ** e
@@ -400,20 +245,17 @@ def ln_enclose(x: "Fraction | int | Dyadic", precision_bits: int) -> IntervalVal
         m *= 2
         e -= 1
     z = (m - 1) / (m + 1)
-    s, r = _atanh_series(z, w)
+    s, r = _atanh_series(z, wi)
     lo_f, hi_f = s, s + r
     if e:
-        ln2_lo, ln2_hi = _ln2_bounds(w + abs(e).bit_length() + 2)
+        ln2_lo, ln2_hi = _ln2_bounds(wi + abs(e).bit_length() + 2)
         if e > 0:
             lo_f += e * ln2_lo
             hi_f += e * ln2_hi
         else:
             lo_f += e * ln2_hi
             hi_f += e * ln2_lo
-    return IntervalValue(
-        Dyadic.from_fraction(lo_f, precision_bits + 2, round_up=False),
-        Dyadic.from_fraction(hi_f, precision_bits + 2, round_up=True),
-    )
+    return _floor_scaled(lo_f, w), _ceil_scaled(hi_f, w)
 
 
 # ---------------------------------------------------------------------------
@@ -421,24 +263,24 @@ def ln_enclose(x: "Fraction | int | Dyadic", precision_bits: int) -> IntervalVal
 # ---------------------------------------------------------------------------
 
 
-def binom_prob_enclose(d: int, i: int, p: IntervalValue, precision_bits: int) -> IntervalValue:
-    """Enclosure of C(d, i) * p**i * (1-p)**(d-i).
+def binom_prob_enclose(d: int, i: int, p: tuple[int, int], w: int) -> tuple[int, int]:
+    """Enclosure (lo, hi) of 2**w C(d, i) p**i (1-p)**(d-i), for ``p`` enclosed at the same w.
 
-    The output width is bounded by 2**-precision_bits plus the propagated
-    width of ``p`` itself (at most d times it); callers refine the input
-    enclosure when they need a tighter result.
+    hi - lo <= d (p_hi - p_lo) + 2: rounding costs at most two units, and
+    a point mass moves by at most d times any change in p, so callers
+    refine p when they need a tighter result.
     """
     if not 0 <= i <= d:
         raise MathDomainError("binomial index out of range")
     c = comb(d, i)
     # The powers' rounding error is multiplied by C(d, i), up to 2**d.
-    w = precision_bits + d.bit_length() + c.bit_length() + 8
-    one = 1 << w
-    p_lo = max(0, _floor_scaled(p.lo.as_fraction(), w))
-    p_hi = min(one, _ceil_scaled(p.hi.as_fraction(), w))
-    q_lo, q_hi = one - p_hi, one - p_lo
-    a_lo, a_hi = _pow_scaled(p_lo, p_hi, i, w)
-    b_lo, b_hi = _pow_scaled(q_lo, q_hi, d - i, w)
-    lo = (c * a_lo * b_lo) >> w
-    hi = -((-c * a_hi * b_hi) >> w)
-    return IntervalValue(Dyadic(lo, -w), Dyadic(min(hi, one), -w))
+    shift = d.bit_length() + c.bit_length() + 8
+    wi = w + shift
+    one = 1 << wi
+    p_lo = max(0, p[0] << shift)
+    p_hi = min(one, p[1] << shift)
+    a_lo, a_hi = _pow_scaled(p_lo, p_hi, i, wi)
+    b_lo, b_hi = _pow_scaled(one - p_hi, one - p_lo, d - i, wi)
+    lo = (c * a_lo * b_lo) >> (wi + shift)
+    hi = -((-c * a_hi * b_hi) >> (wi + shift))
+    return lo, min(hi, 1 << w)

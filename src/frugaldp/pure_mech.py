@@ -21,7 +21,8 @@ from .bit_tape import BitTape
 from .core_samplers import LaplaceCells, LaplaceScale
 from .entropy_sampler import PointMassSpec, binomial_spec, sample_point_mass
 from .errors import EnclosureContractError, ParameterDomainError
-from .precise_math import IntervalValue, exp_neg, exp_pos, interval_div, ln_enclose
+from .precise_math import RationalBounds, _exp_neg_guarded, certified_le, exp_pos, ln_enclose
+from .precise_math import exp_neg  # noqa: F401 - bench/tracer.py wraps exp_neg in every module
 from .release import CountVector, MechanismResult, check_release, shift_and_round
 
 
@@ -43,9 +44,9 @@ class PureParams:
     """Validated parameters of the pure-DP release.
 
     ``p`` is the exact two-sided tail mass P[|Lap_Z(d/eps)| >= m], a
-    transcendental number carried as a 64-bit enclosure; ``tail_mass``
-    encloses it at any precision, and the tail-set draw refines through it
-    on demand, so the release distribution is exact.
+    transcendental number whose bounds are kept from its 64-bit enclosure;
+    ``tail_mass`` encloses it at any precision, and the tail-set draw
+    refines through it on demand, so the release distribution is exact.
     """
 
     __slots__ = (
@@ -72,22 +73,21 @@ class PureParams:
         self.m = m
         self.grid = m * s
         self.scale = LaplaceScale(Fraction(d, 1) / epsilon)
-        self.p = self.tail_mass(64)
-        prec = 128
-        while self.p.hi.as_fraction() >= 1:  # p < 1 holds analytically; certify it
-            self.p = self.tail_mass(prec)
-            prec *= 2
-            if prec > (1 << 13):
-                raise EnclosureContractError("tail probability failed to certify below 1")
+        self.p = RationalBounds.scaled(*self.tail_mass(64), 64)
+        if certified_le(Fraction(1), self.tail_mass):  # p < 1 holds analytically; certify it
+            raise EnclosureContractError("tail probability is not below 1")
         self.binomial: PointMassSpec = binomial_spec(d, self.tail_mass)
         self.cells = LaplaceCells(self.scale, m)
 
-    def tail_mass(self, precision: int) -> IntervalValue:
-        """Enclosure of p = 2 exp(-(m - 1)/t) / (exp(1/t) + 1) of width about 2**-precision."""
+    def tail_mass(self, w: int) -> tuple[int, int]:
+        """Enclosure (lo, hi) of 2**w p, p = 2 exp(-(m - 1)/t) / (exp(1/t) + 1), with hi - lo <= 2."""
         inv_t = 1 / self.scale.t
-        num = exp_neg((self.m - 1) * inv_t, precision + 6).scale(2, precision + 6)
-        den = exp_pos(inv_t, precision + 6) + IntervalValue.exact(1)
-        return interval_div(num, den, precision)
+        # The numerator rounded outward at 2**-(w + 6), the denominator at 2**-(w + 8).
+        a_lo, a_hi = _exp_neg_guarded((self.m - 1) * inv_t, w + 6)  # at 2**-(w + 10)
+        num_lo, num_hi = a_lo >> 3, -(-a_hi >> 3)
+        e_lo, e_hi = exp_pos(inv_t, w + 8)
+        one = 1 << (w + 8)
+        return (num_lo << (w + 2)) // (e_hi + one), -(-(num_hi << (w + 2)) // (e_lo + one))
 
 
 def derive_pure_params(epsilon: Fraction, d: int, s: int, precision: int = 96) -> PureParams:
@@ -110,9 +110,8 @@ def derive_pure_params(epsilon: Fraction, d: int, s: int, precision: int = 96) -
     if s == 1:
         m = 1
     else:
-        product = ln_enclose(t, precision) * ln_enclose(s, precision)
-        scaled = product.scale(t, precision)
-        m = math.ceil(scaled.hi.as_fraction()) + 1
+        w = precision + 2
+        m = math.ceil(Fraction(ln_enclose(t, w)[1] * ln_enclose(s, w)[1], 1 << (2 * w)) * t) + 1
     return PureParams(d, s, epsilon, m)
 
 

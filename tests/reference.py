@@ -24,7 +24,7 @@ from frugaldp.approx_mech import ApproxParams, _assert_envelope, certify_window_
 from frugaldp.bit_tape import BitTape
 from frugaldp.core_samplers import _LEVEL_START, LaplaceScale, disjoint, level_record, locate
 from frugaldp.errors import EnclosureContractError, MathDomainError, ParameterDomainError
-from frugaldp.precise_math import BoundedCache, IntervalValue, exp_neg, scaled_bounds
+from frugaldp.precise_math import BoundedCache, RationalBounds, exp_neg
 from frugaldp.pure_mech import PureParams
 from frugaldp.release import (
     CountVector,
@@ -76,14 +76,14 @@ def floor_sqrt(x: "Fraction | int") -> int:
 class RefinableProb:
     """A probability in [0, 1] with certified scaled-integer bounds.
 
-    Wraps an enclosure function ``fn(precision_bits) -> IntervalValue`` and
+    Wraps an enclosure function ``fn(w) -> (lo, hi)``, lo <= 2**w q <= hi, and
     caches its level records, level j at precision 64 * 2**j. Threads may
     share an instance; see ``_LEVEL_LOCK``.
     """
 
     __slots__ = ("_fn", "_levels")
 
-    def __init__(self, fn: Callable[[int], IntervalValue]):
+    def __init__(self, fn: Callable[[int], tuple[int, int]]):
         self._fn = fn
         self._levels: list[tuple[int, int, int, int]] = []
 
@@ -95,7 +95,7 @@ class RefinableProb:
         with _LEVEL_LOCK:
             while len(levels) <= level:
                 p = _LEVEL_START << len(levels)
-                rec = level_record(p, *scaled_bounds(self._fn(p), p))
+                rec = level_record(p, *self._fn(p))
                 # Levels must overlap; disjoint enclosures mean a broken oracle.
                 if levels and disjoint(rec, levels[-1]):
                     raise EnclosureContractError("refined enclosure disjoint from previous level")
@@ -235,8 +235,7 @@ def approx_params_from_sigma(
         s,
         sigma_sq,
         r,
-        gamma=IntervalValue.from_fraction(gamma, 96),
-        gamma_floor=gamma,
+        gamma=RationalBounds(gamma, gamma),
     )
 
 

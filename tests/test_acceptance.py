@@ -264,8 +264,8 @@ def test_criterion_08_oracle_privacy():
     eps_a, delta_a = Fraction(1), Fraction(1, 4)
     approx_params = derive_approx_params(eps_a, delta_a, 1, 3)
     envelope = (
-        exp_pos(eps_a, 96).hi.as_fraction() + 1
-    ) * approx_params.gamma.hi.as_fraction() + delta_a
+        Fraction(exp_pos(eps_a, 96)[1], 1 << 96) + 1
+    ) * approx_params.gamma.hi + delta_a
     approx_res = privacy_audit(zero, one, approx_params, eps_a, envelope)
     ok = (
         pure_res.passed

@@ -51,7 +51,7 @@ class TestDeriveParams:
         ref = 4 * math.log(2 / float(delta))
         assert abs(float(params.sigma_sq_interval.lo) - ref) < 1e-9
         assert abs(float(params.sigma_sq_interval.hi) - ref) < 1e-9
-        assert params.sigma_sq == params.sigma_sq_interval.hi.as_fraction()
+        assert params.sigma_sq == params.sigma_sq_interval.hi
 
     def test_delta_domain_enforced(self):
         # exp(-1/2) ~ 0.6065: delta = 0.7 must be rejected.
@@ -62,7 +62,7 @@ class TestDeriveParams:
     def test_window_radius_certified_minimal(self):
         params = derive_approx_params(Fraction(1), Fraction(1, 4), 4, 4)
         sigma_sq = float(params.sigma_sq)
-        budget = float(params.gamma_floor) / params.d
+        budget = float(params.gamma.lo) / params.d
         assert 2 * math.exp(-params.r**2 / (2 * sigma_sq)) <= budget
         assert 2 * math.exp(-((params.r - 1) ** 2) / (2 * sigma_sq)) > budget
 

@@ -31,7 +31,7 @@ from frugaldp.audit_harness import (
 )
 from frugaldp.bit_tape import BitTape
 from frugaldp.errors import ParameterDomainError
-from frugaldp.precise_math import IntervalValue, exp_pos
+from frugaldp.precise_math import exp_pos, rational_enclose
 from frugaldp.pure_mech import PureParams, mech_pure_efficient
 from frugaldp.release import CountVector
 from reference import (
@@ -44,8 +44,9 @@ from reference import (
 
 def _dist(pairs) -> DiscreteDist:
     return DiscreteDist(
-        mass={k: IntervalValue.from_fraction(Fraction(v), 96) for k, v in pairs.items()},
+        mass={k: rational_enclose(v, 96) for k, v in pairs.items()},
         deficit=Fraction(0),
+        w=96,
     )
 
 
@@ -145,7 +146,7 @@ class TestApproxOracle:
         params = approx_params_from_sigma(1, 3, Fraction(2), Fraction(1, 1024))
         dist = oracle_coord_dist_approx(5, params)
         bound = params.accuracy_bound
-        for outcome in dist.support():
+        for outcome in sorted(dist.mass):
             assert outcome % params.grid == 0
             assert abs(outcome - 5) <= bound
         lo, hi = dist.total_mass()
@@ -167,7 +168,7 @@ class TestPureOracle:
     def test_support_is_grid(self):
         params = PureParams(1, 2, Fraction(1, 2), 2)
         dist = oracle_coord_dist_pure(3, params)
-        assert all(outcome % params.grid == 0 for outcome in dist.support())
+        assert all(outcome % params.grid == 0 for outcome in dist.mass)
 
     def test_mass_deficit_bounded(self):
         params = PureParams(1, 2, Fraction(1, 2), 2)
@@ -212,20 +213,22 @@ def test_joint_law_is_the_left_fold_over_every_combination():
     params = PureParams(3, 2, Fraction(1), 2)
     tol = Fraction(1, 1 << 10) / 3  # a short horizon keeps the enumeration small
     w = _tolerance_bits(tol, 8 * params.s * 3)
-    laws = _shift_laws((3, 7, 8), params, _pure_noise(params, tol, w), w)
+    laws, scale = _shift_laws((3, 7, 8), params, _pure_noise(params, tol, w), w)
     acc = {}
     for per_coord in laws:
         for combo in product(*(law.items() for law in per_coord)):
-            iv = combo[0][1]
-            for _, factor in combo[1:]:
-                iv = iv * factor
+            lo, hi = combo[0][1]
+            for _, (f_lo, f_hi) in combo[1:]:
+                lo, hi = lo * f_lo, hi * f_hi
             outcome = tuple(g for g, _ in combo)
-            acc[outcome] = acc.get(outcome, IntervalValue.exact(0)) + iv
-    joint = _joint_dist(laws, params.s, w, Fraction(0))
+            a, b = acc.get(outcome, (0, 0))
+            acc[outcome] = a + lo, b + hi
+    joint = _joint_dist(laws, scale, params.s, w, Fraction(0))
     assert list(joint.mass) == list(acc)
-    for outcome, iv in acc.items():
-        mass = iv.scale(Fraction(1, params.s), w)
-        assert (joint.mass[outcome].lo, joint.mass[outcome].hi) == (mass.lo, mass.hi)
+    for outcome, (lo, hi) in acc.items():
+        # The average over the s shifts, rounded outward from 2**-(3 scale) to 2**-w.
+        exact = Fraction(1 << w, params.s << (3 * scale))
+        assert joint.mass[outcome] == (math.floor(lo * exact), math.ceil(hi * exact))
 
 
 @pytest.mark.parametrize(
@@ -244,16 +247,17 @@ def test_coordinate_law_is_the_marginal_of_the_joint_law(params, counts):
     for i, sum_i in enumerate(counts.sums):
         coord = oracle_coord_dist(sum_i, params)
         lo, hi = Counter(), Counter()
-        for outcome, iv in joint.mass.items():
-            lo[outcome[i]] += iv.lo.as_fraction()
-            hi[outcome[i]] += iv.hi.as_fraction()
+        for outcome, (m_lo, m_hi) in joint.mass.items():
+            lo[outcome[i]] += Fraction(m_lo, 1 << joint.w)
+            hi[outcome[i]] += Fraction(m_hi, 1 << joint.w)
         assert set(coord.mass) <= set(lo)  # pure mode: the joint's horizon reaches further
+        mids = coord.midpoints()
         for g in lo:
-            iv = coord.mass.get(g, IntervalValue.exact(0))
+            c_lo, c_hi = coord.mass.get(g, (0, 0))
             # Both enclose the true marginal, up to their deficits.
-            assert lo[g] <= iv.hi.as_fraction() + coord.deficit
-            assert iv.lo.as_fraction() <= hi[g] + joint.deficit
-            assert abs(iv.midpoint() - (lo[g] + hi[g]) / 2) <= Fraction(1, 1 << 30)
+            assert lo[g] <= Fraction(c_hi, 1 << coord.w) + coord.deficit
+            assert Fraction(c_lo, 1 << coord.w) <= hi[g] + joint.deficit
+            assert abs(mids.get(g, 0) - (lo[g] + hi[g]) / 2) <= Fraction(1, 1 << 30)
 
 
 class TestBatchAudits:
@@ -359,7 +363,7 @@ class TestPrivacyAudit:
         params = derive_approx_params(eps, delta, 1, 3)
         a = CountVector(d=1, n=5, sums=(0,))
         b = CountVector(d=1, n=5, sums=(1,))
-        envelope = (exp_pos(eps, 64).hi.as_fraction() + 1) * params.gamma.hi.as_fraction() + delta
+        envelope = (Fraction(exp_pos(eps, 64)[1], 1 << 64) + 1) * params.gamma.hi + delta
         res = privacy_audit(a, b, params, eps, envelope)
         assert res.passed
 

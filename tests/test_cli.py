@@ -499,3 +499,22 @@ def test_piped_input_is_read_in_one_pass(tmp_path):
         reports.append(json.loads(proc.stdout))
     assert reports[0]["meta"]["n"] == reports[1]["meta"]["n"] == 600
     assert reports[0]["values"] == reports[1]["values"]
+
+
+def test_reader_closing_the_pipe_early_exits_quietly(tmp_path):
+    # The report of 20 000 columns is larger than a 64 KiB pipe buffer, so the
+    # writer is still writing when the reader closes its end.
+    d = 20_000
+    path = tmp_path / "wide.csv"
+    path.write_text(",".join(f"q{j}" for j in range(d)) + "\n" + ",".join("01"[j % 2] for j in range(d)) + "\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "frugaldp.cli", "--mode", "pure", "--epsilon", "1", "--s", "4",
+         "--seed", "1", "--input", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    assert proc.wait() == EXIT_OK, stderr
+    assert "Traceback" not in stderr

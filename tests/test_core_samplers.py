@@ -19,7 +19,7 @@ from frugaldp.approx_mech import mech_approx_efficient
 from frugaldp.bit_tape import BitTape
 from frugaldp.core_samplers import GaussianCells, LaplaceCells, LaplaceScale, locate
 from frugaldp.errors import ParameterDomainError
-from frugaldp.precise_math import IntervalValue, exp_neg
+from frugaldp.precise_math import exp_neg, rational_enclose
 from frugaldp.pure_mech import PureParams, mech_pure_efficient
 from frugaldp.release import CountVector, is_silent, shift_and_round
 from reference import (
@@ -41,11 +41,15 @@ from conftest import collect_histogram
 
 def _bernoulli_exp_oracle(gamma):
     """RefinableProb for 1 - exp(-1/gamma)."""
-    return RefinableProb(lambda p: IntervalValue.exact(1) - exp_neg(1 / Fraction(gamma), p))
+    def enclose(w):
+        lo, hi = exp_neg(1 / Fraction(gamma), w)
+        return (1 << w) - hi, (1 << w) - lo
+
+    return RefinableProb(enclose)
 
 
 def _constant_oracle(value):
-    return RefinableProb(lambda p: IntervalValue.from_fraction(value, p))
+    return RefinableProb(lambda w: rational_enclose(value, w))
 
 
 def _geometric_pmf(t):

@@ -15,7 +15,7 @@ from frugaldp.entropy_sampler import (
     spec_from_fractions,
 )
 from frugaldp.errors import EnclosureContractError, ParameterDomainError
-from frugaldp.precise_math import Dyadic, IntervalValue, binom_prob_enclose, exp_neg, interval_div
+from frugaldp.precise_math import binom_prob_enclose, exp_neg, exp_pos
 from frugaldp.pure_mech import derive_pure_params, mech_pure_efficient, sample_tail_set
 from frugaldp.release import CountVector
 
@@ -58,19 +58,16 @@ class TestSamplePointMass:
             spec_from_fractions([Fraction(3, 2), Fraction(-1, 2)])
 
     def test_disjoint_refinement_detected(self):
-        def broken_oracle(i, precision):
+        def broken_oracle(i, w):
             # Cumulative P_1 refines into an interval disjoint from the
             # coarse one; the wide coarse interval forces deep draws.
             if i == 0:
-                return IntervalValue.from_fraction(0, precision)
+                return 0, 0
             if i == 2:
-                return IntervalValue.from_fraction(1, precision)
-            if precision <= 64:
-                return IntervalValue(
-                    IntervalValue.from_fraction(Fraction(1, 8), 16).lo,
-                    IntervalValue.from_fraction(Fraction(3, 8), 16).hi,
-                )
-            return IntervalValue.from_fraction(Fraction(3, 4), precision)
+                return 1 << w, 1 << w
+            if w <= 64:
+                return 1 << (w - 3), 3 << (w - 3)
+            return 3 << (w - 2), 3 << (w - 2)
 
         spec = PointMassSpec(2, broken_oracle)
         tape = BitTape(seed=805)
@@ -105,12 +102,11 @@ class TestBinomialDraw:
 
     def test_enclosed_probability_matches_formula(self):
         # p = 2 exp(-1/2) / (exp(1/2) + 1), the pure mechanism's tail mass shape.
-        def p_fn(prec):
-            num = exp_neg(Fraction(1, 2), prec + 4).scale(2, prec + 4)
-            den = interval_div(
-                IntervalValue.exact(1), exp_neg(Fraction(1, 2), prec + 8), prec + 4
-            ) + IntervalValue.exact(1)
-            return interval_div(num, den, prec)
+        def p_fn(w):
+            a_lo, a_hi = exp_neg(Fraction(1, 2), w + 4)
+            e_lo, e_hi = exp_pos(Fraction(1, 2), w + 4)
+            one = 1 << (w + 4)
+            return (a_lo << (w + 1)) // (e_hi + one), -(-(a_hi << (w + 1)) // (e_lo + one))
 
         p_ref = 2 * math.exp(-0.5) / (math.exp(0.5) + 1)
         spec = binomial_spec(2, p_fn)
@@ -124,7 +120,7 @@ class TestBinomialDraw:
     def test_enclosed_half_is_frugal(self, d):
         # p = 1/2 through a callable: the middle terms are enclosed, not exact,
         # so the draw's cost rests on how tight binom_prob_enclose is.
-        spec = binomial_spec(d, lambda prec: IntervalValue.from_fraction(Fraction(1, 2), prec))
+        spec = binomial_spec(d, lambda w: (1 << (w - 1), 1 << (w - 1)))
         n = 3000
         hist, bits = collect_histogram(lambda t: sample_point_mass(t, spec) - 1, n, 811)
         pmf = [Fraction(math.comb(d, k), 2**d) for k in range(d + 1)]
@@ -169,9 +165,9 @@ class TestEnclosedBinomialCost:
         assert trace.tail_size == len(trace.tail_set)
 
     def test_undersized_terms_break_the_contract(self, monkeypatch):
-        def halved(d, i, p, precision_bits):
-            iv = binom_prob_enclose(d, i, p, precision_bits)
-            return IntervalValue(*(Dyadic(x.mantissa, x.exponent - 1) for x in (iv.lo, iv.hi)))
+        def halved(d, i, p, w):
+            lo, hi = binom_prob_enclose(d, i, p, w)
+            return lo >> 1, hi >> 1
 
         monkeypatch.setattr(es, "binom_prob_enclose", halved)
         params = derive_pure_params(Fraction(1), 64, 4)

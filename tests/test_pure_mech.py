@@ -195,9 +195,10 @@ class TestDistributionalStructure:
             outside_bits.append(
                 cats.get("binomial", 0) + cats.get("subset", 0) + cats.get("shift", 0)
             )
-        dp = 64 * float(params.p.midpoint())
+        p_mid = float((params.p.lo + params.p.hi) / 2)
+        dp = 64 * p_mid
         mean_size = sum(sizes) / runs
-        sigma = math.sqrt(dp * (1 - float(params.p.midpoint())) / runs)
+        sigma = math.sqrt(dp * (1 - p_mid) / runs)
         assert abs(mean_size - dp) <= 3 * sigma + 0.02
         # Outside-loop randomness stays logarithmic: generous desk bound
         # against O(log d + p d log d + log s) with tiny p.

@@ -15,7 +15,7 @@ from frugaldp import core_samplers
 from frugaldp.bit_tape import BitTape
 from frugaldp.core_samplers import GaussianCells, LaplaceCells, LaplaceScale
 from frugaldp.entropy_sampler import PointMassSpec, binomial_spec, sample_point_mass
-from frugaldp.precise_math import IntervalValue, exp_neg, scaled_bounds
+from frugaldp.precise_math import exp_neg
 from reference import GaussParam, RefinableProb
 
 THREADS = 6
@@ -68,8 +68,8 @@ def test_enclosed_binomial_prefix():
     # The enclosed binomial sums its cumulatives lazily; draws at p = 1/2
     # reach index d/2 and bounds reads reach d, so threads extend the same
     # prefixes at once.
-    def p_fn(precision):
-        return IntervalValue.from_fraction(Fraction(1, 2), precision)
+    def p_fn(w):
+        return 1 << (w - 1), 1 << (w - 1)
 
     def read(spec, k):
         tape = BitTape(seed=900 + k)
@@ -88,7 +88,7 @@ def test_refinable_prob_levels_stay_ordered():
 
     def exact_level(j):
         p = 64 << j
-        lo, hi = scaled_bounds(fn(p), p)
+        lo, hi = fn(p)
         lo, hi = max(lo, 0), min(hi, 1 << p)
         return p, lo, hi, p - (hi - lo).bit_length()
 
