@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .bit_tape import BitTape
 from .core_samplers import GaussianCells
-from .errors import EnclosureContractError, FrugalDPError, ParameterDomainError
+from .errors import EnclosureContractError, InternalError, ParameterDomainError
 from .precise_math import RationalBounds, _ceil_scaled, _floor_scaled, certified_le, exp_neg, exp_pos
 from .precise_math import ln_enclose, rational_enclose
 from .release import CountVector, MechanismResult, check_release, shift_and_round
@@ -160,7 +160,7 @@ def _assert_envelope(values, counts, params) -> None:
     bound = params.accuracy_bound
     for y, s_i in zip(values, counts.sums):
         if abs(y - s_i) > bound:
-            raise FrugalDPError("deterministic accuracy envelope violated")
+            raise InternalError("deterministic accuracy envelope violated")
 
 
 def mech_approx_efficient(

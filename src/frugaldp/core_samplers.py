@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable
+from typing import Callable, Iterator
 
 from .bit_tape import BitTape
 from .errors import EnclosureContractError, ParameterDomainError
@@ -49,7 +49,12 @@ def disjoint(a: tuple[int, int, int, int], b: tuple[int, int, int, int]) -> bool
     return a[1] << b[0] > b[2] << a[0] or a[2] << b[0] < b[1] << a[0]
 
 
-def locate(tape: BitTape, bounds: Callable[[object, int], tuple[int, int, int, int]], keys) -> int:
+def locate(
+    tape: BitTape,
+    bounds: Callable[[object, int], tuple[int, int, int, int]],
+    keys,
+    level0: Iterator[tuple[int, int, int, int]] | None = None,
+) -> int:
     """How many leading thresholds along ``keys`` lie above one uniform u.
 
     ``bounds(key, level)`` returns the :func:`level_record` of the key's
@@ -62,12 +67,18 @@ def locate(tape: BitTape, bounds: Callable[[object, int], tuple[int, int, int, i
     P[X >= 2], ... as thresholds the count is distributed as X. This is the
     interval algorithm, so it reads fewer than H(X) + 3 bits on average
     (Han and Hoshi); near a grid edge it can exceed H(X) + 2.
+
+    ``level0``, when given, yields the level-0 record of each key's
+    threshold in the order of ``keys``, one per key read (a run's running
+    product, streamed by :func:`~frugaldp.release.draw_runs`); ``bounds`` is
+    then asked only for levels >= 1. It yields what ``bounds(key, 0)``
+    would return, so the draw is the same either way.
     """
     next_bit = tape.next_bit
     u = nb = count = 0
     for key in keys:
         level = 0
-        p, lo, hi, limit = bounds(key, 0)
+        p, lo, hi, limit = bounds(key, 0) if level0 is None else next(level0)
         while True:
             if nb + 2 > limit:  # too coarse for u's next bit, or for bits kept from an earlier key
                 level += 1

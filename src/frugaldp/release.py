@@ -8,8 +8,12 @@ the truncated noise law. Windows with one grid edge (all, when s >= 2)
 are drawn in runs (:func:`draw_runs`): one
 :func:`~frugaldp.core_samplers.locate` draws how many coordinates stay in
 their centre's cell before one leaves, for about the cells' entropy plus
-two bits per leaving coordinate, not two bits per coordinate. A window with
-two edges (s = 1) has its own locate. The grid is unit * s, where the unit
+two bits per leaving coordinate, not two bits per coordinate. Its
+thresholds are the run's running products of stay-home probabilities; the
+level-0 products reach locate as a stream, one multiply pair per
+coordinate over records read from the cell law's level-0 memo, and only a
+refinement goes through a bounds closure. A window with two edges (s = 1)
+has its own locate. The grid is unit * s, where the unit
 is the noise half-width (r in approx mode, m in pure mode). Pure mode adds
 one pre-step, a tail set drawn up front. A tail coordinate's noise is
 +-(m + G) with G geometric, so it too draws only its cell: one fair sign
@@ -23,9 +27,10 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import count
 
+from . import core_samplers
 from .bit_tape import BitTape
-from .core_samplers import CellLaw, level_record, locate
-from .errors import FrugalDPError, ParameterDomainError
+from .core_samplers import CellLaw, locate
+from .errors import InternalError, ParameterDomainError
 
 
 @dataclass(frozen=True)
@@ -57,7 +62,7 @@ class RandomnessReport:
 
     def __post_init__(self):
         if sum(self.bits_by_category.values()) != self.bits_total:
-            raise FrugalDPError("category bit counts do not sum to the total")
+            raise InternalError("category bit counts do not sum to the total")
 
 
 @dataclass(frozen=True)
@@ -175,11 +180,11 @@ def shift_and_round(
                     keys.append(k)
             values.append(low)
         if keys:
-            draw_runs(tape, cells.tail_ratio, grid, queued, keys, values)
+            draw_runs(tape, cells, grid, queued, keys, values)
     return MechanismResult(tuple(values), build_report(tape, start, tuple(boundary), attempts)), omega
 
 
-def draw_runs(tape: BitTape, tail_ratio, grid: int, queued: list, keys: list, values: list) -> None:
+def draw_runs(tape: BitTape, cells: CellLaw, grid: int, queued: list, keys: list, values: list) -> None:
     """Draw the cells of single-edge coordinates, one :func:`locate` per run that stays home.
 
     Coordinate ``queued[i]``, with its edge at key k = ``keys[i]``, holds its
@@ -188,29 +193,46 @@ def draw_runs(tape: BitTape, tail_ratio, grid: int, queued: list, keys: list, va
     <= 1/2, k' = k if k > 0 else 1 - k by symmetry. From a run start b, the
     count L that stay home has upper tails T_j = prod_{b <= i < b + j} (1 - p_i),
     so one locate draws L; b + L departs and the next run starts after it.
+    Each level's records of T_1, T_2, ... come from one generator over the
+    run (``products``): it reads each p_i from the law's memo at that level
+    (through ``tail_ratio`` on a miss) and extends the product by one
+    outward-rounded multiply pair. locate takes the level-0 stream whole;
+    ``bounds`` advances a stream per refinement level only for the keys
+    that need it.
     """
-    levels: list[tuple[int, tuple[int, int, int, int] | None]] = []
+
+    def products(b: int, level: int):
+        """The records of T_1, T_2, ... from key b on at ``level``, one per key, in order."""
+        memo = (cells._levels.get(level) or cells._build_level(level))[1]
+        p = core_samplers._LEVEL_START << level  # read per run, so a lowered level start takes effect
+        one = lo = hi = 1 << p
+        for i in range(b, end):
+            k = keys[i]
+            if k <= 0:
+                k = 1 - k
+            _, a_lo, a_hi, _ = memo.get(k) or cells.tail_ratio(k, level)
+            # Outward rounding: the lower product down, the upper product up.
+            # Since 0 <= a_lo <= a_hi <= one, 0 <= lo <= hi <= one holds with no clipping.
+            lo = lo * (one - a_hi) >> p
+            hi = -(-hi * (one - a_lo) >> p)
+            yield p, lo, hi, p - (hi - lo).bit_length()
+
+    refined: list[list] = []  # per level >= 1: [last key read, its record, the level's stream]
 
     def bounds(j: int, level: int) -> tuple[int, int, int, int]:
-        """T_(j - start + 1) at ``level``: one running product per level, extended to key j."""
-        if level == len(levels):  # locate asks for the levels of a key in order
-            levels.append((start - 1, None))
-        i, rec = levels[level]
-        while i < j:
-            i += 1
-            k = keys[i]
-            p, a_lo, a_hi, _ = tail_ratio(k if k > 0 else 1 - k, level)
-            one = 1 << p
-            lo, hi = (rec[1], rec[2]) if rec else (one, one)
-            # Outward rounding: the lower product down, the upper product up.
-            rec = level_record(p, lo * (one - a_hi) >> p, -(-hi * (one - a_lo) >> p))
-        levels[level] = i, rec
-        return rec
+        """T_(j - start + 1) at ``level`` >= 1, from that level's stream advanced to key j."""
+        if level > len(refined):  # locate asks for the levels of a key in order
+            refined.append([start - 1, None, products(start, level)])
+        entry = refined[level - 1]
+        while entry[0] < j:
+            entry[0] += 1
+            entry[1] = next(entry[2])
+        return entry[1]
 
     start, end = 0, len(keys)
     while start < end:
-        levels.clear()
-        start += locate(tape, bounds, range(start, end))
+        refined.clear()
+        start += locate(tape, bounds, range(start, end), products(start, 0))
         if start < end:
             values[queued[start]] += grid if keys[start] > 0 else -grid
         start += 1

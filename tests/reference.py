@@ -352,6 +352,39 @@ def mech_pure_reference(
     return MechanismResult(tuple(values), build_report(tape, start, tuple(range(counts.d)), attempts))
 
 
+def draw_runs(tape: BitTape, tail_ratio, grid: int, queued: list, keys: list, values: list) -> None:
+    """:func:`frugaldp.release.draw_runs` with every level read through one closure.
+
+    The package streams a run's level-0 running product into ``locate``;
+    here ``bounds`` extends one running product per level, level 0
+    included, calling ``tail_ratio`` for every key it reads. Both must draw
+    the same cells with the same bits.
+    """
+    levels: list[tuple[int, tuple[int, int, int, int] | None]] = []
+
+    def bounds(j: int, level: int) -> tuple[int, int, int, int]:
+        if level == len(levels):
+            levels.append((start - 1, None))
+        i, rec = levels[level]
+        while i < j:
+            i += 1
+            k = keys[i]
+            p, a_lo, a_hi, _ = tail_ratio(k if k > 0 else 1 - k, level)
+            one = 1 << p
+            lo, hi = (rec[1], rec[2]) if rec else (one, one)
+            rec = level_record(p, lo * (one - a_hi) >> p, -(-hi * (one - a_lo) >> p))
+        levels[level] = i, rec
+        return rec
+
+    start, end = 0, len(keys)
+    while start < end:
+        levels.clear()
+        start += locate(tape, bounds, range(start, end))
+        if start < end:
+            values[queued[start]] += grid if keys[start] > 0 else -grid
+        start += 1
+
+
 # ---------------------------------------------------------------------------
 # Statistics and enumerations used only by the tests
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import frugaldp.cli as cli
+from frugaldp.approx_mech import ApproxParams
 from frugaldp.cli import (
     EXIT_INTERNAL,
     EXIT_IO,
@@ -30,7 +31,7 @@ from frugaldp.errors import (
     InternalError,
     ParameterDomainError,
 )
-from frugaldp.release import CountVector
+from frugaldp.release import CountVector, RandomnessReport
 
 
 @pytest.fixture
@@ -409,6 +410,18 @@ class TestInternalFaults:
         code, report = run(RunConfig("pure", Fraction(1, 16), None, 2, 1, data, None))
         assert code == EXIT_INTERNAL == 4
         assert "injected fault" in report["error"]
+
+    def test_broken_envelope_exits_internal(self, csv_file, monkeypatch):
+        # A release outside its deterministic envelope is a fault of the package.
+        monkeypatch.setattr(ApproxParams, "accuracy_bound", 0)
+        data = csv_file("a,b,c\n1,0,1\n0,1,1\n")
+        code, report = run(RunConfig("approx", Fraction(1), Fraction(1, 1 << 20), 2, 1, data, None))
+        assert code == EXIT_INTERNAL == 4
+        assert "envelope" in report["error"]
+
+    def test_broken_ledger_is_internal(self):
+        with pytest.raises(InternalError):
+            RandomnessReport(1, {"shift": 2}, (), {})
 
     def test_parameter_errors_keep_their_code(self, csv_file):
         data = csv_file("a\n1\n")

@@ -7,6 +7,7 @@ compared against seeded empirical frequencies.
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from frugaldp.core_samplers import GaussianCells, LaplaceCells, LaplaceScale, lo
 from frugaldp.errors import ParameterDomainError
 from frugaldp.precise_math import exp_neg, rational_enclose
 from frugaldp.pure_mech import PureParams, mech_pure_efficient
-from frugaldp.release import CountVector, is_silent, shift_and_round
+from frugaldp.release import CountVector, draw_runs, is_silent, shift_and_round
 from reference import (
     GaussParam,
     RefinableProb,
@@ -646,6 +647,32 @@ class TestRecordMemo:
             _, ratios, tails = law._levels[0]
             assert len(ratios) <= cap and len(tails) <= cap
         assert len(ratios) > 0 and len(tails) > 0
+
+
+class TestRunStream:
+    @pytest.mark.parametrize("name,make,weight,h", _LAWS)
+    @pytest.mark.parametrize("level_start", [64, 8, 4])
+    def test_stream_matches_the_closure(self, name, make, weight, h, level_start, monkeypatch):
+        # At 8-bit levels one unit of rounding in a level-0 product changes
+        # the draw; 4-bit levels make the products too coarse within a few
+        # keys, so runs refine partway along. The law's memo is shared by
+        # all queues, so the stream takes both its hit and its miss path.
+        monkeypatch.setattr(cs, "_LEVEL_START", level_start)
+        rng = random.Random(f"{name}:{level_start}")
+        law, closure_law = make(), make()
+        for case in range(300):
+            keys = [rng.randrange(2 - h, h) for _ in range(rng.randrange(1, 40))]
+            queued = rng.sample(range(2 * len(keys)), len(keys))
+            grid = h * rng.randrange(2, 5)
+            out = []
+            for draw, source in ((draw_runs, law), (reference.draw_runs, closure_law.tail_ratio)):
+                tape = BitTape(seed=case)
+                values = [0] * 2 * len(keys)
+                with tape.category("noise"):
+                    draw(tape, source, grid, queued, keys, values)
+                out.append((values, tape.bits_consumed, tape.draw_log))
+            assert out[0] == out[1]
+        assert (len(law._levels) > 1) == (level_start < 64)
 
 
 def test_scale_validation():

@@ -7,15 +7,19 @@ with a short switch interval so that they interleave inside the cache
 fills, and compares what every thread read with a single-threaded read.
 """
 
+import random
 import sys
 import threading
 from fractions import Fraction
 
 from frugaldp import core_samplers
+from frugaldp.approx_mech import derive_approx_params, mech_approx_efficient
 from frugaldp.bit_tape import BitTape
 from frugaldp.core_samplers import GaussianCells, LaplaceCells, LaplaceScale
 from frugaldp.entropy_sampler import PointMassSpec, binomial_spec, sample_point_mass
 from frugaldp.precise_math import exp_neg
+from frugaldp.pure_mech import derive_pure_params, mech_pure_efficient
+from frugaldp.release import CountVector
 from reference import GaussParam, RefinableProb
 
 THREADS = 6
@@ -135,3 +139,34 @@ def test_cell_law_tail_ratios_with_tiny_memos(monkeypatch):
     # A memo cap of 2 empties the record memos while other threads read them.
     monkeypatch.setattr(core_samplers, "_MEMO_CAP", 2)
     test_cell_law_tail_ratios()
+
+
+def test_seeded_releases_with_tiny_memos(monkeypatch):
+    # Approx and pure releases run at once, each mode on one shared
+    # parameter object. A run streams its level-0 records from the law's
+    # memo, which a memo cap of 2 empties while other threads read it.
+    monkeypatch.setattr(core_samplers, "_MEMO_CAP", 2)
+    d, n = 96, 10**6
+    rng = random.Random(96)
+    counts = CountVector(d, n, tuple(rng.randrange(n + 1) for _ in range(d)))
+
+    def make():
+        approx = derive_approx_params(Fraction(1), Fraction(1, 1 << 20), d, 4)
+        return approx, derive_pure_params(Fraction(1), d, 4)
+
+    def read(params, k):
+        out = []
+        for seed in range(10 * k, 10 * k + 3):
+            tape = BitTape(seed=seed)
+            if k % 2:
+                result = mech_pure_efficient(counts, params[1], tape)[0]
+            else:
+                result = mech_approx_efficient(counts, params[0], tape)
+            out.append((result.values, tape.bits_consumed, tape.draw_log))
+        return out
+
+    expected = [read(make(), k) for k in range(THREADS)]
+    assert all(bits > 0 for row in expected for _, bits, _ in row)
+    for _ in range(ROUNDS):
+        shared = make()
+        assert _run_together(lambda k: read(shared, k)) == expected
