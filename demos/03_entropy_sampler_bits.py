@@ -3,15 +3,15 @@
 The point-mass sampler reads one fair bit at a time and stops as soon as
 the binary expansion provably lands inside one outcome's cumulative
 interval. For dyadic probabilities it is bit-for-bit Huffman-optimal; in
-general its expected cost is the entropy plus a small constant, even when
-the probabilities are only available as refinable enclosures.
+general its expected cost is the entropy plus a small constant, and the
+cumulatives may be given as refinable enclosures.
 """
 
 import math
 from collections import Counter
 from fractions import Fraction
 
-from frugaldp import BitTape, binomial_spec, sample_point_mass, spec_from_fractions
+from frugaldp import BitTape, sample_point_mass, spec_from_fractions
 
 N = 50_000
 
@@ -27,7 +27,7 @@ cases = [
 
 d, p = 16, Fraction(1, 3)
 bin_probs = [Fraction(math.comb(d, j)) * p**j * (1 - p) ** (d - j) for j in range(d + 1)]
-cases.append((f"Binomial({d}, 1/3)", binomial_spec(d, p), bin_probs))
+cases.append((f"Binomial({d}, 1/3)", spec_from_fractions(bin_probs), bin_probs))
 
 print(f"{'distribution':24s} {'entropy H':>10s} {'mean bits':>10s} {'overhead':>9s}")
 for idx, (name, spec, probs) in enumerate(cases):
@@ -42,4 +42,4 @@ for idx, (name, spec, probs) in enumerate(cases):
 
 print()
 print("The fair coin costs exactly one bit; dyadic distributions hit their")
-print("entropy; irrational cumulatives cost only a small constant extra.")
+print("entropy; other cumulatives cost only a small constant extra.")

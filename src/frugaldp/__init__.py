@@ -18,7 +18,7 @@ from importlib import import_module
 
 from .approx_mech import derive_approx_params, mech_approx_efficient
 from .bit_tape import BitTape
-from .entropy_sampler import binomial_spec, sample_point_mass, spec_from_fractions
+from .entropy_sampler import sample_point_mass, spec_from_fractions
 from .errors import FrugalDPError, InternalError
 from .pure_mech import PureTrace, derive_pure_params, mech_pure_efficient
 from .release import CountVector, MechanismResult, RandomnessReport
@@ -53,7 +53,6 @@ __all__ = [
     "PureTrace",
     "RandomnessReport",
     "RunConfig",
-    "binomial_spec",
     "derive_approx_params",
     "derive_pure_params",
     "load_dataset",

@@ -7,25 +7,22 @@ is refined by its enclosure's width, so expected bit cost is H(X) + O(1);
 refinement is deterministic and costs no randomness. A draw that returns i
 reads no cumulative above P_i.
 
-The pure mechanism uses this to draw its tail-set size from Bin(d, p) with
-a transcendental p. The enclosed binomial sums its cumulatives only up to
-the index a draw reads, so a cold draw encloses at most (drawn size + 1)
-point probabilities per precision, not d + 1; at pure-mode parameters
-(d*p well below 1) it takes under a millisecond at d = 65 536.
+The releases draw through ``locate`` directly: the pure mechanism's tail
+set is a sequence of runs over the powers of 1 - p
+(:func:`~frugaldp.pure_mech.sample_tail_set`), with no finite law to
+enclose. This module serves finite laws given by their cumulatives, such
+as a rational distribution (:func:`spec_from_fractions`).
 """
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
-from functools import partial
-from math import comb
 from typing import Callable
 
 from .bit_tape import BitTape
 from .core_samplers import _LEVEL_START, disjoint, level_record, locate
 from .errors import EnclosureContractError, ParameterDomainError
-from .precise_math import binom_prob_enclose, rational_enclose
+from .precise_math import rational_enclose
 
 
 class PointMassSpec:
@@ -94,57 +91,3 @@ def sample_point_mass(tape: BitTape, spec: PointMassSpec) -> int:
     """
     return 1 + locate(tape, spec.bounds, range(1, spec.k))
 
-
-def binomial_spec(d: int, p: "Fraction | Callable[[int], tuple[int, int]]") -> PointMassSpec:
-    """PointMassSpec over {0..d} (as indices 1..d+1) for Bin(d, p).
-
-    ``p`` may be an exact Fraction or a refinable enclosure callable
-    ``w -> (lo, hi)`` with lo <= 2**w p <= hi; both go through the enclosed
-    binomial.
-    """
-    if d < 1:
-        raise ParameterDomainError("binomial requires d >= 1")
-    if isinstance(p, Fraction):
-        if not 0 < p < 1:
-            raise ParameterDomainError("binomial probability must be in (0, 1)")
-        p = partial(rational_enclose, p)
-    return PointMassSpec(d + 1, _enclosed_binomial_oracle(d, p))
-
-
-def _enclosed_binomial_oracle(
-    d: int, p_fn: Callable[[int], tuple[int, int]]
-) -> Callable[[int, int], tuple[int, int]]:
-    # Each precision keeps (w, p enclosed at w, cumulatives 0..n at w), with
-    # w past the precision asked for by the rounding of up to d + 1 terms. A
-    # draw reads no cumulative above the index it returns, so the prefix is
-    # summed up to the index asked for, under a lock so that two threads
-    # never add the same term; reads take no lock.
-    rows: dict[int, tuple[int, tuple[int, int], list[tuple[int, int]]]] = {}
-    lock = threading.Lock()
-
-    def oracle(i: int, precision: int) -> tuple[int, int]:
-        if i > d:
-            return 1 << precision, 1 << precision
-        row = rows.get(precision)
-        if row is None or i >= len(row[2]):
-            with lock:
-                row = rows.get(precision)
-                if row is None:
-                    w = precision + 2 * (d + 1).bit_length() + 8
-                    row = rows[precision] = (w, p_fn(w), [(0, 0)])
-                w, p, prefix = row
-                while len(prefix) <= i:
-                    j = len(prefix) - 1
-                    t_lo, t_hi = binom_prob_enclose(d, j, p, w)
-                    lo, hi = prefix[j][0] + t_lo, prefix[j][1] + t_hi
-                    # Union bound: P[X > j] <= C(d, j+1) p^(j+1), so a sound
-                    # enclosure of P[X <= j] cannot end below 1 minus it.
-                    gap = ((1 << w) - hi) << (w * j)
-                    if lo > 1 << w or comb(d, j + 1) * p[1] ** (j + 1) < gap:
-                        raise EnclosureContractError(f"binomial terms 0..{j} cannot sum toward 1")
-                    prefix.append((lo, hi))
-        shift = row[0] - precision
-        lo, hi = row[2][i]
-        return lo >> shift, -(-hi >> shift)
-
-    return oracle

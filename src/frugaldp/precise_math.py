@@ -1,8 +1,8 @@
 """Exact enclosures of the samplers' irrational constants, as integer pairs.
 
-Everything a mechanism compares a random bit stream against (exp(-x), ln,
-binomial probabilities) is produced here as a rigorous two-sided
-enclosure at a requested precision w: a pair of integers (lo, hi) with
+Everything a mechanism compares a random bit stream against (exp(-x),
+exp(x), ln) is produced here as a rigorous two-sided enclosure at a
+requested precision w: a pair of integers (lo, hi) with
 lo <= 2**w * value <= hi. Each function's docstring bounds its width
 hi - lo in units of 2**-w. No floating point enters any sampling path;
 floats appear only when callers convert results for reporting. Derived
@@ -14,7 +14,7 @@ refining its enclosure until one side is certain.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 from typing import Callable, NamedTuple
 
 from .errors import EnclosureContractError, MathDomainError
@@ -257,30 +257,3 @@ def ln_enclose(x: "Fraction | int", w: int) -> tuple[int, int]:
             hi_f += e * ln2_lo
     return _floor_scaled(lo_f, w), _ceil_scaled(hi_f, w)
 
-
-# ---------------------------------------------------------------------------
-# Binomial point probabilities
-# ---------------------------------------------------------------------------
-
-
-def binom_prob_enclose(d: int, i: int, p: tuple[int, int], w: int) -> tuple[int, int]:
-    """Enclosure (lo, hi) of 2**w C(d, i) p**i (1-p)**(d-i), for ``p`` enclosed at the same w.
-
-    hi - lo <= d (p_hi - p_lo) + 2: rounding costs at most two units, and
-    a point mass moves by at most d times any change in p, so callers
-    refine p when they need a tighter result.
-    """
-    if not 0 <= i <= d:
-        raise MathDomainError("binomial index out of range")
-    c = comb(d, i)
-    # The powers' rounding error is multiplied by C(d, i), up to 2**d.
-    shift = d.bit_length() + c.bit_length() + 8
-    wi = w + shift
-    one = 1 << wi
-    p_lo = max(0, p[0] << shift)
-    p_hi = min(one, p[1] << shift)
-    a_lo, a_hi = _pow_scaled(p_lo, p_hi, i, wi)
-    b_lo, b_hi = _pow_scaled(one - p_hi, one - p_lo, d - i, wi)
-    lo = (c * a_lo * b_lo) >> (wi + shift)
-    hi = -((-c * a_hi * b_hi) >> (wi + shift))
-    return lo, min(hi, 1 << w)

@@ -5,10 +5,10 @@ d/eps on every count, one shared shift, rounding down to the grid m*s
 (``audit_harness.oracle_joint_dist_pure`` computes it exactly). Each
 coordinate's noise splits into a rare tail event (|noise| >= m, probability
 p) and a truncated body; the efficient release samples the tail set up
-front with an entropy-optimal binomial draw and then, in the shift-and-round
-loop it shares with approx mode, pays only for tail coordinates and for body
-coordinates whose rounding is ambiguous. Both kinds draw their grid cell
-directly, never a noise value.
+front, as runs of coordinates before the next tail one, and then, in the
+shift-and-round loop it shares with approx mode, pays only for tail
+coordinates and for body coordinates whose rounding is ambiguous. Both
+kinds draw their grid cell directly, never a noise value.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bit_tape import BitTape
-from .core_samplers import LaplaceCells, LaplaceScale
-from .entropy_sampler import PointMassSpec, binomial_spec, sample_point_mass
+from .core_samplers import _LEVEL_START, _MEMO_CAP, LaplaceCells, LaplaceScale, _power, _power_table
+from .core_samplers import level_record, locate
 from .errors import EnclosureContractError, ParameterDomainError
-from .precise_math import RationalBounds, _exp_neg_guarded, certified_le, exp_pos, ln_enclose
+from .precise_math import BoundedCache, RationalBounds, _exp_neg_guarded, certified_le, exp_pos, ln_enclose
 from .precise_math import exp_neg  # noqa: F401 - bench/tracer.py wraps exp_neg in every module
 from .release import CountVector, MechanismResult, check_release, shift_and_round
 
@@ -45,8 +45,12 @@ class PureParams:
 
     ``p`` is the exact two-sided tail mass P[|Lap_Z(d/eps)| >= m], a
     transcendental number whose bounds are kept from its 64-bit enclosure;
-    ``tail_mass`` encloses it at any precision, and the tail-set draw
-    refines through it on demand, so the release distribution is exact.
+    ``tail_mass`` encloses it at any precision. The tail-set draw reads
+    1 - (1 - p)**j through ``any_tail``, whose digit tables of the powers of
+    1 - p are built per refinement level on first use, so the release
+    distribution is exact. As in the cell laws, a level's table is
+    deterministic, so threads that build it at once store equal data and
+    no lock is needed.
     """
 
     __slots__ = (
@@ -57,8 +61,8 @@ class PureParams:
         "m",
         "grid",
         "p",
-        "binomial",
         "cells",
+        "_stay_tables",
     )
 
     def __init__(self, d: int, s: int, epsilon: Fraction, m: int):
@@ -76,8 +80,8 @@ class PureParams:
         self.p = RationalBounds.scaled(*self.tail_mass(64), 64)
         if certified_le(Fraction(1), self.tail_mass):  # p < 1 holds analytically; certify it
             raise EnclosureContractError("tail probability is not below 1")
-        self.binomial: PointMassSpec = binomial_spec(d, self.tail_mass)
         self.cells = LaplaceCells(self.scale, m)
+        self._stay_tables: dict = {}
 
     def tail_mass(self, w: int) -> tuple[int, int]:
         """Enclosure (lo, hi) of 2**w p, p = 2 exp(-(m - 1)/t) / (exp(1/t) + 1), with hi - lo <= 2."""
@@ -88,6 +92,28 @@ class PureParams:
         e_lo, e_hi = exp_pos(inv_t, w + 8)
         one = 1 << (w + 8)
         return (num_lo << (w + 2)) // (e_hi + one), -(-(num_hi << (w + 2)) // (e_lo + one))
+
+    def any_tail(self, j: int, level: int) -> tuple[int, int, int, int]:
+        """The :func:`~frugaldp.core_samplers.level_record` of 1 - (1 - p)**j, for 1 <= j <= d.
+
+        That is the chance that j coordinates hold a tail coordinate. The
+        power comes from the level's digit table of 1 - p, outward-rounded;
+        the guard bits past the level's precision cover the error of up to
+        d products. Records are memoized per level, as the cell laws do.
+        """
+        entry = self._stay_tables.get(level)
+        if entry is None:
+            w = (_LEVEL_START << level) + self.d.bit_length() + 8
+            lo, hi = self.tail_mass(w)
+            one = 1 << w
+            table = _power_table(one - hi, one - lo, w)
+            entry = self._stay_tables[level] = w, table, BoundedCache(_MEMO_CAP)
+        w, table, memo = entry
+        rec = memo.get(j)
+        if rec is None:
+            lo, hi = _power(table, j, w)
+            rec = memo[j] = level_record(w, (1 << w) - hi, (1 << w) - lo)
+        return rec
 
 
 def derive_pure_params(epsilon: Fraction, d: int, s: int, precision: int = 96) -> PureParams:
@@ -115,28 +141,27 @@ def derive_pure_params(epsilon: Fraction, d: int, s: int, precision: int = 96) -
     return PureParams(d, s, epsilon, m)
 
 
-def sample_tail_set(
-    tape: BitTape, d: int, p=None, *, spec: PointMassSpec | None = None
-) -> frozenset[int]:
-    """Tail set J: size from Bin(d, p), then a uniform size-t subset.
+def sample_tail_set(tape: BitTape, d: int, any_tail) -> frozenset[int]:
+    """Tail set J of coordinates 0..d-1, each a member with probability p, independently.
 
-    Membership is i.i.d. Ber(p) per coordinate: conditioned on its size the
-    set is uniform, and the size is binomial. The subset is drawn by
-    repeatedly picking a uniform coordinate and rejecting repeats. Pass
-    either the probability ``p`` or a prebuilt binomial ``spec``.
+    ``any_tail(j, level)`` returns the level record of 1 - (1 - p)**j, as
+    :meth:`PureParams.any_tail` does. The set is drawn in runs: with the
+    last n coordinates left, the count L before the next member has
+    P[L >= j] = (1 - p)**j, so one :func:`~frugaldp.core_samplers.locate`
+    over the thresholds 1 - (1 - p)**j along j = n, n - 1, ..., 1 returns
+    n - L, and coordinate d - n + L is the next member; 0 means none is
+    left. An empty set costs one comparison with 1 - (1 - p)**d, and each
+    member O(n - L) keys. Bits go under "binomial".
     """
-    if spec is None:
-        if p is None:
-            raise ParameterDomainError("sample_tail_set needs p or a binomial spec")
-        spec = binomial_spec(d, p)
+    chosen = []
+    n = d
     with tape.category("binomial"):
-        count = sample_point_mass(tape, spec) - 1
-    chosen: set[int] = set()
-    with tape.category("subset"):
-        while len(chosen) < count:
-            idx = tape.uniform_range(d) - 1
-            if idx not in chosen:
-                chosen.add(idx)
+        while n:
+            past = locate(tape, any_tail, range(n, 0, -1))
+            if not past:
+                break
+            chosen.append(d - past)  # d - n + L, with L = n - past
+            n = past - 1
     return frozenset(chosen)
 
 
@@ -148,8 +173,7 @@ def mech_pure_efficient(
 ) -> tuple[MechanismResult, PureTrace]:
     """Efficient release: same output law as the reference chain.
 
-    Draws the tail-set size entropy-optimally, places the tail uniformly,
-    then releases every non-tail coordinate silently whenever the shifted
+    Draws the tail set in runs, then releases every non-tail coordinate silently whenever the shifted
     count rounds identically for all body noise values. Ambiguous body
     coordinates draw their grid cell from the truncated Laplace law's
     closed-form tail mass, and tail coordinates from the geometric tail
@@ -157,7 +181,7 @@ def mech_pure_efficient(
     """
     check_release(counts, params, params.m, omega)
     start = tape.snapshot()
-    tail = sample_tail_set(tape, params.d, spec=params.binomial)
+    tail = sample_tail_set(tape, params.d, params.any_tail)
     result, omega = shift_and_round(tape, start, counts, params.s, params.cells, "laplace", omega, tail)
     branches = ["silent"] * counts.d
     for i in tail:

@@ -22,7 +22,7 @@ from frugaldp.audit_harness import (
 )
 from frugaldp.bit_tape import BitTape
 from frugaldp.cli import RunConfig, run
-from frugaldp.entropy_sampler import binomial_spec, sample_point_mass, spec_from_fractions
+from frugaldp.entropy_sampler import sample_point_mass, spec_from_fractions
 from frugaldp.precise_math import exp_pos
 from frugaldp.pure_mech import PureParams, derive_pure_params, mech_pure_efficient
 from frugaldp.release import CountVector
@@ -212,7 +212,7 @@ def test_criterion_07_entropy_sampler():
             spec_from_fractions([Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8)]),
             [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8)],
         ),
-        ("binomial-16-1/3", binomial_spec(bin_d, bin_p), bin_probs),
+        ("binomial-16-1/3", spec_from_fractions(bin_probs), bin_probs),
     ]
     n = 250_000  # 1e6 draws across the four specs
     max_depth = 0

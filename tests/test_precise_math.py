@@ -14,7 +14,6 @@ import frugaldp.precise_math as pm
 from frugaldp.precise_math import (
     BoundedCache,
     RationalBounds,
-    binom_prob_enclose,
     certified_le,
     exp_neg,
     exp_pos,
@@ -126,40 +125,10 @@ class TestLnSqrt:
             assert floor_sqrt(n) == math.isqrt(n)
 
 
-class TestBinomProb:
-    HALF = (1 << 59, 1 << 59)  # p = 1/2 at w = 60
-
-    def test_degenerate_cases(self):
-        assert binom_prob_enclose(1, 0, self.HALF, 60) == self.HALF
-
-    def test_symmetric_half(self):
-        assert binom_prob_enclose(2, 1, self.HALF, 60) == self.HALF
-
-    def test_rational_value(self):
-        lo, hi = binom_prob_enclose(4, 2, rational_enclose(Fraction(1, 4), 50), 50)
-        # Exact rational oracle: C(4,2) (1/4)^2 (3/4)^2 = 27/128.
-        expected = Fraction(6) * Fraction(1, 4) ** 2 * Fraction(3, 4) ** 2
-        assert expected == Fraction(27, 128)
-        assert _encloses((lo, hi), expected, 50)
-        assert hi - lo <= 2
-
-    @pytest.mark.parametrize("d", [256, 1024])
-    def test_width_holds_for_large_coefficients(self, d):
-        # C(d, d/2) is close to 2**d, so it must not scale the rounding error.
-        i = d // 2
-        lo, hi = binom_prob_enclose(d, i, (1 << 31, 1 << 31), 32)
-        assert hi - lo <= 2
-        assert _encloses((lo, hi), Fraction(math.comb(d, i), 2**d), 32)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(MathDomainError):
-            binom_prob_enclose(3, 4, self.HALF, 60)
-
-
 def test_enclosure_soundness_sweep():
     """500 seeded rationals at w in {24, 64, 128, 200}: every enclosure holds
-    the value computed independently by ``decimal`` at 120 digits (or, for the
-    binomial, the exact Fraction), and keeps its stated width."""
+    the value computed independently by ``decimal`` at 120 digits, and keeps
+    its stated width."""
     slack = decimal.Decimal("1e-100")  # far above decimal's error, far below 2**-200
 
     def check(pair, value, w, width):
@@ -182,14 +151,6 @@ def test_enclosure_soundness_sweep():
                 check(exp_neg(x, w), (-dec(x)).exp(), w, 2)
                 check(exp_pos(small, w), dec(small).exp(), w, 2)
                 check(ln_enclose(x, w), dec(x).ln(), w, 2)
-            w = rng.choice((24, 64, 128, 200))
-            d = rng.randint(1, 40)
-            i = rng.randint(0, d)
-            p = Fraction(rng.randint(1, 99), 100)
-            p_pair = rational_enclose(p, w)
-            lo, hi = binom_prob_enclose(d, i, p_pair, w)
-            assert _encloses((lo, hi), math.comb(d, i) * p**i * (1 - p) ** (d - i), w)
-            assert hi - lo <= d * (p_pair[1] - p_pair[0]) + 2
 
 
 class TestBoundedCache:

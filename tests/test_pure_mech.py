@@ -8,7 +8,9 @@ from itertools import combinations
 import pytest
 
 from frugaldp.bit_tape import BitTape
+from frugaldp.core_samplers import level_record
 from frugaldp.errors import ParameterDomainError
+from frugaldp.precise_math import rational_enclose
 from frugaldp.pure_mech import PureParams, derive_pure_params, mech_pure_efficient, sample_tail_set
 from frugaldp.release import CountVector, floor_multiple
 from reference import (
@@ -168,9 +170,14 @@ class TestDistributionalStructure:
     def test_subset_law(self):
         # P[J = S] = p^|S| (1-p)^(d-|S|) for every S, with rational p = 1/4.
         d, p = 3, Fraction(1, 4)
+
+        def any_tail(j, level):
+            w = 64 << level
+            return level_record(w, *rational_enclose(1 - (1 - p) ** j, w))
+
         tape = BitTape(seed=926)
         n = 40_000
-        hist = Counter(sample_tail_set(tape, d, p) for _ in range(n))
+        hist = Counter(sample_tail_set(tape, d, any_tail) for _ in range(n))
         all_subsets = [
             frozenset(c) for size in range(d + 1) for c in combinations(range(d), size)
         ]
@@ -180,6 +187,34 @@ class TestDistributionalStructure:
         observed = [hist.get(S, 0) for S in all_subsets]
         _, pval = stats.chisquare(observed, [expected[S] * n for S in all_subsets])
         assert pval >= 0.001
+
+    def test_subset_law_through_the_power_table(self):
+        # The same law at audit-desk parameters (d = 3, p about 1/6), with
+        # 1 - (1 - p)^j from the parameters' digit tables of 1 - p.
+        params = derive_pure_params(Fraction(1, 4), 3, 2)
+        p = float((params.p.lo + params.p.hi) / 2)
+        tape = BitTape(seed=941)
+        n = 40_000
+        hist = Counter(sample_tail_set(tape, 3, params.any_tail) for _ in range(n))
+        all_subsets = [frozenset(c) for size in range(4) for c in combinations(range(3), size)]
+        from scipy import stats
+
+        observed = [hist.get(S, 0) for S in all_subsets]
+        expected = [p ** len(S) * (1 - p) ** (3 - len(S)) * n for S in all_subsets]
+        assert stats.chisquare(observed, expected).pvalue >= 0.001
+
+    @pytest.mark.parametrize("epsilon, d, s", [(Fraction(1, 4), 3, 2), (Fraction(1), 64, 4)])
+    def test_tail_set_bits(self, epsilon, d, s):
+        # One locate per member and one for the end: about the set's entropy
+        # d h(p), plus at most two bits per locate on average.
+        params = derive_pure_params(epsilon, d, s)
+        p = float((params.p.lo + params.p.hi) / 2)
+        tape = BitTape(seed=942)
+        n = 20_000
+        for _ in range(n):
+            sample_tail_set(tape, d, params.any_tail)
+        h = -p * math.log2(p) - (1 - p) * math.log2(1 - p)
+        assert tape.bits_consumed / n <= d * h + 2 * (d * p + 1)
 
     def test_tail_set_size_expectation(self):
         params = derive_pure_params(Fraction(1), 64, 4)
@@ -192,9 +227,7 @@ class TestDistributionalStructure:
             res, trace = mech_pure_efficient(counts, params, tape)
             sizes.append(trace.tail_size)
             cats = res.report.bits_by_category
-            outside_bits.append(
-                cats.get("binomial", 0) + cats.get("subset", 0) + cats.get("shift", 0)
-            )
+            outside_bits.append(cats.get("binomial", 0) + cats.get("shift", 0))
         p_mid = float((params.p.lo + params.p.hi) / 2)
         dp = 64 * p_mid
         mean_size = sum(sizes) / runs

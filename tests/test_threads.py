@@ -1,12 +1,13 @@
 """Parameter objects read from several threads at once.
 
 Parameter objects fill their caches lazily, and releases that share one
-(``PureParams.binomial``, ``ApproxParams.cells``, ...) may run in different
-threads. Each test starts a handful of threads together behind a barrier,
+(``PureParams.any_tail``'s power tables, ``ApproxParams.cells``, ...) may
+run in different threads. Each test starts a handful of threads together behind a barrier,
 with a short switch interval so that they interleave inside the cache
 fills, and compares what every thread read with a single-threaded read.
 """
 
+import math
 import random
 import sys
 import threading
@@ -16,9 +17,9 @@ from frugaldp import core_samplers
 from frugaldp.approx_mech import derive_approx_params, mech_approx_efficient
 from frugaldp.bit_tape import BitTape
 from frugaldp.core_samplers import GaussianCells, LaplaceCells, LaplaceScale
-from frugaldp.entropy_sampler import PointMassSpec, binomial_spec, sample_point_mass
+from frugaldp.entropy_sampler import PointMassSpec, spec_from_fractions
 from frugaldp.precise_math import exp_neg
-from frugaldp.pure_mech import derive_pure_params, mech_pure_efficient
+from frugaldp.pure_mech import derive_pure_params, mech_pure_efficient, sample_tail_set
 from frugaldp.release import CountVector
 from reference import GaussParam, RefinableProb
 
@@ -55,7 +56,8 @@ def _run_together(work):
 
 
 def test_point_mass_bounds_at_different_precisions():
-    base = binomial_spec(32, Fraction(1, 3))
+    d, p = 32, Fraction(1, 3)
+    base = spec_from_fractions([math.comb(d, j) * p**j * (1 - p) ** (d - j) for j in range(d + 1)])
 
     def read(spec, k):
         # Each thread adds rows at its own levels while the others scan theirs.
@@ -68,22 +70,21 @@ def test_point_mass_bounds_at_different_precisions():
         assert _run_together(lambda k: read(shared, k)) == expected
 
 
-def test_enclosed_binomial_prefix():
-    # The enclosed binomial sums its cumulatives lazily; draws at p = 1/2
-    # reach index d/2 and bounds reads reach d, so threads extend the same
-    # prefixes at once.
-    def p_fn(w):
-        return 1 << (w - 1), 1 << (w - 1)
-
-    def read(spec, k):
+def test_tail_set_draws_on_shared_params():
+    # d p is about 1.4 here, so each draw reads many powers of 1 - p; the
+    # threads draw on their own tapes while the power tables of their
+    # levels are built, then read every level in a rotated order.
+    def read(params, k):
         tape = BitTape(seed=900 + k)
-        draws = [sample_point_mass(tape, spec) for _ in range(10)]
+        draws = [sample_tail_set(tape, params.d, params.any_tail) for _ in range(10)]
         levels = (0, 1, 2)[k % 3 :] + (0, 1, 2)[: k % 3]
-        return draws, [spec.bounds(i, level) for level in levels for i in range(spec.k + 1)]
+        return draws, [params.any_tail(j, level) for level in levels for j in range(1, params.d + 1)]
 
-    expected = [read(binomial_spec(64, p_fn), k) for k in range(THREADS)]
+    make = lambda: derive_pure_params(Fraction(1, 4), 64, 2)  # noqa: E731
+    expected = [read(make(), k) for k in range(THREADS)]
+    assert any(tail for draws, _ in expected for tail in draws)
     for _ in range(ROUNDS):
-        shared = binomial_spec(64, p_fn)
+        shared = make()
         assert _run_together(lambda k: read(shared, k)) == expected
 
 
