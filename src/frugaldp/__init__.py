@@ -18,7 +18,6 @@ from importlib import import_module
 
 from .approx_mech import derive_approx_params, mech_approx_efficient
 from .bit_tape import BitTape
-from .entropy_sampler import sample_point_mass, spec_from_fractions
 from .errors import FrugalDPError, InternalError
 from .pure_mech import PureTrace, derive_pure_params, mech_pure_efficient
 from .release import CountVector, MechanismResult, RandomnessReport
@@ -26,15 +25,18 @@ from .release import CountVector, MechanismResult, RandomnessReport
 __version__ = "0.1.0"
 
 # Names resolved on first access instead of at import, by the module that
-# defines them. A release has no use for the audit harness's oracles. The CLI
-# module must not be imported here: ``python -m frugaldp.cli`` imports the
-# package first and would then run the module a second time.
+# defines them. A release has no use for the audit harness's oracles or for
+# the finite-law sampler. The CLI module must not be imported here:
+# ``python -m frugaldp.cli`` imports the package first and would then run the
+# module a second time.
 _LAZY_NAMES = {
     "RunConfig": "cli",
     "load_dataset": "cli",
     "run": "cli",
     "privacy_audit": "audit_harness",
     "randomness_audit": "audit_harness",
+    "sample_point_mass": "entropy_sampler",
+    "spec_from_fractions": "entropy_sampler",
 }
 
 

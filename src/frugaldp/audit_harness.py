@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import math
 import statistics
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
 
 from .approx_mech import ApproxParams
 from .errors import ParameterDomainError

@@ -5,21 +5,22 @@ Usage:
     frugaldp --mode pure --epsilon 0.5 --s 8 --input data.csv --output out.json
 
 The input is a UTF-8 CSV with a header row naming d binary predicates and
-one row of 0/1 cells per dataset member. It is streamed in one pass with
-O(d) memory: rows of the canonical form ``0,1,...,1\\n`` (or ``\\r\\n``)
-are summed a byte per column in one big integer, and from the first row
-of any other form on, the rest goes through ``csv.reader`` cell by cell
-(see ``load_dataset``). The output is a single JSON object
-with the released values, every derived parameter (enclosure endpoints
-included), the exact randomness accounting, and wall time. Epsilon and
-delta are parsed as decimal strings into exact rationals; no float touches
-the parameter path.
+one row of 0/1 cells per dataset member. It is read once, in binary mode,
+with O(d) memory: each row of the canonical form ``0,1,...,1\\n`` (or
+``\\r\\n``) is checked and summed as one little-endian integer, and from the
+first row of any other form on, the rest is decoded and goes through
+``csv.reader`` cell by cell (see ``load_dataset``). The output is a single
+JSON object with the released values, every derived parameter (enclosure
+endpoints included), the exact randomness accounting, and wall time.
+Epsilon and delta are parsed as decimal strings into exact rationals; no
+float touches the parameter path.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import itertools
 import json
 import math
@@ -27,7 +28,6 @@ import os
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
@@ -35,7 +35,7 @@ from .approx_mech import derive_approx_params, mech_approx_efficient
 from .bit_tape import BitTape, _SplitMix64
 from .errors import DatasetFormatError, FrugalDPError, InternalError, ParameterDomainError
 from .pure_mech import derive_pure_params, mech_pure_efficient
-from .release import CountVector
+from .release import CountVector, Record
 
 EXIT_OK = 0
 EXIT_PARAMETER = 2
@@ -46,114 +46,180 @@ _AUDIT_TRIALS = 200
 _EQUIVALENCE_TRIALS = 20000
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """One validated CLI invocation."""
 
-    mode: str
-    epsilon: Fraction
-    delta: Fraction | None
-    s: int | None
-    seed: int | None
-    input_path: str
-    output_path: str | None
-    audit: str = "none"
+    __slots__ = ("mode", "epsilon", "delta", "s", "seed", "input_path", "output_path", "audit")
 
-    def __post_init__(self):
-        if self.mode not in ("approx", "pure"):
+    def __init__(
+        self,
+        mode: str,
+        epsilon: Fraction,
+        delta: Fraction | None,
+        s: int | None,
+        seed: int | None,
+        input_path: str,
+        output_path: str | None,
+        audit: str = "none",
+    ):
+        self.mode = mode
+        self.epsilon = epsilon
+        self.delta = delta
+        self.s = s
+        self.seed = seed
+        self.input_path = input_path
+        self.output_path = output_path
+        self.audit = audit
+        if mode not in ("approx", "pure"):
             raise ParameterDomainError("mode must be approx or pure")
-        if self.mode == "approx" and self.delta is None:
+        if mode == "approx" and delta is None:
             raise ParameterDomainError("approx mode requires --delta")
-        if self.mode == "pure" and self.delta is not None:
+        if mode == "pure" and delta is not None:
             raise ParameterDomainError("pure mode forbids --delta")
-        if self.s is not None and self.s < 1:
+        if s is not None and s < 1:
             raise ParameterDomainError("s must be a positive integer")
-        if self.audit not in ("none", "randomness", "accuracy", "equivalence"):
+        if audit not in ("none", "randomness", "accuracy", "equivalence"):
             raise ParameterDomainError("unknown audit mode")
 
 
-# A canonical data row is "c,c,...,c\n" or "c,c,...,c\r\n", every cell c 0 or 1.
-# Its cells become bytes 0 and 1, one byte per column of an accumulator.
-_CELL_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-# Flushed before any byte of the accumulator could carry into the next.
+# Rows per flush: at most 255, so each column's count fits its byte of the
+# accumulator once the rows' zero rows are taken out.
 _FLUSH_ROWS = 255
+# Binary readline makes a read call per buffer's worth of a line, so the
+# buffer holds a few rows: 4 at d = 4096.
+_READ_BUFFER = 1 << 15
+
+
+def _is_one_record(line: bytes) -> bool:
+    """Whether ``line`` is one whole CSV record: one physical line ending in LF or CRLF.
+
+    A quoted field that runs on past the line fails a strict parse of the line alone.
+    """
+    if not line.endswith(b"\n") or b"\r" in line[:-2]:
+        return False
+    if b'"' in line:
+        try:
+            next(csv.reader((line.decode(),), strict=True))
+        except csv.Error:
+            return False
+    return True
+
+
+def _text_lines(line: bytes, fh=None):
+    """``line``, then the rest of ``fh`` if given, as the text lines ``csv.reader`` reads from a file.
+
+    Without ``fh``, ``line`` must be one physical line.
+    """
+    if fh is None:
+        return (line.decode(),)
+    return itertools.chain(io.StringIO(line.decode(), newline=""), io.TextIOWrapper(fh, encoding="utf-8", newline=""))
 
 
 def load_dataset(path: str) -> CountVector:
     """Stream a binary-predicate CSV into column sums using O(d) memory.
 
-    The header row is parsed by ``csv.reader``. Each following row of the
-    canonical form ``c,c,...,c\\n`` or ``c,c,...,c\\r\\n``, every cell ``0``
-    or ``1`` and nothing else, is checked by slicing and added, as one byte
-    per column, into a single big integer that is flushed into the column
-    sums every 255 rows. At the first row of any other form (padded or
-    quoted cells, lone CR, blank lines, ragged rows, bad cells, no final
-    newline) that row and the rest of the file go through ``csv.reader``
-    cell by cell, so every CSV the cell-by-cell reader accepts gives the
-    same sums. The file is read once, one line at a time, so memory is O(d)
-    and a pipe works as input.
+    The file is read in binary mode, one physical line at a time. A header
+    that is one whole record on one line ending in LF or CRLF, with no
+    other CR, is parsed by ``csv.reader``. Each following line of 2d or
+    2d + 1 bytes is read as one little-endian integer X, to be compared
+    with the integer Z of the all-zero row ``0,0,...,0`` of that length
+    (LF or CRLF ending). The line
+    is a canonical row, ``c,c,...,c\\n`` or ``c,c,...,c\\r\\n`` with every
+    cell ``0`` or ``1``, exactly when X and Z agree on every bit but the low
+    bit of each cell's byte; X - Z then holds column i's cell at bit 16 i.
+    The rows are added as integers, and every 255 rows the sum, less their
+    zero rows, is flushed into the column sums by reading every other byte.
+    From the first line of any other form on (padded or quoted cells, lone
+    CR, blank lines, ragged rows, bad cells, no final newline), or from the
+    header on when it is not one such line, the file is decoded and goes
+    through ``csv.reader`` cell by cell, so every CSV the cell-by-cell reader
+    accepts gives the same sums. The file is read once, so a pipe works as
+    input.
 
     Malformed input raises ``DatasetFormatError``. Its ``row`` is the
     record number (header = 1), or for CSV syntax errors such as an
     oversize field the physical line; input that is not UTF-8 has no row.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with open(path, "rb", buffering=_READ_BUFFER) as fh:
+        line = fh.readline()
         lines_before = 0  # physical lines read before `reader` started
         try:
+            fast = _is_one_record(line)
+            reader = csv.reader(_text_lines(line, None if fast else fh))
             header = next(reader, None)
             if header is None:
                 raise DatasetFormatError("empty file: missing header row")
             d = len(header)
             if d < 1 or any(not name.strip() for name in header):
                 raise DatasetFormatError("header must name at least one predicate", row=1)
+            del header  # only its width is used; d names would outweigh the read buffer
             sums = [0] * d
-            n = acc = 0
-            width, commas = 2 * d, "," * (d - 1)
-            rest = None
-            for line in fh:
-                raw = line[: width - 1 : 2].encode()
-                end = line[width - 1 :]
-                if (
-                    (end != "\n" and end != "\r\n")
-                    or line[1 : width - 1 : 2] != commas
-                    or raw.translate(None, b"01")
-                ):
-                    rest = line
-                    break
-                acc += int.from_bytes(raw.translate(_CELL_BYTES), "big")
-                n += 1
-                if n % _FLUSH_ROWS == 0:
-                    sums = list(map(add, sums, acc.to_bytes(d, "big")))
-                    acc = 0
-            sums = list(map(add, sums, acc.to_bytes(d, "big")))
-            if rest is not None:
-                lines_before = reader.line_num + n
-                reader = csv.reader(itertools.chain([rest], fh))
-                for record, row in enumerate(reader, start=n + 2):
-                    if not row:
-                        continue  # tolerate a trailing blank line
-                    if len(row) != d:
+            n = 0
+            if fast:
+                n, rest = _sum_canonical_rows(fh, sums)
+                if rest is not None:
+                    lines_before = 1 + n
+                    reader = csv.reader(_text_lines(rest, fh))
+            for record, row in enumerate(reader, start=n + 2):
+                if not row:
+                    continue  # tolerate a trailing blank line
+                if len(row) != d:
+                    raise DatasetFormatError(
+                        f"row {record} has {len(row)} cells, expected {d}", row=record
+                    )
+                for col, cell in enumerate(row):
+                    value = cell.strip()
+                    if value == "1":
+                        sums[col] += 1
+                    elif value != "0":
                         raise DatasetFormatError(
-                            f"row {record} has {len(row)} cells, expected {d}", row=record
+                            f"row {record}, column {col + 1}: non-binary cell {cell!r}",
+                            row=record,
+                            column=col + 1,
                         )
-                    for col, cell in enumerate(row):
-                        value = cell.strip()
-                        if value == "1":
-                            sums[col] += 1
-                        elif value != "0":
-                            raise DatasetFormatError(
-                                f"row {record}, column {col + 1}: non-binary cell {cell!r}",
-                                row=record,
-                                column=col + 1,
-                            )
-                    n += 1
+                n += 1
         except csv.Error as exc:
             line_no = lines_before + reader.line_num
             raise DatasetFormatError(f"line {line_no}: malformed CSV: {exc}", row=line_no) from exc
         except UnicodeDecodeError as exc:
             raise DatasetFormatError(f"input is not UTF-8 text: {exc.reason}") from exc
     return CountVector(d=d, n=n, sums=tuple(sums))
+
+
+def _sum_canonical_rows(fh, sums: list) -> tuple[int, bytes | None]:
+    """Add the canonical rows at the head of ``fh`` into ``sums`` (see ``load_dataset``).
+
+    Returns how many rows were added and the first line that is not a
+    canonical row, or None at the end of the file.
+    """
+    d = len(sums)
+    width = 2 * d
+    zero_lf = int.from_bytes(b"0," * (d - 1) + b"0\n", "little")
+    zero_crlf = int.from_bytes(b"0," * (d - 1) + b"0\r\n", "little")
+    # Every bit but bit 16 i, the low bit of column i's byte.
+    other = int.from_bytes(b"\xfe\xff" * d + b"\xff", "little")
+    expected = {width: zero_lf & other, width + 1: zero_crlf & other}
+
+    def flush(acc: int, rows: int, crlf: int) -> None:
+        """Add in ``acc``, the sum of ``rows`` rows of which ``crlf`` end in CRLF."""
+        lanes = acc - (rows - crlf) * zero_lf - crlf * zero_crlf
+        sums[:] = map(add, sums, lanes.to_bytes(width, "little")[::2])
+
+    n = acc = crlf = 0
+    rest = None
+    for line in fh:
+        row = int.from_bytes(line, "little")
+        if row & other != expected.get(len(line)):
+            rest = line
+            break
+        acc += row
+        crlf += len(line) - width
+        n += 1
+        if n % _FLUSH_ROWS == 0:
+            flush(acc, _FLUSH_ROWS, crlf)
+            acc = crlf = 0
+    flush(acc, n % _FLUSH_ROWS, crlf)
+    return n, rest
 
 
 def _params_block(params, mode: str) -> dict:

@@ -13,9 +13,9 @@ never discards bits it has read.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Iterator
 
 from .bit_tape import BitTape
 from .errors import EnclosureContractError, ParameterDomainError

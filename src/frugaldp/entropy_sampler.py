@@ -16,8 +16,8 @@ as a rational distribution (:func:`spec_from_fractions`).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable
 
 from .bit_tape import BitTape
 from .core_samplers import _LEVEL_START, disjoint, level_record, locate

@@ -13,9 +13,10 @@ refining its enclosure until one side is certain.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Callable
 from fractions import Fraction
 from math import factorial
-from typing import Callable, NamedTuple
 
 from .errors import EnclosureContractError, MathDomainError
 
@@ -54,11 +55,10 @@ def rational_enclose(x: "Fraction | int", w: int) -> tuple[int, int]:
     return _floor_scaled(f, w), _ceil_scaled(f, w)
 
 
-class RationalBounds(NamedTuple):
-    """Exact rational bounds lo <= value <= hi of a derived parameter."""
+class RationalBounds(namedtuple("RationalBounds", "lo hi")):
+    """Exact rational bounds lo <= value <= hi of a derived parameter, as Fractions."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ()
 
     @classmethod
     def scaled(cls, lo: int, hi: int, w: int) -> "RationalBounds":

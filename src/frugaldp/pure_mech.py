@@ -14,7 +14,6 @@ kinds draw their grid cell directly, never a noise value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bit_tape import BitTape
@@ -23,20 +22,20 @@ from .core_samplers import level_record, locate
 from .errors import EnclosureContractError, ParameterDomainError
 from .precise_math import BoundedCache, RationalBounds, _exp_neg_guarded, certified_le, exp_pos, ln_enclose
 from .precise_math import exp_neg  # noqa: F401 - bench/tracer.py wraps exp_neg in every module
-from .release import CountVector, MechanismResult, check_release, shift_and_round
+from .release import CountVector, MechanismResult, Record, check_release, shift_and_round
 
 
-@dataclass(frozen=True)
-class PureTrace:
+class PureTrace(Record):
     """Which branch each coordinate of one efficient run took."""
 
-    tail_set: frozenset[int]
-    tail_size: int
-    shift: int
-    branches: tuple[str, ...]
+    __slots__ = ("tail_set", "tail_size", "shift", "branches")
 
-    def __post_init__(self):
-        if self.tail_size != len(self.tail_set):
+    def __init__(self, tail_set: frozenset[int], tail_size: int, shift: int, branches: tuple[str, ...]):
+        self.tail_set = tail_set
+        self.tail_size = tail_size
+        self.shift = shift
+        self.branches = branches
+        if tail_size != len(tail_set):
             raise ParameterDomainError("tail size must match the tail set")
 
 

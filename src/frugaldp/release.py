@@ -24,7 +24,6 @@ Every paid coordinate thus draws its cell, never a noise value.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import count
 
 from . import core_samplers
@@ -33,42 +32,66 @@ from .core_samplers import CellLaw, locate
 from .errors import InternalError, ParameterDomainError
 
 
-@dataclass(frozen=True)
-class CountVector:
+class Record:
+    """A record of the fields in its ``__slots__``, compared and shown by value."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class CountVector(Record):
     """True column sums of a binary dataset: d counts over n rows."""
 
-    d: int
-    n: int
-    sums: tuple[int, ...]
+    __slots__ = ("d", "n", "sums")
 
-    def __post_init__(self):
-        if self.d < 1 or len(self.sums) != self.d:
+    def __init__(self, d: int, n: int, sums: tuple[int, ...]):
+        self.d = d
+        self.n = n
+        self.sums = sums
+        if d < 1 or len(sums) != d:
             raise ParameterDomainError("sums must have length d >= 1")
-        if self.n < 0:
+        if n < 0:
             raise ParameterDomainError("dataset size must be non-negative")
-        for i, v in enumerate(self.sums):
-            if not 0 <= v <= self.n:
+        for i, v in enumerate(sums):
+            if not 0 <= v <= n:
                 raise ParameterDomainError(f"count {i} outside [0, n]")
 
 
-@dataclass(frozen=True)
-class RandomnessReport:
+class RandomnessReport(Record):
     """Exact bit accounting for one mechanism invocation."""
 
-    bits_total: int
-    bits_by_category: dict[str, int]
-    boundary_coordinates: tuple[int, ...]
-    draws_attempted: dict[int, int]
+    __slots__ = ("bits_total", "bits_by_category", "boundary_coordinates", "draws_attempted")
 
-    def __post_init__(self):
-        if sum(self.bits_by_category.values()) != self.bits_total:
+    def __init__(
+        self,
+        bits_total: int,
+        bits_by_category: dict[str, int],
+        boundary_coordinates: tuple[int, ...],
+        draws_attempted: dict[int, int],
+    ):
+        self.bits_total = bits_total
+        self.bits_by_category = bits_by_category
+        self.boundary_coordinates = boundary_coordinates
+        self.draws_attempted = draws_attempted
+        if sum(bits_by_category.values()) != bits_total:
             raise InternalError("category bit counts do not sum to the total")
 
 
-@dataclass(frozen=True)
-class MechanismResult:
-    values: tuple[int, ...]
-    report: RandomnessReport
+class MechanismResult(Record):
+    __slots__ = ("values", "report")
+
+    def __init__(self, values: tuple[int, ...], report: RandomnessReport):
+        self.values = values
+        self.report = report
 
 
 def floor_multiple(v: int, k: int) -> int:

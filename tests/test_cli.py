@@ -94,6 +94,13 @@ class TestLoadDataset:
         assert (crlf.n, crlf.sums) == (lf.n, lf.sums) == (rows, lf.sums)
         assert len(readers) == 1  # the header's reader only: no row fell back
 
+    def test_quoted_one_line_header_keeps_the_fast_path(self, csv_file, monkeypatch):
+        decoded = []  # for each decode: whether the rest of the file came with it
+        real = cli._text_lines
+        monkeypatch.setattr(cli, "_text_lines", lambda line, fh=None: decoded.append(fh is not None) or real(line, fh))
+        counts = load_dataset(csv_file('"a","b,c"\n1,0\n0,1\n1,1\n'))
+        assert (counts.n, counts.sums, decoded) == (3, (2, 2), [False])
+
     def test_non_utf8_input_is_a_format_error(self, tmp_path, capsys):
         path = tmp_path / "latin.csv"
         path.write_bytes(b"a,b\n1,0\n\xff,1\n")
@@ -195,6 +202,19 @@ def _csv_texts(draw):
 @example(text="a,b\n1,0\n1,00")  # 2d characters, but the last is not a newline
 @example(text="a,b,c\n1,0,1\n1,101\n")  # 2d characters, cells at odd positions
 @example(text="a,b\r1,0\r0,1\n")  # lone CR line ends
+@example(text="a,b\n1,0\n/,1\n")  # 0x2F, the neighbour of "0"
+@example(text="a,b\n1,0\n0,2\n")  # 0x32, the neighbour of "1"
+@example(text="a,b\n0,1\n1,0\r")  # 2d bytes at the end of the file, ending in a lone CR
+@example(text="a,b\n1,0\n0,1\r1,1\n")  # a lone CR inside one binary line
+@example(text="a,b\n1,01\n")  # 2d + 1 bytes, but no CRLF ending
+@example(text="a,b\n1,0\r1")  # 2d + 1 bytes at the end of the file: CR, then no LF
+@example(text="a,b\n\u00e9,\n")  # non-ASCII, 2d bytes in UTF-8
+@example(text="a,b\n1,\u00e9\n")  # non-ASCII, 2d + 1 bytes in UTF-8
+@example(text="a,b\r1,0\n0,1\n")  # a header with a lone CR ending, then LF rows
+@example(text='"a\nb",c\n1,0\n0,1\n')  # a quoted header over two lines
+@example(text='"a","b,c"\n1,0\n0,1\n')  # a quoted header on one line
+@example(text='a"b,"c\n1,0\n",0\n')  # a mid-field quote, then a quoted field that runs on
+@example(text="a,b\n" + "1,0\n" * 200 + "0,1\r\n" * 100 + "1,1\n")  # CRLF after LF, across a flush
 def test_fast_and_cell_by_cell_ingest_agree(tmp_path, text):
     path = tmp_path / "mixed.csv"
     path.write_bytes(text.encode("utf-8"))
@@ -451,6 +471,17 @@ def test_cli_import_leaves_numpy_and_scipy_out():
     assert len(frugaldp.__all__) <= 20
     for name in frugaldp.__all__:
         assert getattr(frugaldp, name) is not None
+
+
+def test_cli_import_leaves_dataclasses_and_typing_out():
+    # -S: site hooks may load typing before the probe runs.
+    probe = "import sys, frugaldp.cli; print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src)
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_module_entry_point_imports_the_cli_once():

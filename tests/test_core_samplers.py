@@ -5,8 +5,10 @@ Every asserted probability is computed from an independent oracle first
 compared against seeded empirical frequencies.
 """
 
+import copy
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -680,3 +682,15 @@ def test_scale_validation():
         LaplaceScale(0)
     with pytest.raises(ParameterDomainError):
         GaussParam(Fraction(-1, 2))
+
+
+def test_count_vector_is_a_validated_value():
+    counts = CountVector(d=2, n=5, sums=(1, 5))
+    assert counts == CountVector(2, 5, (1, 5)) != CountVector(2, 6, (1, 5))
+    assert repr(counts) == "CountVector(d=2, n=5, sums=(1, 5))"
+    assert pickle.loads(pickle.dumps(counts)) == copy.copy(counts) == counts
+    for d, n, sums in ((0, 1, ()), (2, 1, (0,)), (1, -1, (0,)), (1, 1, (2,))):
+        with pytest.raises(ParameterDomainError):
+            CountVector(d, n, sums)
+    with pytest.raises(TypeError):
+        CountVector(2, 5)
