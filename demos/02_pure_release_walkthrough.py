@@ -21,23 +21,28 @@ counts = CountVector(
 params = derive_pure_params(epsilon=Fraction(1), d=16, s=4)
 
 print("derived parameters")
-print(f"  Laplace scale d/eps = {params.scale.t}")
+print(f"  Laplace scale d/eps = {params.scale}")
 print(f"  body threshold m = {params.m}, grid = m*s = {params.grid}")
 print(f"  tail probability p in [{float(params.p.lo):.3e}, {float(params.p.hi):.3e}]")
 print()
 
 tape = BitTape(seed=77)
 result, trace = mech_pure_efficient(counts, params, tape)
+# Tail coordinates draw from the geometric tail, boundary ones a body cell.
+body = set(result.report.boundary_coordinates)
+branches = tuple(
+    "tail" if i in trace.tail_set else "body" if i in body else "silent" for i in range(counts.d)
+)
 
 print("release (seeded tape)")
 print(f"  true sums: {counts.sums}")
 print(f"  released : {result.values}")
 print(f"  shift    : {trace.shift}")
-print(f"  branches : {trace.branches}")
+print(f"  branches : {branches}")
 print(f"  tail set : {sorted(trace.tail_set)} (size {trace.tail_size})")
 print()
 print("randomness accounting")
 print(f"  total bits       : {result.report.bits_total}")
 print(f"  bits by category : {dict(result.report.bits_by_category)}")
-silent = sum(1 for b in trace.branches if b == "silent")
+silent = branches.count("silent")
 print(f"  silent coordinates: {silent} of {counts.d} cost zero noise bits")

@@ -25,18 +25,15 @@ from .release import CountVector, MechanismResult, RandomnessReport
 __version__ = "0.1.0"
 
 # Names resolved on first access instead of at import, by the module that
-# defines them. A release has no use for the audit harness's oracles or for
-# the finite-law sampler. The CLI module must not be imported here:
-# ``python -m frugaldp.cli`` imports the package first and would then run the
-# module a second time.
+# defines them. A release has no use for the audit harness's oracles. The CLI
+# module must not be imported here: ``python -m frugaldp.cli`` imports the
+# package first and would then run the module a second time.
 _LAZY_NAMES = {
     "RunConfig": "cli",
     "load_dataset": "cli",
     "run": "cli",
     "privacy_audit": "audit_harness",
     "randomness_audit": "audit_harness",
-    "sample_point_mass": "entropy_sampler",
-    "spec_from_fractions": "entropy_sampler",
 }
 
 
@@ -63,6 +60,4 @@ __all__ = [
     "privacy_audit",
     "randomness_audit",
     "run",
-    "sample_point_mass",
-    "spec_from_fractions",
 ]

@@ -20,6 +20,9 @@ from .precise_math import RationalBounds, _ceil_scaled, _floor_scaled, certified
 from .precise_math import ln_enclose, rational_enclose
 from .release import CountVector, MechanismResult, check_release, shift_and_round
 
+#: Working precision, in bits, of the enclosures of gamma and sigma^2.
+_PRECISION = 96
+
 
 class ApproxParams:
     """Validated parameters of the approximate-DP release.
@@ -106,9 +109,7 @@ def certify_window_radius(sigma_sq: Fraction, tail_budget: Fraction) -> int:
     return hi
 
 
-def derive_approx_params(
-    epsilon: Fraction, delta: Fraction, d: int, s: int, precision: int = 96
-) -> ApproxParams:
+def derive_approx_params(epsilon: Fraction, delta: Fraction, d: int, s: int) -> ApproxParams:
     """Derive all constants of the approximate-DP release from (eps, delta, d, s).
 
     Requires delta <= exp(-eps/2), certified by refining its enclosure. All
@@ -126,21 +127,21 @@ def derive_approx_params(
     if not certified_le(delta, lambda w: exp_neg(epsilon / 2, w)):
         raise ParameterDomainError("delta must satisfy delta <= exp(-epsilon/2)")
     # gamma = delta / (2 (e^eps + 1)): delta and the denominator rounded
-    # outward at w = precision + 4, their quotient at precision.
-    w = precision + 4
+    # outward at w = _PRECISION + 4, their quotient at _PRECISION.
+    w = _PRECISION + 4
     e_lo, e_hi = exp_pos(epsilon, w + 2)
     one = 1 << (w + 2)
     den_lo, den_hi = (e_lo + one) >> 1, -(-(e_hi + one) >> 1)
     num_lo, num_hi = rational_enclose(delta, w)
-    gamma_lo = (num_lo << precision) // den_hi
-    gamma = RationalBounds.scaled(gamma_lo, -(-(num_hi << precision) // den_lo), precision)
+    gamma_lo = (num_lo << _PRECISION) // den_hi
+    gamma = RationalBounds.scaled(gamma_lo, -(-(num_hi << _PRECISION) // den_lo), _PRECISION)
     if gamma_lo <= 0:
         raise EnclosureContractError("gamma enclosure collapsed to zero")
-    # sigma^2 = 4 d ln(2/delta) / eps^2, rounded outward at precision
-    ln_lo, ln_hi = ln_enclose(2 / delta, precision + 2)
-    factor = Fraction(4 * d, 1 << (precision + 2)) / epsilon**2
+    # sigma^2 = 4 d ln(2/delta) / eps^2, rounded outward at _PRECISION
+    ln_lo, ln_hi = ln_enclose(2 / delta, _PRECISION + 2)
+    factor = Fraction(4 * d, 1 << (_PRECISION + 2)) / epsilon**2
     sigma_sq_interval = RationalBounds.scaled(
-        _floor_scaled(ln_lo * factor, precision), _ceil_scaled(ln_hi * factor, precision), precision
+        _floor_scaled(ln_lo * factor, _PRECISION), _ceil_scaled(ln_hi * factor, _PRECISION), _PRECISION
     )
     sigma_sq = sigma_sq_interval.hi
     r = certify_window_radius(sigma_sq, gamma.lo / d)

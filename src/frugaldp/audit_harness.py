@@ -33,7 +33,6 @@ from fractions import Fraction
 from .approx_mech import ApproxParams
 from .errors import ParameterDomainError
 from .precise_math import _exp_neg_guarded, exp_pos
-from .precise_math import exp_neg  # noqa: F401 - bench/tracer.py wraps exp_neg in every module
 from .pure_mech import PureParams
 from .release import CountVector, MechanismResult, floor_multiple
 
@@ -106,7 +105,7 @@ def _approx_noise(params: ApproxParams, w: int) -> _Noise:
 
 def _pure_noise(params: PureParams, tail_tol: Fraction, w: int) -> _Noise:
     """Laplace pmf enclosures on [-H, H] and the certified deficit of the tails past H."""
-    t = params.scale.t
+    t = params.scale
 
     def tails(h: int) -> Fraction:  # upper bound of P[|eta| >= h] <= 2 exp(-h/t)
         return Fraction(_exp_neg_guarded(Fraction(h) / t, w)[1], 1 << (w + 3))

@@ -100,8 +100,8 @@ class BitTape:
     def next_bits(self, k: int) -> int:
         """Emit ``k`` fair bits as an integer, most significant bit first.
 
-        Equivalent to ``k`` calls of :meth:`next_bit`; provided because the
-        samplers draw short fixed-width blocks in their hot loops.
+        Equivalent to ``k`` calls of :meth:`next_bit`; :meth:`uniform_range`
+        draws its blocks through it.
         """
         value = 0
         avail = self._avail

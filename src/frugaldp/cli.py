@@ -238,7 +238,7 @@ def _params_block(params, mode: str) -> dict:
         "epsilon": str(params.epsilon),
         "s": params.s,
         "m": params.m,
-        "scale": str(params.scale.t),
+        "scale": str(params.scale),
         "p": list(map(float, params.p)),
         "grid": params.grid,
     }
@@ -289,7 +289,7 @@ def _run_audit(config: RunConfig, counts: CountVector, params) -> dict:
             alpha, beta = params.accuracy_bound, 0.0
         else:
             beta = 0.1
-            alpha = float(params.scale.t) * math.log(counts.d / beta) + 2 * params.grid
+            alpha = float(params.scale) * math.log(counts.d / beta) + 2 * params.grid
         return accuracy_audit([result for result, _ in releases], counts, alpha, beta)
     oracle = oracle_joint_dist(counts, params)
     histogram = Counter(result.values for result, _ in releases)

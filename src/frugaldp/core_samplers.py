@@ -1,14 +1,18 @@
 """The one exact comparator, and the cell laws the release draws through it.
 
-Every release decision that spends bits is one :func:`locate`: it streams a
-uniform dyadic u bit by bit from a :class:`~frugaldp.bit_tape.BitTape`
-against refinable integer bounds of a run of thresholds (the upper tails of
-a finite law, the tail masses past each grid edge, the geometric tail past
-a pure-mode tail threshold) and refines the bounds, one level of doubled
-precision at a time, until u is certified above or below each threshold it
-reads. This terminates with probability one and makes every draw exact; no
-floating point is involved anywhere. There is no rejection loop: a draw
-never discards bits it has read.
+Every noise decision of a release that spends bits is one :func:`locate`:
+it streams a uniform dyadic u bit by bit from a
+:class:`~frugaldp.bit_tape.BitTape` against refinable integer bounds of a
+run of thresholds (the tail masses past each grid edge, the geometric tail
+past a pure-mode tail threshold, the chance that the next coordinates hold
+a tail coordinate) and refines the bounds, one level of doubled precision
+at a time, until u is certified above or below each threshold it reads.
+This terminates with probability one and makes every draw exact; no
+floating point is involved anywhere. A ``locate`` never discards a bit it
+has read. The release's other draws are plain: a pure-mode tail
+coordinate's fair sign bit, and the shared shift, which
+:meth:`~frugaldp.bit_tape.BitTape.uniform_range` draws by rejection, so a
+shift whose s is not a power of two may discard bits.
 """
 
 from __future__ import annotations
@@ -42,11 +46,6 @@ def level_record(p: int, lo: int, hi: int) -> tuple[int, int, int, int]:
     if hi > one:
         hi = one
     return p, lo, hi, p - (hi - lo).bit_length()
-
-
-def disjoint(a: tuple[int, int, int, int], b: tuple[int, int, int, int]) -> bool:
-    """True when two level records of the same threshold cannot both be sound."""
-    return a[1] << b[0] > b[2] << a[0] or a[2] << b[0] < b[1] << a[0]
 
 
 def locate(
@@ -95,18 +94,6 @@ def locate(
             nb += 1
         count += 1
     return count
-
-
-class LaplaceScale:
-    """Scale t > 0 of the integer Laplace distribution Lap_Z(t)."""
-
-    __slots__ = ("t",)
-
-    def __init__(self, t: "Fraction | int"):
-        t = Fraction(t)
-        if t <= 0:
-            raise ParameterDomainError("Laplace scale must be positive")
-        self.t = t
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +248,9 @@ class LaplaceCells(CellLaw):
 
     __slots__ = ("_x",)
 
-    def __init__(self, scale: LaplaceScale, m: int):
-        t = scale.t
+    def __init__(self, t: "Fraction | int", m: int):
         super().__init__(m, m.bit_length() + (t.numerator // t.denominator + 1).bit_length() + 8)
-        self._x = 1 / t
+        self._x = 1 / Fraction(t)
 
     def _build(self, w: int):
         q_lo, q_hi = exp_neg(self._x, w)

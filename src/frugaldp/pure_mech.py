@@ -8,7 +8,8 @@ p) and a truncated body; the efficient release samples the tail set up
 front, as runs of coordinates before the next tail one, and then, in the
 shift-and-round loop it shares with approx mode, pays only for tail
 coordinates and for body coordinates whose rounding is ambiguous. Both
-kinds draw their grid cell directly, never a noise value.
+kinds draw their grid cell directly, never a noise value; every other
+coordinate is released silently.
 """
 
 from __future__ import annotations
@@ -17,24 +18,30 @@ import math
 from fractions import Fraction
 
 from .bit_tape import BitTape
-from .core_samplers import _LEVEL_START, _MEMO_CAP, LaplaceCells, LaplaceScale, _power, _power_table
+from .core_samplers import _LEVEL_START, _MEMO_CAP, LaplaceCells, _power, _power_table
 from .core_samplers import level_record, locate
 from .errors import EnclosureContractError, ParameterDomainError
 from .precise_math import BoundedCache, RationalBounds, _exp_neg_guarded, certified_le, exp_pos, ln_enclose
-from .precise_math import exp_neg  # noqa: F401 - bench/tracer.py wraps exp_neg in every module
 from .release import CountVector, MechanismResult, Record, check_release, shift_and_round
 
 
+#: Working precision, in bits, of the enclosures of ln(d/eps) and ln s that m is derived from.
+_PRECISION = 96
+
+
 class PureTrace(Record):
-    """Which branch each coordinate of one efficient run took."""
+    """The tail set and shift one efficient run drew.
 
-    __slots__ = ("tail_set", "tail_size", "shift", "branches")
+    A coordinate outside ``tail_set`` drew a body cell when it is among the
+    report's ``boundary_coordinates`` and was released silently otherwise.
+    """
 
-    def __init__(self, tail_set: frozenset[int], tail_size: int, shift: int, branches: tuple[str, ...]):
+    __slots__ = ("tail_set", "tail_size", "shift")
+
+    def __init__(self, tail_set: frozenset[int], tail_size: int, shift: int):
         self.tail_set = tail_set
         self.tail_size = tail_size
         self.shift = shift
-        self.branches = branches
         if tail_size != len(tail_set):
             raise ParameterDomainError("tail size must match the tail set")
 
@@ -42,6 +49,7 @@ class PureTrace(Record):
 class PureParams:
     """Validated parameters of the pure-DP release.
 
+    ``scale`` is the Laplace scale t = d/eps, positive since eps and d are.
     ``p`` is the exact two-sided tail mass P[|Lap_Z(d/eps)| >= m], a
     transcendental number whose bounds are kept from its 64-bit enclosure;
     ``tail_mass`` encloses it at any precision. The tail-set draw reads
@@ -75,7 +83,7 @@ class PureParams:
         self.epsilon = epsilon
         self.m = m
         self.grid = m * s
-        self.scale = LaplaceScale(Fraction(d, 1) / epsilon)
+        self.scale = Fraction(d, 1) / epsilon
         self.p = RationalBounds.scaled(*self.tail_mass(64), 64)
         if certified_le(Fraction(1), self.tail_mass):  # p < 1 holds analytically; certify it
             raise EnclosureContractError("tail probability is not below 1")
@@ -84,7 +92,7 @@ class PureParams:
 
     def tail_mass(self, w: int) -> tuple[int, int]:
         """Enclosure (lo, hi) of 2**w p, p = 2 exp(-(m - 1)/t) / (exp(1/t) + 1), with hi - lo <= 2."""
-        inv_t = 1 / self.scale.t
+        inv_t = 1 / self.scale
         # The numerator rounded outward at 2**-(w + 6), the denominator at 2**-(w + 8).
         a_lo, a_hi = _exp_neg_guarded((self.m - 1) * inv_t, w + 6)  # at 2**-(w + 10)
         num_lo, num_hi = a_lo >> 3, -(-a_hi >> 3)
@@ -115,7 +123,7 @@ class PureParams:
         return rec
 
 
-def derive_pure_params(epsilon: Fraction, d: int, s: int, precision: int = 96) -> PureParams:
+def derive_pure_params(epsilon: Fraction, d: int, s: int) -> PureParams:
     """Derive the pure release's constants from (eps, d, s).
 
     The randomness bounds need d/eps > 10, enforced here. The body/tail
@@ -135,7 +143,7 @@ def derive_pure_params(epsilon: Fraction, d: int, s: int, precision: int = 96) -
     if s == 1:
         m = 1
     else:
-        w = precision + 2
+        w = _PRECISION + 2
         m = math.ceil(Fraction(ln_enclose(t, w)[1] * ln_enclose(s, w)[1], 1 << (2 * w)) * t) + 1
     return PureParams(d, s, epsilon, m)
 
@@ -182,9 +190,4 @@ def mech_pure_efficient(
     start = tape.snapshot()
     tail = sample_tail_set(tape, params.d, params.any_tail)
     result, omega = shift_and_round(tape, start, counts, params.s, params.cells, "laplace", omega, tail)
-    branches = ["silent"] * counts.d
-    for i in tail:
-        branches[i] = "tail"
-    for i in result.report.boundary_coordinates:
-        branches[i] = "body"
-    return result, PureTrace(tail_set=tail, tail_size=len(tail), shift=omega, branches=tuple(branches))
+    return result, PureTrace(tail_set=tail, tail_size=len(tail), shift=omega)

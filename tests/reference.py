@@ -6,7 +6,8 @@ samplers for the integer Laplace and Gaussian laws (with their exact
 Bernoulli oracles, ``RefinableProb``) and the reference chains that add
 noise per coordinate, shift and round. It is independent of ``CellLaw`` on
 purpose, so that agreement between the two is evidence about both. None of
-it is part of the package's API.
+it is part of the package's API. ``FiniteLaw`` feeds ``locate`` the upper
+tails of a finite law, for the tests of sampling at the entropy limit.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import isqrt
 from typing import Callable, Mapping
 
@@ -22,9 +24,9 @@ from scipy import stats
 
 from frugaldp.approx_mech import ApproxParams, _assert_envelope, certify_window_radius
 from frugaldp.bit_tape import BitTape
-from frugaldp.core_samplers import _LEVEL_START, LaplaceScale, disjoint, level_record, locate
+from frugaldp.core_samplers import _LEVEL_START, level_record, locate
 from frugaldp.errors import EnclosureContractError, MathDomainError, ParameterDomainError
-from frugaldp.precise_math import BoundedCache, RationalBounds, exp_neg
+from frugaldp.precise_math import BoundedCache, RationalBounds, exp_neg, rational_enclose
 from frugaldp.pure_mech import PureParams
 from frugaldp.release import (
     CountVector,
@@ -66,6 +68,52 @@ def floor_sqrt(x: "Fraction | int") -> int:
     while k > 0 and k * k * xf.denominator > xf.numerator:
         k -= 1
     return k
+
+
+def disjoint(a: tuple[int, int, int, int], b: tuple[int, int, int, int]) -> bool:
+    """True when two level records of the same threshold cannot both be sound."""
+    return a[1] << b[0] > b[2] << a[0] or a[2] << b[0] < b[1] << a[0]
+
+
+# ---------------------------------------------------------------------------
+# Finite laws at the entropy limit
+# ---------------------------------------------------------------------------
+
+
+class FiniteLaw:
+    """A law on {1..k} given by enclosures of its cumulatives, as :func:`locate` reads it.
+
+    ``cumulative(i, w)`` returns integers (lo, hi) with lo <= 2**w P_i <= hi
+    for P_0 = 0 <= P_1 <= ... <= P_k = 1. ``bounds(i, level)`` is the
+    :func:`level_record` of the upper tail 1 - P_i, so a draw is
+    ``1 + locate(tape, law.bounds, range(1, law.k))``. Records are cached;
+    enclosures of one cumulative at two levels must intersect.
+    """
+
+    __slots__ = ("k", "_cumulative", "_records")
+
+    def __init__(self, k: int, cumulative: Callable[[int, int], tuple[int, int]]):
+        self.k = k
+        self._cumulative = cumulative
+        self._records: dict[int, dict[int, tuple[int, int, int, int]]] = {}
+
+    @classmethod
+    def from_fractions(cls, probs) -> "FiniteLaw":
+        """The law of exactly known rational point masses."""
+        cums = list(accumulate(probs, initial=Fraction(0)))
+        return cls(len(probs), lambda i, w: rational_enclose(cums[i], w))
+
+    def bounds(self, i: int, level: int) -> tuple[int, int, int, int]:
+        levels = self._records.setdefault(i, {})
+        rec = levels.get(level)
+        if rec is None:
+            p = _LEVEL_START << level
+            lo, hi = self._cumulative(i, p)
+            rec = level_record(p, (1 << p) - hi, (1 << p) - lo)
+            if any(disjoint(rec, other) for other in levels.values()):
+                raise EnclosureContractError(f"cumulative {i} enclosures at two levels are disjoint")
+            levels[level] = rec
+        return rec
 
 
 # ---------------------------------------------------------------------------
@@ -120,9 +168,9 @@ _EXP_NEG_ONE = RefinableProb(lambda p: exp_neg(1, p))
 _RESIDUES: BoundedCache = BoundedCache(4096)
 
 
-def residue_oracle(scale: LaplaceScale, u: int) -> RefinableProb:
+def residue_oracle(t: Fraction, u: int) -> RefinableProb:
     """Oracle for exp(-u/a) where a is the numerator of t."""
-    x = Fraction(u, scale.t.numerator)
+    x = Fraction(u, t.numerator)
     oracle = _RESIDUES.get(x)
     if oracle is None:
         oracle = _RESIDUES[x] = RefinableProb(lambda p, x=x: exp_neg(x, p))
@@ -139,20 +187,20 @@ class GaussParam:
         if sigma_sq <= 0:
             raise ParameterDomainError("sigma_sq must be positive")
         self.sigma_sq = sigma_sq
-        self.proposal_scale = LaplaceScale(max(1, floor_sqrt(sigma_sq)))
+        self.proposal_scale = Fraction(max(1, floor_sqrt(sigma_sq)))
         self._accept: dict[int, RefinableProb] = {}
 
     def accept_oracle(self, magnitude: int) -> RefinableProb:
         """Oracle for exp(-(|y| - sigma^2/t)^2 / (2 sigma^2))."""
         oracle = self._accept.get(magnitude)
         if oracle is None:
-            gap = (magnitude - self.sigma_sq / self.proposal_scale.t) ** 2 / (2 * self.sigma_sq)
+            gap = (magnitude - self.sigma_sq / self.proposal_scale) ** 2 / (2 * self.sigma_sq)
             oracle = RefinableProb(lambda p, x=gap: exp_neg(x, p))
             self._accept[magnitude] = oracle
         return oracle
 
 
-def geometric_fast(tape: BitTape, scale: LaplaceScale) -> int:
+def geometric_fast(tape: BitTape, t: Fraction) -> int:
     """Geo(1 - exp(-1/t)) on {0, 1, 2, ...}, in O(polylog t) expected bits.
 
     Counts failures before the first success, without the O(t) coin flips of
@@ -161,11 +209,11 @@ def geometric_fast(tape: BitTape, scale: LaplaceScale) -> int:
     unit-rate geometric block a*v, and divides by the denominator. Each piece
     is exact, so the result is exactly Geo(1 - exp(-1/t)).
     """
-    a = scale.t.numerator
-    b = scale.t.denominator
+    a = t.numerator
+    b = t.denominator
     while True:
         u = tape.uniform_range(a) - 1
-        if u == 0 or bernoulli_from_prob(tape, residue_oracle(scale, u)) == 1:
+        if u == 0 or bernoulli_from_prob(tape, residue_oracle(t, u)) == 1:
             break
     v = 0
     while bernoulli_from_prob(tape, _EXP_NEG_ONE) == 1:
@@ -173,9 +221,9 @@ def geometric_fast(tape: BitTape, scale: LaplaceScale) -> int:
     return (u + a * v) // b
 
 
-def discrete_laplace(tape: BitTape, scale: LaplaceScale) -> int:
+def discrete_laplace(tape: BitTape, t: Fraction) -> int:
     """Lap_Z(t): difference U - V of two i.i.d. Geo(1 - exp(-1/t)) draws."""
-    return geometric_fast(tape, scale) - geometric_fast(tape, scale)
+    return geometric_fast(tape, t) - geometric_fast(tape, t)
 
 
 def discrete_gaussian(tape: BitTape, param: GaussParam) -> int:
@@ -202,7 +250,7 @@ def _truncated_attempts(
     raise SampleBudgetError("truncated sampler exceeded the attempt cap")
 
 
-def laplace_tail_sample(tape: BitTape, scale: LaplaceScale, threshold: int) -> int:
+def laplace_tail_sample(tape: BitTape, t: Fraction, threshold: int) -> int:
     """Lap_Z(t) conditioned on |X| >= threshold, for threshold >= 1.
 
     One fair bit picks the tail (the two tails carry equal mass), then the
@@ -211,7 +259,7 @@ def laplace_tail_sample(tape: BitTape, scale: LaplaceScale, threshold: int) -> i
     if threshold < 1:
         raise ParameterDomainError("tail threshold must be a positive integer")
     positive = tape.next_bit()
-    magnitude = threshold + geometric_fast(tape, scale)
+    magnitude = threshold + geometric_fast(tape, t)
     return magnitude if positive else -magnitude
 
 

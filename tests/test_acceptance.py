@@ -22,11 +22,12 @@ from frugaldp.audit_harness import (
 )
 from frugaldp.bit_tape import BitTape
 from frugaldp.cli import RunConfig, run
-from frugaldp.entropy_sampler import sample_point_mass, spec_from_fractions
+from frugaldp.core_samplers import locate
 from frugaldp.precise_math import exp_pos
 from frugaldp.pure_mech import PureParams, derive_pure_params, mech_pure_efficient
 from frugaldp.release import CountVector
 from reference import (
+    FiniteLaw,
     approx_params_from_sigma,
     crossing_shifts,
     mech_pure_reference,
@@ -119,7 +120,7 @@ def test_criterion_04_pure_probabilistic_accuracy():
     params = derive_pure_params(Fraction(1), 16, 2)
     counts = CountVector(d=16, n=128, sums=tuple(8 * i for i in range(16)))
     beta = 0.1
-    alpha = float(params.scale.t) * math.log(params.d / beta) + 2 * params.grid
+    alpha = float(params.scale) * math.log(params.d / beta) + 2 * params.grid
     tape = BitTape(seed=11_006)
     n = 10_000
     exceed = 0
@@ -198,33 +199,30 @@ def test_criterion_06_randomness_scaling():
 
 
 def test_criterion_07_entropy_sampler():
-    """Mean bits <= H(X) + 8, chi-square correctness, bounded depth."""
+    """One locate per draw of a finite law: mean bits <= H(X) + 8, chi-square fit, bounded depth."""
     bin_d, bin_p = 16, Fraction(1, 3)
     bin_probs = [
         Fraction(math.comb(bin_d, j)) * bin_p**j * (1 - bin_p) ** (bin_d - j)
         for j in range(bin_d + 1)
     ]
     cases = [
-        ("uniform-2", spec_from_fractions([Fraction(1, 2)] * 2), [Fraction(1, 2)] * 2),
-        ("uniform-8", spec_from_fractions([Fraction(1, 8)] * 8), [Fraction(1, 8)] * 8),
-        (
-            "dyadic-4",
-            spec_from_fractions([Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8)]),
-            [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8)],
-        ),
-        ("binomial-16-1/3", spec_from_fractions(bin_probs), bin_probs),
+        ("uniform-2", [Fraction(1, 2)] * 2),
+        ("uniform-8", [Fraction(1, 8)] * 8),
+        ("dyadic-4", [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8)]),
+        ("binomial-16-1/3", bin_probs),
     ]
-    n = 250_000  # 1e6 draws across the four specs
+    n = 250_000  # 1e6 draws across the four laws
     max_depth = 0
     ok = True
     details = []
-    for idx, (name, spec, probs) in enumerate(cases):
+    for idx, (name, probs) in enumerate(cases):
+        law = FiniteLaw.from_fractions(probs)
         tape = BitTape(seed=11_200 + idx)
         hist = Counter()
         before = tape.bits_consumed
         for _ in range(n):
             start = tape.bits_consumed
-            hist[sample_point_mass(tape, spec)] += 1
+            hist[1 + locate(tape, law.bounds, range(1, law.k))] += 1
             max_depth = max(max_depth, tape.bits_consumed - start)
         mean_bits = (tape.bits_consumed - before) / n
         entropy = -sum(float(p) * math.log2(float(p)) for p in probs)
@@ -283,7 +281,6 @@ def test_criterion_08_oracle_privacy():
 
 def test_criterion_09_sampler_marginals():
     """Gaussian and Laplace marginals match truncated-normalization oracles."""
-    from frugaldp.core_samplers import LaplaceScale
     from reference import GaussParam, discrete_gaussian, discrete_laplace
 
     n = 100_000
@@ -312,7 +309,7 @@ def test_criterion_09_sampler_marginals():
     tail_g = sum(c for k, c in hist_g.items() if k >= 6) / n
     gauss_bound = math.exp(-36 / 8)
     # Integer Laplace, t = 3: oracle from the closed-form pmf.
-    scale = LaplaceScale(3)
+    scale = Fraction(3)
     tape = BitTape(seed=11_301)
     hist_l = Counter(discrete_laplace(tape, scale) for _ in range(n))
     c = (math.exp(1 / 3) - 1) / (math.exp(1 / 3) + 1)
@@ -334,7 +331,7 @@ def test_criterion_09_sampler_marginals():
     _, p_lap = stats.chisquare(obs_l, exp_l)
     # Laplace tail identity at t = 1 (scale 1/eps with eps = 1), m = 3.
     tape = BitTape(seed=11_302)
-    scale1 = LaplaceScale(1)
+    scale1 = Fraction(1)
     hist1 = Counter(discrete_laplace(tape, scale1) for _ in range(n))
     tail_l = sum(cnt for k, cnt in hist1.items() if k >= 3) / n
     tail_expected = math.exp(-2) / (math.e + 1)

@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 
 from frugaldp.approx_mech import (
     ApproxParams,
+    _assert_envelope,
     certify_window_radius,
     derive_approx_params,
     mech_approx_efficient,
 )
 from frugaldp.bit_tape import BitTape
-from frugaldp.errors import ParameterDomainError
+from frugaldp.errors import InternalError, ParameterDomainError
 from frugaldp.release import CountVector, floor_multiple, is_silent
 from reference import (
     approx_params_from_sigma,
@@ -167,6 +168,17 @@ class TestEfficientMechanism:
             res = mech_approx_efficient(counts, params, tape)
             err = max(abs(y - s) for y, s in zip(res.values, counts.sums))
             assert err <= bound
+
+    def test_envelope_check_at_its_edge(self):
+        # An error of exactly r(2s+1) passes and one more fails, in both signs.
+        params = ApproxParams(2, 3, Fraction(4), 5)
+        bound = params.accuracy_bound
+        assert bound == 35
+        counts = CountVector(d=2, n=100, sums=(40, 60))
+        _assert_envelope((40 + bound, 60 - bound), counts, params)
+        for values in ((40 + bound + 1, 60), (40, 60 - bound - 1)):
+            with pytest.raises(InternalError):
+                _assert_envelope(values, counts, params)
 
     def test_outputs_on_grid(self):
         counts = CountVector(d=3, n=30, sums=(1, 15, 30))

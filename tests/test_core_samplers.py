@@ -20,7 +20,7 @@ import frugaldp.core_samplers as cs
 import reference
 from frugaldp.approx_mech import mech_approx_efficient
 from frugaldp.bit_tape import BitTape
-from frugaldp.core_samplers import GaussianCells, LaplaceCells, LaplaceScale, locate
+from frugaldp.core_samplers import GaussianCells, LaplaceCells, locate
 from frugaldp.errors import ParameterDomainError
 from frugaldp.precise_math import exp_neg, rational_enclose
 from frugaldp.pure_mech import PureParams, mech_pure_efficient
@@ -118,41 +118,40 @@ class TestBernoulliFromProb:
 
 class TestGeometric:
     def test_mass_at_zero(self):
-        scale = LaplaceScale(2)
+        scale = Fraction(2)
         hist, _ = collect_histogram(lambda t: geometric_fast(t, scale), 100_000, 201)
         n = sum(hist.values())
         assert abs(hist[0] / n - (1 - math.exp(-0.5))) <= 0.01
 
     def test_successive_ratio(self):
-        scale = LaplaceScale(2)
+        scale = Fraction(2)
         hist, _ = collect_histogram(lambda t: geometric_fast(t, scale), 100_000, 202)
         for k in range(3):
             ratio = hist[k + 1] / hist[k]
             assert abs(ratio - math.exp(-0.5)) <= 0.03
 
     def test_tiny_scale_collapses_to_zero(self):
-        scale = LaplaceScale(Fraction(1, 64))
+        scale = Fraction(1, 64)
         hist, _ = collect_histogram(lambda t: geometric_fast(t, scale), 10_000, 203)
         assert set(hist) == {0}  # P[nonzero] <= exp(-64)
 
     def test_matches_exact_pmf(self):
         # The non-integer scale 7/2 exercises the residue and divisor paths.
         for seed, t in ((204, Fraction(2)), (205, Fraction(7, 2))):
-            scale = LaplaceScale(t)
-            hist, _ = collect_histogram(lambda tp: geometric_fast(tp, scale), 30_000, seed)
+            hist, _ = collect_histogram(lambda tp: geometric_fast(tp, t), 30_000, seed)
             assert _chi_square_against(hist, _geometric_pmf(t)) >= 0.001
 
     def test_fast_uses_fewer_bits_at_large_scale(self):
         # Flipping coins until the first success takes 1/(1 - exp(-1/t)) > t
         # trials on average, at least one bit each.
-        scale = LaplaceScale(128)
+        scale = Fraction(128)
         _, fast_bits = collect_histogram(lambda t: geometric_fast(t, scale), 2_000, 207)
         assert fast_bits / 2_000 < 128 / 5
 
     def test_residue_cache_stays_bounded(self):
         # At t = 4 096 000 nearly every attempt draws a new residue: 5 000
         # draws ask for about 8 000 acceptance oracles.
-        scale = LaplaceScale(4_096_000)
+        scale = Fraction(4_096_000)
         cap = reference._RESIDUES.cap
         tape = BitTape(seed=208)
         for _ in range(5_000):
@@ -162,14 +161,14 @@ class TestGeometric:
 
 class TestDiscreteLaplace:
     def test_mass_at_zero(self):
-        scale = LaplaceScale(1)
+        scale = Fraction(1)
         hist, _ = collect_histogram(lambda t: discrete_laplace(t, scale), 100_000, 301)
         n = sum(hist.values())
         expected = (math.e - 1) / (math.e + 1)
         assert abs(hist[0] / n - expected) <= 0.01
 
     def test_symmetry(self):
-        scale = LaplaceScale(1)
+        scale = Fraction(1)
         hist, _ = collect_histogram(lambda t: discrete_laplace(t, scale), 100_000, 302)
         n = sum(hist.values())
         for k in (1, 2, 3):
@@ -177,7 +176,7 @@ class TestDiscreteLaplace:
 
     def test_tail_mass(self):
         # P[X >= m] = exp(-eps(m-1)) / (e^eps + 1) at scale 1/eps; eps=1, m=3.
-        scale = LaplaceScale(1)
+        scale = Fraction(1)
         hist, _ = collect_histogram(lambda t: discrete_laplace(t, scale), 100_000, 303)
         n = sum(hist.values())
         tail = sum(c for k, c in hist.items() if k >= 3) / n
@@ -187,7 +186,7 @@ class TestDiscreteLaplace:
     def test_bit_cost_grows_polylog(self):
         means = []
         for seed, t in enumerate((2, 8, 32, 128)):
-            scale = LaplaceScale(t)
+            scale = Fraction(t)
             _, bits = collect_histogram(lambda tp: discrete_laplace(tp, scale), 3_000, 400 + seed)
             means.append(bits / 3_000)
         assert means[0] <= means[1] * 1.02
@@ -233,7 +232,7 @@ def _truncated(base, bound):
 
 class TestTruncatedSample:
     def test_huge_bound_is_identity(self):
-        scale = LaplaceScale(2)
+        scale = Fraction(2)
         base, _ = collect_histogram(lambda t: discrete_laplace(t, scale), 20_000, 601)
         trunc, _ = collect_histogram(
             _truncated(lambda tp: discrete_laplace(tp, scale), 10**9), 20_000, 602
@@ -241,13 +240,13 @@ class TestTruncatedSample:
         assert two_sample_chi_square(base, trunc) >= 0.001
 
     def test_bound_one_pins_to_zero(self):
-        scale = LaplaceScale(1)
+        scale = Fraction(1)
         hist, _ = collect_histogram(_truncated(lambda tp: discrete_laplace(tp, scale), 1), 2_000, 603)
         assert set(hist) == {0}
 
     def test_conditional_pmf(self):
         # Renormalized oracle over {-2..2} for Lap_Z(2) conditioned |X| < 3.
-        scale = LaplaceScale(2)
+        scale = Fraction(2)
         weights = {k: math.exp(-abs(k) / 2) for k in range(-2, 3)}
         z = sum(weights.values())
         oracle = {k: w / z for k, w in weights.items()}
@@ -268,19 +267,19 @@ class TestTruncatedSample:
 
 class TestLaplaceTailSample:
     def test_sign_balance(self):
-        scale = LaplaceScale(2)
+        scale = Fraction(2)
         hist, _ = collect_histogram(lambda t: laplace_tail_sample(t, scale, 3), 100_000, 701)
         n = sum(hist.values())
         positive = sum(c for k, c in hist.items() if k > 0) / n
         assert abs(positive - 0.5) <= 0.01
 
     def test_support_excludes_body(self):
-        scale = LaplaceScale(2)
+        scale = Fraction(2)
         hist, _ = collect_histogram(lambda t: laplace_tail_sample(t, scale, 3), 200_000, 702)
         assert min(abs(k) for k in hist) == 3
 
     def test_geometric_ratio_from_threshold(self):
-        scale = LaplaceScale(2)
+        scale = Fraction(2)
         hist, _ = collect_histogram(lambda t: laplace_tail_sample(t, scale, 3), 100_000, 703)
         ratio = hist[3] / hist[4]
         assert abs(ratio - math.exp(0.5)) <= 0.06
@@ -288,20 +287,19 @@ class TestLaplaceTailSample:
     def test_memorylessness_matches_geometric(self):
         # The excess over the threshold is exactly Geo(1 - exp(-1/t)).
         for seed, t in ((704, Fraction(2)), (705, Fraction(7, 2))):
-            scale = LaplaceScale(t)
             excess, _ = collect_histogram(
-                lambda tp: abs(laplace_tail_sample(tp, scale, 5)) - 5, 50_000, seed
+                lambda tp: abs(laplace_tail_sample(tp, t, 5)) - 5, 50_000, seed
             )
             assert _chi_square_against(excess, _geometric_pmf(t)) >= 0.001
 
     def test_threshold_validation(self):
         tape = BitTape(seed=706)
         with pytest.raises(ParameterDomainError):
-            laplace_tail_sample(tape, LaplaceScale(2), 0)
+            laplace_tail_sample(tape, Fraction(2), 0)
 
     def test_bits_stay_small_at_large_scale(self):
         # The magnitude comes from geometric_fast, not the O(t) coin-flip loop.
-        _, bits = collect_histogram(lambda t: laplace_tail_sample(t, LaplaceScale(4096), 5), 200, 707)
+        _, bits = collect_histogram(lambda t: laplace_tail_sample(t, Fraction(4096), 5), 200, 707)
         assert bits / 200 <= 100
 
 
@@ -341,7 +339,7 @@ def _assert_cell_law(hist, probs):
 
 _LAWS = [
     ("gaussian", lambda: GaussianCells(Fraction(7, 3), 9), _gauss_weight(Fraction(7, 3)), 9),
-    ("laplace", lambda: LaplaceCells(LaplaceScale(Fraction(5, 2)), 11), _laplace_weight(Fraction(5, 2)), 11),
+    ("laplace", lambda: LaplaceCells(Fraction(5, 2), 11), _laplace_weight(Fraction(5, 2)), 11),
 ]
 
 # Releases of several coordinates, as (s, keys): with unit h and the shift
@@ -444,7 +442,7 @@ class TestCellDraw:
     def test_refinement_keeps_the_law(self, monkeypatch):
         # Start at 4-bit levels so that most draws must refine their enclosure.
         monkeypatch.setattr(cs, "_LEVEL_START", 4)
-        law = LaplaceCells(LaplaceScale(Fraction(5, 2)), 11)
+        law = LaplaceCells(Fraction(5, 2), 11)
         n = 20_000
         hist, _ = collect_histogram(lambda t: _release_cell(t, law, 1, 3), n, 710)
         assert len(law._levels) >= 2
@@ -466,7 +464,7 @@ class TestCellDraw:
         # 4-bit levels: the running products widen within a few coordinates,
         # so draws refine partway along a run and rebuild that level's prefix.
         monkeypatch.setattr(cs, "_LEVEL_START", 4)
-        law = LaplaceCells(LaplaceScale(Fraction(5, 2)), 11)
+        law = LaplaceCells(Fraction(5, 2), 11)
         counts, laws = _run_case(law, _laplace_weight(Fraction(5, 2)), 2, _RUNS[0][1])
         hist, _ = collect_histogram(lambda t: _release_row(t, law, 2, counts), 20_000, 713)
         assert len(law._levels) >= 2
@@ -501,6 +499,12 @@ class TestCellDraw:
     def test_halfwidth_validation(self):
         with pytest.raises(ParameterDomainError):
             GaussianCells(Fraction(2), 0)
+
+    def test_integer_laplace_scale_is_exact(self):
+        # An int t must not reach the law as the float 1/t.
+        keys = range(-6, 7)
+        exact = LaplaceCells(Fraction(3), 7)
+        assert [LaplaceCells(3, 7).tail_ratio(k, 0) for k in keys] == [exact.tail_ratio(k, 0) for k in keys]
 
 
 def _tail_cell_probs(t, m, grid, center):
@@ -545,7 +549,7 @@ _TAIL_LAWS = [(Fraction(12), 22), (Fraction(2), 2)]
 class TestTailCellDraw:
     @pytest.mark.parametrize("t,m", _TAIL_LAWS)
     def test_geometric_tail_encloses_q_to_the_g(self, t, m):
-        law = LaplaceCells(LaplaceScale(t), m)
+        law = LaplaceCells(t, m)
         for g in range(0, 12 * m):
             exact = math.exp(-g / float(t))
             for level in (0, 1):
@@ -563,7 +567,7 @@ class TestTailCellDraw:
         s, grid = 2, 2 * m
         count = 2 * grid + offset
         center = count + m
-        law = LaplaceCells(LaplaceScale(t), m)
+        law = LaplaceCells(t, m)
         counts, tail = CountVector(1, 4 * grid, (count,)), frozenset({0})
 
         def draw(tape):
@@ -595,7 +599,7 @@ class TestTailCellDraw:
         # t = 2**40 keeps q^g away from 0 for keys past the four 256-entry rows,
         # where the table multiplies in powers of its top base q^(2**32).
         t = 2**40
-        law = LaplaceCells(LaplaceScale(t), 5)
+        law = LaplaceCells(Fraction(t), 5)
         for g in (1, 255, 256, 65_535, 65_536, 2**24 + 3, 2**32 - 1, 2**32, 2**33 + 2**8 + 1):
             exact = math.exp(-g / t)
             for level in (0, 1):
@@ -641,7 +645,7 @@ class TestRecordMemo:
     def test_memo_stays_bounded(self):
         # Half-width 20 000 leaves 40 000 distinct tail-ratio keys; the
         # geometric tail has keys without end.
-        law = LaplaceCells(LaplaceScale(4096), 20_000)
+        law = LaplaceCells(Fraction(4096), 20_000)
         cap = cs._MEMO_CAP
         for k in range(-19_999, 20_001):
             law.tail_ratio(k, 0)
@@ -678,8 +682,6 @@ class TestRunStream:
 
 
 def test_scale_validation():
-    with pytest.raises(ParameterDomainError):
-        LaplaceScale(0)
     with pytest.raises(ParameterDomainError):
         GaussParam(Fraction(-1, 2))
 

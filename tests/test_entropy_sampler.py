@@ -1,4 +1,8 @@
-"""Tests for the entropy-optimal point-mass sampler."""
+"""Sampling finite laws at the entropy limit: one :func:`locate` over their upper tails.
+
+The laws come to ``locate`` through the reference adapter ``FiniteLaw``;
+no release draws from a finite law, so the package has none.
+"""
 
 import math
 from fractions import Fraction
@@ -7,31 +11,35 @@ import pytest
 from scipy import stats
 
 from frugaldp.bit_tape import BitTape
-from frugaldp.entropy_sampler import PointMassSpec, sample_point_mass, spec_from_fractions
-from frugaldp.errors import EnclosureContractError, ParameterDomainError
+from frugaldp.core_samplers import locate
+from frugaldp.errors import EnclosureContractError
 from frugaldp.precise_math import exp_neg, exp_pos
-from frugaldp.pure_mech import derive_pure_params, mech_pure_efficient
-from frugaldp.release import CountVector
 
 from conftest import collect_histogram
+from reference import FiniteLaw
 
 
 def _entropy(probs) -> float:
     return -sum(float(p) * math.log2(float(p)) for p in probs)
 
 
+def sample_point_mass(tape: BitTape, law: FiniteLaw) -> int:
+    """Index i in {1..k} with probability exactly P_i - P_{i-1}."""
+    return 1 + locate(tape, law.bounds, range(1, law.k))
+
+
 class TestSamplePointMass:
     def test_fair_coin_is_one_bit(self):
-        spec = spec_from_fractions([Fraction(1, 2), Fraction(1, 2)])
-        hist, bits = collect_histogram(lambda t: sample_point_mass(t, spec), 100_000, 801)
+        law = FiniteLaw.from_fractions([Fraction(1, 2), Fraction(1, 2)])
+        hist, bits = collect_histogram(lambda t: sample_point_mass(t, law), 100_000, 801)
         n = sum(hist.values())
         assert abs(hist[1] / n - 0.5) <= 0.01
         assert bits == n  # dyadic boundaries: exactly one bit per draw
 
     def test_dyadic_spec_hits_entropy(self):
         probs = [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8)]
-        spec = spec_from_fractions(probs)
-        hist, bits = collect_histogram(lambda t: sample_point_mass(t, spec), 100_000, 802)
+        law = FiniteLaw.from_fractions(probs)
+        hist, bits = collect_histogram(lambda t: sample_point_mass(t, law), 100_000, 802)
         n = sum(hist.values())
         assert bits / n <= _entropy(probs) + 6
         for i, p in enumerate(probs, start=1):
@@ -39,8 +47,8 @@ class TestSamplePointMass:
 
     def test_rational_spec_chi_square(self):
         probs = [Fraction(1, 5), Fraction(1, 2), Fraction(3, 10)]
-        spec = spec_from_fractions(probs)
-        hist, _ = collect_histogram(lambda t: sample_point_mass(t, spec), 100_000, 803)
+        law = FiniteLaw.from_fractions(probs)
+        hist, _ = collect_histogram(lambda t: sample_point_mass(t, law), 100_000, 803)
         counts = [hist[i] for i in range(1, 4)]
         _, p = stats.chisquare(counts, [float(q) * sum(counts) for q in probs])
         assert p >= 0.001
@@ -68,18 +76,12 @@ class TestSamplePointMass:
             return lo >> (2 * g - w), -(-hi >> (2 * g - w))
 
         p_ref = 2 * math.exp(-0.5) / (math.exp(0.5) + 1)
-        spec = PointMassSpec(3, cumulative)
-        hist, _ = collect_histogram(lambda t: sample_point_mass(t, spec) - 1, 50_000, 809)
+        law = FiniteLaw(3, cumulative)
+        hist, _ = collect_histogram(lambda t: sample_point_mass(t, law) - 1, 50_000, 809)
         n = sum(hist.values())
         expected = [(1 - p_ref) ** 2, 2 * p_ref * (1 - p_ref), p_ref**2]
         _, pval = stats.chisquare([hist[k] for k in range(3)], [e * n for e in expected])
         assert pval >= 0.001
-
-    def test_invalid_specs(self):
-        with pytest.raises(ParameterDomainError):
-            spec_from_fractions([Fraction(1, 2), Fraction(1, 3)])
-        with pytest.raises(ParameterDomainError):
-            spec_from_fractions([Fraction(3, 2), Fraction(-1, 2)])
 
     def test_disjoint_refinement_detected(self):
         def broken_oracle(i, w):
@@ -93,24 +95,11 @@ class TestSamplePointMass:
                 return 1 << (w - 3), 3 << (w - 3)
             return 3 << (w - 2), 3 << (w - 2)
 
-        spec = PointMassSpec(2, broken_oracle)
+        law = FiniteLaw(2, broken_oracle)
         tape = BitTape(seed=805)
         with pytest.raises(EnclosureContractError):
             for _ in range(200):
-                sample_point_mass(tape, spec)
-
-
-class TestEnclosedBinomialCost:
-    """A cold pure release, tail-set draw included, at large d."""
-
-    def test_cold_pure_release_at_large_d(self):
-        d = 100_000
-        counts = CountVector(d, 1000, tuple(i % 1001 for i in range(d)))
-        params = derive_pure_params(Fraction(1), d, 4)
-        result, trace = mech_pure_efficient(counts, params, BitTape(seed=831))
-        assert len(result.values) == d
-        assert all(v % params.grid == 0 for v in result.values)
-        assert trace.tail_size == len(trace.tail_set)
+                sample_point_mass(tape, law)
 
 
 def test_entropy_bound_across_reference_specs():
@@ -120,6 +109,6 @@ def test_entropy_bound_across_reference_specs():
         [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8)],
     ]
     for idx, probs in enumerate(cases):
-        spec = spec_from_fractions(probs)
-        _, bits = collect_histogram(lambda t: sample_point_mass(t, spec), 30_000, 820 + idx)
+        law = FiniteLaw.from_fractions(probs)
+        _, bits = collect_histogram(lambda t: sample_point_mass(t, law), 30_000, 820 + idx)
         assert bits / 30_000 <= _entropy(probs) + 8

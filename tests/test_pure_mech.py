@@ -37,7 +37,7 @@ class TestDeriveParams:
         # eps=1, d=16, s=2: t=16, 16 ln(16) ln(2) = 30.75 -> m = 31 + 1 = 32.
         params = derive_pure_params(Fraction(1), 16, 2)
         assert params.m == 32
-        assert params.scale.t == 16
+        assert params.scale == 16
         assert params.grid == 64
 
     def test_tail_probability_enclosure(self):
@@ -48,7 +48,7 @@ class TestDeriveParams:
     def test_tail_probability_is_twice_one_sided_sum(self):
         # Independent oracle: sum the pmf over k >= m directly.
         params = PureParams(4, 2, Fraction(1), 3)
-        t = float(params.scale.t)
+        t = float(params.scale)
         c = (math.exp(1 / t) - 1) / (math.exp(1 / t) + 1)
         one_sided = sum(c * math.exp(-k / t) for k in range(params.m, params.m + 2000))
         assert abs(float(params.p.lo) - 2 * one_sided) < 1e-9
@@ -86,7 +86,7 @@ class TestHandEvaluations:
             tape = BitTape(seed=seed)
             res, trace = mech_pure_efficient(counts, params, tape, omega=4)
             if trace.tail_size == 0:
-                assert trace.branches == ("silent",)
+                assert res.report.boundary_coordinates == ()
                 assert res.values == (12,)
                 noise_bits = res.report.bits_by_category.get("laplace", 0)
                 noise_bits += res.report.bits_by_category.get("tail", 0)
@@ -103,7 +103,7 @@ class TestHandEvaluations:
         for seed in range(40):
             res, trace = mech_pure_efficient(counts, params, BitTape(seed=seed), omega=2)
             if trace.tail_size == 0:
-                assert trace.branches == ("silent",)
+                assert res.report.boundary_coordinates == ()
                 assert res.values == (6,)
                 assert res.report.bits_by_category.get("laplace", 0) == 0
                 seen_silent = True
@@ -115,7 +115,7 @@ class TestHandEvaluations:
         for seed in range(40):
             tape = BitTape(seed=seed)
             res, trace = mech_pure_efficient(counts, params, tape, omega=2)
-            assert trace.branches[0] in ("tail", "body")
+            assert trace.tail_set | set(res.report.boundary_coordinates) == {0}
 
 
 class TestDistributionalStructure:
@@ -265,15 +265,9 @@ class TestTraceAndReport:
         tape = BitTape(seed=928)
         res, trace = mech_pure_efficient(counts, params, tape)
         assert trace.tail_size == len(trace.tail_set)
-        assert len(trace.branches) == 4
-        for i, branch in enumerate(trace.branches):
-            if branch == "tail":
-                assert i in trace.tail_set
-            else:
-                assert i not in trace.tail_set
-        assert set(res.report.boundary_coordinates) == {
-            i for i, b in enumerate(trace.branches) if b == "body"
-        }
+        body = set(res.report.boundary_coordinates)
+        assert trace.tail_set <= set(range(4)) and body <= set(range(4))
+        assert not trace.tail_set & body  # a tail coordinate draws no body cell
         assert sum(res.report.bits_by_category.values()) == res.report.bits_total
         assert trace.shift % params.m == 0
         assert params.m <= trace.shift <= params.grid
@@ -292,3 +286,16 @@ class TestTraceAndReport:
         for variant in (3, 5):
             with pytest.raises(ParameterDomainError):
                 mech_pure_reference(counts, params, variant, BitTape(seed=1))
+
+
+class TestEnclosedBinomialCost:
+    """A cold pure release, tail-set draw included, at large d."""
+
+    def test_cold_pure_release_at_large_d(self):
+        d = 100_000
+        counts = CountVector(d, 1000, tuple(i % 1001 for i in range(d)))
+        params = derive_pure_params(Fraction(1), d, 4)
+        result, trace = mech_pure_efficient(counts, params, BitTape(seed=831))
+        assert len(result.values) == d
+        assert all(v % params.grid == 0 for v in result.values)
+        assert trace.tail_size == len(trace.tail_set)

@@ -7,7 +7,6 @@ with a short switch interval so that they interleave inside the cache
 fills, and compares what every thread read with a single-threaded read.
 """
 
-import math
 import random
 import sys
 import threading
@@ -16,8 +15,7 @@ from fractions import Fraction
 from frugaldp import core_samplers
 from frugaldp.approx_mech import derive_approx_params, mech_approx_efficient
 from frugaldp.bit_tape import BitTape
-from frugaldp.core_samplers import GaussianCells, LaplaceCells, LaplaceScale
-from frugaldp.entropy_sampler import PointMassSpec, spec_from_fractions
+from frugaldp.core_samplers import GaussianCells, LaplaceCells
 from frugaldp.precise_math import exp_neg
 from frugaldp.pure_mech import derive_pure_params, mech_pure_efficient, sample_tail_set
 from frugaldp.release import CountVector
@@ -53,21 +51,6 @@ def _run_together(work):
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     return results
-
-
-def test_point_mass_bounds_at_different_precisions():
-    d, p = 32, Fraction(1, 3)
-    base = spec_from_fractions([math.comb(d, j) * p**j * (1 - p) ** (d - j) for j in range(d + 1)])
-
-    def read(spec, k):
-        # Each thread adds rows at its own levels while the others scan theirs.
-        return [spec.bounds(i, (k + i) % 4) for i in range(base.k + 1)]
-
-    single = PointMassSpec(base.k, base.prob_oracle)
-    expected = [read(single, k) for k in range(THREADS)]
-    for _ in range(ROUNDS):
-        shared = PointMassSpec(base.k, base.prob_oracle)
-        assert _run_together(lambda k: read(shared, k)) == expected
 
 
 def test_tail_set_draws_on_shared_params():
@@ -125,9 +108,9 @@ def test_cell_law_tail_ratios():
 
     laws = [
         (lambda: GaussianCells(Fraction(7, 3), 9), "tail_ratio", range(-7, 9)),
-        (lambda: LaplaceCells(LaplaceScale(Fraction(5, 2)), 11), "tail_ratio", range(-9, 11)),
+        (lambda: LaplaceCells(Fraction(5, 2), 11), "tail_ratio", range(-9, 11)),
         # The geometric tail of a pure-mode tail coordinate, past the half-width.
-        (lambda: LaplaceCells(LaplaceScale(Fraction(5, 2)), 11), "geometric_tail", range(1, 60, 3)),
+        (lambda: LaplaceCells(Fraction(5, 2), 11), "geometric_tail", range(1, 60, 3)),
     ]
     for make, source, keys in laws:
         expected = [read(make(), source, keys, k) for k in range(THREADS)]
