@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import math
 import statistics
+from collections import namedtuple
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .approx_mech import ApproxParams
@@ -39,8 +39,7 @@ from .release import CountVector, MechanismResult, floor_multiple
 _TAIL_TOL = Fraction(1, 1 << 30)
 
 
-@dataclass(frozen=True)
-class DiscreteDist:
+class DiscreteDist(namedtuple("DiscreteDist", "mass deficit w")):
     """Finite-support distribution with enclosed masses.
 
     ``mass`` maps each outcome to integers (lo, hi) with lo <= 2**w P[o] <= hi.
@@ -49,9 +48,7 @@ class DiscreteDist:
     listed masses sum to at least 1 - deficit.
     """
 
-    mass: dict
-    deficit: Fraction
-    w: int
+    __slots__ = ()
 
     def midpoints(self) -> dict:
         return {k: Fraction(lo + hi, 2 << self.w) for k, (lo, hi) in self.mass.items()}
@@ -62,18 +59,15 @@ class DiscreteDist:
         return Fraction(lo, 1 << self.w), Fraction(hi, 1 << self.w) + self.deficit
 
 
-@dataclass(frozen=True)
-class PrivacyAuditResult:
+class PrivacyAuditResult(namedtuple("PrivacyAuditResult", "epsilon_hat delta_slack events_examined passed")):
     """Outcome of a likelihood-ratio audit between neighboring inputs."""
 
-    epsilon_hat: float
-    delta_slack: float
-    events_examined: int
-    passed: bool
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.epsilon_hat < 0:
+    def __new__(cls, epsilon_hat: float, delta_slack: float, events_examined: int, passed: bool):
+        if epsilon_hat < 0:
             raise ParameterDomainError("epsilon_hat is non-negative by construction")
+        return tuple.__new__(cls, (epsilon_hat, delta_slack, events_examined, passed))
 
 
 def _tolerance_bits(tail_tol: Fraction, terms: int) -> int:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from contextlib import contextmanager
 
 from .errors import EntropySourceError
 
@@ -52,6 +51,25 @@ class _OsEntropy:
             raise EntropySourceError("OS entropy source failed") from exc
 
 
+class _Category:
+    """One ``with tape.category(name)`` block: blocks nest, and leaving one restores the outer name."""
+
+    __slots__ = ("_tape", "_name", "_previous")
+
+    def __init__(self, tape: BitTape, name: str):
+        self._tape = tape
+        self._name = name
+
+    def __enter__(self) -> BitTape:
+        tape = self._tape
+        self._previous = tape._category
+        tape._category = self._name
+        return tape
+
+    def __exit__(self, *exc_info) -> None:
+        self._tape._category = self._previous
+
+
 class BitTape:
     """Fair random bits, one at a time, with exact consumption accounting.
 
@@ -76,15 +94,9 @@ class BitTape:
         self._avail = 0
         self._category = UNCATEGORIZED
 
-    @contextmanager
-    def category(self, name: str):
-        """Attribute bits drawn inside the block to ``name`` in the draw log."""
-        previous = self._category
-        self._category = name
-        try:
-            yield self
-        finally:
-            self._category = previous
+    def category(self, name: str) -> _Category:
+        """Attribute bits drawn inside the ``with`` block to ``name`` in the draw log."""
+        return _Category(self, name)
 
     def next_bit(self) -> int:
         """Emit one fair bit (0 or 1)."""

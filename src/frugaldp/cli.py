@@ -27,7 +27,7 @@ import math
 import os
 import sys
 import time
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 from operator import add
 
@@ -35,7 +35,7 @@ from .approx_mech import derive_approx_params, mech_approx_efficient
 from .bit_tape import BitTape, _SplitMix64
 from .errors import DatasetFormatError, FrugalDPError, InternalError, ParameterDomainError
 from .pure_mech import derive_pure_params, mech_pure_efficient
-from .release import CountVector, Record
+from .release import CountVector
 
 EXIT_OK = 0
 EXIT_PARAMETER = 2
@@ -46,13 +46,13 @@ _AUDIT_TRIALS = 200
 _EQUIVALENCE_TRIALS = 20000
 
 
-class RunConfig(Record):
+class RunConfig(namedtuple("RunConfig", "mode epsilon delta s seed input_path output_path audit")):
     """One validated CLI invocation."""
 
-    __slots__ = ("mode", "epsilon", "delta", "s", "seed", "input_path", "output_path", "audit")
+    __slots__ = ()
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         mode: str,
         epsilon: Fraction,
         delta: Fraction | None,
@@ -62,14 +62,6 @@ class RunConfig(Record):
         output_path: str | None,
         audit: str = "none",
     ):
-        self.mode = mode
-        self.epsilon = epsilon
-        self.delta = delta
-        self.s = s
-        self.seed = seed
-        self.input_path = input_path
-        self.output_path = output_path
-        self.audit = audit
         if mode not in ("approx", "pure"):
             raise ParameterDomainError("mode must be approx or pure")
         if mode == "approx" and delta is None:
@@ -80,6 +72,7 @@ class RunConfig(Record):
             raise ParameterDomainError("s must be a positive integer")
         if audit not in ("none", "randomness", "accuracy", "equivalence"):
             raise ParameterDomainError("unknown audit mode")
+        return tuple.__new__(cls, (mode, epsilon, delta, s, seed, input_path, output_path, audit))
 
 
 # Rows per flush: at most 255, so each column's count fits its byte of the
@@ -353,10 +346,13 @@ def _fraction_arg(text: str) -> Fraction:
 
 
 def _seed_arg(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < (1 << 64):
-        raise argparse.ArgumentTypeError("seed must be an unsigned 64-bit integer")
-    return value
+    try:
+        value = int(text)
+        if 0 <= value < (1 << 64):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError("seed must be an unsigned 64-bit integer")
 
 
 def build_parser() -> argparse.ArgumentParser:

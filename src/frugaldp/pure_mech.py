@@ -15,6 +15,7 @@ coordinate is released silently.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 from .bit_tape import BitTape
@@ -22,28 +23,25 @@ from .core_samplers import _LEVEL_START, _MEMO_CAP, LaplaceCells, _power, _power
 from .core_samplers import level_record, locate
 from .errors import EnclosureContractError, ParameterDomainError
 from .precise_math import BoundedCache, RationalBounds, _exp_neg_guarded, certified_le, exp_pos, ln_enclose
-from .release import CountVector, MechanismResult, Record, check_release, shift_and_round
+from .release import CountVector, MechanismResult, check_release, shift_and_round
 
 
 #: Working precision, in bits, of the enclosures of ln(d/eps) and ln s that m is derived from.
 _PRECISION = 96
 
 
-class PureTrace(Record):
+class PureTrace(namedtuple("PureTrace", "tail_set shift")):
     """The tail set and shift one efficient run drew.
 
     A coordinate outside ``tail_set`` drew a body cell when it is among the
     report's ``boundary_coordinates`` and was released silently otherwise.
     """
 
-    __slots__ = ("tail_set", "tail_size", "shift")
+    __slots__ = ()
 
-    def __init__(self, tail_set: frozenset[int], tail_size: int, shift: int):
-        self.tail_set = tail_set
-        self.tail_size = tail_size
-        self.shift = shift
-        if tail_size != len(tail_set):
-            raise ParameterDomainError("tail size must match the tail set")
+    @property
+    def tail_size(self) -> int:
+        return len(self.tail_set)
 
 
 class PureParams:
@@ -190,4 +188,4 @@ def mech_pure_efficient(
     start = tape.snapshot()
     tail = sample_tail_set(tape, params.d, params.any_tail)
     result, omega = shift_and_round(tape, start, counts, params.s, params.cells, "laplace", omega, tail)
-    return result, PureTrace(tail_set=tail, tail_size=len(tail), shift=omega)
+    return result, PureTrace(tail, omega)

@@ -23,7 +23,7 @@ Every paid coordinate thus draws its cell, never a noise value.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from itertools import count
 
 from . import core_samplers
@@ -32,31 +32,12 @@ from .core_samplers import CellLaw, locate
 from .errors import InternalError, ParameterDomainError
 
 
-class Record:
-    """A record of the fields in its ``__slots__``, compared and shown by value."""
+class CountVector(namedtuple("CountVector", "d n sums")):
+    """True column sums of a binary dataset: d counts over n rows."""
 
     __slots__ = ()
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        return self._values() == other._values() if type(other) is type(self) else NotImplemented
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-
-class CountVector(Record):
-    """True column sums of a binary dataset: d counts over n rows."""
-
-    __slots__ = ("d", "n", "sums")
-
-    def __init__(self, d: int, n: int, sums: tuple[int, ...]):
-        self.d = d
-        self.n = n
-        self.sums = sums
+    def __new__(cls, d: int, n: int, sums: tuple[int, ...]):
         if d < 1 or len(sums) != d:
             raise ParameterDomainError("sums must have length d >= 1")
         if n < 0:
@@ -64,34 +45,29 @@ class CountVector(Record):
         for i, v in enumerate(sums):
             if not 0 <= v <= n:
                 raise ParameterDomainError(f"count {i} outside [0, n]")
+        return tuple.__new__(cls, (d, n, sums))
 
 
-class RandomnessReport(Record):
+class RandomnessReport(
+    namedtuple("RandomnessReport", "bits_total bits_by_category boundary_coordinates draws_attempted")
+):
     """Exact bit accounting for one mechanism invocation."""
 
-    __slots__ = ("bits_total", "bits_by_category", "boundary_coordinates", "draws_attempted")
+    __slots__ = ()
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         bits_total: int,
         bits_by_category: dict[str, int],
         boundary_coordinates: tuple[int, ...],
         draws_attempted: dict[int, int],
     ):
-        self.bits_total = bits_total
-        self.bits_by_category = bits_by_category
-        self.boundary_coordinates = boundary_coordinates
-        self.draws_attempted = draws_attempted
         if sum(bits_by_category.values()) != bits_total:
             raise InternalError("category bit counts do not sum to the total")
+        return tuple.__new__(cls, (bits_total, bits_by_category, boundary_coordinates, draws_attempted))
 
 
-class MechanismResult(Record):
-    __slots__ = ("values", "report")
-
-    def __init__(self, values: tuple[int, ...], report: RandomnessReport):
-        self.values = values
-        self.report = report
+MechanismResult = namedtuple("MechanismResult", "values report")
 
 
 def floor_multiple(v: int, k: int) -> int:
@@ -136,12 +112,7 @@ def build_report(
         delta = count - start_log.get(name, 0)
         if delta:
             by_cat[name] = delta
-    return RandomnessReport(
-        bits_total=tape.bits_consumed - start_bits,
-        bits_by_category=by_cat,
-        boundary_coordinates=boundary,
-        draws_attempted=attempts or {},
-    )
+    return RandomnessReport(tape.bits_consumed - start_bits, by_cat, boundary, attempts or {})
 
 
 def shift_and_round(

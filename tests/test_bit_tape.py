@@ -111,10 +111,22 @@ def test_category_accounting_totals():
             tape.next_bit()
         tape.next_bit()
     tape.next_bit()  # uncategorized
+    with tape.category("laplace") as inner:
+        assert inner is tape
+    # A block left by an exception restores the outer category.
+    with tape.category("binomial"):
+        with pytest.raises(RuntimeError):
+            with tape.category("subset"):
+                tape.next_bits(3)
+                raise RuntimeError("left early")
+        tape.next_bit()
+    tape.next_bits(2)  # uncategorized again
     assert sum(tape.draw_log.values()) == tape.bits_consumed
     assert tape.draw_log["shift"] == 4
     assert tape.draw_log["gaussian"] == 11
     assert tape.draw_log["tail"] == 1
+    assert tape.draw_log["subset"] == 3 and tape.draw_log["binomial"] == 1
+    assert tape.draw_log["uncategorized"] == 3 and "laplace" not in tape.draw_log
 
 
 def test_snapshot_is_a_copy():

@@ -1,5 +1,6 @@
 """Tests for dataset ingestion and the command-line front end."""
 
+import argparse
 import csv
 import json
 import os
@@ -412,8 +413,9 @@ class TestMain:
     def test_seed_validation(self):
         from frugaldp.cli import _seed_arg
 
-        with pytest.raises(Exception):
-            _seed_arg(str(1 << 64))
+        for text in (str(1 << 64), "-1", "abc", "1.5", ""):
+            with pytest.raises(argparse.ArgumentTypeError, match="^seed must be an unsigned 64-bit integer$"):
+                _seed_arg(text)
         assert _seed_arg("0") == 0
 
 
@@ -474,14 +476,20 @@ def test_cli_import_leaves_numpy_and_scipy_out():
 
 
 def test_cli_import_leaves_dataclasses_and_typing_out():
-    # -S: site hooks may load typing before the probe runs.
-    probe = "import sys, frugaldp.cli; print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src)
+    # -S: site hooks may load typing before the probe runs. The audit
+    # harness's records are namedtuples too, so it needs no dataclasses.
+    probes = (
+        ("frugaldp.cli", "'dataclasses', 'inspect', 'typing', 'contextlib'"),
+        ("frugaldp.audit_harness", "'dataclasses', 'inspect'"),
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    for module, names in probes:
+        probe = f"import sys, {module}; print(sorted({{{names}}} & set(sys.modules)))"
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src)
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]", module
 
 
 def test_module_entry_point_imports_the_cli_once():

@@ -10,6 +10,7 @@ import itertools
 import math
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,12 +20,14 @@ from scipy import stats
 import frugaldp.core_samplers as cs
 import reference
 from frugaldp.approx_mech import mech_approx_efficient
+from frugaldp.audit_harness import DiscreteDist, PrivacyAuditResult
 from frugaldp.bit_tape import BitTape
+from frugaldp.cli import RunConfig
 from frugaldp.core_samplers import GaussianCells, LaplaceCells, locate
-from frugaldp.errors import ParameterDomainError
+from frugaldp.errors import InternalError, ParameterDomainError
 from frugaldp.precise_math import exp_neg, rational_enclose
-from frugaldp.pure_mech import PureParams, mech_pure_efficient
-from frugaldp.release import CountVector, draw_runs, is_silent, shift_and_round
+from frugaldp.pure_mech import PureParams, PureTrace, mech_pure_efficient
+from frugaldp.release import CountVector, MechanismResult, RandomnessReport, draw_runs, is_silent, shift_and_round
 from reference import (
     GaussParam,
     RefinableProb,
@@ -696,3 +699,82 @@ def test_count_vector_is_a_validated_value():
             CountVector(d, n, sums)
     with pytest.raises(TypeError):
         CountVector(2, 5)
+
+
+_REPORT_ARGS = (3, {"shift": 1, "laplace": 2}, (0,), {0: 1})
+
+
+def _config(**changes) -> tuple:
+    """RunConfig arguments: a valid pure-mode invocation with ``changes`` applied."""
+    fields = dict(mode="pure", epsilon=Fraction(1, 2), delta=None, s=2, seed=7,
+                  input_path="in.csv", output_path=None, audit="none")
+    return tuple({**fields, **changes}.values())
+
+
+# Each record type: its fields, a valid value, and invalid values with the error and message they raise.
+_RECORDS = [
+    (
+        CountVector,
+        "d n sums",
+        (2, 5, (1, 5)),
+        [((0, 1, ()), ParameterDomainError, "sums must have length d >= 1"),
+         ((2, 1, (0,)), ParameterDomainError, "sums must have length d >= 1"),
+         ((1, -1, (0,)), ParameterDomainError, "dataset size must be non-negative"),
+         ((1, 1, (2,)), ParameterDomainError, "count 0 outside [0, n]")],
+    ),
+    (
+        RandomnessReport,
+        "bits_total bits_by_category boundary_coordinates draws_attempted",
+        _REPORT_ARGS,
+        [((4, {"shift": 1}, (), {}), InternalError, "category bit counts do not sum to the total")],
+    ),
+    (MechanismResult, "values report", ((3, 7), RandomnessReport(*_REPORT_ARGS)), []),
+    (PureTrace, "tail_set shift", (frozenset({0, 2}), 4), []),
+    (
+        RunConfig,
+        "mode epsilon delta s seed input_path output_path audit",
+        _config(),
+        [(_config(mode="both"), ParameterDomainError, "mode must be approx or pure"),
+         (_config(mode="approx"), ParameterDomainError, "approx mode requires --delta"),
+         (_config(delta=Fraction(1, 4)), ParameterDomainError, "pure mode forbids --delta"),
+         (_config(s=0), ParameterDomainError, "s must be a positive integer"),
+         (_config(audit="all"), ParameterDomainError, "unknown audit mode")],
+    ),
+    (DiscreteDist, "mass deficit w", ({0: (1, 2), 4: (1, 2)}, Fraction(0), 2), []),
+    (
+        PrivacyAuditResult,
+        "epsilon_hat delta_slack events_examined passed",
+        (0.5, 0.0, 3, True),
+        [((-0.5, 0.0, 3, True), ParameterDomainError, "epsilon_hat is non-negative by construction")],
+    ),
+]
+
+
+@pytest.mark.parametrize("cls, fields, args, invalid", _RECORDS, ids=[r[0].__name__ for r in _RECORDS])
+def test_record_is_an_immutable_validated_namedtuple(cls, fields, args, invalid):
+    assert issubclass(cls, tuple) and cls._fields == tuple(fields.split())
+    record = cls(*args)
+    assert record == cls(**dict(zip(cls._fields, args))) == args
+    assert repr(record) == f"{cls.__name__}({', '.join(f'{k}={v!r}' for k, v in zip(cls._fields, args))})"
+    for name in (cls._fields[0], "other"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    assert pickle.loads(pickle.dumps(record)) == copy.copy(record) == copy.deepcopy(record) == record
+    if cls is PureTrace:
+        assert record.tail_size == len(record.tail_set) == 2
+    try:
+        hash(args)
+    except TypeError:
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(cls(*args)) and record in {record}
+    for bad, error, message in invalid:
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            cls(*bad)
+        # Unpickling and copying build the record again, so they validate too.
+        forged = tuple.__new__(cls, bad)
+        for rebuild in (lambda r: pickle.loads(pickle.dumps(r)), copy.copy):
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                rebuild(forged)
+
