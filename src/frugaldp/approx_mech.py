@@ -15,9 +15,9 @@ from fractions import Fraction
 
 from .bit_tape import BitTape
 from .core_samplers import GaussianCells
-from .errors import EnclosureContractError, InternalError, ParameterDomainError
+from .errors import InternalError, ParameterDomainError
 from .precise_math import RationalBounds, _ceil_scaled, _floor_scaled, certified_le, exp_neg, exp_pos
-from .precise_math import ln_enclose, rational_enclose
+from .precise_math import ln_enclose
 from .release import CountVector, MechanismResult, check_release, shift_and_round
 
 #: Working precision, in bits, of the enclosures of gamma and sigma^2.
@@ -126,17 +126,10 @@ def derive_approx_params(epsilon: Fraction, delta: Fraction, d: int, s: int) -> 
         raise ParameterDomainError("d and s must be positive integers")
     if not certified_le(delta, lambda w: exp_neg(epsilon / 2, w)):
         raise ParameterDomainError("delta must satisfy delta <= exp(-epsilon/2)")
-    # gamma = delta / (2 (e^eps + 1)): delta and the denominator rounded
-    # outward at w = _PRECISION + 4, their quotient at _PRECISION.
-    w = _PRECISION + 4
-    e_lo, e_hi = exp_pos(epsilon, w + 2)
-    one = 1 << (w + 2)
-    den_lo, den_hi = (e_lo + one) >> 1, -(-(e_hi + one) >> 1)
-    num_lo, num_hi = rational_enclose(delta, w)
-    gamma_lo = (num_lo << _PRECISION) // den_hi
-    gamma = RationalBounds.scaled(gamma_lo, -(-(num_hi << _PRECISION) // den_lo), _PRECISION)
-    if gamma_lo <= 0:
-        raise EnclosureContractError("gamma enclosure collapsed to zero")
+    # gamma = delta / (2 (e^eps + 1)), exact rational bounds from e^eps at _PRECISION
+    e_lo, e_hi = exp_pos(epsilon, _PRECISION)
+    one = 1 << _PRECISION
+    gamma = RationalBounds(delta * one / (2 * (e_hi + one)), delta * one / (2 * (e_lo + one)))
     # sigma^2 = 4 d ln(2/delta) / eps^2, rounded outward at _PRECISION
     ln_lo, ln_hi = ln_enclose(2 / delta, _PRECISION + 2)
     factor = Fraction(4 * d, 1 << (_PRECISION + 2)) / epsilon**2

@@ -378,16 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = RunConfig(
-            mode=args.mode,
-            epsilon=args.epsilon,
-            delta=args.delta,
-            s=args.s,
-            seed=args.seed,
-            input_path=args.input_path,
-            output_path=args.output_path,
-            audit=args.audit,
-        )
+        config = RunConfig(**vars(args))  # every dest is a field name
     except ParameterDomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMETER

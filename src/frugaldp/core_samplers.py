@@ -23,7 +23,7 @@ from itertools import accumulate
 
 from .bit_tape import BitTape
 from .errors import EnclosureContractError, ParameterDomainError
-from .precise_math import BoundedCache, _pow_scaled, exp_neg
+from .precise_math import BoundedCache, RationalBounds, _pow_scaled, exp_neg
 
 _LEVEL_START = 64
 #: Refinement gives up past this precision. A comparison streams no deeper
@@ -139,15 +139,21 @@ class CellLaw:
     def _tail_sums(self, data, k: int) -> tuple[int, int, int, int]:
         raise NotImplementedError
 
-    def _build_level(self, level: int):
-        """The level's data and its two record memos (tail ratios, geometric tails), built whole."""
-        data = self._build((_LEVEL_START << level) + self._guard)
-        entry = self._levels[level] = data, BoundedCache(_MEMO_CAP), BoundedCache(_MEMO_CAP)
+    def _level(self, level: int):
+        """The level's data and memos of tail ratios, geometric tails and any-tail powers, built once."""
+        entry = self._levels.get(level)
+        if entry is None:
+            data = self._build((_LEVEL_START << level) + self._guard)
+            entry = self._levels[level] = data, *(BoundedCache(_MEMO_CAP) for _ in range(3))
         return entry
+
+    def ratio_records(self, level: int) -> tuple[int, BoundedCache]:
+        """The precision of the :meth:`tail_ratio` records at ``level``, and their memo keyed by k."""
+        return _LEVEL_START << level, self._level(level)[1]
 
     def tail_ratio(self, k: int, level: int) -> tuple[int, int, int, int]:
         """The :func:`level_record` of S(k)/Z at ``level``, in the form :func:`locate` reads."""
-        data, memo, _ = self._levels.get(level) or self._build_level(level)
+        data, memo, _, _ = self._level(level)
         rec = memo.get(k)
         if rec is None:
             p = _LEVEL_START << level
@@ -239,11 +245,13 @@ def _power(table, k: int, w: int) -> tuple[int, int]:
 class LaplaceCells(CellLaw):
     """Weights q^|eta| on |eta| < m, q = exp(-1/t), through closed-form geometric sums.
 
-    For k >= 0, S(k)/Z = (q^k - q^m) / (1 + q - 2 q^m); negative k mirrors
-    through S(k) = Z - S(1 - k). Each level keeps digit tables of
-    q^(b * 256**j) for b < 256, j < 4 (:func:`_power_table`), so a power of q
-    costs one product per base-256 digit of its exponent, and nothing whose
-    size grows with m or t is built.
+    For k >= 0, S(k)/Z = (q^k - q^m) / Z with Z = 1 + q - 2 q^m; negative k
+    mirrors through S(k) = Z - S(1 - k). The same constants give the
+    untruncated law's tail mass p = P[|eta| >= m] = 2 q^m / (1 + q) and
+    1 - p = Z / (1 + q). Each level keeps digit tables of q^(b * 256**j) and
+    of (1 - p)^(b * 256**j) for b < 256, j < 4 (:func:`_power_table`), so a
+    power costs one product per base-256 digit of its exponent, and nothing
+    whose size grows with m or t is built.
     """
 
     __slots__ = ("_x",)
@@ -257,15 +265,22 @@ class LaplaceCells(CellLaw):
         table = _power_table(q_lo, q_hi, w)
         qm_lo, qm_hi = _power(table, self.halfwidth, w)
         one = 1 << w
-        return w, table, qm_lo, qm_hi, one + q_lo - 2 * qm_hi, one + q_hi - 2 * qm_lo
+        z_lo, z_hi = one + q_lo - 2 * qm_hi, one + q_hi - 2 * qm_lo
+        stay = _power_table(max(0, (z_lo << w) // (one + q_hi)), -(-(z_hi << w) // (one + q_lo)), w)
+        return w, table, stay, (qm_lo, qm_hi), (z_lo, z_hi), (one + q_lo, one + q_hi)
 
     def _tail_sums(self, data, k: int) -> tuple[int, int, int, int]:
-        w, table, qm_lo, qm_hi, d_lo, d_hi = data
+        w, table, _, (qm_lo, qm_hi), (z_lo, z_hi), _ = data
         if k >= 0:
             a_lo, a_hi = _power(table, k, w)
-            return a_lo - qm_hi, a_hi - qm_lo, d_lo, d_hi
+            return a_lo - qm_hi, a_hi - qm_lo, z_lo, z_hi
         a_lo, a_hi = _power(table, 1 - k, w)
-        return d_lo - (a_hi - qm_lo), d_hi - (a_lo - qm_hi), d_lo, d_hi
+        return z_lo - (a_hi - qm_lo), z_hi - (a_lo - qm_hi), z_lo, z_hi
+
+    def tail_probability(self) -> RationalBounds:
+        """Exact rational bounds of p = P[|eta| >= m] = 2 q^m / (1 + q), untruncated, from level 0."""
+        _, _, _, (qm_lo, qm_hi), _, (den_lo, den_hi) = self._level(0)[0]
+        return RationalBounds(Fraction(2 * qm_lo, den_hi), Fraction(2 * qm_hi, den_lo))
 
     def geometric_tail(self, g: int, level: int) -> tuple[int, int, int, int]:
         """The :func:`level_record` of q^g = P[G >= g], G ~ Geo(1 - q), in the form :func:`locate` reads.
@@ -276,9 +291,23 @@ class LaplaceCells(CellLaw):
         rounding keeps them sound for any g; for g far past m they are only
         wider, so :func:`locate` refines sooner.
         """
-        data, _, memo = self._levels.get(level) or self._build_level(level)
+        data, _, memo, _ = self._level(level)
         rec = memo.get(g)
         if rec is None:
             w, table = data[:2]
             rec = memo[g] = level_record(w, *_power(table, g, w))
+        return rec
+
+    def any_tail(self, j: int, level: int) -> tuple[int, int, int, int]:
+        """The :func:`level_record` of 1 - (1 - p)**j, the chance that j coordinates hold a tail coordinate.
+
+        The tail-set draw reads it for 1 <= j <= d, from this level's
+        outward-rounded digit table of 1 - p.
+        """
+        data, _, _, memo = self._level(level)
+        rec = memo.get(j)
+        if rec is None:
+            w, _, stay = data[:3]
+            lo, hi = _power(stay, j, w)
+            rec = memo[j] = level_record(w, (1 << w) - hi, (1 << w) - lo)
         return rec

@@ -4,12 +4,14 @@ The output law is that of the reference chain: Laplace noise of scale
 d/eps on every count, one shared shift, rounding down to the grid m*s
 (``audit_harness.oracle_joint_dist_pure`` computes it exactly). Each
 coordinate's noise splits into a rare tail event (|noise| >= m, probability
-p) and a truncated body; the efficient release samples the tail set up
-front, as runs of coordinates before the next tail one, and then, in the
-shift-and-round loop it shares with approx mode, pays only for tail
-coordinates and for body coordinates whose rounding is ambiguous. Both
-kinds draw their grid cell directly, never a noise value; every other
-coordinate is released silently.
+p) and a truncated body. The Laplace cell law
+(:class:`~frugaldp.core_samplers.LaplaceCells`) encloses p and the powers of
+1 - p from the same powers of exp(-eps/d) as the body cells. The efficient
+release samples the tail set up front, as runs of coordinates before the
+next tail one, and then, in the shift-and-round loop it shares with approx
+mode, pays only for tail coordinates and for body coordinates whose
+rounding is ambiguous. Both kinds draw their grid cell directly, never a
+noise value; every other coordinate is released silently.
 """
 
 from __future__ import annotations
@@ -19,10 +21,9 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .bit_tape import BitTape
-from .core_samplers import _LEVEL_START, _MEMO_CAP, LaplaceCells, _power, _power_table
-from .core_samplers import level_record, locate
+from .core_samplers import LaplaceCells, locate
 from .errors import EnclosureContractError, ParameterDomainError
-from .precise_math import BoundedCache, RationalBounds, _exp_neg_guarded, certified_le, exp_pos, ln_enclose
+from .precise_math import ln_enclose
 from .release import CountVector, MechanismResult, check_release, shift_and_round
 
 
@@ -48,27 +49,17 @@ class PureParams:
     """Validated parameters of the pure-DP release.
 
     ``scale`` is the Laplace scale t = d/eps, positive since eps and d are.
-    ``p`` is the exact two-sided tail mass P[|Lap_Z(d/eps)| >= m], a
-    transcendental number whose bounds are kept from its 64-bit enclosure;
-    ``tail_mass`` encloses it at any precision. The tail-set draw reads
-    1 - (1 - p)**j through ``any_tail``, whose digit tables of the powers of
-    1 - p are built per refinement level on first use, so the release
-    distribution is exact. As in the cell laws, a level's table is
-    deterministic, so threads that build it at once store equal data and
-    no lock is needed.
+    ``cells`` is the Laplace law's
+    :class:`~frugaldp.core_samplers.LaplaceCells`, which encloses every
+    constant of the release from q = exp(-1/t) and its powers. ``p``, the
+    exact two-sided tail mass P[|Lap_Z(d/eps)| >= m] = 2 q^m / (1 + q), a
+    transcendental number, keeps the exact rational bounds of its level-0
+    enclosure. The tail-set draw reads 1 - (1 - p)**j through
+    ``cells.any_tail``, which refines it level by level, so the release
+    distribution is exact.
     """
 
-    __slots__ = (
-        "d",
-        "s",
-        "epsilon",
-        "scale",
-        "m",
-        "grid",
-        "p",
-        "cells",
-        "_stay_tables",
-    )
+    __slots__ = ("d", "s", "epsilon", "scale", "m", "grid", "p", "cells")
 
     def __init__(self, d: int, s: int, epsilon: Fraction, m: int):
         if d < 1 or s < 1 or m < 1:
@@ -82,43 +73,10 @@ class PureParams:
         self.m = m
         self.grid = m * s
         self.scale = Fraction(d, 1) / epsilon
-        self.p = RationalBounds.scaled(*self.tail_mass(64), 64)
-        if certified_le(Fraction(1), self.tail_mass):  # p < 1 holds analytically; certify it
-            raise EnclosureContractError("tail probability is not below 1")
         self.cells = LaplaceCells(self.scale, m)
-        self._stay_tables: dict = {}
-
-    def tail_mass(self, w: int) -> tuple[int, int]:
-        """Enclosure (lo, hi) of 2**w p, p = 2 exp(-(m - 1)/t) / (exp(1/t) + 1), with hi - lo <= 2."""
-        inv_t = 1 / self.scale
-        # The numerator rounded outward at 2**-(w + 6), the denominator at 2**-(w + 8).
-        a_lo, a_hi = _exp_neg_guarded((self.m - 1) * inv_t, w + 6)  # at 2**-(w + 10)
-        num_lo, num_hi = a_lo >> 3, -(-a_hi >> 3)
-        e_lo, e_hi = exp_pos(inv_t, w + 8)
-        one = 1 << (w + 8)
-        return (num_lo << (w + 2)) // (e_hi + one), -(-(num_hi << (w + 2)) // (e_lo + one))
-
-    def any_tail(self, j: int, level: int) -> tuple[int, int, int, int]:
-        """The :func:`~frugaldp.core_samplers.level_record` of 1 - (1 - p)**j, for 1 <= j <= d.
-
-        That is the chance that j coordinates hold a tail coordinate. The
-        power comes from the level's digit table of 1 - p, outward-rounded;
-        the guard bits past the level's precision cover the error of up to
-        d products. Records are memoized per level, as the cell laws do.
-        """
-        entry = self._stay_tables.get(level)
-        if entry is None:
-            w = (_LEVEL_START << level) + self.d.bit_length() + 8
-            lo, hi = self.tail_mass(w)
-            one = 1 << w
-            table = _power_table(one - hi, one - lo, w)
-            entry = self._stay_tables[level] = w, table, BoundedCache(_MEMO_CAP)
-        w, table, memo = entry
-        rec = memo.get(j)
-        if rec is None:
-            lo, hi = _power(table, j, w)
-            rec = memo[j] = level_record(w, (1 << w) - hi, (1 << w) - lo)
-        return rec
+        self.p = self.cells.tail_probability()
+        if self.p.hi >= 1:  # p < 1 holds analytically; the level-0 bounds certify it
+            raise EnclosureContractError("tail probability is not below 1")
 
 
 def derive_pure_params(epsilon: Fraction, d: int, s: int) -> PureParams:
@@ -150,13 +108,14 @@ def sample_tail_set(tape: BitTape, d: int, any_tail) -> frozenset[int]:
     """Tail set J of coordinates 0..d-1, each a member with probability p, independently.
 
     ``any_tail(j, level)`` returns the level record of 1 - (1 - p)**j, as
-    :meth:`PureParams.any_tail` does. The set is drawn in runs: with the
-    last n coordinates left, the count L before the next member has
-    P[L >= j] = (1 - p)**j, so one :func:`~frugaldp.core_samplers.locate`
-    over the thresholds 1 - (1 - p)**j along j = n, n - 1, ..., 1 returns
-    n - L, and coordinate d - n + L is the next member; 0 means none is
-    left. An empty set costs one comparison with 1 - (1 - p)**d, and each
-    member O(n - L) keys. Bits go under "binomial".
+    :meth:`~frugaldp.core_samplers.LaplaceCells.any_tail` does. The set is
+    drawn in runs: with the last n coordinates left, the count L before the
+    next member has P[L >= j] = (1 - p)**j, so one
+    :func:`~frugaldp.core_samplers.locate` over the thresholds
+    1 - (1 - p)**j along j = n, n - 1, ..., 1 returns n - L, and coordinate
+    d - n + L is the next member; 0 means none is left. An empty set costs
+    one comparison with 1 - (1 - p)**d, and each member O(n - L) keys. Bits
+    go under "binomial".
     """
     chosen = []
     n = d
@@ -186,6 +145,6 @@ def mech_pure_efficient(
     """
     check_release(counts, params, params.m, omega)
     start = tape.snapshot()
-    tail = sample_tail_set(tape, params.d, params.any_tail)
+    tail = sample_tail_set(tape, params.d, params.cells.any_tail)
     result, omega = shift_and_round(tape, start, counts, params.s, params.cells, "laplace", omega, tail)
     return result, PureTrace(tail, omega)

@@ -26,7 +26,6 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from itertools import count
 
-from . import core_samplers
 from .bit_tape import BitTape
 from .core_samplers import CellLaw, locate
 from .errors import InternalError, ParameterDomainError
@@ -197,8 +196,7 @@ def draw_runs(tape: BitTape, cells: CellLaw, grid: int, queued: list, keys: list
 
     def products(b: int, level: int):
         """The records of T_1, T_2, ... from key b on at ``level``, one per key, in order."""
-        memo = (cells._levels.get(level) or cells._build_level(level))[1]
-        p = core_samplers._LEVEL_START << level  # read per run, so a lowered level start takes effect
+        p, memo = cells.ratio_records(level)
         one = lo = hi = 1 << p
         for i in range(b, end):
             k = keys[i]

@@ -26,7 +26,8 @@ from frugaldp.approx_mech import ApproxParams, _assert_envelope, certify_window_
 from frugaldp.bit_tape import BitTape
 from frugaldp.core_samplers import _LEVEL_START, level_record, locate
 from frugaldp.errors import EnclosureContractError, MathDomainError, ParameterDomainError
-from frugaldp.precise_math import BoundedCache, RationalBounds, exp_neg, rational_enclose
+from frugaldp.precise_math import BoundedCache, RationalBounds, _exp_neg_guarded, exp_neg, exp_pos
+from frugaldp.precise_math import rational_enclose
 from frugaldp.pure_mech import PureParams
 from frugaldp.release import (
     CountVector,
@@ -339,10 +340,25 @@ def mech_approx_reference(
     return MechanismResult(values, build_report(tape, start, tuple(range(counts.d)), attempts))
 
 
+def pure_tail_mass(params: PureParams, w: int) -> tuple[int, int]:
+    """Enclosure (lo, hi) of 2**w p, p = 2 exp(-(m - 1)/t) / (exp(1/t) + 1), with hi - lo <= 2.
+
+    Built from ``precise_math``'s exp(-x) and exp(x) directly, not from the
+    powers of q that ``LaplaceCells`` encloses p with, so the two check each other.
+    """
+    inv_t = 1 / params.scale
+    # The numerator rounded outward at 2**-(w + 6), the denominator at 2**-(w + 8).
+    a_lo, a_hi = _exp_neg_guarded((params.m - 1) * inv_t, w + 6)  # at 2**-(w + 10)
+    num_lo, num_hi = a_lo >> 3, -(-a_hi >> 3)
+    e_lo, e_hi = exp_pos(inv_t, w + 8)
+    one = 1 << (w + 8)
+    return (num_lo << (w + 2)) // (e_hi + one), -(-(num_hi << (w + 2)) // (e_lo + one))
+
+
 @lru_cache(maxsize=64)
 def membership(params: PureParams) -> RefinableProb:
     """Oracle for the tail probability p, the per-coordinate coin of variant 4."""
-    return RefinableProb(params.tail_mass)
+    return RefinableProb(lambda w: pure_tail_mass(params, w))
 
 
 def mech_pure_reference(

@@ -60,6 +60,21 @@ class TestDeriveParams:
             derive_approx_params(Fraction(1), Fraction(7, 10), 2, 2)
         derive_approx_params(Fraction(1), Fraction(6, 10), 2, 2)
 
+    @pytest.mark.parametrize(
+        "epsilon, delta", [(Fraction(1), Fraction(1, 10**30)), (Fraction(1, 10), Fraction(1, 10**29))]
+    )
+    def test_gamma_below_two_to_the_minus_96(self, epsilon, delta):
+        # gamma = delta / (2 (e^eps + 1)) is about 1.3e-31 and 2.4e-30 here,
+        # below the 2**-96 grid it was once rounded to, which left it zero.
+        params = derive_approx_params(epsilon, delta, 3, 2)
+        gamma = float(delta) / (2 * (math.exp(float(epsilon)) + 1))
+        assert 0 < params.gamma.lo <= params.gamma.hi < Fraction(1, 1 << 96)
+        assert params.gamma.hi - params.gamma.lo <= params.gamma.lo / (1 << 90)
+        assert math.isclose(float(params.gamma.lo), gamma, rel_tol=1e-12)
+        sigma_sq, budget = float(params.sigma_sq), float(params.gamma.lo) / params.d
+        assert 2 * math.exp(-params.r**2 / (2 * sigma_sq)) <= budget
+        assert 2 * math.exp(-((params.r - 1) ** 2) / (2 * sigma_sq)) > budget
+
     def test_window_radius_certified_minimal(self):
         params = derive_approx_params(Fraction(1), Fraction(1, 4), 4, 4)
         sigma_sq = float(params.sigma_sq)

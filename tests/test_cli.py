@@ -395,6 +395,15 @@ class TestMain:
             assert len(err.splitlines()) == 1
             assert "reproducible" in err and "not private" in err
 
+    @pytest.mark.parametrize("epsilon, delta", [("1", "1e-30"), ("0.1", "1e-29")])
+    def test_delta_with_gamma_below_two_to_the_minus_96(self, csv_file, tmp_path, epsilon, delta):
+        # Valid parameters (delta <= exp(-eps/2)) once exited 4, "gamma enclosure collapsed to zero".
+        out = tmp_path / "out.json"
+        argv = ["--mode", "approx", "--epsilon", epsilon, "--delta", delta, "--output", str(out)]
+        assert main(argv + ["--input", csv_file("a,b,c\n1,0,1\n0,1,1\n")]) == EXIT_OK
+        gamma = json.loads(out.read_text())["params"]["gamma"]
+        assert 0 < gamma[0] <= gamma[1] < 2**-96
+
     def test_decimal_parsing_is_exact(self):
         from frugaldp.cli import _fraction_arg
 

@@ -642,20 +642,22 @@ class TestRecordMemo:
         monkeypatch.setattr(cs, "_MEMO_CAP", 1)
         tiny = _seeded_batch(*make(), seeds)
         assert fresh == warm == tiny
-        _, ratios, tails = params.cells._levels[0]
-        assert ratios and bool(tails) == (mode == "pure")  # boundary cells, and pure tails, were drawn
+        _, ratios, tails, stays = params.cells._levels[0]
+        # Boundary cells were drawn, and in pure mode tail cells and the tail set.
+        assert ratios and bool(tails) == bool(stays) == (mode == "pure")
 
     def test_memo_stays_bounded(self):
         # Half-width 20 000 leaves 40 000 distinct tail-ratio keys; the
-        # geometric tail has keys without end.
+        # geometric tail and the any-tail powers have keys without end.
         law = LaplaceCells(Fraction(4096), 20_000)
         cap = cs._MEMO_CAP
         for k in range(-19_999, 20_001):
             law.tail_ratio(k, 0)
             law.geometric_tail(k + 20_000, 0)
-            _, ratios, tails = law._levels[0]
-            assert len(ratios) <= cap and len(tails) <= cap
-        assert len(ratios) > 0 and len(tails) > 0
+            law.any_tail(k + 20_000, 0)
+            memos = law._levels[0][1:]
+            assert all(len(memo) <= cap for memo in memos)
+        assert all(memos)
 
 
 class TestRunStream:

@@ -21,6 +21,7 @@ from reference import (
     laplace_tail_sample,
     mech_pure_reference,
     membership,
+    pure_tail_mass,
     two_sample_chi_square,
 )
 
@@ -58,6 +59,27 @@ class TestDeriveParams:
         assert params.m == 1
         ref = 2 / (math.exp(1 / 16) + 1)
         assert float(params.p.lo) <= ref <= float(params.p.hi) + 1e-15
+
+    @pytest.mark.parametrize(
+        "epsilon, d, s",
+        # audit-desk, pure-cli, m = 1 (s = 1), and eps > 1 (t < d)
+        [(Fraction(1, 4), 3, 2), (Fraction(1), 4096, 4), (Fraction(1), 16, 1), (Fraction(8), 256, 3)],
+    )
+    def test_tail_mass_and_powers_agree_with_the_reference(self, epsilon, d, s):
+        # The reference encloses p from exp(-(m - 1)/t) and exp(1/t); the
+        # cell law from q = exp(-1/t) and its digit tables. Both enclosures
+        # are sound only if they overlap, at every level and power read.
+        params = derive_pure_params(epsilon, d, s)
+        w = 256
+        lo, hi = pure_tail_mass(params, w)
+        p_lo, p_hi = Fraction(lo, 1 << w), Fraction(hi, 1 << w)
+        assert params.p.lo <= p_hi and p_lo <= params.p.hi
+        for j in sorted({1, 2, d}):
+            exact_lo, exact_hi = 1 - (1 - p_lo) ** j, 1 - (1 - p_hi) ** j
+            for level in range(3):
+                prec, rec_lo, rec_hi, limit = params.cells.any_tail(j, level)
+                assert Fraction(rec_lo, 1 << prec) <= exact_hi and exact_lo <= Fraction(rec_hi, 1 << prec)
+                assert limit >= 64 << level
 
     def test_scale_domain_enforced(self):
         with pytest.raises(ParameterDomainError):
@@ -195,7 +217,7 @@ class TestDistributionalStructure:
         p = float((params.p.lo + params.p.hi) / 2)
         tape = BitTape(seed=941)
         n = 40_000
-        hist = Counter(sample_tail_set(tape, 3, params.any_tail) for _ in range(n))
+        hist = Counter(sample_tail_set(tape, 3, params.cells.any_tail) for _ in range(n))
         all_subsets = [frozenset(c) for size in range(4) for c in combinations(range(3), size)]
         from scipy import stats
 
@@ -212,7 +234,7 @@ class TestDistributionalStructure:
         tape = BitTape(seed=942)
         n = 20_000
         for _ in range(n):
-            sample_tail_set(tape, d, params.any_tail)
+            sample_tail_set(tape, d, params.cells.any_tail)
         h = -p * math.log2(p) - (1 - p) * math.log2(1 - p)
         assert tape.bits_consumed / n <= d * h + 2 * (d * p + 1)
 

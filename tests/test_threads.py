@@ -1,7 +1,7 @@
 """Parameter objects read from several threads at once.
 
 Parameter objects fill their caches lazily, and releases that share one
-(``PureParams.any_tail``'s power tables, ``ApproxParams.cells``, ...) may
+(``PureParams.cells``' power tables, ``ApproxParams.cells``, ...) may
 run in different threads. Each test starts a handful of threads together behind a barrier,
 with a short switch interval so that they interleave inside the cache
 fills, and compares what every thread read with a single-threaded read.
@@ -59,9 +59,9 @@ def test_tail_set_draws_on_shared_params():
     # levels are built, then read every level in a rotated order.
     def read(params, k):
         tape = BitTape(seed=900 + k)
-        draws = [sample_tail_set(tape, params.d, params.any_tail) for _ in range(10)]
+        draws = [sample_tail_set(tape, params.d, params.cells.any_tail) for _ in range(10)]
         levels = (0, 1, 2)[k % 3 :] + (0, 1, 2)[: k % 3]
-        return draws, [params.any_tail(j, level) for level in levels for j in range(1, params.d + 1)]
+        return draws, [params.cells.any_tail(j, level) for level in levels for j in range(1, params.d + 1)]
 
     make = lambda: derive_pure_params(Fraction(1, 4), 64, 2)  # noqa: E731
     expected = [read(make(), k) for k in range(THREADS)]
