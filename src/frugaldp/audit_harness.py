@@ -15,7 +15,10 @@ enclosures (a, b) and (c, d) is (a c, b d), kept exact; only the average
 rounds, once, to w. Only the noise law is per mode, and the type of
 the params object picks it: the truncated Gaussian on (-r, r), which is
 finite, or the Laplace law truncated at a horizon whose certified tail mass
-is the deficit. A coordinate's law is the joint law at d = 1.
+is the deficit. A coordinate's law is the joint law at d = 1. A noise law
+costs one exponential q = e^(-x) and one multiply pair per magnitude |eta|
+(two in approx mode), and a cell of a coordinate's law one difference of
+prefix sums. The oracle shares no table with the samplers it checks.
 
 The harness needs only the standard library: the chi-square p-value comes
 from the closed-form upper tail of the chi-square law, and the batch
@@ -29,12 +32,13 @@ import statistics
 from collections import namedtuple
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
+from itertools import accumulate
 
 from .approx_mech import ApproxParams
 from .errors import ParameterDomainError
 from .precise_math import _exp_neg_guarded, exp_pos
 from .pure_mech import PureParams
-from .release import CountVector, MechanismResult, floor_multiple
+from .release import CountVector, MechanismResult
 
 _TAIL_TOL = Fraction(1, 1 << 30)
 
@@ -80,20 +84,45 @@ def _tolerance_bits(tail_tol: Fraction, terms: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-# Each mode's noise law is (weights, total, deficit, scale), in ascending
-# eta: the weights are integer pairs at 2**-scale, a cell's mass is the sum
-# of the weights the shift-and-round maps into it, divided by ``total``
-# (None when the weights are already normalized), and ``deficit`` bounds the
-# mass of the noise values left out.
-_Noise = tuple[dict[int, tuple[int, int]], "tuple[int, int] | None", Fraction, int]
+# Each mode's noise law is (weights, total, deficit, scale): one list of
+# integer pairs at 2**-scale, ascending in eta from -reach to reach and
+# computed as powers of one exponential (:func:`_exp_neg_powers`); a cell's
+# mass is the sum of the weights the shift-and-round maps into it, one
+# difference of prefix sums, divided by ``total`` (None when the weights are
+# already normalized); ``deficit`` bounds the mass of the noise values left out.
+_Noise = tuple[list[tuple[int, int]], "tuple[int, int] | None", Fraction, int]
+
+
+def _exp_neg_powers(x: Fraction, count: int, w: int, square: bool) -> list[tuple[int, int]]:
+    """Enclosures of 2**(w + 4) exp(-x n), for n = j or n = j*j (``square``) along j = 0..count-1.
+
+    q = exp(-x) is enclosed once at 2**-W, W = w + 4 + g with g = bit_length(4 top)
+    + 2 guard bits, top the largest n. Each step multiplies by q, or by
+    q**(2j+1), kept by one more multiply by q*q, rounding lower bounds down and
+    upper bounds up. q's width (at most 16 units of 2**-W) and the roundings put
+    each bound within 18 n < 2**(g + 1) units of 2**W q**n, so once rounded
+    outward to w + 4 each pair lies within 2.125 of the true value: hi - lo <= 4.
+    """
+    top = (count - 1) ** 2 if square else count - 1
+    g = (4 * max(top, 1)).bit_length() + 2
+    wp = w + 4 + g
+    q_lo, q_hi = _exp_neg_guarded(x, w + g)
+    s_lo, s_hi = q_lo * q_lo >> wp, -(-q_hi * q_hi >> wp)
+    lo, hi, f_lo, f_hi = 1 << wp, 1 << wp, q_lo, q_hi
+    out = []
+    for _ in range(count):
+        out.append((lo >> g, -(-hi >> g)))
+        lo, hi = lo * f_lo >> wp, -(-hi * f_hi >> wp)
+        if square:
+            f_lo, f_hi = f_lo * s_lo >> wp, -(-f_hi * s_hi >> wp)
+    return out
 
 
 def _approx_noise(params: ApproxParams, w: int) -> _Noise:
     """Truncated-Gaussian weights exp(-eta^2/(2 sigma^2)) on |eta| < r, their total, no deficit."""
-    x = 1 / (2 * params.sigma_sq)
-    half = [_exp_neg_guarded(mag * mag * x, w) for mag in range(params.r)]
-    weights = {eta: half[abs(eta)] for eta in range(1 - params.r, params.r)}
-    total = sum(lo for lo, _ in weights.values()), sum(hi for _, hi in weights.values())
+    half = _exp_neg_powers(1 / (2 * params.sigma_sq), params.r, w, square=True)
+    weights = half[:0:-1] + half
+    total = sum(lo for lo, _ in weights), sum(hi for _, hi in weights)
     return weights, total, Fraction(0), w + 4
 
 
@@ -105,39 +134,37 @@ def _pure_noise(params: PureParams, tail_tol: Fraction, w: int) -> _Noise:
         return Fraction(_exp_neg_guarded(Fraction(h) / t, w)[1], 1 << (w + 3))
 
     horizon = max(1, int(float(t) * math.log(2.0 / float(tail_tol))) + 1)
-    while not tails(horizon) <= tail_tol:
+    while not (deficit := tails(horizon)) <= tail_tol:
         horizon += max(1, horizon // 8)
     # The pmf at 0, (e^(1/t) - 1) / (e^(1/t) + 1), rounded outward at w.
     e_lo, e_hi = exp_pos(1 / t, w + 2)
     one = 1 << (w + 2)
     b_lo, b_hi = ((e_lo - one) << w) // (e_hi + one), -(-((e_hi - one) << w) // (e_lo + one))
-    decay = (_exp_neg_guarded(Fraction(mag) / t, w) for mag in range(horizon + 1))
-    half = [(b_lo * lo, b_hi * hi) for lo, hi in decay]
-    weights = {eta: half[abs(eta)] for eta in range(-horizon, horizon + 1)}
-    return weights, None, min(tail_tol, tails(horizon)), 2 * w + 4
+    half = [(b_lo * lo, b_hi * hi) for lo, hi in _exp_neg_powers(1 / t, horizon + 1, w, square=False)]
+    return half[:0:-1] + half, None, deficit, 2 * w + 4
 
 
 def _shift_laws(sums: Sequence[int], params, noise: _Noise, w: int) -> tuple[list[list[dict]], int]:
     """Law of each coordinate given each shift v = 1..s: the noise pushed onto the grid.
 
-    Returns the laws and their scale: w once divided by the total, else the noise's.
+    A cell costs one difference of the weights' prefix sums. Returns the laws
+    and their scale: w once divided by the total, else the noise's.
     """
     weights, total, _, scale = noise
-    grid = params.grid
-    unit = grid // params.s
+    reach, grid, unit = len(weights) // 2, params.grid, params.grid // params.s
+    cum_lo, cum_hi = (list(accumulate(column, initial=0)) for column in zip(*weights))
     laws = []
     for v in range(1, params.s + 1):
         per_coord = []
         for sum_i in sums:
-            shifted = sum_i + unit * v
+            # Weight i is the noise eta = i - reach; cell g takes the i with g <= base + i < g + grid.
+            base = sum_i + unit * v - reach
             law: dict[int, tuple[int, int]] = {}
-            for eta, (lo, hi) in weights.items():
-                g = floor_multiple(shifted + eta, grid)
-                a, b = law.get(g, (0, 0))
-                law[g] = a + lo, b + hi
+            for g in range(base // grid * grid, base + 2 * reach + 1, grid):
+                a, b = max(g - base, 0), min(g + grid - base, 2 * reach + 1)
+                law[g] = cum_lo[b] - cum_lo[a], cum_hi[b] - cum_hi[a]
             if total is not None:
-                t_lo, t_hi = total
-                law = {g: ((lo << w) // t_hi, -(-(hi << w) // t_lo)) for g, (lo, hi) in law.items()}
+                law = {g: ((lo << w) // total[1], -(-(hi << w) // total[0])) for g, (lo, hi) in law.items()}
             per_coord.append(law)
         laws.append(per_coord)
     return laws, (scale if total is None else w)

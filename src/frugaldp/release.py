@@ -69,13 +69,6 @@ class RandomnessReport(
 MechanismResult = namedtuple("MechanismResult", "values report")
 
 
-def floor_multiple(v: int, k: int) -> int:
-    """Largest multiple of k that is <= v (floor toward minus infinity)."""
-    if k < 1:
-        raise ParameterDomainError("grid unit must be a positive integer")
-    return (v // k) * k
-
-
 def is_silent(sum_i: int, omega: int, halfwidth: int, grid: int) -> bool:
     """True when rounding is unaffected by any noise in (-halfwidth, halfwidth)."""
     if grid < 1:

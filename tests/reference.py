@@ -35,7 +35,6 @@ from frugaldp.release import (
     build_report,
     check_release,
     draw_shift,
-    floor_multiple,
     is_silent,
 )
 
@@ -56,6 +55,13 @@ ATTEMPT_CAP = 1 << 20
 # Serializes the building of RefinableProb levels (reads take no lock), so
 # that threads sharing an oracle build the levels one thread alone would.
 _LEVEL_LOCK = threading.RLock()
+
+
+def floor_multiple(v: int, k: int) -> int:
+    """Largest multiple of k that is <= v (floor toward minus infinity): the reference chains' rounding."""
+    if k < 1:
+        raise ParameterDomainError("grid unit must be a positive integer")
+    return (v // k) * k
 
 
 def floor_sqrt(x: "Fraction | int") -> int:

@@ -18,10 +18,11 @@ from frugaldp.approx_mech import (
 )
 from frugaldp.bit_tape import BitTape
 from frugaldp.errors import InternalError, ParameterDomainError
-from frugaldp.release import CountVector, floor_multiple, is_silent
+from frugaldp.release import CountVector, is_silent
 from reference import (
     approx_params_from_sigma,
     crossing_shifts,
+    floor_multiple,
     mech_approx_reference,
     two_sample_chi_square,
 )

@@ -9,10 +9,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from frugaldp.approx_mech import ApproxParams, mech_approx_efficient
+from frugaldp import audit_harness
+from frugaldp.approx_mech import ApproxParams, derive_approx_params, mech_approx_efficient
 from frugaldp.audit_harness import (
+    _TAIL_TOL,
     DiscreteDist,
+    _approx_noise,
     _chi2_sf,
+    _exp_neg_powers,
     _joint_dist,
     _pure_noise,
     _shift_laws,
@@ -31,8 +35,8 @@ from frugaldp.audit_harness import (
 )
 from frugaldp.bit_tape import BitTape
 from frugaldp.errors import ParameterDomainError
-from frugaldp.precise_math import exp_pos, rational_enclose
-from frugaldp.pure_mech import PureParams, mech_pure_efficient
+from frugaldp.precise_math import _exp_neg_guarded, exp_pos, rational_enclose
+from frugaldp.pure_mech import PureParams, derive_pure_params, mech_pure_efficient
 from frugaldp.release import CountVector
 from reference import (
     approx_params_from_sigma,
@@ -229,6 +233,86 @@ def test_joint_law_is_the_left_fold_over_every_combination():
         # The average over the s shifts, rounded outward from 2**-(3 scale) to 2**-w.
         exact = Fraction(1 << w, params.s << (3 * scale))
         assert joint.mass[outcome] == (math.floor(lo * exact), math.ceil(hi * exact))
+
+
+AUDIT_DESK = CountVector(d=3, n=100, sums=(17, 50, 93)), derive_pure_params(Fraction(1, 4), 3, 2)
+APPROX_SPREAD = derive_approx_params(Fraction(1), Fraction(1, 1 << 20), 4096, 4)
+
+
+@pytest.mark.parametrize(
+    "oracle, min_count",
+    [
+        (lambda: oracle_joint_dist(*AUDIT_DESK), 200),
+        (lambda: oracle_joint_dist(CountVector(d=2, n=10, sums=(3, 7)), PureParams(2, 2, Fraction(1), 2)), 20),
+        (lambda: oracle_coord_dist(17, APPROX_SPREAD), 1000),
+    ],
+    ids=["audit-desk", "criterion-02", "approx-spread"],
+)
+def test_power_weights_enclose_each_magnitude(monkeypatch, oracle, min_count):
+    """Every weight of the power recurrence overlaps the one-exponential-per-magnitude enclosure and has width <= 4."""
+    calls = []
+
+    def spy(x, count, w, square):
+        calls.append((x, w, square, _exp_neg_powers(x, count, w, square)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(audit_harness, "_exp_neg_powers", spy)
+    oracle()
+    ((x, w, square, weights),) = calls
+    assert len(weights) >= min_count
+    for j, (lo, hi) in enumerate(weights):
+        ref_lo, ref_hi = _exp_neg_guarded((j * j if square else j) * x, w)
+        assert max(lo, ref_lo) <= min(hi, ref_hi), j
+        assert 0 <= hi - lo <= 4, j
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+@pytest.mark.parametrize("mode", ["approx", "pure"])
+def test_shift_laws_are_the_pushforward_of_each_noise_value(mode, s):
+    """Cell masses from prefix sums equal the per-eta push-forward, keys and order included."""
+    sums = (0, 5, 11, 23)
+    if mode == "approx":
+        params = approx_params_from_sigma(4, s, Fraction(2), Fraction(1, 1024))
+        w = _tolerance_bits(_TAIL_TOL, 4 * params.r * s * 4)
+        noise = _approx_noise(params, w)
+    else:
+        params = PureParams(4, s, Fraction(1), 2)
+        tol = Fraction(1, 1 << 10)
+        w = _tolerance_bits(tol, 8 * s * 4)
+        noise = _pure_noise(params, tol, w)
+    weights, total, _, _ = noise
+    reach, grid = len(weights) // 2, params.grid
+    brute = []
+    for v in range(1, s + 1):
+        per_coord = []
+        for sum_i in sums:
+            c, law = sum_i + grid // s * v, {}
+            for i, (lo, hi) in enumerate(weights):
+                eta = i - reach
+                g = (c + eta) // grid * grid
+                a, b = law.get(g, (0, 0))
+                law[g] = a + lo, b + hi
+            if total is not None:
+                law = {g: ((lo << w) // total[1], -(-(hi << w) // total[0])) for g, (lo, hi) in law.items()}
+            per_coord.append(law)
+        brute.append(per_coord)
+    laws, _ = _shift_laws(sums, params, noise, w)
+    assert laws == brute
+    assert [[list(law) for law in per_coord] for per_coord in laws] == [
+        [list(law) for law in per_coord] for per_coord in brute
+    ]
+
+
+def test_one_exponential_per_noise_law(monkeypatch):
+    """The oracles' cost in exponentials does not grow with the horizon or with r."""
+    calls = []
+    real = audit_harness._exp_neg_guarded
+    monkeypatch.setattr(audit_harness, "_exp_neg_guarded", lambda x, w: calls.append(x) or real(x, w))
+    oracle_joint_dist(*AUDIT_DESK)
+    assert len(calls) <= 8
+    calls.clear()
+    oracle_coord_dist(9_999_999, APPROX_SPREAD)
+    assert len(calls) <= 8
 
 
 @pytest.mark.parametrize(

@@ -12,12 +12,13 @@ from frugaldp.core_samplers import level_record
 from frugaldp.errors import ParameterDomainError
 from frugaldp.precise_math import rational_enclose
 from frugaldp.pure_mech import PureParams, derive_pure_params, mech_pure_efficient, sample_tail_set
-from frugaldp.release import CountVector, floor_multiple
+from frugaldp.release import CountVector
 from reference import (
     _truncated_attempts,
     bernoulli_from_prob,
     crossing_shifts,
     discrete_laplace,
+    floor_multiple,
     laplace_tail_sample,
     mech_pure_reference,
     membership,
