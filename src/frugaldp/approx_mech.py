@@ -2,7 +2,7 @@
 
 The output law is the final stage of the reference chain: Gaussian noise
 conditioned to stay inside (-r, r), one shared shift, and rounding down to
-the grid r*s (``audit_harness.oracle_joint_dist_approx`` computes it
+the grid r*s (``audit_harness.oracle_joint_dist`` computes it
 exactly). The efficient release spends randomness on a coordinate only when
 the shifted count lands within noise range of a grid-cell edge, and then
 draws the released cell directly rather than a noise value (the
@@ -22,6 +22,9 @@ from .release import CountVector, MechanismResult, check_release, shift_and_roun
 
 #: Working precision, in bits, of the enclosures of gamma and sigma^2.
 _PRECISION = 96
+#: Largest window radius r certified. A table level of ``GaussianCells`` holds
+#: four lists of r integers, over 100 bytes per r: 400 GB at this r already.
+_MAX_RADIUS = 1 << 32
 
 
 class ApproxParams:
@@ -87,7 +90,7 @@ def certify_window_radius(sigma_sq: Fraction, tail_budget: Fraction) -> int:
     The two-sided Gaussian tail bound then gives P[|noise| >= r] <= budget,
     which is the property the privacy argument consumes. Each test is
     certified by refining an enclosure; monotone in r, so binary search is
-    sound.
+    sound. An r above ``_MAX_RADIUS`` is refused before the binary search.
     """
     if tail_budget <= 0:
         raise ParameterDomainError("tail budget must be positive")
@@ -98,6 +101,8 @@ def certify_window_radius(sigma_sq: Fraction, tail_budget: Fraction) -> int:
 
     hi = 1
     while not ok(hi):
+        if hi >= _MAX_RADIUS:
+            raise ParameterDomainError(f"the window radius r would exceed {_MAX_RADIUS}: epsilon too small")
         hi *= 2
     lo = hi // 2
     while hi - lo > 1:

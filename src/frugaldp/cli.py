@@ -14,6 +14,11 @@ JSON object with the released values, every derived parameter (enclosure
 endpoints included), the exact randomness accounting, and wall time.
 Epsilon and delta are parsed as decimal strings into exact rationals; no
 float touches the parameter path.
+
+The command makes one release and nothing else. Audits rerun the mechanism
+on the same data, queries outside the privacy budget, so they are library
+calls in ``frugaldp.audit_harness``: ``randomness_audit``, and
+``oracle_joint_dist`` with ``chi_square`` and ``tv_distance``.
 """
 
 from __future__ import annotations
@@ -23,16 +28,15 @@ import csv
 import io
 import itertools
 import json
-import math
 import os
 import sys
 import time
-from collections import Counter, namedtuple
+from collections import namedtuple
 from fractions import Fraction
 from operator import add
 
 from .approx_mech import derive_approx_params, mech_approx_efficient
-from .bit_tape import BitTape, _SplitMix64
+from .bit_tape import BitTape
 from .errors import DatasetFormatError, FrugalDPError, InternalError, ParameterDomainError
 from .pure_mech import derive_pure_params, mech_pure_efficient
 from .release import CountVector
@@ -42,11 +46,8 @@ EXIT_PARAMETER = 2
 EXIT_IO = 3
 EXIT_INTERNAL = 4
 
-_AUDIT_TRIALS = 200
-_EQUIVALENCE_TRIALS = 20000
 
-
-class RunConfig(namedtuple("RunConfig", "mode epsilon delta s seed input_path output_path audit")):
+class RunConfig(namedtuple("RunConfig", "mode epsilon delta s seed input_path output_path")):
     """One validated CLI invocation."""
 
     __slots__ = ()
@@ -60,7 +61,6 @@ class RunConfig(namedtuple("RunConfig", "mode epsilon delta s seed input_path ou
         seed: int | None,
         input_path: str,
         output_path: str | None,
-        audit: str = "none",
     ):
         if mode not in ("approx", "pure"):
             raise ParameterDomainError("mode must be approx or pure")
@@ -70,9 +70,7 @@ class RunConfig(namedtuple("RunConfig", "mode epsilon delta s seed input_path ou
             raise ParameterDomainError("pure mode forbids --delta")
         if s is not None and s < 1:
             raise ParameterDomainError("s must be a positive integer")
-        if audit not in ("none", "randomness", "accuracy", "equivalence"):
-            raise ParameterDomainError("unknown audit mode")
-        return tuple.__new__(cls, (mode, epsilon, delta, s, seed, input_path, output_path, audit))
+        return tuple.__new__(cls, (mode, epsilon, delta, s, seed, input_path, output_path))
 
 
 # Rows per flush: at most 255, so each column's count fits its byte of the
@@ -237,62 +235,6 @@ def _params_block(params, mode: str) -> dict:
     }
 
 
-def _trial_seeds(seed: int | None, count: int) -> list[int | None]:
-    if seed is None:
-        return [None] * count
-    gen = _SplitMix64(seed)
-    return [gen.next_word() for _ in range(count)]
-
-
-def _release(mode: str, counts: CountVector, params, seed: int | None):
-    """One release on a fresh tape: (result, trace), the trace None in approx mode."""
-    tape = BitTape(seed=seed)
-    if mode == "approx":
-        return mech_approx_efficient(counts, params, tape), None
-    return mech_pure_efficient(counts, params, tape)
-
-
-def _run_audit(config: RunConfig, counts: CountVector, params) -> dict:
-    # Imported here, so that a plain release does not load the oracles.
-    from .audit_harness import (
-        accuracy_audit,
-        chi_square,
-        oracle_joint_dist,
-        randomness_audit,
-        tv_distance,
-    )
-
-    if config.audit == "equivalence":
-        # exact oracle comparison, tractable only at desk scale
-        if counts.d > 3 or params.s > 8 or params.grid > 256:
-            raise ParameterDomainError(
-                "equivalence audit needs desk-scale parameters (d <= 3, s <= 8, grid <= 256)"
-            )
-        trials = _EQUIVALENCE_TRIALS
-    else:
-        trials = _AUDIT_TRIALS
-    releases = (
-        _release(config.mode, counts, params, seed) for seed in _trial_seeds(config.seed, trials)
-    )
-    if config.audit == "randomness":
-        results, traces = zip(*releases)
-        return randomness_audit(results, None if traces[0] is None else traces)
-    if config.audit == "accuracy":
-        if config.mode == "approx":
-            alpha, beta = params.accuracy_bound, 0.0
-        else:
-            beta = 0.1
-            alpha = float(params.scale) * math.log(counts.d / beta) + 2 * params.grid
-        return accuracy_audit([result for result, _ in releases], counts, alpha, beta)
-    oracle = oracle_joint_dist(counts, params)
-    histogram = Counter(result.values for result, _ in releases)
-    return {
-        "trials": trials,
-        "chi_square_p": chi_square(histogram, oracle),
-        "tv_distance": float(tv_distance(histogram, oracle)),
-    }
-
-
 def run(config: RunConfig) -> tuple[int, dict]:
     """Execute one release; returns (exit_code, json_report)."""
     started = time.perf_counter()
@@ -306,12 +248,10 @@ def run(config: RunConfig) -> tuple[int, dict]:
     try:
         if config.mode == "approx":
             params = derive_approx_params(config.epsilon, config.delta, counts.d, s)
+            result, trace = mech_approx_efficient(counts, params, BitTape(seed=config.seed)), None
         else:
             params = derive_pure_params(config.epsilon, counts.d, s)
-        result, trace = _release(config.mode, counts, params, config.seed)
-        audit_block = None
-        if config.audit != "none":
-            audit_block = _run_audit(config, counts, params)
+            result, trace = mech_pure_efficient(counts, params, BitTape(seed=config.seed))
     except InternalError as exc:
         return EXIT_INTERNAL, {"error": f"internal error: {exc}"}
     except FrugalDPError as exc:
@@ -333,8 +273,6 @@ def run(config: RunConfig) -> tuple[int, dict]:
             "wall_time_s": time.perf_counter() - started,
         },
     }
-    if audit_block is not None:
-        report["audit"] = audit_block
     return EXIT_OK, report
 
 
@@ -367,11 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=_seed_arg, default=None)
     parser.add_argument("--input", required=True, dest="input_path")
     parser.add_argument("--output", dest="output_path", default=None)
-    parser.add_argument(
-        "--audit",
-        choices=("none", "randomness", "accuracy", "equivalence"),
-        default="none",
-    )
     return parser
 
 

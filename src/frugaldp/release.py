@@ -69,14 +69,6 @@ class RandomnessReport(
 MechanismResult = namedtuple("MechanismResult", "values report")
 
 
-def is_silent(sum_i: int, omega: int, halfwidth: int, grid: int) -> bool:
-    """True when rounding is unaffected by any noise in (-halfwidth, halfwidth)."""
-    if grid < 1:
-        raise ParameterDomainError("grid unit must be a positive integer")
-    center, reach = sum_i + omega, halfwidth - 1
-    return (center - reach) // grid == (center + reach) // grid
-
-
 def check_release(counts: CountVector, params, unit: int, omega: int | None) -> None:
     """Reject counts of the wrong dimension and a forced shift off {unit, ..., unit*s}."""
     if counts.d != params.d:
@@ -151,7 +143,7 @@ def shift_and_round(
                 continue
             # The grid edges E in (center - reach, center + reach], as keys
             # E - center: the release reaches E exactly when eta >= E - center.
-            # No edge means the coordinate is silent (is_silent) and draws nothing.
+            # No edge means the coordinate is silent and draws nothing.
             low = (center - reach) // grid * grid
             k = low + grid - center
             if k < unit:

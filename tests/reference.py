@@ -35,7 +35,6 @@ from frugaldp.release import (
     build_report,
     check_release,
     draw_shift,
-    is_silent,
 )
 
 
@@ -55,6 +54,14 @@ ATTEMPT_CAP = 1 << 20
 # Serializes the building of RefinableProb levels (reads take no lock), so
 # that threads sharing an oracle build the levels one thread alone would.
 _LEVEL_LOCK = threading.RLock()
+
+
+def is_silent(sum_i: int, omega: int, halfwidth: int, grid: int) -> bool:
+    """True when rounding is unaffected by any noise in (-halfwidth, halfwidth)."""
+    if grid < 1:
+        raise ParameterDomainError("grid unit must be a positive integer")
+    center, reach = sum_i + omega, halfwidth - 1
+    return (center - reach) // grid == (center + reach) // grid
 
 
 def floor_multiple(v: int, k: int) -> int:

@@ -15,8 +15,7 @@ from scipy import stats
 from frugaldp.approx_mech import derive_approx_params, mech_approx_efficient
 from frugaldp.audit_harness import (
     chi_square,
-    oracle_joint_dist_approx,
-    oracle_joint_dist_pure,
+    oracle_joint_dist,
     privacy_audit,
     tv_distance,
 )
@@ -45,7 +44,7 @@ def test_criterion_01_approx_equivalence():
     """Efficient approx release vs exact oracle of the reference law."""
     params = approx_params_from_sigma(2, 3, Fraction(2), Fraction(1, 1024))
     counts = CountVector(d=2, n=20, sums=(5, 11))
-    oracle = oracle_joint_dist_approx(counts, params)
+    oracle = oracle_joint_dist(counts, params)
     tape = BitTape(seed=11_001)
     n = 100_000
     started = time.perf_counter()
@@ -68,7 +67,7 @@ def test_criterion_02_pure_equivalence():
     """Efficient pure release vs exact oracle, plus reference variant tests."""
     params = PureParams(2, 2, Fraction(1), 2)  # t = d/eps = 2, m = 2
     counts = CountVector(d=2, n=10, sums=(3, 7))
-    oracle = oracle_joint_dist_pure(counts, params)
+    oracle = oracle_joint_dist(counts, params)
     n = 100_000
     tape5 = BitTape(seed=11_002)
     hist5 = Counter()

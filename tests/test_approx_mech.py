@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from frugaldp.approx_mech import (
+    _MAX_RADIUS,
     ApproxParams,
     _assert_envelope,
     certify_window_radius,
@@ -18,11 +20,12 @@ from frugaldp.approx_mech import (
 )
 from frugaldp.bit_tape import BitTape
 from frugaldp.errors import InternalError, ParameterDomainError
-from frugaldp.release import CountVector, is_silent
+from frugaldp.release import CountVector
 from reference import (
     approx_params_from_sigma,
     crossing_shifts,
     floor_multiple,
+    is_silent,
     mech_approx_reference,
     two_sample_chi_square,
 )
@@ -87,6 +90,25 @@ class TestDeriveParams:
         r = certify_window_radius(Fraction(2), Fraction(1, 2048))
         assert 2 * math.exp(-(r**2) / 4) <= 1 / 2048
         assert 2 * math.exp(-((r - 1) ** 2) / 4) > 1 / 2048
+
+    def test_radius_cap_is_exact(self):
+        # sigma^2 = R^2 / (2 L), L just above ln 8, puts the certified r at R for budget 1/4.
+        ln_8 = Fraction(2079441541679836, 10**15)
+        for radius in (_MAX_RADIUS - 10, _MAX_RADIUS):
+            assert certify_window_radius(radius * radius / (2 * ln_8), Fraction(1, 4)) == radius
+        with pytest.raises(ParameterDomainError, match="window radius"):
+            certify_window_radius((_MAX_RADIUS + 10) ** 2 / (2 * ln_8), Fraction(1, 4))
+
+    @pytest.mark.parametrize("epsilon, r", [(1, 3445), (Fraction(1, 100), 340204), (Fraction(1, 1000), 3401721)])
+    def test_radius_at_small_epsilon_is_under_the_cap(self, epsilon, r):
+        assert derive_approx_params(Fraction(epsilon), Fraction(1, 1 << 20), 4096, 4).r == r
+
+    def test_tiny_epsilon_is_refused_at_once(self):
+        # r would be near 2**1331; the search for it once never returned.
+        started = time.perf_counter()
+        with pytest.raises(ParameterDomainError, match="window radius"):
+            derive_approx_params(Fraction(1, 10**400), Fraction(1, 4), 2, 2)
+        assert time.perf_counter() - started < 1
 
     def test_basic_validation(self):
         with pytest.raises(ParameterDomainError):
@@ -229,12 +251,12 @@ class TestEfficientMechanism:
         # Fixed desk-scale configuration: d=2, r=2, s=3, sigma^2=2.
         from collections import Counter
 
-        from frugaldp.audit_harness import chi_square, oracle_joint_dist_approx, tv_distance
+        from frugaldp.audit_harness import chi_square, oracle_joint_dist, tv_distance
         from frugaldp.bit_tape import BitTape
 
         params = ApproxParams(2, 3, Fraction(2), 2)
         counts = CountVector(d=2, n=20, sums=(5, 11))
-        oracle = oracle_joint_dist_approx(counts, params)
+        oracle = oracle_joint_dist(counts, params)
         tape = BitTape(seed=912)
         hist = Counter()
         for _ in range(100_000):
@@ -245,11 +267,11 @@ class TestEfficientMechanism:
     def test_equivalence_at_s_one(self):
         # s = 1: the grid equals r, so a noise window can straddle two edges
         # and a boundary coordinate has three possible cells.
-        from frugaldp.audit_harness import chi_square, oracle_joint_dist_approx, tv_distance
+        from frugaldp.audit_harness import chi_square, oracle_joint_dist, tv_distance
 
         params = approx_params_from_sigma(2, 1, Fraction(2), Fraction(1, 1024))
         counts = CountVector(d=2, n=20, sums=(3, 11))
-        oracle = oracle_joint_dist_approx(counts, params)
+        oracle = oracle_joint_dist(counts, params)
         assert len({v[0] for v in oracle.mass}) == 3  # two cells for the second count
         tape = BitTape(seed=914)
         hist = Counter()

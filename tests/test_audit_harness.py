@@ -21,14 +21,9 @@ from frugaldp.audit_harness import (
     _pure_noise,
     _shift_laws,
     _tolerance_bits,
-    accuracy_audit,
     chi_square,
     oracle_coord_dist,
-    oracle_coord_dist_approx,
-    oracle_coord_dist_pure,
     oracle_joint_dist,
-    oracle_joint_dist_approx,
-    oracle_joint_dist_pure,
     privacy_audit,
     randomness_audit,
     tv_distance,
@@ -52,6 +47,13 @@ def _dist(pairs) -> DiscreteDist:
         deficit=Fraction(0),
         w=96,
     )
+
+
+def _total_mass(dist: DiscreteDist) -> tuple[Fraction, Fraction]:
+    """Bounds on the total mass of ``dist``, its deficit included."""
+    lo = sum(lo for lo, _ in dist.mass.values())
+    hi = sum(hi for _, hi in dist.mass.values())
+    return Fraction(lo, 1 << dist.w), Fraction(hi, 1 << dist.w) + dist.deficit
 
 
 class TestStatistics:
@@ -138,7 +140,7 @@ class TestApproxOracle:
     def test_tiny_variance_collapses_to_shift_mixture(self):
         # sigma^2 -> 0: law is uniform over the s rounded shifted values.
         params = ApproxParams(1, 3, Fraction(1, 10000), 2)
-        dist = oracle_coord_dist_approx(10, params)
+        dist = oracle_coord_dist(10, params)
         expected = Counter(
             ((10 + 2 * v) // 6) * 6 for v in range(1, 4)
         )  # all three shifts round to 12
@@ -148,19 +150,19 @@ class TestApproxOracle:
 
     def test_support_and_mass(self):
         params = approx_params_from_sigma(1, 3, Fraction(2), Fraction(1, 1024))
-        dist = oracle_coord_dist_approx(5, params)
+        dist = oracle_coord_dist(5, params)
         bound = params.accuracy_bound
         for outcome in sorted(dist.mass):
             assert outcome % params.grid == 0
             assert abs(outcome - 5) <= bound
-        lo, hi = dist.total_mass()
+        lo, hi = _total_mass(dist)
         assert lo >= 1 - Fraction(1, 1 << 30)
         assert hi <= 1 + Fraction(1, 1 << 20)
 
     def test_matches_monte_carlo_of_reference(self):
         params = approx_params_from_sigma(1, 3, Fraction(2), Fraction(1, 1024))
         counts = CountVector(d=1, n=20, sums=(5,))
-        dist = oracle_coord_dist_approx(5, params)
+        dist = oracle_coord_dist(5, params)
         tape = BitTape(seed=1002)
         hist = Counter()
         for _ in range(100_000):
@@ -171,22 +173,22 @@ class TestApproxOracle:
 class TestPureOracle:
     def test_support_is_grid(self):
         params = PureParams(1, 2, Fraction(1, 2), 2)
-        dist = oracle_coord_dist_pure(3, params)
+        dist = oracle_coord_dist(3, params)
         assert all(outcome % params.grid == 0 for outcome in dist.mass)
 
     def test_mass_deficit_bounded(self):
         params = PureParams(1, 2, Fraction(1, 2), 2)
         tol = Fraction(1, 1 << 20)
-        dist = oracle_coord_dist_pure(3, params, tail_tol=tol)
+        dist = oracle_coord_dist(3, params, tail_tol=tol)
         assert dist.deficit <= tol
-        lo, hi = dist.total_mass()
+        lo, hi = _total_mass(dist)
         assert lo >= 1 - 2 * tol
         assert hi <= 1 + 2 * tol
 
     def test_spot_value_against_monte_carlo(self):
         params = PureParams(1, 2, Fraction(1, 2), 2)
         counts = CountVector(d=1, n=10, sums=(0,))
-        dist = oracle_coord_dist_pure(0, params)
+        dist = oracle_coord_dist(0, params)
         tape = BitTape(seed=1003)
         n = 200_000
         hist = Counter()
@@ -203,7 +205,7 @@ class TestPureOracle:
     def test_joint_matches_efficient_mechanism(self):
         params = PureParams(2, 2, Fraction(1), 2)
         counts = CountVector(d=2, n=10, sums=(3, 7))
-        joint = oracle_joint_dist_pure(counts, params)
+        joint = oracle_joint_dist(counts, params)
         tape = BitTape(seed=1004)
         hist = Counter()
         for _ in range(30_000):
@@ -349,10 +351,10 @@ class TestBatchAudits:
         params = approx_params_from_sigma(3, 4, Fraction(2), Fraction(1, 1024))
         counts = CountVector(d=3, n=30, sums=(2, 15, 28))
         tape = BitTape(seed=1005)
-        return [mech_approx_efficient(counts, params, tape) for _ in range(runs)], counts, params
+        return [mech_approx_efficient(counts, params, tape) for _ in range(runs)]
 
     def test_randomness_audit_shape(self):
-        results, _, _ = self._approx_batch()
+        results = self._approx_batch()
         report = randomness_audit(results)
         assert report["runs"] == 50
         assert report["mean_bits_total"] >= 0
@@ -361,7 +363,7 @@ class TestBatchAudits:
 
     @pytest.mark.parametrize("runs", [1, 2, 3, 7, 200])
     def test_randomness_audit_matches_numpy(self, runs):
-        results, _, _ = self._approx_batch(runs)
+        results = self._approx_batch(runs)
         totals = [r.report.bits_total for r in results]
         report = randomness_audit(results)
         for q in (50, 90, 99):
@@ -369,31 +371,15 @@ class TestBatchAudits:
         assert report["mean_bits_total"] == pytest.approx(np.mean(totals), rel=1e-12)
 
     def test_one_run_is_its_own_percentile(self):
-        results, _, _ = self._approx_batch(1)
+        results = self._approx_batch(1)
         total = results[0].report.bits_total
         report = randomness_audit(results)
         assert report["percentile_bits"] == {"p50": total, "p90": total, "p99": total}
         assert report["mean_bits_total"] == total
 
-    def test_accuracy_audit_deterministic_bound(self):
-        results, counts, params = self._approx_batch()
-        report = accuracy_audit(results, counts, params.accuracy_bound, 0.0)
-        assert report["exceedances"] == 0
-        assert report["pass"]
-
-    def test_accuracy_audit_flags_violations(self):
-        results, counts, _ = self._approx_batch()
-        report = accuracy_audit(results, counts, 0, 0.0)  # alpha = 0 must fail
-        assert not report["pass"]
-
     def test_empty_batches_rejected(self):
         with pytest.raises(ParameterDomainError):
             randomness_audit([])
-
-    def test_insufficient_trials_rejected(self):
-        results, counts, params = self._approx_batch(runs=20)
-        with pytest.raises(ParameterDomainError):
-            accuracy_audit(results, counts, params.accuracy_bound, 0.01)
 
     def test_boundary_count_matches_crossing_law(self):
         # Mean boundary coordinates per run stays below 2d/s plus noise.

@@ -233,7 +233,7 @@ class TestRunConfig:
 
     def test_valid_configs(self):
         RunConfig("approx", Fraction(1), Fraction(1, 4), 4, 7, "x.csv", None)
-        RunConfig("pure", Fraction(1, 2), None, None, None, "x.csv", None, audit="randomness")
+        RunConfig("pure", Fraction(1, 2), None, None, None, "x.csv", None)
 
 
 class TestRun:
@@ -312,51 +312,6 @@ class TestRun:
         assert report["params"]["sigma_sq_pinned"] == str(params.sigma_sq)
         assert Fraction(report["params"]["epsilon"]) == Fraction(1)
 
-    # Desk scale (d = 3, s = 2) in both modes: the audit-desk parameters in pure mode.
-    AUDIT_MODES = {"approx": (Fraction(1), Fraction(1, 4)), "pure": (Fraction(1, 4), None)}
-
-    def _audit_config(self, csv_file, mode, audit):
-        epsilon, delta = self.AUDIT_MODES[mode]
-        return RunConfig(mode, epsilon, delta, 2, 42, csv_file(self._rows(3, 5)), None, audit=audit)
-
-    @pytest.mark.parametrize("mode", ["approx", "pure"])
-    def test_randomness_audit_block(self, csv_file, monkeypatch, mode):
-        monkeypatch.setattr(cli, "_AUDIT_TRIALS", 20)
-        code, report = run(self._audit_config(csv_file, mode, "randomness"))
-        assert code == EXIT_OK
-        assert report["audit"]["runs"] == 20
-        assert "mean_bits_total" in report["audit"]
-        assert ("mean_tail_count" in report["audit"]) == (mode == "pure")
-
-    @pytest.mark.parametrize("mode", ["approx", "pure"])
-    def test_accuracy_audit_block(self, csv_file, monkeypatch, mode):
-        # The audit needs enough trials to resolve pure mode's beta = 0.1.
-        monkeypatch.setattr(cli, "_AUDIT_TRIALS", 100)
-        code, report = run(self._audit_config(csv_file, mode, "accuracy"))
-        assert code == EXIT_OK
-        assert report["audit"]["runs"] == 100
-        assert report["audit"]["pass"]
-
-    def test_equivalence_audit_guard(self, csv_file, monkeypatch):
-        releases = []
-        release = cli._release
-        monkeypatch.setattr(cli, "_release", lambda *args: releases.append(args) or release(*args))
-        path = csv_file(self._rows(16, 4))
-        config = RunConfig("pure", Fraction(1), None, 2, 42, path, None, audit="equivalence")
-        code, report = run(config)
-        assert code == EXIT_PARAMETER
-        assert "desk-scale" in report["error"]
-        assert len(releases) == 1  # the published release; the guard stops every trial
-
-    @pytest.mark.parametrize("mode", ["approx", "pure"])
-    def test_equivalence_audit_runs_at_desk_scale(self, csv_file, monkeypatch, mode):
-        monkeypatch.setattr(cli, "_EQUIVALENCE_TRIALS", 2_000)
-        code, report = run(self._audit_config(csv_file, mode, "equivalence"))
-        assert code == EXIT_OK
-        assert report["audit"]["trials"] == 2_000
-        assert report["audit"]["chi_square_p"] >= 0.001
-        assert report["audit"]["tv_distance"] <= 0.1
-
 
 class TestMain:
     def test_writes_output_file(self, csv_file, tmp_path):
@@ -404,6 +359,12 @@ class TestMain:
         gamma = json.loads(out.read_text())["params"]["gamma"]
         assert 0 < gamma[0] <= gamma[1] < 2**-96
 
+    def test_tiny_epsilon_exits_parameter(self, csv_file, capsys):
+        # The window radius would be near 2**1331; deriving it once never returned.
+        argv = ["--mode", "approx", "--epsilon", "1e-400", "--delta", "0.25", "--s", "2"]
+        assert main(argv + ["--input", csv_file("a,b\n1,0\n0,1\n")]) == EXIT_PARAMETER
+        assert "window radius" in capsys.readouterr().err
+
     def test_decimal_parsing_is_exact(self):
         from frugaldp.cli import _fraction_arg
 
@@ -418,6 +379,14 @@ class TestMain:
             ["--mode", "pure", "--epsilon", "1", "--delta", "0.1", "--input", data]
         )
         assert code == EXIT_PARAMETER
+
+    def test_audit_option_is_gone(self, csv_file, capsys):
+        # Audits rerun the mechanism on the data; they are library calls, not release output.
+        argv = ["--mode", "approx", "--epsilon", "1", "--delta", "0.25", "--input", csv_file("a\n1\n")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--audit", "equivalence"])
+        assert exc.value.code == EXIT_PARAMETER
+        assert "--audit" in capsys.readouterr().err
 
     def test_seed_validation(self):
         from frugaldp.cli import _seed_arg
@@ -515,28 +484,39 @@ def test_module_entry_point_imports_the_cli_once():
 def test_audits_run_without_numpy_or_scipy(csv_file):
     data = csv_file("a,b,c\n1,0,1\n0,1,1\n1,1,0\n0,0,1\n1,0,0\n")
     # None in sys.modules makes every import of a module fail as if it were absent.
+    # Each mode: the randomness summary and the oracle equivalence check over the
+    # same 2 000 seeded releases, then the certified privacy audit against the
+    # desk data with a row of ones added.
     probe = (
-        "import contextlib, io, json, sys\n"
+        "import sys\n"
         "sys.modules['numpy'] = sys.modules['scipy'] = None\n"
-        "from frugaldp.cli import main\n"
-        "modes = (['--mode', 'approx', '--epsilon', '1', '--delta', '0.25'],"
-        " ['--mode', 'pure', '--epsilon', '0.25'])\n"
-        "for mode in modes:\n"
-        "    for audit in ('randomness', 'accuracy', 'equivalence'):\n"
-        "        out = io.StringIO()\n"
-        "        with contextlib.redirect_stdout(out):\n"
-        "            code = main(mode + ['--s', '2', '--seed', '1', '--input', sys.argv[1], '--audit', audit])\n"
-        "        print(mode[1], audit, code, sorted(json.loads(out.getvalue()).get('audit', {})))\n"
+        "from collections import Counter\n"
+        "from fractions import Fraction\n"
+        "from frugaldp import BitTape, CountVector, derive_approx_params, derive_pure_params, load_dataset\n"
+        "from frugaldp import mech_approx_efficient, mech_pure_efficient, privacy_audit, randomness_audit\n"
+        "from frugaldp.audit_harness import chi_square, oracle_joint_dist, tv_distance\n"
+        "counts = load_dataset(sys.argv[1])\n"
+        "neighbor = CountVector(d=3, n=counts.n + 1, sums=tuple(x + 1 for x in counts.sums))\n"
+        "words = BitTape(seed=1)\n"
+        "seeds = [words.next_bits(64) for _ in range(2000)]\n"
+        "modes = {\n"
+        "    'approx': (Fraction(1), derive_approx_params(Fraction(1), Fraction(1, 4), 3, 2), Fraction(1, 4),\n"
+        "               lambda params, tape: mech_approx_efficient(counts, params, tape)),\n"
+        "    'pure': (Fraction(1, 4), derive_pure_params(Fraction(1, 4), 3, 2), Fraction(0),\n"
+        "             lambda params, tape: mech_pure_efficient(counts, params, tape)[0]),\n"
+        "}\n"
+        "for mode, (epsilon, params, delta, release) in modes.items():\n"
+        "    results = [release(params, BitTape(seed=seed)) for seed in seeds]\n"
+        "    runs = randomness_audit(results)['runs']\n"
+        "    oracle = oracle_joint_dist(counts, params)\n"
+        "    histogram = Counter(result.values for result in results)\n"
+        "    p, tv = chi_square(histogram, oracle), float(tv_distance(histogram, oracle))\n"
+        "    passed = privacy_audit(counts, neighbor, params, epsilon, delta).passed\n"
+        "    print(mode, runs, p >= 0.001 and tv <= 0.1, passed)\n"
     )
     proc = _run_python(probe, data)
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert len(lines) == 6, proc.stdout
-    for line in lines:
-        mode, audit, code, keys = line.split(" ", 3)
-        assert code == str(EXIT_OK), line
-        assert keys != "[]", line
-    assert "Traceback" not in proc.stderr
+    assert proc.stdout.splitlines() == ["approx 2000 True True", "pure 2000 True True"], proc.stdout
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")

@@ -27,7 +27,7 @@ from frugaldp.core_samplers import GaussianCells, LaplaceCells, locate
 from frugaldp.errors import InternalError, ParameterDomainError
 from frugaldp.precise_math import exp_neg, rational_enclose
 from frugaldp.pure_mech import PureParams, PureTrace, mech_pure_efficient
-from frugaldp.release import CountVector, MechanismResult, RandomnessReport, draw_runs, is_silent, shift_and_round
+from frugaldp.release import CountVector, MechanismResult, RandomnessReport, draw_runs, shift_and_round
 from reference import (
     GaussParam,
     RefinableProb,
@@ -38,6 +38,7 @@ from reference import (
     discrete_gaussian,
     discrete_laplace,
     geometric_fast,
+    is_silent,
     laplace_tail_sample,
     two_sample_chi_square,
 )
@@ -709,7 +710,7 @@ _REPORT_ARGS = (3, {"shift": 1, "laplace": 2}, (0,), {0: 1})
 def _config(**changes) -> tuple:
     """RunConfig arguments: a valid pure-mode invocation with ``changes`` applied."""
     fields = dict(mode="pure", epsilon=Fraction(1, 2), delta=None, s=2, seed=7,
-                  input_path="in.csv", output_path=None, audit="none")
+                  input_path="in.csv", output_path=None)
     return tuple({**fields, **changes}.values())
 
 
@@ -734,13 +735,12 @@ _RECORDS = [
     (PureTrace, "tail_set shift", (frozenset({0, 2}), 4), []),
     (
         RunConfig,
-        "mode epsilon delta s seed input_path output_path audit",
+        "mode epsilon delta s seed input_path output_path",
         _config(),
         [(_config(mode="both"), ParameterDomainError, "mode must be approx or pure"),
          (_config(mode="approx"), ParameterDomainError, "approx mode requires --delta"),
          (_config(delta=Fraction(1, 4)), ParameterDomainError, "pure mode forbids --delta"),
-         (_config(s=0), ParameterDomainError, "s must be a positive integer"),
-         (_config(audit="all"), ParameterDomainError, "unknown audit mode")],
+         (_config(s=0), ParameterDomainError, "s must be a positive integer")],
     ),
     (DiscreteDist, "mass deficit w", ({0: (1, 2), 4: (1, 2)}, Fraction(0), 2), []),
     (

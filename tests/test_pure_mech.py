@@ -178,11 +178,11 @@ class TestDistributionalStructure:
     def test_equivalence_at_s_one(self):
         # s = 1 with m = 4: the grid is 4 and the body window 7 wide, so the
         # first count's window straddles two edges (three body cells).
-        from frugaldp.audit_harness import chi_square, oracle_joint_dist_pure, tv_distance
+        from frugaldp.audit_harness import chi_square, oracle_joint_dist, tv_distance
 
         params = PureParams(2, 1, Fraction(1), 4)
         counts = CountVector(d=2, n=10, sums=(5, 7))
-        oracle = oracle_joint_dist_pure(counts, params)
+        oracle = oracle_joint_dist(counts, params)
         tape = BitTape(seed=933)
         hist = Counter()
         for _ in range(100_000):
