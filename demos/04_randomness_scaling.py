@@ -5,11 +5,16 @@ cell draw; the rest are free. Those cells are drawn in runs of coordinates
 that stay in their centre's cell, for about their entropy plus two bits per
 cell that leaves. Total expected bits therefore fall like 1/s (plus the
 ~log2(s) cost of the shared shift), reaching O(log d) at s = d.
+
+Unseeded releases take their bits from a per-thread pool that reads
+``os.urandom`` 512 bits at a time, so the bits read from the OS track the
+bits consumed, not a 64-bit word per release.
 """
 
 from fractions import Fraction
 
 from frugaldp import BitTape, CountVector, derive_approx_params, mech_approx_efficient, randomness_audit
+from frugaldp.bit_tape import os_bits_read
 
 D = 256
 RUNS = 150
@@ -33,3 +38,15 @@ print()
 print("Noise bits track c/s while the shift cost grows only logarithmically:")
 print(f"at s = d = {D} the whole release pays for noise on ~2 of {D}")
 print("coordinates, versus thousands of bits when every coordinate draws.")
+
+print()
+print(f"{RUNS} unseeded runs per point; bits per release:")
+print(f"{'s':>5s} {'consumed':>9s} {'read from OS':>13s}")
+for s in (4, D):
+    params = derive_approx_params(Fraction(1), Fraction(1, 1 << 20), D, s)
+    read, consumed = os_bits_read(), 0
+    for _ in range(RUNS):
+        tape = BitTape()
+        mech_approx_efficient(counts, params, tape)
+        consumed += tape.bits_consumed
+    print(f"{s:5d} {consumed / RUNS:9.1f} {(os_bits_read() - read) / RUNS:13.1f}")

@@ -6,6 +6,20 @@ A tape is backed either by OS entropy or, when a seed is given, by a small
 deterministic generator with a platform-independent bit stream, which makes
 runs replayable for tests and audits.
 
+Bits are counted per category block, not per bit: a draw only moves
+``bits_consumed``, and entering or leaving a ``with tape.category(name)``
+block credits the bits drawn since the last such switch to the category
+that was current. Reading ``draw_log`` or taking a ``snapshot()`` credits
+them first too, so a read inside an open block is exact.
+
+OS-backed tapes hold no bits of their own: each draw takes its bits from
+one pool per thread, which ``os.urandom`` fills 64 bytes at a time. The
+bits read from the OS are then the bits spent plus fewer than 512 per
+thread, and ``os_bits_read()`` counts them. Threads never share a pool bit,
+and a forked child starts with an empty pool (``os.register_at_fork``), so
+it never repeats its parent's unread bits. A seeded tape reads its own
+splitmix64 stream, 64 bits at a time.
+
 A tape is single-owner: it may be handed from thread to thread but must not
 be used concurrently. Parallel trials should each construct their own tape.
 """
@@ -13,101 +27,156 @@ be used concurrently. Parallel trials should each construct their own tape.
 from __future__ import annotations
 
 import os
+from _thread import _local
 from collections import Counter
 
 from .errors import EntropySourceError
 
 _MASK64 = (1 << 64) - 1
 
+#: Bits ``os.urandom`` fills a pool with at a time.
+_POOL_BLOCK = 512
+
 #: Category used for bits drawn outside any ``category(...)`` block.
 UNCATEGORIZED = "uncategorized"
 
 
-class _SplitMix64:
-    """splitmix64 word generator; tiny, fast, stable across platforms."""
+def _splitmix64(seed: int):
+    """The fill function of a splitmix64 stream: tiny, fast, stable across platforms."""
+    state = seed
 
-    __slots__ = ("_state",)
+    def fill(k: int) -> tuple[int, int]:
+        """The next ceil(k / 64) words of the stream, the first most significant: (bits, how many)."""
+        nonlocal state
+        bits = n = 0
+        while n < k:
+            state = (state + 0x9E3779B97F4A7C15) & _MASK64
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            bits, n = (bits << 64) | (z ^ (z >> 31)), n + 64
+        return bits, n
 
-    def __init__(self, seed: int):
-        self._state = seed & _MASK64
-
-    def next_word(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+    return fill
 
 
-class _OsEntropy:
-    """64-bit words from ``os.urandom``."""
+class _Ledger(Counter):
+    """A tape's per-category bit counts: a Counter, built empty at the speed of a dict."""
 
-    __slots__ = ()
+    __init__ = dict.__init__
 
-    def next_word(self) -> int:
+
+class _Pool(_local):
+    """The calling thread's unread OS bits: the low ``avail`` bits of ``word``, and the bits read so far."""
+
+    word = avail = read = 0
+
+
+_pool = _Pool()
+
+
+def _empty_pool() -> None:
+    _pool.word = _pool.avail = 0
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_empty_pool)
+
+
+def _os_fill(k: int) -> tuple[int, int]:
+    """Exactly ``k`` bits from this thread's pool, topped up from ``os.urandom`` in whole blocks."""
+    pool = _pool
+    word, avail = pool.word, pool.avail
+    if avail < k:
+        n = -((avail - k) // _POOL_BLOCK) * _POOL_BLOCK
         try:
-            return int.from_bytes(os.urandom(8), "big")
-        except OSError as exc:  # pragma: no cover - depends on the host OS
+            fresh = os.urandom(n // 8)
+        except OSError as exc:
             raise EntropySourceError("OS entropy source failed") from exc
+        word = word << n | int.from_bytes(fresh, "big")
+        avail += n
+        pool.read += n
+    avail -= k
+    pool.word, pool.avail = word & ((1 << avail) - 1), avail
+    return word >> avail, k
 
 
-class _Category:
-    """One ``with tape.category(name)`` block: blocks nest, and leaving one restores the outer name."""
-
-    __slots__ = ("_tape", "_name", "_previous")
-
-    def __init__(self, tape: BitTape, name: str):
-        self._tape = tape
-        self._name = name
-
-    def __enter__(self) -> BitTape:
-        tape = self._tape
-        self._previous = tape._category
-        tape._category = self._name
-        return tape
-
-    def __exit__(self, *exc_info) -> None:
-        self._tape._category = self._previous
+def os_bits_read() -> int:
+    """Bits the calling thread has read from ``os.urandom`` for OS-backed tapes."""
+    return _pool.read
 
 
 class BitTape:
     """Fair random bits, one at a time, with exact consumption accounting.
 
+    The tape holds the unread low ``_avail`` bits of ``_word``; ``_fill(k)``
+    supplies at least k more when they run out: whole splitmix64 words for a
+    seeded tape, exactly k pool bits for an OS-backed one, so that one never
+    holds a bit between draws. ``_log`` holds the credited bits by category,
+    ``_mark`` the ``bits_consumed`` they add up to, and ``_outer`` the names
+    of the open blocks around the current one.
+
     Attributes:
         seed: the seed this tape was built with, or None for OS entropy.
         bits_consumed: total bits emitted so far; increments by exactly one
             per bit and never decreases.
-        draw_log: per-category bit counts; the sum over categories always
-            equals ``bits_consumed``.
     """
 
-    __slots__ = ("seed", "bits_consumed", "draw_log", "_source", "_word", "_avail", "_category")
+    __slots__ = ("seed", "bits_consumed", "_word", "_avail", "_fill", "_log", "_mark", "_category", "_outer", "_next")
 
     def __init__(self, seed: int | None = None):
         if seed is not None and not 0 <= seed < (1 << 64):
             raise ValueError("seed must be an unsigned 64-bit integer")
         self.seed = seed
-        self.bits_consumed = 0
-        self.draw_log: Counter[str] = Counter()
-        self._source = _OsEntropy() if seed is None else _SplitMix64(seed)
-        self._word = 0
-        self._avail = 0
-        self._category = UNCATEGORIZED
+        self.bits_consumed = self._word = self._avail = self._mark = 0
+        self._fill = _os_fill if seed is None else _splitmix64(seed)
+        self._log = _Ledger()
+        self._category = self._next = UNCATEGORIZED
+        self._outer: list[str] = []
 
-    def category(self, name: str) -> _Category:
-        """Attribute bits drawn inside the ``with`` block to ``name`` in the draw log."""
-        return _Category(self, name)
+    def category(self, name: str) -> BitTape:
+        """For ``with tape.category(name):``, which credits the bits drawn in the block to ``name``.
+
+        Blocks nest; leaving one, by an exception too, restores the outer name.
+        """
+        self._next = name
+        return self
+
+    def _credit(self) -> None:
+        """Credit the bits drawn since the last credit to the current category."""
+        n, log = self.bits_consumed, self._log
+        if n != self._mark:
+            log[self._category] = log.get(self._category, 0) + n - self._mark
+            self._mark = n
+
+    def __enter__(self) -> BitTape:
+        if self.bits_consumed != self._mark:
+            self._credit()
+        self._outer.append(self._category)
+        self._category = self._next
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._credit()
+        self._category = self._outer.pop()
+
+    @property
+    def draw_log(self) -> Counter:
+        """Per-category bit counts, summing to ``bits_consumed``; 0 for an unused category.
+
+        The counter is the tape's own, brought up to date by this read.
+        """
+        self._credit()
+        return self._log
 
     def next_bit(self) -> int:
         """Emit one fair bit (0 or 1)."""
-        if self._avail == 0:
-            self._word = self._source.next_word()
-            self._avail = 64
-        self._avail -= 1
-        bit = (self._word >> self._avail) & 1
+        avail = self._avail
+        if not avail:
+            self._word, avail = self._fill(1)
+        avail -= 1
+        self._avail = avail
         self.bits_consumed += 1
-        self.draw_log[self._category] += 1
-        return bit
+        return self._word >> avail & 1
 
     def next_bits(self, k: int) -> int:
         """Emit ``k`` fair bits as an integer, most significant bit first.
@@ -115,23 +184,15 @@ class BitTape:
         Equivalent to ``k`` calls of :meth:`next_bit`; :meth:`uniform_range`
         draws its blocks through it.
         """
-        value = 0
         avail = self._avail
-        word = self._word
-        remaining = k
-        while remaining > 0:
-            if avail == 0:
-                word = self._source.next_word()
-                avail = 64
-            take = avail if avail < remaining else remaining
-            avail -= take
-            value = (value << take) | ((word >> avail) & ((1 << take) - 1))
-            remaining -= take
-        self._word = word
+        if avail < k:
+            fresh, n = self._fill(k - avail)
+            self._word = (self._word & ((1 << avail) - 1)) << n | fresh
+            avail += n
+        avail -= k
         self._avail = avail
         self.bits_consumed += k
-        self.draw_log[self._category] += k
-        return value
+        return self._word >> avail & ((1 << k) - 1)
 
     def uniform_range(self, s: int) -> int:
         """Uniform draw from {1, ..., s} by rejection on ceil(log2 s)-bit blocks.
@@ -150,6 +211,6 @@ class BitTape:
             if v < s:
                 return v + 1
 
-    def snapshot(self) -> tuple[int, Counter]:
+    def snapshot(self) -> tuple[int, dict[str, int]]:
         """Copy of the current accounting state, for before/after deltas."""
-        return self.bits_consumed, Counter(self.draw_log)
+        return self.bits_consumed, dict(self.draw_log)

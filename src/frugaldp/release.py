@@ -23,7 +23,7 @@ Every paid coordinate thus draws its cell, never a noise value.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from itertools import count
 
 from .bit_tape import BitTape
@@ -85,7 +85,7 @@ def draw_shift(tape: BitTape, unit: int, s: int) -> int:
 
 def build_report(
     tape: BitTape,
-    start: tuple[int, Counter],
+    start: tuple[int, dict[str, int]],
     boundary: tuple[int, ...] = (),
     attempts: dict[int, int] | None = None,
 ) -> RandomnessReport:
@@ -101,7 +101,7 @@ def build_report(
 
 def shift_and_round(
     tape: BitTape,
-    start: tuple[int, Counter],
+    start: tuple[int, dict[str, int]],
     counts: CountVector,
     s: int,
     cells: CellLaw,

@@ -7,12 +7,13 @@ with a short switch interval so that they interleave inside the cache
 fills, and compares what every thread read with a single-threaded read.
 """
 
+import os
 import random
 import sys
 import threading
 from fractions import Fraction
 
-from frugaldp import core_samplers
+from frugaldp import bit_tape, core_samplers
 from frugaldp.approx_mech import derive_approx_params, mech_approx_efficient
 from frugaldp.bit_tape import BitTape
 from frugaldp.core_samplers import GaussianCells, LaplaceCells
@@ -154,3 +155,35 @@ def test_seeded_releases_with_tiny_memos(monkeypatch):
     for _ in range(ROUNDS):
         shared = make()
         assert _run_together(lambda k: read(shared, k)) == expected
+
+
+def test_os_tapes_never_share_a_source_bit(monkeypatch):
+    # A counting fake source records which thread each block went to; every
+    # thread's tapes, in order, must read exactly a prefix of its own blocks.
+    lock = threading.Lock()
+    rng = random.Random(7)
+    issued: dict[int, list[bytes]] = {}
+
+    def fake(n):
+        with lock:
+            block = rng.randbytes(n)
+            issued.setdefault(threading.get_ident(), []).append(block)
+        return block
+
+    monkeypatch.setattr(os, "urandom", fake)
+
+    def read(k):
+        plan = random.Random(k)
+        drawn = []
+        for _ in range(30):
+            tape = BitTape()
+            for _ in range(plan.randrange(1, 30)):
+                j = plan.randrange(0, 90)
+                drawn.append(format(tape.next_bits(j), f"0{j}b") if j else format(tape.next_bit(), "b"))
+        return threading.get_ident(), "".join(drawn), bit_tape._pool.avail
+
+    results = _run_together(read)
+    assert len({ident for ident, _, _ in results}) == THREADS
+    for ident, drawn, rest in results:
+        source = "".join(format(int.from_bytes(b, "big"), f"0{8 * len(b)}b") for b in issued[ident])
+        assert source.startswith(drawn) and len(source) - len(drawn) == rest < 512
