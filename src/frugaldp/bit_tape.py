@@ -182,8 +182,10 @@ class BitTape:
         """Emit ``k`` fair bits as an integer, most significant bit first.
 
         Equivalent to ``k`` calls of :meth:`next_bit`; :meth:`uniform_range`
-        draws its blocks through it.
+        draws its blocks through it. A negative ``k`` leaves the tape as it was.
         """
+        if k < 0:
+            raise ValueError("k must be a non-negative integer")
         avail = self._avail
         if avail < k:
             fresh, n = self._fill(k - avail)

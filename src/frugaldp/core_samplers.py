@@ -31,6 +31,8 @@ _LEVEL_START = 64
 _LEVEL_MAX = 1 << 15
 #: Records one level of a cell law memoizes per bounds source.
 _MEMO_CAP = 1 << 14
+#: Keys a draw without a level-0 stream reads in order before it searches.
+_LINEAR_KEYS = 4
 
 
 def level_record(p: int, lo: int, hi: int) -> tuple[int, int, int, int]:
@@ -58,20 +60,23 @@ def locate(
 
     ``bounds(key, level)`` returns the :func:`level_record` of the key's
     threshold at precision 64 * 2**level; the thresholds must not increase
-    along ``keys``. Streams u bit by bit, moves past a threshold once the
-    box [u, u + 2**-n) is certified below it, and stops at the first
-    threshold the box is certified at or above. Bounds are refined one
-    level at a time whenever the next bit would outrun their limit;
-    refinement consumes no randomness. With the upper tails P[X >= 1],
+    along ``keys``, a sequence. Streams u bit by bit, reading a bit only
+    while the box [u, u + 2**-n) holds the bounds it compares with, which
+    are refined one level at a time, for no randomness, whenever the next
+    bit would outrun their limit. With the upper tails P[X >= 1],
     P[X >= 2], ... as thresholds the count is distributed as X. This is the
     interval algorithm, so it reads fewer than H(X) + 3 bits on average
     (Han and Hoshi); near a grid edge it can exceed H(X) + 2.
 
-    ``level0``, when given, yields the level-0 record of each key's
-    threshold in the order of ``keys``, one per key read (a run's running
-    product, streamed by :func:`~frugaldp.release.draw_runs`); ``bounds`` is
-    then asked only for levels >= 1. It yields what ``bounds(key, 0)``
-    would return, so the draw is the same either way.
+    The first ``_LINEAR_KEYS`` keys are read in order; past them the index
+    gallops (count + 1, + 3, + 7, ...) to a threshold not above u, then
+    bisects (Bentley and Yao), so a count c costs O(log c) thresholds. The
+    count is the same in any probe order, and keys are indexed, never
+    measured, so a ``range`` longer than ``sys.maxsize`` serves. ``level0``,
+    when given, yields what ``bounds(key, 0)`` returns for each key in order
+    (a run's running product, streamed by :func:`~frugaldp.release.draw_runs`);
+    every key is then read in order, and ``bounds`` is asked only for
+    levels >= 1.
     """
     next_bit = tape.next_bit
     u = nb = count = 0
@@ -93,20 +98,42 @@ def locate(
             u = (u << 1) | next_bit()
             nb += 1
         count += 1
+        if level0 is None and count == _LINEAR_KEYS:
+            break  # on to the search
+    else:
+        return count
+    # Keys before index count lie above u, and none from stop on (nor past the end).
+    stop, step = None, 1
+    while stop is None or count < stop:
+        i = count + step - 1 if stop is None else (count + stop) // 2
+        try:
+            key = keys[i]
+        except IndexError:
+            stop = i
+            continue
+        level = 0
+        p, lo, hi, limit = bounds(key, 0)
+        while True:
+            if nb + 2 > limit:
+                level += 1
+                if _LEVEL_START << level > _LEVEL_MAX:
+                    raise EnclosureContractError("enclosure failed to refine")
+                p, lo, hi, limit = bounds(key, level)
+            elif (u + 1) << (p - nb) <= lo:
+                count, step = i + 1, step << 1
+                break
+            elif u << (p - nb) >= hi:
+                stop = i
+                break
+            else:
+                u = (u << 1) | next_bit()
+                nb += 1
     return count
 
 
 # ---------------------------------------------------------------------------
 # Tail masses past the grid edges, for the release's cell draws
 # ---------------------------------------------------------------------------
-
-
-def _mul_down(a: int, b: int, w: int) -> int:
-    return (a * b) >> w
-
-
-def _mul_up(a: int, b: int, w: int) -> int:
-    return -((-a * b) >> w)
 
 
 class CellLaw:
@@ -178,12 +205,12 @@ class GaussianCells(CellLaw):
 
     def _build(self, w: int):
         q_lo, q_hi = exp_neg(self._x, w)
-        sq_lo, sq_hi = _mul_down(q_lo, q_lo, w), _mul_up(q_hi, q_hi, w)
+        sq_lo, sq_hi = q_lo * q_lo >> w, -(-q_hi * q_hi >> w)
         w_lo = w_hi = 1 << w
         lo, hi = [w_lo], [w_hi]
         for _ in range(1, self.halfwidth):
-            w_lo, w_hi = _mul_down(w_lo, q_lo, w), _mul_up(w_hi, q_hi, w)
-            q_lo, q_hi = _mul_down(q_lo, sq_lo, w), _mul_up(q_hi, sq_hi, w)
+            w_lo, w_hi = w_lo * q_lo >> w, -(-w_hi * q_hi >> w)
+            q_lo, q_hi = q_lo * sq_lo >> w, -(-q_hi * sq_hi >> w)
             lo.append(w_lo)
             hi.append(w_hi)
         # Tail sums C[j] = sum_{i >= j} w(i) over i < r, with C[r] = 0.
@@ -199,82 +226,44 @@ class GaussianCells(CellLaw):
         return z_lo - c_lo[1 - k], z_hi - c_hi[1 - k], z_lo, z_hi
 
 
-#: Digit tables of a power of q: rows j < _ROWS hold q^(b * _RADIX**j) for b < _RADIX.
-_RADIX_BITS = 8
-_RADIX = 1 << _RADIX_BITS
-_ROWS = 4
-
-
-def _power_table(q_lo: int, q_hi: int, w: int):
-    """Digit rows of outward bounds of q^(b * R**j), and the top base q^(R**_ROWS).
-
-    Each entry is the previous one times the row's base q^(R**j), rounded
-    down for the lower and up for the upper bound, as in ``_pow_scaled``.
-    """
-    rows = []
-    base_lo, base_hi = q_lo, q_hi
-    for _ in range(_ROWS):
-        lo = hi = 1 << w
-        row_lo, row_hi = [lo], [hi]
-        for _ in range(1, _RADIX):
-            lo, hi = _mul_down(lo, base_lo, w), _mul_up(hi, base_hi, w)
-            row_lo.append(lo)
-            row_hi.append(hi)
-        rows.append((row_lo, row_hi))
-        base_lo, base_hi = _mul_down(lo, base_lo, w), _mul_up(hi, base_hi, w)
-    return rows, (base_lo, base_hi)
-
-
-def _power(table, k: int, w: int) -> tuple[int, int]:
-    """Outward bounds of q^k from a :func:`_power_table`: one product per base-R digit of k."""
-    rows, top = table
-    lo = hi = 1 << w
-    for row_lo, row_hi in rows:
-        if not k:
-            return lo, hi
-        b = k & (_RADIX - 1)
-        k >>= _RADIX_BITS
-        lo = (lo * row_lo[b]) >> w
-        hi = -((-hi * row_hi[b]) >> w)
-    if k:  # past the table: the remaining digits by squaring the top base
-        t_lo, t_hi = _pow_scaled(*top, k, w)
-        lo, hi = _mul_down(lo, t_lo, w), _mul_up(hi, t_hi, w)
-    return lo, hi
-
-
 class LaplaceCells(CellLaw):
     """Weights q^|eta| on |eta| < m, q = exp(-1/t), through closed-form geometric sums.
 
     For k >= 0, S(k)/Z = (q^k - q^m) / Z with Z = 1 + q - 2 q^m; negative k
     mirrors through S(k) = Z - S(1 - k). The same constants give the
     untruncated law's tail mass p = P[|eta| >= m] = 2 q^m / (1 + q) and
-    1 - p = Z / (1 + q). Each level keeps digit tables of q^(b * 256**j) and
-    of (1 - p)^(b * 256**j) for b < 256, j < 4 (:func:`_power_table`), so a
-    power costs one product per base-256 digit of its exponent, and nothing
+    1 - p = Z / (1 + q). Each level keeps enclosures of q and of 1 - p, and
+    every power the bounds sources read (q^k of a body cell, q^g of a tail
+    cell, (1 - p)^j of the tail set) is one outward-rounded
+    :func:`~frugaldp.precise_math._pow_scaled` on a memo miss, so nothing
     whose size grows with m or t is built.
+
+    Past ``horizon`` = (_LEVEL_MAX + guard) * ceil(t), q^g < e^-(_LEVEL_MAX + guard)
+    lies below every record's precision, so a tail cell's keys may stop
+    there: :func:`locate` never certifies u below them.
     """
 
-    __slots__ = ("_x",)
+    __slots__ = ("_x", "horizon")
 
     def __init__(self, t: "Fraction | int", m: int):
         super().__init__(m, m.bit_length() + (t.numerator // t.denominator + 1).bit_length() + 8)
         self._x = 1 / Fraction(t)
+        self.horizon = (_LEVEL_MAX + self._guard) * -(-t.numerator // t.denominator)
 
     def _build(self, w: int):
-        q_lo, q_hi = exp_neg(self._x, w)
-        table = _power_table(q_lo, q_hi, w)
-        qm_lo, qm_hi = _power(table, self.halfwidth, w)
+        q = exp_neg(self._x, w)
+        qm_lo, qm_hi = _pow_scaled(*q, self.halfwidth, w)
         one = 1 << w
-        z_lo, z_hi = one + q_lo - 2 * qm_hi, one + q_hi - 2 * qm_lo
-        stay = _power_table(max(0, (z_lo << w) // (one + q_hi)), -(-(z_hi << w) // (one + q_lo)), w)
-        return w, table, stay, (qm_lo, qm_hi), (z_lo, z_hi), (one + q_lo, one + q_hi)
+        z_lo, z_hi = one + q[0] - 2 * qm_hi, one + q[1] - 2 * qm_lo
+        stay = max(0, (z_lo << w) // (one + q[1])), -(-(z_hi << w) // (one + q[0]))
+        return w, q, stay, (qm_lo, qm_hi), (z_lo, z_hi), (one + q[0], one + q[1])
 
     def _tail_sums(self, data, k: int) -> tuple[int, int, int, int]:
-        w, table, _, (qm_lo, qm_hi), (z_lo, z_hi), _ = data
+        w, q, _, (qm_lo, qm_hi), (z_lo, z_hi), _ = data
         if k >= 0:
-            a_lo, a_hi = _power(table, k, w)
+            a_lo, a_hi = _pow_scaled(*q, k, w)
             return a_lo - qm_hi, a_hi - qm_lo, z_lo, z_hi
-        a_lo, a_hi = _power(table, 1 - k, w)
+        a_lo, a_hi = _pow_scaled(*q, 1 - k, w)
         return z_lo - (a_hi - qm_lo), z_hi - (a_lo - qm_hi), z_lo, z_hi
 
     def tail_probability(self) -> RationalBounds:
@@ -286,28 +275,28 @@ class LaplaceCells(CellLaw):
         """The :func:`level_record` of q^g = P[G >= g], G ~ Geo(1 - q), in the form :func:`locate` reads.
 
         Past the threshold m the Laplace tail is m + G by memorylessness, so
-        a tail coordinate's cell edges are thresholds on G. The bounds reuse
-        this level's power table at its working precision; directed
-        rounding keeps them sound for any g; for g far past m they are only
-        wider, so :func:`locate` refines sooner.
+        a tail coordinate's cell edges are thresholds on G. The bounds are
+        this level's enclosure of q raised to g at its working precision;
+        directed rounding keeps them sound for any g; for g far past m they
+        are only wider, so :func:`locate` refines sooner.
         """
         data, _, memo, _ = self._level(level)
         rec = memo.get(g)
         if rec is None:
-            w, table = data[:2]
-            rec = memo[g] = level_record(w, *_power(table, g, w))
+            w, q = data[:2]
+            rec = memo[g] = level_record(w, *_pow_scaled(*q, g, w))
         return rec
 
     def any_tail(self, j: int, level: int) -> tuple[int, int, int, int]:
         """The :func:`level_record` of 1 - (1 - p)**j, the chance that j coordinates hold a tail coordinate.
 
         The tail-set draw reads it for 1 <= j <= d, from this level's
-        outward-rounded digit table of 1 - p.
+        outward-rounded enclosure of 1 - p raised to j.
         """
         data, _, _, memo = self._level(level)
         rec = memo.get(j)
         if rec is None:
             w, _, stay = data[:3]
-            lo, hi = _power(stay, j, w)
+            lo, hi = _pow_scaled(*stay, j, w)
             rec = memo[j] = level_record(w, (1 << w) - hi, (1 << w) - lo)
         return rec

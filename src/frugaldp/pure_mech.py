@@ -114,16 +114,12 @@ def sample_tail_set(tape: BitTape, d: int, any_tail) -> frozenset[int]:
     :func:`~frugaldp.core_samplers.locate` over the thresholds
     1 - (1 - p)**j along j = n, n - 1, ..., 1 returns n - L, and coordinate
     d - n + L is the next member; 0 means none is left. An empty set costs
-    one comparison with 1 - (1 - p)**d, and each member O(n - L) keys. Bits
-    go under "binomial".
+    one comparison with 1 - (1 - p)**d, and each member O(log(n - L)) keys,
+    which locate searches. Bits go under "binomial".
     """
-    chosen = []
-    n = d
+    chosen, n = [], d
     with tape.category("binomial"):
-        while n:
-            past = locate(tape, any_tail, range(n, 0, -1))
-            if not past:
-                break
+        while n and (past := locate(tape, any_tail, range(n, 0, -1))):
             chosen.append(d - past)  # d - n + L, with L = n - past
             n = past - 1
     return frozenset(chosen)

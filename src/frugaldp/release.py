@@ -1,30 +1,25 @@
 """The shift-and-round release core shared by the approximate and pure modes.
 
-Both efficient releases follow one recipe: draw one shift from
-{unit, 2 unit, ..., s unit}, then walk the coordinates. A coordinate whose
+Both efficient releases draw one shift from {unit, 2 unit, ..., s unit} and
+then walk the coordinates, where the unit is the noise half-width (r in
+approx mode, m in pure mode) and the grid is unit * s. A coordinate whose
 rounded value is the same for every noise value in (-unit, unit) is released
-silently and costs no bits; any other coordinate draws its grid cell from
-the truncated noise law. Windows with one grid edge (all, when s >= 2)
-are drawn in runs (:func:`draw_runs`): one
-:func:`~frugaldp.core_samplers.locate` draws how many coordinates stay in
-their centre's cell before one leaves, for about the cells' entropy plus
-two bits per leaving coordinate, not two bits per coordinate. Its
-thresholds are the run's running products of stay-home probabilities; the
-level-0 products reach locate as a stream, one multiply pair per
-coordinate over records read from the cell law's level-0 memo, and only a
-refinement goes through a bounds closure. A window with two edges (s = 1)
-has its own locate. The grid is unit * s, where the unit
-is the noise half-width (r in approx mode, m in pure mode). Pure mode adds
-one pre-step, a tail set drawn up front. A tail coordinate's noise is
-+-(m + G) with G geometric, so it too draws only its cell: one fair sign
-bit, then one locate over the geometric tail masses at its grid edges.
-Every paid coordinate thus draws its cell, never a noise value.
+silently and costs no bits; any other draws its grid cell from the truncated
+noise law. Windows with one grid edge (all, when s >= 2) are drawn in runs
+(:func:`draw_runs`): one :func:`~frugaldp.core_samplers.locate` draws how
+many coordinates stay in their centre's cell before one leaves, over the
+run's running products of stay-home probabilities, streamed at level 0, for
+about the cells' entropy plus two bits per leaving coordinate. A window with
+two edges (s = 1) has its own locate. Pure mode adds a tail set drawn up
+front; a tail coordinate's noise is +-(m + G) with G geometric, so it too
+draws only its cell: one fair sign bit, then one locate that searches the
+geometric tail masses at its grid edges, reading O(log c) of them for the
+c-th cell out. Every paid coordinate thus draws its cell, never a noise value.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import count
 
 from .bit_tape import BitTape
 from .core_samplers import CellLaw, locate
@@ -86,8 +81,8 @@ def draw_shift(tape: BitTape, unit: int, s: int) -> int:
 def build_report(
     tape: BitTape,
     start: tuple[int, dict[str, int]],
-    boundary: tuple[int, ...] = (),
-    attempts: dict[int, int] | None = None,
+    boundary: tuple[int, ...],
+    attempts: dict[int, int],
 ) -> RandomnessReport:
     """The bits drawn since the ``tape.snapshot()`` taken as ``start``, by category."""
     start_bits, start_log = start
@@ -96,7 +91,7 @@ def build_report(
         delta = count - start_log.get(name, 0)
         if delta:
             by_cat[name] = delta
-    return RandomnessReport(tape.bits_consumed - start_bits, by_cat, boundary, attempts or {})
+    return RandomnessReport(tape.bits_consumed - start_bits, by_cat, boundary, attempts)
 
 
 def shift_and_round(
@@ -124,7 +119,6 @@ def shift_and_round(
         omega = draw_shift(tape, unit, s)
     values = []
     boundary = []
-    attempts: dict[int, int] = {}
     queued, keys = [], []  # the single-edge coordinates, for draw_runs
     # Silent coordinates draw nothing, so one category block covers the loop.
     with tape.category(noise):
@@ -138,8 +132,8 @@ def shift_and_round(
                     else:  # eta = -(unit + G): below edge E once G >= center - unit - E + 1
                         low = (center - unit) // grid * grid
                         first, step = center - unit - low + 1, -grid
-                    values.append(low + step * locate(tape, cells.geometric_tail, count(first, grid)))
-                attempts[i] = 1
+                    edges = range(first, cells.horizon + grid, grid)  # the last past any comparison's reach
+                    values.append(low + step * locate(tape, cells.geometric_tail, edges))
                 continue
             # The grid edges E in (center - reach, center + reach], as keys
             # E - center: the release reaches E exactly when eta >= E - center.
@@ -147,7 +141,6 @@ def shift_and_round(
             low = (center - reach) // grid * grid
             k = low + grid - center
             if k < unit:
-                attempts[i] = 1
                 boundary.append(i)
                 if k + grid < unit:  # two edges, only when s = 1
                     low += grid * locate(tape, cells.tail_ratio, range(k, unit, grid))
@@ -159,7 +152,9 @@ def shift_and_round(
             values.append(low)
         if keys:
             draw_runs(tape, cells, grid, queued, keys, values)
-    return MechanismResult(tuple(values), build_report(tape, start, tuple(boundary), attempts)), omega
+    # One draw for each paid coordinate, boundary or tail, in index order.
+    paid = sorted([*tail, *boundary]) if tail else boundary
+    return MechanismResult(tuple(values), build_report(tape, start, tuple(boundary), dict.fromkeys(paid, 1))), omega
 
 
 def draw_runs(tape: BitTape, cells: CellLaw, grid: int, queued: list, keys: list, values: list) -> None:

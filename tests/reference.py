@@ -435,7 +435,10 @@ def draw_runs(tape: BitTape, tail_ratio, grid: int, queued: list, keys: list, va
     The package streams a run's level-0 running product into ``locate``;
     here ``bounds`` extends one running product per level, level 0
     included, calling ``tail_ratio`` for every key it reads. Both must draw
-    the same cells with the same bits.
+    the same cells with the same bits. The closure only walks forward, so
+    its own level-0 records reach ``locate`` as a stream too: that keeps the
+    keys in order, and a search over the key index never asks for an earlier
+    key than one already read.
     """
     levels: list[tuple[int, tuple[int, int, int, int] | None]] = []
 
@@ -456,7 +459,7 @@ def draw_runs(tape: BitTape, tail_ratio, grid: int, queued: list, keys: list, va
     start, end = 0, len(keys)
     while start < end:
         levels.clear()
-        start += locate(tape, bounds, range(start, end))
+        start += locate(tape, bounds, range(start, end), (bounds(j, 0) for j in range(start, end)))
         if start < end:
             values[queued[start]] += grid if keys[start] > 0 else -grid
         start += 1

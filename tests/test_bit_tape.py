@@ -199,6 +199,27 @@ def test_os_tapes_read_each_source_bit_once(monkeypatch):
     assert source.startswith(drawn) and len(source) - len(drawn) == bit_tape._pool.avail < 512
 
 
+@pytest.mark.parametrize("seed", [None, 29])
+def test_refused_negative_width_leaves_the_tape(seed, monkeypatch):
+    # A replayable fake source, so two OS-backed tapes read the same bits.
+    def run(refuse: bool):
+        if seed is None:
+            bit_tape._empty_pool()
+            monkeypatch.setattr(os, "urandom", random.Random(11).randbytes)
+        tape = BitTape(seed)
+        read = os_bits_read()
+        with tape.category("shift"):
+            first = tape.next_bits(3)
+            if refuse:
+                with pytest.raises(ValueError):
+                    tape.next_bits(-2)
+            state = tape.bits_consumed, dict(tape.draw_log)
+            after = [tape.next_bits(k) for k in (1, 5, 70, 600)]
+        return first, state, after, tape.bits_consumed, os_bits_read() - read
+
+    assert run(True) == run(False)
+
+
 def test_os_source_bits_track_spent_bits():
     # 1 000 OS-backed releases at audit-desk scale read what they spend, plus the pool's rest.
     counts = CountVector(3, 100, (17, 50, 83))

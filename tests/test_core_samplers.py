@@ -11,6 +11,7 @@ import math
 import pickle
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,15 +19,16 @@ import pytest
 from scipy import stats
 
 import frugaldp.core_samplers as cs
+from frugaldp import release
 import reference
 from frugaldp.approx_mech import mech_approx_efficient
 from frugaldp.audit_harness import DiscreteDist, PrivacyAuditResult
 from frugaldp.bit_tape import BitTape
 from frugaldp.cli import RunConfig
 from frugaldp.core_samplers import GaussianCells, LaplaceCells, locate
-from frugaldp.errors import InternalError, ParameterDomainError
+from frugaldp.errors import EnclosureContractError, InternalError, ParameterDomainError
 from frugaldp.precise_math import exp_neg, rational_enclose
-from frugaldp.pure_mech import PureParams, PureTrace, mech_pure_efficient
+from frugaldp.pure_mech import PureParams, PureTrace, derive_pure_params, mech_pure_efficient, sample_tail_set
 from frugaldp.release import CountVector, MechanismResult, RandomnessReport, draw_runs, shift_and_round
 from reference import (
     GaussParam,
@@ -599,9 +601,9 @@ class TestTailCellDraw:
         assert bits / n <= expected + 0.05
         assert expected <= 1 + entropy + 3
 
-    def test_power_table_encloses_q_to_the_k_past_its_rows(self):
-        # t = 2**40 keeps q^g away from 0 for keys past the four 256-entry rows,
-        # where the table multiplies in powers of its top base q^(2**32).
+    def test_geometric_tail_encloses_q_to_the_g_at_far_keys(self):
+        # t = 2**40 keeps q^g away from 0 for keys up to past 2**33, where
+        # the power takes over thirty squarings of the enclosure of q.
         t = 2**40
         law = LaplaceCells(Fraction(t), 5)
         for g in (1, 255, 256, 65_535, 65_536, 2**24 + 3, 2**32 - 1, 2**32, 2**33 + 2**8 + 1):
@@ -685,6 +687,115 @@ class TestRunStream:
                 out.append((values, tape.bits_consumed, tape.draw_log))
             assert out[0] == out[1]
         assert (len(law._levels) > 1) == (level_start < 64)
+
+
+def _threshold_bounds(thresholds):
+    """Bounds of exact rational thresholds at the precision of ``cs._LEVEL_START`` when read."""
+
+    def bounds(i, level):
+        p = cs._LEVEL_START << level
+        return cs.level_record(p, *rational_enclose(thresholds[i], p))
+
+    return bounds
+
+
+class TestSearch:
+    @pytest.mark.parametrize("level_start", [64, 8, 4])
+    def test_probe_order_keeps_the_count(self, level_start, monkeypatch):
+        # Forced into order by a level-0 stream of the same records, the same
+        # keys give the same count; at 64-bit levels the same bits too.
+        # Thresholds of 200 bits, with runs of ties, make coarse levels refine.
+        monkeypatch.setattr(cs, "_LEVEL_START", level_start)
+        rng = random.Random(level_start)
+        counts = []
+        for case in range(400):
+            n = rng.choice((1, 3, 4, 5, 9, 40, 300))
+            draws = [Fraction(rng.getrandbits(200), 1 << 200) for _ in range(rng.randrange(1, n + 1))]
+            thresholds = sorted(rng.choices(draws, k=n), reverse=True)
+            # Skew towards 1 so that counts past the linear head are common.
+            thresholds = [1 - (1 - x) ** 8 if case % 2 else x for x in thresholds]
+            bounds = _threshold_bounds(thresholds)
+            out = []
+            for level0 in (None, (bounds(i, 0) for i in range(n))):
+                tape = BitTape(seed=case)
+                out.append((locate(tape, bounds, range(n), level0), tape.bits_consumed))
+            if level_start == 64:
+                assert out[0] == out[1]
+            else:
+                assert out[0][0] == out[1][0]
+            counts.append(out[0][0])
+        # Counts past the linear head, up to every key, were searched for.
+        assert max(counts) == 300 and len([c for c in counts if c > 2 * cs._LINEAR_KEYS]) > 40
+
+    def test_s1_tail_cells_search_their_keys(self, monkeypatch):
+        # At s = 1 the grid is 1, so a tail cell is about t = d/eps keys out.
+        params = derive_pure_params(Fraction(1), 1024, 1)
+        counts = CountVector(1024, 10**6, tuple((7919 * i) % 10**6 for i in range(1024)))
+        reads = []
+
+        def counted_locate(tape, bounds, keys, level0=None):
+            if bounds != params.cells.geometric_tail:
+                return cs.locate(tape, bounds, keys, level0)
+            reads.append(0)
+
+            def counted(g, level):
+                reads[-1] += 1
+                return bounds(g, level)
+
+            return cs.locate(tape, counted, keys, level0)
+
+        monkeypatch.setattr(release, "locate", counted_locate)
+        start = time.perf_counter()
+        result, trace = mech_pure_efficient(counts, params, BitTape(seed=5))
+        assert time.perf_counter() - start < 2
+        assert len(reads) == trace.tail_size > 1000
+        assert max(reads) <= 4 * math.log2(params.scale) + 8
+
+    def test_tail_set_members_search_their_run(self):
+        d = 10**5
+        params = derive_pure_params(Fraction(1), d, 4)
+        found = 0
+        for seed in range(400):
+            reads = 0
+
+            def any_tail(j, level):
+                nonlocal reads
+                reads += 1
+                return params.cells.any_tail(j, level)
+
+            if sample_tail_set(BitTape(seed=seed), d, any_tail):
+                found += 1
+                assert reads <= 4 * math.log2(d) + 8
+        assert found >= 3
+
+    def test_tail_keys_end_past_every_comparison(self, monkeypatch):
+        # u = 0 lies below every threshold it can be compared with: the
+        # search runs out of precision, and raises, before it could return
+        # the count of the whole key range, so the range truncates no law.
+        # A 512-bit ceiling keeps the deepest level quick to build.
+        monkeypatch.setattr(cs, "_LEVEL_MAX", 1 << 9)
+        law = LaplaceCells(Fraction(12), 22)
+
+        class Zeros:
+            def next_bit(self):
+                return 0
+
+        keys = range(1, law.horizon + 44, 44)
+        assert law.geometric_tail(keys[-1], 0)[1:3] == (0, 1)
+        with pytest.raises(EnclosureContractError):
+            locate(Zeros(), law.geometric_tail, keys)
+
+    def test_extreme_scale_release_finishes(self):
+        # t = 10**15: the tail cell is about 10**15 keys out, and the key
+        # range is longer than sys.maxsize, so it is indexed, never measured.
+        params = derive_pure_params(Fraction(1, 10**15), 1, 1)
+        with pytest.raises(OverflowError):
+            len(range(1, params.cells.horizon + 1))
+        tape = BitTape(seed=3)
+        result, trace = mech_pure_efficient(CountVector(1, 1, (0,)), params, tape)
+        assert trace.tail_set == {0}
+        assert 10**12 < abs(result.values[0]) < 10**18
+        assert tape.bits_consumed < 200
 
 
 def test_scale_validation():

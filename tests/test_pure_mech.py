@@ -68,7 +68,7 @@ class TestDeriveParams:
     )
     def test_tail_mass_and_powers_agree_with_the_reference(self, epsilon, d, s):
         # The reference encloses p from exp(-(m - 1)/t) and exp(1/t); the
-        # cell law from q = exp(-1/t) and its digit tables. Both enclosures
+        # cell law from q = exp(-1/t) and its powers. Both enclosures
         # are sound only if they overlap, at every level and power read.
         params = derive_pure_params(epsilon, d, s)
         w = 256
@@ -211,9 +211,9 @@ class TestDistributionalStructure:
         _, pval = stats.chisquare(observed, [expected[S] * n for S in all_subsets])
         assert pval >= 0.001
 
-    def test_subset_law_through_the_power_table(self):
+    def test_subset_law_through_the_cell_law(self):
         # The same law at audit-desk parameters (d = 3, p about 1/6), with
-        # 1 - (1 - p)^j from the parameters' digit tables of 1 - p.
+        # 1 - (1 - p)^j from the cell law's enclosure of 1 - p.
         params = derive_pure_params(Fraction(1, 4), 3, 2)
         p = float((params.p.lo + params.p.hi) / 2)
         tape = BitTape(seed=941)

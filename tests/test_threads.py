@@ -1,7 +1,7 @@
 """Parameter objects read from several threads at once.
 
 Parameter objects fill their caches lazily, and releases that share one
-(``PureParams.cells``' power tables, ``ApproxParams.cells``, ...) may
+(``PureParams.cells``' levels and memos, ``ApproxParams.cells``, ...) may
 run in different threads. Each test starts a handful of threads together behind a barrier,
 with a short switch interval so that they interleave inside the cache
 fills, and compares what every thread read with a single-threaded read.
@@ -56,8 +56,8 @@ def _run_together(work):
 
 def test_tail_set_draws_on_shared_params():
     # d p is about 1.4 here, so each draw reads many powers of 1 - p; the
-    # threads draw on their own tapes while the power tables of their
-    # levels are built, then read every level in a rotated order.
+    # threads draw on their own tapes while their levels and memos are
+    # built, then read every level in a rotated order.
     def read(params, k):
         tape = BitTape(seed=900 + k)
         draws = [sample_tail_set(tape, params.d, params.cells.any_tail) for _ in range(10)]
