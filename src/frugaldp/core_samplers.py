@@ -50,8 +50,26 @@ def level_record(p: int, lo: int, hi: int) -> tuple[int, int, int, int]:
     return p, lo, hi, p - (hi - lo).bit_length()
 
 
+class Stream:
+    """One uniform u in [0, 1) that a sequence of :func:`locate` draws share, read from a tape.
+
+    ``u`` holds u's first ``n`` bits. A draw handed a stream in place of a
+    tape starts from those bits and leaves the ones it read. Its thresholds
+    count in u - A, for an offset A that ``offset(level)`` encloses as
+    integers (lo, hi) at that level's precision; ``n`` and the offset are
+    the owner's to reset.
+    """
+
+    __slots__ = ("next_bit", "u", "n", "offset")
+
+    def __init__(self, tape: BitTape, offset: Callable[[int], tuple[int, int]]):
+        self.next_bit = tape.next_bit
+        self.u = self.n = 0
+        self.offset = offset
+
+
 def locate(
-    tape: BitTape,
+    tape: "BitTape | Stream",
     bounds: Callable[[object, int], tuple[int, int, int, int]],
     keys,
     level0: Iterator[tuple[int, int, int, int]] | None = None,
@@ -66,7 +84,9 @@ def locate(
     bit would outrun their limit. With the upper tails P[X >= 1],
     P[X >= 2], ... as thresholds the count is distributed as X. This is the
     interval algorithm, so it reads fewer than H(X) + 3 bits on average
-    (Han and Hoshi); near a grid edge it can exceed H(X) + 2.
+    (Han and Hoshi); near a grid edge it can exceed H(X) + 2. From a tape, u
+    is fresh and forgotten on return; from a :class:`Stream`, u is the
+    stream's, less its offset.
 
     The first ``_LINEAR_KEYS`` keys are read in order; past them the index
     gallops (count + 1, + 3, + 7, ...) to a threshold not above u, then
@@ -79,56 +99,77 @@ def locate(
     levels >= 1.
     """
     next_bit = tape.next_bit
-    u = nb = count = 0
-    for key in keys:
-        level = 0
-        p, lo, hi, limit = bounds(key, 0) if level0 is None else next(level0)
-        while True:
-            if nb + 2 > limit:  # too coarse for u's next bit, or for bits kept from an earlier key
-                level += 1
-                if _LEVEL_START << level > _LEVEL_MAX:
-                    raise EnclosureContractError("enclosure failed to refine")
-                p, lo, hi, limit = bounds(key, level)
-                continue
-            shift = p - nb
-            if (u + 1) << shift <= lo:
-                break  # u is below this threshold
-            if u << shift >= hi:
-                return count
-            u = (u << 1) | next_bit()
-            nb += 1
-        count += 1
-        if level0 is None and count == _LINEAR_KEYS:
-            break  # on to the search
-    else:
-        return count
-    # Keys before index count lie above u, and none from stop on (nor past the end).
-    stop, step = None, 1
-    while stop is None or count < stop:
-        i = count + step - 1 if stop is None else (count + stop) // 2
-        try:
-            key = keys[i]
-        except IndexError:
-            stop = i
-            continue
-        level = 0
-        p, lo, hi, limit = bounds(key, 0)
-        while True:
-            if nb + 2 > limit:
-                level += 1
-                if _LEVEL_START << level > _LEVEL_MAX:
-                    raise EnclosureContractError("enclosure failed to refine")
-                p, lo, hi, limit = bounds(key, level)
-            elif (u + 1) << (p - nb) <= lo:
-                count, step = i + 1, step << 1
-                break
-            elif u << (p - nb) >= hi:
-                stop = i
-                break
-            else:
+    carried = type(tape) is Stream
+    u, nb, offset = (tape.u, tape.n, tape.offset) if carried else (0, 0, None)
+    a_lo = a_hi = count = 0
+    # The box [u, u + 1) / 2**nb less [a_lo, a_hi], as integers [box_lo, box_hi] at precision held.
+    held = box_lo = box_hi = -1
+    try:
+        for key in keys:
+            level = 0
+            p, lo, hi, limit = bounds(key, 0) if level0 is None else next(level0)
+            while True:
+                if nb + 2 > limit:  # too coarse for u's next bit, or for bits kept from an earlier key
+                    level += 1
+                    if _LEVEL_START << level > _LEVEL_MAX:
+                        raise EnclosureContractError("enclosure failed to refine")
+                    p, lo, hi, limit = bounds(key, level)
+                    continue
+                if p != held:
+                    if offset is not None:
+                        a_lo, a_hi = offset(level)
+                    held, shift = p, p - nb
+                    box_lo, box_hi = (u << shift) - a_hi, ((u + 1) << shift) - a_lo
+                if box_hi <= lo:
+                    break  # u is below this threshold
+                if box_lo >= hi:
+                    return count
                 u = (u << 1) | next_bit()
                 nb += 1
-    return count
+                shift = p - nb
+                box_lo, box_hi = (u << shift) - a_hi, ((u + 1) << shift) - a_lo
+            count += 1
+            if level0 is None and count == _LINEAR_KEYS:
+                break  # on to the search
+        else:
+            return count
+        # Keys before index count lie above u, and none from stop on (nor past the end).
+        stop, step = None, 1
+        while stop is None or count < stop:
+            i = count + step - 1 if stop is None else (count + stop) // 2
+            try:
+                key = keys[i]
+            except IndexError:
+                stop = i
+                continue
+            level = 0
+            p, lo, hi, limit = bounds(key, 0)
+            while True:
+                if nb + 2 > limit:
+                    level += 1
+                    if _LEVEL_START << level > _LEVEL_MAX:
+                        raise EnclosureContractError("enclosure failed to refine")
+                    p, lo, hi, limit = bounds(key, level)
+                    continue
+                if p != held:
+                    if offset is not None:
+                        a_lo, a_hi = offset(level)
+                    held, shift = p, p - nb
+                    box_lo, box_hi = (u << shift) - a_hi, ((u + 1) << shift) - a_lo
+                if box_hi <= lo:
+                    count, step = i + 1, step << 1
+                    break
+                if box_lo >= hi:
+                    stop = i
+                    break
+                u = (u << 1) | next_bit()
+                nb += 1
+                shift = p - nb
+                box_lo, box_hi = (u << shift) - a_hi, ((u + 1) << shift) - a_lo
+        return count
+    finally:
+        if carried:
+            tape.u, tape.n = u, nb
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .bit_tape import BitTape
-from .core_samplers import CellLaw, locate
+from .core_samplers import CellLaw, Stream, locate
 from .errors import InternalError, ParameterDomainError
 
 
@@ -201,10 +201,12 @@ def draw_runs(tape: BitTape, cells: CellLaw, grid: int, queued: list, keys: list
             entry[1] = next(entry[2])
         return entry[1]
 
+    stream = Stream(tape, None)
     start, end = 0, len(keys)
     while start < end:
         refined.clear()
-        start += locate(tape, bounds, range(start, end), products(start, 0))
+        stream.u = stream.n = 0
+        start += locate(stream, bounds, range(start, end), products(start, 0))
         if start < end:
             values[queued[start]] += grid if keys[start] > 0 else -grid
         start += 1
