@@ -6,8 +6,9 @@ and a coordinate whose rounded value is already pinned down for every
 possible noise value is released with zero random bits. A coordinate whose
 noise window straddles a cell edge draws the cell itself. It usually stays
 in the cell of its centre, so these cells are drawn in runs: one draw says
-how many stay home before one leaves, for about the cells' entropy plus two
-bits per cell that leaves.
+how many stay home before one leaves. The runs share one uniform, carried
+past each departure, so the cells cost about their entropy plus two bits
+per 32 bits or so of it.
 """
 
 from fractions import Fraction

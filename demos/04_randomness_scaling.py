@@ -2,9 +2,10 @@
 
 At dimension d, roughly 2d/s coordinates land near a grid edge and need a
 cell draw; the rest are free. Those cells are drawn in runs of coordinates
-that stay in their centre's cell, for about their entropy plus two bits per
-cell that leaves. Total expected bits therefore fall like 1/s (plus the
-~log2(s) cost of the shared shift), reaching O(log d) at s = d.
+that stay in their centre's cell, on one uniform carried from run to run,
+for about their entropy plus two bits per 32 bits or so of it. Total
+expected bits therefore fall like 1/s (plus the ~log2(s) cost of the shared
+shift), reaching O(log d) at s = d.
 
 Unseeded releases take their bits from a per-thread pool that reads
 ``os.urandom`` 512 bits at a time, so the bits read from the OS track the

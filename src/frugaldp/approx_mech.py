@@ -174,7 +174,8 @@ def mech_approx_efficient(
     determined for every noise magnitude below r is released silently with
     zero noise bits; boundary coordinates draw their grid cells from the
     truncated Gaussian's tail mass beyond the cell edge, in runs of cells
-    that stay home: about their entropy plus two bits per cell that leaves.
+    that stay home, on one uniform carried from run to run: about their
+    entropy plus two bits per 32 bits or so of it.
     """
     check_release(counts, params, params.r, omega)
     result, _ = shift_and_round(tape, tape.snapshot(), counts, params.s, params.cells, "gaussian", omega)

@@ -8,9 +8,11 @@ past a pure-mode tail threshold, the chance that the next coordinates hold
 a tail coordinate) and refines the bounds, one level of doubled precision
 at a time, until u is certified above or below each threshold it reads.
 This terminates with probability one and makes every draw exact; no
-floating point is involved anywhere. A ``locate`` never discards a bit it
-has read. The release's other draws are plain: a pure-mode tail
-coordinate's fair sign bit, and the shared shift, which
+floating point is involved anywhere. A ``locate`` from a tape forgets, when
+it returns, the part of u it read but did not need; draws that share a
+:class:`Stream` (the runs of :func:`~frugaldp.release.draw_runs`) carry it
+to the next draw instead. The release's other draws are plain: a pure-mode
+tail coordinate's fair sign bit, and the shared shift, which
 :meth:`~frugaldp.bit_tape.BitTape.uniform_range` draws by rejection, so a
 shift whose s is not a power of two may discard bits.
 """
@@ -55,17 +57,17 @@ class Stream:
 
     ``u`` holds u's first ``n`` bits. A draw handed a stream in place of a
     tape starts from those bits and leaves the ones it read. Its thresholds
-    count in u - A, for an offset A that ``offset(level)`` encloses as
-    integers (lo, hi) at that level's precision; ``n`` and the offset are
-    the owner's to reset.
+    count in u - A, for an offset A that ``offsets[level]`` encloses as
+    integers (lo, hi) at that level's precision: the owner sets level 0
+    and appends a level before the draw's ``bounds`` returns a record of it.
     """
 
-    __slots__ = ("next_bit", "u", "n", "offset")
+    __slots__ = ("next_bit", "u", "n", "offsets")
 
-    def __init__(self, tape: BitTape, offset: Callable[[int], tuple[int, int]]):
+    def __init__(self, tape: BitTape):
         self.next_bit = tape.next_bit
         self.u = self.n = 0
-        self.offset = offset
+        self.offsets = [(0, 0)]
 
 
 def locate(
@@ -99,11 +101,15 @@ def locate(
     levels >= 1.
     """
     next_bit = tape.next_bit
-    carried = type(tape) is Stream
-    u, nb, offset = (tape.u, tape.n, tape.offset) if carried else (0, 0, None)
-    a_lo = a_hi = count = 0
-    # The box [u, u + 1) / 2**nb less [a_lo, a_hi], as integers [box_lo, box_hi] at precision held.
-    held = box_lo = box_hi = -1
+    if type(tape) is Stream:
+        u, nb, offsets = tape.u, tape.n, tape.offsets
+    else:
+        nb = a_lo = a_hi = 0
+        offsets = None
+    # [box_lo, box_hi] is the box [u, u + 2**-nb) less the offset [a_lo, a_hi], as
+    # integers at the precision held of the last record compared (0: none yet);
+    # its dyadic part is width = 2**(held - nb), and a bit read halves it.
+    count = held = 0
     try:
         for key in keys:
             level = 0
@@ -116,18 +122,28 @@ def locate(
                     p, lo, hi, limit = bounds(key, level)
                     continue
                 if p != held:
-                    if offset is not None:
-                        a_lo, a_hi = offset(level)
-                    held, shift = p, p - nb
-                    box_lo, box_hi = (u << shift) - a_hi, ((u + 1) << shift) - a_lo
+                    if held or offsets is not None:
+                        if held:
+                            u = (box_lo + a_hi) >> (held - nb)
+                        if offsets is not None:
+                            a_lo, a_hi = offsets[level]
+                        width = 1 << (p - nb)
+                        box_lo = (u << (p - nb)) - a_hi
+                        box_hi = box_lo + width + a_hi - a_lo
+                    else:  # a fresh u, read from the tape
+                        box_lo, box_hi = 0, 1 << p
+                        width = box_hi
+                    held = p
                 if box_hi <= lo:
                     break  # u is below this threshold
                 if box_lo >= hi:
                     return count
-                u = (u << 1) | next_bit()
                 nb += 1
-                shift = p - nb
-                box_lo, box_hi = (u << shift) - a_hi, ((u + 1) << shift) - a_lo
+                width >>= 1
+                if next_bit():
+                    box_lo += width
+                else:
+                    box_hi -= width
             count += 1
             if level0 is None and count == _LINEAR_KEYS:
                 break  # on to the search
@@ -152,24 +168,34 @@ def locate(
                     p, lo, hi, limit = bounds(key, level)
                     continue
                 if p != held:
-                    if offset is not None:
-                        a_lo, a_hi = offset(level)
-                    held, shift = p, p - nb
-                    box_lo, box_hi = (u << shift) - a_hi, ((u + 1) << shift) - a_lo
+                    if held or offsets is not None:
+                        if held:
+                            u = (box_lo + a_hi) >> (held - nb)
+                        if offsets is not None:
+                            a_lo, a_hi = offsets[level]
+                        width = 1 << (p - nb)
+                        box_lo = (u << (p - nb)) - a_hi
+                        box_hi = box_lo + width + a_hi - a_lo
+                    else:  # a fresh u, read from the tape
+                        box_lo, box_hi = 0, 1 << p
+                        width = box_hi
+                    held = p
                 if box_hi <= lo:
                     count, step = i + 1, step << 1
                     break
                 if box_lo >= hi:
                     stop = i
                     break
-                u = (u << 1) | next_bit()
                 nb += 1
-                shift = p - nb
-                box_lo, box_hi = (u << shift) - a_hi, ((u + 1) << shift) - a_lo
+                width >>= 1
+                if next_bit():
+                    box_lo += width
+                else:
+                    box_hi -= width
         return count
     finally:
-        if carried:
-            tape.u, tape.n = u, nb
+        if offsets is not None and held:
+            tape.u, tape.n = (box_lo + a_hi) >> (held - nb), nb
 
 
 # ---------------------------------------------------------------------------

@@ -24,12 +24,14 @@ from scipy import stats
 
 from frugaldp.approx_mech import ApproxParams, _assert_envelope, certify_window_radius
 from frugaldp.bit_tape import BitTape
-from frugaldp.core_samplers import _LEVEL_START, level_record, locate
+from frugaldp.core_samplers import _LEVEL_START, Stream, level_record, locate
 from frugaldp.errors import EnclosureContractError, MathDomainError, ParameterDomainError
 from frugaldp.precise_math import BoundedCache, RationalBounds, _exp_neg_guarded, exp_neg, exp_pos
 from frugaldp.precise_math import rational_enclose
 from frugaldp.pure_mech import PureParams
 from frugaldp.release import (
+    _CARRY_BITS,
+    _SHORT_QUEUE,
     CountVector,
     MechanismResult,
     build_report,
@@ -429,40 +431,82 @@ def mech_pure_reference(
     return MechanismResult(tuple(values), build_report(tape, start, tuple(range(counts.d)), attempts))
 
 
-def draw_runs(tape: BitTape, tail_ratio, grid: int, queued: list, keys: list, values: list) -> None:
+def draw_runs(tape: BitTape, tail_ratio, grid: int, queued: list, keys: list, values: list, seen=None) -> None:
     """:func:`frugaldp.release.draw_runs` with every level read through one closure.
 
-    The package streams a run's level-0 running product into ``locate``;
-    here ``bounds`` extends one running product per level, level 0
+    The package streams a run's level-0 running product into ``locate`` and
+    keeps the level-0 map (A, B) as runs depart; here ``bounds`` rebuilds A
+    and B at each level it is asked for, over every key since the last
+    fresh start, then extends one running product per level, level 0
     included, calling ``tail_ratio`` for every key it reads. Both must draw
     the same cells with the same bits. The closure only walks forward, so
     its own level-0 records reach ``locate`` as a stream too: that keeps the
     keys in order, and a search over the key index never asks for an earlier
-    key than one already read.
+    key than one already read. A queue of at most ``_SHORT_QUEUE`` keys
+    starts afresh after every departure. ``seen``, a Counter, counts the
+    fresh starts ("fresh"), those after a departure whose p rounds to 0 at
+    level 0 ("p below level 0"), and the refinements of a carried u
+    ("carried refinement").
     """
-    levels: list[tuple[int, tuple[int, int, int, int] | None]] = []
+
+    def ratio(i: int, level: int):
+        k = keys[i]
+        return tail_ratio(k if k > 0 else 1 - k, level)
+
+    def walk(level: int) -> tuple[int, int, int, int]:
+        """A's bounds and B's at ``level``: each key since the last fresh start narrows [A, A + B)."""
+        p = ratio(start, level)[0]
+        one = 1 << p
+        a_lo = a_hi = 0
+        b_lo = b_hi = one
+        for i in range(fresh, start):
+            _, r_lo, r_hi, _ = ratio(i, level)
+            stay = b_lo * (one - r_hi) >> p, -(-b_hi * (one - r_lo) >> p)
+            if i in departed:  # u went above the stay part, the rest of [A, A + B)
+                a_lo, a_hi = a_lo + stay[0], a_hi + stay[1]
+                b_lo, b_hi = stay[0] * r_lo // (one - r_lo), -(-stay[1] * r_hi // (one - r_hi))
+            else:
+                b_lo, b_hi = stay
+        return a_lo, a_hi, b_lo, b_hi
+
+    levels: list[tuple[int, tuple[int, int, int, int]]] = []  # per level: last key read, its record
 
     def bounds(j: int, level: int) -> tuple[int, int, int, int]:
         if level == len(levels):
-            levels.append((start - 1, None))
+            a_lo, a_hi, b_lo, b_hi = walk(level)
+            levels.append((start - 1, (None, b_lo, b_hi, None)))
+            stream.offsets.append((a_lo, a_hi))
+            if seen is not None and level and departed:
+                seen["carried refinement"] += 1
         i, rec = levels[level]
         while i < j:
             i += 1
-            k = keys[i]
-            p, a_lo, a_hi, _ = tail_ratio(k if k > 0 else 1 - k, level)
+            p, r_lo, r_hi, _ = ratio(i, level)
             one = 1 << p
-            lo, hi = (rec[1], rec[2]) if rec else (one, one)
-            rec = level_record(p, lo * (one - a_hi) >> p, -(-hi * (one - a_lo) >> p))
+            rec = level_record(p, rec[1] * (one - r_hi) >> p, -(-rec[2] * (one - r_lo) >> p))
         levels[level] = i, rec
         return rec
 
+    stream = Stream(tape)
+    fresh, departed = 0, set()
     start, end = 0, len(keys)
     while start < end:
         levels.clear()
-        start += locate(tape, bounds, range(start, end), (bounds(j, 0) for j in range(start, end)))
+        stream.offsets = []
+        start += locate(stream, bounds, range(start, end), (bounds(j, 0) for j in range(start, end)))
         if start < end:
             values[queued[start]] += grid if keys[start] > 0 else -grid
-        start += 1
+            departed.add(start)
+            start += 1
+            if start == end:
+                break
+            p, r_lo = ratio(start - 1, 0)[:2]
+            if end <= _SHORT_QUEUE or walk(0)[2] <= 1 << p >> _CARRY_BITS:
+                fresh, departed = start, set()
+                stream.u = stream.n = 0
+                if seen is not None:
+                    seen["fresh"] += 1
+                    seen["p below level 0"] += not r_lo
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for the approximate-DP release mechanisms."""
 
+import functools
 import math
 import random
 import time
@@ -195,6 +196,42 @@ class TestReferenceChain:
             mech_approx_reference(counts, params, 4, BitTape(seed=907))
 
 
+@functools.cache
+def _forced_shift_cell_bits():
+    """Cell bits of 200 releases of 1 024 counts at s = 4, the shift forced to each unit in turn.
+
+    Returns, per release, the entropy sum h(p_i) of the single-edge cells
+    and their expected departures sum p_i (p_i from the level-1
+    ``tail_ratio`` records), and the total cell bits.
+    """
+    d, s = 1024, 4
+    params = derive_approx_params(Fraction(1), Fraction(1, 1 << 20), d, s)
+    rng = random.Random(1024)
+    counts = CountVector(d, 10**7, tuple(rng.randrange(10**7 + 1) for _ in range(d)))
+    unit, grid = params.r, params.grid
+
+    def law(omega):
+        entropy = departures = 0.0
+        for c in counts.sums:
+            center = c + omega
+            k = (center - unit + 1) // grid * grid + grid - center
+            if k < unit:  # the boundary coordinate's single edge, at key k
+                p, lo, hi, _ = params.cells.tail_ratio(k if k > 0 else 1 - k, 1)
+                q = (lo + hi) / 2 ** (p + 1)
+                entropy -= q * math.log2(q) + (1 - q) * math.log2(1 - q)
+                departures += q
+        return entropy, departures
+
+    laws = {omega: law(omega) for omega in range(unit, grid + 1, unit)}
+    tape = BitTape(seed=916)
+    cell_bits, release_laws = 0, []
+    for i in range(200):
+        omega = unit * (1 + i % s)
+        cell_bits += mech_approx_efficient(counts, params, tape, omega).report.bits_by_category["gaussian"]
+        release_laws.append(laws[omega])
+    return release_laws, cell_bits
+
+
 class TestEfficientMechanism:
     def test_deterministic_envelope_always_holds(self):
         counts = CountVector(d=4, n=50, sums=(0, 17, 33, 50))
@@ -298,33 +335,16 @@ class TestEfficientMechanism:
     def test_cell_bits_stay_within_the_run_bound(self):
         # Drawn in runs, the cells of a release cost at most their entropy
         # sum h(p_i) plus two bits per locate: one per departure, plus one.
-        d, s = 1024, 4
-        params = derive_approx_params(Fraction(1), Fraction(1, 1 << 20), d, s)
-        rng = random.Random(1024)
-        counts = CountVector(d, 10**7, tuple(rng.randrange(10**7 + 1) for _ in range(d)))
-        unit, grid = params.r, params.grid
+        laws, bits = _forced_shift_cell_bits()
+        limit = sum(entropy + 2 * (departures + 1) for entropy, departures in laws)
+        assert bits <= limit * 1.03
 
-        def bound(omega):
-            entropy = departures = 0.0
-            for c in counts.sums:
-                center = c + omega
-                k = (center - unit + 1) // grid * grid + grid - center
-                if k < unit:  # the boundary coordinate's single edge, at key k
-                    p, lo, hi, _ = params.cells.tail_ratio(k if k > 0 else 1 - k, 1)
-                    q = (lo + hi) / 2 ** (p + 1)
-                    entropy -= q * math.log2(q) + (1 - q) * math.log2(1 - q)
-                    departures += q
-            return entropy + 2 * (departures + 1)
-
-        bounds = {omega: bound(omega) for omega in range(unit, grid + 1, unit)}
-        tape = BitTape(seed=916)
-        bits = limit = 0.0
-        for i in range(200):
-            omega = unit * (1 + i % s)
-            report = mech_approx_efficient(counts, params, tape, omega).report
-            bits += report.bits_by_category["gaussian"]
-            limit += bounds[omega]
-        assert bits / 200 <= limit / 200 * 1.03
+    def test_cell_bits_stay_near_the_entropy(self):
+        # The runs share one uniform, so a departure costs no fresh start:
+        # the cells cost their entropy plus a bit or so per 32 bits of it.
+        laws, bits = _forced_shift_cell_bits()
+        entropy = sum(entropy for entropy, _ in laws)
+        assert bits <= 1.1 * entropy + 8 * len(laws)
 
     def test_release_without_boundary_spends_only_shift_bits(self):
         # Equal counts are all silent or all on a boundary, by the shift drawn.

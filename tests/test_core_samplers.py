@@ -12,6 +12,7 @@ import pickle
 import random
 import re
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -669,24 +670,58 @@ class TestRunStream:
     def test_stream_matches_the_closure(self, name, make, weight, h, level_start, monkeypatch):
         # At 8-bit levels one unit of rounding in a level-0 product changes
         # the draw; 4-bit levels make the products too coarse within a few
-        # keys, so runs refine partway along. The law's memo is shared by
-        # all queues, so the stream takes both its hit and its miss path.
+        # keys, so runs refine partway along, a carried u among them. The
+        # law's memo is shared by all queues, so the stream takes both its
+        # hit and its miss path. Every tenth queue holds 120 keys, enough
+        # departures to narrow u past _CARRY_BITS at 64-bit levels; at 8 and
+        # 4 bits a departure at a key whose p rounds to 0 at level 0 starts
+        # afresh too.
         monkeypatch.setattr(cs, "_LEVEL_START", level_start)
         rng = random.Random(f"{name}:{level_start}")
         law, closure_law = make(), make()
+        seen = Counter()
         for case in range(300):
-            keys = [rng.randrange(2 - h, h) for _ in range(rng.randrange(1, 40))]
+            keys = [rng.randrange(2 - h, h) for _ in range(rng.randrange(1, 40) if case % 10 else 120)]
             queued = rng.sample(range(2 * len(keys)), len(keys))
             grid = h * rng.randrange(2, 5)
             out = []
-            for draw, source in ((draw_runs, law), (reference.draw_runs, closure_law.tail_ratio)):
+            for draw, *source in ((draw_runs, law), (reference.draw_runs, closure_law.tail_ratio, seen)):
                 tape = BitTape(seed=case)
                 values = [0] * 2 * len(keys)
                 with tape.category("noise"):
-                    draw(tape, source, grid, queued, keys, values)
+                    draw(tape, source[0], grid, queued, keys, values, *source[1:])
                 out.append((values, tape.bits_consumed, tape.draw_log))
             assert out[0] == out[1]
         assert (len(law._levels) > 1) == (level_start < 64)
+        assert seen["fresh"] > 0
+        assert (seen["carried refinement"] > 0) == (level_start < 64)
+        assert (seen["p below level 0"] > 0) == (level_start < 64)
+
+    def test_departure_below_level_zero_starts_afresh(self):
+        # With sigma^2 = 1/2, p lies below 2**-64 from key 7 on. A tape of
+        # ones puts u above every threshold below 1, so each of these keys
+        # departs, after a refinement; B then rounds to 0 at level 0.
+        law = GaussianCells(Fraction(1, 2), 12)
+        assert law.tail_ratio(7, 0)[1] == 0 < law.tail_ratio(6, 0)[1]
+
+        class Ones:
+            bits_consumed = 0
+
+            def next_bit(self):
+                self.bits_consumed += 1
+                return 1
+
+        keys = [3, 7, -8, 9, 1, 10, -6]
+        seen = Counter()
+        out = []
+        closure_law = GaussianCells(Fraction(1, 2), 12)
+        for draw, *source in ((draw_runs, law), (reference.draw_runs, closure_law.tail_ratio, seen)):
+            tape, values = Ones(), [0] * len(keys)
+            draw(tape, source[0], 24, list(range(len(keys))), keys, values, *source[1:])
+            out.append((values, tape.bits_consumed))
+        assert out[0] == out[1]
+        assert out[0][0] == [24 if k > 0 else -24 for k in keys]
+        assert seen["p below level 0"] == seen["fresh"] == 4
 
 
 def _threshold_bounds(thresholds):

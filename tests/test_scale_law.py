@@ -17,7 +17,6 @@ p_i from ``audit_harness._shift_laws``, in the cell across its edge.
   transform, which is uniform when each run follows its law.
 """
 
-import math
 import random
 from fractions import Fraction
 
@@ -35,7 +34,7 @@ P_MIN = 1e-4
 
 
 def _departure_probs(params):
-    """p(k) for each key k of a boundary coordinate, 1 - r < k < r: the mass across an edge k from the centre."""
+    """p(k) for each key k of a boundary coordinate, 1 - r < k < r: the mass across an edge k away."""
     noise = _approx_noise(params, 64)
     unit = params.r
     keys = range(2 - unit, unit)
