@@ -90,15 +90,15 @@ def locate(
     is fresh and forgotten on return; from a :class:`Stream`, u is the
     stream's, less its offset.
 
-    The first ``_LINEAR_KEYS`` keys are read in order; past them the index
-    gallops (count + 1, + 3, + 7, ...) to a threshold not above u, then
-    bisects (Bentley and Yao), so a count c costs O(log c) thresholds. The
-    count is the same in any probe order, and keys are indexed, never
-    measured, so a ``range`` longer than ``sys.maxsize`` serves. ``level0``,
-    when given, yields what ``bounds(key, 0)`` returns for each key in order
-    (a run's running product, streamed by :func:`~frugaldp.release.draw_runs`);
-    every key is then read in order, and ``bounds`` is asked only for
-    levels >= 1.
+    One loop reads bits: it scans the first ``_LINEAR_KEYS`` keys in order,
+    then scans one key at a time as a probe, whose index gallops
+    (count + 1, + 3, + 7, ...) to a threshold not above u, then bisects
+    (Bentley and Yao), so a count c costs O(log c) thresholds. The count is
+    the same in any probe order, and keys are indexed, never measured, so a
+    ``range`` longer than ``sys.maxsize`` serves. ``level0``, when given,
+    yields what ``bounds(key, 0)`` returns for each key in order (a run's
+    running product, streamed by :func:`~frugaldp.release.draw_runs`); every
+    key is then read in order, and ``bounds`` is asked only for levels >= 1.
     """
     next_bit = tape.next_bit
     if type(tape) is Stream:
@@ -109,90 +109,68 @@ def locate(
     # [box_lo, box_hi] is the box [u, u + 2**-nb) less the offset [a_lo, a_hi], as
     # integers at the precision held of the last record compared (0: none yet);
     # its dyadic part is width = 2**(held - nb), and a bit read halves it.
+    # The loop scans ``run`` in order, counting keys above u, and returns at
+    # the first that is not while ``run`` is ``keys``. Past the head each run
+    # is one probe (keys[i],), scanned from count = i: keys before index base
+    # lie above u, and none from stop on (nor past the end).
     count = held = 0
+    run, stop, step = keys, None, 1
     try:
-        for key in keys:
-            level = 0
-            p, lo, hi, limit = bounds(key, 0) if level0 is None else next(level0)
-            while True:
-                if nb + 2 > limit:  # too coarse for u's next bit, or for bits kept from an earlier key
-                    level += 1
-                    if _LEVEL_START << level > _LEVEL_MAX:
-                        raise EnclosureContractError("enclosure failed to refine")
-                    p, lo, hi, limit = bounds(key, level)
-                    continue
-                if p != held:
-                    if held or offsets is not None:
-                        if held:
-                            u = (box_lo + a_hi) >> (held - nb)
-                        if offsets is not None:
-                            a_lo, a_hi = offsets[level]
-                        width = 1 << (p - nb)
-                        box_lo = (u << (p - nb)) - a_hi
-                        box_hi = box_lo + width + a_hi - a_lo
-                    else:  # a fresh u, read from the tape
-                        box_lo, box_hi = 0, 1 << p
-                        width = box_hi
-                    held = p
-                if box_hi <= lo:
-                    break  # u is below this threshold
-                if box_lo >= hi:
+        while True:
+            for key in run:
+                level = 0
+                p, lo, hi, limit = bounds(key, 0) if level0 is None else next(level0)
+                while True:
+                    if nb + 2 > limit:  # too coarse for u's next bit, or for bits kept from an earlier key
+                        level += 1
+                        if _LEVEL_START << level > _LEVEL_MAX:
+                            raise EnclosureContractError("enclosure failed to refine")
+                        p, lo, hi, limit = bounds(key, level)
+                        continue
+                    if p != held:
+                        if held or offsets is not None:
+                            if held:
+                                u = (box_lo + a_hi) >> (held - nb)
+                            if offsets is not None:
+                                a_lo, a_hi = offsets[level]
+                            width = 1 << (p - nb)
+                            box_lo = (u << (p - nb)) - a_hi
+                            box_hi = box_lo + width + a_hi - a_lo
+                        else:  # a fresh u, read from the tape
+                            box_lo, box_hi = 0, 1 << p
+                            width = box_hi
+                        held = p
+                    if box_hi <= lo:
+                        break  # u is below this threshold
+                    if box_lo >= hi:
+                        if run is keys:
+                            return count
+                        # The += 1 below takes count back to the bracket's lower end.
+                        stop, count = count, base - 1
+                        break
+                    nb += 1
+                    width >>= 1
+                    if next_bit():
+                        box_lo += width
+                    else:
+                        box_hi -= width
+                count += 1
+                if level0 is None and count == _LINEAR_KEYS:
+                    break  # on to the search
+            else:
+                if run is keys:
                     return count
-                nb += 1
-                width >>= 1
-                if next_bit():
-                    box_lo += width
-                else:
-                    box_hi -= width
-            count += 1
-            if level0 is None and count == _LINEAR_KEYS:
-                break  # on to the search
-        else:
-            return count
-        # Keys before index count lie above u, and none from stop on (nor past the end).
-        stop, step = None, 1
-        while stop is None or count < stop:
-            i = count + step - 1 if stop is None else (count + stop) // 2
-            try:
-                key = keys[i]
-            except IndexError:
-                stop = i
-                continue
-            level = 0
-            p, lo, hi, limit = bounds(key, 0)
-            while True:
-                if nb + 2 > limit:
-                    level += 1
-                    if _LEVEL_START << level > _LEVEL_MAX:
-                        raise EnclosureContractError("enclosure failed to refine")
-                    p, lo, hi, limit = bounds(key, level)
-                    continue
-                if p != held:
-                    if held or offsets is not None:
-                        if held:
-                            u = (box_lo + a_hi) >> (held - nb)
-                        if offsets is not None:
-                            a_lo, a_hi = offsets[level]
-                        width = 1 << (p - nb)
-                        box_lo = (u << (p - nb)) - a_hi
-                        box_hi = box_lo + width + a_hi - a_lo
-                    else:  # a fresh u, read from the tape
-                        box_lo, box_hi = 0, 1 << p
-                        width = box_hi
-                    held = p
-                if box_hi <= lo:
-                    count, step = i + 1, step << 1
-                    break
-                if box_lo >= hi:
+            while stop is None or count < stop:
+                i = count + step - 1 if stop is None else (count + stop) // 2
+                try:
+                    run = (keys[i],)
+                except IndexError:
                     stop = i
-                    break
-                nb += 1
-                width >>= 1
-                if next_bit():
-                    box_lo += width
-                else:
-                    box_hi -= width
-        return count
+                    continue
+                base, count, step = count, i, step << 1
+                break
+            else:
+                return count
     finally:
         if offsets is not None and held:
             tape.u, tape.n = (box_lo + a_hi) >> (held - nb), nb

@@ -762,6 +762,70 @@ class TestSearch:
         # Counts past the linear head, up to every key, were searched for.
         assert max(counts) == 300 and len([c for c in counts if c > 2 * cs._LINEAR_KEYS]) > 40
 
+    @pytest.mark.parametrize("kind", [range, list])
+    def test_probes_continue_a_carried_uniform(self, kind):
+        # A stream that already holds bits of u, and an offset A at every
+        # level, hands its box from the in-order head to the probes. Forced
+        # into order by a level-0 stream of the same records, the draw reads
+        # the same bits and leaves the stream the same u. Up to 100 bits
+        # held are more than level 0 can compare at, so some draws refine
+        # before their first key.
+        rng = random.Random(kind.__name__)
+        levels = range((cs._LEVEL_MAX // cs._LEVEL_START).bit_length())
+        counts, levels_read = [], set()
+        for case in range(200):
+            n = rng.choice((5, 9, 40, 300))
+            start = rng.randrange(-3, 4)
+            keys = range(start, start + 7 * n, 7) if kind is range else [start + 7 * i for i in range(n)]
+            offset = Fraction(rng.getrandbits(200), 1 << 202)
+            held = rng.randrange(101)
+            # u's held bits are those of A plus a uniform on [0, 1 - A), so u - A lies in [0, 1).
+            u = offset + (1 - offset) * Fraction(rng.getrandbits(200), 1 << 200)
+            draws = [Fraction(rng.getrandbits(200), 1 << 200) for _ in range(rng.randrange(1, n + 1))]
+            thresholds = sorted(rng.choices(draws, k=n), reverse=True)
+            thresholds = [1 - (1 - x) ** 8 if case % 2 else x for x in thresholds]
+            by_key = dict(zip(keys, thresholds))
+
+            def bounds(key, level):
+                levels_read.add(level)
+                p = cs._LEVEL_START << level
+                return cs.level_record(p, *rational_enclose(by_key[key], p))
+
+            out = []
+            for level0 in (None, (bounds(k, 0) for k in keys)):
+                tape = BitTape(seed=case)
+                stream = cs.Stream(tape)
+                stream.u, stream.n = math.floor(u * 2**held), held
+                stream.offsets = [rational_enclose(offset, cs._LEVEL_START << level) for level in levels]
+                count = locate(stream, bounds, keys, level0)
+                out.append((count, tape.bits_consumed, stream.u, stream.n))
+            assert out[0] == out[1]
+            assert out[0][3] == held + out[0][1]
+            counts.append(out[0][0])
+        assert max(counts) == 300 and len([c for c in counts if c > 2 * cs._LINEAR_KEYS]) > 20
+        assert levels_read == {0, 1}
+
+    def test_probes_per_count_are_logarithmic(self):
+        # Thresholds of 1 then 0 make the count c without reading a bit, so
+        # every count up to every key above u is reached, and the keys read
+        # are the probe driver's alone: the head, a gallop past c and a
+        # bisection back to it. (c + 1).bit_length() is ceil(log2(c + 2)).
+        rng = random.Random(11)
+        for n in (1, 4, 5, 8, 100, 1023, 10**6):
+            chosen = {*range(min(n, 70)), *(c for b in range(n.bit_length()) for c in (2**b - 1, 2**b, 2**b + 1))}
+            chosen |= {n - 1, n, *(rng.randrange(n + 1) for _ in range(20))}
+            for c in sorted(x for x in chosen if 0 <= x <= n):
+                reads = 0
+
+                def bounds(key, level):
+                    nonlocal reads
+                    reads += level == 0
+                    p = cs._LEVEL_START << level
+                    return cs.level_record(p, *((1 << p, 1 << p) if key < c else (0, 0)))
+
+                assert locate(BitTape(seed=0), bounds, range(n)) == c
+                assert reads <= cs._LINEAR_KEYS + 2 * (c + 1).bit_length() + 2, (n, c, reads)
+
     def test_s1_tail_cells_search_their_keys(self, monkeypatch):
         # At s = 1 the grid is 1, so a tail cell is about t = d/eps keys out.
         params = derive_pure_params(Fraction(1), 1024, 1)
