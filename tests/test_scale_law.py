@@ -15,6 +15,16 @@ p_i from ``audit_harness._shift_laws``, in the cell across its edge.
   P[L >= j] = prod_{i < j} (1 - p_i); and how long every later run stays,
   given where it starts, through a randomized probability integral
   transform, which is uniform when each run follows its law.
+
+Two more samples release d = 1 024 counts whose cells have more than two
+outcomes, each checked against the exact law of every coordinate
+(``_shift_laws``) as one pooled chi-square, and in disjoint adjacent pairs
+against the product of the two laws:
+
+- pure mode at a small m, where about one coordinate in seven is a tail
+  member and most of the rest are on a boundary, so the tail-set draw, the
+  tail cells and the runs of body cells all share a release;
+- approx mode at s = 1, where most windows have two edges.
 """
 
 import random
@@ -25,8 +35,9 @@ import pytest
 from scipy import stats
 
 from frugaldp.approx_mech import ApproxParams, mech_approx_efficient
-from frugaldp.audit_harness import _approx_noise, _shift_laws
+from frugaldp.audit_harness import _approx_noise, _pure_noise, _shift_laws
 from frugaldp.bit_tape import BitTape
+from frugaldp.pure_mech import PureParams, mech_pure_efficient
 from frugaldp.release import CountVector
 
 D, S, SIGMA_SQ, R = 1024, 2, Fraction(9), 16
@@ -175,3 +186,102 @@ def test_runs_depart_at_the_product_law(quiet):
     assert len(pit) > 5 * n  # about ten departures per release
     observed = np.histogram(pit, bins=20, range=(0, 1))[0]
     assert stats.chisquare(observed).pvalue >= P_MIN
+
+
+# ---------------------------------------------------------------------------
+# Cells of many outcomes: pure mode with frequent tails, approx mode at s = 1
+# ---------------------------------------------------------------------------
+
+
+def _exact_sample(params, release, n, seed):
+    """Released values of n releases of D counts at the shift forced to the unit, and each coordinate's law.
+
+    A law maps each cell to its probability at that shift, from ``_shift_laws``.
+    """
+    rng = random.Random(seed)
+    unit = params.grid // params.s
+    sums = tuple(rng.randrange(4 * params.grid) for _ in range(D))
+    if isinstance(params, PureParams):
+        noise = _pure_noise(params, Fraction(1, 1 << 40), 64)
+    else:
+        noise = _approx_noise(params, 64)
+    laws, scale = _shift_laws(sums, params, noise, 64)
+    laws = [{g: (lo + hi) / 2 ** (scale + 1) for g, (lo, hi) in law.items()} for law in laws[0]]
+    counts = CountVector(D, 4 * params.grid, sums)
+    words = BitTape(seed=seed)
+    values = np.array([release(counts, params, BitTape(seed=words.next_bits(64)), unit) for _ in range(n)])
+    return values, laws
+
+
+@pytest.fixture(scope="module")
+def tails():
+    """Pure mode, t = 8 and m = 16: p about 0.14, so about 150 tail members and 800 boundary cells a release."""
+    params = PureParams(D, 2, Fraction(D, 8), 16)
+    return _exact_sample(params, lambda *args: mech_pure_efficient(*args)[0].values, 1000, 6)
+
+
+@pytest.fixture(scope="module")
+def windows():
+    """Approx mode at s = 1 and r = 2 sigma: the grid is r, so most windows hold two edges, both within reach."""
+    params = ApproxParams(D, 1, SIGMA_SQ, 6)
+    return _exact_sample(params, lambda *args: mech_approx_efficient(*args).values, 1000, 8)
+
+
+def _bins(law, n):
+    """Chi-square bins of one law: each cell expected at least 5 times in n alone, the rest pooled.
+
+    Returns the bin of every cell and the probability of every bin; a rest
+    expected fewer than 5 times joins the least likely bin kept.
+    """
+    cells = sorted(law, key=law.get, reverse=True)
+    kept = [g for g in cells if n * law[g] >= 5] or cells[:1]
+    of = {g: i for i, g in enumerate(kept)}
+    probs = [law[g] for g in kept]
+    rest = max(0.0, 1 - sum(probs))
+    pooled = len(kept) if n * rest >= 5 else len(kept) - 1
+    if pooled == len(kept):
+        probs.append(rest)
+    else:
+        probs[pooled] += rest
+    return of, pooled, np.array(probs)
+
+
+@pytest.mark.parametrize("sample", ["tails", "windows"])
+def test_every_cell_follows_its_exact_law(sample, request):
+    values, laws = request.getfixturevalue(sample)
+    n = len(values)
+    chi = dof = 0
+    for column, law in zip(values.T, laws):
+        of, pooled, probs = _bins(law, n)
+        observed = np.bincount([of.get(v, pooled) for v in column.tolist()], minlength=len(probs))
+        chi += _cell_chi_square(observed, n * probs)
+        dof += len(probs) - 1
+    assert dof > D  # most coordinates have three cells or more
+    assert stats.chi2.sf(chi, dof) >= P_MIN
+
+
+def _median_split(law):
+    """The cell at which a coordinate's law first reaches 1/2 from below, and the mass above it."""
+    acc = 0.0
+    for g in sorted(law):
+        acc += law[g]
+        if acc >= 0.5:
+            return g, 1 - acc
+
+
+@pytest.mark.parametrize("sample", ["tails", "windows"])
+def test_adjacent_cells_follow_the_product_law(sample, request):
+    # Each coordinate's value is split at its median cell, and coordinates
+    # whose split is nearly certain are left out; disjoint pairs of
+    # neighbours among the rest are tested against the products of their laws.
+    values, laws = request.getfixturevalue(sample)
+    splits = [_median_split(law) for law in laws]
+    usable = [i for i, (_, above) in enumerate(splits) if 0.05 <= above <= 0.95]
+    assert len(usable) > D // 2
+    flags = np.array([values[:, i] > splits[i][0] for i in usable]).T
+    above = np.array([splits[i][1] for i in usable])
+    for first in (0, 1):
+        stop = first + (len(usable) - first) // 2 * 2
+        a, b = flags[:, first:stop:2], flags[:, first + 1 : stop : 2]
+        chi = _pair_statistic(a, b, above[first:stop:2], above[first + 1 : stop : 2])
+        assert stats.chi2.sf(chi, 3 * a.shape[1]) >= P_MIN
