@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .bit_tape import BitTape
-from .core_samplers import GaussianCells
+from .core_samplers import GaussianCells, Stream
 from .errors import InternalError, ParameterDomainError
 from .precise_math import RationalBounds, _ceil_scaled, _floor_scaled, certified_le, exp_neg, exp_pos
 from .precise_math import ln_enclose
@@ -174,10 +174,10 @@ def mech_approx_efficient(
     determined for every noise magnitude below r is released silently with
     zero noise bits; boundary coordinates draw their grid cells from the
     truncated Gaussian's tail mass beyond the cell edge, in runs of cells
-    that stay home, on one uniform carried from run to run: about their
+    that stay home, on one uniform carried from draw to draw: about their
     entropy plus two bits per 32 bits or so of it.
     """
     check_release(counts, params, params.r, omega)
-    result, _ = shift_and_round(tape, tape.snapshot(), counts, params.s, params.cells, "gaussian", omega)
+    result, _ = shift_and_round(tape, Stream(tape), tape.snapshot(), counts, params.s, params.cells, "gaussian", omega)
     _assert_envelope(result.values, counts, params)
     return result

@@ -9,10 +9,10 @@ a tail coordinate) and refines the bounds, one level of doubled precision
 at a time, until u is certified above or below each threshold it reads.
 This terminates with probability one and makes every draw exact; no
 floating point is involved anywhere. A ``locate`` from a tape forgets, when
-it returns, the part of u it read but did not need; draws that share a
-:class:`Stream` (the runs of :func:`~frugaldp.release.draw_runs`) carry it
-to the next draw instead. The release's other draws are plain: a pure-mode
-tail coordinate's fair sign bit, and the shared shift, which
+it returns, the part of u it read but did not need. Every draw of a release
+shares one :class:`Stream` instead, which carries that part to the next
+draw. The release's other draws read the tape: a pure-mode tail
+coordinate's fair sign bit, and the shared shift, which
 :meth:`~frugaldp.bit_tape.BitTape.uniform_range` draws by rejection, so a
 shift whose s is not a power of two may discard bits.
 """
@@ -35,6 +35,8 @@ _LEVEL_MAX = 1 << 15
 _MEMO_CAP = 1 << 14
 #: Keys a draw without a level-0 stream reads in order before it searches.
 _LINEAR_KEYS = 4
+#: A stream's draws share u until B < 2**-_CARRY_BITS; level 0's other bits keep A and B exact.
+_CARRY_BITS = 32
 
 
 def level_record(p: int, lo: int, hi: int) -> tuple[int, int, int, int]:
@@ -53,21 +55,65 @@ def level_record(p: int, lo: int, hi: int) -> tuple[int, int, int, int]:
 
 
 class Stream:
-    """One uniform u in [0, 1) that a sequence of :func:`locate` draws share, read from a tape.
+    """One uniform u in [0, 1) that every :func:`locate` of a release draws on, read from a tape.
 
-    ``u`` holds u's first ``n`` bits. A draw handed a stream in place of a
-    tape starts from those bits and leaves the ones it read. Its thresholds
-    count in u - A, for an offset A that ``offsets[level]`` encloses as
-    integers (lo, hi) at that level's precision: the owner sets level 0
-    and appends a level before the draw's ``bounds`` returns a record of it.
+    ``u`` holds u's first ``n`` bits, uniform on [A, A + B) given the draws since
+    u started afresh (A = 0, B = 1). ``a_lo``, ``a_hi``, ``b_lo``, ``b_hi`` enclose
+    A and B at level 0; :meth:`level` rebuilds them finer from ``history``. u starts
+    afresh once B's level-0 lower bound falls to 2**-_CARRY_BITS: a rule that never reads u.
     """
 
-    __slots__ = ("next_bit", "u", "n", "offsets")
+    __slots__ = ("next_bit", "u", "n", "a_lo", "a_hi", "b_lo", "b_hi", "levels", "history")
 
     def __init__(self, tape: BitTape):
         self.next_bit = tape.next_bit
-        self.u = self.n = 0
-        self.offsets = [(0, 0)]
+        self.restart()
+
+    def restart(self) -> None:
+        """Start u afresh: no bits held, A = 0 and B = 1."""
+        self.u = self.n = self.a_lo = self.a_hi = 0
+        self.b_lo = self.b_hi = 1 << _LEVEL_START
+        self.levels, self.history = [], []
+
+    def level(self, level: int) -> tuple[int, int, int, int]:
+        """A's and B's bounds at ``level`` >= 1, built at most one level past the last."""
+        if level > len(self.levels):
+            one = 1 << (_LEVEL_START << level)
+            bounds = 0, 0, one, one  # a fresh u
+            for narrow, *args in self.history:
+                bounds = narrow(level, *bounds, *args)
+            self.levels.append(bounds)
+        return self.levels[level - 1]
+
+    def carry(self, x_lo: int, x_hi: int, b_lo: int, b_hi: int, entry: tuple) -> None:
+        """Move A up by x and B to [b_lo, b_hi] at level 0, or start afresh; ``entry`` = (narrow, *args) logs it."""
+        if b_lo <= 1 << _LEVEL_START >> _CARRY_BITS:
+            return self.restart()
+        self.a_lo += x_lo
+        self.a_hi += x_hi
+        self.b_lo, self.b_hi, self.levels = b_lo, b_hi, []
+        self.history.append(entry)
+
+    def scaled(self, bounds, key, level: int) -> tuple[int, int, int, int]:
+        """The record of B times the threshold ``bounds`` gives at ``key``, at the level's precision."""
+        p, lo, hi, _ = bounds(key, level)
+        q = _LEVEL_START << level
+        _, _, b_lo, b_hi = self.level(level) if level else (0, 0, self.b_lo, self.b_hi)
+        lo, hi = b_lo * lo >> p, -(-b_hi * hi >> p)  # B and the threshold are at most 1: no clipping
+        return q, lo, hi, q - (hi - lo).bit_length()
+
+
+def _narrow(level: int, a_lo: int, a_hi: int, b_lo: int, b_hi: int, bounds, keys, count: int) -> tuple:
+    """A and B at ``level`` across a draw that counted ``count`` thresholds along ``keys``: as :func:`locate` does."""
+    try:
+        p, lo, hi, _ = bounds(keys[count], level)
+    except IndexError:  # past the keys: T_(c+1) = 0
+        p = lo = hi = 0
+    x_lo, x_hi = b_lo * lo >> p, -(-b_hi * hi >> p)
+    if count:
+        p, lo, hi, _ = bounds(keys[count - 1], level)
+        b_lo, b_hi = b_lo * lo >> p, -(-b_hi * hi >> p)
+    return a_lo + x_lo, a_hi + x_hi, max(b_lo - x_hi, 0), b_hi - x_lo
 
 
 def locate(
@@ -87,8 +133,8 @@ def locate(
     P[X >= 2], ... as thresholds the count is distributed as X. This is the
     interval algorithm, so it reads fewer than H(X) + 3 bits on average
     (Han and Hoshi); near a grid edge it can exceed H(X) + 2. From a tape, u
-    is fresh and forgotten on return; from a :class:`Stream`, u is the
-    stream's, less its offset.
+    is fresh and forgotten on return; on a :class:`Stream`, u - A is compared
+    with B T, and u carried into the count's interval [A + B T_(c+1), A + B T_c).
 
     One loop reads bits: it scans the first ``_LINEAR_KEYS`` keys in order,
     then scans one key at a time as a probe, whose index gallops
@@ -101,11 +147,18 @@ def locate(
     key is then read in order, and ``bounds`` is asked only for levels >= 1.
     """
     next_bit = tape.next_bit
-    if type(tape) is Stream:
-        u, nb, offsets = tape.u, tape.n, tape.offsets
+    stream = type(tape) is Stream
+    if stream:
+        u, nb, a0_lo, a0_hi = tape.u, tape.n, tape.a_lo, tape.a_hi
+        b_lo, b_hi = tape.b_lo, tape.b_hi
     else:
-        nb = a_lo = a_hi = 0
-        offsets = None
+        nb = a0_lo = a0_hi = 0
+    # On a stream a draw of its own thresholds (no level0) is in units of B from A, and carries u
+    # on; while u is fresh, B = 1 and its records need no scaling.
+    carry = stream and level0 is None
+    scale = carry and tape.history
+    a_lo, a_hi = a0_lo, a0_hi
+    above = below = None  # the records of the last threshold above u and of the first not
     # [box_lo, box_hi] is the box [u, u + 2**-nb) less the offset [a_lo, a_hi], as
     # integers at the precision held of the last record compared (0: none yet);
     # its dyadic part is width = 2**(held - nb), and a bit read halves it.
@@ -119,20 +172,27 @@ def locate(
         while True:
             for key in run:
                 level = 0
-                p, lo, hi, limit = bounds(key, 0) if level0 is None else next(level0)
+                if level0 is not None:
+                    p, lo, hi, limit = next(level0)
+                elif not scale:
+                    p, lo, hi, limit = bounds(key, 0)
+                else:  # Stream.scaled at level 0, inlined
+                    p, lo, hi, _ = bounds(key, 0)
+                    lo, hi, p = b_lo * lo >> p, -(-b_hi * hi >> p), _LEVEL_START
+                    limit = p - (hi - lo).bit_length()
                 while True:
                     if nb + 2 > limit:  # too coarse for u's next bit, or for bits kept from an earlier key
                         level += 1
                         if _LEVEL_START << level > _LEVEL_MAX:
                             raise EnclosureContractError("enclosure failed to refine")
-                        p, lo, hi, limit = bounds(key, level)
+                        p, lo, hi, limit = tape.scaled(bounds, key, level) if scale else bounds(key, level)
                         continue
                     if p != held:
-                        if held or offsets is not None:
+                        if held or nb or a0_hi:
                             if held:
                                 u = (box_lo + a_hi) >> (held - nb)
-                            if offsets is not None:
-                                a_lo, a_hi = offsets[level]
+                            if stream:
+                                a_lo, a_hi = tape.level(level)[:2] if level else (a0_lo, a0_hi)
                             width = 1 << (p - nb)
                             box_lo = (u << (p - nb)) - a_hi
                             box_hi = box_lo + width + a_hi - a_lo
@@ -143,6 +203,7 @@ def locate(
                     if box_hi <= lo:
                         break  # u is below this threshold
                     if box_lo >= hi:
+                        below = p, lo, hi
                         if run is keys:
                             return count
                         # The += 1 below takes count back to the bracket's lower end.
@@ -155,25 +216,39 @@ def locate(
                     else:
                         box_hi -= width
                 count += 1
-                if level0 is None and count == _LINEAR_KEYS:
-                    break  # on to the search
+                if level0 is None:
+                    above = p, lo, hi
+                    if count == _LINEAR_KEYS:
+                        break  # on to the search
             else:
                 if run is keys:
                     return count
+            above = None  # a probe past the head need not be the bracket's top
             while stop is None or count < stop:
                 i = count + step - 1 if stop is None else (count + stop) // 2
                 try:
                     run = (keys[i],)
                 except IndexError:
-                    stop = i
+                    stop, below = i, None
                     continue
                 base, count, step = count, i, step << 1
                 break
             else:
                 return count
+    except BaseException:
+        carry = False  # a failed draw carries nothing
+        raise
     finally:
-        if offsets is not None and held:
+        if stream and held:
             tape.u, tape.n = (box_lo + a_hi) >> (held - nb), nb
+            if carry:
+                # u - A is in [x, y): x = B T_(c+1), y = B T_c (B if c = 0), the records that settled c.
+                q = _LEVEL_START
+                p, y_lo, y_hi = (above or tape.scaled(bounds, keys[count - 1], 0)[:3]) if count else (q, b_lo, b_hi)
+                r, x_lo, x_hi = below or (q, 0, 0)
+                if p != q or r != q:  # refined: back to level 0's precision
+                    y_lo, y_hi, x_lo, x_hi = y_lo >> p - q, -(-y_hi >> p - q), x_lo >> r - q, -(-x_hi >> r - q)
+                tape.carry(x_lo, x_hi, y_lo - x_hi, y_hi - x_lo, (_narrow, bounds, keys, count))
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +296,11 @@ class CellLaw:
 
     def ratio_records(self, level: int) -> tuple[int, BoundedCache]:
         """The precision of the :meth:`tail_ratio` records at ``level``, and their memo keyed by k."""
-        return _LEVEL_START << level, self._level(level)[1]
+        return _LEVEL_START << level, (self._levels.get(level) or self._level(level))[1]
 
     def tail_ratio(self, k: int, level: int) -> tuple[int, int, int, int]:
         """The :func:`level_record` of S(k)/Z at ``level``, in the form :func:`locate` reads."""
-        data, memo, _, _ = self._level(level)
+        data, memo, _, _ = self._levels.get(level) or self._level(level)
         rec = memo.get(k)
         if rec is None:
             p = _LEVEL_START << level
@@ -325,7 +400,7 @@ class LaplaceCells(CellLaw):
         directed rounding keeps them sound for any g; for g far past m they
         are only wider, so :func:`locate` refines sooner.
         """
-        data, _, memo, _ = self._level(level)
+        data, _, memo, _ = self._levels.get(level) or self._level(level)
         rec = memo.get(g)
         if rec is None:
             w, q = data[:2]
@@ -338,7 +413,7 @@ class LaplaceCells(CellLaw):
         The tail-set draw reads it for 1 <= j <= d, from this level's
         outward-rounded enclosure of 1 - p raised to j.
         """
-        data, _, _, memo = self._level(level)
+        data, _, _, memo = self._levels.get(level) or self._level(level)
         rec = memo.get(j)
         if rec is None:
             w, _, stay = data[:3]

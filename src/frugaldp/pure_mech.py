@@ -11,7 +11,8 @@ release samples the tail set up front, as runs of coordinates before the
 next tail one, and then, in the shift-and-round loop it shares with approx
 mode, pays only for tail coordinates and for body coordinates whose
 rounding is ambiguous. Both kinds draw their grid cell directly, never a
-noise value; every other coordinate is released silently.
+noise value, on the uniform the tail set's draws left (one Stream per
+release); every other coordinate is released silently.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .bit_tape import BitTape
-from .core_samplers import LaplaceCells, locate
+from .core_samplers import LaplaceCells, Stream, locate
 from .errors import EnclosureContractError, ParameterDomainError
 from .precise_math import ln_enclose
 from .release import CountVector, MechanismResult, check_release, shift_and_round
@@ -104,7 +105,7 @@ def derive_pure_params(epsilon: Fraction, d: int, s: int) -> PureParams:
     return PureParams(d, s, epsilon, m)
 
 
-def sample_tail_set(tape: BitTape, d: int, any_tail) -> frozenset[int]:
+def sample_tail_set(tape: BitTape, d: int, any_tail, stream: Stream) -> frozenset[int]:
     """Tail set J of coordinates 0..d-1, each a member with probability p, independently.
 
     ``any_tail(j, level)`` returns the level record of 1 - (1 - p)**j, as
@@ -115,11 +116,11 @@ def sample_tail_set(tape: BitTape, d: int, any_tail) -> frozenset[int]:
     1 - (1 - p)**j along j = n, n - 1, ..., 1 returns n - L, and coordinate
     d - n + L is the next member; 0 means none is left. An empty set costs
     one comparison with 1 - (1 - p)**d, and each member O(log(n - L)) keys,
-    which locate searches. Bits go under "binomial".
+    which locate searches, on ``stream``. Bits go under "binomial".
     """
     chosen, n = [], d
     with tape.category("binomial"):
-        while n and (past := locate(tape, any_tail, range(n, 0, -1))):
+        while n and (past := locate(stream, any_tail, range(n, 0, -1))):
             chosen.append(d - past)  # d - n + L, with L = n - past
             n = past - 1
     return frozenset(chosen)
@@ -137,10 +138,10 @@ def mech_pure_efficient(
     count rounds identically for all body noise values. Ambiguous body
     coordinates draw their grid cell from the truncated Laplace law's
     closed-form tail mass, and tail coordinates from the geometric tail
-    past m.
+    past m: every draw on one carried uniform.
     """
     check_release(counts, params, params.m, omega)
     start = tape.snapshot()
-    tail = sample_tail_set(tape, params.d, params.cells.any_tail)
-    result, omega = shift_and_round(tape, start, counts, params.s, params.cells, "laplace", omega, tail)
+    tail = sample_tail_set(tape, params.d, params.cells.any_tail, stream := Stream(tape))
+    result, omega = shift_and_round(tape, stream, start, counts, params.s, params.cells, "laplace", omega, tail)
     return result, PureTrace(tail, omega)

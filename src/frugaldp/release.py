@@ -8,15 +8,16 @@ silently and costs no bits; any other draws its grid cell from the truncated
 noise law. Windows with one grid edge (all, when s >= 2) are drawn in runs
 (:func:`draw_runs`): one :func:`~frugaldp.core_samplers.locate` draws how
 many coordinates stay in their centre's cell before one leaves, over the
-run's running products of stay-home probabilities, streamed at level 0.
-The runs of a queue longer than three keys share one uniform, carried
-through each departure's interval, so the cells cost about their entropy
-plus two bits per 32 bits or so of it, where the uniform starts afresh. A
-window with two edges (s = 1) has its own locate. Pure mode adds a tail set
-drawn up front; a tail coordinate's noise is +-(m + G) with G geometric, so
-it too draws only its cell: one fair sign bit, then one locate that searches the
-geometric tail masses at its grid edges, reading O(log c) of them for the
-c-th cell out. Every paid coordinate thus draws its cell, never a noise value.
+run's running products of stay-home probabilities, streamed at level 0. A
+window with two edges (s = 1) is one locate over its two edges. Pure mode
+adds a tail set drawn up front; a tail coordinate's noise is +-(m + G) with
+G geometric, so it too draws only its cell: one fair sign bit, then one
+locate that searches the geometric tail masses at its grid edges, reading
+O(log c) of them for the c-th cell out. Every paid coordinate thus draws
+its cell, never a noise value. Every locate of a release draws on one
+:class:`~frugaldp.core_samplers.Stream`, whose uniform carries from draw to
+draw, so the draws cost about their entropy plus two bits per 32 bits or so
+of it, where the uniform starts afresh.
 """
 
 from __future__ import annotations
@@ -26,14 +27,6 @@ from collections import namedtuple
 from .bit_tape import BitTape
 from .core_samplers import CellLaw, Stream, locate
 from .errors import InternalError, ParameterDomainError
-
-#: Runs since a fresh start share one uniform until they narrow it to
-#: 2**-_CARRY_BITS; the rest of level 0's precision keeps their map exact
-#: enough that a comparison rarely refines.
-_CARRY_BITS = 32
-#: A queue of at most this many keys draws each run on a fresh u from the
-#: tape: the bit or so that carrying would save there does not pay for a stream.
-_SHORT_QUEUE = 3
 
 
 class CountVector(namedtuple("CountVector", "d n sums")):
@@ -106,6 +99,7 @@ def build_report(
 
 def shift_and_round(
     tape: BitTape,
+    stream: Stream,
     start: tuple[int, dict[str, int]],
     counts: CountVector,
     s: int,
@@ -119,8 +113,8 @@ def shift_and_round(
     Draws the shift unless ``omega`` forces it. Coordinates in ``tail`` take
     noise +-(unit + G) with G geometric: one fair sign bit, then their cell
     from ``cells.geometric_tail`` (bits under "tail"). The others are silent
-    or draw their cell from ``cells`` (bits under ``noise``). ``start`` is
-    the tape snapshot the report counts from, taken before any pre-step.
+    or draw their cell from ``cells`` (bits under ``noise``); cells draw on
+    ``stream``, the release's uniform. ``start`` is the report's tape snapshot.
     """
     unit = cells.halfwidth
     grid = unit * s
@@ -143,7 +137,7 @@ def shift_and_round(
                         low = (center - unit) // grid * grid
                         first, step = center - unit - low + 1, -grid
                     edges = range(first, cells.horizon + grid, grid)  # the last past any comparison's reach
-                    values.append(low + step * locate(tape, cells.geometric_tail, edges))
+                    values.append(low + step * locate(stream, cells.geometric_tail, edges))
                 continue
             # The grid edges E in (center - reach, center + reach], as keys
             # E - center: the release reaches E exactly when eta >= E - center.
@@ -153,7 +147,7 @@ def shift_and_round(
             if k < unit:
                 boundary.append(i)
                 if k + grid < unit:  # two edges, only when s = 1
-                    low += grid * locate(tape, cells.tail_ratio, range(k, unit, grid))
+                    low += grid * locate(stream, cells.tail_ratio, range(k, unit, grid))
                 else:  # one edge at key k: queued, holding its home cell (see draw_runs)
                     if k <= 0:
                         low += grid
@@ -161,14 +155,46 @@ def shift_and_round(
                     keys.append(k)
             values.append(low)
         if keys:
-            draw_runs(tape, cells, grid, queued, keys, values)
+            draw_runs(stream, cells, grid, queued, keys, values)
     # One draw for each paid coordinate, boundary or tail, in index order.
     paid = sorted([*tail, *boundary]) if tail else boundary
     return MechanismResult(tuple(values), build_report(tape, start, tuple(boundary), dict.fromkeys(paid, 1))), omega
 
 
-def draw_runs(tape: BitTape, cells: CellLaw, grid: int, queued: list, keys: list, values: list) -> None:
-    """Draw the cells of single-edge coordinates, one :func:`locate` per run that stays home.
+def _products(cells: CellLaw, keys: list, b: int, end: int, level: int, lo: int, hi: int):
+    """The records of B T_1, B T_2, ... along the keys from index b on at ``level``, for B in [lo, hi].
+
+    Sent True at a key that departs, it yields the precision, that record (A's
+    growth) and B T_L p, the record times p / (1 - p), rounded outward; then the next B.
+    """
+    p, memo = cells.ratio_records(level)
+    one = 1 << p
+    for i in range(b, end):
+        k = keys[i]
+        if k <= 0:
+            k = 1 - k
+        _, a_lo, a_hi, _ = memo.get(k) or cells.tail_ratio(k, level)
+        # Outward rounding: the lower product down, the upper product up.
+        # Since 0 <= a_lo <= a_hi <= one, 0 <= lo <= hi <= one holds with no clipping.
+        lo = lo * (one - a_hi) >> p
+        hi = -(-hi * (one - a_lo) >> p)
+        if (yield p, lo, hi, p - (hi - lo).bit_length()):
+            # p / (1 - p) grows with p, and p <= 1/2 keeps 1 - p away from 0.
+            lo, hi = yield p, lo, hi, lo * a_lo // (one - a_lo), -(-hi * a_hi // (one - a_hi))
+            yield
+
+
+def _departed(level: int, a_lo: int, a_hi: int, b_lo: int, b_hi: int, cells: CellLaw, keys: list, b: int, i: int):
+    """A and B at ``level`` across a run from key b whose key i departed: a :meth:`Stream.carry` entry."""
+    run = _products(cells, keys, b, i + 1, level, b_lo, b_hi)
+    for _ in range(b, i + 1):
+        next(run)
+    _, t_lo, t_hi, b_lo, b_hi = run.send(True)
+    return a_lo + t_lo, a_hi + t_hi, b_lo, b_hi
+
+
+def draw_runs(stream: Stream, cells: CellLaw, grid: int, queued: list, keys: list, values: list) -> None:
+    """Draw the cells of single-edge coordinates, one :func:`locate` on ``stream`` per run that stays home.
 
     Coordinate ``queued[i]``, with its edge at key k = ``keys[i]``, holds its
     home cell, the one of its centre: the lower cell when k > 0, else the
@@ -176,106 +202,33 @@ def draw_runs(tape: BitTape, cells: CellLaw, grid: int, queued: list, keys: list
     <= 1/2, k' = k if k > 0 else 1 - k by symmetry. From a run start b, the
     count L that stay home has upper tails T_j = prod_{b <= i < b + j} (1 - p_i),
     so one locate draws L; b + L departs and the next run starts after it.
-
-    The runs of a queue longer than ``_SHORT_QUEUE`` keys share one uniform
-    u (a :class:`~frugaldp.core_samplers.Stream`); a shorter queue draws
-    each run on a fresh u from the tape. A run compares u - A with B T_1,
-    B T_2, ..., for u uniform on [A, A + B) given the runs before it: A = 0
-    and B = 1 at a fresh start, and a departure after L stays leaves u
-    uniform on [A + B T_(L+1), A + B T_L), the next run's [A, A + B). So u's
-    bits carry from run to run, and the queue reads about the cells'
-    entropy plus a bit or two per fresh start (the interval algorithm of Han
-    and Hoshi over the product law). Once B's lower bound at level 0 falls
-    to 2**-_CARRY_BITS (to 0, at a level 0 of fewer bits), the next run
-    starts afresh: a rule that reads only the cells drawn, never u, and
-    keeps A and B within level-0 precision.
-
-    Each level's records of B T_1, B T_2, ... come from one generator over
-    the run (``products``): it reads each p_i from the law's memo at that
-    level (through ``tail_ratio`` on a miss) and extends the product by one
-    outward-rounded multiply pair. locate takes the level-0 stream whole;
-    ``bounds`` advances a stream per refinement level only for the keys
-    that need it, from A and B rebuilt at that level over the runs since the
-    last fresh start; the stream's ``offsets`` hold A at each level.
+    Products start at the stream's B, and a departure carries u into
+    [A + B T_(L+1), A + B T_L); the queue is a release's last draw, so its end
+    carries nothing. One level-0 :func:`_products` generator serves the queue.
     """
 
-    def products(b: int, level: int, lo: "int | None", hi: "int | None"):
-        """The records of B T_1, B T_2, ... from key b on at ``level``, for B in [lo, hi] (None: 1).
-
-        Sent True after the record of a key that departs, it yields the
-        next run's map instead: the precision, the bounds of that record,
-        which A grows by, and those of the next B = B T_L p, the record
-        times p / (1 - p), rounded outward.
-        """
-        p, memo = cells.ratio_records(level)
-        one = 1 << p
-        if lo is None:
-            lo = hi = one
-        for i in range(b, end):
-            k = keys[i]
-            if k <= 0:
-                k = 1 - k
-            _, a_lo, a_hi, _ = memo.get(k) or cells.tail_ratio(k, level)
-            # Outward rounding: the lower product down, the upper product up.
-            # Since 0 <= a_lo <= a_hi <= one, 0 <= lo <= hi <= one holds with no clipping.
-            lo = lo * (one - a_hi) >> p
-            hi = -(-hi * (one - a_lo) >> p)
-            if (yield p, lo, hi, p - (hi - lo).bit_length()):
-                # p / (1 - p) grows with p, and p <= 1/2 keeps 1 - p away from 0.
-                yield p, lo, hi, lo * a_lo // (one - a_lo), -(-hi * a_hi // (one - a_hi))
-
-    refined: list[list] = []  # per level >= 1: [last key read, its record, the level's stream]
-
     def bounds(j: int, level: int) -> tuple[int, int, int, int]:
-        """B T_(j - start + 1) at ``level`` >= 1, from that level's stream advanced to key j."""
+        """B T_(j - b + 1) at ``level`` >= 1, from that level's generator advanced to key j."""
         if level > len(refined):  # locate asks for the levels of a key in order
-            # A and B at this level, over the runs since the last fresh start.
-            a_lo = a_hi = 0
-            b_lo = b_hi = None
-            b = fresh
-            for i in departed:
-                run = products(b, level, b_lo, b_hi)
-                for _ in range(b, i + 1):
-                    next(run)
-                _, t_lo, t_hi, b_lo, b_hi = run.send(True)
-                a_lo, a_hi, b = a_lo + t_lo, a_hi + t_hi, i + 1
-            if offsets is not None:
-                offsets.append((a_lo, a_hi))
-            refined.append([start - 1, None, products(start, level, b_lo, b_hi)])
+            refined.append([b - 1, None, _products(cells, keys, b, end, level, *stream.level(level)[2:])])
         entry = refined[level - 1]
         while entry[0] < j:
             entry[0] += 1
             entry[1] = next(entry[2])
         return entry[1]
 
-    start, end = 0, len(keys)
-    fresh, b_lo, b_hi = 0, None, None  # the last fresh start, and B's bounds (None: 1)
-    if end > _SHORT_QUEUE:
-        stream, departed = Stream(tape), []  # departed: the departures since
-        offsets = stream.offsets
-    else:
-        stream, offsets, departed = tape, None, ()
+    refined: list[list] = []  # per level >= 1: [last key read, its record, the level's generator]
+    b, end = 0, len(keys)
+    run = _products(cells, keys, 0, end, 0, stream.b_lo, stream.b_hi)
     while True:
-        run = products(start, 0, b_lo, b_hi)
-        start += locate(stream, bounds, range(start, end), run) + 1
-        if start > end:  # every key stayed home
+        i = b + locate(stream, bounds, range(b, end), run)
+        if i == end:  # every key stayed home
             return
-        values[queued[start - 1]] += grid if keys[start - 1] > 0 else -grid
-        if start == end:
+        values[queued[i]] += grid if keys[i] > 0 else -grid
+        if i + 1 == end:
             return
-        if offsets is None:  # a short queue: the next run reads a fresh u too
-            refined.clear()
-            continue
-        if refined:
-            refined.clear()
-            del offsets[1:]
-        p, t_lo, t_hi, b_lo, b_hi = run.send(True)
-        if b_lo <= 1 << p >> _CARRY_BITS:  # start afresh
-            stream.u = stream.n = 0
-            offsets[0] = 0, 0
-            b_lo = b_hi = None
-            fresh, departed = start, []
-        else:
-            a_lo, a_hi = offsets[0]
-            offsets[0] = a_lo + t_lo, a_hi + t_hi
-            departed.append(start - 1)
+        refined.clear()
+        _, t_lo, t_hi, b_lo, b_hi = run.send(True)
+        stream.carry(t_lo, t_hi, b_lo, b_hi, (_departed, cells, keys, b, i))
+        run.send((stream.b_lo, stream.b_hi))
+        b = i + 1

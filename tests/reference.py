@@ -12,6 +12,7 @@ tails of a finite law, for the tests of sampling at the entropy limit.
 
 from __future__ import annotations
 
+import math
 import threading
 from fractions import Fraction
 from functools import lru_cache
@@ -24,20 +25,12 @@ from scipy import stats
 
 from frugaldp.approx_mech import ApproxParams, _assert_envelope, certify_window_radius
 from frugaldp.bit_tape import BitTape
-from frugaldp.core_samplers import _LEVEL_START, Stream, level_record, locate
+from frugaldp.core_samplers import _CARRY_BITS, _LEVEL_START, Stream, level_record, locate
 from frugaldp.errors import EnclosureContractError, MathDomainError, ParameterDomainError
 from frugaldp.precise_math import BoundedCache, RationalBounds, _exp_neg_guarded, exp_neg, exp_pos
 from frugaldp.precise_math import rational_enclose
 from frugaldp.pure_mech import PureParams
-from frugaldp.release import (
-    _CARRY_BITS,
-    _SHORT_QUEUE,
-    CountVector,
-    MechanismResult,
-    build_report,
-    check_release,
-    draw_shift,
-)
+from frugaldp.release import CountVector, MechanismResult, build_report, check_release, draw_shift
 
 
 class SampleBudgetError(RuntimeError):
@@ -432,21 +425,20 @@ def mech_pure_reference(
 
 
 def draw_runs(tape: BitTape, tail_ratio, grid: int, queued: list, keys: list, values: list, seen=None) -> None:
-    """:func:`frugaldp.release.draw_runs` with every level read through one closure.
+    """:func:`frugaldp.release.draw_runs` on a fresh stream, with every level read through one closure.
 
     The package streams a run's level-0 running product into ``locate`` and
-    keeps the level-0 map (A, B) as runs depart; here ``bounds`` rebuilds A
-    and B at each level it is asked for, over every key since the last
-    fresh start, then extends one running product per level, level 0
-    included, calling ``tail_ratio`` for every key it reads. Both must draw
-    the same cells with the same bits. The closure only walks forward, so
-    its own level-0 records reach ``locate`` as a stream too: that keeps the
-    keys in order, and a search over the key index never asks for an earlier
-    key than one already read. A queue of at most ``_SHORT_QUEUE`` keys
-    starts afresh after every departure. ``seen``, a Counter, counts the
-    fresh starts ("fresh"), those after a departure whose p rounds to 0 at
-    level 0 ("p below level 0"), and the refinements of a carried u
-    ("carried refinement").
+    carries the level-0 map (A, B) as runs depart; here each run sets A and
+    B at level 0 afresh, and ``bounds`` rebuilds them at each finer level it
+    is asked for, over every key since the last fresh start, then extends
+    one running product per level, level 0 included, calling ``tail_ratio``
+    for every key it reads. Both must draw the same cells with the same
+    bits. The closure only walks forward, so its own level-0 records reach
+    ``locate`` as a stream too: that keeps the keys in order, and a search
+    over the key index never asks for an earlier key than one already read.
+    ``seen``, a Counter, counts the fresh starts ("fresh"), those after a
+    departure whose p rounds to 0 at level 0 ("p below level 0"), and the
+    refinements of a carried u ("carried refinement").
     """
 
     def ratio(i: int, level: int):
@@ -471,13 +463,19 @@ def draw_runs(tape: BitTape, tail_ratio, grid: int, queued: list, keys: list, va
 
     levels: list[tuple[int, tuple[int, int, int, int]]] = []  # per level: last key read, its record
 
+    def open_level(level: int) -> None:
+        a_lo, a_hi, b_lo, b_hi = walk(level)
+        levels.append((start - 1, (None, b_lo, b_hi, None)))
+        if level:
+            stream.levels.append((a_lo, a_hi, b_lo, b_hi))
+            if seen is not None and departed:
+                seen["carried refinement"] += 1
+        else:
+            stream.a_lo, stream.a_hi, stream.b_lo, stream.b_hi = a_lo, a_hi, b_lo, b_hi
+
     def bounds(j: int, level: int) -> tuple[int, int, int, int]:
         if level == len(levels):
-            a_lo, a_hi, b_lo, b_hi = walk(level)
-            levels.append((start - 1, (None, b_lo, b_hi, None)))
-            stream.offsets.append((a_lo, a_hi))
-            if seen is not None and level and departed:
-                seen["carried refinement"] += 1
+            open_level(level)
         i, rec = levels[level]
         while i < j:
             i += 1
@@ -492,7 +490,8 @@ def draw_runs(tape: BitTape, tail_ratio, grid: int, queued: list, keys: list, va
     start, end = 0, len(keys)
     while start < end:
         levels.clear()
-        stream.offsets = []
+        stream.levels = []
+        open_level(0)
         start += locate(stream, bounds, range(start, end), (bounds(j, 0) for j in range(start, end)))
         if start < end:
             values[queued[start]] += grid if keys[start] > 0 else -grid
@@ -501,12 +500,59 @@ def draw_runs(tape: BitTape, tail_ratio, grid: int, queued: list, keys: list, va
             if start == end:
                 break
             p, r_lo = ratio(start - 1, 0)[:2]
-            if end <= _SHORT_QUEUE or walk(0)[2] <= 1 << p >> _CARRY_BITS:
+            if walk(0)[2] <= 1 << p >> _CARRY_BITS:
                 fresh, departed = start, set()
-                stream.u = stream.n = 0
+                stream.restart()
                 if seen is not None:
                     seen["fresh"] += 1
                     seen["p below level 0"] += not r_lo
+
+
+def _count_entropy(thresholds) -> float:
+    """Entropy, in bits, of a count whose upper tails are ``thresholds`` (T_1 >= T_2 >= ..., T_0 = 1)."""
+    h, above = 0.0, 1.0
+    for t in [*thresholds, 0.0]:
+        mass = above - t
+        if mass > 0:
+            h -= mass * math.log2(mass)
+        above = t
+    return h
+
+
+def pure_draw_entropy(counts: CountVector, params: PureParams, omega: int) -> float:
+    """Expected entropy, in bits, of what an efficient pure release of ``counts`` draws at the shift ``omega``.
+
+    d h(p) for the tail set, plus, per coordinate, (1 - p) H(body cell) +
+    p (1 + H(tail cell | sign)): the 1 is the fair sign bit. Every
+    probability is the midpoint of the cell law's level-0 record, so the
+    figure is a float, not a certified bound. A silent coordinate's body
+    cell is certain; a tail cell's geometric tail is cut where it falls
+    below 2**-60.
+    """
+
+    def mid(rec) -> float:
+        p, lo, hi, _ = rec
+        return (lo + hi) / 2 ** (p + 1)
+
+    cells, unit, grid = params.cells, params.m, params.grid
+    p = mid(cells.any_tail(1, 0))
+    total = params.d * _count_entropy([p])
+    for c in counts.sums:
+        center = c + omega
+        # The body cell: the edges E - center within reach, as shift_and_round keys them.
+        low = (center - unit + 1) // grid * grid
+        body = [mid(cells.tail_ratio(k, 0)) for k in range(low + grid - center, unit, grid)]
+        # The tail cell, each sign with chance 1/2: thresholds q^g at its edges g.
+        sides = []
+        up, down = (center + unit) // grid * grid, (center - unit) // grid * grid
+        for first in (up + grid - center - unit, center - unit - down + 1):
+            tails, g = [], first
+            while not tails or tails[-1] > 2.0**-60:
+                tails.append(mid(cells.geometric_tail(g, 0)))
+                g += grid
+            sides.append(_count_entropy(tails))
+        total += (1 - p) * _count_entropy(body) + p * (1 + sum(sides) / 2)
+    return total
 
 
 # ---------------------------------------------------------------------------

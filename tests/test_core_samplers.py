@@ -332,7 +332,7 @@ def _cell_probs(weight, halfwidth, center, grid):
 def _release_cell(tape, law, s, count):
     """The value shift_and_round releases for one count, with the shift forced to the unit."""
     counts = CountVector(1, 100, (count,))
-    result, _ = shift_and_round(tape, tape.snapshot(), counts, s, law, "noise", law.halfwidth)
+    result, _ = shift_and_round(tape, cs.Stream(tape), tape.snapshot(), counts, s, law, "noise", law.halfwidth)
     return result.values[0]
 
 
@@ -370,7 +370,7 @@ def _run_case(law, weight, s, keys):
 
 
 def _release_row(tape, law, s, counts):
-    result, _ = shift_and_round(tape, tape.snapshot(), counts, s, law, "noise", law.halfwidth)
+    result, _ = shift_and_round(tape, cs.Stream(tape), tape.snapshot(), counts, s, law, "noise", law.halfwidth)
     return result.values
 
 
@@ -578,7 +578,7 @@ class TestTailCellDraw:
         counts, tail = CountVector(1, 4 * grid, (count,)), frozenset({0})
 
         def draw(tape):
-            result, _ = shift_and_round(tape, tape.snapshot(), counts, s, law, "noise", m, tail)
+            result, _ = shift_and_round(tape, cs.Stream(tape), tape.snapshot(), counts, s, law, "noise", m, tail)
             assert result.report.draws_attempted == {0: 1}
             assert set(result.report.bits_by_category) == {"tail"}  # the sign bit at least
             return result.values
@@ -664,6 +664,11 @@ class TestRecordMemo:
         assert all(memos)
 
 
+def _on_stream(tape, *args) -> None:
+    """The package's draw_runs on a fresh stream from ``tape``."""
+    draw_runs(cs.Stream(tape), *args)
+
+
 class TestRunStream:
     @pytest.mark.parametrize("name,make,weight,h", _LAWS)
     @pytest.mark.parametrize("level_start", [64, 8, 4])
@@ -675,7 +680,8 @@ class TestRunStream:
         # hit and its miss path. Every tenth queue holds 120 keys, enough
         # departures to narrow u past _CARRY_BITS at 64-bit levels; at 8 and
         # 4 bits a departure at a key whose p rounds to 0 at level 0 starts
-        # afresh too.
+        # afresh too. Each queue draws on a fresh stream, as the package's
+        # first draw of a release would.
         monkeypatch.setattr(cs, "_LEVEL_START", level_start)
         rng = random.Random(f"{name}:{level_start}")
         law, closure_law = make(), make()
@@ -685,7 +691,7 @@ class TestRunStream:
             queued = rng.sample(range(2 * len(keys)), len(keys))
             grid = h * rng.randrange(2, 5)
             out = []
-            for draw, *source in ((draw_runs, law), (reference.draw_runs, closure_law.tail_ratio, seen)):
+            for draw, *source in ((_on_stream, law), (reference.draw_runs, closure_law.tail_ratio, seen)):
                 tape = BitTape(seed=case)
                 values = [0] * 2 * len(keys)
                 with tape.category("noise"):
@@ -715,7 +721,7 @@ class TestRunStream:
         seen = Counter()
         out = []
         closure_law = GaussianCells(Fraction(1, 2), 12)
-        for draw, *source in ((draw_runs, law), (reference.draw_runs, closure_law.tail_ratio, seen)):
+        for draw, *source in ((_on_stream, law), (reference.draw_runs, closure_law.tail_ratio, seen)):
             tape, values = Ones(), [0] * len(keys)
             draw(tape, source[0], 24, list(range(len(keys))), keys, values, *source[1:])
             out.append((values, tape.bits_consumed))
@@ -767,9 +773,10 @@ class TestSearch:
         # A stream that already holds bits of u, and an offset A at every
         # level, hands its box from the in-order head to the probes. Forced
         # into order by a level-0 stream of the same records, the draw reads
-        # the same bits and leaves the stream the same u. Up to 100 bits
-        # held are more than level 0 can compare at, so some draws refine
-        # before their first key.
+        # the same bits and leaves the stream the same u; without one, the
+        # draw also carries u on past its count, which moves A but not u. Up
+        # to 100 bits held are more than level 0 can compare at, so some
+        # draws refine before their first key.
         rng = random.Random(kind.__name__)
         levels = range((cs._LEVEL_MAX // cs._LEVEL_START).bit_length())
         counts, levels_read = [], set()
@@ -796,7 +803,10 @@ class TestSearch:
                 tape = BitTape(seed=case)
                 stream = cs.Stream(tape)
                 stream.u, stream.n = math.floor(u * 2**held), held
-                stream.offsets = [rational_enclose(offset, cs._LEVEL_START << level) for level in levels]
+                # A at every level, and B = 1, so that the draw of its own
+                # thresholds compares the same records as the level-0 stream.
+                maps = [(*rational_enclose(offset, p), 1 << p, 1 << p) for p in (cs._LEVEL_START << j for j in levels)]
+                (stream.a_lo, stream.a_hi, stream.b_lo, stream.b_hi), stream.levels = maps[0], maps[1:]
                 count = locate(stream, bounds, keys, level0)
                 out.append((count, tape.bits_consumed, stream.u, stream.n))
             assert out[0] == out[1]
@@ -862,7 +872,7 @@ class TestSearch:
                 reads += 1
                 return params.cells.any_tail(j, level)
 
-            if sample_tail_set(BitTape(seed=seed), d, any_tail):
+            if sample_tail_set(tape := BitTape(seed=seed), d, any_tail, cs.Stream(tape)):
                 found += 1
                 assert reads <= 4 * math.log2(d) + 8
         assert found >= 3

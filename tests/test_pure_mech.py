@@ -8,12 +8,13 @@ from itertools import combinations
 import pytest
 
 from frugaldp.bit_tape import BitTape
-from frugaldp.core_samplers import level_record
+from frugaldp.core_samplers import Stream, level_record
 from frugaldp.errors import ParameterDomainError
 from frugaldp.precise_math import rational_enclose
 from frugaldp.pure_mech import PureParams, derive_pure_params, mech_pure_efficient, sample_tail_set
 from frugaldp.release import CountVector
 from reference import (
+    pure_draw_entropy,
     _truncated_attempts,
     bernoulli_from_prob,
     crossing_shifts,
@@ -142,6 +143,23 @@ class TestHandEvaluations:
 
 
 class TestDistributionalStructure:
+    @pytest.mark.parametrize("unit", [1, 2])
+    def test_release_bits_within_three_of_the_entropy_drawn(self, unit):
+        # Audit-desk at each forced shift: the tail set, the sign bits, the
+        # tail cells and the body cells all draw on one uniform, so a release
+        # reads fewer than H + 3 bits of what it draws (Han and Hoshi), where
+        # a fresh uniform per draw paid up to about a bit more for each.
+        params = derive_pure_params(Fraction(1, 4), 3, 2)
+        counts = CountVector(3, 100, (17, 50, 93))
+        omega = unit * params.m
+        entropy = pure_draw_entropy(counts, params, omega)
+        tape = BitTape(seed=951)
+        n = 20_000
+        for _ in range(n):
+            mech_pure_efficient(counts, params, tape, omega)
+        assert 4 < entropy < 4.5
+        assert tape.bits_consumed / n <= entropy + 3
+
     def test_variant2_vs_variant4(self):
         params = PureParams(2, 2, Fraction(1), 2)
         counts = CountVector(d=2, n=10, sums=(3, 7))
@@ -200,7 +218,7 @@ class TestDistributionalStructure:
 
         tape = BitTape(seed=926)
         n = 40_000
-        hist = Counter(sample_tail_set(tape, d, any_tail) for _ in range(n))
+        hist = Counter(sample_tail_set(tape, d, any_tail, Stream(tape)) for _ in range(n))
         all_subsets = [
             frozenset(c) for size in range(d + 1) for c in combinations(range(d), size)
         ]
@@ -218,7 +236,7 @@ class TestDistributionalStructure:
         p = float((params.p.lo + params.p.hi) / 2)
         tape = BitTape(seed=941)
         n = 40_000
-        hist = Counter(sample_tail_set(tape, 3, params.cells.any_tail) for _ in range(n))
+        hist = Counter(sample_tail_set(tape, 3, params.cells.any_tail, Stream(tape)) for _ in range(n))
         all_subsets = [frozenset(c) for size in range(4) for c in combinations(range(3), size)]
         from scipy import stats
 
@@ -235,7 +253,7 @@ class TestDistributionalStructure:
         tape = BitTape(seed=942)
         n = 20_000
         for _ in range(n):
-            sample_tail_set(tape, d, params.cells.any_tail)
+            sample_tail_set(tape, d, params.cells.any_tail, Stream(tape))
         h = -p * math.log2(p) - (1 - p) * math.log2(1 - p)
         assert tape.bits_consumed / n <= d * h + 2 * (d * p + 1)
 

@@ -217,14 +217,14 @@ def _exact_sample(params, release, n, seed):
 def tails():
     """Pure mode, t = 8 and m = 16: p about 0.14, so about 150 tail members and 800 boundary cells a release."""
     params = PureParams(D, 2, Fraction(D, 8), 16)
-    return _exact_sample(params, lambda *args: mech_pure_efficient(*args)[0].values, 1000, 6)
+    return _exact_sample(params, lambda *args: mech_pure_efficient(*args)[0].values, 800, 6)
 
 
 @pytest.fixture(scope="module")
 def windows():
     """Approx mode at s = 1 and r = 2 sigma: the grid is r, so most windows hold two edges, both within reach."""
     params = ApproxParams(D, 1, SIGMA_SQ, 6)
-    return _exact_sample(params, lambda *args: mech_approx_efficient(*args).values, 1000, 8)
+    return _exact_sample(params, lambda *args: mech_approx_efficient(*args).values, 800, 8)
 
 
 def _bins(law, n):

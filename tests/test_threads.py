@@ -16,7 +16,7 @@ from fractions import Fraction
 from frugaldp import bit_tape, core_samplers
 from frugaldp.approx_mech import derive_approx_params, mech_approx_efficient
 from frugaldp.bit_tape import BitTape
-from frugaldp.core_samplers import GaussianCells, LaplaceCells
+from frugaldp.core_samplers import GaussianCells, LaplaceCells, Stream
 from frugaldp.precise_math import exp_neg
 from frugaldp.pure_mech import derive_pure_params, mech_pure_efficient, sample_tail_set
 from frugaldp.release import CountVector
@@ -60,7 +60,7 @@ def test_tail_set_draws_on_shared_params():
     # built, then read every level in a rotated order.
     def read(params, k):
         tape = BitTape(seed=900 + k)
-        draws = [sample_tail_set(tape, params.d, params.cells.any_tail) for _ in range(10)]
+        draws = [sample_tail_set(tape, params.d, params.cells.any_tail, Stream(tape)) for _ in range(10)]
         levels = (0, 1, 2)[k % 3 :] + (0, 1, 2)[: k % 3]
         return draws, [params.cells.any_tail(j, level) for level in levels for j in range(1, params.d + 1)]
 
