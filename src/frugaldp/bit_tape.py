@@ -9,8 +9,9 @@ runs replayable for tests and audits.
 Bits are counted per category block, not per bit: a draw only moves
 ``bits_consumed``, and entering or leaving a ``with tape.category(name)``
 block credits the bits drawn since the last such switch to the category
-that was current. Reading ``draw_log`` or taking a ``snapshot()`` credits
-them first too, so a read inside an open block is exact.
+that was current; ``charge(name)`` is the same switch as one plain call.
+Reading ``draw_log`` or taking a ``snapshot()`` credits them first too, so
+a read inside an open block is exact.
 
 OS-backed tapes hold no bits of their own: each draw takes its bits from
 one pool per thread, which ``os.urandom`` fills 64 bytes at a time. The
@@ -57,12 +58,6 @@ def _splitmix64(seed: int):
         return bits, n
 
     return fill
-
-
-class _Ledger(Counter):
-    """A tape's per-category bit counts: a Counter, built empty at the speed of a dict."""
-
-    __init__ = dict.__init__
 
 
 class _Pool(_local):
@@ -129,7 +124,7 @@ class BitTape:
         self.seed = seed
         self.bits_consumed = self._word = self._avail = self._mark = 0
         self._fill = _os_fill if seed is None else _splitmix64(seed)
-        self._log = _Ledger()
+        self._log: dict[str, int] = {}
         self._category = self._next = UNCATEGORIZED
         self._outer: list[str] = []
 
@@ -141,32 +136,31 @@ class BitTape:
         self._next = name
         return self
 
-    def _credit(self) -> None:
-        """Credit the bits drawn since the last credit to the current category."""
-        n, log = self.bits_consumed, self._log
+    def charge(self, name: str) -> str:
+        """Credit the bits drawn to the current category, make ``name`` current, return the old: a cheap block."""
+        n, old = self.bits_consumed, self._category
         if n != self._mark:
-            log[self._category] = log.get(self._category, 0) + n - self._mark
+            log = self._log
+            log[old] = log.get(old, 0) + n - self._mark
             self._mark = n
+        self._category = name
+        return old
 
     def __enter__(self) -> BitTape:
-        if self.bits_consumed != self._mark:
-            self._credit()
-        self._outer.append(self._category)
-        self._category = self._next
+        self._outer.append(self.charge(self._next))
         return self
 
-    def __exit__(self, *exc_info) -> None:
-        self._credit()
-        self._category = self._outer.pop()
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.charge(self._outer.pop())
 
     @property
     def draw_log(self) -> Counter:
         """Per-category bit counts, summing to ``bits_consumed``; 0 for an unused category.
 
-        The counter is the tape's own, brought up to date by this read.
+        A new counter, brought up to date by this read.
         """
-        self._credit()
-        return self._log
+        self.charge(self._category)
+        return Counter(self._log)
 
     def next_bit(self) -> int:
         """Emit one fair bit (0 or 1)."""
@@ -215,4 +209,5 @@ class BitTape:
 
     def snapshot(self) -> tuple[int, dict[str, int]]:
         """Copy of the current accounting state, for before/after deltas."""
-        return self.bits_consumed, dict(self.draw_log)
+        self.charge(self._category)
+        return self.bits_consumed, dict(self._log)

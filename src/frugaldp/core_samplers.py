@@ -59,8 +59,9 @@ class Stream:
 
     ``u`` holds u's first ``n`` bits, uniform on [A, A + B) given the draws since
     u started afresh (A = 0, B = 1). ``a_lo``, ``a_hi``, ``b_lo``, ``b_hi`` enclose
-    A and B at level 0; :meth:`level` rebuilds them finer from ``history``. u starts
-    afresh once B's level-0 lower bound falls to 2**-_CARRY_BITS: a rule that never reads u.
+    A and B at level 0; :meth:`level` rebuilds them finer from ``history`` (cached in
+    ``levels`` until the next carry). u starts afresh once B's level-0 lower bound
+    falls to 2**-_CARRY_BITS: a rule that reads level-0 records of the outcomes drawn, never u.
     """
 
     __slots__ = ("next_bit", "u", "n", "a_lo", "a_hi", "b_lo", "b_hi", "levels", "history")
@@ -73,25 +74,24 @@ class Stream:
         """Start u afresh: no bits held, A = 0 and B = 1."""
         self.u = self.n = self.a_lo = self.a_hi = 0
         self.b_lo = self.b_hi = 1 << _LEVEL_START
-        self.levels, self.history = [], []
+        self.levels, self.history = None, []
 
     def level(self, level: int) -> tuple[int, int, int, int]:
         """A's and B's bounds at ``level`` >= 1, built at most one level past the last."""
-        if level > len(self.levels):
+        levels = self.levels or []
+        if level > len(levels):
             one = 1 << (_LEVEL_START << level)
             bounds = 0, 0, one, one  # a fresh u
             for narrow, *args in self.history:
                 bounds = narrow(level, *bounds, *args)
-            self.levels.append(bounds)
-        return self.levels[level - 1]
+            self.levels = levels = [*levels, bounds]
+        return levels[level - 1]
 
-    def carry(self, x_lo: int, x_hi: int, b_lo: int, b_hi: int, entry: tuple) -> None:
-        """Move A up by x and B to [b_lo, b_hi] at level 0, or start afresh; ``entry`` = (narrow, *args) logs it."""
+    def carry(self, a_lo: int, a_hi: int, b_lo: int, b_hi: int, entry: tuple) -> None:
+        """Set A's and B's level-0 bounds after a draw, or start afresh; ``entry`` = (narrow, *args) logs the draw."""
         if b_lo <= 1 << _LEVEL_START >> _CARRY_BITS:
             return self.restart()
-        self.a_lo += x_lo
-        self.a_hi += x_hi
-        self.b_lo, self.b_hi, self.levels = b_lo, b_hi, []
+        self.a_lo, self.a_hi, self.b_lo, self.b_hi, self.levels = a_lo, a_hi, b_lo, b_hi, None
         self.history.append(entry)
 
     def scaled(self, bounds, key, level: int) -> tuple[int, int, int, int]:
@@ -104,7 +104,7 @@ class Stream:
 
 
 def _narrow(level: int, a_lo: int, a_hi: int, b_lo: int, b_hi: int, bounds, keys, count: int) -> tuple:
-    """A and B at ``level`` across a draw that counted ``count`` thresholds along ``keys``: as :func:`locate` does."""
+    """A and B at ``level`` across a draw that counted ``count`` thresholds along ``keys``: :func:`locate`'s carry."""
     try:
         p, lo, hi, _ = bounds(keys[count], level)
     except IndexError:  # past the keys: T_(c+1) = 0
@@ -134,7 +134,9 @@ def locate(
     interval algorithm, so it reads fewer than H(X) + 3 bits on average
     (Han and Hoshi); near a grid edge it can exceed H(X) + 2. From a tape, u
     is fresh and forgotten on return; on a :class:`Stream`, u - A is compared
-    with B T, and u carried into the count's interval [A + B T_(c+1), A + B T_c).
+    with B T, and u carried into the count's interval [A + B T_(c+1), A + B T_c)
+    (:meth:`Stream.carry`), x = B T_(c+1) and y = B T_c from the level-0 records
+    of those two keys (:func:`_narrow`), whatever level the draw refined to.
 
     One loop reads bits: it scans the first ``_LINEAR_KEYS`` keys in order,
     then scans one key at a time as a probe, whose index gallops
@@ -147,18 +149,18 @@ def locate(
     key is then read in order, and ``bounds`` is asked only for levels >= 1.
     """
     next_bit = tape.next_bit
-    stream = type(tape) is Stream
-    if stream:
-        u, nb, a0_lo, a0_hi = tape.u, tape.n, tape.a_lo, tape.a_hi
-        b_lo, b_hi = tape.b_lo, tape.b_hi
+    if type(tape) is Stream:
+        stream = tape
+        u, nb, a_lo, a_hi = tape.u, tape.n, tape.a_lo, tape.a_hi
+        # A draw of its own thresholds (no level0) compares u - A with B T (B = 1 while fresh) and carries u on.
+        carry = scale = level0 is None
+        if carry:
+            b_lo, b_hi, scale = tape.b_lo, tape.b_hi, tape.history
     else:
-        nb = a0_lo = a0_hi = 0
-    # On a stream a draw of its own thresholds (no level0) is in units of B from A, and carries u
-    # on; while u is fresh, B = 1 and its records need no scaling.
-    carry = stream and level0 is None
-    scale = carry and tape.history
-    a_lo, a_hi = a0_lo, a0_hi
-    above = below = None  # the records of the last threshold above u and of the first not
+        stream = carry = scale = None
+        nb = a_lo = a_hi = 0
+    a0_lo, a0_hi = a_lo, a_hi
+    rec = above = below = None  # level-0 records: the key's, the last above u's, the first not's
     # [box_lo, box_hi] is the box [u, u + 2**-nb) less the offset [a_lo, a_hi], as
     # integers at the precision held of the last record compared (0: none yet);
     # its dyadic part is width = 2**(held - nb), and a bit read halves it.
@@ -174,12 +176,12 @@ def locate(
                 level = 0
                 if level0 is not None:
                     p, lo, hi, limit = next(level0)
-                elif not scale:
+                else:
                     p, lo, hi, limit = bounds(key, 0)
-                else:  # Stream.scaled at level 0, inlined
-                    p, lo, hi, _ = bounds(key, 0)
-                    lo, hi, p = b_lo * lo >> p, -(-b_hi * hi >> p), _LEVEL_START
-                    limit = p - (hi - lo).bit_length()
+                    if scale:  # Stream.scaled at level 0, inlined
+                        lo, hi, p = b_lo * lo >> p, -(-b_hi * hi >> p), _LEVEL_START
+                        limit = p - (hi - lo).bit_length()
+                    rec = p, lo, hi
                 while True:
                     if nb + 2 > limit:  # too coarse for u's next bit, or for bits kept from an earlier key
                         level += 1
@@ -191,8 +193,10 @@ def locate(
                         if held or nb or a0_hi:
                             if held:
                                 u = (box_lo + a_hi) >> (held - nb)
-                            if stream:
-                                a_lo, a_hi = tape.level(level)[:2] if level else (a0_lo, a0_hi)
+                            if stream and level:
+                                a_lo, a_hi = tape.level(level)[:2]
+                            else:
+                                a_lo, a_hi = a0_lo, a0_hi
                             width = 1 << (p - nb)
                             box_lo = (u << (p - nb)) - a_hi
                             box_hi = box_lo + width + a_hi - a_lo
@@ -201,9 +205,10 @@ def locate(
                             width = box_hi
                         held = p
                     if box_hi <= lo:
+                        above = rec
                         break  # u is below this threshold
                     if box_lo >= hi:
-                        below = p, lo, hi
+                        below = rec
                         if run is keys:
                             return count
                         # The += 1 below takes count back to the bracket's lower end.
@@ -216,44 +221,52 @@ def locate(
                     else:
                         box_hi -= width
                 count += 1
-                if level0 is None:
-                    above = p, lo, hi
-                    if count == _LINEAR_KEYS:
-                        break  # on to the search
+                if level0 is None and count == _LINEAR_KEYS:
+                    break  # on to the search
             else:
                 if run is keys:
                     return count
-            above = None  # a probe past the head need not be the bracket's top
             while stop is None or count < stop:
                 i = count + step - 1 if stop is None else (count + stop) // 2
                 try:
                     run = (keys[i],)
                 except IndexError:
-                    stop, below = i, None
+                    stop = i
                     continue
                 base, count, step = count, i, step << 1
                 break
             else:
                 return count
-    except BaseException:
-        carry = False  # a failed draw carries nothing
-        raise
-    finally:
+    finally:  # a draw that raises leaves its stream unusable
         if stream and held:
             tape.u, tape.n = (box_lo + a_hi) >> (held - nb), nb
             if carry:
-                # u - A is in [x, y): x = B T_(c+1), y = B T_c (B if c = 0), the records that settled c.
+                # u - A is in [x, y) = [B T_(c+1), B T_c) from the level-0 records that settled c, as
+                # _narrow(0, ...) computes them (B if c = 0, 0 past the keys; a fresh u's at their precision).
                 q = _LEVEL_START
-                p, y_lo, y_hi = (above or tape.scaled(bounds, keys[count - 1], 0)[:3]) if count else (q, b_lo, b_hi)
+                p, y_lo, y_hi = above or (q, b_lo, b_hi)
                 r, x_lo, x_hi = below or (q, 0, 0)
-                if p != q or r != q:  # refined: back to level 0's precision
-                    y_lo, y_hi, x_lo, x_hi = y_lo >> p - q, -(-y_hi >> p - q), x_lo >> r - q, -(-x_hi >> r - q)
-                tape.carry(x_lo, x_hi, y_lo - x_hi, y_hi - x_lo, (_narrow, bounds, keys, count))
+                if p != q:
+                    y_lo, y_hi = y_lo >> p - q, -(-y_hi >> p - q)
+                if r != q:
+                    x_lo, x_hi = x_lo >> r - q, -(-x_hi >> r - q)
+                tape.carry(a0_lo + x_lo, a0_hi + x_hi, y_lo - x_hi, y_hi - x_lo, (_narrow, bounds, keys, count))
 
 
 # ---------------------------------------------------------------------------
 # Tail masses past the grid edges, for the release's cell draws
 # ---------------------------------------------------------------------------
+
+
+class _Levels(dict):
+    """A cell law's (``law``) levels by index: each built on first read, with its data and record memos."""
+
+    __slots__ = ("law",)
+
+    def __missing__(self, level: int):
+        data = self.law._build((_LEVEL_START << level) + self.law._guard)
+        entry = self[level] = data, *(BoundedCache(_MEMO_CAP) for _ in range(3))
+        return entry
 
 
 class CellLaw:
@@ -262,8 +275,8 @@ class CellLaw:
     With weights w(eta) on the support, S(k) = sum_{k <= eta < halfwidth} w(eta)
     and Z = S(1 - halfwidth). Subclasses precompute scaled-integer data per
     working precision (``_build``) and return outward bounds of S(k) and Z on
-    one common scale (``_tail_sums``). Levels are built on first use and
-    cached by index; each doubles the precision of the last. A level also
+    one common scale (``_tail_sums``). Levels are built on first read
+    (:class:`_Levels`) and cached by index; each doubles the precision of the last. A level also
     memoizes the records its bounds sources return, in one
     :class:`~frugaldp.precise_math.BoundedCache` of ``_MEMO_CAP`` records per
     source, so a threshold is computed once, not on every read. Records are
@@ -278,7 +291,8 @@ class CellLaw:
             raise ParameterDomainError("noise half-width must be a positive integer")
         self.halfwidth = halfwidth
         self._guard = guard
-        self._levels: dict = {}
+        self._levels = _Levels()
+        self._levels.law = self
 
     def _build(self, w: int):
         raise NotImplementedError
@@ -286,21 +300,13 @@ class CellLaw:
     def _tail_sums(self, data, k: int) -> tuple[int, int, int, int]:
         raise NotImplementedError
 
-    def _level(self, level: int):
-        """The level's data and memos of tail ratios, geometric tails and any-tail powers, built once."""
-        entry = self._levels.get(level)
-        if entry is None:
-            data = self._build((_LEVEL_START << level) + self._guard)
-            entry = self._levels[level] = data, *(BoundedCache(_MEMO_CAP) for _ in range(3))
-        return entry
-
     def ratio_records(self, level: int) -> tuple[int, BoundedCache]:
         """The precision of the :meth:`tail_ratio` records at ``level``, and their memo keyed by k."""
-        return _LEVEL_START << level, (self._levels.get(level) or self._level(level))[1]
+        return _LEVEL_START << level, self._levels[level][1]
 
     def tail_ratio(self, k: int, level: int) -> tuple[int, int, int, int]:
         """The :func:`level_record` of S(k)/Z at ``level``, in the form :func:`locate` reads."""
-        data, memo, _, _ = self._levels.get(level) or self._level(level)
+        data, memo, _, _ = self._levels[level]
         rec = memo.get(k)
         if rec is None:
             p = _LEVEL_START << level
@@ -388,7 +394,7 @@ class LaplaceCells(CellLaw):
 
     def tail_probability(self) -> RationalBounds:
         """Exact rational bounds of p = P[|eta| >= m] = 2 q^m / (1 + q), untruncated, from level 0."""
-        _, _, _, (qm_lo, qm_hi), _, (den_lo, den_hi) = self._level(0)[0]
+        _, _, _, (qm_lo, qm_hi), _, (den_lo, den_hi) = self._levels[0][0]
         return RationalBounds(Fraction(2 * qm_lo, den_hi), Fraction(2 * qm_hi, den_lo))
 
     def geometric_tail(self, g: int, level: int) -> tuple[int, int, int, int]:
@@ -400,7 +406,7 @@ class LaplaceCells(CellLaw):
         directed rounding keeps them sound for any g; for g far past m they
         are only wider, so :func:`locate` refines sooner.
         """
-        data, _, memo, _ = self._levels.get(level) or self._level(level)
+        data, _, memo, _ = self._levels[level]
         rec = memo.get(g)
         if rec is None:
             w, q = data[:2]
@@ -413,7 +419,7 @@ class LaplaceCells(CellLaw):
         The tail-set draw reads it for 1 <= j <= d, from this level's
         outward-rounded enclosure of 1 - p raised to j.
         """
-        data, _, _, memo = self._levels.get(level) or self._level(level)
+        data, _, _, memo = self._levels[level]
         rec = memo.get(j)
         if rec is None:
             w, _, stay = data[:3]

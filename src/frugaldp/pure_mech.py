@@ -119,10 +119,13 @@ def sample_tail_set(tape: BitTape, d: int, any_tail, stream: Stream) -> frozense
     which locate searches, on ``stream``. Bits go under "binomial".
     """
     chosen, n = [], d
-    with tape.category("binomial"):
+    old = tape.charge("binomial")
+    try:
         while n and (past := locate(stream, any_tail, range(n, 0, -1))):
             chosen.append(d - past)  # d - n + L, with L = n - past
             n = past - 1
+    finally:
+        tape.charge(old)
     return frozenset(chosen)
 
 

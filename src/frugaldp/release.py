@@ -16,8 +16,7 @@ locate that searches the geometric tail masses at its grid edges, reading
 O(log c) of them for the c-th cell out. Every paid coordinate thus draws
 its cell, never a noise value. Every locate of a release draws on one
 :class:`~frugaldp.core_samplers.Stream`, whose uniform carries from draw to
-draw, so the draws cost about their entropy plus two bits per 32 bits or so
-of it, where the uniform starts afresh.
+draw: about their entropy plus two bits per 32 bits or so of it.
 """
 
 from __future__ import annotations
@@ -77,8 +76,11 @@ def check_release(counts: CountVector, params, unit: int, omega: int | None) -> 
 
 def draw_shift(tape: BitTape, unit: int, s: int) -> int:
     """The shared shift, uniform on {unit, 2 unit, ..., s unit}."""
-    with tape.category("shift"):
+    old = tape.charge("shift")
+    try:
         return unit * tape.uniform_range(s)
+    finally:
+        tape.charge(old)
 
 
 def build_report(
@@ -89,12 +91,13 @@ def build_report(
 ) -> RandomnessReport:
     """The bits drawn since the ``tape.snapshot()`` taken as ``start``, by category."""
     start_bits, start_log = start
+    bits, log = tape.snapshot()
     by_cat = {}
-    for name, count in tape.draw_log.items():
+    for name, count in log.items():
         delta = count - start_log.get(name, 0)
         if delta:
             by_cat[name] = delta
-    return RandomnessReport(tape.bits_consumed - start_bits, by_cat, boundary, attempts)
+    return RandomnessReport(bits - start_bits, by_cat, boundary, attempts)
 
 
 def shift_and_round(
@@ -124,20 +127,22 @@ def shift_and_round(
     values = []
     boundary = []
     queued, keys = [], []  # the single-edge coordinates, for draw_runs
-    # Silent coordinates draw nothing, so one category block covers the loop.
-    with tape.category(noise):
+    # Silent coordinates draw nothing, so one category covers the loop.
+    old = tape.charge(noise)
+    try:
         for i, s_i in enumerate(counts.sums):
             center = s_i + omega
             if i in tail:
-                with tape.category("tail"):
-                    if tape.next_bit():  # eta = unit + G: past edge E once G >= E - center - unit
-                        low = (center + unit) // grid * grid
-                        first, step = low + grid - center - unit, grid
-                    else:  # eta = -(unit + G): below edge E once G >= center - unit - E + 1
-                        low = (center - unit) // grid * grid
-                        first, step = center - unit - low + 1, -grid
-                    edges = range(first, cells.horizon + grid, grid)  # the last past any comparison's reach
-                    values.append(low + step * locate(stream, cells.geometric_tail, edges))
+                tape.charge("tail")
+                if tape.next_bit():  # eta = unit + G: past edge E once G >= E - center - unit
+                    low = (center + unit) // grid * grid
+                    first, step = low + grid - center - unit, grid
+                else:  # eta = -(unit + G): below edge E once G >= center - unit - E + 1
+                    low = (center - unit) // grid * grid
+                    first, step = center - unit - low + 1, -grid
+                edges = range(first, cells.horizon + grid, grid)  # the last past any comparison's reach
+                values.append(low + step * locate(stream, cells.geometric_tail, edges))
+                tape.charge(noise)
                 continue
             # The grid edges E in (center - reach, center + reach], as keys
             # E - center: the release reaches E exactly when eta >= E - center.
@@ -156,6 +161,8 @@ def shift_and_round(
             values.append(low)
         if keys:
             draw_runs(stream, cells, grid, queued, keys, values)
+    finally:
+        tape.charge(old)
     # One draw for each paid coordinate, boundary or tail, in index order.
     paid = sorted([*tail, *boundary]) if tail else boundary
     return MechanismResult(tuple(values), build_report(tape, start, tuple(boundary), dict.fromkeys(paid, 1))), omega
@@ -203,8 +210,7 @@ def draw_runs(stream: Stream, cells: CellLaw, grid: int, queued: list, keys: lis
     count L that stay home has upper tails T_j = prod_{b <= i < b + j} (1 - p_i),
     so one locate draws L; b + L departs and the next run starts after it.
     Products start at the stream's B, and a departure carries u into
-    [A + B T_(L+1), A + B T_L); the queue is a release's last draw, so its end
-    carries nothing. One level-0 :func:`_products` generator serves the queue.
+    [A + B T_(L+1), A + B T_L); the queue's end, a release's last draw, carries nothing.
     """
 
     def bounds(j: int, level: int) -> tuple[int, int, int, int]:
@@ -229,6 +235,6 @@ def draw_runs(stream: Stream, cells: CellLaw, grid: int, queued: list, keys: lis
             return
         refined.clear()
         _, t_lo, t_hi, b_lo, b_hi = run.send(True)
-        stream.carry(t_lo, t_hi, b_lo, b_hi, (_departed, cells, keys, b, i))
+        stream.carry(stream.a_lo + t_lo, stream.a_hi + t_hi, b_lo, b_hi, (_departed, cells, keys, b, i))
         run.send((stream.b_lo, stream.b_hi))
         b = i + 1

@@ -138,6 +138,25 @@ def test_category_accounting_totals():
     assert tape.draw_log["uncategorized"] == 3 and "laplace" not in tape.draw_log
 
 
+def test_charge_switches_like_a_block():
+    # charge(name) credits what was drawn to the current category and
+    # returns it, so charging it back closes the switch like a block's exit.
+    tape = BitTape(seed=9)
+    tape.next_bit()
+    old = tape.charge("shift")
+    assert old == "uncategorized"
+    tape.next_bits(2)
+    with tape.category("tail"):
+        tape.next_bit()
+    tape.next_bit()
+    assert tape.charge("gaussian") == "shift"
+    tape.next_bits(4)
+    assert tape.charge(old) == "gaussian"
+    tape.next_bit()
+    assert tape.draw_log == {"uncategorized": 2, "shift": 3, "tail": 1, "gaussian": 4}
+    assert sum(tape.draw_log.values()) == tape.bits_consumed == 10
+
+
 def test_snapshot_is_a_copy():
     tape = BitTape(seed=3)
     bits, log = tape.snapshot()

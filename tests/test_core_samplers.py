@@ -23,7 +23,8 @@ import frugaldp.core_samplers as cs
 from frugaldp import release
 import reference
 from frugaldp.approx_mech import mech_approx_efficient
-from frugaldp.audit_harness import DiscreteDist, PrivacyAuditResult
+from frugaldp.approx_mech import ApproxParams
+from frugaldp.audit_harness import DiscreteDist, PrivacyAuditResult, _approx_noise, _pure_noise, _shift_laws
 from frugaldp.bit_tape import BitTape
 from frugaldp.cli import RunConfig
 from frugaldp.core_samplers import GaussianCells, LaplaceCells, locate
@@ -728,6 +729,80 @@ class TestRunStream:
         assert out[0] == out[1]
         assert out[0][0] == [24 if k > 0 else -24 for k in keys]
         assert seen["p below level 0"] == seen["fresh"] == 4
+
+
+def _pure_desk(d=4):
+    """Pure mode at t = 5/2 and m = 4 (p about 0.2), counts whose coordinates all sit on a boundary at shift m."""
+    return PureParams(d, 2, Fraction(2 * d, 5), 4), (1, 2, 3, 9)[:d]
+
+
+def _approx_windows():
+    """Approx mode at s = 1 and r = 6 with sigma^2 = 9: windows of two edges, and two of one edge (a run)."""
+    return ApproxParams(4, 1, Fraction(9), 6), (0, 2, 3, 12)
+
+
+def _exact_laws(params, sums):
+    """Each coordinate's cell law at the shift forced to the unit, from ``audit_harness._shift_laws``."""
+    if isinstance(params, PureParams):
+        noise = _pure_noise(params, Fraction(1, 1 << 40), 64)
+    else:
+        noise = _approx_noise(params, 64)
+    laws, scale = _shift_laws(sums, params, noise, 64)
+    return [{g: (lo + hi) / 2 ** (scale + 1) for g, (lo, hi) in law.items()} for law in laws[0]]
+
+
+class TestCarriedStream:
+    @pytest.mark.parametrize("mode", ["pure", "approx"])
+    @pytest.mark.parametrize("level_start", [4, 8])
+    def test_refined_carried_draws_keep_the_joint_law(self, mode, level_start, monkeypatch):
+        # At 4- and 8-bit levels the tail-set runs, the tail cells, the
+        # two-edge windows and the runs of one-edge cells refine on a stream
+        # that already carries u, so A and B are rebuilt at finer levels from
+        # the draws since the last fresh start (Stream.level, Stream.scaled).
+        # The whole release must still follow the product of the exact laws.
+        make = _pure_desk if mode == "pure" else _approx_windows
+        laws = _exact_laws(*make())
+        monkeypatch.setattr(cs, "_LEVEL_START", level_start)
+        params, sums = make()
+        counts = CountVector(len(sums), 100, sums)
+        unit = params.grid // params.s
+        if mode == "pure":
+            release = lambda tape: mech_pure_efficient(counts, params, tape, unit)[0].values
+        else:
+            release = lambda tape: mech_approx_efficient(counts, params, tape, unit).values
+        refined = Counter()
+        level = cs.Stream.level
+
+        def counted(stream, j):
+            refined[bool(stream.history)] += 1
+            return level(stream, j)
+
+        monkeypatch.setattr(cs.Stream, "level", counted)
+        hist, _ = collect_histogram(release, 20_000, 41 + level_start)
+        assert refined[True] > 100  # carried draws refined
+        _assert_joint_law(hist, laws)
+
+    @pytest.mark.parametrize("mode", ["pure", "approx"])
+    def test_level_zero_carry_replays_its_history(self, mode):
+        # The carry a draw makes at level 0, from the records that settled
+        # its count, is the map Stream.level replays at finer levels: folding
+        # the history since the last fresh start through it at level 0 gives
+        # the stream's own A and B.
+        params, sums = (_pure_desk if mode == "pure" else _approx_windows)()
+        counts = CountVector(len(sums), 100, sums)
+        one = 1 << cs._LEVEL_START
+        kinds = Counter()
+        for seed in range(400):
+            tape = BitTape(seed=seed)
+            stream = cs.Stream(tape)
+            tail = sample_tail_set(tape, params.d, params.cells.any_tail, stream) if mode == "pure" else frozenset()
+            shift_and_round(tape, stream, tape.snapshot(), counts, params.s, params.cells, "noise", None, tail)
+            ab = 0, 0, one, one
+            for narrow, *args in stream.history:
+                ab = narrow(0, *ab, *args)
+                kinds[narrow.__name__] += 1
+            assert ab == (stream.a_lo, stream.a_hi, stream.b_lo, stream.b_hi)
+        assert kinds["_narrow"] > 400 and kinds["_departed"] > 10
 
 
 def _threshold_bounds(thresholds):
