@@ -178,6 +178,6 @@ def mech_approx_efficient(
     entropy plus two bits per 32 bits or so of it.
     """
     check_release(counts, params, params.r, omega)
-    result, _ = shift_and_round(tape, Stream(tape), tape.snapshot(), counts, params.s, params.cells, "gaussian", omega)
+    result, _, _ = shift_and_round(tape, Stream(tape), tape.snapshot(), counts, params.s, params.cells, "gaussian", omega)
     _assert_envelope(result.values, counts, params)
     return result

@@ -248,10 +248,10 @@ def run(config: RunConfig) -> tuple[int, dict]:
     try:
         if config.mode == "approx":
             params = derive_approx_params(config.epsilon, config.delta, counts.d, s)
-            result, trace = mech_approx_efficient(counts, params, BitTape(seed=config.seed)), None
+            result = mech_approx_efficient(counts, params, BitTape(seed=config.seed))
         else:
             params = derive_pure_params(config.epsilon, counts.d, s)
-            result, trace = mech_pure_efficient(counts, params, BitTape(seed=config.seed))
+            result = mech_pure_efficient(counts, params, BitTape(seed=config.seed))[0]
     except InternalError as exc:
         return EXIT_INTERNAL, {"error": f"internal error: {exc}"}
     except FrugalDPError as exc:
@@ -263,7 +263,6 @@ def run(config: RunConfig) -> tuple[int, dict]:
             "bits_total": result.report.bits_total,
             "bits_by_category": dict(sorted(result.report.bits_by_category.items())),
             "boundary_count": len(result.report.boundary_coordinates),
-            "tail_count": 0 if trace is None else trace.tail_size,
         },
         "meta": {
             "n": counts.n,

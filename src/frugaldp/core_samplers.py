@@ -3,18 +3,14 @@
 Every noise decision of a release that spends bits is one :func:`locate`:
 it streams a uniform dyadic u bit by bit from a
 :class:`~frugaldp.bit_tape.BitTape` against refinable integer bounds of a
-run of thresholds (the tail masses past each grid edge, the geometric tail
-past a pure-mode tail threshold, the chance that the next coordinates hold
-a tail coordinate) and refines the bounds, one level of doubled precision
-at a time, until u is certified above or below each threshold it reads.
-This terminates with probability one and makes every draw exact; no
-floating point is involved anywhere. A ``locate`` from a tape forgets, when
-it returns, the part of u it read but did not need. Every draw of a release
-shares one :class:`Stream` instead, which carries that part to the next
-draw. The release's other draws read the tape: a pure-mode tail
-coordinate's fair sign bit, and the shared shift, which
-:meth:`~frugaldp.bit_tape.BitTape.uniform_range` draws by rejection, so a
-shift whose s is not a power of two may discard bits.
+run of thresholds (the chances that coordinates stay in their home cells,
+the tail masses past a departure's grid edges) and refines the bounds, one
+level of doubled precision at a time, until u is certified above or below
+each threshold it reads. This terminates with probability one and makes
+every draw exact; no floating point is involved anywhere. Every draw of a
+release shares one :class:`Stream`, which carries the part of u a draw read
+but did not need to the next. The shared shift alone reads the tape, by
+rejection (:meth:`~frugaldp.bit_tape.BitTape.uniform_range`).
 """
 
 from __future__ import annotations
@@ -77,13 +73,13 @@ class Stream:
         self.levels, self.history = None, []
 
     def level(self, level: int) -> tuple[int, int, int, int]:
-        """A's and B's bounds at ``level`` >= 1, built at most one level past the last."""
+        """A's and B's bounds at ``level`` >= 1, building the levels up to it that are not built yet."""
         levels = self.levels or []
-        if level > len(levels):
-            one = 1 << (_LEVEL_START << level)
+        while level > len(levels):
+            one = 1 << (_LEVEL_START << (len(levels) + 1))
             bounds = 0, 0, one, one  # a fresh u
             for narrow, *args in self.history:
-                bounds = narrow(level, *bounds, *args)
+                bounds = narrow(len(levels) + 1, *bounds, *args)
             self.levels = levels = [*levels, bounds]
         return levels[level - 1]
 
@@ -265,26 +261,30 @@ class _Levels(dict):
 
     def __missing__(self, level: int):
         data = self.law._build((_LEVEL_START << level) + self.law._guard)
-        entry = self[level] = data, *(BoundedCache(_MEMO_CAP) for _ in range(3))
+        entry = self[level] = data, BoundedCache(_MEMO_CAP), BoundedCache(_MEMO_CAP)
         return entry
 
 
 class CellLaw:
-    """Upper-tail masses of a symmetric integer noise law truncated to |eta| < halfwidth.
+    """A symmetric integer noise law's cell thresholds, as records :func:`locate` reads.
 
-    With weights w(eta) on the support, S(k) = sum_{k <= eta < halfwidth} w(eta)
-    and Z = S(1 - halfwidth). Subclasses precompute scaled-integer data per
-    working precision (``_build``) and return outward bounds of S(k) and Z on
-    one common scale (``_tail_sums``). Levels are built on first read
-    (:class:`_Levels`) and cached by index; each doubles the precision of the last. A level also
-    memoizes the records its bounds sources return, in one
+    Subclasses precompute scaled-integer data per working precision
+    (``_build``). Levels are built on first read (:class:`_Levels`) and cached
+    by index; each doubles the precision of the last. A level also memoizes
+    the records its bounds sources return, in one
     :class:`~frugaldp.precise_math.BoundedCache` of ``_MEMO_CAP`` records per
     source, so a threshold is computed once, not on every read. Records are
     deterministic: two threads that build the same level or record store
-    equal data, so no lock is needed.
+    equal data, so no lock is needed. ``tail_ratio(k)`` is P[eta >= k];
+    ``departure(k')`` the chance that a coordinate whose grid edge at key k'
+    is its nearer one leaves its home cell. ``tails``: whether the law puts
+    mass past its half-width, so that a coordinate with no edge within reach
+    may leave too, and a departure may land past the adjacent cell.
     """
 
     __slots__ = ("halfwidth", "_guard", "_levels")
+
+    tails = False
 
     def __init__(self, halfwidth: int, guard: int):
         if halfwidth < 1:
@@ -297,22 +297,9 @@ class CellLaw:
     def _build(self, w: int):
         raise NotImplementedError
 
-    def _tail_sums(self, data, k: int) -> tuple[int, int, int, int]:
-        raise NotImplementedError
-
     def ratio_records(self, level: int) -> tuple[int, BoundedCache]:
-        """The precision of the :meth:`tail_ratio` records at ``level``, and their memo keyed by k."""
+        """The precision of the :meth:`departure` records at ``level``, and their memo keyed by k'."""
         return _LEVEL_START << level, self._levels[level][1]
-
-    def tail_ratio(self, k: int, level: int) -> tuple[int, int, int, int]:
-        """The :func:`level_record` of S(k)/Z at ``level``, in the form :func:`locate` reads."""
-        data, memo, _, _ = self._levels[level]
-        rec = memo.get(k)
-        if rec is None:
-            p = _LEVEL_START << level
-            s_lo, s_hi, z_lo, z_hi = self._tail_sums(data, k)
-            rec = memo[k] = level_record(p, (s_lo << p) // z_hi, -(-(s_hi << p) // z_lo))
-        return rec
 
 
 class GaussianCells(CellLaw):
@@ -344,85 +331,109 @@ class GaussianCells(CellLaw):
         c_hi = list(accumulate(reversed(hi), initial=0))[::-1]
         return c_lo, c_hi, c_lo[0] + c_lo[1], c_hi[0] + c_hi[1]
 
-    def _tail_sums(self, data, k: int) -> tuple[int, int, int, int]:
-        c_lo, c_hi, z_lo, z_hi = data
-        if k >= 0:
-            return c_lo[k], c_hi[k], z_lo, z_hi
-        # By symmetry, S(k) = Z - S(1 - k).
-        return z_lo - c_lo[1 - k], z_hi - c_hi[1 - k], z_lo, z_hi
+    def tail_ratio(self, k: int, level: int) -> tuple[int, int, int, int]:
+        """The :func:`level_record` of S(k)/Z, S(k) = sum_{k <= eta < r} w(eta) and Z = S(1 - r), for |k| < r."""
+        (c_lo, c_hi, z_lo, z_hi), memo, _ = self._levels[level]
+        rec = memo.get(k)
+        if rec is None:
+            p = _LEVEL_START << level
+            # By symmetry, S(k) = Z - S(1 - k).
+            s_lo, s_hi = (c_lo[k], c_hi[k]) if k >= 0 else (z_lo - c_lo[1 - k], z_hi - c_hi[1 - k])
+            rec = memo[k] = level_record(p, (s_lo << p) // z_hi, -(-(s_hi << p) // z_lo))
+        return rec
+
+    #: Truncated at r, the law leaves a home cell across its nearer edge alone, with S(k')/Z.
+    departure = tail_ratio
 
 
 class LaplaceCells(CellLaw):
-    """Weights q^|eta| on |eta| < m, q = exp(-1/t), through closed-form geometric sums.
+    """The untruncated discrete Laplace law, weights q^|eta|, q = exp(-1/t), on the grid m s.
 
-    For k >= 0, S(k)/Z = (q^k - q^m) / Z with Z = 1 + q - 2 q^m; negative k
-    mirrors through S(k) = Z - S(1 - k). The same constants give the
-    untruncated law's tail mass p = P[|eta| >= m] = 2 q^m / (1 + q) and
-    1 - p = Z / (1 + q). Each level keeps enclosures of q and of 1 - p, and
-    every power the bounds sources read (q^k of a body cell, q^g of a tail
-    cell, (1 - p)^j of the tail set) is one outward-rounded
+    P[eta >= k] = q^k / (1 + q) for k >= 1, mirrored for k <= 0. A home cell
+    with edges a above and b = grid + 1 - a below the centre (eta >= a or
+    eta <= -b leaves it) is left with p = (q^a + q^b) / (1 + q), and a
+    silent coordinate (no edge within m) with p <= 2 q^m / (1 + q), whose
+    complement each level keeps. Every power is one outward-rounded
     :func:`~frugaldp.precise_math._pow_scaled` on a memo miss, so nothing
-    whose size grows with m or t is built.
-
-    Past ``horizon`` = (_LEVEL_MAX + guard) * ceil(t), q^g < e^-(_LEVEL_MAX + guard)
-    lies below every record's precision, so a tail cell's keys may stop
-    there: :func:`locate` never certifies u below them.
+    whose size grows with m or t is built. Past ``horizon`` =
+    (_LEVEL_MAX + guard) * ceil(t), q^g lies below every record's precision,
+    so a departure's keys may stop there: :func:`locate` never certifies u
+    below them.
     """
 
-    __slots__ = ("_x", "horizon")
+    __slots__ = ("_x", "grid", "horizon", "beyond_keys")
 
-    def __init__(self, t: "Fraction | int", m: int):
+    tails = True
+
+    def __init__(self, t: "Fraction | int", m: int, s: int):
         super().__init__(m, m.bit_length() + (t.numerator // t.denominator + 1).bit_length() + 8)
         self._x = 1 / Fraction(t)
+        self.grid = m * s
         self.horizon = (_LEVEL_MAX + self._guard) * -(-t.numerator // t.denominator)
+        # The keys j of beyond whose cells lie within the horizon: the last is past every comparison.
+        self.beyond_keys = range(1, 2 * (self.horizon // self.grid + 2))
 
     def _build(self, w: int):
         q = exp_neg(self._x, w)
         qm_lo, qm_hi = _pow_scaled(*q, self.halfwidth, w)
         one = 1 << w
-        z_lo, z_hi = one + q[0] - 2 * qm_hi, one + q[1] - 2 * qm_lo
-        stay = max(0, (z_lo << w) // (one + q[1])), -(-(z_hi << w) // (one + q[0]))
-        return w, q, stay, (qm_lo, qm_hi), (z_lo, z_hi), (one + q[0], one + q[1])
-
-    def _tail_sums(self, data, k: int) -> tuple[int, int, int, int]:
-        w, q, _, (qm_lo, qm_hi), (z_lo, z_hi), _ = data
-        if k >= 0:
-            a_lo, a_hi = _pow_scaled(*q, k, w)
-            return a_lo - qm_hi, a_hi - qm_lo, z_lo, z_hi
-        a_lo, a_hi = _pow_scaled(*q, 1 - k, w)
-        return z_lo - (a_hi - qm_lo), z_hi - (a_lo - qm_hi), z_lo, z_hi
+        den = one + q[0], one + q[1]
+        stay = one - -(-(2 * qm_hi << w) // den[0]), one - (2 * qm_lo << w) // den[1]
+        return w, q, den, (qm_lo, qm_hi), stay
 
     def tail_probability(self) -> RationalBounds:
-        """Exact rational bounds of p = P[|eta| >= m] = 2 q^m / (1 + q), untruncated, from level 0."""
-        _, _, _, (qm_lo, qm_hi), _, (den_lo, den_hi) = self._levels[0][0]
+        """Exact rational bounds of p = P[|eta| >= m] = 2 q^m / (1 + q), from level 0."""
+        _, _, (den_lo, den_hi), (qm_lo, qm_hi), _ = self._levels[0][0]
         return RationalBounds(Fraction(2 * qm_lo, den_hi), Fraction(2 * qm_hi, den_lo))
 
-    def geometric_tail(self, g: int, level: int) -> tuple[int, int, int, int]:
-        """The :func:`level_record` of q^g = P[G >= g], G ~ Geo(1 - q), in the form :func:`locate` reads.
-
-        Past the threshold m the Laplace tail is m + G by memorylessness, so
-        a tail coordinate's cell edges are thresholds on G. The bounds are
-        this level's enclosure of q raised to g at its working precision;
-        directed rounding keeps them sound for any g; for g far past m they
-        are only wider, so :func:`locate` refines sooner.
-        """
-        data, _, memo, _ = self._levels[level]
-        rec = memo.get(g)
+    def tail_ratio(self, k: int, level: int) -> tuple[int, int, int, int]:
+        """The :func:`level_record` of P[eta >= k] at ``level``: q^k / (1 + q) for k >= 1, mirrored below."""
+        data, memo, _ = self._levels[level]
+        rec = memo.get(k)
         if rec is None:
-            w, q = data[:2]
-            rec = memo[g] = level_record(w, *_pow_scaled(*q, g, w))
+            w, q, (den_lo, den_hi) = data[:3]
+            p = _LEVEL_START << level
+            a_lo, a_hi = _pow_scaled(*q, k if k > 0 else 1 - k, w)
+            lo, hi = (a_lo << p) // den_hi, -(-(a_hi << p) // den_lo)
+            rec = memo[k] = level_record(p, lo, hi) if k > 0 else level_record(p, (1 << p) - hi, (1 << p) - lo)
         return rec
 
-    def any_tail(self, j: int, level: int) -> tuple[int, int, int, int]:
-        """The :func:`level_record` of 1 - (1 - p)**j, the chance that j coordinates hold a tail coordinate.
+    def ratio_records(self, level: int) -> tuple[int, BoundedCache]:
+        return _LEVEL_START << level, self._levels[level][2]
 
-        The tail-set draw reads it for 1 <= j <= d, from this level's
-        outward-rounded enclosure of 1 - p raised to j.
+    def _past(self, k: int, i: int, level: int) -> tuple[int, int, int]:
+        """P[eta >= e_i] + P[eta >= e_(i+1)] at ``level``: the mass of a home cell's i-th outside cell on.
+
+        The cells outside a home cell alternate sides, the nearest first: cell
+        i lies past edge e_i, e_1 = k, e_2 = grid + 1 - k on the other side and
+        e_(i+2) = e_i + grid, so the cells from the i-th on lie past e_i and e_(i+1).
         """
-        data, _, _, memo = self._levels[level]
-        rec = memo.get(j)
+        n_lo = n_hi = 0
+        for e in (i, i + 1):
+            p, lo, hi, _ = self.tail_ratio((k if e & 1 else self.grid + 1 - k) + (e - 1) // 2 * self.grid, level)
+            n_lo, n_hi = n_lo + lo, n_hi + hi
+        return p, n_lo, n_hi
+
+    def departure(self, k: int, level: int) -> tuple[int, int, int, int]:
+        """The :func:`level_record` of p(k) = P[eta >= k] + P[eta >= grid + 1 - k], memoized with :meth:`beyond`'s."""
+        memo = self._levels[level][2]
+        rec = memo.get(k)
         if rec is None:
-            w, _, stay = data[:3]
-            lo, hi = _pow_scaled(*stay, j, w)
-            rec = memo[j] = level_record(w, (1 << w) - hi, (1 << w) - lo)
+            rec = memo[k] = level_record(*self._past(k, 1, level))
         return rec
+
+    def beyond(self, k: int, j: int, level: int) -> tuple[int, int, int, int]:
+        """The :func:`level_record` of the chance that a departure from key k lands past its j-th cell."""
+        memo = self._levels[level][2]
+        rec = memo.get((k, j))
+        if rec is None:
+            p, n_lo, n_hi = self._past(k, j + 1, level)
+            _, d_lo, d_hi, _ = self.departure(k, level)
+            hi = -(-(n_hi << p) // d_lo) if d_lo else 1 << p
+            rec = memo[k, j] = level_record(p, (n_lo << p) // d_hi, hi)
+        return rec
+
+    def all_stay(self, j: int, level: int) -> tuple[int, int, int, int]:
+        """The :func:`level_record` of (1 - p)^j, a lower bound of the chance that j silent coordinates all stay."""
+        w, _, _, _, (stay_lo, stay_hi) = self._levels[level][0]
+        return level_record(w, *_pow_scaled(max(stay_lo, 0), stay_hi, j, w))

@@ -2,17 +2,17 @@
 
 The output law is that of the reference chain: Laplace noise of scale
 d/eps on every count, one shared shift, rounding down to the grid m*s
-(``audit_harness.oracle_joint_dist_pure`` computes it exactly). Each
-coordinate's noise splits into a rare tail event (|noise| >= m, probability
-p) and a truncated body. The Laplace cell law
-(:class:`~frugaldp.core_samplers.LaplaceCells`) encloses p and the powers of
-1 - p from the same powers of exp(-eps/d) as the body cells. The efficient
-release samples the tail set up front, as runs of coordinates before the
-next tail one, and then, in the shift-and-round loop it shares with approx
-mode, pays only for tail coordinates and for body coordinates whose
-rounding is ambiguous. Both kinds draw their grid cell directly, never a
-noise value, on the uniform the tail set's draws left (one Stream per
-release); every other coordinate is released silently.
+(``audit_harness.oracle_joint_dist_pure`` computes it exactly). The
+efficient release draws each coordinate's released cell from the
+untruncated discrete-Laplace cell law
+(:class:`~frugaldp.core_samplers.LaplaceCells`), never a noise value: in
+the shift-and-round loop it shares with approx mode, a coordinate stays in
+the cell of its centre unless it departs, with the chance p_i that the noise
+crosses one of that cell's edges, and a departure draws its cell from the
+keys past both edges. Coordinates whose centre lies at least m from every
+edge (p_i <= p, the chance that |noise| >= m) cost nothing while one
+comparison with (1 - p)^j certifies that all of them stay. Every draw of a
+release is on one carried uniform (one Stream per release).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .bit_tape import BitTape
-from .core_samplers import LaplaceCells, Stream, locate
+from .core_samplers import LaplaceCells, Stream
 from .errors import EnclosureContractError, ParameterDomainError
 from .precise_math import ln_enclose
 from .release import CountVector, MechanismResult, check_release, shift_and_round
@@ -32,18 +32,15 @@ from .release import CountVector, MechanismResult, check_release, shift_and_roun
 _PRECISION = 96
 
 
-class PureTrace(namedtuple("PureTrace", "tail_set shift")):
-    """The tail set and shift one efficient run drew.
+class PureTrace(namedtuple("PureTrace", "departed shift tail_size")):
+    """What one efficient run drew besides its values.
 
-    A coordinate outside ``tail_set`` drew a body cell when it is among the
-    report's ``boundary_coordinates`` and was released silently otherwise.
+    ``departed``: the coordinates released outside the cell of their centre,
+    in index order. ``shift``: the shared shift. ``tail_size``: how many
+    departed to a cell that no noise |eta| < m reaches.
     """
 
     __slots__ = ()
-
-    @property
-    def tail_size(self) -> int:
-        return len(self.tail_set)
 
 
 class PureParams:
@@ -55,8 +52,8 @@ class PureParams:
     constant of the release from q = exp(-1/t) and its powers. ``p``, the
     exact two-sided tail mass P[|Lap_Z(d/eps)| >= m] = 2 q^m / (1 + q), a
     transcendental number, keeps the exact rational bounds of its level-0
-    enclosure. The tail-set draw reads 1 - (1 - p)**j through
-    ``cells.any_tail``, which refines it level by level, so the release
+    enclosure. The release reads p only through ``cells``, which refines
+    every record it compares with level by level, so the release
     distribution is exact.
     """
 
@@ -74,7 +71,7 @@ class PureParams:
         self.m = m
         self.grid = m * s
         self.scale = Fraction(d, 1) / epsilon
-        self.cells = LaplaceCells(self.scale, m)
+        self.cells = LaplaceCells(self.scale, m, s)
         self.p = self.cells.tail_probability()
         if self.p.hi >= 1:  # p < 1 holds analytically; the level-0 bounds certify it
             raise EnclosureContractError("tail probability is not below 1")
@@ -105,30 +102,6 @@ def derive_pure_params(epsilon: Fraction, d: int, s: int) -> PureParams:
     return PureParams(d, s, epsilon, m)
 
 
-def sample_tail_set(tape: BitTape, d: int, any_tail, stream: Stream) -> frozenset[int]:
-    """Tail set J of coordinates 0..d-1, each a member with probability p, independently.
-
-    ``any_tail(j, level)`` returns the level record of 1 - (1 - p)**j, as
-    :meth:`~frugaldp.core_samplers.LaplaceCells.any_tail` does. The set is
-    drawn in runs: with the last n coordinates left, the count L before the
-    next member has P[L >= j] = (1 - p)**j, so one
-    :func:`~frugaldp.core_samplers.locate` over the thresholds
-    1 - (1 - p)**j along j = n, n - 1, ..., 1 returns n - L, and coordinate
-    d - n + L is the next member; 0 means none is left. An empty set costs
-    one comparison with 1 - (1 - p)**d, and each member O(log(n - L)) keys,
-    which locate searches, on ``stream``. Bits go under "binomial".
-    """
-    chosen, n = [], d
-    old = tape.charge("binomial")
-    try:
-        while n and (past := locate(stream, any_tail, range(n, 0, -1))):
-            chosen.append(d - past)  # d - n + L, with L = n - past
-            n = past - 1
-    finally:
-        tape.charge(old)
-    return frozenset(chosen)
-
-
 def mech_pure_efficient(
     counts: CountVector,
     params: PureParams,
@@ -137,14 +110,19 @@ def mech_pure_efficient(
 ) -> tuple[MechanismResult, PureTrace]:
     """Efficient release: same output law as the reference chain.
 
-    Draws the tail set in runs, then releases every non-tail coordinate silently whenever the shifted
-    count rounds identically for all body noise values. Ambiguous body
-    coordinates draw their grid cell from the truncated Laplace law's
-    closed-form tail mass, and tail coordinates from the geometric tail
-    past m: every draw on one carried uniform.
+    Draws the shift, then every coordinate's cell from the untruncated
+    discrete-Laplace cell law, in runs of coordinates that stay in their home
+    cell: a coordinate with no grid edge within m of its centre usually
+    costs nothing, since one comparison with (1 - p)^j certifies that j
+    such coordinates all stay. Every draw is on one carried uniform.
     """
     check_release(counts, params, params.m, omega)
     start = tape.snapshot()
-    tail = sample_tail_set(tape, params.d, params.cells.any_tail, stream := Stream(tape))
-    result, omega = shift_and_round(tape, stream, start, counts, params.s, params.cells, "laplace", omega, tail)
-    return result, PureTrace(tail, omega)
+    result, omega, departed = shift_and_round(tape, Stream(tape), start, counts, params.s, params.cells, "laplace", omega)
+    far = 0
+    if departed:
+        departed.sort()
+        values, sums, grid, reach = result.values, counts.sums, params.grid, params.m - 1
+        # A cell no noise |eta| <= m - 1 reaches lies wholly past sums[i] + omega +- reach.
+        far = sum(not sums[i] + omega - reach - grid < values[i] <= sums[i] + omega + reach for i in departed)
+    return result, PureTrace(tuple(departed), omega, far)

@@ -2,29 +2,28 @@
 
 Both efficient releases draw one shift from {unit, 2 unit, ..., s unit} and
 then walk the coordinates, where the unit is the noise half-width (r in
-approx mode, m in pure mode) and the grid is unit * s. A coordinate whose
-rounded value is the same for every noise value in (-unit, unit) is released
-silently and costs no bits; any other draws its grid cell from the truncated
-noise law. Windows with one grid edge (all, when s >= 2) are drawn in runs
-(:func:`draw_runs`): one :func:`~frugaldp.core_samplers.locate` draws how
-many coordinates stay in their centre's cell before one leaves, over the
-run's running products of stay-home probabilities, streamed at level 0. A
-window with two edges (s = 1) is one locate over its two edges. Pure mode
-adds a tail set drawn up front; a tail coordinate's noise is +-(m + G) with
-G geometric, so it too draws only its cell: one fair sign bit, then one
-locate that searches the geometric tail masses at its grid edges, reading
-O(log c) of them for the c-th cell out. Every paid coordinate thus draws
-its cell, never a noise value. Every locate of a release draws on one
-:class:`~frugaldp.core_samplers.Stream`, whose uniform carries from draw to
-draw: about their entropy plus two bits per 32 bits or so of it.
+approx mode, m in pure mode) and the grid is unit * s. Each coordinate
+holds the cell of its centre, its home cell, and draws only whether it
+leaves it, never a noise value: in runs (:func:`draw_runs`), where one
+:func:`~frugaldp.core_samplers.locate` draws how many coordinates stay home
+before one leaves. A coordinate with no grid edge within reach is silent:
+under the truncated Gaussian law it cannot leave, and under the Laplace law
+one comparison with (1 - p)^j certifies that j of them all stay, unless it
+fails. A departure across a single edge within reach is certain of its
+cell; otherwise one more locate draws the cell. A window with two edges
+under the truncated law (s = 1) is one locate over its two edges. Every
+locate of a release draws on one :class:`~frugaldp.core_samplers.Stream`,
+whose uniform carries from draw to draw: about their entropy plus two bits
+per 32 bits or so of it.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import partial
 
 from .bit_tape import BitTape
-from .core_samplers import CellLaw, Stream, locate
+from .core_samplers import _LEVEL_START, CellLaw, Stream, locate
 from .errors import InternalError, ParameterDomainError
 
 
@@ -109,63 +108,56 @@ def shift_and_round(
     cells: CellLaw,
     noise: str,
     omega: int | None = None,
-    tail: frozenset[int] = frozenset(),
-) -> tuple[MechanismResult, int]:
-    """Release ``counts`` on the grid cells.halfwidth * s; returns the result and the shift.
+) -> tuple[MechanismResult, int, list[int]]:
+    """Release ``counts`` on the grid cells.halfwidth * s; returns the result, the shift and the departed.
 
-    Draws the shift unless ``omega`` forces it. Coordinates in ``tail`` take
-    noise +-(unit + G) with G geometric: one fair sign bit, then their cell
-    from ``cells.geometric_tail`` (bits under "tail"). The others are silent
-    or draw their cell from ``cells`` (bits under ``noise``); cells draw on
-    ``stream``, the release's uniform. ``start`` is the report's tape snapshot.
+    Draws the shift unless ``omega`` forces it. Cells draw on ``stream``, the
+    release's uniform, with bits under ``noise``; ``start`` is the report's
+    tape snapshot. The departed are the coordinates released outside the cell
+    of their centre, in the order drawn.
     """
-    unit = cells.halfwidth
+    unit, tails = cells.halfwidth, cells.tails
     grid = unit * s
     reach = unit - 1
     if omega is None:
         omega = draw_shift(tape, unit, s)
     values = []
     boundary = []
-    queued, keys = [], []  # the single-edge coordinates, for draw_runs
+    queued, keys = [], []  # the coordinates draw_runs draws, each holding its home cell
+    quiet, quiet_keys = [], []  # the silent coordinates, queued last under a law with tails
     # Silent coordinates draw nothing, so one category covers the loop.
     old = tape.charge(noise)
     try:
         for i, s_i in enumerate(counts.sums):
             center = s_i + omega
-            if i in tail:
-                tape.charge("tail")
-                if tape.next_bit():  # eta = unit + G: past edge E once G >= E - center - unit
-                    low = (center + unit) // grid * grid
-                    first, step = low + grid - center - unit, grid
-                else:  # eta = -(unit + G): below edge E once G >= center - unit - E + 1
-                    low = (center - unit) // grid * grid
-                    first, step = center - unit - low + 1, -grid
-                edges = range(first, cells.horizon + grid, grid)  # the last past any comparison's reach
-                values.append(low + step * locate(stream, cells.geometric_tail, edges))
-                tape.charge(noise)
-                continue
             # The grid edges E in (center - reach, center + reach], as keys
             # E - center: the release reaches E exactly when eta >= E - center.
-            # No edge means the coordinate is silent and draws nothing.
             low = (center - reach) // grid * grid
             k = low + grid - center
             if k < unit:
                 boundary.append(i)
-                if k + grid < unit:  # two edges, only when s = 1
+                if k + grid < unit and not tails:  # two edges, only when s = 1
                     low += grid * locate(stream, cells.tail_ratio, range(k, unit, grid))
-                else:  # one edge at key k: queued, holding its home cell (see draw_runs)
+                else:  # keyed by an edge of its home cell, the one at k (see draw_runs)
                     if k <= 0:
                         low += grid
                     queued.append(len(values))
                     keys.append(k)
+            elif tails:  # no edge within reach, and home is the lower cell
+                quiet.append(len(values))
+                quiet_keys.append(k)
             values.append(low)
-        if keys:
-            draw_runs(stream, cells, grid, queued, keys, values)
+        if quiet:
+            queued += quiet
+            keys += quiet_keys
+        moved = draw_runs(stream, cells, grid, queued, keys, values, len(quiet))
     finally:
         tape.charge(old)
-    # One draw for each paid coordinate, boundary or tail, in index order.
-    paid = sorted([*tail, *boundary]) if tail else boundary
-    return MechanismResult(tuple(values), build_report(tape, start, tuple(boundary), dict.fromkeys(paid, 1))), omega
+    departed = [queued[j] for j in moved]
+    # One draw for each paid coordinate, on a boundary or silent and departed, in index order.
+    paid = sorted({*boundary, *departed}) if moved and moved[-1] >= len(boundary) else boundary
+    report = build_report(tape, start, tuple(boundary), dict.fromkeys(paid, 1))
+    return MechanismResult(tuple(values), report), omega, departed
 
 
 def _products(cells: CellLaw, keys: list, b: int, end: int, level: int, lo: int, hi: int):
@@ -180,14 +172,14 @@ def _products(cells: CellLaw, keys: list, b: int, end: int, level: int, lo: int,
         k = keys[i]
         if k <= 0:
             k = 1 - k
-        _, a_lo, a_hi, _ = memo.get(k) or cells.tail_ratio(k, level)
+        _, a_lo, a_hi, _ = memo.get(k) or cells.departure(k, level)
         # Outward rounding: the lower product down, the upper product up.
         # Since 0 <= a_lo <= a_hi <= one, 0 <= lo <= hi <= one holds with no clipping.
         lo = lo * (one - a_hi) >> p
         hi = -(-hi * (one - a_lo) >> p)
         if (yield p, lo, hi, p - (hi - lo).bit_length()):
-            # p / (1 - p) grows with p, and p <= 1/2 keeps 1 - p away from 0.
-            lo, hi = yield p, lo, hi, lo * a_lo // (one - a_lo), -(-hi * a_hi // (one - a_hi))
+            # p / (1 - p) grows with p; a_lo < one, since the lower bound of p < 1 rounds down.
+            lo, hi = yield p, lo, hi, lo * a_lo // (one - a_lo), -(-hi * a_hi // max(one - a_hi, 1))
             yield
 
 
@@ -200,17 +192,41 @@ def _departed(level: int, a_lo: int, a_hi: int, b_lo: int, b_hi: int, cells: Cel
     return a_lo + t_lo, a_hi + t_hi, b_lo, b_hi
 
 
-def draw_runs(stream: Stream, cells: CellLaw, grid: int, queued: list, keys: list, values: list) -> None:
-    """Draw the cells of single-edge coordinates, one :func:`locate` on ``stream`` per run that stays home.
+def _below(rec: tuple, stay: tuple) -> tuple[int, int, int, int]:
+    """The record ``rec`` times the record ``stay``, at ``rec``'s precision, rounded outward."""
+    p, lo, hi = rec[:3]
+    w, s_lo, s_hi, _ = stay
+    lo, hi = lo * s_lo >> w, -(-hi * s_hi >> w)
+    return p, lo, hi, p - (hi - lo).bit_length()
 
-    Coordinate ``queued[i]``, with its edge at key k = ``keys[i]``, holds its
-    home cell, the one of its centre: the lower cell when k > 0, else the
-    upper. It departs across the edge with probability p = tail_ratio(k')
-    <= 1/2, k' = k if k > 0 else 1 - k by symmetry. From a run start b, the
-    count L that stay home has upper tails T_j = prod_{b <= i < b + j} (1 - p_i),
-    so one locate draws L; b + L departs and the next run starts after it.
-    Products start at the stream's B, and a departure carries u into
-    [A + B T_(L+1), A + B T_L); the queue's end, a release's last draw, carries nothing.
+
+def _then(run, n: int, rec: tuple, stay: tuple):
+    """The next n records of ``run``, then the last of them (``rec`` if none) times ``stay``."""
+    for _ in range(n):
+        rec = next(run)
+        yield rec
+    yield _below(rec, stay)
+
+
+def draw_runs(stream: Stream, cells: CellLaw, grid: int, queued: list, keys: list, values: list, silent: int = 0):
+    """Draw the cells of the queued coordinates in runs that stay home, on ``stream``; returns the departed positions.
+
+    Coordinate ``queued[i]`` holds its home cell, the one of its centre, whose
+    upper edge is k = ``keys[i]`` above the centre when k > 0, else whose
+    lower edge is k <= 0 from it; k' = k or 1 - k. It departs with probability
+    p = ``cells.departure(k')``. From a run start b, the count L that stay
+    home has upper tails T_j = prod_{b <= i < b + j} (1 - p_i), so one
+    :func:`locate` draws L, and b + L departs: u is carried into
+    [A + B T_(L+1), A + B T_L), products starting at the stream's B. Under a
+    truncated law it crosses the edge at k; under a law with tails one more
+    locate, over ``cells.beyond``, draws its cell. The queue's end, a
+    release's last draw, carries nothing.
+
+    The last ``silent`` coordinates have no edge within reach, so p_i <= p: a
+    run that reaches them first compares u with the product so far times
+    ``cells.all_stay`` (1 - p)^silent, a lower bound of the product over them
+    all. Below it, all stay; otherwise the run goes on through their exact
+    products, in the same frame.
     """
 
     def bounds(j: int, level: int) -> tuple[int, int, int, int]:
@@ -218,23 +234,48 @@ def draw_runs(stream: Stream, cells: CellLaw, grid: int, queued: list, keys: lis
         if level > len(refined):  # locate asks for the levels of a key in order
             refined.append([b - 1, None, _products(cells, keys, b, end, level, *stream.level(level)[2:])])
         entry = refined[level - 1]
+        if j == coarse:  # the coarse key: the product before it times (1 - p)^silent
+            rec = bounds(j - 1, level) if j > b else (_LEVEL_START << level, *stream.level(level)[2:])
+            return _below(rec, cells.all_stay(silent, level))
         while entry[0] < j:
             entry[0] += 1
             entry[1] = next(entry[2])
         return entry[1]
 
     refined: list[list] = []  # per level >= 1: [last key read, its record, the level's generator]
+    tails = cells.tails
     b, end = 0, len(keys)
+    # The coarse key, unless (1 - p)^silent rounds to 0 and certifies nothing.
+    stay = silent and cells.all_stay(silent, 0)
+    departed = []
     run = _products(cells, keys, 0, end, 0, stream.b_lo, stream.b_hi)
-    while True:
-        i = b + locate(stream, bounds, range(b, end), run)
+    while b < end:
+        coarse = max(b, end - silent) if stay and stay[1] else None
+        if coarse is None:
+            i = b + locate(stream, bounds, range(b, end), run)
+        else:
+            level0 = _then(run, coarse - b, (_LEVEL_START, stream.b_lo, stream.b_hi), stay)
+            i = b + locate(stream, bounds, range(b, coarse + 1), level0)
+            if i > coarse:  # u is below the coarse key: every key stays home
+                break
+            if i == coarse:  # u is not below it: on through the exact products
+                coarse = None
+                i += locate(stream, bounds, range(i, end), run)
         if i == end:  # every key stayed home
-            return
-        values[queued[i]] += grid if keys[i] > 0 else -grid
-        if i + 1 == end:
-            return
+            break
+        departed.append(i)
         refined.clear()
-        _, t_lo, t_hi, b_lo, b_hi = run.send(True)
-        stream.carry(stream.a_lo + t_lo, stream.a_hi + t_hi, b_lo, b_hi, (_departed, cells, keys, b, i))
+        if tails or i + 1 < end:
+            _, t_lo, t_hi, b_lo, b_hi = run.send(True)
+            stream.carry(stream.a_lo + t_lo, stream.a_hi + t_hi, b_lo, b_hi, (_departed, cells, keys, b, i))
+        k = keys[i]
+        if tails:  # c // 2 + 1 cells out, past the edge at k (c even) or the other (c odd)
+            c = locate(stream, partial(cells.beyond, k if k > 0 else 1 - k), cells.beyond_keys)
+            values[queued[i]] += grid * (c // 2 + 1) if (k > 0) == (c % 2 == 0) else -grid * (c // 2 + 1)
+        else:
+            values[queued[i]] += grid if k > 0 else -grid
+        if i + 1 == end:
+            break
         run.send((stream.b_lo, stream.b_hi))
         b = i + 1
+    return departed

@@ -508,50 +508,32 @@ def draw_runs(tape: BitTape, tail_ratio, grid: int, queued: list, keys: list, va
                     seen["p below level 0"] += not r_lo
 
 
-def _count_entropy(thresholds) -> float:
-    """Entropy, in bits, of a count whose upper tails are ``thresholds`` (T_1 >= T_2 >= ..., T_0 = 1)."""
-    h, above = 0.0, 1.0
-    for t in [*thresholds, 0.0]:
-        mass = above - t
-        if mass > 0:
-            h -= mass * math.log2(mass)
-        above = t
-    return h
-
-
 def pure_draw_entropy(counts: CountVector, params: PureParams, omega: int) -> float:
-    """Expected entropy, in bits, of what an efficient pure release of ``counts`` draws at the shift ``omega``.
+    """Expected entropy, in bits, of the cells an efficient pure release of ``counts`` draws at the shift ``omega``.
 
-    d h(p) for the tail set, plus, per coordinate, (1 - p) H(body cell) +
-    p (1 + H(tail cell | sign)): the 1 is the fair sign bit. Every
-    probability is the midpoint of the cell law's level-0 record, so the
-    figure is a float, not a certified bound. A silent coordinate's body
-    cell is certain; a tail cell's geometric tail is cut where it falls
-    below 2**-60.
+    The sum over coordinates of H(cell) under the untruncated discrete-Laplace
+    law: the home cell, the cell of the centre, and every cell past either of
+    its edges. Every probability is the midpoint of the cell law's level-0
+    record of P[eta >= e] at an edge key e, so the figure is a float, not a
+    certified bound; each side's cells are cut where they fall below 2**-60.
     """
 
-    def mid(rec) -> float:
-        p, lo, hi, _ = rec
+    def tail(e: int) -> float:
+        p, lo, hi, _ = params.cells.tail_ratio(e, 0)
         return (lo + hi) / 2 ** (p + 1)
 
-    cells, unit, grid = params.cells, params.m, params.grid
-    p = mid(cells.any_tail(1, 0))
-    total = params.d * _count_entropy([p])
+    grid = params.grid
+    total = 0.0
     for c in counts.sums:
         center = c + omega
-        # The body cell: the edges E - center within reach, as shift_and_round keys them.
-        low = (center - unit + 1) // grid * grid
-        body = [mid(cells.tail_ratio(k, 0)) for k in range(low + grid - center, unit, grid)]
-        # The tail cell, each sign with chance 1/2: thresholds q^g at its edges g.
-        sides = []
-        up, down = (center + unit) // grid * grid, (center - unit) // grid * grid
-        for first in (up + grid - center - unit, center - unit - down + 1):
-            tails, g = [], first
-            while not tails or tails[-1] > 2.0**-60:
-                tails.append(mid(cells.geometric_tail(g, 0)))
-                g += grid
-            sides.append(_count_entropy(tails))
-        total += (1 - p) * _count_entropy(body) + p * (1 + sum(sides) / 2)
+        low = center // grid * grid
+        edges = (low + grid - center, center - low + 1)  # the keys eta must reach to leave upward, downward
+        masses = [1 - tail(edges[0]) - tail(edges[1])]
+        for e in edges:
+            while tail(e) > 2.0**-60:
+                masses.append(tail(e) - tail(e + grid))
+                e += grid
+        total -= sum(m * math.log2(m) for m in masses if m > 0)
     return total
 
 

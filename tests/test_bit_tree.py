@@ -122,8 +122,9 @@ def test_pure_desk_with_a_drawn_shift_is_certified(desk_drawn):
 
 def test_pure_desk_expected_bits_are_exact(desk_drawn):
     # Exact up to 1e-9 of open mass: the release's expected bits, the shift's one bit included.
+    # A tail-set draw ahead of the cells read 7.150 bits.
     _, (_, _, bits, _) = desk_drawn
-    assert abs(float(bits) - 7.150) <= 0.01
+    assert abs(float(bits) - 5.649) <= 0.01
 
 
 @pytest.mark.parametrize("v", [1, 2])

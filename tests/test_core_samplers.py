@@ -14,6 +14,7 @@ import re
 import time
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -30,7 +31,7 @@ from frugaldp.cli import RunConfig
 from frugaldp.core_samplers import GaussianCells, LaplaceCells, locate
 from frugaldp.errors import EnclosureContractError, InternalError, ParameterDomainError
 from frugaldp.precise_math import exp_neg, rational_enclose
-from frugaldp.pure_mech import PureParams, PureTrace, derive_pure_params, mech_pure_efficient, sample_tail_set
+from frugaldp.pure_mech import PureParams, PureTrace, derive_pure_params, mech_pure_efficient
 from frugaldp.release import CountVector, MechanismResult, RandomnessReport, draw_runs, shift_and_round
 from reference import (
     GaussParam,
@@ -319,9 +320,15 @@ def _laplace_weight(t):
     return lambda eta: math.exp(-abs(eta) / float(t))
 
 
-def _cell_probs(weight, halfwidth, center, grid):
-    """Float oracle: law of floor_grid(center + eta) by enumerating eta."""
-    support = range(-(halfwidth - 1), halfwidth)
+def _reach(law) -> int:
+    """The noise values an oracle enumerates, |eta| < reach: the half-width of a
+    truncated law, far enough out for an untruncated one that the rest is below 1e-100."""
+    return 60 * law.halfwidth if law.tails else law.halfwidth
+
+
+def _cell_probs(weight, reach, center, grid):
+    """Float oracle: law of floor_grid(center + eta) by enumerating |eta| < reach."""
+    support = range(-(reach - 1), reach)
     z = sum(weight(eta) for eta in support)
     probs = {}
     for eta in support:
@@ -333,7 +340,7 @@ def _cell_probs(weight, halfwidth, center, grid):
 def _release_cell(tape, law, s, count):
     """The value shift_and_round releases for one count, with the shift forced to the unit."""
     counts = CountVector(1, 100, (count,))
-    result, _ = shift_and_round(tape, cs.Stream(tape), tape.snapshot(), counts, s, law, "noise", law.halfwidth)
+    result, _, _ = shift_and_round(tape, cs.Stream(tape), tape.snapshot(), counts, s, law, "noise", law.halfwidth)
     return result.values[0]
 
 
@@ -345,15 +352,18 @@ def _assert_cell_law(hist, probs):
     assert stats.chisquare(observed, expected).pvalue >= 0.001
 
 
+# Each law is made for the s of the release it draws: the Laplace law is
+# untruncated, so its departures depend on both edges of the home cell.
 _LAWS = [
-    ("gaussian", lambda: GaussianCells(Fraction(7, 3), 9), _gauss_weight(Fraction(7, 3)), 9),
-    ("laplace", lambda: LaplaceCells(Fraction(5, 2), 11), _laplace_weight(Fraction(5, 2)), 11),
+    ("gaussian", lambda s=2: GaussianCells(Fraction(7, 3), 9), _gauss_weight(Fraction(7, 3)), 9),
+    ("laplace", lambda s=2: LaplaceCells(Fraction(5, 2), 11, s), _laplace_weight(Fraction(5, 2)), 11),
 ]
 
 # Releases of several coordinates, as (s, keys): with unit h and the shift
 # forced to h, count (s - 1) h - k puts the edge s h at key k from the
 # centre (home is the lower cell for k > 0, the upper one otherwise), and
-# None is count 0, a silent coordinate.
+# None is count 0, a silent coordinate (which the untruncated Laplace law
+# also moves, rarely).
 _RUNS = [
     (2, (1, 0, -1, 2, 0)),
     (2, (-1, 1, None, 0, 2, 1)),
@@ -365,13 +375,16 @@ def _run_case(law, weight, s, keys):
     """The counts of a _RUNS case and the exact cell law of each coordinate."""
     h = law.halfwidth
     sums = tuple(0 if k is None else (s - 1) * h - k for k in keys)
-    laws = [_cell_probs(weight, h, c + h, h * s) for c in sums]
-    assert [len(probs) for probs in laws] == [1 if k is None else 2 for k in keys]
+    laws = [_cell_probs(weight, _reach(law), c + h, h * s) for c in sums]
+    if law.tails:  # cells below 1e-9 are left to the pooled bin
+        laws = [{c: p for c, p in probs.items() if p >= 1e-9} for probs in laws]
+    else:
+        assert [len(probs) for probs in laws] == [1 if k is None else 2 for k in keys]
     return CountVector(len(sums), 4 * h * s, sums), laws
 
 
 def _release_row(tape, law, s, counts):
-    result, _ = shift_and_round(tape, cs.Stream(tape), tape.snapshot(), counts, s, law, "noise", law.halfwidth)
+    result, _, _ = shift_and_round(tape, cs.Stream(tape), tape.snapshot(), counts, s, law, "noise", law.halfwidth)
     return result.values
 
 
@@ -382,11 +395,11 @@ def _assert_joint_law(hist, laws):
         joint[tuple(c for c, _ in row)] = math.prod(p for _, p in row)
     assert set(hist) <= set(joint)
     n = sum(hist.values())
-    # Outcomes expecting fewer than 5 draws are pooled into one bin.
+    # Outcomes expecting fewer than 5 draws, and any mass the laws leave out, are pooled into one bin.
     big = [v for v in joint if joint[v] * n >= 5]
     observed = [hist.get(v, 0) for v in big]
     expected = [joint[v] * n for v in big]
-    if len(big) < len(joint):
+    if len(big) < len(joint) or sum(observed) < n:
         observed.append(n - sum(observed))
         expected.append(n - sum(expected))
     assert stats.chisquare(observed, expected).pvalue >= 0.001
@@ -403,10 +416,10 @@ class TestCellDraw:
     @pytest.mark.parametrize("name,make,weight,h", _LAWS)
     def test_tail_ratio_encloses_the_tail_mass(self, name, make, weight, h):
         law = make()
-        support = range(-(h - 1), h)
+        support = range(-(_reach(law) - 1), _reach(law))
         z = sum(weight(eta) for eta in support)
         for k in range(-(h - 2), h):
-            ratio = sum(weight(eta) for eta in range(k, h)) / z
+            ratio = sum(weight(eta) for eta in range(k, _reach(law))) / z
             for level in (0, 1):
                 p, lo, hi, limit = law.tail_ratio(k, level)
                 assert lo / 2**p <= ratio * (1 + 1e-12)
@@ -417,13 +430,15 @@ class TestCellDraw:
     @pytest.mark.parametrize("center,grid", [(40, 20), (9, 10), (50, 9)])
     def test_cell_law_matches_enumeration(self, name, make, weight, h, center, grid):
         # The comparator alone, for grids the release never uses: grid 20
-        # leaves one edge in the window, 10 and 9 leave two (three cells).
+        # leaves one edge in the window, 10 and 9 leave two (three cells);
+        # the untruncated law reaches every edge out to its oracle's reach.
         law = make()
-        low = (center - (h - 1)) // grid * grid
-        keys = range(low + grid - center, h, grid)
+        reach = _reach(law)
+        low = (center - (reach - 1)) // grid * grid
+        keys = range(low + grid - center, reach, grid)
         n = 40_000
         hist, bits = collect_histogram(lambda t: low + grid * locate(t, law.tail_ratio, keys), n, 708)
-        probs = _cell_probs(weight, h, center, grid)
+        probs = _cell_probs(weight, reach, center, grid)
         _assert_cell_law(hist, probs)
         assert bits / n <= 2 * (len(probs) - 1) + 1
 
@@ -432,13 +447,14 @@ class TestCellDraw:
     def test_release_cell_law_matches_enumeration(self, name, make, weight, h, s, count, cells):
         # Unit h and the shift forced to h put the window at (count, count + 2h):
         # one edge in it for count 0 at s = 1 and count 3 at s = 2, two for count 3 at s = 1.
-        law = make()
-        probs = _cell_probs(weight, h, count + h, h * s)
-        assert len(probs) == cells
+        # The untruncated law also reaches cells past the window, rarely.
+        law = make(s)
+        probs = _cell_probs(weight, _reach(law), count + h, h * s)
+        assert law.tails or len(probs) == cells
         n = 40_000
         hist, bits = collect_histogram(lambda t: _release_cell(t, law, s, count), n, 708)
         _assert_cell_law(hist, probs)
-        assert bits / n <= 2 * (len(probs) - 1) + 1
+        assert bits / n <= 2 * (cells - 1) + 1
 
     def test_silent_window_draws_nothing(self):
         # center 27 on grid 18: the window (19, 35) holds no edge.
@@ -450,29 +466,31 @@ class TestCellDraw:
     def test_refinement_keeps_the_law(self, monkeypatch):
         # Start at 4-bit levels so that most draws must refine their enclosure.
         monkeypatch.setattr(cs, "_LEVEL_START", 4)
-        law = LaplaceCells(Fraction(5, 2), 11)
+        law = LaplaceCells(Fraction(5, 2), 11, 1)
         n = 20_000
         hist, _ = collect_histogram(lambda t: _release_cell(t, law, 1, 3), n, 710)
         assert len(law._levels) >= 2
-        _assert_cell_law(hist, _cell_probs(_laplace_weight(Fraction(5, 2)), 11, 14, 11))
+        _assert_cell_law(hist, _cell_probs(_laplace_weight(Fraction(5, 2)), _reach(law), 14, 11))
 
     @pytest.mark.parametrize("name,make,weight,h", _LAWS)
     @pytest.mark.parametrize("s,keys", _RUNS)
     def test_run_law_matches_the_product_of_cell_laws(self, name, make, weight, h, s, keys):
-        law = make()
+        law = make(s)
         counts, laws = _run_case(law, weight, s, keys)
         hist, _ = collect_histogram(lambda t: _release_row(t, law, s, counts), 40_000, 712)
         _assert_joint_law(hist, laws)
         boundary = [i for i, k in enumerate(keys) if k is not None]
         # Departures at the first, every middle and the last boundary coordinate,
-        # and releases that keep every coordinate home.
-        assert _first_departures(hist, counts, law, s) == {*boundary, None}
+        # and releases that keep every coordinate home; under the untruncated
+        # law a silent coordinate may depart first too.
+        first = _first_departures(hist, counts, law, s)
+        assert first >= {*boundary, None} and (law.tails or first == {*boundary, None})
 
     def test_refinement_mid_run_keeps_the_law(self, monkeypatch):
         # 4-bit levels: the running products widen within a few coordinates,
         # so draws refine partway along a run and rebuild that level's prefix.
         monkeypatch.setattr(cs, "_LEVEL_START", 4)
-        law = LaplaceCells(Fraction(5, 2), 11)
+        law = LaplaceCells(Fraction(5, 2), 11, 2)
         counts, laws = _run_case(law, _laplace_weight(Fraction(5, 2)), 2, _RUNS[0][1])
         hist, _ = collect_histogram(lambda t: _release_row(t, law, 2, counts), 20_000, 713)
         assert len(law._levels) >= 2
@@ -494,14 +512,10 @@ class TestCellDraw:
             counts = CountVector(d, grid + d, tuple(base + i for i in range(d)))
             for omega in range(unit, grid + 1, unit):
                 if mode == "approx":
-                    report, tail = mech_approx_efficient(counts, params, tape, omega).report, ()
+                    report = mech_approx_efficient(counts, params, tape, omega).report
                 else:
-                    result, trace = mech_pure_efficient(counts, params, tape, omega)
-                    report, tail = result.report, trace.tail_set
-                expected = [
-                    i for i, s_i in enumerate(counts.sums)
-                    if i not in tail and not is_silent(s_i, omega, unit, grid)
-                ]
+                    report = mech_pure_efficient(counts, params, tape, omega)[0].report
+                expected = [i for i, s_i in enumerate(counts.sums) if not is_silent(s_i, omega, unit, grid)]
                 assert list(report.boundary_coordinates) == expected
 
     def test_halfwidth_validation(self):
@@ -511,25 +525,8 @@ class TestCellDraw:
     def test_integer_laplace_scale_is_exact(self):
         # An int t must not reach the law as the float 1/t.
         keys = range(-6, 7)
-        exact = LaplaceCells(Fraction(3), 7)
-        assert [LaplaceCells(3, 7).tail_ratio(k, 0) for k in keys] == [exact.tail_ratio(k, 0) for k in keys]
-
-
-def _tail_cell_probs(t, m, grid, center):
-    """Float oracle of a tail coordinate's cell, by enumerating eta = +-(m + G) with G geometric.
-
-    Returns the law of each sign, each conditioned on that sign.
-    """
-    q = math.exp(-1 / float(t))
-    sides = ({}, {})
-    g = 0
-    while q**g > 1e-18:
-        mass = (1 - q) * q**g
-        for side, eta in zip(sides, (m + g, -(m + g))):
-            cell = (center + eta) // grid * grid
-            side[cell] = side.get(cell, 0.0) + mass
-        g += 1
-    return sides
+        exact = LaplaceCells(Fraction(3), 7, 2)
+        assert [LaplaceCells(3, 7, 2).tail_ratio(k, 0) for k in keys] == [exact.tail_ratio(k, 0) for k in keys]
 
 
 def _entropy_bits(probs):
@@ -557,11 +554,13 @@ _TAIL_LAWS = [(Fraction(12), 22), (Fraction(2), 2)]
 class TestTailCellDraw:
     @pytest.mark.parametrize("t,m", _TAIL_LAWS)
     def test_geometric_tail_encloses_q_to_the_g(self, t, m):
-        law = LaplaceCells(t, m)
-        for g in range(0, 12 * m):
-            exact = math.exp(-g / float(t))
+        # Past the centre the untruncated tail is geometric: P[eta >= g] = q^g / (1 + q).
+        law = LaplaceCells(t, m, 2)
+        q = math.exp(-1 / float(t))
+        for g in range(1, 12 * m):
+            exact = q**g / (1 + q)
             for level in (0, 1):
-                p, lo, hi, limit = law.geometric_tail(g, level)
+                p, lo, hi, limit = law.tail_ratio(g, level)
                 assert lo / 2**p <= exact * (1 + 1e-12)
                 assert hi / 2**p >= exact * (1 - 1e-12)
                 assert limit >= 40 << level
@@ -571,47 +570,40 @@ class TestTailCellDraw:
     def test_cell_law_matches_the_geometric_tail(self, t, m, offset):
         # s = 2 and the shift forced to m put the centre at count + m. Offset
         # 0 puts c + m and c - m on grid edges; 1 and -1 put them just past
-        # and just short of one.
+        # and just short of one, so the coordinate is on a boundary or silent.
+        # Either way it departs now and then, to cells on both sides and past
+        # the adjacent ones, and one locate over cells.beyond draws which.
         s, grid = 2, 2 * m
         count = 2 * grid + offset
         center = count + m
-        law = LaplaceCells(t, m)
-        counts, tail = CountVector(1, 4 * grid, (count,)), frozenset({0})
+        law = LaplaceCells(t, m, s)
+        counts = CountVector(1, 4 * grid, (count,))
 
         def draw(tape):
-            result, _ = shift_and_round(tape, cs.Stream(tape), tape.snapshot(), counts, s, law, "noise", m, tail)
-            assert result.report.draws_attempted == {0: 1}
-            assert set(result.report.bits_by_category) == {"tail"}  # the sign bit at least
+            result, _, _ = shift_and_round(tape, cs.Stream(tape), tape.snapshot(), counts, s, law, "noise", m)
+            assert set(result.report.bits_by_category) == {"noise"}
             return result.values
 
         n = 20_000
         hist, bits = collect_histogram(draw, n, 714)
-        positive, negative = _tail_cell_probs(t, m, grid, center)
-        # Both signs with probability 1/2; the grid is 2m, so their cells do not overlap.
-        assert max(negative) < min(positive)
-        joint = {cell: p / 2 for side in (positive, negative) for cell, p in side.items()}
-        _assert_joint_law(hist, [joint])
-        assert {v[0] >= min(positive) for v in hist} == {True, False}
-        # One sign bit, then one locate over q^g1, q^(g1 + grid), ... on that side.
-        # That locate is the interval algorithm, within H(cell | sign) + 3 bits
-        # (Han and Hoshi); near an edge it exceeds H + 2 (3.53 > 3.37 at t=12, offset 0).
-        q = math.exp(-1 / float(t))
-        firsts = (min(positive) + grid - center - m, center - m - max(negative) + 1)
-        sides = [[q ** (g + j * grid) for j in range(60)] for g in firsts]
-        expected = 1 + sum(_locate_bits(thresholds) for thresholds in sides) / 2
-        entropy = (_entropy_bits(positive) + _entropy_bits(negative)) / 2
-        assert bits / n <= expected + 0.05
-        assert expected <= 1 + entropy + 3
+        probs = _cell_probs(_laplace_weight(t), _reach(law), center, grid)
+        _assert_joint_law(hist, [{c: p for c, p in probs.items() if p >= 1e-9}])
+        home = center // grid * grid
+        assert {home - 2 * grid, home - grid, home + grid, home + 2 * grid} <= {v[0] for v in hist}
+        # One carried uniform for the run and the departure's cell: within
+        # H(cell) + 3 bits (Han and Hoshi), and past H + 1 only by the price of
+        # a key compared afresh.
+        assert bits / n <= _entropy_bits(probs) + 3
 
     def test_geometric_tail_encloses_q_to_the_g_at_far_keys(self):
         # t = 2**40 keeps q^g away from 0 for keys up to past 2**33, where
         # the power takes over thirty squarings of the enclosure of q.
         t = 2**40
-        law = LaplaceCells(Fraction(t), 5)
+        law = LaplaceCells(Fraction(t), 5, 2)
         for g in (1, 255, 256, 65_535, 65_536, 2**24 + 3, 2**32 - 1, 2**32, 2**33 + 2**8 + 1):
-            exact = math.exp(-g / t)
+            exact = math.exp(-g / t) / (1 + math.exp(-1 / t))
             for level in (0, 1):
-                p, lo, hi, limit = law.geometric_tail(g, level)
+                p, lo, hi, limit = law.tail_ratio(g, level)
                 assert lo / 2**p <= exact * (1 + 1e-12)
                 assert hi / 2**p >= exact * (1 - 1e-12)
                 assert limit >= 40 << level
@@ -647,19 +639,18 @@ class TestRecordMemo:
         monkeypatch.setattr(cs, "_MEMO_CAP", 1)
         tiny = _seeded_batch(*make(), seeds)
         assert fresh == warm == tiny
-        _, ratios, tails, stays = params.cells._levels[0]
-        # Boundary cells were drawn, and in pure mode tail cells and the tail set.
-        assert ratios and bool(tails) == bool(stays) == (mode == "pure")
+        _, ratios, departures = params.cells._levels[0]
+        # Boundary cells were drawn; in pure mode their departures and cells read two memos.
+        assert ratios and bool(departures) == (mode == "pure")
 
     def test_memo_stays_bounded(self):
-        # Half-width 20 000 leaves 40 000 distinct tail-ratio keys; the
-        # geometric tail and the any-tail powers have keys without end.
-        law = LaplaceCells(Fraction(4096), 20_000)
+        # Half-width 20 000 on a grid of 40 000 leaves 40 000 distinct
+        # departure keys; tail ratios have keys without end.
+        law = LaplaceCells(Fraction(4096), 20_000, 2)
         cap = cs._MEMO_CAP
         for k in range(-19_999, 20_001):
             law.tail_ratio(k, 0)
-            law.geometric_tail(k + 20_000, 0)
-            law.any_tail(k + 20_000, 0)
+            law.departure(k + 20_000, 0)
             memos = law._levels[0][1:]
             assert all(len(memo) <= cap for memo in memos)
         assert all(memos)
@@ -668,6 +659,12 @@ class TestRecordMemo:
 def _on_stream(tape, *args) -> None:
     """The package's draw_runs on a fresh stream from ``tape``."""
     draw_runs(cs.Stream(tape), *args)
+
+
+class _NearerCells(LaplaceCells):
+    """The Laplace law's departures, each across its nearer edge: the runs alone, as the closure draws them."""
+
+    tails = False
 
 
 class TestRunStream:
@@ -686,13 +683,15 @@ class TestRunStream:
         monkeypatch.setattr(cs, "_LEVEL_START", level_start)
         rng = random.Random(f"{name}:{level_start}")
         law, closure_law = make(), make()
+        if law.tails:  # the closure draws no departure's cell; t = 3/2 puts p(10) below 2**-8
+            law, closure_law = _NearerCells(Fraction(3, 2), h, 2), _NearerCells(Fraction(3, 2), h, 2)
         seen = Counter()
         for case in range(300):
             keys = [rng.randrange(2 - h, h) for _ in range(rng.randrange(1, 40) if case % 10 else 120)]
             queued = rng.sample(range(2 * len(keys)), len(keys))
             grid = h * rng.randrange(2, 5)
             out = []
-            for draw, *source in ((_on_stream, law), (reference.draw_runs, closure_law.tail_ratio, seen)):
+            for draw, *source in ((_on_stream, law), (reference.draw_runs, closure_law.departure, seen)):
                 tape = BitTape(seed=case)
                 values = [0] * 2 * len(keys)
                 with tape.category("noise"):
@@ -755,8 +754,8 @@ class TestCarriedStream:
     @pytest.mark.parametrize("mode", ["pure", "approx"])
     @pytest.mark.parametrize("level_start", [4, 8])
     def test_refined_carried_draws_keep_the_joint_law(self, mode, level_start, monkeypatch):
-        # At 4- and 8-bit levels the tail-set runs, the tail cells, the
-        # two-edge windows and the runs of one-edge cells refine on a stream
+        # At 4- and 8-bit levels the runs, the departures' cells, the
+        # two-edge windows and the silent coordinates' coarse key refine on a stream
         # that already carries u, so A and B are rebuilt at finer levels from
         # the draws since the last fresh start (Stream.level, Stream.scaled).
         # The whole release must still follow the product of the exact laws.
@@ -795,8 +794,7 @@ class TestCarriedStream:
         for seed in range(400):
             tape = BitTape(seed=seed)
             stream = cs.Stream(tape)
-            tail = sample_tail_set(tape, params.d, params.cells.any_tail, stream) if mode == "pure" else frozenset()
-            shift_and_round(tape, stream, tape.snapshot(), counts, params.s, params.cells, "noise", None, tail)
+            shift_and_round(tape, stream, tape.snapshot(), counts, params.s, params.cells, "noise")
             ab = 0, 0, one, one
             for narrow, *args in stream.history:
                 ab = narrow(0, *ab, *args)
@@ -912,13 +910,14 @@ class TestSearch:
                 assert reads <= cs._LINEAR_KEYS + 2 * (c + 1).bit_length() + 2, (n, c, reads)
 
     def test_s1_tail_cells_search_their_keys(self, monkeypatch):
-        # At s = 1 the grid is 1, so a tail cell is about t = d/eps keys out.
+        # At s = 1 the grid is 1, so nearly every coordinate departs, to a
+        # cell about t = d/eps keys out.
         params = derive_pure_params(Fraction(1), 1024, 1)
         counts = CountVector(1024, 10**6, tuple((7919 * i) % 10**6 for i in range(1024)))
         reads = []
 
         def counted_locate(tape, bounds, keys, level0=None):
-            if bounds != params.cells.geometric_tail:
+            if getattr(bounds, "func", None) != params.cells.beyond:
                 return cs.locate(tape, bounds, keys, level0)
             reads.append(0)
 
@@ -935,49 +934,32 @@ class TestSearch:
         assert len(reads) == trace.tail_size > 1000
         assert max(reads) <= 4 * math.log2(params.scale) + 8
 
-    def test_tail_set_members_search_their_run(self):
-        d = 10**5
-        params = derive_pure_params(Fraction(1), d, 4)
-        found = 0
-        for seed in range(400):
-            reads = 0
-
-            def any_tail(j, level):
-                nonlocal reads
-                reads += 1
-                return params.cells.any_tail(j, level)
-
-            if sample_tail_set(tape := BitTape(seed=seed), d, any_tail, cs.Stream(tape)):
-                found += 1
-                assert reads <= 4 * math.log2(d) + 8
-        assert found >= 3
-
     def test_tail_keys_end_past_every_comparison(self, monkeypatch):
         # u = 0 lies below every threshold it can be compared with: the
         # search runs out of precision, and raises, before it could return
         # the count of the whole key range, so the range truncates no law.
         # A 512-bit ceiling keeps the deepest level quick to build.
         monkeypatch.setattr(cs, "_LEVEL_MAX", 1 << 9)
-        law = LaplaceCells(Fraction(12), 22)
+        law = LaplaceCells(Fraction(12), 22, 2)
 
         class Zeros:
             def next_bit(self):
                 return 0
 
-        keys = range(1, law.horizon + 44, 44)
-        assert law.geometric_tail(keys[-1], 0)[1:3] == (0, 1)
+        keys, beyond = law.beyond_keys, partial(law.beyond, 5)
+        assert beyond(keys[-1], 0)[1] == 0
         with pytest.raises(EnclosureContractError):
-            locate(Zeros(), law.geometric_tail, keys)
+            locate(Zeros(), beyond, keys)
 
     def test_extreme_scale_release_finishes(self):
-        # t = 10**15: the tail cell is about 10**15 keys out, and the key
+        # t = 10**15: the departure's cell is about 10**15 keys out, and the key
         # range is longer than sys.maxsize, so it is indexed, never measured.
         params = derive_pure_params(Fraction(1, 10**15), 1, 1)
         with pytest.raises(OverflowError):
-            len(range(1, params.cells.horizon + 1))
+            len(params.cells.beyond_keys)
         tape = BitTape(seed=3)
         result, trace = mech_pure_efficient(CountVector(1, 1, (0,)), params, tape)
-        assert trace.tail_set == {0}
+        assert trace.departed == (0,)
         assert 10**12 < abs(result.values[0]) < 10**18
         assert tape.bits_consumed < 200
 
@@ -1027,7 +1009,7 @@ _RECORDS = [
         [((4, {"shift": 1}, (), {}), InternalError, "category bit counts do not sum to the total")],
     ),
     (MechanismResult, "values report", ((3, 7), RandomnessReport(*_REPORT_ARGS)), []),
-    (PureTrace, "tail_set shift", (frozenset({0, 2}), 4), []),
+    (PureTrace, "departed shift tail_size", ((0, 2), 4, 1), []),
     (
         RunConfig,
         "mode epsilon delta s seed input_path output_path",
@@ -1057,8 +1039,6 @@ def test_record_is_an_immutable_validated_namedtuple(cls, fields, args, invalid)
         with pytest.raises(AttributeError):
             setattr(record, name, None)
     assert pickle.loads(pickle.dumps(record)) == copy.copy(record) == copy.deepcopy(record) == record
-    if cls is PureTrace:
-        assert record.tail_size == len(record.tail_set) == 2
     try:
         hash(args)
     except TypeError:

@@ -8,10 +8,9 @@ from itertools import combinations
 import pytest
 
 from frugaldp.bit_tape import BitTape
-from frugaldp.core_samplers import Stream, level_record
+from frugaldp.core_samplers import Stream, locate
 from frugaldp.errors import ParameterDomainError
-from frugaldp.precise_math import rational_enclose
-from frugaldp.pure_mech import PureParams, derive_pure_params, mech_pure_efficient, sample_tail_set
+from frugaldp.pure_mech import PureParams, derive_pure_params, mech_pure_efficient
 from frugaldp.release import CountVector
 from reference import (
     pure_draw_entropy,
@@ -70,16 +69,17 @@ class TestDeriveParams:
     def test_tail_mass_and_powers_agree_with_the_reference(self, epsilon, d, s):
         # The reference encloses p from exp(-(m - 1)/t) and exp(1/t); the
         # cell law from q = exp(-1/t) and its powers. Both enclosures
-        # are sound only if they overlap, at every level and power read.
+        # are sound only if they overlap, at every level and power read:
+        # here (1 - p)^j, the coarse bound on j silent coordinates staying.
         params = derive_pure_params(epsilon, d, s)
         w = 256
         lo, hi = pure_tail_mass(params, w)
         p_lo, p_hi = Fraction(lo, 1 << w), Fraction(hi, 1 << w)
         assert params.p.lo <= p_hi and p_lo <= params.p.hi
         for j in sorted({1, 2, d}):
-            exact_lo, exact_hi = 1 - (1 - p_lo) ** j, 1 - (1 - p_hi) ** j
+            exact_lo, exact_hi = (1 - p_hi) ** j, (1 - p_lo) ** j
             for level in range(3):
-                prec, rec_lo, rec_hi, limit = params.cells.any_tail(j, level)
+                prec, rec_lo, rec_hi, limit = params.cells.all_stay(j, level)
                 assert Fraction(rec_lo, 1 << prec) <= exact_hi and exact_lo <= Fraction(rec_hi, 1 << prec)
                 assert limit >= 64 << level
 
@@ -102,19 +102,22 @@ class TestHandEvaluations:
         # d=1, sums=10, m=2, s=3, shift 4, noise 0: floor_6(14) = 12.
         assert floor_multiple(10 + 4 + 0, 6) == 12
 
-    def test_silent_branch_zero_noise_bits(self):
+    def test_silent_branch_reads_one_comparison(self):
+        # Centre 14 on grid 6: no edge within m = 2. A silent coordinate pays
+        # for nothing but the comparison of u with (1 - p)^1 that certifies it
+        # stays, and draws its cell only when that comparison fails.
         params = PureParams(1, 3, Fraction(1, 2), 2)
         counts = CountVector(d=1, n=20, sums=(10,))
         seen_silent = False
         for seed in range(40):
             tape = BitTape(seed=seed)
             res, trace = mech_pure_efficient(counts, params, tape, omega=4)
-            if trace.tail_size == 0:
-                assert res.report.boundary_coordinates == ()
-                assert res.values == (12,)
-                noise_bits = res.report.bits_by_category.get("laplace", 0)
-                noise_bits += res.report.bits_by_category.get("tail", 0)
-                assert noise_bits == 0
+            assert res.report.boundary_coordinates == ()
+            coarse = BitTape(seed=seed)
+            if locate(Stream(coarse), params.cells.all_stay, [1]):
+                assert trace.departed == () and res.values == (12,)
+                assert res.report.draws_attempted == {}
+                assert res.report.bits_by_category == {"laplace": coarse.bits_consumed}
                 seen_silent = True
         assert seen_silent
 
@@ -126,10 +129,9 @@ class TestHandEvaluations:
         seen_silent = False
         for seed in range(40):
             res, trace = mech_pure_efficient(counts, params, BitTape(seed=seed), omega=2)
-            if trace.tail_size == 0:
-                assert res.report.boundary_coordinates == ()
+            assert res.report.boundary_coordinates == ()
+            if not trace.departed:
                 assert res.values == (6,)
-                assert res.report.bits_by_category.get("laplace", 0) == 0
                 seen_silent = True
         assert seen_silent
 
@@ -139,16 +141,17 @@ class TestHandEvaluations:
         for seed in range(40):
             tape = BitTape(seed=seed)
             res, trace = mech_pure_efficient(counts, params, tape, omega=2)
-            assert trace.tail_set | set(res.report.boundary_coordinates) == {0}
+            assert res.report.boundary_coordinates == (0,)
 
 
 class TestDistributionalStructure:
     @pytest.mark.parametrize("unit", [1, 2])
     def test_release_bits_within_three_of_the_entropy_drawn(self, unit):
-        # Audit-desk at each forced shift: the tail set, the sign bits, the
-        # tail cells and the body cells all draw on one uniform, so a release
-        # reads fewer than H + 3 bits of what it draws (Han and Hoshi), where
-        # a fresh uniform per draw paid up to about a bit more for each.
+        # Audit-desk at each forced shift: the runs and the departures' cells
+        # all draw on one uniform, so a release reads fewer than H + 3 bits,
+        # H the entropy of the released cells (Han and Hoshi), where a fresh
+        # uniform per draw paid up to about a bit more for each, and a tail
+        # set drawn ahead of the cells paid for a device the output never shows.
         params = derive_pure_params(Fraction(1, 4), 3, 2)
         counts = CountVector(3, 100, (17, 50, 93))
         omega = unit * params.m
@@ -157,7 +160,7 @@ class TestDistributionalStructure:
         n = 20_000
         for _ in range(n):
             mech_pure_efficient(counts, params, tape, omega)
-        assert 4 < entropy < 4.5
+        assert 2.8 < entropy < 3.05
         assert tape.bits_consumed / n <= entropy + 3
 
     def test_variant2_vs_variant4(self):
@@ -208,75 +211,74 @@ class TestDistributionalStructure:
         assert chi_square(hist, oracle) >= 0.001
         assert float(tv_distance(hist, oracle)) <= 0.02
 
-    def test_subset_law(self):
-        # P[J = S] = p^|S| (1-p)^(d-|S|) for every S, with rational p = 1/4.
-        d, p = 3, Fraction(1, 4)
-
-        def any_tail(j, level):
-            w = 64 << level
-            return level_record(w, *rational_enclose(1 - (1 - p) ** j, w))
-
-        tape = BitTape(seed=926)
-        n = 40_000
-        hist = Counter(sample_tail_set(tape, d, any_tail, Stream(tape)) for _ in range(n))
-        all_subsets = [
-            frozenset(c) for size in range(d + 1) for c in combinations(range(d), size)
-        ]
-        expected = {S: float(p) ** len(S) * float(1 - p) ** (d - len(S)) for S in all_subsets}
+    @staticmethod
+    def _departed_law(hist, probs):
+        """Chi-square of the departed sets against independent departures with chances ``probs``."""
         from scipy import stats
 
-        observed = [hist.get(S, 0) for S in all_subsets]
-        _, pval = stats.chisquare(observed, [expected[S] * n for S in all_subsets])
-        assert pval >= 0.001
+        d = len(probs)
+        subsets = [frozenset(c) for size in range(d + 1) for c in combinations(range(d), size)]
+        n = sum(hist.values())
+        expected = [math.prod(p if i in S else 1 - p for i, p in enumerate(probs)) * n for S in subsets]
+        assert stats.chisquare([hist.get(S, 0) for S in subsets], expected).pvalue >= 0.001
+
+    def test_subset_law(self):
+        # The set of coordinates that leave their home cell: each does with
+        # p_i = (q^a + q^b) / (1 + q), a and b its edges' keys, independently.
+        # At t = 3, m = 4 and shift 4 the centres 4, 7 and 9 put a silent
+        # coordinate (a, b = 4, 5) and two on a boundary (1, 8 and 7, 2).
+        params = PureParams(3, 2, Fraction(1), 4)
+        counts = CountVector(3, 10, (0, 3, 5))
+        q = math.exp(-1 / 3)
+        probs = [(q**a + q**b) / (1 + q) for a, b in ((4, 5), (1, 8), (7, 2))]
+        tape = BitTape(seed=926)
+        hist = Counter(frozenset(mech_pure_efficient(counts, params, tape, 4)[1].departed) for _ in range(40_000))
+        self._departed_law(hist, probs)
 
     def test_subset_law_through_the_cell_law(self):
-        # The same law at audit-desk parameters (d = 3, p about 1/6), with
-        # 1 - (1 - p)^j from the cell law's enclosure of 1 - p.
+        # The same law at audit-desk parameters and shift m, with each p_i the
+        # midpoint of the cell law's level-0 departure record at the nearer key.
         params = derive_pure_params(Fraction(1, 4), 3, 2)
-        p = float((params.p.lo + params.p.hi) / 2)
+        counts = CountVector(3, 100, (17, 50, 93))
+        grid, probs = params.grid, []
+        for c in counts.sums:
+            center = c + params.m
+            a = center // grid * grid + grid - center
+            p, lo, hi, _ = params.cells.departure(min(a, grid + 1 - a), 0)
+            probs.append((lo + hi) / 2 ** (p + 1))
         tape = BitTape(seed=941)
-        n = 40_000
-        hist = Counter(sample_tail_set(tape, 3, params.cells.any_tail, Stream(tape)) for _ in range(n))
-        all_subsets = [frozenset(c) for size in range(4) for c in combinations(range(3), size)]
-        from scipy import stats
-
-        observed = [hist.get(S, 0) for S in all_subsets]
-        expected = [p ** len(S) * (1 - p) ** (3 - len(S)) * n for S in all_subsets]
-        assert stats.chisquare(observed, expected).pvalue >= 0.001
-
-    @pytest.mark.parametrize("epsilon, d, s", [(Fraction(1, 4), 3, 2), (Fraction(1), 64, 4)])
-    def test_tail_set_bits(self, epsilon, d, s):
-        # One locate per member and one for the end: about the set's entropy
-        # d h(p), plus at most two bits per locate on average.
-        params = derive_pure_params(epsilon, d, s)
-        p = float((params.p.lo + params.p.hi) / 2)
-        tape = BitTape(seed=942)
-        n = 20_000
-        for _ in range(n):
-            sample_tail_set(tape, d, params.cells.any_tail, Stream(tape))
-        h = -p * math.log2(p) - (1 - p) * math.log2(1 - p)
-        assert tape.bits_consumed / n <= d * h + 2 * (d * p + 1)
+        hist = Counter(
+            frozenset(mech_pure_efficient(counts, params, tape, params.m)[1].departed) for _ in range(40_000)
+        )
+        self._departed_law(hist, probs)
 
     def test_tail_set_size_expectation(self):
+        # The trace's tail size counts the coordinates released where no noise
+        # |eta| < m reaches: at each shift, the sum over coordinates of the
+        # mass past the first edge beyond c + m - 1 and below the last edge
+        # at or below c - m + 1.
         params = derive_pure_params(Fraction(1), 64, 4)
         counts = CountVector(d=64, n=100, sums=tuple((13 * i) % 100 for i in range(64)))
+        m, grid, q = params.m, params.grid, math.exp(-1 / float(params.scale))
+
+        def far(center):
+            top = (center + m - 1) // grid * grid + grid
+            bottom = (center - m + 1) // grid * grid
+            return (q ** (top - center) + q ** (center - bottom + 1)) / (1 + q)
+
         tape = BitTape(seed=927)
         runs = 400
-        sizes = []
-        outside_bits = []
+        sizes, shift_bits = [], []
+        expected = 0.0
         for _ in range(runs):
             res, trace = mech_pure_efficient(counts, params, tape)
             sizes.append(trace.tail_size)
-            cats = res.report.bits_by_category
-            outside_bits.append(cats.get("binomial", 0) + cats.get("shift", 0))
-        p_mid = float((params.p.lo + params.p.hi) / 2)
-        dp = 64 * p_mid
+            shift_bits.append(res.report.bits_by_category.get("shift", 0))
+            expected += sum(far(c + trace.shift) for c in counts.sums) / runs
         mean_size = sum(sizes) / runs
-        sigma = math.sqrt(dp * (1 - p_mid) / runs)
-        assert abs(mean_size - dp) <= 3 * sigma + 0.02
-        # Outside-loop randomness stays logarithmic: generous desk bound
-        # against O(log d + p d log d + log s) with tiny p.
-        assert sum(outside_bits) / runs <= 4 * math.log2(64) * (1 + dp) + 2 * math.log2(4) + 10
+        assert abs(mean_size - expected) <= 3 * math.sqrt(expected / runs) + 0.02
+        # The shift reads whole 2-bit blocks from the tape, nothing else.
+        assert set(shift_bits) == {2}
 
     def test_body_boundary_enumeration(self):
         params = PureParams(1, 5, Fraction(1, 3), 3)
@@ -305,10 +307,12 @@ class TestTraceAndReport:
         counts = CountVector(d=4, n=20, sums=(3, 7, 11, 19))
         tape = BitTape(seed=928)
         res, trace = mech_pure_efficient(counts, params, tape)
-        assert trace.tail_size == len(trace.tail_set)
+        assert trace.tail_size <= len(trace.departed)
         body = set(res.report.boundary_coordinates)
-        assert trace.tail_set <= set(range(4)) and body <= set(range(4))
-        assert not trace.tail_set & body  # a tail coordinate draws no body cell
+        assert set(trace.departed) <= set(res.report.draws_attempted) <= set(range(4))
+        assert body <= set(res.report.draws_attempted)  # every boundary coordinate draws
+        homes = [(c + trace.shift) // params.grid * params.grid for c in counts.sums]
+        assert [i for i in range(4) if res.values[i] != homes[i]] == list(trace.departed)
         assert sum(res.report.bits_by_category.values()) == res.report.bits_total
         assert trace.shift % params.m == 0
         assert params.m <= trace.shift <= params.grid
@@ -330,7 +334,7 @@ class TestTraceAndReport:
 
 
 class TestEnclosedBinomialCost:
-    """A cold pure release, tail-set draw included, at large d."""
+    """A cold pure release at large d, silent coordinates certified by one comparison."""
 
     def test_cold_pure_release_at_large_d(self):
         d = 100_000
@@ -339,4 +343,4 @@ class TestEnclosedBinomialCost:
         result, trace = mech_pure_efficient(counts, params, BitTape(seed=831))
         assert len(result.values) == d
         assert all(v % params.grid == 0 for v in result.values)
-        assert trace.tail_size == len(trace.tail_set)
+        assert trace.tail_size <= len(trace.departed)

@@ -13,12 +13,14 @@ import sys
 import threading
 from fractions import Fraction
 
+import pytest
+
 from frugaldp import bit_tape, core_samplers
 from frugaldp.approx_mech import derive_approx_params, mech_approx_efficient
 from frugaldp.bit_tape import BitTape
-from frugaldp.core_samplers import GaussianCells, LaplaceCells, Stream
+from frugaldp.core_samplers import GaussianCells, LaplaceCells
 from frugaldp.precise_math import exp_neg
-from frugaldp.pure_mech import derive_pure_params, mech_pure_efficient, sample_tail_set
+from frugaldp.pure_mech import derive_pure_params, mech_pure_efficient
 from frugaldp.release import CountVector
 from reference import GaussParam, RefinableProb
 
@@ -54,22 +56,33 @@ def _run_together(work):
     return results
 
 
-def test_tail_set_draws_on_shared_params():
-    # d p is about 1.4 here, so each draw reads many powers of 1 - p; the
-    # threads draw on their own tapes while their levels and memos are
-    # built, then read every level in a rotated order.
+def test_pure_releases_on_shared_params():
+    # d p is about 1.4 here, so most releases draw silent coordinates' exact
+    # records and departure cells as well as boundary runs, and at 4-bit
+    # levels their draws refine: the threads release on their own tapes
+    # while the law's levels and memos are built, and each must read what a
+    # release alone reads.
+    counts = CountVector(64, 1000, tuple((37 * i) % 1000 for i in range(64)))
+
     def read(params, k):
-        tape = BitTape(seed=900 + k)
-        draws = [sample_tail_set(tape, params.d, params.cells.any_tail, Stream(tape)) for _ in range(10)]
-        levels = (0, 1, 2)[k % 3 :] + (0, 1, 2)[: k % 3]
-        return draws, [params.cells.any_tail(j, level) for level in levels for j in range(1, params.d + 1)]
+        out = []
+        for seed in range(900 + 10 * k, 904 + 10 * k):
+            tape = BitTape(seed=seed)
+            result, trace = mech_pure_efficient(counts, params, tape)
+            out.append((result.values, trace.departed, tape.bits_consumed))
+        return out
 
     make = lambda: derive_pure_params(Fraction(1, 4), 64, 2)  # noqa: E731
-    expected = [read(make(), k) for k in range(THREADS)]
-    assert any(tail for draws, _ in expected for tail in draws)
-    for _ in range(ROUNDS):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core_samplers, "_LEVEL_START", 4)
+        expected = [read(make(), k) for k in range(THREADS)]
         shared = make()
-        assert _run_together(lambda k: read(shared, k)) == expected
+        read(shared, 0)
+        assert len(shared.cells._levels) > 1  # the draws refined
+        assert any(departed for row in expected for _, departed, _ in row)
+        for _ in range(ROUNDS):
+            shared = make()
+            assert _run_together(lambda k: read(shared, k)) == expected
 
 
 def test_refinable_prob_levels_stay_ordered():
@@ -109,9 +122,9 @@ def test_cell_law_tail_ratios():
 
     laws = [
         (lambda: GaussianCells(Fraction(7, 3), 9), "tail_ratio", range(-7, 9)),
-        (lambda: LaplaceCells(Fraction(5, 2), 11), "tail_ratio", range(-9, 11)),
-        # The geometric tail of a pure-mode tail coordinate, past the half-width.
-        (lambda: LaplaceCells(Fraction(5, 2), 11), "geometric_tail", range(1, 60, 3)),
+        (lambda: LaplaceCells(Fraction(5, 2), 11, 2), "tail_ratio", range(-9, 60, 3)),
+        # The departure chance of every nearer key, silent ones past the half-width too.
+        (lambda: LaplaceCells(Fraction(5, 2), 11, 2), "departure", range(1, 23)),
     ]
     for make, source, keys in laws:
         expected = [read(make(), source, keys, k) for k in range(THREADS)]
