@@ -4,9 +4,9 @@ Two release mechanisms over d binary predicates, both exact (no floating
 point in any sampling path) and both metered down to the individual random
 bit: an approximate-DP release built on truncated integer Gaussian noise
 with a shared random shift and coarse rounding, and a pure-DP release built
-on integer Laplace noise with an explicit tail/body decomposition. A shared
-random shift lets most coordinates be released with zero noise bits, which
-is where the randomness savings come from.
+on integer Laplace noise with the same shift and rounding. The shift lets
+most coordinates be released with no noise bits of their own, which is
+where the randomness savings come from.
 
 The audit harness provides brute-force oracle distributions, goodness-of-fit
 statistics, and certified privacy-ratio checks for everything above. It is

@@ -269,17 +269,14 @@ class CellLaw:
     """A symmetric integer noise law's cell thresholds, as records :func:`locate` reads.
 
     Subclasses precompute scaled-integer data per working precision
-    (``_build``). Levels are built on first read (:class:`_Levels`) and cached
-    by index; each doubles the precision of the last. A level also memoizes
-    the records its bounds sources return, in one
-    :class:`~frugaldp.precise_math.BoundedCache` of ``_MEMO_CAP`` records per
-    source, so a threshold is computed once, not on every read. Records are
-    deterministic: two threads that build the same level or record store
-    equal data, so no lock is needed. ``tail_ratio(k)`` is P[eta >= k];
-    ``departure(k')`` the chance that a coordinate whose grid edge at key k'
-    is its nearer one leaves its home cell. ``tails``: whether the law puts
-    mass past its half-width, so that a coordinate with no edge within reach
-    may leave too, and a departure may land past the adjacent cell.
+    (``_build``). Levels are built on first read (:class:`_Levels`), each at
+    twice the precision of the last, and memoize the records of each bounds
+    source in one :class:`~frugaldp.precise_math.BoundedCache` of
+    ``_MEMO_CAP`` records. Records are deterministic, so threads share them
+    with no lock. ``tail_ratio(k)`` is P[eta >= k]; ``departure(k')`` the
+    chance to leave a home cell whose nearer edge is k' away. ``tails``:
+    whether the law puts mass past its half-width, so that a coordinate with
+    no edge within reach may leave, and land past the adjacent cell.
     """
 
     __slots__ = ("halfwidth", "_guard", "_levels")
@@ -402,11 +399,10 @@ class LaplaceCells(CellLaw):
         return _LEVEL_START << level, self._levels[level][2]
 
     def _past(self, k: int, i: int, level: int) -> tuple[int, int, int]:
-        """P[eta >= e_i] + P[eta >= e_(i+1)] at ``level``: the mass of a home cell's i-th outside cell on.
+        """P[eta >= e_i] + P[eta >= e_(i+1)]: the mass of a home cell's outside cells from the i-th on.
 
-        The cells outside a home cell alternate sides, the nearest first: cell
-        i lies past edge e_i, e_1 = k, e_2 = grid + 1 - k on the other side and
-        e_(i+2) = e_i + grid, so the cells from the i-th on lie past e_i and e_(i+1).
+        They alternate sides: cell i lies past edge e_i, e_1 = k, e_2 = grid + 1 - k
+        on the other side and e_(i+2) = e_i + grid.
         """
         n_lo = n_hi = 0
         for e in (i, i + 1):

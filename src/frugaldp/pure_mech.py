@@ -3,16 +3,10 @@
 The output law is that of the reference chain: Laplace noise of scale
 d/eps on every count, one shared shift, rounding down to the grid m*s
 (``audit_harness.oracle_joint_dist_pure`` computes it exactly). The
-efficient release draws each coordinate's released cell from the
-untruncated discrete-Laplace cell law
-(:class:`~frugaldp.core_samplers.LaplaceCells`), never a noise value: in
-the shift-and-round loop it shares with approx mode, a coordinate stays in
-the cell of its centre unless it departs, with the chance p_i that the noise
-crosses one of that cell's edges, and a departure draws its cell from the
-keys past both edges. Coordinates whose centre lies at least m from every
-edge (p_i <= p, the chance that |noise| >= m) cost nothing while one
-comparison with (1 - p)^j certifies that all of them stay. Every draw of a
-release is on one carried uniform (one Stream per release).
+efficient release runs the shift-and-round loop it shares with approx mode
+over the untruncated discrete-Laplace cell law
+(:class:`~frugaldp.core_samplers.LaplaceCells`): each coordinate draws its
+released cell, never a noise value, on one carried uniform per release.
 """
 
 from __future__ import annotations
@@ -33,12 +27,7 @@ _PRECISION = 96
 
 
 class PureTrace(namedtuple("PureTrace", "departed shift tail_size")):
-    """What one efficient run drew besides its values.
-
-    ``departed``: the coordinates released outside the cell of their centre,
-    in index order. ``shift``: the shared shift. ``tail_size``: how many
-    departed to a cell that no noise |eta| < m reaches.
-    """
+    """The coordinates released outside the cell of their centre, the shift, and how many no |eta| < m reaches."""
 
     __slots__ = ()
 
@@ -110,11 +99,9 @@ def mech_pure_efficient(
 ) -> tuple[MechanismResult, PureTrace]:
     """Efficient release: same output law as the reference chain.
 
-    Draws the shift, then every coordinate's cell from the untruncated
-    discrete-Laplace cell law, in runs of coordinates that stay in their home
-    cell: a coordinate with no grid edge within m of its centre usually
-    costs nothing, since one comparison with (1 - p)^j certifies that j
-    such coordinates all stay. Every draw is on one carried uniform.
+    Draws the shift, then every coordinate's cell, in runs that stay in
+    their home cells; j coordinates with no grid edge within m usually cost
+    one comparison with (1 - p)^j together.
     """
     check_release(counts, params, params.m, omega)
     start = tape.snapshot()

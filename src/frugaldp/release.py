@@ -211,22 +211,18 @@ def _then(run, n: int, rec: tuple, stay: tuple):
 def draw_runs(stream: Stream, cells: CellLaw, grid: int, queued: list, keys: list, values: list, silent: int = 0):
     """Draw the cells of the queued coordinates in runs that stay home, on ``stream``; returns the departed positions.
 
-    Coordinate ``queued[i]`` holds its home cell, the one of its centre, whose
-    upper edge is k = ``keys[i]`` above the centre when k > 0, else whose
-    lower edge is k <= 0 from it; k' = k or 1 - k. It departs with probability
-    p = ``cells.departure(k')``. From a run start b, the count L that stay
-    home has upper tails T_j = prod_{b <= i < b + j} (1 - p_i), so one
-    :func:`locate` draws L, and b + L departs: u is carried into
-    [A + B T_(L+1), A + B T_L), products starting at the stream's B. Under a
-    truncated law it crosses the edge at k; under a law with tails one more
-    locate, over ``cells.beyond``, draws its cell. The queue's end, a
-    release's last draw, carries nothing.
-
-    The last ``silent`` coordinates have no edge within reach, so p_i <= p: a
-    run that reaches them first compares u with the product so far times
-    ``cells.all_stay`` (1 - p)^silent, a lower bound of the product over them
-    all. Below it, all stay; otherwise the run goes on through their exact
-    products, in the same frame.
+    Coordinate ``queued[i]`` holds its home cell, the one of its centre, with
+    an edge k = ``keys[i]`` above the centre (k > 0) or k <= 0 from it, and
+    leaves with p = ``cells.departure(k')``, k' = k or 1 - k. From a run start
+    b, the count L that stay home has upper tails T_j = prod_{b <= i < b + j}
+    (1 - p_i): one :func:`locate` draws L, and u is carried into
+    [A + B T_(L+1), A + B T_L) of b + L, which crosses the edge at k, or under
+    a law with tails lands in the cell one more locate over ``cells.beyond``
+    draws. The queue's end, a release's last draw, carries nothing. The last
+    ``silent`` coordinates have no edge within reach, so p_i <= p: a run that
+    reaches them compares u first with the product so far times
+    ``cells.all_stay`` (1 - p)^silent, below which they all stay, and goes on
+    through their exact products only when u is not below it.
     """
 
     def bounds(j: int, level: int) -> tuple[int, int, int, int]:
