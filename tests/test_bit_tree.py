@@ -15,8 +15,9 @@ outcome and its exact bit count, so
 - the expected bits of a release are exact up to the open mass.
 
 The pure audit-desk release (d = 3, s = 2, eps = 1/4, counts 17, 50, 93) is
-checked with the shift drawn and at each forced shift; approx releases at
-desk scale, with d <= 3 and s in 1..4, likewise.
+checked with the shift drawn and at each forced shift, and with a silent
+coordinate; approx releases at desk scale, with d <= 3 and s in 1..4, with
+the shift drawn and at each forced shift.
 """
 
 from collections import deque
@@ -134,6 +135,18 @@ def test_pure_desk_at_each_forced_shift_is_certified(v):
     tol = Fraction(1, 10**12) / _DESK.d
     noise = _pure_noise(params, tol, 64)
     assert certified_failures(outcomes, open_mass, _forced_oracle(_DESK, params, noise, 64, v)) == []
+
+
+def test_pure_desk_with_a_silent_coordinate_is_certified():
+    # Count 0 at the shift m puts its centre m from both edges of its cell:
+    # a silent coordinate, drawn last, behind the comparison with (1 - p)^1.
+    params = _pure_desk()
+    counts = CountVector(3, 100, (0, 50, 93))
+    release = lambda tape: mech_pure_efficient(counts, params, tape, params.m)[0]
+    assert release(BitTape(seed=1)).report.boundary_coordinates == (1, 2)
+    outcomes, open_mass, _, _ = enumerate_release(lambda tape: release(tape).values)
+    noise = _pure_noise(params, Fraction(1, 10**12) / counts.d, 64)
+    assert certified_failures(outcomes, open_mass, _forced_oracle(counts, params, noise, 64, 1)) == []
 
 
 _APPROX_DESK = [(d, s) for d in (1, 2, 3) for s in (1, 2, 3, 4)]

@@ -954,14 +954,16 @@ class TestSearch:
     def test_extreme_scale_release_finishes(self):
         # t = 10**15: the departure's cell is about 10**15 keys out, and the key
         # range is longer than sys.maxsize, so it is indexed, never measured.
-        params = derive_pure_params(Fraction(1, 10**15), 1, 1)
-        with pytest.raises(OverflowError):
-            len(params.cells.beyond_keys)
-        tape = BitTape(seed=3)
-        result, trace = mech_pure_efficient(CountVector(1, 1, (0,)), params, tape)
-        assert trace.departed == (0,)
-        assert 10**12 < abs(result.values[0]) < 10**18
-        assert tape.bits_consumed < 200
+        # At t = 10**30 the chance to stay, 1/(2t), rounds to 0 at level 0.
+        for t in (10**15, 10**30):
+            params = derive_pure_params(Fraction(1, t), 1, 1)
+            with pytest.raises(OverflowError):
+                len(params.cells.beyond_keys)
+            tape = BitTape(seed=3)
+            result, trace = mech_pure_efficient(CountVector(1, 1, (0,)), params, tape)
+            assert trace.departed == (0,)
+            assert t // 1000 < abs(result.values[0]) < t * 1000
+            assert tape.bits_consumed < 200
 
 
 def test_scale_validation():
