@@ -230,13 +230,15 @@ def draw_runs(stream: Stream, cells: CellLaw, grid: int, queued: list, keys: lis
         if level > len(refined):  # locate asks for the levels of a key in order
             refined.append([b - 1, None, _products(cells, keys, b, end, level, *stream.level(level)[2:])])
         entry = refined[level - 1]
-        if j == coarse:  # the coarse key: the product before it times (1 - p)^silent
-            rec = bounds(j - 1, level) if j > b else (_LEVEL_START << level, *stream.level(level)[2:])
-            return _below(rec, cells.all_stay(silent, level))
-        while entry[0] < j:
+        last = j - 1 if j == coarse else j
+        while entry[0] < last:
             entry[0] += 1
             entry[1] = next(entry[2])
-        return entry[1]
+        if j != coarse:
+            return entry[1]
+        # The coarse key: the product before it times (1 - p)^silent.
+        rec = entry[1] if j > b else (_LEVEL_START << level, *stream.level(level)[2:])
+        return _below(rec, cells.all_stay(silent, level))
 
     refined: list[list] = []  # per level >= 1: [last key read, its record, the level's generator]
     tails = cells.tails
