@@ -178,7 +178,7 @@ def _products(cells: CellLaw, keys: list, b: int, end: int, level: int, lo: int,
         lo = lo * (one - a_hi) >> p
         hi = -(-hi * (one - a_lo) >> p)
         if (yield p, lo, hi, p - (hi - lo).bit_length()):
-            # p / (1 - p) grows with p; a_lo < one, since the lower bound of p < 1 rounds down.
+            # p / (1 - p) grows with p. a_lo < one, as p < 1 rounds down; a_hi is one once 1 - p is below the precision.
             lo, hi = yield p, lo, hi, lo * a_lo // (one - a_lo), -(-hi * a_hi // max(one - a_hi, 1))
             yield
 
