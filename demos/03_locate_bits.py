@@ -1,8 +1,9 @@
 """Demonstration: ``locate`` on finite laws at the entropy limit.
 
-One :func:`~frugaldp.core_samplers.locate` draws from a finite law: it
-reads one fair bit at a time and stops as soon as the binary expansion
-provably lands inside one outcome's cumulative interval. For dyadic
+One :func:`~frugaldp.core_samplers.locate` on a fresh
+:class:`~frugaldp.core_samplers.Stream` draws from a finite law: it reads
+one fair bit at a time from the stream's tape and stops as soon as the
+binary expansion provably lands inside one outcome's cumulative interval. For dyadic
 probabilities it is bit-for-bit Huffman-optimal; in general its expected
 cost is the entropy plus a small constant, and the cumulatives may be given
 as refinable enclosures. The releases draw their grid cells the same way.
@@ -15,7 +16,7 @@ from functools import cache
 from itertools import accumulate
 
 from frugaldp import BitTape
-from frugaldp.core_samplers import level_record, locate
+from frugaldp.core_samplers import Stream, level_record, locate
 from frugaldp.precise_math import rational_enclose
 
 N = 50_000
@@ -51,7 +52,7 @@ for idx, (name, probs) in enumerate(cases):
     hist = Counter()
     with tape.category("point_mass"):
         for _ in range(N):
-            hist[1 + locate(tape, bounds, range(1, len(probs)))] += 1
+            hist[1 + locate(Stream(tape), bounds, range(1, len(probs)))] += 1
     entropy = -sum(float(q) * math.log2(float(q)) for q in probs)
     mean_bits = tape.bits_consumed / N
     print(f"{name:24s} {entropy:10.3f} {mean_bits:10.3f} {mean_bits - entropy:+9.3f}")

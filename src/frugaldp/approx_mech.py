@@ -76,7 +76,7 @@ class ApproxParams:
         self.gamma = gamma
         self.epsilon = epsilon
         self.delta = delta
-        self.cells = GaussianCells(self.sigma_sq, r)
+        self.cells = GaussianCells(self.sigma_sq, r, s)
 
     @property
     def accuracy_bound(self) -> int:
@@ -178,6 +178,6 @@ def mech_approx_efficient(
     entropy plus two bits per 32 bits or so of it.
     """
     check_release(counts, params, params.r, omega)
-    result, _, _ = shift_and_round(tape, Stream(tape), tape.snapshot(), counts, params.s, params.cells, "gaussian", omega)
+    result, _, _ = shift_and_round(tape, Stream(tape), counts, params.cells, "gaussian", omega)
     _assert_envelope(result.values, counts, params)
     return result

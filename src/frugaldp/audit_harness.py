@@ -210,13 +210,6 @@ def oracle_joint_dist(counts: CountVector, params, tail_tol: Fraction = _TAIL_TO
     return _joint_dist(laws, scale, params.s, w, noise[2] * d)
 
 
-def oracle_coord_dist(sum_i: int, params, tail_tol: Fraction = _TAIL_TOL) -> DiscreteDist:
-    """Exact law of one coordinate: the joint law at d = 1, keyed by the released value."""
-    joint = oracle_joint_dist(CountVector(d=1, n=sum_i, sums=(sum_i,)), params, tail_tol)
-    mass = {g: iv for (g,), iv in joint.mass.items()}
-    return DiscreteDist(mass=mass, deficit=joint.deficit, w=joint.w)
-
-
 # The audit-desk benchmark workload and its tracer call the oracle by this name.
 oracle_joint_dist_pure = oracle_joint_dist
 

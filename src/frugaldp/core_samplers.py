@@ -1,15 +1,15 @@
 """The one exact comparator, and the cell laws the release draws through it.
 
 Every noise decision of a release that spends bits is one :func:`locate`:
-it streams a uniform dyadic u bit by bit from a
+it streams a uniform dyadic u bit by bit from a :class:`Stream` over a
 :class:`~frugaldp.bit_tape.BitTape` against refinable integer bounds of a
 run of thresholds (the chances that coordinates stay in their home cells,
-the tail masses past a departure's grid edges) and refines the bounds, one
-level of doubled precision at a time, until u is certified above or below
-each threshold it reads. This terminates with probability one and makes
-every draw exact; no floating point is involved anywhere. Every draw of a
-release shares one :class:`Stream`, which carries the part of u a draw read
-but did not need to the next. The shared shift alone reads the tape, by
+the chances that a departure lands past its cells) and refines the bounds,
+one level of doubled precision at a time, until u is certified above or
+below each threshold it reads. This terminates with probability one and
+makes every draw exact; no floating point is involved anywhere. Every draw
+of a release shares one stream, which carries the part of u a draw read but
+did not need to the next. The shared shift alone reads the tape directly, by
 rejection (:meth:`~frugaldp.bit_tape.BitTape.uniform_range`).
 """
 
@@ -113,12 +113,12 @@ def _narrow(level: int, a_lo: int, a_hi: int, b_lo: int, b_hi: int, bounds, keys
 
 
 def locate(
-    tape: "BitTape | Stream",
+    stream: Stream,
     bounds: Callable[[object, int], tuple[int, int, int, int]],
     keys,
     level0: Iterator[tuple[int, int, int, int]] | None = None,
 ) -> int:
-    """How many leading thresholds along ``keys`` lie above one uniform u.
+    """How many leading thresholds along ``keys`` lie above the stream's uniform u.
 
     ``bounds(key, level)`` returns the :func:`level_record` of the key's
     threshold at precision 64 * 2**level; the thresholds must not increase
@@ -128,11 +128,11 @@ def locate(
     bit would outrun their limit. With the upper tails P[X >= 1],
     P[X >= 2], ... as thresholds the count is distributed as X. This is the
     interval algorithm, so it reads fewer than H(X) + 3 bits on average
-    (Han and Hoshi); near a grid edge it can exceed H(X) + 2. From a tape, u
-    is fresh and forgotten on return; on a :class:`Stream`, u - A is compared
-    with B T, and u carried into the count's interval [A + B T_(c+1), A + B T_c)
-    (:meth:`Stream.carry`), x = B T_(c+1) and y = B T_c from the level-0 records
-    of those two keys (:func:`_narrow`), whatever level the draw refined to.
+    (Han and Hoshi); near a grid edge it can exceed H(X) + 2. u - A is
+    compared with B T, and u is carried into the count's interval
+    [A + B T_(c+1), A + B T_c) (:meth:`Stream.carry`), x = B T_(c+1) and
+    y = B T_c from the level-0 records of those two keys (:func:`_narrow`),
+    whatever level the draw refined to. On a fresh stream B = 1 exactly.
 
     One loop reads bits: it scans the first ``_LINEAR_KEYS`` keys in order,
     then scans one key at a time as a probe, whose index gallops
@@ -141,20 +141,16 @@ def locate(
     the same in any probe order, and keys are indexed, never measured, so a
     ``range`` longer than ``sys.maxsize`` serves. ``level0``, when given,
     yields what ``bounds(key, 0)`` returns for each key in order (a run's
-    running product, streamed by :func:`~frugaldp.release.draw_runs`); every
-    key is then read in order, and ``bounds`` is asked only for levels >= 1.
+    running product, already scaled by B, streamed by
+    :func:`~frugaldp.release.draw_runs`, which carries u itself); every key
+    is then read in order, and ``bounds`` is asked only for levels >= 1.
     """
-    next_bit = tape.next_bit
-    if type(tape) is Stream:
-        stream = tape
-        u, nb, a_lo, a_hi = tape.u, tape.n, tape.a_lo, tape.a_hi
-        # A draw of its own thresholds (no level0) compares u - A with B T (B = 1 while fresh) and carries u on.
-        carry = scale = level0 is None
-        if carry:
-            b_lo, b_hi, scale = tape.b_lo, tape.b_hi, tape.history
-    else:
-        stream = carry = scale = None
-        nb = a_lo = a_hi = 0
+    next_bit = stream.next_bit
+    u, nb, a_lo, a_hi = stream.u, stream.n, stream.a_lo, stream.a_hi
+    # A draw of its own thresholds (no level0) compares u - A with B T (B = 1 while fresh) and carries u on.
+    carry = scale = level0 is None
+    if carry:
+        b_lo, b_hi, scale = stream.b_lo, stream.b_hi, stream.history
     a0_lo, a0_hi = a_lo, a_hi
     rec = above = below = None  # level-0 records: the key's, the last above u's, the first not's
     # [box_lo, box_hi] is the box [u, u + 2**-nb) less the offset [a_lo, a_hi], as
@@ -183,14 +179,14 @@ def locate(
                         level += 1
                         if _LEVEL_START << level > _LEVEL_MAX:
                             raise EnclosureContractError("enclosure failed to refine")
-                        p, lo, hi, limit = tape.scaled(bounds, key, level) if scale else bounds(key, level)
+                        p, lo, hi, limit = stream.scaled(bounds, key, level) if scale else bounds(key, level)
                         continue
                     if p != held:
                         if held or nb or a0_hi:
                             if held:
                                 u = (box_lo + a_hi) >> (held - nb)
-                            if stream and level:
-                                a_lo, a_hi = tape.level(level)[:2]
+                            if level:
+                                a_lo, a_hi = stream.level(level)[:2]
                             else:
                                 a_lo, a_hi = a0_lo, a0_hi
                             width = 1 << (p - nb)
@@ -234,8 +230,8 @@ def locate(
             else:
                 return count
     finally:  # a draw that raises leaves its stream unusable
-        if stream and held:
-            tape.u, tape.n = (box_lo + a_hi) >> (held - nb), nb
+        if held:
+            stream.u, stream.n = (box_lo + a_hi) >> (held - nb), nb
             if carry:
                 # u - A is in [x, y) = [B T_(c+1), B T_c) from the level-0 records that settled c, as
                 # _narrow(0, ...) computes them (B if c = 0, 0 past the keys; a fresh u's at their precision).
@@ -246,7 +242,7 @@ def locate(
                     y_lo, y_hi = y_lo >> p - q, -(-y_hi >> p - q)
                 if r != q:
                     x_lo, x_hi = x_lo >> r - q, -(-x_hi >> r - q)
-                tape.carry(a0_lo + x_lo, a0_hi + x_hi, y_lo - x_hi, y_hi - x_lo, (_narrow, bounds, keys, count))
+                stream.carry(a0_lo + x_lo, a0_hi + x_hi, y_lo - x_hi, y_hi - x_lo, (_narrow, bounds, keys, count))
 
 
 # ---------------------------------------------------------------------------
@@ -255,63 +251,100 @@ def locate(
 
 
 class _Levels(dict):
-    """A cell law's (``law``) levels by index: each built on first read, with its data and record memos."""
+    """A cell law's (``law``) levels by index: each built on first read, with its data and departure memo."""
 
     __slots__ = ("law",)
 
     def __missing__(self, level: int):
         data = self.law._build((_LEVEL_START << level) + self.law._guard)
-        entry = self[level] = data, BoundedCache(_MEMO_CAP), BoundedCache(_MEMO_CAP)
+        entry = self[level] = data, BoundedCache(_MEMO_CAP)
         return entry
 
 
 class CellLaw:
-    """A symmetric integer noise law's cell thresholds, as records :func:`locate` reads.
+    """A symmetric integer noise law's cell thresholds on the grid ``halfwidth`` * s, as records :func:`locate` reads.
 
     Subclasses precompute scaled-integer data per working precision
-    (``_build``). Levels are built on first read (:class:`_Levels`), each at
-    twice the precision of the last, and memoize the records of each bounds
-    source in one :class:`~frugaldp.precise_math.BoundedCache` of
-    ``_MEMO_CAP`` records. Records are deterministic, so threads share them
-    with no lock. ``tail_ratio(k)`` is P[eta >= k]; ``departure(k')`` the
-    chance to leave a home cell whose nearer edge is k' away. ``tails``:
-    whether the law puts mass past its half-width, so that a coordinate with
-    no edge within reach may leave, and land past the adjacent cell.
+    (``_build``) and give ``tail_ratio(k, level)``, the record of
+    P[eta >= k]. Levels are built on first read (:class:`_Levels`), each at
+    twice the precision of the last, and memoize the :meth:`departure` and
+    :meth:`beyond` records in one :class:`~frugaldp.precise_math.BoundedCache`
+    of ``_MEMO_CAP`` records. Records are deterministic, so threads share
+    them with no lock. A home cell with edges k' above and grid + 1 - k'
+    below the centre (eta >= k' or eta <= k' - grid - 1 leaves it) is left
+    with p(k') = P[eta >= k'] + P[eta >= grid + 1 - k'], whichever edges the
+    law reaches. ``tails``: whether a departure may cross either edge of its
+    home cell, so that one more locate over ``beyond_keys`` draws its cell
+    (a coordinate with no edge within reach leaves only then).
     """
 
-    __slots__ = ("halfwidth", "_guard", "_levels")
+    __slots__ = ("halfwidth", "grid", "_guard", "_levels")
 
-    tails = False
-
-    def __init__(self, halfwidth: int, guard: int):
+    def __init__(self, halfwidth: int, s: int, guard: int):
         if halfwidth < 1:
             raise ParameterDomainError("noise half-width must be a positive integer")
         self.halfwidth = halfwidth
+        self.grid = halfwidth * s
         self._guard = guard
         self._levels = _Levels()
         self._levels.law = self
-
-    def _build(self, w: int):
-        raise NotImplementedError
 
     def ratio_records(self, level: int) -> tuple[int, BoundedCache]:
         """The precision of the :meth:`departure` records at ``level``, and their memo keyed by k'."""
         return _LEVEL_START << level, self._levels[level][1]
 
+    def _past(self, k: int, i: int, level: int) -> tuple[int, int, int]:
+        """P[eta >= e_i] + P[eta >= e_(i+1)]: the mass of a home cell's outside cells from the i-th on.
+
+        They alternate sides: cell i lies past edge e_i, e_1 = k, e_2 = grid + 1 - k
+        on the other side and e_(i+2) = e_i + grid.
+        """
+        n_lo = n_hi = 0
+        for e in (i, i + 1):
+            p, lo, hi, _ = self.tail_ratio((k if e & 1 else self.grid + 1 - k) + (e - 1) // 2 * self.grid, level)
+            n_lo, n_hi = n_lo + lo, n_hi + hi
+        return p, n_lo, n_hi
+
+    def departure(self, k: int, level: int) -> tuple[int, int, int, int]:
+        """The :func:`level_record` of p(k) = P[eta >= k] + P[eta >= grid + 1 - k], memoized with :meth:`beyond`'s."""
+        memo = self._levels[level][1]
+        rec = memo.get(k)
+        if rec is None:
+            rec = memo[k] = level_record(*self._past(k, 1, level))
+        return rec
+
+    def beyond(self, k: int, j: int, level: int) -> tuple[int, int, int, int]:
+        """The :func:`level_record` of the chance that a departure from key k lands past its j-th cell."""
+        memo = self._levels[level][1]
+        rec = memo.get((k, j))
+        if rec is None:
+            p, n_lo, n_hi = self._past(k, j + 1, level)
+            _, d_lo, d_hi, _ = self.departure(k, level)
+            hi = -(-(n_hi << p) // d_lo) if d_lo else 1 << p
+            rec = memo[k, j] = level_record(p, (n_lo << p) // d_hi, hi)
+        return rec
+
 
 class GaussianCells(CellLaw):
-    """Weights exp(-eta^2 / (2 sigma^2)) on |eta| < r, as a table of tail sums.
+    """Weights exp(-eta^2 / (2 sigma^2)) on |eta| < r, on the grid r s, as a table of tail sums.
 
     The weights follow w(j+1) = w(j) q^(2j+1) with q = exp(-1/(2 sigma^2)), so a
     level costs one ``exp_neg`` and two scaled-integer products per entry.
     The guard bits cover the error the recurrence accumulates over r steps.
+    Truncated at r, the law reaches only the edges within r - 1 of the
+    centre. Both edges of a home cell, r s apart, are within reach only at
+    s = 1 with r >= 2 (``tails``); a departure then lands in one of the two
+    adjacent cells, never farther, so ``beyond`` has the one key 1.
     """
 
-    __slots__ = ("_x",)
+    __slots__ = ("_x", "tails")
 
-    def __init__(self, sigma_sq: "Fraction | int", r: int):
-        super().__init__(r, 2 * r.bit_length() + 8)
+    beyond_keys = range(1, 2)
+
+    def __init__(self, sigma_sq: "Fraction | int", r: int, s: int):
+        super().__init__(r, s, 2 * r.bit_length() + 8)
         self._x = 1 / (2 * Fraction(sigma_sq))
+        self.tails = self.grid <= 2 * (r - 1)
 
     def _build(self, w: int):
         q_lo, q_hi = exp_neg(self._x, w)
@@ -329,43 +362,41 @@ class GaussianCells(CellLaw):
         return c_lo, c_hi, c_lo[0] + c_lo[1], c_hi[0] + c_hi[1]
 
     def tail_ratio(self, k: int, level: int) -> tuple[int, int, int, int]:
-        """The :func:`level_record` of S(k)/Z, S(k) = sum_{k <= eta < r} w(eta) and Z = S(1 - r), for |k| < r."""
-        (c_lo, c_hi, z_lo, z_hi), memo, _ = self._levels[level]
-        rec = memo.get(k)
-        if rec is None:
-            p = _LEVEL_START << level
-            # By symmetry, S(k) = Z - S(1 - k).
-            s_lo, s_hi = (c_lo[k], c_hi[k]) if k >= 0 else (z_lo - c_lo[1 - k], z_hi - c_hi[1 - k])
-            rec = memo[k] = level_record(p, (s_lo << p) // z_hi, -(-(s_hi << p) // z_lo))
-        return rec
+        """The :func:`level_record` of S(k)/Z, S(k) = sum_{k <= eta < r} w(eta) and Z = S(1 - r), for k > -r.
 
-    #: Truncated at r, the law leaves a home cell across its nearer edge alone, with S(k')/Z.
-    departure = tail_ratio
+        Not memoized: the release reads it only through the departure memo.
+        """
+        p = _LEVEL_START << level
+        if k >= self.halfwidth:
+            return p, 0, 0, p
+        c_lo, c_hi, z_lo, z_hi = self._levels[level][0]
+        # By symmetry, S(k) = Z - S(1 - k).
+        s_lo, s_hi = (c_lo[k], c_hi[k]) if k >= 0 else (z_lo - c_lo[1 - k], z_hi - c_hi[1 - k])
+        return level_record(p, (s_lo << p) // z_hi, -(-(s_hi << p) // z_lo))
 
 
 class LaplaceCells(CellLaw):
     """The untruncated discrete Laplace law, weights q^|eta|, q = exp(-1/t), on the grid m s.
 
-    P[eta >= k] = q^k / (1 + q) for k >= 1, mirrored for k <= 0. A home cell
-    with edges a above and b = grid + 1 - a below the centre (eta >= a or
-    eta <= -b leaves it) is left with p = (q^a + q^b) / (1 + q), and a
-    silent coordinate (no edge within m) with p <= 2 q^m / (1 + q), whose
+    P[eta >= k] = q^k / (1 + q) for k >= 1, mirrored for k <= 0, so a
+    departure from key k' has p = (q^k' + q^(grid + 1 - k')) / (1 + q), and a
+    silent coordinate (no edge within m) p <= 2 q^m / (1 + q), whose
     complement each level keeps. Every power is one outward-rounded
     :func:`~frugaldp.precise_math._pow_scaled` on a memo miss, so nothing
-    whose size grows with m or t is built. Past ``horizon`` =
+    whose size grows with m or t is built; each level keeps a memo of the
+    tail ratios besides its departure memo. Past ``horizon`` =
     (_LEVEL_MAX + guard) * ceil(t), q^g lies below every record's precision,
     so a departure's keys may stop there: :func:`locate` never certifies u
     below them.
     """
 
-    __slots__ = ("_x", "grid", "horizon", "beyond_keys")
+    __slots__ = ("_x", "horizon", "beyond_keys")
 
     tails = True
 
     def __init__(self, t: "Fraction | int", m: int, s: int):
-        super().__init__(m, m.bit_length() + (t.numerator // t.denominator + 1).bit_length() + 8)
+        super().__init__(m, s, m.bit_length() + (t.numerator // t.denominator + 1).bit_length() + 8)
         self._x = 1 / Fraction(t)
-        self.grid = m * s
         self.horizon = (_LEVEL_MAX + self._guard) * -(-t.numerator // t.denominator)
         # The keys j of beyond whose cells lie within the horizon: the last is past every comparison.
         self.beyond_keys = range(1, 2 * (self.horizon // self.grid + 2))
@@ -376,60 +407,25 @@ class LaplaceCells(CellLaw):
         one = 1 << w
         den = one + q[0], one + q[1]
         stay = one - -(-(2 * qm_hi << w) // den[0]), one - (2 * qm_lo << w) // den[1]
-        return w, q, den, (qm_lo, qm_hi), stay
+        return w, q, den, (qm_lo, qm_hi), stay, BoundedCache(_MEMO_CAP)
 
     def tail_probability(self) -> RationalBounds:
         """Exact rational bounds of p = P[|eta| >= m] = 2 q^m / (1 + q), from level 0."""
-        _, _, (den_lo, den_hi), (qm_lo, qm_hi), _ = self._levels[0][0]
+        _, _, (den_lo, den_hi), (qm_lo, qm_hi) = self._levels[0][0][:4]
         return RationalBounds(Fraction(2 * qm_lo, den_hi), Fraction(2 * qm_hi, den_lo))
 
     def tail_ratio(self, k: int, level: int) -> tuple[int, int, int, int]:
         """The :func:`level_record` of P[eta >= k] at ``level``: q^k / (1 + q) for k >= 1, mirrored below."""
-        data, memo, _ = self._levels[level]
+        w, q, (den_lo, den_hi), _, _, memo = self._levels[level][0]
         rec = memo.get(k)
         if rec is None:
-            w, q, (den_lo, den_hi) = data[:3]
             p = _LEVEL_START << level
             a_lo, a_hi = _pow_scaled(*q, k if k > 0 else 1 - k, w)
             lo, hi = (a_lo << p) // den_hi, -(-(a_hi << p) // den_lo)
             rec = memo[k] = level_record(p, lo, hi) if k > 0 else level_record(p, (1 << p) - hi, (1 << p) - lo)
         return rec
 
-    def ratio_records(self, level: int) -> tuple[int, BoundedCache]:
-        return _LEVEL_START << level, self._levels[level][2]
-
-    def _past(self, k: int, i: int, level: int) -> tuple[int, int, int]:
-        """P[eta >= e_i] + P[eta >= e_(i+1)]: the mass of a home cell's outside cells from the i-th on.
-
-        They alternate sides: cell i lies past edge e_i, e_1 = k, e_2 = grid + 1 - k
-        on the other side and e_(i+2) = e_i + grid.
-        """
-        n_lo = n_hi = 0
-        for e in (i, i + 1):
-            p, lo, hi, _ = self.tail_ratio((k if e & 1 else self.grid + 1 - k) + (e - 1) // 2 * self.grid, level)
-            n_lo, n_hi = n_lo + lo, n_hi + hi
-        return p, n_lo, n_hi
-
-    def departure(self, k: int, level: int) -> tuple[int, int, int, int]:
-        """The :func:`level_record` of p(k) = P[eta >= k] + P[eta >= grid + 1 - k], memoized with :meth:`beyond`'s."""
-        memo = self._levels[level][2]
-        rec = memo.get(k)
-        if rec is None:
-            rec = memo[k] = level_record(*self._past(k, 1, level))
-        return rec
-
-    def beyond(self, k: int, j: int, level: int) -> tuple[int, int, int, int]:
-        """The :func:`level_record` of the chance that a departure from key k lands past its j-th cell."""
-        memo = self._levels[level][2]
-        rec = memo.get((k, j))
-        if rec is None:
-            p, n_lo, n_hi = self._past(k, j + 1, level)
-            _, d_lo, d_hi, _ = self.departure(k, level)
-            hi = -(-(n_hi << p) // d_lo) if d_lo else 1 << p
-            rec = memo[k, j] = level_record(p, (n_lo << p) // d_hi, hi)
-        return rec
-
     def all_stay(self, j: int, level: int) -> tuple[int, int, int, int]:
         """The :func:`level_record` of (1 - p)^j, a lower bound of the chance that j silent coordinates all stay."""
-        w, _, _, _, (stay_lo, stay_hi) = self._levels[level][0]
+        w, _, _, _, (stay_lo, stay_hi), _ = self._levels[level][0]
         return level_record(w, *_pow_scaled(max(stay_lo, 0), stay_hi, j, w))

@@ -104,8 +104,7 @@ def mech_pure_efficient(
     one comparison with (1 - p)^j together.
     """
     check_release(counts, params, params.m, omega)
-    start = tape.snapshot()
-    result, omega, departed = shift_and_round(tape, Stream(tape), start, counts, params.s, params.cells, "laplace", omega)
+    result, omega, departed = shift_and_round(tape, Stream(tape), counts, params.cells, "laplace", omega)
     far = 0
     if departed:
         departed.sort()

@@ -2,19 +2,18 @@
 
 Both efficient releases draw one shift from {unit, 2 unit, ..., s unit} and
 then walk the coordinates, where the unit is the noise half-width (r in
-approx mode, m in pure mode) and the grid is unit * s. Each coordinate
-holds the cell of its centre, its home cell, and draws only whether it
-leaves it, never a noise value: in runs (:func:`draw_runs`), where one
-:func:`~frugaldp.core_samplers.locate` draws how many coordinates stay home
-before one leaves. A coordinate with no grid edge within reach is silent:
-under the truncated Gaussian law it cannot leave, and under the Laplace law
-one comparison with (1 - p)^j certifies that j of them all stay, unless it
-fails. A departure across a single edge within reach is certain of its
-cell; otherwise one more locate draws the cell. A window with two edges
-under the truncated law (s = 1) is one locate over its two edges. Every
-locate of a release draws on one :class:`~frugaldp.core_samplers.Stream`,
-whose uniform carries from draw to draw: about their entropy plus two bits
-per 32 bits or so of it.
+approx mode, m in pure mode) and the grid, unit * s, is the cell law's.
+Each coordinate holds the cell of its centre, its home cell, and draws only
+whether it leaves it, never a noise value: in runs (:func:`draw_runs`),
+where one :func:`~frugaldp.core_samplers.locate` draws how many coordinates
+stay home before one leaves. A coordinate with no grid edge within reach is
+silent: under the truncated Gaussian law it cannot leave, and under the
+Laplace law one comparison with (1 - p)^j certifies that j of them all
+stay, unless it fails. A departure across a single edge within reach is
+certain of its cell; otherwise (both edges within reach, or the untruncated
+law) one more locate draws the cell. Every locate of a release draws on one
+:class:`~frugaldp.core_samplers.Stream`, whose uniform carries from draw to
+draw: about their entropy plus two bits per 32 bits or so of it.
 """
 
 from __future__ import annotations
@@ -102,25 +101,23 @@ def build_report(
 def shift_and_round(
     tape: BitTape,
     stream: Stream,
-    start: tuple[int, dict[str, int]],
     counts: CountVector,
-    s: int,
     cells: CellLaw,
     noise: str,
     omega: int | None = None,
 ) -> tuple[MechanismResult, int, list[int]]:
-    """Release ``counts`` on the grid cells.halfwidth * s; returns the result, the shift and the departed.
+    """Release ``counts`` on the grid of ``cells``; returns the result, the shift and the departed.
 
     Draws the shift unless ``omega`` forces it. Cells draw on ``stream``, the
-    release's uniform, with bits under ``noise``; ``start`` is the report's
-    tape snapshot. The departed are the coordinates released outside the cell
-    of their centre, in the order drawn.
+    release's uniform, with bits under ``noise``; the report counts the bits
+    read from ``tape`` from the call on. The departed are the coordinates
+    released outside the cell of their centre, in the order drawn.
     """
-    unit, tails = cells.halfwidth, cells.tails
-    grid = unit * s
+    start = tape.snapshot()
+    unit, grid, tails = cells.halfwidth, cells.grid, cells.tails
     reach = unit - 1
     if omega is None:
-        omega = draw_shift(tape, unit, s)
+        omega = draw_shift(tape, unit, grid // unit)
     values = []
     boundary = []
     queued, keys = [], []  # the coordinates draw_runs draws, each holding its home cell
@@ -134,15 +131,12 @@ def shift_and_round(
             # E - center: the release reaches E exactly when eta >= E - center.
             low = (center - reach) // grid * grid
             k = low + grid - center
-            if k < unit:
+            if k < unit:  # keyed by an edge of its home cell, the one at k (see draw_runs)
                 boundary.append(i)
-                if k + grid < unit and not tails:  # two edges, only when s = 1
-                    low += grid * locate(stream, cells.tail_ratio, range(k, unit, grid))
-                else:  # keyed by an edge of its home cell, the one at k (see draw_runs)
-                    if k <= 0:
-                        low += grid
-                    queued.append(len(values))
-                    keys.append(k)
+                if k <= 0:
+                    low += grid
+                queued.append(len(values))
+                keys.append(k)
             elif tails:  # no edge within reach, and home is the lower cell
                 quiet.append(len(values))
                 quiet_keys.append(k)

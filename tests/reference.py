@@ -95,7 +95,7 @@ class FiniteLaw:
     ``cumulative(i, w)`` returns integers (lo, hi) with lo <= 2**w P_i <= hi
     for P_0 = 0 <= P_1 <= ... <= P_k = 1. ``bounds(i, level)`` is the
     :func:`level_record` of the upper tail 1 - P_i, so a draw is
-    ``1 + locate(tape, law.bounds, range(1, law.k))``. Records are cached;
+    ``1 + locate(Stream(tape), law.bounds, range(1, law.k))``. Records are cached;
     enclosures of one cumulative at two levels must intersect.
     """
 
@@ -165,7 +165,7 @@ def bernoulli_from_prob(tape: BitTape, prob: RefinableProb) -> int:
 
     Expected tape cost is about two bits regardless of q.
     """
-    return locate(tape, prob.bounds, (None,))
+    return locate(Stream(tape), prob.bounds, (None,))
 
 
 _EXP_NEG_ONE = RefinableProb(lambda p: exp_neg(1, p))

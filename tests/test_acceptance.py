@@ -21,7 +21,7 @@ from frugaldp.audit_harness import (
 )
 from frugaldp.bit_tape import BitTape
 from frugaldp.cli import RunConfig, run
-from frugaldp.core_samplers import locate
+from frugaldp.core_samplers import Stream, locate
 from frugaldp.precise_math import exp_pos
 from frugaldp.pure_mech import PureParams, derive_pure_params, mech_pure_efficient
 from frugaldp.release import CountVector
@@ -221,7 +221,7 @@ def test_criterion_07_entropy_sampler():
         before = tape.bits_consumed
         for _ in range(n):
             start = tape.bits_consumed
-            hist[1 + locate(tape, law.bounds, range(1, law.k))] += 1
+            hist[1 + locate(Stream(tape), law.bounds, range(1, law.k))] += 1
             max_depth = max(max_depth, tape.bits_consumed - start)
         mean_bits = (tape.bits_consumed - before) / n
         entropy = -sum(float(p) * math.log2(float(p)) for p in probs)

@@ -22,7 +22,6 @@ from frugaldp.audit_harness import (
     _shift_laws,
     _tolerance_bits,
     chi_square,
-    oracle_coord_dist,
     oracle_joint_dist,
     privacy_audit,
     randomness_audit,
@@ -136,23 +135,28 @@ class TestChiSquareTail:
         assert _chi2_sf(-2.5, k) == 1.0
 
 
+def _one(sum_i: int) -> CountVector:
+    """One count: a coordinate's law is the joint law at d = 1, keyed by 1-tuples."""
+    return CountVector(d=1, n=sum_i, sums=(sum_i,))
+
+
 class TestApproxOracle:
     def test_tiny_variance_collapses_to_shift_mixture(self):
         # sigma^2 -> 0: law is uniform over the s rounded shifted values.
         params = ApproxParams(1, 3, Fraction(1, 10000), 2)
-        dist = oracle_coord_dist(10, params)
+        dist = oracle_joint_dist(_one(10), params)
         expected = Counter(
             ((10 + 2 * v) // 6) * 6 for v in range(1, 4)
         )  # all three shifts round to 12
         mids = dist.midpoints()
         for outcome, count in expected.items():
-            assert abs(float(mids[outcome]) - count / 3) < 1e-6
+            assert abs(float(mids[(outcome,)]) - count / 3) < 1e-6
 
     def test_support_and_mass(self):
         params = approx_params_from_sigma(1, 3, Fraction(2), Fraction(1, 1024))
-        dist = oracle_coord_dist(5, params)
+        dist = oracle_joint_dist(_one(5), params)
         bound = params.accuracy_bound
-        for outcome in sorted(dist.mass):
+        for (outcome,) in sorted(dist.mass):
             assert outcome % params.grid == 0
             assert abs(outcome - 5) <= bound
         lo, hi = _total_mass(dist)
@@ -162,24 +166,24 @@ class TestApproxOracle:
     def test_matches_monte_carlo_of_reference(self):
         params = approx_params_from_sigma(1, 3, Fraction(2), Fraction(1, 1024))
         counts = CountVector(d=1, n=20, sums=(5,))
-        dist = oracle_coord_dist(5, params)
+        dist = oracle_joint_dist(counts, params)
         tape = BitTape(seed=1002)
         hist = Counter()
         for _ in range(100_000):
-            hist[mech_approx_reference(counts, params, 3, tape).values[0]] += 1
+            hist[mech_approx_reference(counts, params, 3, tape).values] += 1
         assert chi_square(hist, dist) >= 0.001
 
 
 class TestPureOracle:
     def test_support_is_grid(self):
         params = PureParams(1, 2, Fraction(1, 2), 2)
-        dist = oracle_coord_dist(3, params)
-        assert all(outcome % params.grid == 0 for outcome in dist.mass)
+        dist = oracle_joint_dist(_one(3), params)
+        assert all(outcome % params.grid == 0 for (outcome,) in dist.mass)
 
     def test_mass_deficit_bounded(self):
         params = PureParams(1, 2, Fraction(1, 2), 2)
         tol = Fraction(1, 1 << 20)
-        dist = oracle_coord_dist(3, params, tail_tol=tol)
+        dist = oracle_joint_dist(_one(3), params, tail_tol=tol)
         assert dist.deficit <= tol
         lo, hi = _total_mass(dist)
         assert lo >= 1 - 2 * tol
@@ -188,12 +192,12 @@ class TestPureOracle:
     def test_spot_value_against_monte_carlo(self):
         params = PureParams(1, 2, Fraction(1, 2), 2)
         counts = CountVector(d=1, n=10, sums=(0,))
-        dist = oracle_coord_dist(0, params)
+        dist = oracle_joint_dist(counts, params)
         tape = BitTape(seed=1003)
         n = 200_000
         hist = Counter()
         for _ in range(n):
-            hist[mech_pure_reference(counts, params, 2, tape).values[0]] += 1
+            hist[mech_pure_reference(counts, params, 2, tape).values] += 1
         mids = dist.midpoints()
         for outcome, prob in mids.items():
             p = float(prob)
@@ -246,7 +250,7 @@ APPROX_SPREAD = derive_approx_params(Fraction(1), Fraction(1, 1 << 20), 4096, 4)
     [
         (lambda: oracle_joint_dist(*AUDIT_DESK), 200),
         (lambda: oracle_joint_dist(CountVector(d=2, n=10, sums=(3, 7)), PureParams(2, 2, Fraction(1), 2)), 20),
-        (lambda: oracle_coord_dist(17, APPROX_SPREAD), 1000),
+        (lambda: oracle_joint_dist(_one(17), APPROX_SPREAD), 1000),
     ],
     ids=["audit-desk", "criterion-02", "approx-spread"],
 )
@@ -313,7 +317,7 @@ def test_one_exponential_per_noise_law(monkeypatch):
     oracle_joint_dist(*AUDIT_DESK)
     assert len(calls) <= 8
     calls.clear()
-    oracle_coord_dist(9_999_999, APPROX_SPREAD)
+    oracle_joint_dist(_one(9_999_999), APPROX_SPREAD)
     assert len(calls) <= 8
 
 
@@ -331,11 +335,11 @@ def test_one_exponential_per_noise_law(monkeypatch):
 def test_coordinate_law_is_the_marginal_of_the_joint_law(params, counts):
     joint = oracle_joint_dist(counts, params)
     for i, sum_i in enumerate(counts.sums):
-        coord = oracle_coord_dist(sum_i, params)
+        coord = oracle_joint_dist(_one(sum_i), params)
         lo, hi = Counter(), Counter()
         for outcome, (m_lo, m_hi) in joint.mass.items():
-            lo[outcome[i]] += Fraction(m_lo, 1 << joint.w)
-            hi[outcome[i]] += Fraction(m_hi, 1 << joint.w)
+            lo[outcome[i:i + 1]] += Fraction(m_lo, 1 << joint.w)
+            hi[outcome[i:i + 1]] += Fraction(m_hi, 1 << joint.w)
         assert set(coord.mass) <= set(lo)  # pure mode: the joint's horizon reaches further
         mids = coord.midpoints()
         for g in lo:

@@ -323,7 +323,7 @@ def _laplace_weight(t):
 def _reach(law) -> int:
     """The noise values an oracle enumerates, |eta| < reach: the half-width of a
     truncated law, far enough out for an untruncated one that the rest is below 1e-100."""
-    return 60 * law.halfwidth if law.tails else law.halfwidth
+    return 60 * law.halfwidth if isinstance(law, LaplaceCells) else law.halfwidth
 
 
 def _cell_probs(weight, reach, center, grid):
@@ -340,7 +340,7 @@ def _cell_probs(weight, reach, center, grid):
 def _release_cell(tape, law, s, count):
     """The value shift_and_round releases for one count, with the shift forced to the unit."""
     counts = CountVector(1, 100, (count,))
-    result, _, _ = shift_and_round(tape, cs.Stream(tape), tape.snapshot(), counts, s, law, "noise", law.halfwidth)
+    result, _, _ = shift_and_round(tape, cs.Stream(tape), counts, law, "noise", law.halfwidth)
     return result.values[0]
 
 
@@ -352,11 +352,14 @@ def _assert_cell_law(hist, probs):
     assert stats.chisquare(observed, expected).pvalue >= 0.001
 
 
-# Each law is made for the s of the release it draws: the Laplace law is
-# untruncated, so its departures depend on both edges of the home cell.
+# Each law is made for the s of the release it draws: its departures depend
+# on both edges of the home cell whenever the law reaches both. At s = 1,
+# count 3 puts the far edge 6 above the centre, which the noise reaches with
+# chance about 3 % at sigma^2 = 9 and r = 9, and about 1e-4 at sigma^2 = 7/3.
 _LAWS = [
-    ("gaussian", lambda s=2: GaussianCells(Fraction(7, 3), 9), _gauss_weight(Fraction(7, 3)), 9),
+    ("gaussian", lambda s=2: GaussianCells(Fraction(7, 3), 9, s), _gauss_weight(Fraction(7, 3)), 9),
     ("laplace", lambda s=2: LaplaceCells(Fraction(5, 2), 11, s), _laplace_weight(Fraction(5, 2)), 11),
+    ("gaussian-far-edge", lambda s=2: GaussianCells(Fraction(9), 9, s), _gauss_weight(Fraction(9)), 9),
 ]
 
 # Releases of several coordinates, as (s, keys): with unit h and the shift
@@ -376,7 +379,7 @@ def _run_case(law, weight, s, keys):
     h = law.halfwidth
     sums = tuple(0 if k is None else (s - 1) * h - k for k in keys)
     laws = [_cell_probs(weight, _reach(law), c + h, h * s) for c in sums]
-    if law.tails:  # cells below 1e-9 are left to the pooled bin
+    if isinstance(law, LaplaceCells):  # cells below 1e-9 are left to the pooled bin
         laws = [{c: p for c, p in probs.items() if p >= 1e-9} for probs in laws]
     else:
         assert [len(probs) for probs in laws] == [1 if k is None else 2 for k in keys]
@@ -384,7 +387,7 @@ def _run_case(law, weight, s, keys):
 
 
 def _release_row(tape, law, s, counts):
-    result, _, _ = shift_and_round(tape, cs.Stream(tape), tape.snapshot(), counts, s, law, "noise", law.halfwidth)
+    result, _, _ = shift_and_round(tape, cs.Stream(tape), counts, law, "noise", law.halfwidth)
     return result.values
 
 
@@ -437,7 +440,7 @@ class TestCellDraw:
         low = (center - (reach - 1)) // grid * grid
         keys = range(low + grid - center, reach, grid)
         n = 40_000
-        hist, bits = collect_histogram(lambda t: low + grid * locate(t, law.tail_ratio, keys), n, 708)
+        hist, bits = collect_histogram(lambda t: low + grid * locate(cs.Stream(t), law.tail_ratio, keys), n, 708)
         probs = _cell_probs(weight, reach, center, grid)
         _assert_cell_law(hist, probs)
         assert bits / n <= 2 * (len(probs) - 1) + 1
@@ -450,15 +453,45 @@ class TestCellDraw:
         # The untruncated law also reaches cells past the window, rarely.
         law = make(s)
         probs = _cell_probs(weight, _reach(law), count + h, h * s)
-        assert law.tails or len(probs) == cells
+        assert isinstance(law, LaplaceCells) or len(probs) == cells
         n = 40_000
         hist, bits = collect_histogram(lambda t: _release_cell(t, law, s, count), n, 708)
         _assert_cell_law(hist, probs)
         assert bits / n <= 2 * (cells - 1) + 1
 
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_gaussian_departure_encloses_both_edges(self, s):
+        # Exact rational bounds of every weight, at 200 bits: p(k') = (S(k') +
+        # S(grid + 1 - k')) / Z, and the chance that a departure crosses the
+        # far edge, beyond(k', 1) = S(grid + 1 - k') / (Z p(k')), 0 at s >= 2.
+        sigma_sq, r, w = Fraction(9), 9, 200
+        law = GaussianCells(sigma_sq, r, s)
+        assert law.tails == (s == 1)
+        weight = [exp_neg(Fraction(eta * eta) / (2 * sigma_sq), w) for eta in range(r)]
+
+        def tail(k):  # 2**w times the bounds of S(k), the weight of k <= eta < r
+            return tuple(sum(weight[abs(eta)][i] for eta in range(k, r)) for i in (0, 1))
+
+        z = tail(1 - r)
+        crossings = []
+        for k in range(1, r):
+            near, far = tail(k), tail(law.grid + 1 - k)
+            total = near[0] + far[0], near[1] + far[1]
+            exact = [
+                (law.departure, Fraction(total[0], z[1]), Fraction(total[1], z[0])),
+                (partial(law.beyond, j=1), Fraction(far[0], total[1]), Fraction(far[1], total[0])),
+            ]
+            for level in (0, 1):
+                for record, lo, hi in exact:
+                    p, r_lo, r_hi, limit = record(k, level=level)
+                    assert Fraction(r_lo, 1 << p) <= hi and lo <= Fraction(r_hi, 1 << p)
+                    assert limit >= 40 << level
+            crossings.append(exact[1][1])
+        assert (max(crossings) > Fraction(1, 10)) == (s == 1)
+
     def test_silent_window_draws_nothing(self):
         # center 27 on grid 18: the window (19, 35) holds no edge.
-        law = GaussianCells(Fraction(7, 3), 9)
+        law = GaussianCells(Fraction(7, 3), 9, 2)
         tape = BitTape(seed=709)
         assert _release_cell(tape, law, 2, 18) == 18
         assert tape.bits_consumed == 0
@@ -484,7 +517,7 @@ class TestCellDraw:
         # and releases that keep every coordinate home; under the untruncated
         # law a silent coordinate may depart first too.
         first = _first_departures(hist, counts, law, s)
-        assert first >= {*boundary, None} and (law.tails or first == {*boundary, None})
+        assert first >= {*boundary, None} and (isinstance(law, LaplaceCells) or first == {*boundary, None})
 
     def test_refinement_mid_run_keeps_the_law(self, monkeypatch):
         # 4-bit levels: the running products widen within a few coordinates,
@@ -520,7 +553,7 @@ class TestCellDraw:
 
     def test_halfwidth_validation(self):
         with pytest.raises(ParameterDomainError):
-            GaussianCells(Fraction(2), 0)
+            GaussianCells(Fraction(2), 0, 1)
 
     def test_integer_laplace_scale_is_exact(self):
         # An int t must not reach the law as the float 1/t.
@@ -580,7 +613,7 @@ class TestTailCellDraw:
         counts = CountVector(1, 4 * grid, (count,))
 
         def draw(tape):
-            result, _, _ = shift_and_round(tape, cs.Stream(tape), tape.snapshot(), counts, s, law, "noise", m)
+            result, _, _ = shift_and_round(tape, cs.Stream(tape), counts, law, "noise", m)
             assert set(result.report.bits_by_category) == {"noise"}
             return result.values
 
@@ -639,9 +672,10 @@ class TestRecordMemo:
         monkeypatch.setattr(cs, "_MEMO_CAP", 1)
         tiny = _seeded_batch(*make(), seeds)
         assert fresh == warm == tiny
-        _, ratios, departures = params.cells._levels[0]
-        # Boundary cells were drawn; in pure mode their departures and cells read two memos.
-        assert ratios and bool(departures) == (mode == "pure")
+        data, departures = params.cells._levels[0]
+        # Boundary cells were drawn from the departure memo; in pure mode their
+        # cells also read the tail ratios, which the Laplace law memoizes apart.
+        assert departures and (mode == "approx" or data[-1])
 
     def test_memo_stays_bounded(self):
         # Half-width 20 000 on a grid of 40 000 leaves 40 000 distinct
@@ -651,7 +685,7 @@ class TestRecordMemo:
         for k in range(-19_999, 20_001):
             law.tail_ratio(k, 0)
             law.departure(k + 20_000, 0)
-            memos = law._levels[0][1:]
+            memos = law._levels[0][1], law._levels[0][0][-1]
             assert all(len(memo) <= cap for memo in memos)
         assert all(memos)
 
@@ -707,7 +741,7 @@ class TestRunStream:
         # With sigma^2 = 1/2, p lies below 2**-64 from key 7 on. A tape of
         # ones puts u above every threshold below 1, so each of these keys
         # departs, after a refinement; B then rounds to 0 at level 0.
-        law = GaussianCells(Fraction(1, 2), 12)
+        law = GaussianCells(Fraction(1, 2), 12, 2)
         assert law.tail_ratio(7, 0)[1] == 0 < law.tail_ratio(6, 0)[1]
 
         class Ones:
@@ -720,7 +754,7 @@ class TestRunStream:
         keys = [3, 7, -8, 9, 1, 10, -6]
         seen = Counter()
         out = []
-        closure_law = GaussianCells(Fraction(1, 2), 12)
+        closure_law = GaussianCells(Fraction(1, 2), 12, 2)
         for draw, *source in ((_on_stream, law), (reference.draw_runs, closure_law.tail_ratio, seen)):
             tape, values = Ones(), [0] * len(keys)
             draw(tape, source[0], 24, list(range(len(keys))), keys, values, *source[1:])
@@ -736,7 +770,7 @@ def _pure_desk(d=4):
 
 
 def _approx_windows():
-    """Approx mode at s = 1 and r = 6 with sigma^2 = 9: windows of two edges, and two of one edge (a run)."""
+    """Approx mode at s = 1 and r = 6 with sigma^2 = 9: homes with both edges within reach, and two with one."""
     return ApproxParams(4, 1, Fraction(9), 6), (0, 2, 3, 12)
 
 
@@ -754,8 +788,8 @@ class TestCarriedStream:
     @pytest.mark.parametrize("mode", ["pure", "approx"])
     @pytest.mark.parametrize("level_start", [4, 8])
     def test_refined_carried_draws_keep_the_joint_law(self, mode, level_start, monkeypatch):
-        # At 4- and 8-bit levels the runs, the departures' cells, the
-        # two-edge windows and the silent coordinates' coarse key refine on a stream
+        # At 4- and 8-bit levels the runs, the departures' cells (in approx
+        # mode, a side of the home cell) and the silent coordinates' coarse key refine on a stream
         # that already carries u, so A and B are rebuilt at finer levels from
         # the draws since the last fresh start (Stream.level, Stream.scaled).
         # The whole release must still follow the product of the exact laws.
@@ -794,7 +828,7 @@ class TestCarriedStream:
         for seed in range(400):
             tape = BitTape(seed=seed)
             stream = cs.Stream(tape)
-            shift_and_round(tape, stream, tape.snapshot(), counts, params.s, params.cells, "noise")
+            shift_and_round(tape, stream, counts, params.cells, "noise")
             ab = 0, 0, one, one
             for narrow, *args in stream.history:
                 ab = narrow(0, *ab, *args)
@@ -832,7 +866,7 @@ class TestSearch:
             out = []
             for level0 in (None, (bounds(i, 0) for i in range(n))):
                 tape = BitTape(seed=case)
-                out.append((locate(tape, bounds, range(n), level0), tape.bits_consumed))
+                out.append((locate(cs.Stream(tape), bounds, range(n), level0), tape.bits_consumed))
             if level_start == 64:
                 assert out[0] == out[1]
             else:
@@ -906,7 +940,7 @@ class TestSearch:
                     p = cs._LEVEL_START << level
                     return cs.level_record(p, *((1 << p, 1 << p) if key < c else (0, 0)))
 
-                assert locate(BitTape(seed=0), bounds, range(n)) == c
+                assert locate(cs.Stream(BitTape(seed=0)), bounds, range(n)) == c
                 assert reads <= cs._LINEAR_KEYS + 2 * (c + 1).bit_length() + 2, (n, c, reads)
 
     def test_s1_tail_cells_search_their_keys(self, monkeypatch):
@@ -949,7 +983,7 @@ class TestSearch:
         keys, beyond = law.beyond_keys, partial(law.beyond, 5)
         assert beyond(keys[-1], 0)[1] == 0
         with pytest.raises(EnclosureContractError):
-            locate(Zeros(), beyond, keys)
+            locate(cs.Stream(Zeros()), beyond, keys)
 
     def test_extreme_scale_release_finishes(self):
         # t = 10**15: the departure's cell is about 10**15 keys out, and the key

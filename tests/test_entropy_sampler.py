@@ -11,7 +11,7 @@ import pytest
 from scipy import stats
 
 from frugaldp.bit_tape import BitTape
-from frugaldp.core_samplers import locate
+from frugaldp.core_samplers import Stream, locate
 from frugaldp.errors import EnclosureContractError
 from frugaldp.precise_math import exp_neg, exp_pos
 
@@ -25,7 +25,7 @@ def _entropy(probs) -> float:
 
 def sample_point_mass(tape: BitTape, law: FiniteLaw) -> int:
     """Index i in {1..k} with probability exactly P_i - P_{i-1}."""
-    return 1 + locate(tape, law.bounds, range(1, law.k))
+    return 1 + locate(Stream(tape), law.bounds, range(1, law.k))
 
 
 class TestSamplePointMass:
