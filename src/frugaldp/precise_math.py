@@ -16,7 +16,6 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable
 from fractions import Fraction
-from math import factorial
 
 from .errors import EnclosureContractError, MathDomainError
 
@@ -89,53 +88,50 @@ def certified_le(value: Fraction, enclose: Callable[[int], tuple[int, int]]) -> 
 # ---------------------------------------------------------------------------
 
 
-def _exp_neg_unit_scaled(fm: int, fe: int, w: int) -> tuple[int, int]:
-    """Scaled-int enclosure of exp(-f) for f = fm/2**fe in [0, 1].
+def _exp_series(x: int, p: int) -> tuple[int, int]:
+    """Sum exp(-f)'s Taylor series for f = x/2**p in [0, 1] in integers at scale 2**-p.
 
-    Returns (lo, hi) with lo/2**w <= exp(-f) <= hi/2**w, via the Taylor
-    series with remainder bound f**(n+1)/(n+1)!.
+    Returns (s, n) with |2**p exp(-f) - s| < 2n. The terms t_0 = 2**p and
+    t_i = floor(t_(i-1) f / i) stop at the first zero, t_n, and s is the
+    alternating sum of t_0 .. t_(n-1). Each t_i falls short of
+    T_i = 2**p f**i / i! by e_i >= 0, where e_0 = 0 and
+    e_i < e_(i-1) f / i + 1, so e_i < 2. The tail past n alternates with
+    decreasing terms, so it is below T_n = e_n < 2 in size. As
+    t_i <= 2**(p + 1 - i), n <= p + 2.
     """
-    if fm == 0:
-        return 1 << w, 1 << w
-    # f <= 2**shift with shift <= 0 (shift = 0 covers f = 1 exactly).
-    shift = min(0, fm.bit_length() - fe)
-    n = 1
-    fact_next = 2  # (n+1)!
-    while True:
-        exponent = w + 3 + shift * (n + 1)
-        if exponent <= 0 or fact_next >= (1 << exponent):
-            break
+    s, term, n = 0, 1 << p, 0
+    while term:
+        s += -term if n & 1 else term
         n += 1
-        fact_next *= n + 1
-    # Alternating sum over the common denominator n! * 2**(fe*n).
-    num = 0
-    power = 1  # fm**i
-    coeff = factorial(n)  # n! / i!
-    for i in range(n + 1):
-        term = (coeff * power) << (fe * (n - i))
-        num += -term if i & 1 else term
-        power *= fm
-        coeff //= i + 1
-    den = factorial(n) << (fe * n)
-    remainder = Fraction(1, fact_next << (-shift * (n + 1)))
-    value = Fraction(num, den)
-    lo = max(0, _floor_scaled(value - remainder, w))
-    hi = min(1 << w, _ceil_scaled(value + remainder, w))
-    return lo, hi
+        term = (term * x >> p) // n
+    return s, n
+
+
+def _exp_neg_unit_scaled(x: int, w: int) -> tuple[int, int]:
+    """Enclosure (lo, hi) of 2**w exp(-x/2**w) for x in [0, 2**w], with hi - lo <= 2.
+
+    The series runs at p = w + g bits, g = bitlen(w) + 4; its error
+    2n <= 2p + 4 is then at most 2**g / 2, so the enclosure rounds to w
+    bits within two units.
+    """
+    if x == 0:
+        return 1 << w, 1 << w
+    g = w.bit_length() + 4
+    s, n = _exp_series(x << g, w + g)
+    return max(0, (s - 2 * n) >> g), min(1 << w, -(-(s + 2 * n) >> g))
 
 
 def _pow_scaled(lo: int, hi: int, k: int, w: int) -> tuple[int, int]:
     """Directed-rounding k-th power of a non-negative scaled interval."""
     r_lo, r_hi = 1 << w, 1 << w
-    b_lo, b_hi = lo, hi
     while k:
         if k & 1:
-            r_lo = (r_lo * b_lo) >> w
-            r_hi = -((-r_hi * b_hi) >> w)
+            r_lo = (r_lo * lo) >> w
+            r_hi = -((-r_hi * hi) >> w)
         k >>= 1
         if k:
-            b_lo = (b_lo * b_lo) >> w
-            b_hi = -((-b_hi * b_hi) >> w)
+            lo = (lo * lo) >> w
+            hi = -((-hi * hi) >> w)
     return r_lo, r_hi
 
 
@@ -156,14 +152,13 @@ def _exp_neg_guarded(x: "Fraction | int", w: int) -> tuple[int, int]:
         # exp(-x) < 2**-wi already; [0, 2**-w] is tight enough.
         return 0, 1 << (out - w)
     frac = xf - k
-    lo_m = _floor_scaled(frac, wi)
-    hi_m = _ceil_scaled(frac, wi)
+    lo_m, hi_m = rational_enclose(frac, wi)
     wp = wi + 2 * max(1, k.bit_length()) + 8
     # exp is decreasing: lower bound from the upper bracket and vice versa.
-    unit_lo, _ = _exp_neg_unit_scaled(hi_m << (wp - wi), wp, wp)
-    _, unit_hi = _exp_neg_unit_scaled(lo_m << (wp - wi), wp, wp)
+    unit_lo, _ = _exp_neg_unit_scaled(hi_m << (wp - wi), wp)
+    _, unit_hi = _exp_neg_unit_scaled(lo_m << (wp - wi), wp)
     if k:
-        e1_lo, e1_hi = _exp_neg_unit_scaled(1, 0, wp)
+        e1_lo, e1_hi = _exp_neg_unit_scaled(1 << wp, wp)
         p_lo, p_hi = _pow_scaled(e1_lo, e1_hi, k, wp)
         unit_lo = (unit_lo * p_lo) >> wp
         unit_hi = -((-unit_hi * p_hi) >> wp)
@@ -200,60 +195,50 @@ def exp_pos(x: "Fraction | int", w: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _atanh_series(z: Fraction, w: int) -> tuple[Fraction, Fraction]:
-    """(sum, remainder_bound) for 2*atanh(z), z in [0, 1/2)."""
-    if z == 0:
-        return Fraction(0), Fraction(0)
-    z2 = z * z
-    total = Fraction(0)
-    power = z
-    j = 0
-    threshold = Fraction(1, 1 << (w + 4))
-    while True:
-        total += power / (2 * j + 1)
-        power *= z2
-        j += 1
-        if power / (2 * j + 1) <= threshold:
-            break
-    remainder = 2 * (power / (2 * j + 1)) / (1 - z2)
-    return 2 * total, remainder
+def _atanh_series(z: Fraction, p: int) -> tuple[int, int]:
+    """Sum 2 atanh(z) = 2 sum_j z**(2j+1) / (2j+1) for z in [0, 1/3] in integers at scale 2**-p.
 
-
-_LN2_CACHE: BoundedCache = BoundedCache(64)
-
-
-def _ln2_bounds(w: int) -> tuple[Fraction, Fraction]:
-    if w not in _LN2_CACHE:
-        s, r = _atanh_series(Fraction(1, 3), w)
-        _LN2_CACHE[w] = (s, s + r)
-    return _LN2_CACHE[w]
+    Returns (s, n) with s <= 2**p 2 atanh(z) < s + 5n + 6. Rounding z
+    down to Z/2**p lowers 2 atanh by less than 2.25 units, as its
+    derivative 2/(1 - z**2) is at most 9/4. The odd powers P_j of Z step
+    by floor(P_(j-1) Z2 / 2**p), with Z2 = floor(Z**2 / 2**p): P_j falls
+    short by d_j < d_(j-1)/9 + 1/3 + 1, so d_j < 1.5, and the term
+    floor(P_j / (2j+1)) by less than 2.5. The terms stop at the first zero,
+    the n-th, whose exact value is then below 1.5 (Z = 0 when n = 0), and
+    with a ratio below 1/9 the tail is below 1.7. Doubled, the sum's
+    shortfall is below 5n + 3.4. As P_j <= 2**p 3**-(2j+1), n <= p/3 + 1.
+    """
+    zp = (z.numerator << p) // z.denominator
+    z2 = zp * zp >> p
+    s, power, n = 0, zp, 0
+    while term := power // (2 * n + 1):
+        s += term
+        n += 1
+        power = power * z2 >> p
+    return 2 * s, n
 
 
 def ln_enclose(x: "Fraction | int", w: int) -> tuple[int, int]:
-    """Enclosure (lo, hi) of 2**w ln(x) for x > 0, with hi - lo <= 2."""
+    """Enclosure (lo, hi) of 2**w ln(x) for x > 0, with hi - lo <= 2.
+
+    With x = m 2**e, m in [1, 2), ln(x) = 2 atanh((m - 1)/(m + 1))
+    + e 2 atanh(1/3), each summed by :func:`_atanh_series` at p = w + g
+    bits. Their error, at most (1 + |e|) (5p/3 + 11) units, is below 2**g
+    for g = bitlen(|e|) + bitlen(w) + 6 and any |e| < 2**50, so the
+    enclosure rounds to w bits within two units.
+    """
     xf = Fraction(x)
     if xf <= 0:
         raise MathDomainError("ln_enclose requires x > 0")
-    wi = w + 6
-    # Normalize x = m * 2**e with m in [1, 2).
-    e = xf.numerator.bit_length() - xf.denominator.bit_length()
+    # Normalize x = m * 2**e with m in [1, 2): e = floor(log2 x).
+    num, den = xf.numerator, xf.denominator
+    e = (num // den).bit_length() - 1 if num >= den else -((den - 1) // num).bit_length()
     m = xf / Fraction(2) ** e
-    if m >= 2:
-        m /= 2
-        e += 1
-    elif m < 1:
-        m *= 2
-        e -= 1
-    z = (m - 1) / (m + 1)
-    s, r = _atanh_series(z, wi)
-    lo_f, hi_f = s, s + r
-    if e:
-        ln2_lo, ln2_hi = _ln2_bounds(wi + abs(e).bit_length() + 2)
-        if e > 0:
-            lo_f += e * ln2_lo
-            hi_f += e * ln2_hi
-        else:
-            lo_f += e * ln2_hi
-            hi_f += e * ln2_lo
-    return _floor_scaled(lo_f, w), _ceil_scaled(hi_f, w)
-
+    g = abs(e).bit_length() + w.bit_length() + 6
+    lo = hi = 0
+    for z, k in (((m - 1) / (m + 1), 1), (Fraction(1, 3), e)):
+        if z and k:
+            s, n = _atanh_series(z, w + g)
+            a, b = k * s, k * (s + 5 * n + 6)
+            lo, hi = lo + min(a, b), hi + max(a, b)
+    return lo >> g, -(-hi >> g)

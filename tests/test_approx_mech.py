@@ -21,6 +21,7 @@ from frugaldp.approx_mech import (
 )
 from frugaldp.bit_tape import BitTape
 from frugaldp.errors import InternalError, ParameterDomainError
+from frugaldp.precise_math import exp_neg
 from frugaldp.release import CountVector
 from reference import (
     approx_params_from_sigma,
@@ -110,6 +111,16 @@ class TestDeriveParams:
         with pytest.raises(ParameterDomainError, match="window radius"):
             derive_approx_params(Fraction(1, 10**400), Fraction(1, 4), 2, 2)
         assert time.perf_counter() - started < 1
+
+    def test_near_tie_delta_is_decided_quickly(self):
+        # delta matches exp(-1/2) to 3 000 bits (a 904-digit numerator), so
+        # certifying delta <= exp(-eps/2) refines its enclosure to 4 096 bits.
+        lo, _ = exp_neg(Fraction(1, 2), 3000)
+        delta = Fraction(2 * lo - 1, 1 << 3001)
+        assert len(str(delta.numerator)) == 904
+        started = time.perf_counter()
+        derive_approx_params(Fraction(1), delta, 16, 4)
+        assert time.perf_counter() - started < 0.5
 
     def test_basic_validation(self):
         with pytest.raises(ParameterDomainError):

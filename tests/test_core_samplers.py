@@ -968,12 +968,10 @@ class TestSearch:
         assert len(reads) == trace.tail_size > 1000
         assert max(reads) <= 4 * math.log2(params.scale) + 8
 
-    def test_tail_keys_end_past_every_comparison(self, monkeypatch):
+    def test_tail_keys_end_past_every_comparison(self):
         # u = 0 lies below every threshold it can be compared with: the
         # search runs out of precision, and raises, before it could return
         # the count of the whole key range, so the range truncates no law.
-        # A 512-bit ceiling keeps the deepest level quick to build.
-        monkeypatch.setattr(cs, "_LEVEL_MAX", 1 << 9)
         law = LaplaceCells(Fraction(12), 22, 2)
 
         class Zeros:

@@ -126,10 +126,9 @@ class TestLnSqrt:
 
 
 def test_enclosure_soundness_sweep():
-    """500 seeded rationals at w in {24, 64, 128, 200}: every enclosure holds
-    the value computed independently by ``decimal`` at 120 digits, and keeps
-    its stated width."""
-    slack = decimal.Decimal("1e-100")  # far above decimal's error, far below 2**-200
+    """Seeded rationals, 500 at w in {24, 64, 128, 200} and 6 at w in {1 024, 4 096}:
+    every enclosure holds the value computed independently by ``decimal``
+    at 120 (1 300) digits, and keeps its stated width."""
 
     def check(pair, value, w, width):
         lo, hi = pair
@@ -142,15 +141,46 @@ def test_enclosure_soundness_sweep():
         return decimal.Decimal(x.numerator) / x.denominator
 
     rng = random.Random(20240811)
-    ctx = decimal.Context(prec=120, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
-    with decimal.localcontext(ctx):
-        for _ in range(500):
-            x = Fraction(rng.randint(1, 1 << 24), rng.randint(1, 1 << 24))
-            small = x % 32  # exp(x) past 2**46 would only test the size of integers
-            for w in (24, 64, 128, 200):
-                check(exp_neg(x, w), (-dec(x)).exp(), w, 2)
-                check(exp_pos(small, w), dec(small).exp(), w, 2)
-                check(ln_enclose(x, w), dec(x).ln(), w, 2)
+    for samples, widths, digits in ((500, (24, 64, 128, 200), 120), (6, (1024, 4096), 1300)):
+        # 20 digits above decimal's error, and far below 2**-w.
+        slack = decimal.Decimal(10) ** (20 - digits)
+        ctx = decimal.Context(prec=digits, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+        with decimal.localcontext(ctx):
+            for _ in range(samples):
+                x = Fraction(rng.randint(1, 1 << 24), rng.randint(1, 1 << 24))
+                small = x % 32  # exp(x) past 2**46 would only test the size of integers
+                for w in widths:
+                    check(exp_neg(x, w), (-dec(x)).exp(), w, 2)
+                    check(exp_pos(small, w), dec(small).exp(), w, 2)
+                    check(ln_enclose(x, w), dec(x).ln(), w, 2)
+
+
+def test_series_sums_stay_within_their_stated_error():
+    """Each integer series sum, unrounded, against its exact series as a Fraction at p <= 48:
+    |2**p exp(-f) - s| < 2n, and s <= 2**p 2 atanh(z) < s + 5n + 6, at the
+    worst-case arguments f = 1 and z = 1/3 and at random ones."""
+    terms = 60  # the tails past them are below 2**48 / 60! and 2**49 3**-121
+
+    def exp_exact(f, p):
+        head = sum((-f) ** i / math.factorial(i) for i in range(terms)) * (1 << p)
+        return head, Fraction(1 << p, math.factorial(terms))
+
+    def atanh_exact(z, p):
+        head = 2 * sum(z ** (2 * j + 1) / (2 * j + 1) for j in range(terms)) * (1 << p)
+        return head, 2 * z ** (2 * terms + 1) * (1 << p)
+
+    rng = random.Random(1024)
+    for p in (1, 2, 5, 8, 16, 24, 31, 40, 48):
+        xs = [1 << p] + [rng.randint(0, 1 << p) for _ in range(20)]
+        for x in xs:
+            s, n = pm._exp_series(x, p)
+            exact, tail = exp_exact(Fraction(x, 1 << p), p)
+            assert abs(exact - s) + tail < 2 * n, (x, p)
+        zs = [Fraction(1, 3)] + [Fraction(rng.randint(0, 10**6), 3 * 10**6 + rng.randint(0, 10**6)) for _ in range(20)]
+        for z in zs:
+            s, n = pm._atanh_series(z, p)
+            exact, tail = atanh_exact(z, p)
+            assert s <= exact and exact + tail < s + 5 * n + 6, (z, p)
 
 
 class TestBoundedCache:
@@ -166,9 +196,3 @@ class TestBoundedCache:
         cache["a"], cache["b"] = 1, 2
         cache["a"] = 3
         assert cache == {"a": 3, "b": 2}
-
-    def test_ln2_cache_stays_bounded(self):
-        for w in range(8, 8 + pm._LN2_CACHE.cap + 10):
-            lo, hi = pm._ln2_bounds(w)
-            assert lo <= Fraction(math.log(2)) + Fraction(1, 1 << 40) and hi >= lo
-            assert len(pm._LN2_CACHE) <= pm._LN2_CACHE.cap
