@@ -76,7 +76,7 @@ class ApproxParams:
         self.gamma = gamma
         self.epsilon = epsilon
         self.delta = delta
-        self.cells = GaussianCells(self.sigma_sq, r, s)
+        self.cells = GaussianCells(self.sigma_sq, r, s, d)
 
     @property
     def accuracy_bound(self) -> int:

@@ -27,7 +27,7 @@ _LEVEL_START = 64
 #: Refinement gives up past this precision. A comparison streams no deeper
 #: than the precision it compares at, so this also caps the bits it reads.
 _LEVEL_MAX = 1 << 15
-#: Records one level of a cell law memoizes per bounds source.
+#: Records one level of a cell law memoizes per bounds source (a Gaussian level: 2 r, if more).
 _MEMO_CAP = 1 << 14
 #: Keys a draw without a level-0 stream reads in order before it searches.
 _LINEAR_KEYS = 4
@@ -257,7 +257,7 @@ class _Levels(dict):
 
     def __missing__(self, level: int):
         data = self.law._build((_LEVEL_START << level) + self.law._guard)
-        entry = self[level] = data, BoundedCache(_MEMO_CAP)
+        entry = self[level] = data, BoundedCache(self.law._cap)
         return entry
 
 
@@ -269,16 +269,19 @@ class CellLaw:
     P[eta >= k]. Levels are built on first read (:class:`_Levels`), each at
     twice the precision of the last, and memoize the :meth:`departure` and
     :meth:`beyond` records in one :class:`~frugaldp.precise_math.BoundedCache`
-    of ``_MEMO_CAP`` records. Records are deterministic, so threads share
+    of ``_cap`` records. Records are deterministic, so threads share
     them with no lock. A home cell with edges k' above and grid + 1 - k'
     below the centre (eta >= k' or eta <= k' - grid - 1 leaves it) is left
     with p(k') = P[eta >= k'] + P[eta >= grid + 1 - k'], whichever edges the
     law reaches. ``tails``: whether a departure may cross either edge of its
-    home cell, so that one more locate over ``beyond_keys`` draws its cell
-    (a coordinate with no edge within reach leaves only then).
+    home cell, so that one more locate over ``beyond_keys(k')`` draws its cell
+    (a coordinate with no edge within reach leaves only then). Keys k' at or
+    past ``quiet`` each leave with at most a chance p, and ``all_stay(j)``
+    gives (1 - p)^j, at most the chance that j of them all stay: the release
+    queues them last, behind one comparison with it.
     """
 
-    __slots__ = ("halfwidth", "grid", "_guard", "_levels")
+    __slots__ = ("halfwidth", "grid", "_guard", "_levels", "_cap", "_stride")
 
     def __init__(self, halfwidth: int, s: int, guard: int):
         if halfwidth < 1:
@@ -288,6 +291,7 @@ class CellLaw:
         self._guard = guard
         self._levels = _Levels()
         self._levels.law = self
+        self._cap = _MEMO_CAP
 
     def ratio_records(self, level: int) -> tuple[int, BoundedCache]:
         """The precision of the :meth:`departure` records at ``level``, and their memo keyed by k'."""
@@ -313,15 +317,24 @@ class CellLaw:
             rec = memo[k] = level_record(*self._past(k, 1, level))
         return rec
 
-    def beyond(self, k: int, j: int, level: int) -> tuple[int, int, int, int]:
-        """The :func:`level_record` of the chance that a departure from key k lands past its j-th cell."""
+    def beyond_keys(self, k: int) -> range:
+        """The :meth:`beyond` keys of a departure from key k, one per cell past the first, outward."""
+        base = -k * self._stride
+        return range(base - 1, base - self._stride, -1)
+
+    def beyond(self, key: int, level: int) -> tuple[int, int, int, int]:
+        """The :func:`level_record` of the chance that a departure from key k lands past its j-th cell.
+
+        ``key`` = -(k _stride + j), 1 <= j < _stride, from :meth:`beyond_keys`: one int, below every departure key.
+        """
         memo = self._levels[level][1]
-        rec = memo.get((k, j))
+        rec = memo.get(key)
         if rec is None:
+            k, j = divmod(-key, self._stride)
             p, n_lo, n_hi = self._past(k, j + 1, level)
             _, d_lo, d_hi, _ = self.departure(k, level)
             hi = -(-(n_hi << p) // d_lo) if d_lo else 1 << p
-            rec = memo[k, j] = level_record(p, (n_lo << p) // d_hi, hi)
+            rec = memo[key] = level_record(p, (n_lo << p) // d_hi, hi)
         return rec
 
 
@@ -334,17 +347,44 @@ class GaussianCells(CellLaw):
     Truncated at r, the law reaches only the edges within r - 1 of the
     centre. Both edges of a home cell, r s apart, are within reach only at
     s = 1 with r >= 2 (``tails``); a departure then lands in one of the two
-    adjacent cells, never farther, so ``beyond`` has the one key 1.
+    adjacent cells, never farther, so ``beyond`` has one key per departure.
+    A level reads up to r - 1 departure keys and as many ``beyond`` keys,
+    so its memo holds up to 2 r records (at least ``_MEMO_CAP``), the order
+    of its table. ``d``, the number of coordinates a release queues at most,
+    sets :attr:`quiet`.
     """
 
-    __slots__ = ("_x", "tails")
+    __slots__ = ("_x", "tails", "_d", "_quiet")
 
-    beyond_keys = range(1, 2)
-
-    def __init__(self, sigma_sq: "Fraction | int", r: int, s: int):
+    def __init__(self, sigma_sq: "Fraction | int", r: int, s: int, d: int):
         super().__init__(r, s, 2 * r.bit_length() + 8)
         self._x = 1 / (2 * Fraction(sigma_sq))
         self.tails = self.grid <= 2 * (r - 1)
+        self._cap = max(_MEMO_CAP, 2 * r)
+        self._stride = 2
+        self._d = d
+        self._quiet = None
+
+    @property
+    def quiet(self) -> int:
+        """K: the least key k' whose level-0 p(k') is at most 2**-(d.bit_length() + 5); r if none, or with ``tails``.
+
+        At s >= 2 the far edge is out of reach, so p(k') = P[eta >= k'] and its
+        level-0 upper bound do not increase with k', and a bisection finds K.
+        A queue of at most d quiet keys then expects below 1/32 departures.
+        """
+        if self._quiet is None:
+            lo, hi = 1, self.halfwidth
+            if not self.tails:
+                while lo < hi:
+                    mid = (lo + hi) // 2
+                    p, _, p_hi, _ = self.departure(mid, 0)
+                    if p_hi <= (1 << p) >> (self._d.bit_length() + 5):
+                        hi = mid
+                    else:
+                        lo = mid + 1
+            self._quiet = hi
+        return self._quiet
 
     def _build(self, w: int):
         q_lo, q_hi = exp_neg(self._x, w)
@@ -374,6 +414,12 @@ class GaussianCells(CellLaw):
         s_lo, s_hi = (c_lo[k], c_hi[k]) if k >= 0 else (z_lo - c_lo[1 - k], z_hi - c_hi[1 - k])
         return level_record(p, (s_lo << p) // z_hi, -(-(s_hi << p) // z_lo))
 
+    def all_stay(self, j: int, level: int) -> tuple[int, int, int, int]:
+        """The :func:`level_record` of (1 - p(K))^j, K = :attr:`quiet`: at most the chance j quiet keys all stay."""
+        p, lo, hi, _ = self.departure(self.quiet, level)
+        one = 1 << p
+        return level_record(p, *_pow_scaled(one - hi, one - lo, j, p))
+
 
 class LaplaceCells(CellLaw):
     """The untruncated discrete Laplace law, weights q^|eta|, q = exp(-1/t), on the grid m s.
@@ -390,7 +436,7 @@ class LaplaceCells(CellLaw):
     below them.
     """
 
-    __slots__ = ("_x", "horizon", "beyond_keys")
+    __slots__ = ("_x", "horizon", "quiet")
 
     tails = True
 
@@ -398,8 +444,9 @@ class LaplaceCells(CellLaw):
         super().__init__(m, s, m.bit_length() + (t.numerator // t.denominator + 1).bit_length() + 8)
         self._x = 1 / Fraction(t)
         self.horizon = (_LEVEL_MAX + self._guard) * -(-t.numerator // t.denominator)
-        # The keys j of beyond whose cells lie within the horizon: the last is past every comparison.
-        self.beyond_keys = range(1, 2 * (self.horizon // self.grid + 2))
+        # beyond's cells lie within the horizon: the last is past every comparison.
+        self._stride = 2 * (self.horizon // self.grid + 2)
+        self.quiet = m  # the silent coordinates
 
     def _build(self, w: int):
         q = exp_neg(self._x, w)

@@ -7,11 +7,15 @@ Each coordinate holds the cell of its centre, its home cell, and draws only
 whether it leaves it, never a noise value: in runs (:func:`draw_runs`),
 where one :func:`~frugaldp.core_samplers.locate` draws how many coordinates
 stay home before one leaves. A coordinate with no grid edge within reach is
-silent: under the truncated Gaussian law it cannot leave, and under the
-Laplace law one comparison with (1 - p)^j certifies that j of them all
-stay, unless it fails. A departure across a single edge within reach is
-certain of its cell; otherwise (both edges within reach, or the untruncated
-law) one more locate draws the cell. Every locate of a release draws on one
+silent: under the truncated Gaussian law it cannot leave and draws nothing.
+The coordinates keyed at or past the law's quiet threshold K form a quiet
+tail, queued last, where one comparison with (1 - p)^j certifies that j of
+them all stay, unless it fails, p bounding the chance that each leaves:
+under the Laplace law the silent ones, under the Gaussian law at s >= 2 the
+boundary ones whose edge is so far that p = p(K) <= 2**-(d.bit_length() + 5).
+A departure across a single edge within reach is certain of its cell;
+otherwise (both edges within reach, or the untruncated law) one more locate
+draws the cell. Every locate of a release draws on one
 :class:`~frugaldp.core_samplers.Stream`, whose uniform carries from draw to
 draw: about their entropy plus two bits per 32 bits or so of it.
 """
@@ -19,7 +23,6 @@ draw: about their entropy plus two bits per 32 bits or so of it.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import partial
 
 from .bit_tape import BitTape
 from .core_samplers import _LEVEL_START, CellLaw, Stream, locate
@@ -115,13 +118,14 @@ def shift_and_round(
     """
     start = tape.snapshot()
     unit, grid, tails = cells.halfwidth, cells.grid, cells.tails
+    hot_lo, hot_hi = 1 - cells.quiet, cells.quiet  # the keys k whose k' = k or 1 - k is below cells.quiet
     reach = unit - 1
     if omega is None:
         omega = draw_shift(tape, unit, grid // unit)
     values = []
     boundary = []
     queued, keys = [], []  # the coordinates draw_runs draws, each holding its home cell
-    quiet, quiet_keys = [], []  # the silent coordinates, queued last under a law with tails
+    quiet, quiet_keys = [], []  # those keyed at or past cells.quiet, queued last
     # Silent coordinates draw nothing, so one category covers the loop.
     old = tape.charge(noise)
     try:
@@ -135,10 +139,14 @@ def shift_and_round(
                 boundary.append(i)
                 if k <= 0:
                     low += grid
-                queued.append(len(values))
-                keys.append(k)
+                if hot_lo < k < hot_hi:
+                    queued.append(i)
+                    keys.append(k)
+                else:
+                    quiet.append(i)
+                    quiet_keys.append(k)
             elif tails:  # no edge within reach, and home is the lower cell
-                quiet.append(len(values))
+                quiet.append(i)
                 quiet_keys.append(k)
             values.append(low)
         if quiet:
@@ -154,15 +162,20 @@ def shift_and_round(
     return MechanismResult(tuple(values), report), omega, departed
 
 
-def _products(cells: CellLaw, keys: list, b: int, end: int, level: int, lo: int, hi: int):
+def _products(cells: CellLaw, keys: list, b: int, end: int, level: int, lo: int, hi: int, quiet=None, stay=None):
     """The records of B T_1, B T_2, ... along the keys from index b on at ``level``, for B in [lo, hi].
 
     Sent True at a key that departs, it yields the precision, that record (A's
     growth) and B T_L p, the record times p / (1 - p), rounded outward; then the next B.
+    Given the index ``quiet`` where the quiet tail starts, each run from b also
+    yields, just before key max(b, quiet), its coarse key: the product so far times ``stay``.
     """
     p, memo = cells.ratio_records(level)
     one = 1 << p
+    coarse = end if quiet is None else max(b, quiet)
     for i in range(b, end):
+        if i == coarse:
+            yield _below((p, lo, hi), stay)
         k = keys[i]
         if k <= 0:
             k = 1 - k
@@ -174,6 +187,8 @@ def _products(cells: CellLaw, keys: list, b: int, end: int, level: int, lo: int,
         if (yield p, lo, hi, p - (hi - lo).bit_length()):
             # p / (1 - p) grows with p. a_lo < one, as p < 1 rounds down; a_hi is one once 1 - p is below the precision.
             lo, hi = yield p, lo, hi, lo * a_lo // (one - a_lo), -(-hi * a_hi // max(one - a_hi, 1))
+            if quiet is not None:
+                coarse = max(i + 1, quiet)
             yield
 
 
@@ -194,14 +209,6 @@ def _below(rec: tuple, stay: tuple) -> tuple[int, int, int, int]:
     return p, lo, hi, p - (hi - lo).bit_length()
 
 
-def _then(run, n: int, rec: tuple, stay: tuple):
-    """The next n records of ``run``, then the last of them (``rec`` if none) times ``stay``."""
-    for _ in range(n):
-        rec = next(run)
-        yield rec
-    yield _below(rec, stay)
-
-
 def draw_runs(stream: Stream, cells: CellLaw, grid: int, queued: list, keys: list, values: list, silent: int = 0):
     """Draw the cells of the queued coordinates in runs that stay home, on ``stream``; returns the departed positions.
 
@@ -213,10 +220,11 @@ def draw_runs(stream: Stream, cells: CellLaw, grid: int, queued: list, keys: lis
     [A + B T_(L+1), A + B T_L) of b + L, which crosses the edge at k, or under
     a law with tails lands in the cell one more locate over ``cells.beyond``
     draws. The queue's end, a release's last draw, carries nothing. The last
-    ``silent`` coordinates have no edge within reach, so p_i <= p: a run that
-    reaches them compares u first with the product so far times
-    ``cells.all_stay`` (1 - p)^silent, below which they all stay, and goes on
-    through their exact products only when u is not below it.
+    ``silent`` coordinates are the quiet tail, keyed at or past
+    ``cells.quiet``, so p_i <= p, the law's bound: a run that reaches them
+    compares u first with the product so far times ``cells.all_stay``
+    (1 - p)^silent, below which they all stay, and goes on through their
+    exact products only when u is not below it.
     """
 
     def bounds(j: int, level: int) -> tuple[int, int, int, int]:
@@ -239,15 +247,15 @@ def draw_runs(stream: Stream, cells: CellLaw, grid: int, queued: list, keys: lis
     b, end = 0, len(keys)
     # The coarse key, unless (1 - p)^silent rounds to 0 and certifies nothing.
     stay = silent and cells.all_stay(silent, 0)
+    quiet = end - silent if stay and stay[1] else None
     departed = []
-    run = _products(cells, keys, 0, end, 0, stream.b_lo, stream.b_hi)
+    run = _products(cells, keys, 0, end, 0, stream.b_lo, stream.b_hi, quiet, stay)
     while b < end:
-        coarse = max(b, end - silent) if stay and stay[1] else None
+        coarse = None if quiet is None else max(b, quiet)
         if coarse is None:
             i = b + locate(stream, bounds, range(b, end), run)
         else:
-            level0 = _then(run, coarse - b, (_LEVEL_START, stream.b_lo, stream.b_hi), stay)
-            i = b + locate(stream, bounds, range(b, coarse + 1), level0)
+            i = b + locate(stream, bounds, range(b, coarse + 1), run)
             if i > coarse:  # u is below the coarse key: every key stays home
                 break
             if i == coarse:  # u is not below it: on through the exact products
@@ -262,7 +270,7 @@ def draw_runs(stream: Stream, cells: CellLaw, grid: int, queued: list, keys: lis
             stream.carry(stream.a_lo + t_lo, stream.a_hi + t_hi, b_lo, b_hi, (_departed, cells, keys, b, i))
         k = keys[i]
         if tails:  # c // 2 + 1 cells out, past the edge at k (c even) or the other (c odd)
-            c = locate(stream, partial(cells.beyond, k if k > 0 else 1 - k), cells.beyond_keys)
+            c = locate(stream, cells.beyond, cells.beyond_keys(k if k > 0 else 1 - k))
             values[queued[i]] += grid * (c // 2 + 1) if (k > 0) == (c % 2 == 0) else -grid * (c // 2 + 1)
         else:
             values[queued[i]] += grid if k > 0 else -grid

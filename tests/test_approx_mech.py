@@ -390,3 +390,44 @@ class TestEfficientMechanism:
             mech_approx_efficient(counts, params, BitTape(seed=1), omega=3)  # not a multiple of r
         with pytest.raises(ParameterDomainError):
             mech_approx_efficient(counts, params, BitTape(seed=1), omega=8)  # above r*s
+
+
+class TestQuietTail:
+    @pytest.mark.parametrize("d,delta,s", [(3, Fraction(1, 4), 2), (4096, Fraction(1, 1 << 20), 4)])
+    def test_quiet_key_is_the_least_far_key(self, d, delta, s):
+        # K is the least key k' whose level-0 upper bound of p(k') is at most
+        # 2**-(d.bit_length() + 5); every key past it is far too.
+        params = derive_approx_params(Fraction(1), delta, d, s)
+        cells, bound = params.cells, Fraction(1, 1 << (d.bit_length() + 5))
+
+        def far(k):
+            p, _, hi, _ = cells.departure(k, 0)
+            return Fraction(hi, 1 << p) <= bound
+
+        assert 1 < cells.quiet < params.r
+        assert not far(cells.quiet - 1)
+        assert all(far(k) for k in range(cells.quiet, params.r))
+
+    def test_no_quiet_key_at_s_one(self):
+        # Both edges of a home cell are within reach: p(k') is not monotone, and K = r.
+        params = derive_approx_params(Fraction(1), Fraction(1, 1 << 20), 4096, 1)
+        assert params.cells.tails and params.cells.quiet == params.r
+
+    def test_report_lists_every_boundary_coordinate_in_index_order(self):
+        # Quiet keys are drawn after the others; the report still names every
+        # boundary coordinate, in index order, each with one draw.
+        d = 4096
+        params = derive_approx_params(Fraction(1), Fraction(1, 1 << 20), d, 4)
+        rng = random.Random(29)
+        counts = CountVector(d, 10**7, tuple(rng.randrange(10**7 + 1) for _ in range(d)))
+        reach, grid, quiet = params.r - 1, params.grid, params.cells.quiet
+        for v in range(1, 5):
+            omega = v * params.r
+            res = mech_approx_efficient(counts, params, BitTape(seed=v), omega)
+            boundary = tuple(i for i, c in enumerate(counts.sums) if not is_silent(c, omega, params.r, grid))
+            assert res.report.boundary_coordinates == boundary
+            assert list(res.report.draws_attempted.items()) == [(i, 1) for i in boundary]
+            # The key of each: its home cell's edge within reach, k = E - centre, and k' = k or 1 - k.
+            keys = [(c + omega + reach) // grid * grid - c - omega for c in (counts.sums[i] for i in boundary)]
+            far = [(k if k > 0 else 1 - k) >= quiet for k in keys]
+            assert any(far) and not all(far)

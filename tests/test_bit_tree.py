@@ -17,7 +17,8 @@ outcome and its exact bit count, so
 The pure audit-desk release (d = 3, s = 2, eps = 1/4, counts 17, 50, 93) is
 checked with the shift drawn and at each forced shift, and with a silent
 coordinate; approx releases at desk scale, with d <= 3 and s in 1..4, with
-the shift drawn and at each forced shift.
+the shift drawn and at each forced shift, and one whose queues hold quiet
+keys behind hot ones.
 """
 
 from collections import deque
@@ -25,11 +26,12 @@ from fractions import Fraction
 
 import pytest
 
+from frugaldp import release as release_module
 from frugaldp.approx_mech import derive_approx_params, mech_approx_efficient
 from frugaldp.audit_harness import _approx_noise, _joint_dist, _pure_noise, _shift_laws, oracle_joint_dist
 from frugaldp.bit_tape import BitTape
 from frugaldp.pure_mech import derive_pure_params, mech_pure_efficient
-from frugaldp.release import CountVector
+from frugaldp.release import CountVector, draw_runs
 
 ETA = Fraction(1, 10**9)
 
@@ -149,18 +151,53 @@ def test_pure_desk_with_a_silent_coordinate_is_certified():
     assert certified_failures(outcomes, open_mass, _forced_oracle(counts, params, noise, 64, 1)) == []
 
 
-_APPROX_DESK = [(d, s) for d in (1, 2, 3) for s in (1, 2, 3, 4)]
+# (d, s): the exact expected bits with the shift drawn when every boundary
+# key is drawn in index order, with no quiet tail; queuing the quiet keys
+# last may cost at most 0.05 more.
+_APPROX_DESK = {
+    (1, 1): 2.0000, (1, 2): 2.0000, (1, 3): 3.3333, (1, 4): 2.5000,
+    (2, 1): 2.8536, (2, 2): 3.3916, (2, 3): 4.9167, (2, 4): 4.0000,
+    (3, 1): 4.0156, (3, 2): 3.9687, (3, 3): 4.8542, (3, 4): 3.6406,
+}
+
+
+def _certify_approx(counts, params):
+    """Certify the approx release of ``counts`` with the shift drawn and at each forced shift; its expected bits."""
+    drawn = enumerate_release(lambda tape: mech_approx_efficient(counts, params, tape).values)
+    assert certified_failures(drawn[0], drawn[1], oracle_joint_dist(counts, params)) == []
+    noise = _approx_noise(params, 64)
+    for v in range(1, params.s + 1):
+        release = lambda tape: mech_approx_efficient(counts, params, tape, v * params.r).values
+        outcomes, open_mass, _, _ = enumerate_release(release)
+        assert certified_failures(outcomes, open_mass, _forced_oracle(counts, params, noise, 64, v)) == []
+    return drawn[2]
 
 
 @pytest.mark.parametrize("d,s", _APPROX_DESK)
 def test_approx_desk_is_certified(d, s):
-    # eps = 1, delta = 1/4: r = 6; counts a few units either side of grid edges.
+    # eps = 1, delta = 1/4: r = 9, 13 and 17 at d = 1, 2, 3; counts a few units either side of grid edges.
     params = derive_approx_params(Fraction(1), Fraction(1, 4), d, s)
-    counts = CountVector(d, 100, (17, 50, 93)[:d])
-    drawn = enumerate_release(lambda tape: mech_approx_efficient(counts, params, tape).values)
-    assert certified_failures(drawn[0], drawn[1], oracle_joint_dist(counts, params)) == []
-    noise = _approx_noise(params, 64)
-    for v in range(1, s + 1):
-        release = lambda tape: mech_approx_efficient(counts, params, tape, v * params.r).values
-        outcomes, open_mass, _, _ = enumerate_release(release)
-        assert certified_failures(outcomes, open_mass, _forced_oracle(counts, params, noise, 64, v)) == []
+    bits = _certify_approx(CountVector(d, 100, (17, 50, 93)[:d]), params)
+    assert bits <= _APPROX_DESK[d, s] + 0.05
+
+
+def test_approx_desk_with_quiet_keys_is_certified(monkeypatch):
+    # d = 3, s = 2: r = 17 and K = 13, so p(k') <= 2**-7 from key 13 on. At
+    # the shift r the counts 29, 55, 79 key their edges 13, 5 and 6 from the
+    # centre; at 2 r, 5, 13 and 12: each queue holds two hot keys and one
+    # quiet one, behind the comparison with (1 - p(13)).
+    params = derive_approx_params(Fraction(1), Fraction(1, 4), 3, 2)
+    assert (params.r, params.cells.quiet) == (17, 13)
+    counts = CountVector(3, 100, (29, 55, 79))
+    queues = []
+
+    def spy(stream, cells, grid, queued, keys, values, silent=0):
+        queues.append((len(keys) - silent, silent))
+        return draw_runs(stream, cells, grid, queued, keys, values, silent)
+
+    monkeypatch.setattr(release_module, "draw_runs", spy)
+    for v in (1, 2):
+        mech_approx_efficient(counts, params, BitTape(seed=1), v * params.r)
+    assert queues == [(2, 1), (2, 1)]
+    # 3.594 bits with every key drawn in index order.
+    assert _certify_approx(counts, params) <= 3.594 + 0.05

@@ -14,7 +14,6 @@ import re
 import time
 from collections import Counter
 from fractions import Fraction
-from functools import partial
 
 import pytest
 
@@ -30,7 +29,7 @@ from frugaldp.bit_tape import BitTape
 from frugaldp.cli import RunConfig
 from frugaldp.core_samplers import GaussianCells, LaplaceCells, locate
 from frugaldp.errors import EnclosureContractError, InternalError, ParameterDomainError
-from frugaldp.precise_math import exp_neg, rational_enclose
+from frugaldp.precise_math import BoundedCache, exp_neg, rational_enclose
 from frugaldp.pure_mech import PureParams, PureTrace, derive_pure_params, mech_pure_efficient
 from frugaldp.release import CountVector, MechanismResult, RandomnessReport, draw_runs, shift_and_round
 from reference import (
@@ -357,9 +356,9 @@ def _assert_cell_law(hist, probs):
 # count 3 puts the far edge 6 above the centre, which the noise reaches with
 # chance about 3 % at sigma^2 = 9 and r = 9, and about 1e-4 at sigma^2 = 7/3.
 _LAWS = [
-    ("gaussian", lambda s=2: GaussianCells(Fraction(7, 3), 9, s), _gauss_weight(Fraction(7, 3)), 9),
+    ("gaussian", lambda s=2: GaussianCells(Fraction(7, 3), 9, s, 1), _gauss_weight(Fraction(7, 3)), 9),
     ("laplace", lambda s=2: LaplaceCells(Fraction(5, 2), 11, s), _laplace_weight(Fraction(5, 2)), 11),
-    ("gaussian-far-edge", lambda s=2: GaussianCells(Fraction(9), 9, s), _gauss_weight(Fraction(9)), 9),
+    ("gaussian-far-edge", lambda s=2: GaussianCells(Fraction(9), 9, s, 1), _gauss_weight(Fraction(9)), 9),
 ]
 
 # Releases of several coordinates, as (s, keys): with unit h and the shift
@@ -465,12 +464,15 @@ class TestCellDraw:
         # S(grid + 1 - k')) / Z, and the chance that a departure crosses the
         # far edge, beyond(k', 1) = S(grid + 1 - k') / (Z p(k')), 0 at s >= 2.
         sigma_sq, r, w = Fraction(9), 9, 200
-        law = GaussianCells(sigma_sq, r, s)
+        law = GaussianCells(sigma_sq, r, s, 1)
         assert law.tails == (s == 1)
         weight = [exp_neg(Fraction(eta * eta) / (2 * sigma_sq), w) for eta in range(r)]
 
         def tail(k):  # 2**w times the bounds of S(k), the weight of k <= eta < r
             return tuple(sum(weight[abs(eta)][i] for eta in range(k, r)) for i in (0, 1))
+
+        def crossing(k, level):  # beyond(k', 1): the first of a departure's beyond keys
+            return law.beyond(law.beyond_keys(k)[0], level)
 
         z = tail(1 - r)
         crossings = []
@@ -479,11 +481,11 @@ class TestCellDraw:
             total = near[0] + far[0], near[1] + far[1]
             exact = [
                 (law.departure, Fraction(total[0], z[1]), Fraction(total[1], z[0])),
-                (partial(law.beyond, j=1), Fraction(far[0], total[1]), Fraction(far[1], total[0])),
+                (crossing, Fraction(far[0], total[1]), Fraction(far[1], total[0])),
             ]
             for level in (0, 1):
                 for record, lo, hi in exact:
-                    p, r_lo, r_hi, limit = record(k, level=level)
+                    p, r_lo, r_hi, limit = record(k, level)
                     assert Fraction(r_lo, 1 << p) <= hi and lo <= Fraction(r_hi, 1 << p)
                     assert limit >= 40 << level
             crossings.append(exact[1][1])
@@ -491,7 +493,7 @@ class TestCellDraw:
 
     def test_silent_window_draws_nothing(self):
         # center 27 on grid 18: the window (19, 35) holds no edge.
-        law = GaussianCells(Fraction(7, 3), 9, 2)
+        law = GaussianCells(Fraction(7, 3), 9, 2, 1)
         tape = BitTape(seed=709)
         assert _release_cell(tape, law, 2, 18) == 18
         assert tape.bits_consumed == 0
@@ -553,7 +555,7 @@ class TestCellDraw:
 
     def test_halfwidth_validation(self):
         with pytest.raises(ParameterDomainError):
-            GaussianCells(Fraction(2), 0, 1)
+            GaussianCells(Fraction(2), 0, 1, 1)
 
     def test_integer_laplace_scale_is_exact(self):
         # An int t must not reach the law as the float 1/t.
@@ -669,7 +671,8 @@ class TestRecordMemo:
         params, release = make()
         fresh = _seeded_batch(params, release, seeds)
         warm = _seeded_batch(params, release, seeds)
-        monkeypatch.setattr(cs, "_MEMO_CAP", 1)
+        # Memos of one record, whatever cap the law asks for: each new key empties them.
+        monkeypatch.setattr(cs, "BoundedCache", lambda cap: BoundedCache(1))
         tiny = _seeded_batch(*make(), seeds)
         assert fresh == warm == tiny
         data, departures = params.cells._levels[0]
@@ -688,6 +691,16 @@ class TestRecordMemo:
             memos = law._levels[0][1], law._levels[0][0][-1]
             assert all(len(memo) <= cap for memo in memos)
         assert all(memos)
+
+    def test_gaussian_memo_holds_every_key_of_a_level(self):
+        # At s = 1 a level reads r - 1 departure keys and as many beyond keys,
+        # past _MEMO_CAP here; the memo sized to the law keeps them all.
+        r = cs._MEMO_CAP // 2 + 2
+        law = GaussianCells(Fraction(r * r, 16), r, 1, 1)
+        for k in range(1, r):
+            law.departure(k, 0)
+            law.beyond(law.beyond_keys(k)[0], 0)
+        assert len(law._levels[0][1]) == 2 * (r - 1) > cs._MEMO_CAP
 
 
 def _on_stream(tape, *args) -> None:
@@ -741,7 +754,7 @@ class TestRunStream:
         # With sigma^2 = 1/2, p lies below 2**-64 from key 7 on. A tape of
         # ones puts u above every threshold below 1, so each of these keys
         # departs, after a refinement; B then rounds to 0 at level 0.
-        law = GaussianCells(Fraction(1, 2), 12, 2)
+        law = GaussianCells(Fraction(1, 2), 12, 2, 1)
         assert law.tail_ratio(7, 0)[1] == 0 < law.tail_ratio(6, 0)[1]
 
         class Ones:
@@ -754,7 +767,7 @@ class TestRunStream:
         keys = [3, 7, -8, 9, 1, 10, -6]
         seen = Counter()
         out = []
-        closure_law = GaussianCells(Fraction(1, 2), 12, 2)
+        closure_law = GaussianCells(Fraction(1, 2), 12, 2, 1)
         for draw, *source in ((_on_stream, law), (reference.draw_runs, closure_law.tail_ratio, seen)):
             tape, values = Ones(), [0] * len(keys)
             draw(tape, source[0], 24, list(range(len(keys))), keys, values, *source[1:])
@@ -951,7 +964,7 @@ class TestSearch:
         reads = []
 
         def counted_locate(tape, bounds, keys, level0=None):
-            if getattr(bounds, "func", None) != params.cells.beyond:
+            if bounds != params.cells.beyond:
                 return cs.locate(tape, bounds, keys, level0)
             reads.append(0)
 
@@ -978,7 +991,7 @@ class TestSearch:
             def next_bit(self):
                 return 0
 
-        keys, beyond = law.beyond_keys, partial(law.beyond, 5)
+        keys, beyond = law.beyond_keys(5), law.beyond
         assert beyond(keys[-1], 0)[1] == 0
         with pytest.raises(EnclosureContractError):
             locate(cs.Stream(Zeros()), beyond, keys)
@@ -990,7 +1003,7 @@ class TestSearch:
         for t in (10**15, 10**30):
             params = derive_pure_params(Fraction(1, t), 1, 1)
             with pytest.raises(OverflowError):
-                len(params.cells.beyond_keys)
+                len(params.cells.beyond_keys(1))
             tape = BitTape(seed=3)
             result, trace = mech_pure_efficient(CountVector(1, 1, (0,)), params, tape)
             assert trace.departed == (0,)

@@ -19,7 +19,7 @@ from frugaldp import bit_tape, core_samplers
 from frugaldp.approx_mech import derive_approx_params, mech_approx_efficient
 from frugaldp.bit_tape import BitTape
 from frugaldp.core_samplers import GaussianCells, LaplaceCells
-from frugaldp.precise_math import exp_neg
+from frugaldp.precise_math import BoundedCache, exp_neg
 from frugaldp.pure_mech import derive_pure_params, mech_pure_efficient
 from frugaldp.release import CountVector
 from reference import GaussParam, RefinableProb
@@ -121,9 +121,9 @@ def test_cell_law_tail_ratios():
         return [bounds(j, (j + k) % 3) for j in keys]
 
     laws = [
-        (lambda: GaussianCells(Fraction(7, 3), 9, 2), "tail_ratio", range(-7, 9)),
+        (lambda: GaussianCells(Fraction(7, 3), 9, 2, 1), "tail_ratio", range(-7, 9)),
         # Both edges of a home cell within reach at s = 1.
-        (lambda: GaussianCells(Fraction(9), 9, 1), "departure", range(1, 9)),
+        (lambda: GaussianCells(Fraction(9), 9, 1, 1), "departure", range(1, 9)),
         (lambda: LaplaceCells(Fraction(5, 2), 11, 2), "tail_ratio", range(-9, 60, 3)),
         # The departure chance of every nearer key, silent ones past the half-width too.
         (lambda: LaplaceCells(Fraction(5, 2), 11, 2), "departure", range(1, 23)),
@@ -136,16 +136,16 @@ def test_cell_law_tail_ratios():
 
 
 def test_cell_law_tail_ratios_with_tiny_memos(monkeypatch):
-    # A memo cap of 2 empties the record memos while other threads read them.
-    monkeypatch.setattr(core_samplers, "_MEMO_CAP", 2)
+    # Memos of 2 records empty themselves while other threads read them.
+    monkeypatch.setattr(core_samplers, "BoundedCache", lambda cap: BoundedCache(2))
     test_cell_law_tail_ratios()
 
 
 def test_seeded_releases_with_tiny_memos(monkeypatch):
     # Approx and pure releases run at once, each mode on one shared
     # parameter object. A run streams its level-0 records from the law's
-    # memo, which a memo cap of 2 empties while other threads read it.
-    monkeypatch.setattr(core_samplers, "_MEMO_CAP", 2)
+    # memo, here of 2 records, which empties while other threads read it.
+    monkeypatch.setattr(core_samplers, "BoundedCache", lambda cap: BoundedCache(2))
     d, n = 96, 10**6
     rng = random.Random(96)
     counts = CountVector(d, n, tuple(rng.randrange(n + 1) for _ in range(d)))
