@@ -50,9 +50,9 @@ for idx, (name, probs) in enumerate(cases):
     tape = BitTape(seed=300 + idx)
     bounds = upper_tails(probs)
     hist = Counter()
-    with tape.category("point_mass"):
-        for _ in range(N):
-            hist[1 + locate(Stream(tape), bounds, range(1, len(probs)))] += 1
+    tape.charge("point_mass")
+    for _ in range(N):
+        hist[1 + locate(Stream(tape), bounds, range(1, len(probs)))] += 1
     entropy = -sum(float(q) * math.log2(float(q)) for q in probs)
     mean_bits = tape.bits_consumed / N
     print(f"{name:24s} {entropy:10.3f} {mean_bits:10.3f} {mean_bits - entropy:+9.3f}")

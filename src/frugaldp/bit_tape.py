@@ -6,12 +6,11 @@ A tape is backed either by OS entropy or, when a seed is given, by a small
 deterministic generator with a platform-independent bit stream, which makes
 runs replayable for tests and audits.
 
-Bits are counted per category block, not per bit: a draw only moves
-``bits_consumed``, and entering or leaving a ``with tape.category(name)``
-block credits the bits drawn since the last such switch to the category
-that was current; ``charge(name)`` is the same switch as one plain call.
+Bits are counted per category switch, not per bit: a draw only moves
+``bits_consumed``, and ``charge(name)`` credits the bits drawn since the
+last switch to the category that was current, then makes ``name`` current.
 Reading ``draw_log`` or taking a ``snapshot()`` credits them first too, so
-a read inside an open block is exact.
+a read between switches is exact.
 
 OS-backed tapes hold no bits of their own: each draw takes its bits from
 one pool per thread, which ``os.urandom`` fills 64 bytes at a time. The
@@ -38,7 +37,7 @@ _MASK64 = (1 << 64) - 1
 #: Bits ``os.urandom`` fills a pool with at a time.
 _POOL_BLOCK = 512
 
-#: Category used for bits drawn outside any ``category(...)`` block.
+#: Category of the bits a tape draws before its first ``charge``.
 UNCATEGORIZED = "uncategorized"
 
 
@@ -107,8 +106,7 @@ class BitTape:
     supplies at least k more when they run out: whole splitmix64 words for a
     seeded tape, exactly k pool bits for an OS-backed one, so that one never
     holds a bit between draws. ``_log`` holds the credited bits by category,
-    ``_mark`` the ``bits_consumed`` they add up to, and ``_outer`` the names
-    of the open blocks around the current one.
+    and ``_mark`` the ``bits_consumed`` they add up to.
 
     Attributes:
         seed: the seed this tape was built with, or None for OS entropy.
@@ -116,7 +114,7 @@ class BitTape:
             per bit and never decreases.
     """
 
-    __slots__ = ("seed", "bits_consumed", "_word", "_avail", "_fill", "_log", "_mark", "_category", "_outer", "_next")
+    __slots__ = ("seed", "bits_consumed", "_word", "_avail", "_fill", "_log", "_mark", "_category")
 
     def __init__(self, seed: int | None = None):
         if seed is not None and not 0 <= seed < (1 << 64):
@@ -125,19 +123,10 @@ class BitTape:
         self.bits_consumed = self._word = self._avail = self._mark = 0
         self._fill = _os_fill if seed is None else _splitmix64(seed)
         self._log: dict[str, int] = {}
-        self._category = self._next = UNCATEGORIZED
-        self._outer: list[str] = []
-
-    def category(self, name: str) -> BitTape:
-        """For ``with tape.category(name):``, which credits the bits drawn in the block to ``name``.
-
-        Blocks nest; leaving one, by an exception too, restores the outer name.
-        """
-        self._next = name
-        return self
+        self._category = UNCATEGORIZED
 
     def charge(self, name: str) -> str:
-        """Credit the bits drawn to the current category, make ``name`` current, return the old: a cheap block."""
+        """Credit the bits drawn to the current category, make ``name`` current, return the old."""
         n, old = self.bits_consumed, self._category
         if n != self._mark:
             log = self._log
@@ -145,13 +134,6 @@ class BitTape:
             self._mark = n
         self._category = name
         return old
-
-    def __enter__(self) -> BitTape:
-        self._outer.append(self.charge(self._next))
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.charge(self._outer.pop())
 
     @property
     def draw_log(self) -> Counter:

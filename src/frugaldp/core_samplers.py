@@ -275,23 +275,57 @@ class CellLaw:
     with p(k') = P[eta >= k'] + P[eta >= grid + 1 - k'], whichever edges the
     law reaches. ``tails``: whether a departure may cross either edge of its
     home cell, so that one more locate over ``beyond_keys(k')`` draws its cell
-    (a coordinate with no edge within reach leaves only then). Keys k' at or
-    past ``quiet`` each leave with at most a chance p, and ``all_stay(j)``
-    gives (1 - p)^j, at most the chance that j of them all stay: the release
-    queues them last, behind one comparison with it.
+    (a coordinate with no edge within reach leaves only then).
+
+    ``d``, the most coordinates a release queues, sets :attr:`quiet`, K, and
+    ``all_stay(j)`` = (1 - p(K))^j is at most the chance that j keys at or
+    past K all stay. At s >= 2 p(k') does not increase on [1, halfwidth]:
+    the Gaussian law reaches only the near edge, and the Laplace p(k') =
+    (q^k' + q^(grid + 1 - k')) / (1 + q) is convex and symmetric about
+    (grid + 1) / 2, so a silent key, in [halfwidth, grid + 1 - halfwidth],
+    has p <= p(halfwidth) <= p(K). At s = 1 K is the half-width.
     """
 
-    __slots__ = ("halfwidth", "grid", "_guard", "_levels", "_cap", "_stride")
+    __slots__ = ("halfwidth", "grid", "_guard", "_levels", "_cap", "_stride", "_d", "_quiet")
 
-    def __init__(self, halfwidth: int, s: int, guard: int):
+    def __init__(self, halfwidth: int, s: int, d: int, guard: int):
         if halfwidth < 1:
             raise ParameterDomainError("noise half-width must be a positive integer")
         self.halfwidth = halfwidth
         self.grid = halfwidth * s
+        self._d = d
+        self._quiet = None
         self._guard = guard
         self._levels = _Levels()
         self._levels.law = self
         self._cap = _MEMO_CAP
+
+    @property
+    def quiet(self) -> int:
+        """K: the least key k' whose level-0 p(k') is at most 2**-(d.bit_length() + 5), else the half-width.
+
+        At s >= 2 (grid > halfwidth) p(k') and its level-0 upper bound do not
+        increase with k', and a bisection finds K. A queue of at most d quiet
+        keys then expects below 1/32 departures.
+        """
+        if self._quiet is None:
+            lo, hi = 1, self.halfwidth
+            if self.grid > hi:
+                while lo < hi:
+                    mid = (lo + hi) // 2
+                    p, _, p_hi, _ = self.departure(mid, 0)
+                    if p_hi <= (1 << p) >> (self._d.bit_length() + 5):
+                        hi = mid
+                    else:
+                        lo = mid + 1
+            self._quiet = hi
+        return self._quiet
+
+    def all_stay(self, j: int, level: int) -> tuple[int, int, int, int]:
+        """The :func:`level_record` of (1 - p(K))^j, K = :attr:`quiet`: at most the chance j quiet keys all stay."""
+        p, lo, hi, _ = self.departure(self.quiet, level)
+        one = 1 << p
+        return level_record(p, *_pow_scaled(one - hi, one - lo, j, p))
 
     def ratio_records(self, level: int) -> tuple[int, BoundedCache]:
         """The precision of the :meth:`departure` records at ``level``, and their memo keyed by k'."""
@@ -350,41 +384,17 @@ class GaussianCells(CellLaw):
     adjacent cells, never farther, so ``beyond`` has one key per departure.
     A level reads up to r - 1 departure keys and as many ``beyond`` keys,
     so its memo holds up to 2 r records (at least ``_MEMO_CAP``), the order
-    of its table. ``d``, the number of coordinates a release queues at most,
-    sets :attr:`quiet`.
+    of its table.
     """
 
-    __slots__ = ("_x", "tails", "_d", "_quiet")
+    __slots__ = ("_x", "tails")
 
     def __init__(self, sigma_sq: "Fraction | int", r: int, s: int, d: int):
-        super().__init__(r, s, 2 * r.bit_length() + 8)
+        super().__init__(r, s, d, 2 * r.bit_length() + 8)
         self._x = 1 / (2 * Fraction(sigma_sq))
         self.tails = self.grid <= 2 * (r - 1)
         self._cap = max(_MEMO_CAP, 2 * r)
         self._stride = 2
-        self._d = d
-        self._quiet = None
-
-    @property
-    def quiet(self) -> int:
-        """K: the least key k' whose level-0 p(k') is at most 2**-(d.bit_length() + 5); r if none, or with ``tails``.
-
-        At s >= 2 the far edge is out of reach, so p(k') = P[eta >= k'] and its
-        level-0 upper bound do not increase with k', and a bisection finds K.
-        A queue of at most d quiet keys then expects below 1/32 departures.
-        """
-        if self._quiet is None:
-            lo, hi = 1, self.halfwidth
-            if not self.tails:
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    p, _, p_hi, _ = self.departure(mid, 0)
-                    if p_hi <= (1 << p) >> (self._d.bit_length() + 5):
-                        hi = mid
-                    else:
-                        lo = mid + 1
-            self._quiet = hi
-        return self._quiet
 
     def _build(self, w: int):
         q_lo, q_hi = exp_neg(self._x, w)
@@ -414,20 +424,13 @@ class GaussianCells(CellLaw):
         s_lo, s_hi = (c_lo[k], c_hi[k]) if k >= 0 else (z_lo - c_lo[1 - k], z_hi - c_hi[1 - k])
         return level_record(p, (s_lo << p) // z_hi, -(-(s_hi << p) // z_lo))
 
-    def all_stay(self, j: int, level: int) -> tuple[int, int, int, int]:
-        """The :func:`level_record` of (1 - p(K))^j, K = :attr:`quiet`: at most the chance j quiet keys all stay."""
-        p, lo, hi, _ = self.departure(self.quiet, level)
-        one = 1 << p
-        return level_record(p, *_pow_scaled(one - hi, one - lo, j, p))
-
 
 class LaplaceCells(CellLaw):
     """The untruncated discrete Laplace law, weights q^|eta|, q = exp(-1/t), on the grid m s.
 
     P[eta >= k] = q^k / (1 + q) for k >= 1, mirrored for k <= 0, so a
-    departure from key k' has p = (q^k' + q^(grid + 1 - k')) / (1 + q), and a
-    silent coordinate (no edge within m) p <= 2 q^m / (1 + q), whose
-    complement each level keeps. Every power is one outward-rounded
+    departure from key k' has p = (q^k' + q^(grid + 1 - k')) / (1 + q).
+    Every power is one outward-rounded
     :func:`~frugaldp.precise_math._pow_scaled` on a memo miss, so nothing
     whose size grows with m or t is built; each level keeps a memo of the
     tail ratios besides its departure memo. Past ``horizon`` =
@@ -436,34 +439,30 @@ class LaplaceCells(CellLaw):
     below them.
     """
 
-    __slots__ = ("_x", "horizon", "quiet")
+    __slots__ = ("_x", "horizon")
 
     tails = True
 
-    def __init__(self, t: "Fraction | int", m: int, s: int):
-        super().__init__(m, s, m.bit_length() + (t.numerator // t.denominator + 1).bit_length() + 8)
+    def __init__(self, t: "Fraction | int", m: int, s: int, d: int):
+        super().__init__(m, s, d, m.bit_length() + (t.numerator // t.denominator + 1).bit_length() + 8)
         self._x = 1 / Fraction(t)
         self.horizon = (_LEVEL_MAX + self._guard) * -(-t.numerator // t.denominator)
         # beyond's cells lie within the horizon: the last is past every comparison.
         self._stride = 2 * (self.horizon // self.grid + 2)
-        self.quiet = m  # the silent coordinates
 
     def _build(self, w: int):
         q = exp_neg(self._x, w)
-        qm_lo, qm_hi = _pow_scaled(*q, self.halfwidth, w)
-        one = 1 << w
-        den = one + q[0], one + q[1]
-        stay = one - -(-(2 * qm_hi << w) // den[0]), one - (2 * qm_lo << w) // den[1]
-        return w, q, den, (qm_lo, qm_hi), stay, BoundedCache(_MEMO_CAP)
+        return w, q, ((1 << w) + q[0], (1 << w) + q[1]), BoundedCache(_MEMO_CAP)
 
     def tail_probability(self) -> RationalBounds:
         """Exact rational bounds of p = P[|eta| >= m] = 2 q^m / (1 + q), from level 0."""
-        _, _, (den_lo, den_hi), (qm_lo, qm_hi) = self._levels[0][0][:4]
+        w, q, (den_lo, den_hi), _ = self._levels[0][0]
+        qm_lo, qm_hi = _pow_scaled(*q, self.halfwidth, w)
         return RationalBounds(Fraction(2 * qm_lo, den_hi), Fraction(2 * qm_hi, den_lo))
 
     def tail_ratio(self, k: int, level: int) -> tuple[int, int, int, int]:
         """The :func:`level_record` of P[eta >= k] at ``level``: q^k / (1 + q) for k >= 1, mirrored below."""
-        w, q, (den_lo, den_hi), _, _, memo = self._levels[level][0]
+        w, q, (den_lo, den_hi), memo = self._levels[level][0]
         rec = memo.get(k)
         if rec is None:
             p = _LEVEL_START << level
@@ -471,8 +470,3 @@ class LaplaceCells(CellLaw):
             lo, hi = (a_lo << p) // den_hi, -(-(a_hi << p) // den_lo)
             rec = memo[k] = level_record(p, lo, hi) if k > 0 else level_record(p, (1 << p) - hi, (1 << p) - lo)
         return rec
-
-    def all_stay(self, j: int, level: int) -> tuple[int, int, int, int]:
-        """The :func:`level_record` of (1 - p)^j, a lower bound of the chance that j silent coordinates all stay."""
-        w, _, _, _, (stay_lo, stay_hi), _ = self._levels[level][0]
-        return level_record(w, *_pow_scaled(max(stay_lo, 0), stay_hi, j, w))

@@ -60,7 +60,7 @@ class PureParams:
         self.m = m
         self.grid = m * s
         self.scale = Fraction(d, 1) / epsilon
-        self.cells = LaplaceCells(self.scale, m, s)
+        self.cells = LaplaceCells(self.scale, m, s, d)
         self.p = self.cells.tail_probability()
         if self.p.hi >= 1:  # p < 1 holds analytically; the level-0 bounds certify it
             raise EnclosureContractError("tail probability is not below 1")
@@ -100,8 +100,8 @@ def mech_pure_efficient(
     """Efficient release: same output law as the reference chain.
 
     Draws the shift, then every coordinate's cell, in runs that stay in
-    their home cells; j coordinates with no grid edge within m usually cost
-    one comparison with (1 - p)^j together.
+    their home cells; the j coordinates keyed at or past the law's quiet
+    threshold K usually cost one comparison with (1 - p(K))^j together.
     """
     check_release(counts, params, params.m, omega)
     result, omega, departed = shift_and_round(tape, Stream(tape), counts, params.cells, "laplace", omega)

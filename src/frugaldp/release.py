@@ -8,11 +8,10 @@ whether it leaves it, never a noise value: in runs (:func:`draw_runs`),
 where one :func:`~frugaldp.core_samplers.locate` draws how many coordinates
 stay home before one leaves. A coordinate with no grid edge within reach is
 silent: under the truncated Gaussian law it cannot leave and draws nothing.
-The coordinates keyed at or past the law's quiet threshold K form a quiet
-tail, queued last, where one comparison with (1 - p)^j certifies that j of
-them all stay, unless it fails, p bounding the chance that each leaves:
-under the Laplace law the silent ones, under the Gaussian law at s >= 2 the
-boundary ones whose edge is so far that p = p(K) <= 2**-(d.bit_length() + 5).
+The coordinates keyed at or past the law's quiet threshold K, by one rule
+for both laws (:attr:`~frugaldp.core_samplers.CellLaw.quiet`), form a quiet
+tail, queued last, where one comparison with (1 - p(K))^j certifies that j
+of them all stay, unless it fails: p(K) bounds the chance that each leaves.
 A departure across a single edge within reach is certain of its cell;
 otherwise (both edges within reach, or the untruncated law) one more locate
 draws the cell. Every locate of a release draws on one
@@ -220,10 +219,10 @@ def draw_runs(stream: Stream, cells: CellLaw, grid: int, queued: list, keys: lis
     [A + B T_(L+1), A + B T_L) of b + L, which crosses the edge at k, or under
     a law with tails lands in the cell one more locate over ``cells.beyond``
     draws. The queue's end, a release's last draw, carries nothing. The last
-    ``silent`` coordinates are the quiet tail, keyed at or past
-    ``cells.quiet``, so p_i <= p, the law's bound: a run that reaches them
-    compares u first with the product so far times ``cells.all_stay``
-    (1 - p)^silent, below which they all stay, and goes on through their
+    ``silent`` coordinates are the quiet tail, keyed at or past K =
+    ``cells.quiet`` under either law, so p_i <= p(K): a run that reaches
+    them compares u first with the product so far times ``cells.all_stay``,
+    (1 - p(K))^silent, below which they all stay, and goes on through their
     exact products only when u is not below it.
     """
 

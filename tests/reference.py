@@ -331,36 +331,45 @@ def mech_approx_reference(
     if variant == 3 and omega is None:
         omega = draw_shift(tape, params.r, params.s)
     values = []
+    old = tape.charge("gaussian")
     for i, s_i in enumerate(counts.sums):
-        with tape.category("gaussian"):
-            if variant == 1:
-                eta = discrete_gaussian(tape, gauss_param(params.sigma_sq))
-                attempts[i] = 1
-            else:
-                eta, attempts[i] = _truncated_gaussian(tape, params)
+        if variant == 1:
+            eta = discrete_gaussian(tape, gauss_param(params.sigma_sq))
+            attempts[i] = 1
+        else:
+            eta, attempts[i] = _truncated_gaussian(tape, params)
         if variant == 3:
             values.append(floor_multiple(s_i + omega + eta, params.grid))
         else:
             values.append(s_i + eta)
+    tape.charge(old)
     values = tuple(values)
     if variant == 3:
         _assert_envelope(values, counts, params)
     return MechanismResult(values, build_report(tape, start, tuple(range(counts.d)), attempts))
 
 
-def pure_tail_mass(params: PureParams, w: int) -> tuple[int, int]:
-    """Enclosure (lo, hi) of 2**w p, p = 2 exp(-(m - 1)/t) / (exp(1/t) + 1), with hi - lo <= 2.
+def pure_edge_mass(params: PureParams, j: int, k: int, w: int) -> tuple[int, int]:
+    """Enclosure (lo, hi) of 2**w (q^j + q^k) / (1 + q), q = exp(-1/t), for j, k >= 1, with hi - lo <= 2.
 
-    Built from ``precise_math``'s exp(-x) and exp(x) directly, not from the
-    powers of q that ``LaplaceCells`` encloses p with, so the two check each other.
+    That is (exp(-(j - 1)/t) + exp(-(k - 1)/t)) / (exp(1/t) + 1), built from
+    ``precise_math``'s exp(-x) and exp(x) directly, not from the powers of q
+    that ``LaplaceCells`` encloses it with, so the two check each other.
     """
     inv_t = 1 / params.scale
-    # The numerator rounded outward at 2**-(w + 6), the denominator at 2**-(w + 8).
-    a_lo, a_hi = _exp_neg_guarded((params.m - 1) * inv_t, w + 6)  # at 2**-(w + 10)
-    num_lo, num_hi = a_lo >> 3, -(-a_hi >> 3)
+    # Each numerator term rounded outward at 2**-(w + 7), the denominator at 2**-(w + 8).
+    num_lo = num_hi = 0
+    for e in (j, k):
+        a_lo, a_hi = _exp_neg_guarded((e - 1) * inv_t, w + 6)  # at 2**-(w + 10)
+        num_lo, num_hi = num_lo + (a_lo >> 3), num_hi - (-a_hi >> 3)
     e_lo, e_hi = exp_pos(inv_t, w + 8)
     one = 1 << (w + 8)
-    return (num_lo << (w + 2)) // (e_hi + one), -(-(num_hi << (w + 2)) // (e_lo + one))
+    return (num_lo << (w + 1)) // (e_hi + one), -(-(num_hi << (w + 1)) // (e_lo + one))
+
+
+def pure_tail_mass(params: PureParams, w: int) -> tuple[int, int]:
+    """Enclosure (lo, hi) of 2**w p, p = 2 q^m / (1 + q), with hi - lo <= 2 (:func:`pure_edge_mass`)."""
+    return pure_edge_mass(params, params.m, params.m, w)
 
 
 @lru_cache(maxsize=64)
@@ -398,29 +407,29 @@ def mech_pure_reference(
     values = []
     if variant in (1, 2):
         etas = []
-        with tape.category("laplace"):
-            for i in range(counts.d):
-                etas.append(discrete_laplace(tape, params.scale))
-                attempts[i] = 1
+        old = tape.charge("laplace")
+        for i in range(counts.d):
+            etas.append(discrete_laplace(tape, params.scale))
+            attempts[i] = 1
+        tape.charge(old)
         for s_i, eta in zip(counts.sums, etas):
             if variant == 1:
                 values.append(s_i + eta)
             else:
                 values.append(floor_multiple(s_i + omega + eta, params.grid))
     else:
+        old = tape.charge("subset")
         for i, s_i in enumerate(counts.sums):
-            with tape.category("subset"):
-                in_tail = bernoulli_from_prob(tape, membership(params))
+            in_tail = bernoulli_from_prob(tape, membership(params))
+            tape.charge("tail" if in_tail else "laplace")
             if in_tail:
-                with tape.category("tail"):
-                    eta = laplace_tail_sample(tape, params.scale, params.m)
+                eta = laplace_tail_sample(tape, params.scale, params.m)
                 attempts[i] = 1
             else:
-                with tape.category("laplace"):
-                    eta, attempts[i] = _truncated_attempts(
-                        tape, lambda t: discrete_laplace(t, params.scale), params.m
-                    )
+                eta, attempts[i] = _truncated_attempts(tape, lambda t: discrete_laplace(t, params.scale), params.m)
+            tape.charge("subset")
             values.append(floor_multiple(s_i + omega + eta, params.grid))
+        tape.charge(old)
     return MechanismResult(tuple(values), build_report(tape, start, tuple(range(counts.d)), attempts))
 
 

@@ -112,23 +112,22 @@ class TestUniformRange:
 
 def test_category_accounting_totals():
     tape = BitTape(seed=77)
-    with tape.category("shift"):
-        tape.uniform_range(16)
-    with tape.category("gaussian"):
-        tape.next_bits(10)
-        with tape.category("tail"):
-            tape.next_bit()
-        tape.next_bit()
+    old = tape.charge("shift")
+    tape.uniform_range(16)
+    tape.charge("gaussian")
+    tape.next_bits(10)
+    tape.charge("tail")
+    tape.next_bit()
+    tape.charge("gaussian")
+    tape.next_bit()
+    tape.charge(old)
     tape.next_bit()  # uncategorized
-    with tape.category("laplace") as inner:
-        assert inner is tape
-    # A block left by an exception restores the outer category.
-    with tape.category("binomial"):
-        with pytest.raises(RuntimeError):
-            with tape.category("subset"):
-                tape.next_bits(3)
-                raise RuntimeError("left early")
-        tape.next_bit()
+    tape.charge("laplace")  # nothing drawn: no entry
+    tape.charge("subset")
+    tape.next_bits(3)
+    tape.charge("binomial")
+    tape.next_bit()
+    tape.charge(old)
     tape.next_bits(2)  # uncategorized again
     assert sum(tape.draw_log.values()) == tape.bits_consumed
     assert tape.draw_log["shift"] == 4
@@ -140,14 +139,15 @@ def test_category_accounting_totals():
 
 def test_charge_switches_like_a_block():
     # charge(name) credits what was drawn to the current category and
-    # returns it, so charging it back closes the switch like a block's exit.
+    # returns it, so charging it back credits the bits between to name.
     tape = BitTape(seed=9)
     tape.next_bit()
     old = tape.charge("shift")
     assert old == "uncategorized"
     tape.next_bits(2)
-    with tape.category("tail"):
-        tape.next_bit()
+    assert tape.charge("tail") == "shift"
+    tape.next_bit()
+    assert tape.charge("shift") == "tail"
     tape.next_bit()
     assert tape.charge("gaussian") == "shift"
     tape.next_bits(4)
@@ -160,39 +160,33 @@ def test_charge_switches_like_a_block():
 def test_snapshot_is_a_copy():
     tape = BitTape(seed=3)
     bits, log = tape.snapshot()
-    with tape.category("shift"):
-        tape.next_bit()
+    tape.charge("shift")
+    tape.next_bit()
     assert bits == 0 and log.get("shift", 0) == 0
     assert tape.bits_consumed == 1
 
 
 def test_ledger_reads_inside_open_blocks():
+    # A read before the category is switched back credits the bits drawn under it first.
     tape = BitTape(seed=41)
     tape.next_bits(2)
-    with tape.category("gaussian"):
-        tape.next_bits(5)
-        with tape.category("tail"):
-            tape.next_bit()
-            tape.next_bits(3)
-            bits, log = tape.snapshot()
-            assert bits == tape.bits_consumed == 11
-            assert log == {"uncategorized": 2, "gaussian": 5, "tail": 4}
-            assert tape.draw_log == log
-            tape.next_bit()
-            assert tape.draw_log["tail"] == 5 and log["tail"] == 4
-        tape.next_bit()
-        assert tape.draw_log == {"uncategorized": 2, "gaussian": 6, "tail": 5}
-    # An exception unwinds the inner block; its bits stay under its name.
-    with tape.category("binomial"):
-        with pytest.raises(RuntimeError):
-            with tape.category("subset"):
-                tape.next_bits(3)
-                raise RuntimeError("left early")
-        bits, log = tape.snapshot()
-        assert log["subset"] == 3 and "binomial" not in log
-        tape.next_bit()
-        assert tape.draw_log["binomial"] == 1 and tape.draw_log["laplace"] == 0
-        assert sum(tape.draw_log.values()) == tape.bits_consumed == bits + 1 == 17
+    old = tape.charge("gaussian")
+    tape.next_bits(5)
+    outer = tape.charge("tail")
+    tape.next_bit()
+    tape.next_bits(3)
+    bits, log = tape.snapshot()
+    assert bits == tape.bits_consumed == 11
+    assert log == {"uncategorized": 2, "gaussian": 5, "tail": 4}
+    assert tape.draw_log == log
+    tape.next_bit()
+    assert tape.draw_log["tail"] == 5 and log["tail"] == 4
+    tape.charge(outer)
+    tape.next_bit()
+    assert tape.draw_log == {"uncategorized": 2, "gaussian": 6, "tail": 5}
+    tape.charge(old)
+    assert tape.draw_log["laplace"] == 0
+    assert sum(tape.draw_log.values()) == tape.bits_consumed == 13
 
 
 def test_os_tapes_read_each_source_bit_once(monkeypatch):
@@ -227,13 +221,13 @@ def test_refused_negative_width_leaves_the_tape(seed, monkeypatch):
             monkeypatch.setattr(os, "urandom", random.Random(11).randbytes)
         tape = BitTape(seed)
         read = os_bits_read()
-        with tape.category("shift"):
-            first = tape.next_bits(3)
-            if refuse:
-                with pytest.raises(ValueError):
-                    tape.next_bits(-2)
-            state = tape.bits_consumed, dict(tape.draw_log)
-            after = [tape.next_bits(k) for k in (1, 5, 70, 600)]
+        tape.charge("shift")
+        first = tape.next_bits(3)
+        if refuse:
+            with pytest.raises(ValueError):
+                tape.next_bits(-2)
+        state = tape.bits_consumed, dict(tape.draw_log)
+        after = [tape.next_bits(k) for k in (1, 5, 70, 600)]
         return first, state, after, tape.bits_consumed, os_bits_read() - read
 
     assert run(True) == run(False)

@@ -16,7 +16,8 @@ outcome and its exact bit count, so
 
 The pure audit-desk release (d = 3, s = 2, eps = 1/4, counts 17, 50, 93) is
 checked with the shift drawn and at each forced shift, and with a silent
-coordinate; approx releases at desk scale, with d <= 3 and s in 1..4, with
+coordinate; a pure release at s = 6 whose queue ends in a quiet boundary
+key, at each forced shift; approx releases at desk scale, with d <= 3 and s in 1..4, with
 the shift drawn and at each forced shift, and one whose queues hold quiet
 keys behind hot ones.
 """
@@ -141,7 +142,7 @@ def test_pure_desk_at_each_forced_shift_is_certified(v):
 
 def test_pure_desk_with_a_silent_coordinate_is_certified():
     # Count 0 at the shift m puts its centre m from both edges of its cell:
-    # a silent coordinate, drawn last, behind the comparison with (1 - p)^1.
+    # a silent coordinate, drawn last, behind the comparison with (1 - p(K))^1.
     params = _pure_desk()
     counts = CountVector(3, 100, (0, 50, 93))
     release = lambda tape: mech_pure_efficient(counts, params, tape, params.m)[0]
@@ -149,6 +150,39 @@ def test_pure_desk_with_a_silent_coordinate_is_certified():
     outcomes, open_mass, _, _ = enumerate_release(lambda tape: release(tape).values)
     noise = _pure_noise(params, Fraction(1, 10**12) / counts.d, 64)
     assert certified_failures(outcomes, open_mass, _forced_oracle(counts, params, noise, 64, 1)) == []
+
+
+# Per forced shift v = 1..6: the exact expected bits when only silent
+# coordinates were quiet, behind (1 - p)^j with p = P[|eta| >= m]; a quiet
+# tail from K on, behind (1 - p(K))^j, may cost at most 0.05 more.
+_PURE_QUIET = (2.212, 2.969, 2.075, 2.063, 2.063, 2.065)
+
+
+@pytest.mark.parametrize("v", range(1, 7))
+def test_pure_desk_with_a_quiet_boundary_key_is_certified(v, monkeypatch):
+    # d = 3, eps = 1/4, s = 6: m = 55 on the grid 330, and K = 51 < m. At
+    # the shift m the counts 224, 240, 250 key their edges 51, 35 and 25 from
+    # the centre: two hot keys and one quiet key at exactly K, behind the
+    # comparison with (1 - p(51)). At 3m..6m all three are silent and quiet.
+    # The shift is forced: a drawn one, by 6-way rejection, takes millions of re-runs.
+    params = derive_pure_params(Fraction(1, 4), 3, 6)
+    assert (params.m, params.cells.quiet, params.grid) == (55, 51, 330)
+    counts = CountVector(3, 400, (224, 240, 250))
+    queues = []
+
+    def spy(stream, cells, grid, queued, keys, values, silent=0):
+        queues.append((list(keys), silent))
+        return draw_runs(stream, cells, grid, queued, keys, values, silent)
+
+    monkeypatch.setattr(release_module, "draw_runs", spy)
+    release = lambda tape: mech_pure_efficient(counts, params, tape, v * params.m)[0].values
+    release(BitTape(seed=1))
+    if v == 1:
+        assert queues == [([35, 25, 51], 1)]
+    outcomes, open_mass, bits, _ = enumerate_release(release)
+    noise = _pure_noise(params, Fraction(1, 10**12) / counts.d, 64)
+    assert certified_failures(outcomes, open_mass, _forced_oracle(counts, params, noise, 64, v)) == []
+    assert bits <= _PURE_QUIET[v - 1] + 0.05
 
 
 # (d, s): the exact expected bits with the shift drawn when every boundary

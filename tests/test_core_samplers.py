@@ -357,7 +357,7 @@ def _assert_cell_law(hist, probs):
 # chance about 3 % at sigma^2 = 9 and r = 9, and about 1e-4 at sigma^2 = 7/3.
 _LAWS = [
     ("gaussian", lambda s=2: GaussianCells(Fraction(7, 3), 9, s, 1), _gauss_weight(Fraction(7, 3)), 9),
-    ("laplace", lambda s=2: LaplaceCells(Fraction(5, 2), 11, s), _laplace_weight(Fraction(5, 2)), 11),
+    ("laplace", lambda s=2: LaplaceCells(Fraction(5, 2), 11, s, 1), _laplace_weight(Fraction(5, 2)), 11),
     ("gaussian-far-edge", lambda s=2: GaussianCells(Fraction(9), 9, s, 1), _gauss_weight(Fraction(9)), 9),
 ]
 
@@ -501,7 +501,7 @@ class TestCellDraw:
     def test_refinement_keeps_the_law(self, monkeypatch):
         # Start at 4-bit levels so that most draws must refine their enclosure.
         monkeypatch.setattr(cs, "_LEVEL_START", 4)
-        law = LaplaceCells(Fraction(5, 2), 11, 1)
+        law = LaplaceCells(Fraction(5, 2), 11, 1, 1)
         n = 20_000
         hist, _ = collect_histogram(lambda t: _release_cell(t, law, 1, 3), n, 710)
         assert len(law._levels) >= 2
@@ -525,7 +525,7 @@ class TestCellDraw:
         # 4-bit levels: the running products widen within a few coordinates,
         # so draws refine partway along a run and rebuild that level's prefix.
         monkeypatch.setattr(cs, "_LEVEL_START", 4)
-        law = LaplaceCells(Fraction(5, 2), 11, 2)
+        law = LaplaceCells(Fraction(5, 2), 11, 2, 1)
         counts, laws = _run_case(law, _laplace_weight(Fraction(5, 2)), 2, _RUNS[0][1])
         hist, _ = collect_histogram(lambda t: _release_row(t, law, 2, counts), 20_000, 713)
         assert len(law._levels) >= 2
@@ -560,8 +560,8 @@ class TestCellDraw:
     def test_integer_laplace_scale_is_exact(self):
         # An int t must not reach the law as the float 1/t.
         keys = range(-6, 7)
-        exact = LaplaceCells(Fraction(3), 7, 2)
-        assert [LaplaceCells(3, 7, 2).tail_ratio(k, 0) for k in keys] == [exact.tail_ratio(k, 0) for k in keys]
+        exact = LaplaceCells(Fraction(3), 7, 2, 1)
+        assert [LaplaceCells(3, 7, 2, 1).tail_ratio(k, 0) for k in keys] == [exact.tail_ratio(k, 0) for k in keys]
 
 
 def _entropy_bits(probs):
@@ -590,7 +590,7 @@ class TestTailCellDraw:
     @pytest.mark.parametrize("t,m", _TAIL_LAWS)
     def test_geometric_tail_encloses_q_to_the_g(self, t, m):
         # Past the centre the untruncated tail is geometric: P[eta >= g] = q^g / (1 + q).
-        law = LaplaceCells(t, m, 2)
+        law = LaplaceCells(t, m, 2, 1)
         q = math.exp(-1 / float(t))
         for g in range(1, 12 * m):
             exact = q**g / (1 + q)
@@ -611,7 +611,7 @@ class TestTailCellDraw:
         s, grid = 2, 2 * m
         count = 2 * grid + offset
         center = count + m
-        law = LaplaceCells(t, m, s)
+        law = LaplaceCells(t, m, s, 1)
         counts = CountVector(1, 4 * grid, (count,))
 
         def draw(tape):
@@ -634,7 +634,7 @@ class TestTailCellDraw:
         # t = 2**40 keeps q^g away from 0 for keys up to past 2**33, where
         # the power takes over thirty squarings of the enclosure of q.
         t = 2**40
-        law = LaplaceCells(Fraction(t), 5, 2)
+        law = LaplaceCells(Fraction(t), 5, 2, 1)
         for g in (1, 255, 256, 65_535, 65_536, 2**24 + 3, 2**32 - 1, 2**32, 2**33 + 2**8 + 1):
             exact = math.exp(-g / t) / (1 + math.exp(-1 / t))
             for level in (0, 1):
@@ -683,7 +683,7 @@ class TestRecordMemo:
     def test_memo_stays_bounded(self):
         # Half-width 20 000 on a grid of 40 000 leaves 40 000 distinct
         # departure keys; tail ratios have keys without end.
-        law = LaplaceCells(Fraction(4096), 20_000, 2)
+        law = LaplaceCells(Fraction(4096), 20_000, 2, 1)
         cap = cs._MEMO_CAP
         for k in range(-19_999, 20_001):
             law.tail_ratio(k, 0)
@@ -731,7 +731,7 @@ class TestRunStream:
         rng = random.Random(f"{name}:{level_start}")
         law, closure_law = make(), make()
         if law.tails:  # the closure draws no departure's cell; t = 3/2 puts p(10) below 2**-8
-            law, closure_law = _NearerCells(Fraction(3, 2), h, 2), _NearerCells(Fraction(3, 2), h, 2)
+            law, closure_law = _NearerCells(Fraction(3, 2), h, 2, 1), _NearerCells(Fraction(3, 2), h, 2, 1)
         seen = Counter()
         for case in range(300):
             keys = [rng.randrange(2 - h, h) for _ in range(rng.randrange(1, 40) if case % 10 else 120)]
@@ -741,8 +741,8 @@ class TestRunStream:
             for draw, *source in ((_on_stream, law), (reference.draw_runs, closure_law.departure, seen)):
                 tape = BitTape(seed=case)
                 values = [0] * 2 * len(keys)
-                with tape.category("noise"):
-                    draw(tape, source[0], grid, queued, keys, values, *source[1:])
+                tape.charge("noise")
+                draw(tape, source[0], grid, queued, keys, values, *source[1:])
                 out.append((values, tape.bits_consumed, tape.draw_log))
             assert out[0] == out[1]
         assert (len(law._levels) > 1) == (level_start < 64)
@@ -985,7 +985,7 @@ class TestSearch:
         # u = 0 lies below every threshold it can be compared with: the
         # search runs out of precision, and raises, before it could return
         # the count of the whole key range, so the range truncates no law.
-        law = LaplaceCells(Fraction(12), 22, 2)
+        law = LaplaceCells(Fraction(12), 22, 2, 1)
 
         class Zeros:
             def next_bit(self):

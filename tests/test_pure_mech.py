@@ -22,6 +22,7 @@ from reference import (
     laplace_tail_sample,
     mech_pure_reference,
     membership,
+    pure_edge_mass,
     pure_tail_mass,
     two_sample_chi_square,
 )
@@ -67,21 +68,26 @@ class TestDeriveParams:
         [(Fraction(1, 4), 3, 2), (Fraction(1), 4096, 4), (Fraction(1), 16, 1), (Fraction(8), 256, 3)],
     )
     def test_tail_mass_and_powers_agree_with_the_reference(self, epsilon, d, s):
-        # The reference encloses p from exp(-(m - 1)/t) and exp(1/t); the
+        # The reference encloses p and p(K) from exp(-x) and exp(1/t); the
         # cell law from q = exp(-1/t) and its powers. Both enclosures
         # are sound only if they overlap, at every level and power read:
-        # here (1 - p)^j, the coarse bound on j silent coordinates staying.
+        # here (1 - p(K))^j, the coarse bound on j quiet keys staying.
         params = derive_pure_params(epsilon, d, s)
         w = 256
         lo, hi = pure_tail_mass(params, w)
         p_lo, p_hi = Fraction(lo, 1 << w), Fraction(hi, 1 << w)
         assert params.p.lo <= p_hi and p_lo <= params.p.hi
+        cells = params.cells
+        lo, hi = pure_edge_mass(params, cells.quiet, params.grid + 1 - cells.quiet, w)
+        p_lo, p_hi = Fraction(lo, 1 << w), Fraction(hi, 1 << w)
         for j in sorted({1, 2, d}):
             exact_lo, exact_hi = (1 - p_hi) ** j, (1 - p_lo) ** j
             for level in range(3):
-                prec, rec_lo, rec_hi, limit = params.cells.all_stay(j, level)
+                prec, rec_lo, rec_hi, limit = cells.all_stay(j, level)
                 assert Fraction(rec_lo, 1 << prec) <= exact_hi and exact_lo <= Fraction(rec_hi, 1 << prec)
-                assert limit >= 64 << level
+                # At the level's precision: p(K)'s record is within 3 units,
+                # and the j-th power widens it by at most a factor j.
+                assert prec == 64 << level and limit >= prec - 2 - j.bit_length()
 
     def test_scale_domain_enforced(self):
         with pytest.raises(ParameterDomainError):
@@ -97,6 +103,44 @@ class TestDeriveParams:
             PureParams(2, 2, Fraction(1), 0)
 
 
+class TestQuietTail:
+    @pytest.mark.parametrize(
+        "epsilon, d, s, m, quiet",
+        # audit-desk and pure-cli (no key below m is far: their queues are as
+        # before), a small law whose keys 51..54 are far, and s = 1.
+        [
+            (Fraction(1, 4), 3, 2, 22, 22),
+            (Fraction(1), 4096, 4, 47_232, 47_232),
+            (Fraction(1, 4), 3, 6, 55, 51),
+            (Fraction(1), 16, 1, 1, 1),
+        ],
+    )
+    def test_quiet_key_is_the_least_far_key(self, epsilon, d, s, m, quiet):
+        # K is the least key k' whose level-0 upper bound of p(k') is at most
+        # 2**-(d.bit_length() + 5), or m if there is none; every key from K to
+        # m - 1 is far too.
+        params = derive_pure_params(epsilon, d, s)
+        cells, bound = params.cells, Fraction(1, 1 << (d.bit_length() + 5))
+
+        def far(k):
+            p, _, hi, _ = cells.departure(k, 0)
+            return Fraction(hi, 1 << p) <= bound
+
+        assert (params.m, cells.quiet) == (m, quiet)
+        assert quiet == 1 or not far(quiet - 1)
+        assert all(far(k) for k in range(quiet, m))
+
+    @pytest.mark.parametrize("s", [2, 6])
+    def test_quiet_keys_leave_with_at_most_p_of_k(self, s):
+        # p(k') does not increase on [1, m], and a silent key k in
+        # [m, grid + 1 - m] leaves with at most p(m): every key the quiet
+        # tail holds has its level-0 upper bound at most p(K)'s.
+        params = derive_pure_params(Fraction(1, 4), 3, s)
+        cells = params.cells
+        top = cells.departure(cells.quiet, 0)[2]
+        assert all(cells.departure(k, 0)[2] <= top for k in range(cells.quiet, params.grid + 2 - params.m))
+
+
 class TestHandEvaluations:
     def test_rounding_identity(self):
         # d=1, sums=10, m=2, s=3, shift 4, noise 0: floor_6(14) = 12.
@@ -104,7 +148,7 @@ class TestHandEvaluations:
 
     def test_silent_branch_reads_one_comparison(self):
         # Centre 14 on grid 6: no edge within m = 2. A silent coordinate pays
-        # for nothing but the comparison of u with (1 - p)^1 that certifies it
+        # for nothing but the comparison of u with (1 - p(K))^1 that certifies it
         # stays, and draws its cell only when that comparison fails.
         params = PureParams(1, 3, Fraction(1, 2), 2)
         counts = CountVector(d=1, n=20, sums=(10,))

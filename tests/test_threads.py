@@ -124,9 +124,9 @@ def test_cell_law_tail_ratios():
         (lambda: GaussianCells(Fraction(7, 3), 9, 2, 1), "tail_ratio", range(-7, 9)),
         # Both edges of a home cell within reach at s = 1.
         (lambda: GaussianCells(Fraction(9), 9, 1, 1), "departure", range(1, 9)),
-        (lambda: LaplaceCells(Fraction(5, 2), 11, 2), "tail_ratio", range(-9, 60, 3)),
+        (lambda: LaplaceCells(Fraction(5, 2), 11, 2, 1), "tail_ratio", range(-9, 60, 3)),
         # The departure chance of every nearer key, silent ones past the half-width too.
-        (lambda: LaplaceCells(Fraction(5, 2), 11, 2), "departure", range(1, 23)),
+        (lambda: LaplaceCells(Fraction(5, 2), 11, 2, 1), "departure", range(1, 23)),
     ]
     for make, source, keys in laws:
         expected = [read(make(), source, keys, k) for k in range(THREADS)]
