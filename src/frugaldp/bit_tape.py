@@ -157,8 +157,10 @@ class BitTape:
     def next_bits(self, k: int) -> int:
         """Emit ``k`` fair bits as an integer, most significant bit first.
 
-        Equivalent to ``k`` calls of :meth:`next_bit`; :meth:`uniform_range`
-        draws its blocks through it. A negative ``k`` leaves the tape as it was.
+        Equivalent to ``k`` calls of :meth:`next_bit`. A release reads every
+        bit one at a time, through :func:`~frugaldp.core_samplers.locate`;
+        blocks serve raw words, such as trial seeds. A negative ``k`` leaves
+        the tape as it was.
         """
         if k < 0:
             raise ValueError("k must be a non-negative integer")
@@ -171,23 +173,6 @@ class BitTape:
         self._avail = avail
         self.bits_consumed += k
         return self._word >> avail & ((1 << k) - 1)
-
-    def uniform_range(self, s: int) -> int:
-        """Uniform draw from {1, ..., s} by rejection on ceil(log2 s)-bit blocks.
-
-        Each attempt draws a fresh ceil(log2 s)-bit block and rejects values
-        >= s, so the expected cost is at most 2*ceil(log2 s) bits. ``s == 1``
-        consumes no bits.
-        """
-        if s < 1:
-            raise ValueError("s must be a positive integer")
-        if s == 1:
-            return 1
-        k = (s - 1).bit_length()
-        while True:
-            v = self.next_bits(k)
-            if v < s:
-                return v + 1
 
     def snapshot(self) -> tuple[int, dict[str, int]]:
         """Copy of the current accounting state, for before/after deltas."""

@@ -1,16 +1,16 @@
 """The one exact comparator, and the cell laws the release draws through it.
 
-Every noise decision of a release that spends bits is one :func:`locate`:
-it streams a uniform dyadic u bit by bit from a :class:`Stream` over a
+Every bit a release reads is read by one :func:`locate`: it streams a
+uniform dyadic u bit by bit from a :class:`Stream` over a
 :class:`~frugaldp.bit_tape.BitTape` against refinable integer bounds of a
-run of thresholds (the chances that coordinates stay in their home cells,
-the chances that a departure lands past its cells) and refines the bounds,
-one level of doubled precision at a time, until u is certified above or
-below each threshold it reads. This terminates with probability one and
-makes every draw exact; no floating point is involved anywhere. Every draw
-of a release shares one stream, which carries the part of u a draw read but
-did not need to the next. The shared shift alone reads the tape directly, by
-rejection (:meth:`~frugaldp.bit_tape.BitTape.uniform_range`).
+run of thresholds (the chances that the shift exceeds j units, that
+coordinates stay in their home cells, that a departure lands past its
+cells) and refines the bounds, one level of doubled precision at a time,
+until u is certified above or below each threshold it reads. This
+terminates with probability one and makes every draw exact; no floating
+point is involved anywhere. Every draw of a release, the shift first,
+shares one stream, which carries the part of u a draw read but did not
+need to the next.
 """
 
 from __future__ import annotations
@@ -57,7 +57,8 @@ class Stream:
     u started afresh (A = 0, B = 1). ``a_lo``, ``a_hi``, ``b_lo``, ``b_hi`` enclose
     A and B at level 0; :meth:`level` rebuilds them finer from ``history`` (cached in
     ``levels`` until the next carry). u starts afresh once B's level-0 lower bound
-    falls to 2**-_CARRY_BITS: a rule that reads level-0 records of the outcomes drawn, never u.
+    falls to 2**-_CARRY_BITS, or once A and B are exact and [A, A + B) is u's box
+    [u, u + 2**-n): the bits held then decided the draws and nothing is left to carry.
     """
 
     __slots__ = ("next_bit", "u", "n", "a_lo", "a_hi", "b_lo", "b_hi", "levels", "history")
@@ -85,7 +86,10 @@ class Stream:
 
     def carry(self, a_lo: int, a_hi: int, b_lo: int, b_hi: int, entry: tuple) -> None:
         """Set A's and B's level-0 bounds after a draw, or start afresh; ``entry`` = (narrow, *args) logs the draw."""
-        if b_lo <= 1 << _LEVEL_START >> _CARRY_BITS:
+        one = 1 << _LEVEL_START
+        if b_lo <= one >> _CARRY_BITS or (
+            a_lo == a_hi and b_lo == b_hi and b_lo << self.n == one and a_lo << self.n == self.u << _LEVEL_START
+        ):
             return self.restart()
         self.a_lo, self.a_hi, self.b_lo, self.b_hi, self.levels = a_lo, a_hi, b_lo, b_hi, None
         self.history.append(entry)
@@ -326,6 +330,12 @@ class CellLaw:
         p, lo, hi, _ = self.departure(self.quiet, level)
         one = 1 << p
         return level_record(p, *_pow_scaled(one - hi, one - lo, j, p))
+
+    def shift(self, j: int, level: int) -> tuple[int, int, int, int]:
+        """The :func:`level_record` of (s - j) / s, the chance that the shift exceeds j units, at most 1 unit wide."""
+        p, s = _LEVEL_START << level, self.grid // self.halfwidth
+        x = (s - j) << p
+        return level_record(p, x // s, -(-x // s))
 
     def ratio_records(self, level: int) -> tuple[int, BoundedCache]:
         """The precision of the :meth:`departure` records at ``level``, and their memo keyed by k'."""

@@ -1,8 +1,10 @@
 """The shift-and-round release core shared by the approximate and pure modes.
 
-Both efficient releases draw one shift from {unit, 2 unit, ..., s unit} and
-then walk the coordinates, where the unit is the noise half-width (r in
-approx mode, m in pure mode) and the grid, unit * s, is the cell law's.
+Both efficient releases draw one shift from {unit, 2 unit, ..., s unit},
+with one :func:`~frugaldp.core_samplers.locate` over the thresholds
+(s - j) / s, and then walk the coordinates, where the unit is the noise
+half-width (r in approx mode, m in pure mode) and the grid, unit * s, is
+the cell law's.
 Each coordinate holds the cell of its centre, its home cell, and draws only
 whether it leaves it, never a noise value: in runs (:func:`draw_runs`),
 where one :func:`~frugaldp.core_samplers.locate` draws how many coordinates
@@ -14,9 +16,10 @@ tail, queued last, where one comparison with (1 - p(K))^j certifies that j
 of them all stay, unless it fails: p(K) bounds the chance that each leaves.
 A departure across a single edge within reach is certain of its cell;
 otherwise (both edges within reach, or the untruncated law) one more locate
-draws the cell. Every locate of a release draws on one
+draws the cell. Every bit a release reads is read by a locate on one
 :class:`~frugaldp.core_samplers.Stream`, whose uniform carries from draw to
-draw: about their entropy plus two bits per 32 bits or so of it.
+draw, from the shift on: about their entropy plus two bits per 32 bits or
+so of it.
 """
 
 from __future__ import annotations
@@ -74,15 +77,6 @@ def check_release(counts: CountVector, params, unit: int, omega: int | None) -> 
         raise ParameterDomainError("forced shift must be a unit multiple in {unit..unit*s}")
 
 
-def draw_shift(tape: BitTape, unit: int, s: int) -> int:
-    """The shared shift, uniform on {unit, 2 unit, ..., s unit}."""
-    old = tape.charge("shift")
-    try:
-        return unit * tape.uniform_range(s)
-    finally:
-        tape.charge(old)
-
-
 def build_report(
     tape: BitTape,
     start: tuple[int, dict[str, int]],
@@ -110,8 +104,11 @@ def shift_and_round(
 ) -> tuple[MechanismResult, int, list[int]]:
     """Release ``counts`` on the grid of ``cells``; returns the result, the shift and the departed.
 
-    Draws the shift unless ``omega`` forces it. Cells draw on ``stream``, the
-    release's uniform, with bits under ``noise``; the report counts the bits
+    Draws the shift unless ``omega`` forces it, and then the cells, on
+    ``stream``, the release's uniform, with bits under "shift" and ``noise``:
+    one locate over the thresholds (s - j) / s, j = 1..s - 1, counts c, and the
+    shift is (s - c) units, so that at a power-of-two s it is 1 + u's first
+    log2 s bits read as an integer, in units. The report counts the bits
     read from ``tape`` from the call on. The departed are the coordinates
     released outside the cell of their centre, in the order drawn.
     """
@@ -119,15 +116,17 @@ def shift_and_round(
     unit, grid, tails = cells.halfwidth, cells.grid, cells.tails
     hot_lo, hot_hi = 1 - cells.quiet, cells.quiet  # the keys k whose k' = k or 1 - k is below cells.quiet
     reach = unit - 1
-    if omega is None:
-        omega = draw_shift(tape, unit, grid // unit)
     values = []
     boundary = []
     queued, keys = [], []  # the coordinates draw_runs draws, each holding its home cell
     quiet, quiet_keys = [], []  # those keyed at or past cells.quiet, queued last
-    # Silent coordinates draw nothing, so one category covers the loop.
-    old = tape.charge(noise)
+    old = tape.charge("shift")
     try:
+        if omega is None:
+            s = grid // unit
+            omega = unit * (s - locate(stream, cells.shift, range(1, s)))
+        # Silent coordinates draw nothing, so one category covers the loop.
+        tape.charge(noise)
         for i, s_i in enumerate(counts.sums):
             center = s_i + omega
             # The grid edges E in (center - reach, center + reach], as keys

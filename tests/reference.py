@@ -30,7 +30,7 @@ from frugaldp.errors import EnclosureContractError, MathDomainError, ParameterDo
 from frugaldp.precise_math import BoundedCache, RationalBounds, _exp_neg_guarded, exp_neg, exp_pos
 from frugaldp.precise_math import rational_enclose
 from frugaldp.pure_mech import PureParams
-from frugaldp.release import CountVector, MechanismResult, build_report, check_release, draw_shift
+from frugaldp.release import CountVector, MechanismResult, build_report, check_release
 
 
 class SampleBudgetError(RuntimeError):
@@ -49,6 +49,34 @@ ATTEMPT_CAP = 1 << 20
 # Serializes the building of RefinableProb levels (reads take no lock), so
 # that threads sharing an oracle build the levels one thread alone would.
 _LEVEL_LOCK = threading.RLock()
+
+
+def uniform_range(tape: BitTape, s: int) -> int:
+    """Uniform draw from {1, ..., s} by rejection on ceil(log2 s)-bit blocks.
+
+    Each attempt draws a fresh ceil(log2 s)-bit block and rejects values
+    >= s, so the expected cost is at most 2*ceil(log2 s) bits. ``s == 1``
+    consumes no bits. At a power-of-two s it reads the shift the package
+    draws from the same tape: 1 + the first log2 s bits.
+    """
+    if s < 1:
+        raise ValueError("s must be a positive integer")
+    if s == 1:
+        return 1
+    k = (s - 1).bit_length()
+    while True:
+        v = tape.next_bits(k)
+        if v < s:
+            return v + 1
+
+
+def draw_shift(tape: BitTape, unit: int, s: int) -> int:
+    """The reference chains' shared shift, uniform on {unit, 2 unit, ..., s unit}, by rejection."""
+    old = tape.charge("shift")
+    try:
+        return unit * uniform_range(tape, s)
+    finally:
+        tape.charge(old)
 
 
 def is_silent(sum_i: int, omega: int, halfwidth: int, grid: int) -> bool:
@@ -221,7 +249,7 @@ def geometric_fast(tape: BitTape, t: Fraction) -> int:
     a = t.numerator
     b = t.denominator
     while True:
-        u = tape.uniform_range(a) - 1
+        u = uniform_range(tape, a) - 1
         if u == 0 or bernoulli_from_prob(tape, residue_oracle(t, u)) == 1:
             break
     v = 0

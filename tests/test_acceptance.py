@@ -197,6 +197,23 @@ def test_criterion_06_randomness_scaling():
     )
 
 
+def test_paper_regime_s_equal_d_reads_near_log2_s():
+    """At s = d, the paper's O(log d) regime, a release reads at most log2 s + 3 bits on average.
+
+    The shift is most of it: one locate over (s - j) / s, whose leftover carries into the cells.
+    """
+    d, runs = 1100, 2000
+    counts = CountVector(d, 10**7, tuple(i * 7919 % 10**7 for i in range(d)))
+    pure = derive_pure_params(Fraction(1), d, d)
+    approx = derive_approx_params(Fraction(1), Fraction(1, 1 << 20), d, d)
+    for mode, release in (
+        ("pure", lambda tape: mech_pure_efficient(counts, pure, tape)[0]),
+        ("approx", lambda tape: mech_approx_efficient(counts, approx, tape)),
+    ):
+        mean = sum(release(BitTape(seed=seed)).report.bits_total for seed in range(runs)) / runs
+        assert mean <= math.log2(d) + 3, (mode, mean)
+
+
 def test_criterion_07_entropy_sampler():
     """One locate per draw of a finite law: mean bits <= H(X) + 8, chi-square fit, bounded depth."""
     bin_d, bin_p = 16, Fraction(1, 3)

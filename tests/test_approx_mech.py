@@ -369,6 +369,20 @@ class TestEfficientMechanism:
                 assert res.report.bits_by_category == {"shift": res.report.bits_total}
         assert 0 < silent < 20
 
+    @pytest.mark.parametrize("s", [2, 4, 8])
+    def test_a_drawn_shift_at_a_power_of_two_leaves_the_stream_fresh(self, s):
+        # The shift reads log2 s bits and its interval is then their box, so the
+        # cells draw as at that shift forced, on the rest of the tape.
+        d = 256
+        params = derive_approx_params(Fraction(1), Fraction(1, 1 << 20), d, s)
+        counts = CountVector(d, 10**7, tuple(i * 7919 % 10**7 for i in range(d)))
+        for seed in range(200):
+            drawn, forced = BitTape(seed=seed), BitTape(seed=seed)
+            values = mech_approx_efficient(counts, params, drawn).values
+            omega = params.r * (1 + forced.next_bits(s.bit_length() - 1))
+            assert mech_approx_efficient(counts, params, forced, omega).values == values
+            assert forced.bits_consumed == drawn.bits_consumed
+
     def test_report_accounting(self):
         counts = CountVector(d=4, n=20, sums=(3, 7, 11, 19))
         params = approx_params_from_sigma(4, 3, Fraction(2), Fraction(1, 1024))

@@ -37,6 +37,7 @@ from reference import (
     mech_approx_reference,
     mech_pure_reference,
     two_sample_chi_square,
+    uniform_range,
 )
 
 
@@ -79,7 +80,7 @@ class TestStatistics:
         tape = BitTape(seed=1001)
         hist = Counter()
         for _ in range(30_000):
-            u = tape.uniform_range(4)
+            u = uniform_range(tape, 4)
             hist[0 if u == 1 else 1 if u == 2 else 2] += 1
         assert chi_square(hist, ref) >= 0.001
 

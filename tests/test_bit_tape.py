@@ -14,6 +14,8 @@ from frugaldp.errors import EntropySourceError
 from frugaldp.pure_mech import derive_pure_params, mech_pure_efficient
 from frugaldp.release import CountVector
 
+from reference import uniform_range
+
 
 def test_seeded_tape_replays_identically():
     a = BitTape(seed=123456789)
@@ -68,9 +70,11 @@ def test_seed_range_validation():
 
 
 class TestUniformRange:
+    """The reference chains' rejection shift, read from a tape in ceil(log2 s)-bit blocks."""
+
     def test_singleton_uses_no_bits(self):
         tape = BitTape(seed=5)
-        assert tape.uniform_range(1) == 1
+        assert uniform_range(tape, 1) == 1
         assert tape.bits_consumed == 0
 
     def test_power_of_two_frequencies(self):
@@ -78,7 +82,7 @@ class TestUniformRange:
         n = 100_000
         counts = [0] * 4
         for _ in range(n):
-            counts[tape.uniform_range(4) - 1] += 1
+            counts[uniform_range(tape, 4) - 1] += 1
         # Exactly two bits per draw: no rejection on powers of two.
         assert tape.bits_consumed == 2 * n
         for c in counts:
@@ -89,7 +93,7 @@ class TestUniformRange:
         tape = BitTape(seed=13)
         n = 100_000
         for _ in range(n):
-            tape.uniform_range(3)
+            uniform_range(tape, 3)
         mean_bits = tape.bits_consumed / n
         assert mean_bits <= 8 / 3 + 0.02
         assert mean_bits >= 2.0
@@ -100,20 +104,20 @@ class TestUniformRange:
         n = 100_000
         counts = [0] * s
         for _ in range(n):
-            counts[tape.uniform_range(s) - 1] += 1
+            counts[uniform_range(tape, s) - 1] += 1
         _, p = stats.chisquare(counts)
         assert p >= 0.001
 
     def test_invalid_range(self):
         tape = BitTape(seed=1)
         with pytest.raises(ValueError):
-            tape.uniform_range(0)
+            uniform_range(tape, 0)
 
 
 def test_category_accounting_totals():
     tape = BitTape(seed=77)
     old = tape.charge("shift")
-    tape.uniform_range(16)
+    tape.next_bits(4)
     tape.charge("gaussian")
     tape.next_bits(10)
     tape.charge("tail")

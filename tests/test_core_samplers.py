@@ -725,8 +725,8 @@ class TestRunStream:
         # hit and its miss path. Every tenth queue holds 120 keys, enough
         # departures to narrow u past _CARRY_BITS at 64-bit levels; at 8 and
         # 4 bits a departure at a key whose p rounds to 0 at level 0 starts
-        # afresh too. Each queue draws on a fresh stream, as the package's
-        # first draw of a release would.
+        # afresh too. Each queue draws on a fresh stream, as a release's cells
+        # do at a forced shift or after a drawn one at a power-of-two s.
         monkeypatch.setattr(cs, "_LEVEL_START", level_start)
         rng = random.Random(f"{name}:{level_start}")
         law, closure_law = make(), make()

@@ -18,6 +18,7 @@ from reference import (
     bernoulli_from_prob,
     crossing_shifts,
     discrete_laplace,
+    draw_shift,
     floor_multiple,
     laplace_tail_sample,
     mech_pure_reference,
@@ -321,7 +322,7 @@ class TestDistributionalStructure:
             expected += sum(far(c + trace.shift) for c in counts.sums) / runs
         mean_size = sum(sizes) / runs
         assert abs(mean_size - expected) <= 3 * math.sqrt(expected / runs) + 0.02
-        # The shift reads whole 2-bit blocks from the tape, nothing else.
+        # At s = 4 the shift reads exactly its two bits: it is their box.
         assert set(shift_bits) == {2}
 
     def test_body_boundary_enumeration(self):
@@ -360,6 +361,16 @@ class TestTraceAndReport:
         assert sum(res.report.bits_by_category.values()) == res.report.bits_total
         assert trace.shift % params.m == 0
         assert params.m <= trace.shift <= params.grid
+
+    @pytest.mark.parametrize("s", [2, 4, 8])
+    def test_seeded_shift_is_the_reference_rejection_shift(self, s):
+        # At a power-of-two s the shift is 1 + u's first log2 s bits, in units:
+        # the shift the reference chains' rejection draws from the same seed.
+        params = derive_pure_params(Fraction(1, 4), 3, s)
+        counts = CountVector(3, 100, (17, 50, 93))
+        for seed in range(1000):
+            _, trace = mech_pure_efficient(counts, params, BitTape(seed=seed))
+            assert trace.shift == draw_shift(BitTape(seed=seed), params.m, s)
 
     def test_outputs_on_grid(self):
         params = PureParams(3, 4, Fraction(1), 2)
