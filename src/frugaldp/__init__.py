@@ -19,7 +19,7 @@ from importlib import import_module
 from .approx_mech import derive_approx_params, mech_approx_efficient
 from .bit_tape import BitTape
 from .errors import FrugalDPError, InternalError
-from .pure_mech import PureTrace, derive_pure_params, mech_pure_efficient
+from .pure_mech import derive_pure_params, mech_pure_efficient
 from .release import CountVector, MechanismResult, RandomnessReport
 
 __version__ = "0.1.0"
@@ -49,7 +49,6 @@ __all__ = [
     "FrugalDPError",
     "InternalError",
     "MechanismResult",
-    "PureTrace",
     "RandomnessReport",
     "RunConfig",
     "derive_approx_params",

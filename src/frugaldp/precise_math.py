@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import EnclosureContractError, MathDomainError
 
-#: A comparison with an irrational gives up past this precision.
+#: A comparison with an irrational gives up this many bits past its starting precision.
 _CERTIFY_MAX_BITS = 1 << 13
 
 
@@ -68,12 +68,12 @@ class RationalBounds(namedtuple("RationalBounds", "lo hi")):
 def certified_le(value: Fraction, enclose: Callable[[int], tuple[int, int]]) -> bool:
     """Decide value <= y for an irrational y, where ``enclose(w)`` encloses 2**w * y.
 
-    The precision doubles from 64 until the enclosure lies on one side of
-    the value; y must not equal the value, which holds whenever y is
-    irrational.
+    The precision doubles until the enclosure lies on one side of the value,
+    from max(64, 62 + log2(1 / value)) up to ``_CERTIFY_MAX_BITS`` past that
+    start; y must not equal the value, which holds whenever y is irrational.
     """
-    w = 64
-    while w <= _CERTIFY_MAX_BITS:
+    start = w = max(64, (value.denominator // max(value.numerator, 1)).bit_length() + 62)
+    while w <= start + _CERTIFY_MAX_BITS:
         lo, hi = enclose(w)
         if value.numerator << w <= lo * value.denominator:
             return True

@@ -12,8 +12,9 @@ stay home before one leaves. A coordinate with no grid edge within reach is
 silent: under the truncated Gaussian law it cannot leave and draws nothing.
 The coordinates keyed at or past the law's quiet threshold K, by one rule
 for both laws (:attr:`~frugaldp.core_samplers.CellLaw.quiet`), form a quiet
-tail, queued last, where one comparison with (1 - p(K))^j certifies that j
-of them all stay, unless it fails: p(K) bounds the chance that each leaves.
+tail, queued behind the hot keys, where one comparison with (1 - p(K))^j
+certifies that j of them all stay, unless it fails: p(K) bounds the chance
+that each leaves.
 A departure across a single edge within reach is certain of its cell;
 otherwise (both edges within reach, or the untruncated law) one more locate
 draws the cell. Every bit a release reads is read by a locate on one
@@ -27,7 +28,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .bit_tape import BitTape
-from .core_samplers import _LEVEL_START, CellLaw, Stream, locate
+from .core_samplers import CellLaw, Stream, locate
 from .errors import InternalError, ParameterDomainError
 
 
@@ -154,26 +155,23 @@ def shift_and_round(
     finally:
         tape.charge(old)
     departed = [queued[j] for j in moved]
-    # One draw for each paid coordinate, on a boundary or silent and departed, in index order.
-    paid = sorted({*boundary, *departed}) if moved and moved[-1] >= len(boundary) else boundary
+    # One draw for each paid coordinate, on a boundary or departed, in index order (a departed
+    # coordinate off the boundary is a silent one, queued only under a law with tails).
+    paid = sorted({*boundary, *departed}) if departed and len(queued) > len(boundary) else boundary
     report = build_report(tape, start, tuple(boundary), dict.fromkeys(paid, 1))
     return MechanismResult(tuple(values), report), omega, departed
 
 
-def _products(cells: CellLaw, keys: list, b: int, end: int, level: int, lo: int, hi: int, quiet=None, stay=None):
-    """The records of B T_1, B T_2, ... along the keys from index b on at ``level``, for B in [lo, hi].
+def _products(cells: CellLaw, keys: list, b: int, end: int, level: int, lo: int, hi: int):
+    """The records of B T_1, B T_2, ... along the keys from index b to ``end`` at ``level``, for B in [lo, hi].
 
-    Sent True at a key that departs, it yields the precision, that record (A's
-    growth) and B T_L p, the record times p / (1 - p), rounded outward; then the next B.
-    Given the index ``quiet`` where the quiet tail starts, each run from b also
-    yields, just before key max(b, quiet), its coarse key: the product so far times ``stay``.
+    Past its last key it yields its product once more. Sent True at a key that
+    departs, it yields the precision, that record (A's growth) and B T_L p,
+    the record times p / (1 - p), rounded outward; then the next B.
     """
     p, memo = cells.ratio_records(level)
     one = 1 << p
-    coarse = end if quiet is None else max(b, quiet)
     for i in range(b, end):
-        if i == coarse:
-            yield _below((p, lo, hi), stay)
         k = keys[i]
         if k <= 0:
             k = 1 - k
@@ -185,9 +183,8 @@ def _products(cells: CellLaw, keys: list, b: int, end: int, level: int, lo: int,
         if (yield p, lo, hi, p - (hi - lo).bit_length()):
             # p / (1 - p) grows with p. a_lo < one, as p < 1 rounds down; a_hi is one once 1 - p is below the precision.
             lo, hi = yield p, lo, hi, lo * a_lo // (one - a_lo), -(-hi * a_hi // max(one - a_hi, 1))
-            if quiet is not None:
-                coarse = max(i + 1, quiet)
             yield
+    yield p, lo, hi, p - (hi - lo).bit_length()
 
 
 def _departed(level: int, a_lo: int, a_hi: int, b_lo: int, b_hi: int, cells: CellLaw, keys: list, b: int, i: int):
@@ -207,62 +204,63 @@ def _below(rec: tuple, stay: tuple) -> tuple[int, int, int, int]:
     return p, lo, hi, p - (hi - lo).bit_length()
 
 
-def draw_runs(stream: Stream, cells: CellLaw, grid: int, queued: list, keys: list, values: list, silent: int = 0):
+def draw_runs(stream: Stream, cells: CellLaw, grid: int, queued: list, keys: list, values: list, tail: int = 0):
     """Draw the cells of the queued coordinates in runs that stay home, on ``stream``; returns the departed positions.
 
     Coordinate ``queued[i]`` holds its home cell, the one of its centre, with
     an edge k = ``keys[i]`` above the centre (k > 0) or k <= 0 from it, and
     leaves with p = ``cells.departure(k')``, k' = k or 1 - k. From a run start
     b, the count L that stay home has upper tails T_j = prod_{b <= i < b + j}
-    (1 - p_i): one :func:`locate` draws L, and u is carried into
+    (1 - p_i): :func:`locate` draws L, and u is carried into
     [A + B T_(L+1), A + B T_L) of b + L, which crosses the edge at k, or under
     a law with tails lands in the cell one more locate over ``cells.beyond``
-    draws. The queue's end, a release's last draw, carries nothing. The last
-    ``silent`` coordinates are the quiet tail, keyed at or past K =
-    ``cells.quiet`` under either law, so p_i <= p(K): a run that reaches
-    them compares u first with the product so far times ``cells.all_stay``,
-    (1 - p(K))^silent, below which they all stay, and goes on through their
-    exact products only when u is not below it.
+    draws. The queue's end, a release's last draw, carries nothing. The queue
+    is two segments, each drawn by a locate over the level-0 records of a
+    :func:`_products`: the hot keys, then the last ``tail`` coordinates, the
+    quiet tail, keyed at or past K = ``cells.quiet`` under either law, so
+    p_i <= p(K). Between them one locate compares u with the coarse key, the
+    product so far times ``cells.all_stay``, (1 - p(K))^tail: below it, every
+    tail key stays home.
     """
 
     def bounds(j: int, level: int) -> tuple[int, int, int, int]:
-        """B T_(j - b + 1) at ``level`` >= 1, from that level's generator advanced to key j."""
+        """B T_(j - b + 1) at ``level`` >= 1 (B at j = b - 1), from that level's generator advanced to key j."""
         if level > len(refined):  # locate asks for the levels of a key in order
-            refined.append([b - 1, None, _products(cells, keys, b, end, level, *stream.level(level)[2:])])
+            _, _, lo, hi = stream.level(level)
+            start = cells.ratio_records(level)[0], lo, hi
+            refined.append([b - 1, start, _products(cells, keys, b, end, level, lo, hi)])
         entry = refined[level - 1]
-        last = j - 1 if j == coarse else j
-        while entry[0] < last:
+        while entry[0] < j:
             entry[0] += 1
             entry[1] = next(entry[2])
-        if j != coarse:
-            return entry[1]
-        # The coarse key: the product before it times (1 - p)^silent.
-        rec = entry[1] if j > b else (_LEVEL_START << level, *stream.level(level)[2:])
-        return _below(rec, cells.all_stay(silent, level))
+        return entry[1]
+
+    def coarse(j: int, level: int) -> tuple[int, int, int, int]:
+        """The coarse key before tail key j at ``level`` >= 1: the product before j times (1 - p(K))^tail."""
+        return _below(bounds(j - 1, level), cells.all_stay(tail, level))
 
     refined: list[list] = []  # per level >= 1: [last key read, its record, the level's generator]
     tails = cells.tails
     b, end = 0, len(keys)
-    # The coarse key, unless (1 - p)^silent rounds to 0 and certifies nothing.
-    stay = silent and cells.all_stay(silent, 0)
-    quiet = end - silent if stay and stay[1] else None
+    # The tail starts at quiet, unless (1 - p(K))^tail rounds to 0 and certifies nothing.
+    stay = tail and cells.all_stay(tail, 0)
+    quiet = end - tail if stay and stay[1] else end
     departed = []
-    run = _products(cells, keys, 0, end, 0, stream.b_lo, stream.b_hi, quiet, stay)
+    hot = _products(cells, keys, 0, quiet, 0, stream.b_lo, stream.b_hi)
     while b < end:
-        coarse = None if quiet is None else max(b, quiet)
-        if coarse is None:
-            i = b + locate(stream, bounds, range(b, end), run)
-        else:
-            i = b + locate(stream, bounds, range(b, coarse + 1), run)
-            if i > coarse:  # u is below the coarse key: every key stays home
-                break
-            if i == coarse:  # u is not below it: on through the exact products
-                coarse = None
-                i += locate(stream, bounds, range(i, end), run)
+        i = b + locate(stream, bounds, range(b, quiet), hot)
+        if quiet <= i < end:  # u reached the tail: the product so far, the hot keys' or B, times (1 - p(K))^tail
+            rec = next(hot) if i == quiet else (stay[0], stream.b_lo, stream.b_hi)
+            if locate(stream, coarse, (i,), iter((_below(rec, stay),))):
+                break  # u is below the coarse key: every key stays home
+            if i == quiet:  # the tail's generator, restarted after a departure like the hot one
+                cold = _products(cells, keys, quiet, end, 0, rec[1], rec[2])
+            i += locate(stream, bounds, range(i, end), cold)
         if i == end:  # every key stayed home
             break
         departed.append(i)
         refined.clear()
+        run = hot if i < quiet else cold
         if tails or i + 1 < end:
             _, t_lo, t_hi, b_lo, b_hi = run.send(True)
             stream.carry(stream.a_lo + t_lo, stream.a_hi + t_hi, b_lo, b_hi, (_departed, cells, keys, b, i))

@@ -19,7 +19,8 @@ checked with the shift drawn and at each forced shift, and with a silent
 coordinate; a pure release at s = 6 whose queue ends in a quiet boundary
 key, with the shift drawn and at each forced shift; approx releases at desk
 scale, with d <= 3 and s in 1..4, with the shift drawn and at each forced
-shift, and one whose queues hold quiet keys behind hot ones.
+shift, and one whose queues hold quiet keys behind hot ones, also at 8-bit
+levels, where the quiet tail's coarse key refines.
 """
 
 from collections import deque
@@ -27,6 +28,7 @@ from fractions import Fraction
 
 import pytest
 
+from frugaldp import core_samplers
 from frugaldp import release as release_module
 from frugaldp.approx_mech import derive_approx_params, mech_approx_efficient
 from frugaldp.audit_harness import _approx_noise, _joint_dist, _pure_noise, _shift_laws, oracle_joint_dist
@@ -172,9 +174,9 @@ def test_pure_desk_with_a_quiet_boundary_key_is_certified(v, monkeypatch):
     counts = CountVector(3, 400, (224, 240, 250))
     queues = []
 
-    def spy(stream, cells, grid, queued, keys, values, silent=0):
-        queues.append((list(keys), silent))
-        return draw_runs(stream, cells, grid, queued, keys, values, silent)
+    def spy(stream, cells, grid, queued, keys, values, tail=0):
+        queues.append((list(keys), tail))
+        return draw_runs(stream, cells, grid, queued, keys, values, tail)
 
     monkeypatch.setattr(release_module, "draw_runs", spy)
     release = lambda tape: mech_pure_efficient(counts, params, tape, v and v * params.m)[0].values
@@ -231,9 +233,9 @@ def test_approx_desk_with_quiet_keys_is_certified(monkeypatch):
     counts = CountVector(3, 100, (29, 55, 79))
     queues = []
 
-    def spy(stream, cells, grid, queued, keys, values, silent=0):
-        queues.append((len(keys) - silent, silent))
-        return draw_runs(stream, cells, grid, queued, keys, values, silent)
+    def spy(stream, cells, grid, queued, keys, values, tail=0):
+        queues.append((len(keys) - tail, tail))
+        return draw_runs(stream, cells, grid, queued, keys, values, tail)
 
     monkeypatch.setattr(release_module, "draw_runs", spy)
     for v in (1, 2):
@@ -241,3 +243,24 @@ def test_approx_desk_with_quiet_keys_is_certified(monkeypatch):
     assert queues == [(2, 1), (2, 1)]
     # 3.594 bits with every key drawn in index order.
     assert _certify_approx(counts, params) <= 3.594 + 0.05
+
+
+def test_approx_quiet_desk_with_8_bit_levels_is_certified(monkeypatch):
+    # The case above at levels of 8, 16, 32 and 64 bits: a queue whose u is
+    # not certified against the coarse key at 8 bits refines it, to the
+    # product before the tail times (1 - p(K))^tail at that level, which
+    # 64-bit levels never need. K is 13 at 8 bits too.
+    monkeypatch.setattr(core_samplers, "_LEVEL_START", 8)
+    params = derive_approx_params(Fraction(1), Fraction(1, 4), 3, 2)
+    assert (params.r, params.cells.quiet) == (17, 13)
+    counts = CountVector(3, 100, (29, 55, 79))
+    levels = set()
+    all_stay = core_samplers.CellLaw.all_stay
+
+    def spy(cells, j, level):
+        levels.add(level)
+        return all_stay(cells, j, level)
+
+    monkeypatch.setattr(core_samplers.CellLaw, "all_stay", spy)
+    _certify_approx(counts, params)
+    assert levels == {0, 1, 2, 3}

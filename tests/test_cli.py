@@ -360,6 +360,14 @@ class TestMain:
         gamma = json.loads(out.read_text())["params"]["gamma"]
         assert 0 < gamma[0] <= gamma[1] < 2**-96
 
+    def test_tiny_delta_is_released(self, csv_file, tmp_path):
+        # The window radius's tail budget is then near 2**-8300, past the 8 192
+        # bits a comparison once refined to from 64 bits: it exited 4.
+        out = tmp_path / "out.json"
+        argv = ["--mode", "approx", "--epsilon", "1", "--delta", "1e-2500", "--output", str(out)]
+        assert main(argv + ["--input", csv_file("a,b,c\n1,0,1\n0,1,1\n")]) == EXIT_OK
+        assert json.loads(out.read_text())["params"]["r"] == 28212
+
     def test_tiny_epsilon_exits_parameter(self, csv_file, capsys):
         # The window radius would be near 2**1331; deriving it once never returned.
         argv = ["--mode", "approx", "--epsilon", "1e-400", "--delta", "0.25", "--s", "2"]

@@ -801,10 +801,12 @@ class TestCarriedStream:
     @pytest.mark.parametrize("mode", ["pure", "approx"])
     @pytest.mark.parametrize("level_start", [4, 8])
     def test_refined_carried_draws_keep_the_joint_law(self, mode, level_start, monkeypatch):
-        # At 4- and 8-bit levels the runs, the departures' cells (in approx
-        # mode, a side of the home cell) and the silent coordinates' coarse key refine on a stream
-        # that already carries u, so A and B are rebuilt at finer levels from
-        # the draws since the last fresh start (Stream.level, Stream.scaled).
+        # At 4- and 8-bit levels the runs and the departures' cells (in approx
+        # mode, a side of the home cell) refine on a stream that already
+        # carries u, so A and B are rebuilt at finer levels from the draws
+        # since the last fresh start (Stream.level, Stream.scaled). Neither
+        # case has a quiet tail (K = m = 4, and K = r at s = 1); the coarse
+        # key refines in test_bit_tree's 8-bit approx quiet desk case.
         # The whole release must still follow the product of the exact laws.
         make = _pure_desk if mode == "pure" else _approx_windows
         laws = _exact_laws(*make())

@@ -361,6 +361,20 @@ class TestTraceAndReport:
         assert sum(res.report.bits_by_category.values()) == res.report.bits_total
         assert trace.shift % params.m == 0
         assert params.m <= trace.shift <= params.grid
+        # d = 3, eps = 1/4, s = 6: m = 55 and K = 51 on the grid 330. At the
+        # shift m the count 225 keys its edge 50 from its centre (hot), 0 is
+        # silent and 221 keys its edge at 54 (quiet): the queue holds the hot
+        # key, then the silent and the quiet one in index order, so a silent
+        # departure sits before the last boundary coordinate (seed 191 is one).
+        params = derive_pure_params(Fraction(1, 4), 3, 6)
+        counts = CountVector(3, 400, (0, 225, 221))
+        silent_departures = 0
+        for seed in range(2000):
+            res, trace = mech_pure_efficient(counts, params, BitTape(seed=seed), params.m)
+            assert res.report.boundary_coordinates == (1, 2)
+            assert set(trace.departed) <= set(res.report.draws_attempted)
+            silent_departures += 0 in trace.departed
+        assert silent_departures > 0
 
     @pytest.mark.parametrize("s", [2, 4, 8])
     def test_seeded_shift_is_the_reference_rejection_shift(self, s):
