@@ -89,15 +89,18 @@ def certify_window_radius(sigma_sq: Fraction, tail_budget: Fraction) -> int:
 
     The two-sided Gaussian tail bound then gives P[|noise| >= r] <= budget,
     which is the property the privacy argument consumes. Each test is
-    certified by refining an enclosure; monotone in r, so binary search is
-    sound. An r above ``_MAX_RADIUS`` is refused before the binary search.
+    r^2 / (2 sigma^2) > ln(2 / budget), certified by refining an enclosure of
+    the logarithm, whose width does not grow as the budget shrinks; the two
+    sides are never equal, as the logarithm of a rational other than 1 is
+    irrational. Monotone in r, so binary search is sound. An r above
+    ``_MAX_RADIUS`` is refused before the binary search.
     """
     if tail_budget <= 0:
         raise ParameterDomainError("tail budget must be positive")
+    ratio = 2 / Fraction(tail_budget)
 
-    def ok(r: int) -> bool:  # exp(-r^2 / (2 sigma^2)) <= tail_budget / 2
-        x = Fraction(r * r, 1) / (2 * sigma_sq)
-        return not certified_le(tail_budget / 2, lambda w: exp_neg(x, w))
+    def ok(r: int) -> bool:  # exp(-r^2 / (2 sigma^2)) < tail_budget / 2
+        return not certified_le(Fraction(r * r, 1) / (2 * sigma_sq), lambda w: ln_enclose(ratio, w))
 
     hi = 1
     while not ok(hi):

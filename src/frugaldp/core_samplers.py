@@ -33,6 +33,8 @@ _MEMO_CAP = 1 << 14
 _LINEAR_KEYS = 4
 #: A stream's draws share u until B < 2**-_CARRY_BITS; level 0's other bits keep A and B exact.
 _CARRY_BITS = 32
+#: A block of a bin holds at least this many keys and expects at most 1/_BLOCK_KEYS departure.
+_BLOCK_KEYS = 8
 
 
 def level_record(p: int, lo: int, hi: int) -> tuple[int, int, int, int]:
@@ -271,8 +273,8 @@ class CellLaw:
     Subclasses precompute scaled-integer data per working precision
     (``_build``) and give ``tail_ratio(k, level)``, the record of
     P[eta >= k]. Levels are built on first read (:class:`_Levels`), each at
-    twice the precision of the last, and memoize the :meth:`departure` and
-    :meth:`beyond` records in one :class:`~frugaldp.precise_math.BoundedCache`
+    twice the precision of the last, and memoize the :meth:`departure`,
+    :meth:`beyond` and :meth:`all_stay` records in one :class:`~frugaldp.precise_math.BoundedCache`
     of ``_cap`` records. Records are deterministic, so threads share
     them with no lock. A home cell with edges k' above and grid + 1 - k'
     below the centre (eta >= k' or eta <= k' - grid - 1 leaves it) is left
@@ -282,15 +284,17 @@ class CellLaw:
     (a coordinate with no edge within reach leaves only then).
 
     ``d``, the most coordinates a release queues, sets :attr:`quiet`, K, and
-    ``all_stay(j)`` = (1 - p(K))^j is at most the chance that j keys at or
-    past K all stay. At s >= 2 p(k') does not increase on [1, halfwidth]:
-    the Gaussian law reaches only the near edge, and the Laplace p(k') =
-    (q^k' + q^(grid + 1 - k')) / (1 + q) is convex and symmetric about
-    (grid + 1) / 2, so a silent key, in [halfwidth, grid + 1 - halfwidth],
-    has p <= p(halfwidth) <= p(K). At s = 1 K is the half-width.
+    with it the :attr:`bins` a release sorts its keys into; ``all_stay(a, j)``
+    = (1 - p(a))^j is at most the chance that j keys keyed from a on all
+    stay. At s >= 2 p(k') does not increase on
+    [1, halfwidth]: the Gaussian law reaches only the near edge, and the
+    Laplace p(k') = (q^k' + q^(grid + 1 - k')) / (1 + q) is convex and
+    symmetric about (grid + 1) / 2, so a silent key, in
+    [halfwidth, grid + 1 - halfwidth], has p <= p(halfwidth). At s = 1 K is
+    the half-width, and every key below it is drawn exactly.
     """
 
-    __slots__ = ("halfwidth", "grid", "_guard", "_levels", "_cap", "_stride", "_d", "_quiet")
+    __slots__ = ("halfwidth", "grid", "_guard", "_levels", "_cap", "_stride", "_d", "_quiet", "_bins")
 
     def __init__(self, halfwidth: int, s: int, d: int, guard: int):
         if halfwidth < 1:
@@ -298,7 +302,7 @@ class CellLaw:
         self.halfwidth = halfwidth
         self.grid = halfwidth * s
         self._d = d
-        self._quiet = None
+        self._quiet = self._bins = None
         self._guard = guard
         self._levels = _Levels()
         self._levels.law = self
@@ -309,8 +313,8 @@ class CellLaw:
         """K: the least key k' whose level-0 p(k') is at most 2**-(d.bit_length() + 5), else the half-width.
 
         At s >= 2 (grid > halfwidth) p(k') and its level-0 upper bound do not
-        increase with k', and a bisection finds K. A queue of at most d quiet
-        keys then expects below 1/32 departures.
+        increase with k', and a bisection finds K. At most d keys at or past
+        K then expect below 1/32 departure, so each bin from K on is one block.
         """
         if self._quiet is None:
             lo, hi = 1, self.halfwidth
@@ -325,11 +329,50 @@ class CellLaw:
             self._quiet = hi
         return self._quiet
 
-    def all_stay(self, j: int, level: int) -> tuple[int, int, int, int]:
-        """The :func:`level_record` of (1 - p(K))^j, K = :attr:`quiet`: at most the chance j quiet keys all stay."""
-        p, lo, hi, _ = self.departure(self.quiet, level)
-        one = 1 << p
-        return level_record(p, *_pow_scaled(one - hi, one - lo, j, p))
+    @property
+    def bins(self) -> tuple[int, int, int, list[tuple[int, int]]]:
+        """(K, NB, c, bins): per bin its least key a and block size n; c is the least key of a bin that fills blocks.
+
+        A key k' below K = :attr:`quiet` is in bin k' NB // K, NB =
+        d.bit_length() + 5, and one in [K 2^j, K 2^(j+1)) in bin NB + j, up to
+        the half-width's, the last, which also holds the silent keys. n is the
+        most keys whose level-0 p(a) adds up to at most 1/_BLOCK_KEYS
+        departure, or 0 if that is fewer than _BLOCK_KEYS: the bin is too hot
+        to fill a block. At s >= 2 p(a) does not increase from bin to bin, so
+        every bin from the first that fills blocks does, and the keys drawn
+        exactly are those below c (the half-width if no bin fills blocks); at
+        s = 1 they are every key below K, the half-width.
+        """
+        if self._bins is None:
+            quiet, nb = self.quiet, self._d.bit_length() + 5
+            least = [max(1, -(-t * quiet // nb)) for t in range(nb)]
+            least += [quiet << j for j in range((self.halfwidth // quiet).bit_length())]
+            bins = []
+            for t, a in enumerate(least):
+                p, _, hi, _ = self.departure(a, 0)
+                n = (1 << p) // max(hi * _BLOCK_KEYS, 1)
+                if bins and bins[-1][1]:  # past a bin that fills blocks, whatever the records' rounding
+                    n = max(n, _BLOCK_KEYS)
+                elif n < _BLOCK_KEYS or t < nb and self.grid == self.halfwidth:
+                    n = 0
+                bins.append((a, n))
+            cold = next((a for a, n in bins if n), self.halfwidth)
+            self._bins = quiet, nb, cold, bins
+        return self._bins
+
+    def all_stay(self, a: int, j: int, level: int) -> tuple[int, int, int, int]:
+        """The :func:`level_record` of (1 - p(a))^j, memoized: at most the chance that j keys keyed from a on all stay.
+
+        A key k' in [a, halfwidth] leaves with p(k') <= p(a) at s >= 2, and a
+        silent key with p <= p(halfwidth) (see :class:`CellLaw`).
+        """
+        memo = self._levels[level][1]
+        rec = memo.get((a, j))
+        if rec is None:
+            p, lo, hi, _ = self.departure(a, level)
+            one = 1 << p
+            rec = memo[a, j] = level_record(p, *_pow_scaled(one - hi, one - lo, j, p))
+        return rec
 
     def shift(self, j: int, level: int) -> tuple[int, int, int, int]:
         """The :func:`level_record` of (s - j) / s, the chance that the shift exceeds j units, at most 1 unit wide."""

@@ -100,8 +100,9 @@ def mech_pure_efficient(
     """Efficient release: same output law as the reference chain.
 
     Draws the shift, then every coordinate's cell, in runs that stay in
-    their home cells; the j coordinates keyed at or past the law's quiet
-    threshold K usually cost one comparison with (1 - p(K))^j together.
+    their home cells; the j coordinates of a block of low-p keys, silent ones
+    among them, usually cost one comparison with (1 - p(a))^j together, a at
+    most the least key among them.
     """
     check_release(counts, params, params.m, omega)
     result, omega, departed = shift_and_round(tape, Stream(tape), counts, params.cells, "laplace", omega)

@@ -10,11 +10,14 @@ whether it leaves it, never a noise value: in runs (:func:`draw_runs`),
 where one :func:`~frugaldp.core_samplers.locate` draws how many coordinates
 stay home before one leaves. A coordinate with no grid edge within reach is
 silent: under the truncated Gaussian law it cannot leave and draws nothing.
-The coordinates keyed at or past the law's quiet threshold K, by one rule
-for both laws (:attr:`~frugaldp.core_samplers.CellLaw.quiet`), form a quiet
-tail, queued behind the hot keys, where one comparison with (1 - p(K))^j
-certifies that j of them all stay, unless it fails: p(K) bounds the chance
-that each leaves.
+Each queued key falls in a bin of the law's
+(:attr:`~frugaldp.core_samplers.CellLaw.bins`), by integer arithmetic on
+its distance k' from its edge alone. The keys of the hot bins are drawn
+first, each against its exact departure record; every other bin is cut
+into blocks that expect at most 1/8 departure (in k' order when a bin
+fills several), and one comparison with (1 - p(a))^n certifies that the n
+keys of a block all stay, unless it fails: a is at most the least k' the
+block holds, so p(a) bounds the chance that each leaves.
 A departure across a single edge within reach is certain of its cell;
 otherwise (both edges within reach, or the untruncated law) one more locate
 draws the cell. Every bit a release reads is read by a locate on one
@@ -26,6 +29,7 @@ so of it.
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import itemgetter
 
 from .bit_tape import BitTape
 from .core_samplers import CellLaw, Stream, locate
@@ -115,12 +119,13 @@ def shift_and_round(
     """
     start = tape.snapshot()
     unit, grid, tails = cells.halfwidth, cells.grid, cells.tails
-    hot_lo, hot_hi = 1 - cells.quiet, cells.quiet  # the keys k whose k' = k or 1 - k is below cells.quiet
-    reach = unit - 1
+    quiet, nb, cold, bins = cells.bins
+    hot_lo, quiet2 = 1 - cold, 2 * quiet  # the keys k whose k' = k or 1 - k is below cold are drawn exactly
     values = []
     boundary = []
     queued, keys = [], []  # the coordinates draw_runs draws, each holding its home cell
-    quiet, quiet_keys = [], []  # those keyed at or past cells.quiet, queued last
+    lanes = {}  # the other boundary keys, by bin: coordinate, key, coordinate, key, ...
+    silent, silent_keys = [], []  # in the half-width's bin
     old = tape.charge("shift")
     try:
         if omega is None:
@@ -128,30 +133,54 @@ def shift_and_round(
             omega = unit * (s - locate(stream, cells.shift, range(1, s)))
         # Silent coordinates draw nothing, so one category covers the loop.
         tape.charge(noise)
+        base, top = omega - unit + 1, grid - unit + 1  # center - reach and grid - reach, reach = unit - 1
         for i, s_i in enumerate(counts.sums):
-            center = s_i + omega
             # The grid edges E in (center - reach, center + reach], as keys
             # E - center: the release reaches E exactly when eta >= E - center.
-            low = (center - reach) // grid * grid
-            k = low + grid - center
+            # With x = center - reach, the least is low + grid, low = x - x % grid.
+            x = s_i + base
+            r = x % grid
+            low, k = x - r, top - r
             if k < unit:  # keyed by an edge of its home cell, the one at k (see draw_runs)
                 boundary.append(i)
                 if k <= 0:
                     low += grid
-                if hot_lo < k < hot_hi:
+                if hot_lo < k < cold:
                     queued.append(i)
                     keys.append(k)
-                else:
-                    quiet.append(i)
-                    quiet_keys.append(k)
+                else:  # into the bin of k' (CellLaw.bins)
+                    kk = k if k > 0 else 1 - k
+                    t = kk * nb // quiet if kk < quiet else nb if kk < quiet2 else nb - 1 + (kk // quiet).bit_length()
+                    try:
+                        lane = lanes[t]
+                    except KeyError:
+                        lane = lanes[t] = []
+                    lane.append(i)
+                    lane.append(k)
             elif tails:  # no edge within reach, and home is the lower cell
-                quiet.append(i)
-                quiet_keys.append(k)
+                silent.append(i)
+                silent_keys.append(k)
             values.append(low)
-        if quiet:
-            queued += quiet
-            keys += quiet_keys
-        moved = draw_runs(stream, cells, grid, queued, keys, values, len(quiet))
+        blocks = []  # (first position, a key at most the least k' it holds) of each block, in queue order
+        if lanes or silent:  # the lanes in bin order, then the silent keys, drawn exactly if no bin fills blocks
+            groups = [(bins[t], lane[::2], lane[1::2], True) for t, lane in sorted(lanes.items())]
+            groups.append(((unit, bins[-1][1]), silent, silent_keys, False))
+            for (a, n), q, ks, keyed in groups:
+                if n:  # c blocks of at most n keys, as even as can be
+                    e, m = len(keys), len(q)
+                    c = -(-m // n)
+                    if not keyed:  # silent keys, each with p at most p(half-width)
+                        blocks += [(e + j * m // c, a) for j in range(c)]
+                    elif c == 1:  # a key's |k| is k' or k' - 1, and k' is at least the bin's least key
+                        blocks.append((e, max(a, min(map(abs, ks)))))
+                    else:  # in k' order, each behind the least k' it holds
+                        kks = [k if k > 0 else 1 - k for k in ks]
+                        order = itemgetter(*sorted(range(m), key=kks.__getitem__))
+                        q, ks, kks = order(q), order(ks), order(kks)
+                        blocks += [(e + j * m // c, kks[j * m // c]) for j in range(c)]
+                queued += q
+                keys += ks
+        moved = draw_runs(stream, cells, grid, queued, keys, values, blocks)
     finally:
         tape.charge(old)
     departed = [queued[j] for j in moved]
@@ -196,6 +225,24 @@ def _departed(level: int, a_lo: int, a_hi: int, b_lo: int, b_hi: int, cells: Cel
     return a_lo + t_lo, a_hi + t_hi, b_lo, b_hi
 
 
+def _stayed(
+    level: int, a_lo: int, a_hi: int, b_lo: int, b_hi: int, cells: CellLaw, keys: list, b: int, e: int, f: int, a: int,
+    below: int,
+):
+    """A and B at ``level`` across a run from key b whose block [e, f) stayed home: a :meth:`Stream.carry` entry.
+
+    With T the run's product before e, L = (1 - p(a))^(f - e) and P the
+    block's product, u went into [A, A + B T L) ``below`` the coarse key,
+    else into [A + B T L, A + B T P).
+    """
+    *_, t = _products(cells, keys, b, e, level, b_lo, b_hi)
+    _, x_lo, x_hi, _ = _below(t, cells.all_stay(a, f - e, level))
+    if below:
+        return a_lo, a_hi, x_lo, x_hi
+    *_, (_, y_lo, y_hi, _) = _products(cells, keys, e, f, level, t[1], t[2])
+    return a_lo + x_lo, a_hi + x_hi, max(y_lo - x_hi, 0), y_hi - x_lo
+
+
 def _below(rec: tuple, stay: tuple) -> tuple[int, int, int, int]:
     """The record ``rec`` times the record ``stay``, at ``rec``'s precision, rounded outward."""
     p, lo, hi = rec[:3]
@@ -204,23 +251,28 @@ def _below(rec: tuple, stay: tuple) -> tuple[int, int, int, int]:
     return p, lo, hi, p - (hi - lo).bit_length()
 
 
-def draw_runs(stream: Stream, cells: CellLaw, grid: int, queued: list, keys: list, values: list, tail: int = 0):
+def draw_runs(stream: Stream, cells: CellLaw, grid: int, queued: list, keys: list, values: list, blocks=()):
     """Draw the cells of the queued coordinates in runs that stay home, on ``stream``; returns the departed positions.
 
     Coordinate ``queued[i]`` holds its home cell, the one of its centre, with
     an edge k = ``keys[i]`` above the centre (k > 0) or k <= 0 from it, and
     leaves with p = ``cells.departure(k')``, k' = k or 1 - k. From a run start
     b, the count L that stay home has upper tails T_j = prod_{b <= i < b + j}
-    (1 - p_i): :func:`locate` draws L, and u is carried into
-    [A + B T_(L+1), A + B T_L) of b + L, which crosses the edge at k, or under
-    a law with tails lands in the cell one more locate over ``cells.beyond``
-    draws. The queue's end, a release's last draw, carries nothing. The queue
-    is two segments, each drawn by a locate over the level-0 records of a
-    :func:`_products`: the hot keys, then the last ``tail`` coordinates, the
-    quiet tail, keyed at or past K = ``cells.quiet`` under either law, so
-    p_i <= p(K). Between them one locate compares u with the coarse key, the
-    product so far times ``cells.all_stay``, (1 - p(K))^tail: below it, every
-    tail key stays home.
+    (1 - p_i): :func:`locate` draws L over the level-0 records of a
+    :func:`_products`, and u is carried into [A + B T_(L+1), A + B T_L) of
+    b + L, which crosses the edge at k, or under a law with tails lands in
+    the cell one more locate over ``cells.beyond`` draws. The keys before the
+    first of ``blocks`` are drawn so. A block, (e, a), spans the n keys from
+    e to the next block or the end, all of one bin
+    (:attr:`~frugaldp.core_samplers.CellLaw.bins`) and none keyed below a
+    (a silent key counts as keyed at the half-width), so each leaves with p
+    at most p(a); one locate first compares u with its coarse key, the run's
+    product so far, B T, times L = ``cells.all_stay(a, n)`` = (1 - p(a))^n.
+    Below it every key of the block stays home, and u is carried into
+    [A, A + B T L) (:func:`_stayed`); otherwise the block's keys run on from
+    B T, and a carry lands in [A + B T L, A + B T P), P their product, or in a
+    departure's interval. Either way the next block's run starts afresh from
+    the carried B. The queue's end, a release's last draw, carries nothing.
     """
 
     def bounds(j: int, level: int) -> tuple[int, int, int, int]:
@@ -236,31 +288,43 @@ def draw_runs(stream: Stream, cells: CellLaw, grid: int, queued: list, keys: lis
         return entry[1]
 
     def coarse(j: int, level: int) -> tuple[int, int, int, int]:
-        """The coarse key before tail key j at ``level`` >= 1: the product before j times (1 - p(K))^tail."""
-        return _below(bounds(j - 1, level), cells.all_stay(tail, level))
+        """The coarse key of the block from key j at ``level`` >= 1: the product before j times (1 - p(a))^n."""
+        return _below(bounds(j - 1, level), cells.all_stay(a, f - j, level))
 
     refined: list[list] = []  # per level >= 1: [last key read, its record, the level's generator]
     tails = cells.tails
-    b, end = 0, len(keys)
-    # The tail starts at quiet, unless (1 - p(K))^tail rounds to 0 and certifies nothing.
-    stay = tail and cells.all_stay(tail, 0)
-    quiet = end - tail if stay and stay[1] else end
+    end = len(keys)
     departed = []
-    hot = _products(cells, keys, 0, quiet, 0, stream.b_lo, stream.b_hi)
-    while b < end:
-        i = b + locate(stream, bounds, range(b, quiet), hot)
-        if quiet <= i < end:  # u reached the tail: the product so far, the hot keys' or B, times (1 - p(K))^tail
-            rec = next(hot) if i == quiet else (stay[0], stream.b_lo, stream.b_hi)
-            if locate(stream, coarse, (i,), iter((_below(rec, stay),))):
-                break  # u is below the coarse key: every key stays home
-            if i == quiet:  # the tail's generator, restarted after a departure like the hot one
-                cold = _products(cells, keys, quiet, end, 0, rec[1], rec[2])
-            i += locate(stream, bounds, range(i, end), cold)
-        if i == end:  # every key stayed home
-            break
+    b, g, stop = 0, 0, blocks[0][0] if blocks else end  # the run's start, the next block, the exact keys' end
+    run = _products(cells, keys, 0, stop, 0, stream.b_lo, stream.b_hi)
+    while True:
+        i = b + locate(stream, bounds, range(b, stop), run) if b < stop else b
+        if i == stop:  # every key of the run stayed home: on to the next block, if any
+            if stop == end:
+                break
+            e, a = blocks[g]
+            g += 1
+            f = blocks[g][0] if g < len(blocks) else end
+            rec = next(run) if b < stop else (cells.ratio_records(0)[0], stream.b_lo, stream.b_hi)  # B T so far
+            low = _below(rec, cells.all_stay(a, f - e, 0))
+            below = locate(stream, coarse, (e,), iter((low,)))
+            if not below:  # the block's exact records, on from B T
+                run = _products(cells, keys, e, f, 0, rec[1], rec[2])
+                i = e + locate(stream, bounds, range(e, f), run)
+            if below or i == f:  # every key of the block stayed home
+                if f == end:
+                    break
+                x_lo, x_hi, (_, y_lo, y_hi, _) = (0, 0, low) if below else (low[1], low[2], next(run))
+                stream.carry(
+                    stream.a_lo + x_lo, stream.a_hi + x_hi, max(y_lo - x_hi, 0), y_hi - x_lo,
+                    (_stayed, cells, keys, b, e, f, a, below),
+                )
+                refined.clear()
+                b = stop = f
+                continue
+            stop = f
         departed.append(i)
         refined.clear()
-        run = hot if i < quiet else cold
         if tails or i + 1 < end:
             _, t_lo, t_hi, b_lo, b_hi = run.send(True)
             stream.carry(stream.a_lo + t_lo, stream.a_hi + t_hi, b_lo, b_hi, (_departed, cells, keys, b, i))

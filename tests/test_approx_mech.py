@@ -105,6 +105,27 @@ class TestDeriveParams:
     def test_radius_at_small_epsilon_is_under_the_cap(self, epsilon, r):
         assert derive_approx_params(Fraction(epsilon), Fraction(1, 1 << 20), 4096, 4).r == r
 
+    @pytest.mark.parametrize(
+        "delta, radii",
+        # r at eps = 1 and d = 3, 4 096, as certified by comparing exp(-r^2 / (2 sigma^2)) with the budget.
+        [
+            (Fraction(1, 4), (17, 920)),
+            (Fraction(1, 1 << 20), (79, 3445)),
+            (Fraction(1, 10**100), (1140, 42731)),
+            (Fraction(1, 10**1000), (11292, 417872)),
+            (Fraction(1, 10**2500), (28212, 1043091)),
+        ],
+    )
+    def test_radius_at_tiny_delta_is_pinned_and_quick(self, delta, radii):
+        # Each probe compares r^2 / (2 sigma^2) with ln(2 / budget), whose
+        # enclosure is narrow at 64 bits whatever the budget; comparing the
+        # exponential with the budget took about 2 s at delta = 1e-2500.
+        for d, r in zip((3, 4096), radii):
+            params = derive_approx_params(Fraction(1), delta, d, 2)
+            started = time.perf_counter()
+            assert certify_window_radius(params.sigma_sq, params.gamma.lo / d) == r == params.r
+            assert time.perf_counter() - started < 0.5
+
     def test_tiny_epsilon_is_refused_at_once(self):
         # r would be near 2**1331; the search for it once never returned.
         started = time.perf_counter()
@@ -428,8 +449,9 @@ class TestQuietTail:
         assert params.cells.tails and params.cells.quiet == params.r
 
     def test_report_lists_every_boundary_coordinate_in_index_order(self):
-        # Quiet keys are drawn after the others; the report still names every
-        # boundary coordinate, in index order, each with one draw.
+        # Keys in the bins that fill blocks are drawn after the others; the
+        # report still names every boundary coordinate, in index order, each
+        # with one draw.
         d = 4096
         params = derive_approx_params(Fraction(1), Fraction(1, 1 << 20), d, 4)
         rng = random.Random(29)

@@ -16,14 +16,16 @@ outcome and its exact bit count, so
 
 The pure audit-desk release (d = 3, s = 2, eps = 1/4, counts 17, 50, 93) is
 checked with the shift drawn and at each forced shift, and with a silent
-coordinate; a pure release at s = 6 whose queue ends in a quiet boundary
-key, with the shift drawn and at each forced shift; approx releases at desk
-scale, with d <= 3 and s in 1..4, with the shift drawn and at each forced
-shift, and one whose queues hold quiet keys behind hot ones, also at 8-bit
-levels, where the quiet tail's coarse key refines.
+coordinate; a pure release at s = 6 whose queue ends in a block of one
+boundary key, with the shift drawn and at each forced shift; approx
+releases at desk scale, with d <= 3 and s in 1..4, with the shift drawn and
+at each forced shift, one whose queues end in blocks behind keys drawn
+exactly, also at 8-bit levels, where a block's coarse key refines, and one
+at d = 6 where a middle block of two keys usually passes its coarse key and
+a later block departs.
 """
 
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 
 import pytest
@@ -155,9 +157,10 @@ def test_pure_desk_with_a_silent_coordinate_is_certified():
 
 
 # Per forced shift v = 1..6: the exact expected bits when only silent
-# coordinates were quiet, behind (1 - p)^j with p = P[|eta| >= m]; a quiet
-# tail from K on, behind (1 - p(K))^j, may cost at most 0.05 more. With the
-# shift drawn (None): the exact expected bits, plus the same 0.05.
+# coordinates were behind one comparison, with (1 - p)^j, p = P[|eta| >= m];
+# blocks of the keys from 44 on, behind (1 - p(a))^j, may cost at most 0.05
+# more. With the shift drawn (None): the exact expected bits, plus the same
+# 0.05.
 _PURE_QUIET = {1: 2.212, 2: 2.969, 3: 2.075, 4: 2.063, 5: 2.063, 6: 2.065, None: 4.829}
 
 
@@ -165,8 +168,9 @@ _PURE_QUIET = {1: 2.212, 2: 2.969, 3: 2.075, 4: 2.063, 5: 2.063, 6: 2.065, None:
 def test_pure_desk_with_a_quiet_boundary_key_is_certified(v, monkeypatch):
     # d = 3, eps = 1/4, s = 6: m = 55 on the grid 330, and K = 51 < m. At
     # the shift m the counts 224, 240, 250 key their edges 51, 35 and 25 from
-    # the centre: two hot keys and one quiet key at exactly K, behind the
-    # comparison with (1 - p(51)). At 3m..6m all three are silent and quiet.
+    # the centre: two keys drawn exactly and one at exactly K, a block behind
+    # the comparison with 1 - p(51). At 3m..6m all three are silent, a block
+    # behind (1 - p(51))^3.
     # A drawn shift is one locate over (6 - j) / 6, whose leftover carries
     # into the cells: a few thousand re-runs.
     params = derive_pure_params(Fraction(1, 4), 3, 6)
@@ -174,15 +178,15 @@ def test_pure_desk_with_a_quiet_boundary_key_is_certified(v, monkeypatch):
     counts = CountVector(3, 400, (224, 240, 250))
     queues = []
 
-    def spy(stream, cells, grid, queued, keys, values, tail=0):
-        queues.append((list(keys), tail))
-        return draw_runs(stream, cells, grid, queued, keys, values, tail)
+    def spy(stream, cells, grid, queued, keys, values, blocks=()):
+        queues.append((list(keys), blocks))
+        return draw_runs(stream, cells, grid, queued, keys, values, blocks)
 
     monkeypatch.setattr(release_module, "draw_runs", spy)
     release = lambda tape: mech_pure_efficient(counts, params, tape, v and v * params.m)[0].values
     release(BitTape(seed=1))
     if v == 1:
-        assert queues == [([35, 25, 51], 1)]
+        assert queues == [([35, 25, 51], [(2, 51)])]
     outcomes, open_mass, bits, _ = enumerate_release(release)
     if v is None:
         oracle = oracle_joint_dist(counts, params)
@@ -224,25 +228,80 @@ def test_approx_desk_is_certified(d, s):
 
 
 def test_approx_desk_with_quiet_keys_is_certified(monkeypatch):
-    # d = 3, s = 2: r = 17 and K = 13, so p(k') <= 2**-7 from key 13 on. At
-    # the shift r the counts 29, 55, 79 key their edges 13, 5 and 6 from the
-    # centre; at 2 r, 5, 13 and 12: each queue holds two hot keys and one
-    # quiet one, behind the comparison with (1 - p(13)).
+    # d = 3, s = 2: r = 17 and K = 13, so p(k') <= 2**-7 from key 13 on;
+    # the bins of k' = 12 and of k' in [13, 26) fill blocks, and keys below
+    # 12 are drawn exactly. At the shift r the counts 29, 55, 79 key their
+    # edges 13, 5 and 6 from the centre: two exact keys, then a block behind
+    # 1 - p(13). At 2 r they key 5, 13 and 12: one exact key, then blocks
+    # behind 1 - p(12) and 1 - p(13).
     params = derive_approx_params(Fraction(1), Fraction(1, 4), 3, 2)
     assert (params.r, params.cells.quiet) == (17, 13)
     counts = CountVector(3, 100, (29, 55, 79))
     queues = []
 
-    def spy(stream, cells, grid, queued, keys, values, tail=0):
-        queues.append((len(keys) - tail, tail))
-        return draw_runs(stream, cells, grid, queued, keys, values, tail)
+    def spy(stream, cells, grid, queued, keys, values, blocks=()):
+        queues.append((len(keys), blocks))
+        return draw_runs(stream, cells, grid, queued, keys, values, blocks)
 
     monkeypatch.setattr(release_module, "draw_runs", spy)
     for v in (1, 2):
         mech_approx_efficient(counts, params, BitTape(seed=1), v * params.r)
-    assert queues == [(2, 1), (2, 1)]
+    assert queues == [(3, [(2, 13)]), (3, [(1, 12), (2, 13)])]
     # 3.594 bits with every key drawn in index order.
     assert _certify_approx(counts, params) <= 3.594 + 0.05
+
+
+def test_approx_desk_with_two_blocks_is_certified(monkeypatch):
+    # d = 6, s = 2: r = 25 and K = 20. The bin of k' in [18, 20) fills blocks
+    # of up to 19 keys, the one of k' in [20, 40) blocks of up to 47, and
+    # keys below 18 are drawn exactly. At either shift three keys are drawn
+    # exactly, then a middle block of two keys (k' = 18 and 19, keys -17 and
+    # -18) behind (1 - p(18))^2, and a later block of one, keyed -21 at r
+    # (k' = 22, behind 1 - p(21), from |k|) and -20 at 2 r (k' = 21, behind
+    # 1 - p(20), its bin's least key). The middle block usually passes its
+    # coarse key, and the later one departs, to the cell below.
+    params = derive_approx_params(Fraction(1), Fraction(1, 4), 6, 2)
+    assert (params.r, params.cells.quiet) == (25, 20)
+    counts = CountVector(6, 100, (17, 18, 20, 42, 43, 46))
+    queues = []
+
+    def spy(stream, cells, grid, queued, keys, values, blocks=()):
+        queues.append((list(keys), blocks))
+        return draw_runs(stream, cells, grid, queued, keys, values, blocks)
+
+    monkeypatch.setattr(release_module, "draw_runs", spy)
+    for v in (1, 2):
+        mech_approx_efficient(counts, params, BitTape(seed=1), v * params.r)
+    assert queues == [([8, 7, 5, -17, -18, -21], [(3, 18), (5, 21)]), ([8, 7, 4, -17, -18, -20], [(3, 18), (5, 20)])]
+    monkeypatch.undo()
+    _certify_approx(counts, params)
+    outcomes, _, _, _ = enumerate_release(lambda tape: mech_approx_efficient(counts, params, tape, params.r).values)
+    homes = tuple((c + params.r) // params.grid * params.grid for c in counts.sums)
+    assert homes[:5] + (homes[5] - params.grid,) in outcomes
+
+
+def test_approx_blocks_with_16_bit_levels_are_certified(monkeypatch):
+    # d = 4, s = 2 at levels of 16, 32, 64 and 128 bits: r = 20 and K = 16.
+    # At the shift r the counts 15, 5, 6, 4 key their edges 5, 15, 14 and 16
+    # from the centre: one key drawn exactly, a block of two behind
+    # (1 - p(14))^2, and one of one behind 1 - p(16). Draws after a block's
+    # carry refine, so A and B are rebuilt at finer levels across both kinds
+    # of block carry: u below the coarse key, and u past it with every key
+    # of the block home.
+    monkeypatch.setattr(core_samplers, "_LEVEL_START", 16)
+    params = derive_approx_params(Fraction(1), Fraction(1, 4), 4, 2)
+    assert (params.r, params.cells.quiet) == (20, 16)
+    counts = CountVector(4, 100, (15, 5, 6, 4))
+    rebuilt = Counter()
+    stayed = release_module._stayed
+
+    def spy(level, *args):
+        rebuilt[bool(args[-1])] += 1
+        return stayed(level, *args)
+
+    monkeypatch.setattr(release_module, "_stayed", spy)
+    _certify_approx(counts, params)
+    assert rebuilt[True] > 0 and rebuilt[False] > 0
 
 
 def test_approx_quiet_desk_with_8_bit_levels_is_certified(monkeypatch):
@@ -257,9 +316,9 @@ def test_approx_quiet_desk_with_8_bit_levels_is_certified(monkeypatch):
     levels = set()
     all_stay = core_samplers.CellLaw.all_stay
 
-    def spy(cells, j, level):
+    def spy(cells, a, j, level):
         levels.add(level)
-        return all_stay(cells, j, level)
+        return all_stay(cells, a, j, level)
 
     monkeypatch.setattr(core_samplers.CellLaw, "all_stay", spy)
     _certify_approx(counts, params)

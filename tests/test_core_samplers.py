@@ -805,7 +805,7 @@ class TestCarriedStream:
         # mode, a side of the home cell) refine on a stream that already
         # carries u, so A and B are rebuilt at finer levels from the draws
         # since the last fresh start (Stream.level, Stream.scaled). Neither
-        # case has a quiet tail (K = m = 4, and K = r at s = 1); the coarse
+        # case has a block (K = m = 4, and K = r at s = 1); a block's coarse
         # key refines in test_bit_tree's 8-bit approx quiet desk case.
         # The whole release must still follow the product of the exact laws.
         make = _pure_desk if mode == "pure" else _approx_windows

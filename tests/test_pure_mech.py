@@ -84,7 +84,7 @@ class TestDeriveParams:
         for j in sorted({1, 2, d}):
             exact_lo, exact_hi = (1 - p_hi) ** j, (1 - p_lo) ** j
             for level in range(3):
-                prec, rec_lo, rec_hi, limit = cells.all_stay(j, level)
+                prec, rec_lo, rec_hi, limit = cells.all_stay(cells.quiet, j, level)
                 assert Fraction(rec_lo, 1 << prec) <= exact_hi and exact_lo <= Fraction(rec_hi, 1 << prec)
                 # At the level's precision: p(K)'s record is within 3 units,
                 # and the j-th power widens it by at most a factor j.
@@ -148,10 +148,13 @@ class TestHandEvaluations:
         assert floor_multiple(10 + 4 + 0, 6) == 12
 
     def test_silent_branch_reads_one_comparison(self):
-        # Centre 14 on grid 6: no edge within m = 2. A silent coordinate pays
-        # for nothing but the comparison of u with (1 - p(K))^1 that certifies it
-        # stays, and draws its cell only when that comparison fails.
+        # Centre 14 on grid 6: no edge within m = 2, keyed 4 from its centre.
+        # The half-width's bin is too hot to fill a block here (p(2) > 1/64),
+        # so a silent coordinate pays for nothing but the comparison of u with
+        # its own 1 - p(4) that certifies it stays, and draws its cell only
+        # when that comparison fails.
         params = PureParams(1, 3, Fraction(1, 2), 2)
+        assert params.cells.bins[2] == params.m
         counts = CountVector(d=1, n=20, sums=(10,))
         seen_silent = False
         for seed in range(40):
@@ -159,7 +162,7 @@ class TestHandEvaluations:
             res, trace = mech_pure_efficient(counts, params, tape, omega=4)
             assert res.report.boundary_coordinates == ()
             coarse = BitTape(seed=seed)
-            if locate(Stream(coarse), params.cells.all_stay, [1]):
+            if locate(Stream(coarse), lambda j, level: params.cells.all_stay(4, j, level), [1]):
                 assert trace.departed == () and res.values == (12,)
                 assert res.report.draws_attempted == {}
                 assert res.report.bits_by_category == {"laplace": coarse.bits_consumed}
