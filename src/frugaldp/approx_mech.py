@@ -181,6 +181,6 @@ def mech_approx_efficient(
     entropy plus two bits per 32 bits or so of it.
     """
     check_release(counts, params, params.r, omega)
-    result, _, _ = shift_and_round(tape, Stream(tape), counts, params.cells, "gaussian", omega)
+    result, _, _ = shift_and_round(tape, Stream(tape), counts, params.cells, omega)
     _assert_envelope(result.values, counts, params)
     return result

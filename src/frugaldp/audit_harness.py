@@ -235,10 +235,10 @@ def tv_distance(a, b) -> Fraction:
     return sum((abs(pa.get(k, 0) - pb.get(k, 0)) for k in keys), Fraction(0)) / 2
 
 
-def chi_square(histogram: Mapping, reference: DiscreteDist, min_expected: float = 5.0) -> float:
+def chi_square(histogram: Mapping, reference: DiscreteDist) -> float:
     """Goodness-of-fit p-value of a histogram against an oracle law.
 
-    Bins with expected count below ``min_expected`` are pooled into one,
+    Bins with expected count below 5 are pooled into one,
     together with the reference's deficit mass and any observed outcomes
     outside the listed support.
     """
@@ -253,7 +253,7 @@ def chi_square(histogram: Mapping, reference: DiscreteDist, min_expected: float 
     for k, p in mids.items():
         e = float(p) * n
         o = histogram.get(k, 0)
-        if e < min_expected:
+        if e < 5.0:
             pool_obs += o
             pool_exp += e
         else:
@@ -354,7 +354,6 @@ def privacy_audit(
     params,
     epsilon: Fraction,
     delta: Fraction,
-    tail_tol: Fraction = _TAIL_TOL,
 ) -> PrivacyAuditResult:
     """Certified likelihood-ratio audit of the reference law on neighbors.
 
@@ -365,8 +364,8 @@ def privacy_audit(
     reported epsilon_hat is the largest certified log ratio over singleton
     events in either direction.
     """
-    dist_a = oracle_joint_dist(x, params, tail_tol)
-    dist_b = oracle_joint_dist(x_neighbor, params, tail_tol)
+    dist_a = oracle_joint_dist(x, params)
+    dist_b = oracle_joint_dist(x_neighbor, params)
     e_eps_hi = Fraction(exp_pos(Fraction(epsilon), 98)[1], 1 << 98)
     slack = max(
         _one_sided_slack(dist_a, dist_b, e_eps_hi),

@@ -9,8 +9,9 @@ runs replayable for tests and audits.
 Bits are counted per category switch, not per bit: a draw only moves
 ``bits_consumed``, and ``charge(name)`` credits the bits drawn since the
 last switch to the category that was current, then makes ``name`` current.
-Reading ``draw_log`` or taking a ``snapshot()`` credits them first too, so
-a read between switches is exact.
+Reading ``draw_log`` credits them first too, so a read between switches is
+exact. A caller that needs the bits of one stretch, as a release does for
+its report, reads ``bits_consumed`` at its ends.
 
 OS-backed tapes hold no bits of their own: each draw takes its bits from
 one pool per thread, which ``os.urandom`` fills 64 bytes at a time. The
@@ -173,8 +174,3 @@ class BitTape:
         self._avail = avail
         self.bits_consumed += k
         return self._word >> avail & ((1 << k) - 1)
-
-    def snapshot(self) -> tuple[int, dict[str, int]]:
-        """Copy of the current accounting state, for before/after deltas."""
-        self.charge(self._category)
-        return self.bits_consumed, dict(self._log)

@@ -281,7 +281,8 @@ class CellLaw:
     with p(k') = P[eta >= k'] + P[eta >= grid + 1 - k'], whichever edges the
     law reaches. ``tails``: whether a departure may cross either edge of its
     home cell, so that one more locate over ``beyond_keys(k')`` draws its cell
-    (a coordinate with no edge within reach leaves only then).
+    (a coordinate with no edge within reach leaves only then). ``category``:
+    the law's name, the tape category a release charges its cells' bits to.
 
     ``d``, the most coordinates a release queues, sets :attr:`quiet`, K, and
     with it the :attr:`bins` a release sorts its keys into; ``all_stay(a, j)``
@@ -442,6 +443,8 @@ class GaussianCells(CellLaw):
 
     __slots__ = ("_x", "tails")
 
+    category = "gaussian"
+
     def __init__(self, sigma_sq: "Fraction | int", r: int, s: int, d: int):
         super().__init__(r, s, d, 2 * r.bit_length() + 8)
         self._x = 1 / (2 * Fraction(sigma_sq))
@@ -494,6 +497,7 @@ class LaplaceCells(CellLaw):
 
     __slots__ = ("_x", "horizon")
 
+    category = "laplace"
     tails = True
 
     def __init__(self, t: "Fraction | int", m: int, s: int, d: int):

@@ -105,7 +105,7 @@ def mech_pure_efficient(
     most the least key among them.
     """
     check_release(counts, params, params.m, omega)
-    result, omega, departed = shift_and_round(tape, Stream(tape), counts, params.cells, "laplace", omega)
+    result, omega, departed = shift_and_round(tape, Stream(tape), counts, params.cells, omega)
     far = 0
     if departed:
         departed.sort()

@@ -82,42 +82,24 @@ def check_release(counts: CountVector, params, unit: int, omega: int | None) -> 
         raise ParameterDomainError("forced shift must be a unit multiple in {unit..unit*s}")
 
 
-def build_report(
-    tape: BitTape,
-    start: tuple[int, dict[str, int]],
-    boundary: tuple[int, ...],
-    attempts: dict[int, int],
-) -> RandomnessReport:
-    """The bits drawn since the ``tape.snapshot()`` taken as ``start``, by category."""
-    start_bits, start_log = start
-    bits, log = tape.snapshot()
-    by_cat = {}
-    for name, count in log.items():
-        delta = count - start_log.get(name, 0)
-        if delta:
-            by_cat[name] = delta
-    return RandomnessReport(bits - start_bits, by_cat, boundary, attempts)
-
-
 def shift_and_round(
     tape: BitTape,
     stream: Stream,
     counts: CountVector,
     cells: CellLaw,
-    noise: str,
     omega: int | None = None,
 ) -> tuple[MechanismResult, int, list[int]]:
     """Release ``counts`` on the grid of ``cells``; returns the result, the shift and the departed.
 
     Draws the shift unless ``omega`` forces it, and then the cells, on
-    ``stream``, the release's uniform, with bits under "shift" and ``noise``:
-    one locate over the thresholds (s - j) / s, j = 1..s - 1, counts c, and the
-    shift is (s - c) units, so that at a power-of-two s it is 1 + u's first
-    log2 s bits read as an integer, in units. The report counts the bits
-    read from ``tape`` from the call on. The departed are the coordinates
-    released outside the cell of their centre, in the order drawn.
+    ``stream``, the release's uniform: one locate over the thresholds
+    (s - j) / s, j = 1..s - 1, counts c, and the shift is (s - c) units, so
+    that at a power-of-two s it is 1 + u's first log2 s bits read as an
+    integer, in units. The report books the bits the call reads from ``tape``
+    under "shift" and ``cells.category``, each if any. The departed are the
+    coordinates released outside the cell of their centre, in the order drawn.
     """
-    start = tape.snapshot()
+    start = tape.bits_consumed
     unit, grid, tails = cells.halfwidth, cells.grid, cells.tails
     quiet, nb, cold, bins = cells.bins
     hot_lo, quiet2 = 1 - cold, 2 * quiet  # the keys k whose k' = k or 1 - k is below cold are drawn exactly
@@ -132,7 +114,8 @@ def shift_and_round(
             s = grid // unit
             omega = unit * (s - locate(stream, cells.shift, range(1, s)))
         # Silent coordinates draw nothing, so one category covers the loop.
-        tape.charge(noise)
+        shifted = tape.bits_consumed
+        tape.charge(cells.category)
         base, top = omega - unit + 1, grid - unit + 1  # center - reach and grid - reach, reach = unit - 1
         for i, s_i in enumerate(counts.sums):
             # The grid edges E in (center - reach, center + reach], as keys
@@ -180,14 +163,15 @@ def shift_and_round(
                         blocks += [(e + j * m // c, kks[j * m // c]) for j in range(c)]
                 queued += q
                 keys += ks
-        moved = draw_runs(stream, cells, grid, queued, keys, values, blocks)
+        departed = draw_runs(stream, cells, grid, queued, keys, values, blocks)
     finally:
         tape.charge(old)
-    departed = [queued[j] for j in moved]
+    end = tape.bits_consumed
+    by_cat = {name: n for name, n in (("shift", shifted - start), (cells.category, end - shifted)) if n}
     # One draw for each paid coordinate, on a boundary or departed, in index order (a departed
     # coordinate off the boundary is a silent one, queued only under a law with tails).
     paid = sorted({*boundary, *departed}) if departed and len(queued) > len(boundary) else boundary
-    report = build_report(tape, start, tuple(boundary), dict.fromkeys(paid, 1))
+    report = RandomnessReport(end - start, by_cat, tuple(boundary), dict.fromkeys(paid, 1))
     return MechanismResult(tuple(values), report), omega, departed
 
 
@@ -252,7 +236,7 @@ def _below(rec: tuple, stay: tuple) -> tuple[int, int, int, int]:
 
 
 def draw_runs(stream: Stream, cells: CellLaw, grid: int, queued: list, keys: list, values: list, blocks=()):
-    """Draw the cells of the queued coordinates in runs that stay home, on ``stream``; returns the departed positions.
+    """Draw the cells of the queued coordinates in runs that stay home, on ``stream``; returns the departed.
 
     Coordinate ``queued[i]`` holds its home cell, the one of its centre, with
     an edge k = ``keys[i]`` above the centre (k > 0) or k <= 0 from it, and
@@ -273,6 +257,7 @@ def draw_runs(stream: Stream, cells: CellLaw, grid: int, queued: list, keys: lis
     B T, and a carry lands in [A + B T L, A + B T P), P their product, or in a
     departure's interval. Either way the next block's run starts afresh from
     the carried B. The queue's end, a release's last draw, carries nothing.
+    The departed are returned as coordinates, ``queued[i]``, in the order drawn.
     """
 
     def bounds(j: int, level: int) -> tuple[int, int, int, int]:
@@ -323,7 +308,7 @@ def draw_runs(stream: Stream, cells: CellLaw, grid: int, queued: list, keys: lis
                 b = stop = f
                 continue
             stop = f
-        departed.append(i)
+        departed.append(queued[i])
         refined.clear()
         if tails or i + 1 < end:
             _, t_lo, t_hi, b_lo, b_hi = run.send(True)

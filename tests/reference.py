@@ -30,7 +30,7 @@ from frugaldp.errors import EnclosureContractError, MathDomainError, ParameterDo
 from frugaldp.precise_math import BoundedCache, RationalBounds, _exp_neg_guarded, exp_neg, exp_pos
 from frugaldp.precise_math import rational_enclose
 from frugaldp.pure_mech import PureParams
-from frugaldp.release import CountVector, MechanismResult, build_report, check_release
+from frugaldp.release import CountVector, MechanismResult, RandomnessReport, check_release
 
 
 class SampleBudgetError(RuntimeError):
@@ -354,7 +354,7 @@ def mech_approx_reference(
     check_release(counts, params, params.r, omega)
     if variant not in (1, 2, 3):
         raise ParameterDomainError("variant must be 1, 2 or 3")
-    start = tape.snapshot()
+    start = tape.bits_consumed, tape.draw_log
     attempts: dict[int, int] = {}
     if variant == 3 and omega is None:
         omega = draw_shift(tape, params.r, params.s)
@@ -374,7 +374,13 @@ def mech_approx_reference(
     values = tuple(values)
     if variant == 3:
         _assert_envelope(values, counts, params)
-    return MechanismResult(values, build_report(tape, start, tuple(range(counts.d)), attempts))
+    return MechanismResult(values, _report(tape, start, counts.d, attempts))
+
+
+def _report(tape: BitTape, start: tuple, d: int, attempts: dict[int, int]) -> RandomnessReport:
+    """The bits ``tape`` drew since ``start``, its (bits_consumed, draw_log), by category; all d coordinates paid."""
+    bits, log = start
+    return RandomnessReport(tape.bits_consumed - bits, dict(tape.draw_log - log), tuple(range(d)), attempts)
 
 
 def pure_edge_mass(params: PureParams, j: int, k: int, w: int) -> tuple[int, int]:
@@ -428,7 +434,7 @@ def mech_pure_reference(
     check_release(counts, params, params.m, omega)
     if variant not in (1, 2, 4):
         raise ParameterDomainError("variant must be 1, 2 or 4")
-    start = tape.snapshot()
+    start = tape.bits_consumed, tape.draw_log
     attempts: dict[int, int] = {}
     if variant != 1 and omega is None:
         omega = draw_shift(tape, params.m, params.s)
@@ -458,7 +464,7 @@ def mech_pure_reference(
             tape.charge("subset")
             values.append(floor_multiple(s_i + omega + eta, params.grid))
         tape.charge(old)
-    return MechanismResult(tuple(values), build_report(tape, start, tuple(range(counts.d)), attempts))
+    return MechanismResult(tuple(values), _report(tape, start, counts.d, attempts))
 
 
 def draw_runs(tape: BitTape, tail_ratio, grid: int, queued: list, keys: list, values: list, seen=None) -> None:

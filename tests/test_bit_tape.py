@@ -161,13 +161,13 @@ def test_charge_switches_like_a_block():
     assert sum(tape.draw_log.values()) == tape.bits_consumed == 10
 
 
-def test_snapshot_is_a_copy():
+def test_draw_log_is_a_copy():
     tape = BitTape(seed=3)
-    bits, log = tape.snapshot()
+    bits, log = tape.bits_consumed, tape.draw_log
     tape.charge("shift")
     tape.next_bit()
-    assert bits == 0 and log.get("shift", 0) == 0
-    assert tape.bits_consumed == 1
+    assert bits == 0 and log["shift"] == 0
+    assert tape.bits_consumed == 1 and tape.draw_log == {"shift": 1}
 
 
 def test_ledger_reads_inside_open_blocks():
@@ -179,8 +179,8 @@ def test_ledger_reads_inside_open_blocks():
     outer = tape.charge("tail")
     tape.next_bit()
     tape.next_bits(3)
-    bits, log = tape.snapshot()
-    assert bits == tape.bits_consumed == 11
+    log = tape.draw_log
+    assert tape.bits_consumed == 11
     assert log == {"uncategorized": 2, "gaussian": 5, "tail": 4}
     assert tape.draw_log == log
     tape.next_bit()

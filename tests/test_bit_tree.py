@@ -170,7 +170,7 @@ def test_pure_desk_with_a_quiet_boundary_key_is_certified(v, monkeypatch):
     # the shift m the counts 224, 240, 250 key their edges 51, 35 and 25 from
     # the centre: two keys drawn exactly and one at exactly K, a block behind
     # the comparison with 1 - p(51). At 3m..6m all three are silent, a block
-    # behind (1 - p(51))^3.
+    # behind (1 - p(m))^3, silent keys counting as keyed at the half-width.
     # A drawn shift is one locate over (6 - j) / 6, whose leftover carries
     # into the cells: a few thousand re-runs.
     params = derive_pure_params(Fraction(1, 4), 3, 6)

@@ -22,7 +22,7 @@ from scipy import stats
 import frugaldp.core_samplers as cs
 from frugaldp import release
 import reference
-from frugaldp.approx_mech import mech_approx_efficient
+from frugaldp.approx_mech import derive_approx_params, mech_approx_efficient
 from frugaldp.approx_mech import ApproxParams
 from frugaldp.audit_harness import DiscreteDist, PrivacyAuditResult, _approx_noise, _pure_noise, _shift_laws
 from frugaldp.bit_tape import BitTape
@@ -339,7 +339,7 @@ def _cell_probs(weight, reach, center, grid):
 def _release_cell(tape, law, s, count):
     """The value shift_and_round releases for one count, with the shift forced to the unit."""
     counts = CountVector(1, 100, (count,))
-    result, _, _ = shift_and_round(tape, cs.Stream(tape), counts, law, "noise", law.halfwidth)
+    result, _, _ = shift_and_round(tape, cs.Stream(tape), counts, law, law.halfwidth)
     return result.values[0]
 
 
@@ -386,7 +386,7 @@ def _run_case(law, weight, s, keys):
 
 
 def _release_row(tape, law, s, counts):
-    result, _, _ = shift_and_round(tape, cs.Stream(tape), counts, law, "noise", law.halfwidth)
+    result, _, _ = shift_and_round(tape, cs.Stream(tape), counts, law, law.halfwidth)
     return result.values
 
 
@@ -615,8 +615,8 @@ class TestTailCellDraw:
         counts = CountVector(1, 4 * grid, (count,))
 
         def draw(tape):
-            result, _, _ = shift_and_round(tape, cs.Stream(tape), counts, law, "noise", m)
-            assert set(result.report.bits_by_category) == {"noise"}
+            result, _, _ = shift_and_round(tape, cs.Stream(tape), counts, law, m)
+            assert set(result.report.bits_by_category) == {"laplace"}
             return result.values
 
         n = 20_000
@@ -843,7 +843,7 @@ class TestCarriedStream:
         for seed in range(400):
             tape = BitTape(seed=seed)
             stream = cs.Stream(tape)
-            shift_and_round(tape, stream, counts, params.cells, "noise")
+            shift_and_round(tape, stream, counts, params.cells)
             ab = 0, 0, one, one
             for narrow, *args in stream.history:
                 ab = narrow(0, *ab, *args)
@@ -1011,6 +1011,80 @@ class TestSearch:
             assert trace.departed == (0,)
             assert t // 1000 < abs(result.values[0]) < t * 1000
             assert tape.bits_consumed < 200
+
+
+def _booked(tape, release):
+    """Run ``release(tape)``; assert that its report books the tape's bits over the call, by category."""
+    bits, log = tape.bits_consumed, tape.draw_log
+    report = release(tape).report
+    after = tape.draw_log
+    assert report.bits_by_category == {c: n - log[c] for c, n in after.items() if n != log[c]}
+    assert 0 not in report.bits_by_category.values()
+    assert sum(report.bits_by_category.values()) == report.bits_total == tape.bits_consumed - bits
+    return report
+
+
+_DESK = CountVector(3, 100, (17, 50, 93))
+
+
+def _desk_release(mode, forced=False):
+    """A desk release of the counts 17, 50 and 93 at s = 2, the shift drawn or forced to the unit."""
+    if mode == "approx":
+        params = derive_approx_params(Fraction(1), Fraction(1, 4), 3, 2)
+        return lambda tape: mech_approx_efficient(_DESK, params, tape, params.r if forced else None)
+    params = derive_pure_params(Fraction(1, 4), 3, 2)
+    return lambda tape: mech_pure_efficient(_DESK, params, tape, params.m if forced else None)[0]
+
+
+class TestLedger:
+    """A release's ``bits_by_category`` is the change in its tape's ``draw_log`` over the call."""
+
+    @pytest.mark.parametrize("mode,category", [("approx", "gaussian"), ("pure", "laplace")])
+    def test_drawn_and_forced_shifts(self, mode, category):
+        drawn, forced = _desk_release(mode), _desk_release(mode, forced=True)
+        seen = set()
+        for seed in range(200):
+            report = _booked(BitTape(seed=seed), drawn)
+            assert "shift" in report.bits_by_category  # a 2-way shift reads a bit at least
+            seen.update(_booked(BitTape(seed=seed), forced).bits_by_category)
+        assert seen == {category}
+
+    def test_approx_with_tails(self):
+        params, sums = _approx_windows()
+        assert params.cells.tails
+        counts = CountVector(len(sums), 100, sums)
+        for seed in range(200):
+            report = _booked(BitTape(seed=seed), lambda tape: mech_approx_efficient(counts, params, tape))
+            assert set(report.bits_by_category) == {"gaussian"}  # s = 1: the shift reads nothing
+
+    def test_pure_silent_departure(self):
+        # At the shift m = 4 on grid 8, count 0 is silent (no edge in (1, 7]) and count 3 is on a
+        # boundary; with t = 5/2 the silent coordinate departs about one time in five.
+        params = PureParams(2, 2, Fraction(4, 5), 4)
+        counts = CountVector(2, 100, (0, 3))
+        traces = []
+
+        def release(tape):
+            result, trace = mech_pure_efficient(counts, params, tape, 4)
+            traces.append(trace)
+            return result
+
+        for seed in range(200):
+            assert _booked(BitTape(seed=seed), release).boundary_coordinates == (1,)
+        assert sum(0 in trace.departed for trace in traces) > 10
+
+    def test_reused_tape_keeps_the_callers_category(self):
+        tape = BitTape(seed=5)
+        tape.next_bits(2)
+        tape.charge("caller")
+        tape.next_bits(3)
+        for mode in ("approx", "pure"):
+            _booked(tape, _desk_release(mode))
+        tape.next_bit()
+        assert tape.charge("other") == "caller"
+        log = tape.draw_log
+        assert log["uncategorized"] == 2 and log["caller"] == 4 and log["shift"] > 0
+        assert sum(log.values()) == tape.bits_consumed
 
 
 def test_scale_validation():
