@@ -12,12 +12,13 @@ shift-and-round loop of ``frugaldp.release``).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 from .bit_tape import BitTape
 from .core_samplers import GaussianCells, Stream
-from .errors import InternalError, ParameterDomainError
-from .precise_math import RationalBounds, _ceil_scaled, _floor_scaled, certified_le, exp_neg, exp_pos
-from .precise_math import ln_enclose
+from .errors import EnclosureContractError, InternalError, ParameterDomainError
+from .precise_math import _CERTIFY_MAX_BITS, RationalBounds, _ceil_scaled, _floor_scaled, certified_le, exp_neg
+from .precise_math import exp_pos, ln_enclose
 from .release import CountVector, MechanismResult, check_release, shift_and_round
 
 #: Working precision, in bits, of the enclosures of gamma and sigma^2.
@@ -88,33 +89,28 @@ def certify_window_radius(sigma_sq: Fraction, tail_budget: Fraction) -> int:
     """Smallest integer r >= 1 with 2 exp(-r^2 / (2 sigma^2)) <= tail_budget.
 
     The two-sided Gaussian tail bound then gives P[|noise| >= r] <= budget,
-    which is the property the privacy argument consumes. Each test is
-    r^2 / (2 sigma^2) > ln(2 / budget), certified by refining an enclosure of
-    the logarithm, whose width does not grow as the budget shrinks; the two
-    sides are never equal, as the logarithm of a rational other than 1 is
-    irrational. Monotone in r, so binary search is sound. An r above
-    ``_MAX_RADIUS`` is refused before the binary search.
+    which is the property the privacy argument consumes. That is r^2 >= X =
+    2 sigma^2 ln(2 / budget), so r = isqrt(floor(X)) + 1, or 1 at a budget
+    of 2 or more: X is irrational, as the logarithm of a rational other than
+    1 is, so r^2 = X never holds. One enclosure of the logarithm is refined,
+    doubling its precision, until both ends of X's give the same r. An r
+    above ``_MAX_RADIUS`` is refused as soon as X's lower end shows it.
     """
     if tail_budget <= 0:
         raise ParameterDomainError("tail budget must be positive")
     ratio = 2 / Fraction(tail_budget)
-
-    def ok(r: int) -> bool:  # exp(-r^2 / (2 sigma^2)) < tail_budget / 2
-        return not certified_le(Fraction(r * r, 1) / (2 * sigma_sq), lambda w: ln_enclose(ratio, w))
-
-    hi = 1
-    while not ok(hi):
-        if hi >= _MAX_RADIUS:
+    if ratio <= 1:
+        return 1
+    num, den = 2 * sigma_sq.numerator, sigma_sq.denominator
+    w = 64
+    while w <= 64 + _CERTIFY_MAX_BITS:
+        lo, hi = (isqrt(num * x // (den << w)) + 1 for x in ln_enclose(ratio, w))
+        if lo > _MAX_RADIUS:
             raise ParameterDomainError(f"the window radius r would exceed {_MAX_RADIUS}: epsilon too small")
-        hi *= 2
-    lo = hi // 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+        if lo == hi:
+            return lo
+        w *= 2
+    raise EnclosureContractError("window radius failed to resolve")
 
 
 def derive_approx_params(epsilon: Fraction, delta: Fraction, d: int, s: int) -> ApproxParams:

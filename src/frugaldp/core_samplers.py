@@ -27,8 +27,8 @@ _LEVEL_START = 64
 #: Refinement gives up past this precision. A comparison streams no deeper
 #: than the precision it compares at, so this also caps the bits it reads.
 _LEVEL_MAX = 1 << 15
-#: Records one level of a cell law memoizes per bounds source (a Gaussian level: 2 r, if more).
-_MEMO_CAP = 1 << 14
+#: Records one level of a cell law memoizes per bounds source; an approx release at d = 10**6, s = 4 reads about 25 000.
+_MEMO_CAP = 1 << 16
 #: Keys a draw without a level-0 stream reads in order before it searches.
 _LINEAR_KEYS = 4
 #: A stream's draws share u until B < 2**-_CARRY_BITS; level 0's other bits keep A and B exact.
@@ -97,10 +97,10 @@ class Stream:
         self.history.append(entry)
 
     def scaled(self, bounds, key, level: int) -> tuple[int, int, int, int]:
-        """The record of B times the threshold ``bounds`` gives at ``key``, at the level's precision."""
+        """The record of B times the threshold ``bounds`` gives at ``key``, at ``level`` >= 1's precision."""
         p, lo, hi, _ = bounds(key, level)
         q = _LEVEL_START << level
-        _, _, b_lo, b_hi = self.level(level) if level else (0, 0, self.b_lo, self.b_hi)
+        _, _, b_lo, b_hi = self.level(level)
         lo, hi = b_lo * lo >> p, -(-b_hi * hi >> p)  # B and the threshold are at most 1: no clipping
         return q, lo, hi, q - (hi - lo).bit_length()
 
@@ -126,9 +126,9 @@ def locate(
 ) -> int:
     """How many leading thresholds along ``keys`` lie above the stream's uniform u.
 
-    ``bounds(key, level)`` returns the :func:`level_record` of the key's
-    threshold at precision 64 * 2**level; the thresholds must not increase
-    along ``keys``, a sequence. Streams u bit by bit, reading a bit only
+    ``bounds(key, level)`` must return the :func:`level_record` of the key's
+    threshold at precision exactly 64 * 2**level, and the thresholds must not
+    increase along ``keys``, a sequence. Streams u bit by bit, reading a bit only
     while the box [u, u + 2**-n) holds the bounds it compares with, which
     are refined one level at a time, for no randomness, whenever the next
     bit would outrun their limit. With the upper tails P[X >= 1],
@@ -240,14 +240,9 @@ def locate(
             stream.u, stream.n = (box_lo + a_hi) >> (held - nb), nb
             if carry:
                 # u - A is in [x, y) = [B T_(c+1), B T_c) from the level-0 records that settled c, as
-                # _narrow(0, ...) computes them (B if c = 0, 0 past the keys; a fresh u's at their precision).
-                q = _LEVEL_START
-                p, y_lo, y_hi = above or (q, b_lo, b_hi)
-                r, x_lo, x_hi = below or (q, 0, 0)
-                if p != q:
-                    y_lo, y_hi = y_lo >> p - q, -(-y_hi >> p - q)
-                if r != q:
-                    x_lo, x_hi = x_lo >> r - q, -(-x_hi >> r - q)
+                # _narrow(0, ...) computes them (B if c = 0, 0 past the keys), all at 64 bits by the contract.
+                _, y_lo, y_hi = above or (0, b_lo, b_hi)
+                _, x_lo, x_hi = below or (0, 0, 0)
                 stream.carry(a0_lo + x_lo, a0_hi + x_hi, y_lo - x_hi, y_hi - x_lo, (_narrow, bounds, keys, count))
 
 
@@ -263,7 +258,7 @@ class _Levels(dict):
 
     def __missing__(self, level: int):
         data = self.law._build((_LEVEL_START << level) + self.law._guard)
-        entry = self[level] = data, BoundedCache(self.law._cap)
+        entry = self[level] = data, BoundedCache(_MEMO_CAP)
         return entry
 
 
@@ -275,10 +270,11 @@ class CellLaw:
     P[eta >= k]. Levels are built on first read (:class:`_Levels`), each at
     twice the precision of the last, and memoize the :meth:`departure`,
     :meth:`beyond` and :meth:`all_stay` records in one :class:`~frugaldp.precise_math.BoundedCache`
-    of ``_cap`` records. Records are deterministic, so threads share
-    them with no lock. A home cell with edges k' above and grid + 1 - k'
-    below the centre (eta >= k' or eta <= k' - grid - 1 leaves it) is left
-    with p(k') = P[eta >= k'] + P[eta >= grid + 1 - k'], whichever edges the
+    of ``_MEMO_CAP`` records. Records are deterministic, so threads share
+    them with no lock, and one recomputed after the memo empties is the
+    same. A home cell with edges k' above and grid + 1 - k' below the
+    centre (eta >= k' or eta <= k' - grid - 1 leaves it) is left with
+    p(k') = P[eta >= k'] + P[eta >= grid + 1 - k'], whichever edges the
     law reaches. ``tails``: whether a departure may cross either edge of its
     home cell, so that one more locate over ``beyond_keys(k')`` draws its cell
     (a coordinate with no edge within reach leaves only then). ``category``:
@@ -295,7 +291,7 @@ class CellLaw:
     the half-width, and every key below it is drawn exactly.
     """
 
-    __slots__ = ("halfwidth", "grid", "_guard", "_levels", "_cap", "_stride", "_d", "_quiet", "_bins")
+    __slots__ = ("halfwidth", "grid", "_guard", "_levels", "_stride", "_d", "_quiet", "_bins")
 
     def __init__(self, halfwidth: int, s: int, d: int, guard: int):
         if halfwidth < 1:
@@ -307,7 +303,6 @@ class CellLaw:
         self._guard = guard
         self._levels = _Levels()
         self._levels.law = self
-        self._cap = _MEMO_CAP
 
     @property
     def quiet(self) -> int:
@@ -436,9 +431,8 @@ class GaussianCells(CellLaw):
     centre. Both edges of a home cell, r s apart, are within reach only at
     s = 1 with r >= 2 (``tails``); a departure then lands in one of the two
     adjacent cells, never farther, so ``beyond`` has one key per departure.
-    A level reads up to r - 1 departure keys and as many ``beyond`` keys,
-    so its memo holds up to 2 r records (at least ``_MEMO_CAP``), the order
-    of its table.
+    A level reads up to r - 1 departure keys and as many ``beyond`` keys;
+    past ``_MEMO_CAP`` of them its memo empties, as every law's does.
     """
 
     __slots__ = ("_x", "tails")
@@ -449,7 +443,6 @@ class GaussianCells(CellLaw):
         super().__init__(r, s, d, 2 * r.bit_length() + 8)
         self._x = 1 / (2 * Fraction(sigma_sq))
         self.tails = self.grid <= 2 * (r - 1)
-        self._cap = max(_MEMO_CAP, 2 * r)
         self._stride = 2
 
     def _build(self, w: int):

@@ -47,6 +47,8 @@ class CountVector(namedtuple("CountVector", "d n sums")):
         if n < 0:
             raise ParameterDomainError("dataset size must be non-negative")
         for i, v in enumerate(sums):
+            if not isinstance(v, int):
+                raise ParameterDomainError(f"count {i} is not an integer")
             if not 0 <= v <= n:
                 raise ParameterDomainError(f"count {i} outside [0, n]")
         return tuple.__new__(cls, (d, n, sums))
@@ -75,11 +77,11 @@ MechanismResult = namedtuple("MechanismResult", "values report")
 
 
 def check_release(counts: CountVector, params, unit: int, omega: int | None) -> None:
-    """Reject counts of the wrong dimension and a forced shift off {unit, ..., unit*s}."""
+    """Reject counts of the wrong dimension and a forced shift that is not an int in {unit, ..., unit*s}."""
     if counts.d != params.d:
         raise ParameterDomainError("dimension mismatch between counts and parameters")
-    if omega is not None and (omega % unit != 0 or not unit <= omega <= unit * params.s):
-        raise ParameterDomainError("forced shift must be a unit multiple in {unit..unit*s}")
+    if omega is not None and (not isinstance(omega, int) or omega % unit != 0 or not unit <= omega <= unit * params.s):
+        raise ParameterDomainError("forced shift must be an integer unit multiple in {unit..unit*s}")
 
 
 def shift_and_round(

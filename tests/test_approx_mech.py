@@ -117,9 +117,9 @@ class TestDeriveParams:
         ],
     )
     def test_radius_at_tiny_delta_is_pinned_and_quick(self, delta, radii):
-        # Each probe compares r^2 / (2 sigma^2) with ln(2 / budget), whose
-        # enclosure is narrow at 64 bits whatever the budget; comparing the
-        # exponential with the budget took about 2 s at delta = 1e-2500.
+        # r is isqrt(floor(2 sigma^2 ln(2 / budget))) + 1, from one enclosure
+        # of the logarithm, narrow at 64 bits whatever the budget; comparing
+        # the exponential with the budget took about 2 s at delta = 1e-2500.
         for d, r in zip((3, 4096), radii):
             params = derive_approx_params(Fraction(1), delta, d, 2)
             started = time.perf_counter()
@@ -425,6 +425,19 @@ class TestEfficientMechanism:
             mech_approx_efficient(counts, params, BitTape(seed=1), omega=3)  # not a multiple of r
         with pytest.raises(ParameterDomainError):
             mech_approx_efficient(counts, params, BitTape(seed=1), omega=8)  # above r*s
+
+    def test_non_integer_count_is_refused(self):
+        # Unchecked, 17.5 reaches the Gaussian table as a list index: a TypeError, not a domain error.
+        for sums in ((17.5, 50, 93), (17, 50.0, 93)):
+            with pytest.raises(ParameterDomainError, match="count . is not an integer"):
+                CountVector(3, 100, sums)
+
+    def test_float_forced_shift_is_refused(self):
+        # Unchecked, a float shift passes and makes the released values floats.
+        params = derive_approx_params(Fraction(1), Fraction(1, 4), 3, 2)
+        counts = CountVector(3, 100, (17, 50, 93))
+        with pytest.raises(ParameterDomainError, match="forced shift"):
+            mech_approx_efficient(counts, params, BitTape(seed=1), float(params.r))
 
 
 class TestQuietTail:

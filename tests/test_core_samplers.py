@@ -680,9 +680,10 @@ class TestRecordMemo:
         # cells also read the tail ratios, which the Laplace law memoizes apart.
         assert departures and (mode == "approx" or data[-1])
 
-    def test_memo_stays_bounded(self):
+    def test_memo_stays_bounded(self, monkeypatch):
         # Half-width 20 000 on a grid of 40 000 leaves 40 000 distinct
-        # departure keys; tail ratios have keys without end.
+        # departure keys, past a cap of 2**14; tail ratios have keys without end.
+        monkeypatch.setattr(cs, "_MEMO_CAP", 1 << 14)
         law = LaplaceCells(Fraction(4096), 20_000, 2, 1)
         cap = cs._MEMO_CAP
         for k in range(-19_999, 20_001):
@@ -692,15 +693,21 @@ class TestRecordMemo:
             assert all(len(memo) <= cap for memo in memos)
         assert all(memos)
 
-    def test_gaussian_memo_holds_every_key_of_a_level(self):
+    def test_gaussian_memo_stays_bounded_and_rereads_equal(self):
         # At s = 1 a level reads r - 1 departure keys and as many beyond keys,
-        # past _MEMO_CAP here; the memo sized to the law keeps them all.
+        # past _MEMO_CAP here: the memo empties on the way, as every law's
+        # does, and a record read again after that equals its first read.
         r = cs._MEMO_CAP // 2 + 2
         law = GaussianCells(Fraction(r * r, 16), r, 1, 1)
+        memo, first = law._levels[0][1], {}
         for k in range(1, r):
-            law.departure(k, 0)
-            law.beyond(law.beyond_keys(k)[0], 0)
-        assert len(law._levels[0][1]) == 2 * (r - 1) > cs._MEMO_CAP
+            first[k] = law.departure(k, 0)
+            key = law.beyond_keys(k)[0]
+            first[key] = law.beyond(key, 0)
+            assert len(memo) <= cs._MEMO_CAP
+        assert len(first) == 2 * (r - 1) > cs._MEMO_CAP and 1 not in memo
+        for key, rec in first.items():
+            assert (law.departure(key, 0) if key > 0 else law.beyond(key, 0)) == rec
 
 
 def _on_stream(tape, *args) -> None:

@@ -97,6 +97,15 @@ class TestDeriveParams:
             derive_pure_params(Fraction(2), 20, 2)  # d/eps = 10 <= 10
         derive_pure_params(Fraction(1), 11, 2)
 
+    @pytest.mark.parametrize(
+        "epsilon, d, s, message",
+        [(0, 20, 2, "epsilon"), (-1, 20, 2, "epsilon"), (1, 0, 2, "d and s"), (1, 20, 0, "d and s")],
+    )
+    def test_derivation_refuses_its_own_domain(self, epsilon, d, s, message):
+        # Refused before d / epsilon is formed, so epsilon = 0 is no ZeroDivisionError.
+        with pytest.raises(ParameterDomainError, match=message):
+            derive_pure_params(Fraction(epsilon), d, s)
+
     def test_explicit_constructor_validation(self):
         with pytest.raises(ParameterDomainError):
             PureParams(2, 2, Fraction(0), 2)
@@ -190,6 +199,19 @@ class TestHandEvaluations:
             tape = BitTape(seed=seed)
             res, trace = mech_pure_efficient(counts, params, tape, omega=2)
             assert res.report.boundary_coordinates == (0,)
+
+    def test_non_integer_count_is_refused(self):
+        # Unchecked, 17.5 reaches the Laplace law's integer powers: a TypeError, not a domain error.
+        for sums in ((17.5, 50, 93), (17, 50.0, 93)):
+            with pytest.raises(ParameterDomainError, match="count . is not an integer"):
+                CountVector(3, 100, sums)
+
+    def test_float_forced_shift_is_refused(self):
+        # Unchecked, a float shift passes and raises a TypeError in the release.
+        params = derive_pure_params(Fraction(1, 4), 3, 2)
+        counts = CountVector(3, 100, (17, 50, 93))
+        with pytest.raises(ParameterDomainError, match="forced shift"):
+            mech_pure_efficient(counts, params, BitTape(seed=1), float(params.m))
 
 
 class TestDistributionalStructure:
