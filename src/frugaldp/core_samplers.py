@@ -158,7 +158,7 @@ def locate(
     if carry:
         b_lo, b_hi, scale = stream.b_lo, stream.b_hi, stream.history
     a0_lo, a0_hi = a_lo, a_hi
-    rec = above = below = None  # level-0 records: the key's, the last above u's, the first not's
+    rec = above = below = None  # level-0 bounds (lo, hi): the key's, the last above u's, the first not's
     # [box_lo, box_hi] is the box [u, u + 2**-nb) less the offset [a_lo, a_hi], as
     # integers at the precision held of the last record compared (0: none yet);
     # its dyadic part is width = 2**(held - nb), and a bit read halves it.
@@ -179,7 +179,7 @@ def locate(
                     if scale:  # Stream.scaled at level 0, inlined
                         lo, hi, p = b_lo * lo >> p, -(-b_hi * hi >> p), _LEVEL_START
                         limit = p - (hi - lo).bit_length()
-                    rec = p, lo, hi
+                    rec = lo, hi
                 while True:
                     if nb + 2 > limit:  # too coarse for u's next bit, or for bits kept from an earlier key
                         level += 1
@@ -241,8 +241,8 @@ def locate(
             if carry:
                 # u - A is in [x, y) = [B T_(c+1), B T_c) from the level-0 records that settled c, as
                 # _narrow(0, ...) computes them (B if c = 0, 0 past the keys), all at 64 bits by the contract.
-                _, y_lo, y_hi = above or (0, b_lo, b_hi)
-                _, x_lo, x_hi = below or (0, 0, 0)
+                y_lo, y_hi = above or (b_lo, b_hi)
+                x_lo, x_hi = below or (0, 0)
                 stream.carry(a0_lo + x_lo, a0_hi + x_hi, y_lo - x_hi, y_hi - x_lo, (_narrow, bounds, keys, count))
 
 
