@@ -64,7 +64,7 @@ class ApproxParams:
         epsilon: Fraction | None = None,
         delta: Fraction | None = None,
     ):
-        if d < 1 or s < 1 or r < 1:
+        if not all(isinstance(v, int) and v >= 1 for v in (d, s, r)):
             raise ParameterDomainError("d, s and r must be positive integers")
         if sigma_sq <= 0:
             raise ParameterDomainError("sigma_sq must be positive")
@@ -126,7 +126,7 @@ def derive_approx_params(epsilon: Fraction, delta: Fraction, d: int, s: int) -> 
         raise ParameterDomainError("epsilon must be positive")
     if not 0 < delta < 1:
         raise ParameterDomainError("delta must lie in (0, 1)")
-    if d < 1 or s < 1:
+    if not all(isinstance(v, int) and v >= 1 for v in (d, s)):
         raise ParameterDomainError("d and s must be positive integers")
     if not certified_le(delta, lambda w: exp_neg(epsilon / 2, w)):
         raise ParameterDomainError("delta must satisfy delta <= exp(-epsilon/2)")

@@ -11,14 +11,14 @@ with O(d) memory: each row of the canonical form ``0,1,...,1\\n`` (or
 first row of any other form on, the rest is decoded and goes through
 ``csv.reader`` cell by cell (see ``load_dataset``). The output is a single
 JSON object with the released values, every derived parameter (enclosure
-endpoints included), the exact randomness accounting, and wall time.
+endpoints included), and n, d and mode, public under replace-one neighbours.
 Epsilon and delta are parsed as decimal strings into exact rationals; no
 float touches the parameter path.
 
 The command makes one release and nothing else. Audits rerun the mechanism
 on the same data, queries outside the privacy budget, so they are library
-calls in ``frugaldp.audit_harness``: ``randomness_audit``, and
-``oracle_joint_dist`` with ``chi_square`` and ``tv_distance``.
+calls in ``frugaldp.audit_harness``: ``oracle_joint_dist`` with
+``chi_square`` and ``tv_distance``, and a summary of a batch's bits.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import itertools
 import json
 import os
 import sys
-import time
 from collections import namedtuple
 from fractions import Fraction
 from operator import add
@@ -68,8 +67,10 @@ class RunConfig(namedtuple("RunConfig", "mode epsilon delta s seed input_path ou
             raise ParameterDomainError("approx mode requires --delta")
         if mode == "pure" and delta is not None:
             raise ParameterDomainError("pure mode forbids --delta")
-        if s is not None and s < 1:
+        if s is not None and not (isinstance(s, int) and s >= 1):
             raise ParameterDomainError("s must be a positive integer")
+        if seed is not None and not (isinstance(seed, int) and 0 <= seed < 1 << 64):
+            raise ParameterDomainError("seed must be an unsigned 64-bit integer")
         return tuple.__new__(cls, (mode, epsilon, delta, s, seed, input_path, output_path))
 
 
@@ -237,7 +238,6 @@ def _params_block(params, mode: str) -> dict:
 
 def run(config: RunConfig) -> tuple[int, dict]:
     """Execute one release; returns (exit_code, json_report)."""
-    started = time.perf_counter()
     try:
         counts = load_dataset(config.input_path)
     except DatasetFormatError as exc:
@@ -259,18 +259,7 @@ def run(config: RunConfig) -> tuple[int, dict]:
     report = {
         "values": list(result.values),
         "params": _params_block(params, config.mode),
-        "randomness": {
-            "bits_total": result.report.bits_total,
-            "bits_by_category": dict(sorted(result.report.bits_by_category.items())),
-            "boundary_count": len(result.report.boundary_coordinates),
-        },
-        "meta": {
-            "n": counts.n,
-            "d": counts.d,
-            "seed": config.seed,
-            "mode": config.mode,
-            "wall_time_s": time.perf_counter() - started,
-        },
+        "meta": {"n": counts.n, "d": counts.d, "mode": config.mode},
     }
     return EXIT_OK, report
 
@@ -295,7 +284,7 @@ def _seed_arg(text: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="frugaldp",
-        description="Differentially private counting-query release with metered randomness.",
+        description="Differentially private counting-query release with metered random bits.",
     )
     parser.add_argument("--mode", required=True, choices=("approx", "pure"))
     parser.add_argument("--epsilon", required=True, type=_fraction_arg)

@@ -49,7 +49,7 @@ class PureParams:
     __slots__ = ("d", "s", "epsilon", "scale", "m", "grid", "p", "cells")
 
     def __init__(self, d: int, s: int, epsilon: Fraction, m: int):
-        if d < 1 or s < 1 or m < 1:
+        if not all(isinstance(v, int) and v >= 1 for v in (d, s, m)):
             raise ParameterDomainError("d, s and m must be positive integers")
         epsilon = Fraction(epsilon)
         if epsilon <= 0:
@@ -78,7 +78,7 @@ def derive_pure_params(epsilon: Fraction, d: int, s: int) -> PureParams:
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ParameterDomainError("epsilon must be positive")
-    if d < 1 or s < 1:
+    if not all(isinstance(v, int) and v >= 1 for v in (d, s)):
         raise ParameterDomainError("d and s must be positive integers")
     t = Fraction(d, 1) / epsilon
     if t <= 10:

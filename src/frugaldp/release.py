@@ -57,7 +57,7 @@ class CountVector(namedtuple("CountVector", "d n sums")):
 class RandomnessReport(
     namedtuple("RandomnessReport", "bits_total bits_by_category boundary_coordinates draws_attempted")
 ):
-    """Exact bit accounting for one mechanism invocation."""
+    """Exact bit accounting for one release. It depends on the data, so it is not private."""
 
     __slots__ = ()
 

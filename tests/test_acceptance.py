@@ -383,14 +383,10 @@ def test_criterion_10_determinism(tmp_path):
     config = RunConfig("pure", Fraction(1, 8), None, 2, 424242, str(data), None)
     code1, rep1 = run(config)
     code2, rep2 = run(config)
-    cli_ok = (
-        code1 == code2 == 0
-        and rep1["values"] == rep2["values"]
-        and rep1["randomness"] == rep2["randomness"]
-    )
+    cli_ok = code1 == code2 == 0 and rep1 == rep2
     _verdict(
         10,
         "determinism: fixed seed reproduces values and bit counts",
         direct_ok and cli_ok,
-        f"(mech bits={res_a.report.bits_total}, cli bits={rep1['randomness']['bits_total']})",
+        f"(mech bits={res_a.report.bits_total})",
     )

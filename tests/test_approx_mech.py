@@ -151,6 +151,17 @@ class TestDeriveParams:
         with pytest.raises(ParameterDomainError):
             derive_approx_params(Fraction(1), Fraction(1, 4), 0, 2)
 
+    @pytest.mark.parametrize("d, s", [(3.0, 2), (3, 2.0)])
+    def test_non_integer_d_or_s_is_refused(self, d, s):
+        # Refused up front: a float s would make a float grid, which a release indexes with.
+        with pytest.raises(ParameterDomainError, match="d and s must be positive integers"):
+            derive_approx_params(Fraction(1), Fraction(1, 4), d, s)
+
+    @pytest.mark.parametrize("d, s, r", [(1.0, 3, 2), (1, 3.0, 2), (1, 3, 2.0)])
+    def test_constructor_refuses_non_integers(self, d, s, r):
+        with pytest.raises(ParameterDomainError, match="d, s and r must be positive integers"):
+            ApproxParams(d, s, Fraction(2), r)
+
 
 class TestHandEvaluations:
     # d=1, sums=10, r=2, s=3: grid 6. With shift 4 both probe points round

@@ -23,6 +23,11 @@ at each forced shift, one whose queues end in blocks behind keys drawn
 exactly, also at 8-bit levels, where a block's coarse key refines, and one
 at d = 6 where a middle block of two keys usually passes its coarse key and
 a later block departs.
+
+The same enumeration on the desk and its replace-one neighbour (18, 50, 93)
+shows why the command line publishes the values and no report field: the
+values keep the guarantee, and the values with a release's boundary count
+(approx) or its bit count (pure) do not.
 """
 
 from collections import Counter, deque
@@ -35,6 +40,7 @@ from frugaldp import release as release_module
 from frugaldp.approx_mech import derive_approx_params, mech_approx_efficient
 from frugaldp.audit_harness import _approx_noise, _joint_dist, _pure_noise, _shift_laws, oracle_joint_dist
 from frugaldp.bit_tape import BitTape
+from frugaldp.precise_math import exp_pos
 from frugaldp.pure_mech import derive_pure_params, mech_pure_efficient
 from frugaldp.release import CountVector, draw_runs
 
@@ -323,3 +329,57 @@ def test_approx_quiet_desk_with_8_bit_levels_is_certified(monkeypatch):
     monkeypatch.setattr(core_samplers.CellLaw, "all_stay", spy)
     _certify_approx(counts, params)
     assert levels == {0, 1, 2, 3}
+
+
+def desk_neighbour_slacks(release, epsilon: Fraction) -> tuple[Fraction, Fraction]:
+    """The slacks of the values alone and of (values, field) on ``_DESK`` and its neighbour (18, 50, 93).
+
+    ``release(counts, tape)`` returns (values, field). A view's slack is the
+    larger over both orders of P and Q, the view's enumerated laws on the two
+    inputs, of sum over o of max(0, P(o) - e^eps (Q(o) + open mass of Q)),
+    with e^eps at its upper enclosure: a lower bound on the delta that
+    publishing the view needs at eps.
+    """
+    e_eps = Fraction(exp_pos(epsilon, 64)[1], 1 << 64)
+    joint, values = [], []
+    for counts in (_DESK, CountVector(3, 100, (18, 50, 93))):
+        outcomes, open_mass, _, _ = enumerate_release(lambda tape: release(counts, tape))
+        marginal = Counter()
+        for (v, _), mass in outcomes.items():
+            marginal[v] += mass
+        joint.append((outcomes, open_mass))
+        values.append((marginal, open_mass))
+
+    def slack(laws):
+        return max(
+            sum(max(0, mass - e_eps * (q.get(o, 0) + q_open)) for o, mass in p.items())
+            for (p, _), (q, q_open) in (laws, laws[::-1])
+        )
+
+    return slack(values), slack(joint)
+
+
+def test_approx_values_with_the_boundary_count_need_more_than_delta():
+    # eps = 1, delta = 1/4, s = 2: the values alone need 0.00024, the values
+    # with how many coordinates drew their cell 0.49999999.
+    params = derive_approx_params(Fraction(1), Fraction(1, 4), 3, 2)
+
+    def release(counts, tape):
+        result = mech_approx_efficient(counts, params, tape)
+        return result.values, len(result.report.boundary_coordinates)
+
+    values, with_count = desk_neighbour_slacks(release, params.epsilon)
+    assert values <= params.delta < with_count
+
+
+def test_pure_values_with_the_bit_count_need_a_delta():
+    # eps = 1/4, s = 3: the values alone need no delta, the values with the
+    # bits the release read 0.0316.
+    params = derive_pure_params(Fraction(1, 4), 3, 3)
+
+    def release(counts, tape):
+        result = mech_pure_efficient(counts, params, tape)[0]
+        return result.values, result.report.bits_total
+
+    values, with_bits = desk_neighbour_slacks(release, params.epsilon)
+    assert values == 0 < with_bits

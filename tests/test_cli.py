@@ -235,6 +235,15 @@ class TestRunConfig:
         RunConfig("approx", Fraction(1), Fraction(1, 4), 4, 7, "x.csv", None)
         RunConfig("pure", Fraction(1, 2), None, None, None, "x.csv", None)
 
+    @pytest.mark.parametrize("seed", [-1, 1 << 64, 1.5])
+    def test_seed_outside_64_bits_is_a_parameter_error(self, seed):
+        with pytest.raises(ParameterDomainError, match="seed must be an unsigned 64-bit integer"):
+            RunConfig("approx", Fraction(1), Fraction(1, 4), None, seed, "x.csv", None)
+
+    def test_non_integer_s_is_a_parameter_error(self):
+        with pytest.raises(ParameterDomainError, match="s must be a positive integer"):
+            RunConfig("pure", Fraction(1, 2), None, 1.5, None, "x.csv", None)
+
 
 class TestRun:
     def _rows(self, d, n):
@@ -267,10 +276,7 @@ class TestRun:
         code1, rep1 = run(config)
         code2, rep2 = run(config)
         assert code1 == code2 == EXIT_OK
-        assert json.dumps(rep1["values"]) == json.dumps(rep2["values"])
-        assert json.dumps(rep1["randomness"], sort_keys=True) == json.dumps(
-            rep2["randomness"], sort_keys=True
-        )
+        assert json.dumps(rep1, sort_keys=True) == json.dumps(rep2, sort_keys=True)
 
     def test_released_values_on_grid(self, csv_file):
         path = csv_file(self._rows(3, 9))
@@ -290,10 +296,7 @@ class TestRun:
         assert code == EXIT_OK
         assert all(v % report["params"]["grid"] == 0 for v in report["values"])
         assert report["params"]["m"] * report["params"]["s"] == report["params"]["grid"]
-        assert set(report["randomness"]) == {"bits_total", "bits_by_category", "boundary_count"}
-        assert report["randomness"]["bits_total"] == sum(
-            report["randomness"]["bits_by_category"].values()
-        )
+        assert set(report) == {"values", "params", "meta"}
 
     def test_default_s_is_dimension(self, csv_file):
         path = csv_file(self._rows(2, 3))
@@ -312,6 +315,27 @@ class TestRun:
         assert report["params"]["r"] == params.r
         assert report["params"]["sigma_sq_pinned"] == str(params.sigma_sq)
         assert Fraction(report["params"]["epsilon"]) == Fraction(1)
+
+
+@pytest.mark.parametrize(
+    "mode, epsilon, delta", [("approx", Fraction(1), Fraction(1, 4)), ("pure", Fraction(1, 4), None)]
+)
+def test_only_the_values_depend_on_the_data_or_the_seed(csv_file, mode, epsilon, delta):
+    # Replace-one neighbours: the second file flips one cell of one row, so n is public.
+    rows = ["1,0,1", "0,1,1", "1,1,0", "0,0,1", "1,0,0"]
+    paths = [csv_file("a,b,c\n" + "\n".join(rows) + "\n", "x.csv")]
+    rows[2] = "0,1,0"
+    paths.append(csv_file("a,b,c\n" + "\n".join(rows) + "\n", "neighbour.csv"))
+    published = []
+    for path in paths:
+        for seed in (1, 2, 3, None):
+            code, report = run(RunConfig(mode, epsilon, delta, 2, seed, path, None))
+            assert code == EXIT_OK
+            assert set(report) == {"values", "params", "meta"}
+            assert set(report["meta"]) == {"n", "d", "mode"}
+            del report["values"]
+            published.append(report)
+    assert all(report == published[0] for report in published)
 
 
 class TestMain:
@@ -336,7 +360,7 @@ class TestMain:
         )
         assert code == EXIT_OK
         report = json.loads(out.read_text())
-        assert report["meta"]["seed"] == 7
+        assert "seed" not in report["meta"]
         assert len(report["values"]) == 2
 
     @pytest.mark.parametrize("seed", [None, 7])

@@ -112,6 +112,17 @@ class TestDeriveParams:
         with pytest.raises(ParameterDomainError):
             PureParams(2, 2, Fraction(1), 0)
 
+    @pytest.mark.parametrize("d, s", [(30.0, 2), (30, 2.5)])
+    def test_non_integer_d_or_s_is_refused(self, d, s):
+        # Refused up front: a float s would make a float grid, which a release does integer arithmetic on.
+        with pytest.raises(ParameterDomainError, match="d and s must be positive integers"):
+            derive_pure_params(Fraction(1), d, s)
+
+    @pytest.mark.parametrize("d, s, m", [(20.0, 2, 5), (20, 2.5, 5), (20, 2, 5.0)])
+    def test_constructor_refuses_non_integers(self, d, s, m):
+        with pytest.raises(ParameterDomainError, match="d, s and m must be positive integers"):
+            PureParams(d, s, Fraction(1), m)
+
 
 class TestQuietTail:
     @pytest.mark.parametrize(
