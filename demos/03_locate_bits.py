@@ -16,19 +16,19 @@ from functools import cache
 from itertools import accumulate
 
 from frugaldp import BitTape
-from frugaldp.core_samplers import Stream, level_record, locate
+from frugaldp.core_samplers import _LEVEL_START, Stream, level_record, locate
 from frugaldp.precise_math import rational_enclose
 
 N = 50_000
 
 
 def upper_tails(probs):
-    """The bounds ``locate`` reads: 1 - P_i at level j, P_i the i-th cumulative, at precision 64 * 2**j."""
+    """The bounds ``locate`` reads: 1 - P_i at level j, P_i the i-th cumulative, at precision _LEVEL_START * 2**j."""
     cums = list(accumulate(probs))
 
     @cache
     def bounds(i, level):
-        p = 64 << level
+        p = _LEVEL_START << level
         lo, hi = rational_enclose(cums[i - 1], p)
         return level_record(p, (1 << p) - hi, (1 << p) - lo)
 

@@ -3,7 +3,7 @@
 At dimension d, roughly 2d/s coordinates land near a grid edge and need a
 cell draw; the rest are free. Those cells are drawn in runs of coordinates
 that stay in their centre's cell, on one uniform carried from run to run,
-for about their entropy plus two bits per 32 bits or so of it. Total
+for about their entropy plus two bits per 64 bits or so of it. Total
 expected bits therefore fall like 1/s (plus the ~log2(s) cost of the shared
 shift), reaching O(log d) at s = d.
 

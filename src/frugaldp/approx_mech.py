@@ -174,7 +174,7 @@ def mech_approx_efficient(
     zero noise bits; boundary coordinates draw their grid cells from the
     truncated Gaussian's tail mass beyond the cell edge, in runs of cells
     that stay home, on one uniform carried from draw to draw: about their
-    entropy plus two bits per 32 bits or so of it.
+    entropy plus two bits per 64 bits or so of it.
     """
     check_release(counts, params, params.r, omega)
     result, _, _ = shift_and_round(tape, Stream(tape), counts, params.cells, omega)

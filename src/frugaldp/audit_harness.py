@@ -38,7 +38,7 @@ from .approx_mech import ApproxParams
 from .errors import ParameterDomainError
 from .precise_math import _exp_neg_guarded, exp_pos
 from .pure_mech import PureParams
-from .release import CountVector, MechanismResult
+from .release import CountVector, MechanismResult, check_release
 
 _TAIL_TOL = Fraction(1, 1 << 30)
 
@@ -212,6 +212,38 @@ def oracle_joint_dist(counts: CountVector, params, tail_tol: Fraction = _TAIL_TO
 
 # The audit-desk benchmark workload and its tracer call the oracle by this name.
 oracle_joint_dist_pure = oracle_joint_dist
+
+
+def release_entropy(counts: CountVector, params, omega: int | None = None) -> float:
+    """H(shift) + sum_i H(cell_i | shift), in bits, for the efficient release of ``counts``.
+
+    What the release draws: at a forced shift ``omega`` the cells alone, and
+    with the shift drawn log2 s plus the cells' entropy averaged over the s
+    shifts. A cell's mass comes from the midpoints of the cell law's level-0
+    records of P[eta >= e] at its edge keys e, so the figure is a float, not a
+    certified bound; each side's cells stop where the tail falls below 2**-60.
+    """
+    cells, grid, s = params.cells, params.grid, params.s
+    unit = grid // s
+    check_release(counts, params, unit, omega)
+
+    def tail(e: int) -> float:
+        p, lo, hi, _ = cells.tail_ratio(e, 0)
+        return (lo + hi) / 2 ** (p + 1)
+
+    shifts = range(unit, grid + 1, unit) if omega is None else (omega,)
+    total = 0.0
+    for v in shifts:
+        for c in counts.sums:
+            low = (c + v) // grid * grid
+            edges = (low + grid - c - v, c + v - low + 1)  # the keys eta must reach to leave upward, downward
+            masses = [1 - tail(edges[0]) - tail(edges[1])]
+            for e in edges:
+                while (t := tail(e)) > 2.0**-60:
+                    masses.append(t - tail(e + grid))
+                    e += grid
+            total -= math.fsum(m * math.log2(m) for m in masses if m > 0)
+    return total / len(shifts) + (0.0 if omega is not None else math.log2(s))
 
 
 # ---------------------------------------------------------------------------

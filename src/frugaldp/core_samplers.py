@@ -23,7 +23,7 @@ from .bit_tape import BitTape
 from .errors import EnclosureContractError, ParameterDomainError
 from .precise_math import BoundedCache, RationalBounds, _pow_scaled, exp_neg
 
-_LEVEL_START = 64
+_LEVEL_START = 128
 #: Refinement gives up past this precision. A comparison streams no deeper
 #: than the precision it compares at, so this also caps the bits it reads.
 _LEVEL_MAX = 1 << 15
@@ -31,8 +31,8 @@ _LEVEL_MAX = 1 << 15
 _MEMO_CAP = 1 << 16
 #: Keys a draw without a level-0 stream reads in order before it searches.
 _LINEAR_KEYS = 4
-#: A stream's draws share u until B < 2**-_CARRY_BITS; level 0's other bits keep A and B exact.
-_CARRY_BITS = 32
+#: Draws share u until B < 2**-_CARRY_BITS; level 0's 64 more bits keep A's and B's rounding far below B, so few refine.
+_CARRY_BITS = 64
 #: A block of a bin holds at least this many keys and expects at most 1/_BLOCK_KEYS departure.
 _BLOCK_KEYS = 8
 
@@ -127,7 +127,7 @@ def locate(
     """How many leading thresholds along ``keys`` lie above the stream's uniform u.
 
     ``bounds(key, level)`` must return the :func:`level_record` of the key's
-    threshold at precision exactly 64 * 2**level, and the thresholds must not
+    threshold at precision exactly _LEVEL_START * 2**level, and the thresholds must not
     increase along ``keys``, a sequence. Streams u bit by bit, reading a bit only
     while the box [u, u + 2**-n) holds the bounds it compares with, which
     are refined one level at a time, for no randomness, whenever the next
@@ -240,7 +240,7 @@ def locate(
             stream.u, stream.n = (box_lo + a_hi) >> (held - nb), nb
             if carry:
                 # u - A is in [x, y) = [B T_(c+1), B T_c) from the level-0 records that settled c, as
-                # _narrow(0, ...) computes them (B if c = 0, 0 past the keys), all at 64 bits by the contract.
+                # _narrow(0, ...) computes them (B if c = 0, 0 past the keys), all at _LEVEL_START bits by the contract.
                 y_lo, y_hi = above or (b_lo, b_hi)
                 x_lo, x_hi = below or (0, 0)
                 stream.carry(a0_lo + x_lo, a0_hi + x_hi, y_lo - x_hi, y_hi - x_lo, (_narrow, bounds, keys, count))

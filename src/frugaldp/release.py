@@ -22,7 +22,7 @@ A departure across a single edge within reach is certain of its cell;
 otherwise (both edges within reach, or the untruncated law) one more locate
 draws the cell. Every bit a release reads is read by a locate on one
 :class:`~frugaldp.core_samplers.Stream`, whose uniform carries from draw to
-draw, from the shift on: about their entropy plus two bits per 32 bits or
+draw, from the shift on: about their entropy plus two bits per 64 bits or
 so of it.
 """
 

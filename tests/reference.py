@@ -12,7 +12,6 @@ tails of a finite law, for the tests of sampling at the entropy limit.
 
 from __future__ import annotations
 
-import math
 import threading
 from fractions import Fraction
 from functools import lru_cache
@@ -162,7 +161,7 @@ class RefinableProb:
     """A probability in [0, 1] with certified scaled-integer bounds.
 
     Wraps an enclosure function ``fn(w) -> (lo, hi)``, lo <= 2**w q <= hi, and
-    caches its level records, level j at precision 64 * 2**j. Threads may
+    caches its level records, level j at precision _LEVEL_START * 2**j. Threads may
     share an instance; see ``_LEVEL_LOCK``.
     """
 
@@ -549,35 +548,6 @@ def draw_runs(tape: BitTape, tail_ratio, grid: int, queued: list, keys: list, va
                 if seen is not None:
                     seen["fresh"] += 1
                     seen["p below level 0"] += not r_lo
-
-
-def pure_draw_entropy(counts: CountVector, params: PureParams, omega: int) -> float:
-    """Expected entropy, in bits, of the cells an efficient pure release of ``counts`` draws at the shift ``omega``.
-
-    The sum over coordinates of H(cell) under the untruncated discrete-Laplace
-    law: the home cell, the cell of the centre, and every cell past either of
-    its edges. Every probability is the midpoint of the cell law's level-0
-    record of P[eta >= e] at an edge key e, so the figure is a float, not a
-    certified bound; each side's cells are cut where they fall below 2**-60.
-    """
-
-    def tail(e: int) -> float:
-        p, lo, hi, _ = params.cells.tail_ratio(e, 0)
-        return (lo + hi) / 2 ** (p + 1)
-
-    grid = params.grid
-    total = 0.0
-    for c in counts.sums:
-        center = c + omega
-        low = center // grid * grid
-        edges = (low + grid - center, center - low + 1)  # the keys eta must reach to leave upward, downward
-        masses = [1 - tail(edges[0]) - tail(edges[1])]
-        for e in edges:
-            while tail(e) > 2.0**-60:
-                masses.append(tail(e) - tail(e + grid))
-                e += grid
-        total -= sum(m * math.log2(m) for m in masses if m > 0)
-    return total
 
 
 # ---------------------------------------------------------------------------

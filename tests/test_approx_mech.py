@@ -19,6 +19,7 @@ from frugaldp.approx_mech import (
     derive_approx_params,
     mech_approx_efficient,
 )
+from frugaldp.audit_harness import release_entropy
 from frugaldp.bit_tape import BitTape
 from frugaldp.errors import InternalError, ParameterDomainError
 from frugaldp.precise_math import exp_neg
@@ -243,9 +244,10 @@ class TestReferenceChain:
 def _forced_shift_cell_bits():
     """Cell bits of 200 releases of 1 024 counts at s = 4, the shift forced to each unit in turn.
 
-    Returns, per release, the entropy sum h(p_i) of the single-edge cells
-    and their expected departures sum p_i (p_i from the level-1
-    ``tail_ratio`` records), and the total cell bits.
+    Returns, per release, the entropy of its cells (``release_entropy``) and
+    their expected departures sum p_i, p_i the midpoint of the level-0
+    ``departure`` record of the boundary coordinate's key, and the total
+    cell bits.
     """
     d, s = 1024, 4
     params = derive_approx_params(Fraction(1), Fraction(1, 1 << 20), d, s)
@@ -254,16 +256,10 @@ def _forced_shift_cell_bits():
     unit, grid = params.r, params.grid
 
     def law(omega):
-        entropy = departures = 0.0
-        for c in counts.sums:
-            center = c + omega
-            k = (center - unit + 1) // grid * grid + grid - center
-            if k < unit:  # the boundary coordinate's single edge, at key k
-                p, lo, hi, _ = params.cells.tail_ratio(k if k > 0 else 1 - k, 1)
-                q = (lo + hi) / 2 ** (p + 1)
-                entropy -= q * math.log2(q) + (1 - q) * math.log2(1 - q)
-                departures += q
-        return entropy, departures
+        # A boundary coordinate's single edge is at key k < unit.
+        keys = ((c + omega - unit + 1) // grid * grid + grid - c - omega for c in counts.sums)
+        records = (params.cells.departure(k if k > 0 else 1 - k, 0) for k in keys if k < unit)
+        return release_entropy(counts, params, omega), sum((lo + hi) / 2 ** (p + 1) for p, lo, hi, _ in records)
 
     laws = {omega: law(omega) for omega in range(unit, grid + 1, unit)}
     tape = BitTape(seed=916)
@@ -384,7 +380,7 @@ class TestEfficientMechanism:
 
     def test_cell_bits_stay_near_the_entropy(self):
         # The runs share one uniform, so a departure costs no fresh start:
-        # the cells cost their entropy plus a bit or so per 32 bits of it.
+        # the cells cost their entropy plus a bit or so per 64 bits of it.
         laws, bits = _forced_shift_cell_bits()
         entropy = sum(entropy for entropy, _ in laws)
         assert bits <= 1.1 * entropy + 8 * len(laws)

@@ -723,17 +723,19 @@ class _NearerCells(LaplaceCells):
 
 class TestRunStream:
     @pytest.mark.parametrize("name,make,weight,h", _LAWS)
-    @pytest.mark.parametrize("level_start", [64, 8, 4])
+    @pytest.mark.parametrize("level_start", [cs._LEVEL_START, 8, 4])
     def test_stream_matches_the_closure(self, name, make, weight, h, level_start, monkeypatch):
         # At 8-bit levels one unit of rounding in a level-0 product changes
         # the draw; 4-bit levels make the products too coarse within a few
         # keys, so runs refine partway along, a carried u among them. The
         # law's memo is shared by all queues, so the stream takes both its
-        # hit and its miss path. Every tenth queue holds 120 keys, enough
-        # departures to narrow u past _CARRY_BITS at 64-bit levels; at 8 and
-        # 4 bits a departure at a key whose p rounds to 0 at level 0 starts
-        # afresh too. Each queue draws on a fresh stream, as a release's cells
-        # do at a forced shift or after a drawn one at a power-of-two s.
+        # hit and its miss path. Every tenth queue holds 4 * _CARRY_BITS
+        # keys, enough departures to narrow u past _CARRY_BITS at the
+        # package's levels; at 8 and 4 bits a departure at a key whose p
+        # rounds to 0 at level 0 starts afresh too. Each queue draws on a
+        # fresh stream, as a release's cells do at a forced shift or after a
+        # drawn one at a power-of-two s.
+        coarse = level_start < cs._LEVEL_START
         monkeypatch.setattr(cs, "_LEVEL_START", level_start)
         rng = random.Random(f"{name}:{level_start}")
         law, closure_law = make(), make()
@@ -741,7 +743,7 @@ class TestRunStream:
             law, closure_law = _NearerCells(Fraction(3, 2), h, 2, 1), _NearerCells(Fraction(3, 2), h, 2, 1)
         seen = Counter()
         for case in range(300):
-            keys = [rng.randrange(2 - h, h) for _ in range(rng.randrange(1, 40) if case % 10 else 120)]
+            keys = [rng.randrange(2 - h, h) for _ in range(rng.randrange(1, 40) if case % 10 else 4 * cs._CARRY_BITS)]
             queued = rng.sample(range(2 * len(keys)), len(keys))
             grid = h * rng.randrange(2, 5)
             out = []
@@ -752,17 +754,19 @@ class TestRunStream:
                 draw(tape, source[0], grid, queued, keys, values, *source[1:])
                 out.append((values, tape.bits_consumed, tape.draw_log))
             assert out[0] == out[1]
-        assert (len(law._levels) > 1) == (level_start < 64)
+        assert (len(law._levels) > 1) == coarse
         assert seen["fresh"] > 0
-        assert (seen["carried refinement"] > 0) == (level_start < 64)
-        assert (seen["p below level 0"] > 0) == (level_start < 64)
+        assert (seen["carried refinement"] > 0) == coarse
+        assert (seen["p below level 0"] > 0) == coarse
 
     def test_departure_below_level_zero_starts_afresh(self):
-        # With sigma^2 = 1/2, p lies below 2**-64 from key 7 on. A tape of
-        # ones puts u above every threshold below 1, so each of these keys
-        # departs, after a refinement; B then rounds to 0 at level 0.
-        law = GaussianCells(Fraction(1, 2), 12, 2, 1)
-        assert law.tail_ratio(7, 0)[1] == 0 < law.tail_ratio(6, 0)[1]
+        # With sigma^2 = 1/2, p lies below 2**-_LEVEL_START from key z on
+        # (z = 10 at 128-bit levels). A tape of ones puts u above every
+        # threshold below 1, so each of these keys departs, after a
+        # refinement; B then rounds to 0 at level 0.
+        law = GaussianCells(Fraction(1, 2), 24, 2, 1)
+        z = next(k for k in range(1, law.halfwidth) if law.tail_ratio(k, 0)[1] == 0)
+        assert z + 3 < law.halfwidth
 
         class Ones:
             bits_consumed = 0
@@ -771,16 +775,16 @@ class TestRunStream:
                 self.bits_consumed += 1
                 return 1
 
-        keys = [3, 7, -8, 9, 1, 10, -6]
+        keys = [3, z, -z - 1, z + 2, 1, z + 3, 1 - z]  # k' = 3, z, z + 2, z + 2, 1, z + 3, z
         seen = Counter()
         out = []
-        closure_law = GaussianCells(Fraction(1, 2), 12, 2, 1)
+        closure_law = GaussianCells(Fraction(1, 2), 24, 2, 1)
         for draw, *source in ((_on_stream, law), (reference.draw_runs, closure_law.tail_ratio, seen)):
             tape, values = Ones(), [0] * len(keys)
-            draw(tape, source[0], 24, list(range(len(keys))), keys, values, *source[1:])
+            draw(tape, source[0], law.grid, list(range(len(keys))), keys, values, *source[1:])
             out.append((values, tape.bits_consumed))
         assert out[0] == out[1]
-        assert out[0][0] == [24 if k > 0 else -24 for k in keys]
+        assert out[0][0] == [law.grid if k > 0 else -law.grid for k in keys]
         assert seen["p below level 0"] == seen["fresh"] == 4
 
 
@@ -904,8 +908,8 @@ class TestSearch:
         # into order by a level-0 stream of the same records, the draw reads
         # the same bits and leaves the stream the same u; without one, the
         # draw also carries u on past its count, which moves A but not u. Up
-        # to 100 bits held are more than level 0 can compare at, so some
-        # draws refine before their first key.
+        # to _LEVEL_START + 36 bits held are more than level 0 can compare
+        # at, so some draws refine before their first key.
         rng = random.Random(kind.__name__)
         levels = range((cs._LEVEL_MAX // cs._LEVEL_START).bit_length())
         counts, levels_read = [], set()
@@ -914,7 +918,7 @@ class TestSearch:
             start = rng.randrange(-3, 4)
             keys = range(start, start + 7 * n, 7) if kind is range else [start + 7 * i for i in range(n)]
             offset = Fraction(rng.getrandbits(200), 1 << 202)
-            held = rng.randrange(101)
+            held = rng.randrange(cs._LEVEL_START + 37)
             # u's held bits are those of A plus a uniform on [0, 1 - A), so u - A lies in [0, 1).
             u = offset + (1 - offset) * Fraction(rng.getrandbits(200), 1 << 200)
             draws = [Fraction(rng.getrandbits(200), 1 << 200) for _ in range(rng.randrange(1, n + 1))]

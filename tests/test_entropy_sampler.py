@@ -11,7 +11,7 @@ import pytest
 from scipy import stats
 
 from frugaldp.bit_tape import BitTape
-from frugaldp.core_samplers import Stream, locate
+from frugaldp.core_samplers import _LEVEL_START, Stream, locate
 from frugaldp.errors import EnclosureContractError
 from frugaldp.precise_math import exp_neg, exp_pos
 
@@ -91,7 +91,7 @@ class TestSamplePointMass:
                 return 0, 0
             if i == 2:
                 return 1 << w, 1 << w
-            if w <= 64:
+            if w <= _LEVEL_START:
                 return 1 << (w - 3), 3 << (w - 3)
             return 3 << (w - 2), 3 << (w - 2)
 

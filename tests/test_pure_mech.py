@@ -7,13 +7,13 @@ from itertools import combinations
 
 import pytest
 
+from frugaldp.audit_harness import release_entropy
 from frugaldp.bit_tape import BitTape
-from frugaldp.core_samplers import Stream, locate
+from frugaldp.core_samplers import _LEVEL_START, Stream, locate
 from frugaldp.errors import ParameterDomainError
 from frugaldp.pure_mech import PureParams, derive_pure_params, mech_pure_efficient
 from frugaldp.release import CountVector
 from reference import (
-    pure_draw_entropy,
     _truncated_attempts,
     bernoulli_from_prob,
     crossing_shifts,
@@ -74,7 +74,7 @@ class TestDeriveParams:
         # are sound only if they overlap, at every level and power read:
         # here (1 - p(K))^j, the coarse bound on j quiet keys staying.
         params = derive_pure_params(epsilon, d, s)
-        w = 256
+        w = _LEVEL_START << 2  # past the finest level read
         lo, hi = pure_tail_mass(params, w)
         p_lo, p_hi = Fraction(lo, 1 << w), Fraction(hi, 1 << w)
         assert params.p.lo <= p_hi and p_lo <= params.p.hi
@@ -88,7 +88,7 @@ class TestDeriveParams:
                 assert Fraction(rec_lo, 1 << prec) <= exact_hi and exact_lo <= Fraction(rec_hi, 1 << prec)
                 # At the level's precision: p(K)'s record is within 3 units,
                 # and the j-th power widens it by at most a factor j.
-                assert prec == 64 << level and limit >= prec - 2 - j.bit_length()
+                assert prec == _LEVEL_START << level and limit >= prec - 2 - j.bit_length()
 
     def test_scale_domain_enforced(self):
         with pytest.raises(ParameterDomainError):
@@ -236,7 +236,7 @@ class TestDistributionalStructure:
         params = derive_pure_params(Fraction(1, 4), 3, 2)
         counts = CountVector(3, 100, (17, 50, 93))
         omega = unit * params.m
-        entropy = pure_draw_entropy(counts, params, omega)
+        entropy = release_entropy(counts, params, omega)
         tape = BitTape(seed=951)
         n = 20_000
         for _ in range(n):

@@ -89,7 +89,7 @@ def test_refinable_prob_levels_stay_ordered():
     fn = lambda p: exp_neg(Fraction(1, 3), p)  # noqa: E731
 
     def exact_level(j):
-        p = 64 << j
+        p = core_samplers._LEVEL_START << j
         lo, hi = fn(p)
         lo, hi = max(lo, 0), min(hi, 1 << p)
         return p, lo, hi, p - (hi - lo).bit_length()
