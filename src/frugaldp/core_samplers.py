@@ -10,7 +10,9 @@ until u is certified above or below each threshold it reads. This
 terminates with probability one and makes every draw exact; no floating
 point is involved anywhere. Every draw of a release, the shift first,
 shares one stream, which carries the part of u a draw read but did not
-need to the next.
+need to the next: each locate, and nothing else, moves the interval
+[A, A + B) that the outcomes drawn so far leave u in, and logs its draw
+so that finer levels can replay it (:func:`_narrow`).
 """
 
 from __future__ import annotations
@@ -56,11 +58,14 @@ class Stream:
     """One uniform u in [0, 1) that every :func:`locate` of a release draws on, read from a tape.
 
     ``u`` holds u's first ``n`` bits, uniform on [A, A + B) given the draws since
-    u started afresh (A = 0, B = 1). ``a_lo``, ``a_hi``, ``b_lo``, ``b_hi`` enclose
-    A and B at level 0; :meth:`level` rebuilds them finer from ``history`` (cached in
-    ``levels`` until the next carry). u starts afresh once B's level-0 lower bound
-    falls to 2**-_CARRY_BITS, or once A and B are exact and [A, A + B) is u's box
-    [u, u + 2**-n): the bits held then decided the draws and nothing is left to carry.
+    u started afresh (A = 0, B = 1). Only :func:`locate` moves A and B: each draw
+    carries u into the interval of its count. ``a_lo``, ``a_hi``, ``b_lo``, ``b_hi``
+    enclose A and B at level 0; ``history`` holds each draw since the fresh start as
+    (bounds, keys, count), and :meth:`level` rebuilds A and B finer by replaying it
+    through :func:`_narrow` (cached in ``levels`` until the next carry). u starts
+    afresh once B's level-0 lower bound falls to 2**-_CARRY_BITS, or once A and B
+    are exact and [A, A + B) is u's box [u, u + 2**-n): the bits held then decided
+    the draws and nothing is left to carry.
     """
 
     __slots__ = ("next_bit", "u", "n", "a_lo", "a_hi", "b_lo", "b_hi", "levels", "history")
@@ -81,13 +86,13 @@ class Stream:
         while level > len(levels):
             one = 1 << (_LEVEL_START << (len(levels) + 1))
             bounds = 0, 0, one, one  # a fresh u
-            for narrow, *args in self.history:
-                bounds = narrow(len(levels) + 1, *bounds, *args)
+            for entry in self.history:
+                bounds = _narrow(len(levels) + 1, *bounds, *entry)
             self.levels = levels = [*levels, bounds]
         return levels[level - 1]
 
     def carry(self, a_lo: int, a_hi: int, b_lo: int, b_hi: int, entry: tuple) -> None:
-        """Set A's and B's level-0 bounds after a draw, or start afresh; ``entry`` = (narrow, *args) logs the draw."""
+        """Set A's and B's level-0 bounds after a draw, or start afresh; logs ``entry``, (bounds, keys, count)."""
         one = 1 << _LEVEL_START
         if b_lo <= one >> _CARRY_BITS or (
             a_lo == a_hi and b_lo == b_hi and b_lo << self.n == one and a_lo << self.n == self.u << _LEVEL_START
@@ -137,8 +142,9 @@ def locate(
     (Han and Hoshi); near a grid edge it can exceed H(X) + 2. u - A is
     compared with B T, and u is carried into the count's interval
     [A + B T_(c+1), A + B T_c) (:meth:`Stream.carry`), x = B T_(c+1) and
-    y = B T_c from the level-0 records of those two keys (:func:`_narrow`),
-    whatever level the draw refined to. On a fresh stream B = 1 exactly.
+    y = B T_c from the level-0 records of those two keys (:func:`_narrow`
+    at finer levels), whatever level the draw refined to. On a fresh stream
+    B = 1 exactly.
 
     One loop reads bits: it scans the first ``_LINEAR_KEYS`` keys in order,
     then scans one key at a time as a probe, whose index gallops
@@ -146,19 +152,20 @@ def locate(
     (Bentley and Yao), so a count c costs O(log c) thresholds. The count is
     the same in any probe order, and keys are indexed, never measured, so a
     ``range`` longer than ``sys.maxsize`` serves. ``level0``, when given,
-    yields what ``bounds(key, 0)`` returns for each key in order (a run's
-    running product, already scaled by B, streamed by
-    :func:`~frugaldp.release.draw_runs`, which carries u itself); every key
-    is then read in order, and ``bounds`` is asked only for levels >= 1.
+    yields the level-0 records of B T for each key in order, already scaled
+    by B (a run's running product, streamed by
+    :func:`~frugaldp.release.draw_runs`); every key is then read in order,
+    and ``bounds`` is asked only for levels >= 1, which are scaled by B here.
     """
     next_bit = stream.next_bit
     u, nb, a_lo, a_hi = stream.u, stream.n, stream.a_lo, stream.a_hi
-    # A draw of its own thresholds (no level0) compares u - A with B T (B = 1 while fresh) and carries u on.
-    carry = scale = level0 is None
-    if carry:
-        b_lo, b_hi, scale = stream.b_lo, stream.b_hi, stream.history
+    # u - A is compared with B T; a fresh stream (no history) has B = 1 exactly and scales nothing.
+    b_lo, b_hi, scale = stream.b_lo, stream.b_hi, stream.history
     a0_lo, a0_hi = a_lo, a_hi
-    rec = above = below = None  # level-0 bounds (lo, hi): the key's, the last above u's, the first not's
+    # Level-0 bounds of x = B T_(c+1), the first threshold not above u (0 past the keys),
+    # and of y = B T_c, the last above it (B before the first): the count's interval.
+    x_lo = x_hi = 0
+    y_lo, y_hi = b_lo, b_hi
     # [box_lo, box_hi] is the box [u, u + 2**-nb) less the offset [a_lo, a_hi], as
     # integers at the precision held of the last record compared (0: none yet);
     # its dyadic part is width = 2**(held - nb), and a bit read halves it.
@@ -179,7 +186,7 @@ def locate(
                     if scale:  # Stream.scaled at level 0, inlined
                         lo, hi, p = b_lo * lo >> p, -(-b_hi * hi >> p), _LEVEL_START
                         limit = p - (hi - lo).bit_length()
-                    rec = lo, hi
+                r_lo, r_hi = lo, hi
                 while True:
                     if nb + 2 > limit:  # too coarse for u's next bit, or for bits kept from an earlier key
                         level += 1
@@ -203,10 +210,10 @@ def locate(
                             width = box_hi
                         held = p
                     if box_hi <= lo:
-                        above = rec
+                        y_lo, y_hi = r_lo, r_hi
                         break  # u is below this threshold
                     if box_lo >= hi:
-                        below = rec
+                        x_lo, x_hi = r_lo, r_hi
                         if run is keys:
                             return count
                         # The += 1 below takes count back to the bracket's lower end.
@@ -238,12 +245,8 @@ def locate(
     finally:  # a draw that raises leaves its stream unusable
         if held:
             stream.u, stream.n = (box_lo + a_hi) >> (held - nb), nb
-            if carry:
-                # u - A is in [x, y) = [B T_(c+1), B T_c) from the level-0 records that settled c, as
-                # _narrow(0, ...) computes them (B if c = 0, 0 past the keys), all at _LEVEL_START bits by the contract.
-                y_lo, y_hi = above or (b_lo, b_hi)
-                x_lo, x_hi = below or (0, 0)
-                stream.carry(a0_lo + x_lo, a0_hi + x_hi, y_lo - x_hi, y_hi - x_lo, (_narrow, bounds, keys, count))
+            # u - A is in [x, y), from level-0 records at _LEVEL_START bits by the contract.
+            stream.carry(a0_lo + x_lo, a0_hi + x_hi, y_lo - x_hi, y_hi - x_lo, (bounds, keys, count))
 
 
 # ---------------------------------------------------------------------------

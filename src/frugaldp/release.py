@@ -15,24 +15,26 @@ Each queued key falls in a bin of the law's
 its distance k' from its edge alone. The keys of the hot bins are drawn
 first, each against its exact departure record; every other bin is cut
 into blocks that expect at most 1/8 departure (in k' order when a bin
-fills several), and one comparison with (1 - p(a))^n certifies that the n
-keys of a block all stay, unless it fails: a is at most the least k' the
-block holds, so p(a) bounds the chance that each leaves.
-A departure across a single edge within reach is certain of its cell;
-otherwise (both edges within reach, or the untruncated law) one more locate
-draws the cell. Every bit a release reads is read by a locate on one
+fills several), and one locate over (1 - p(a))^n, the block's coarse key,
+certifies that the n keys of a block all stay, unless it fails: a is at
+most the least k' the block holds, so p(a) bounds the chance that each
+leaves. A departure across a single edge within reach is certain of its
+cell; otherwise (both edges within reach, or the untruncated law) one more
+locate draws the cell. Every bit a release reads is read by a locate on one
 :class:`~frugaldp.core_samplers.Stream`, whose uniform carries from draw to
 draw, from the shift on: about their entropy plus two bits per 64 bits or
-so of it.
+so of it. Only locate moves the stream's interval; this module hands it
+thresholds and reads back counts.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import partial
 from operator import itemgetter
 
 from .bit_tape import BitTape
-from .core_samplers import CellLaw, Stream, locate
+from .core_samplers import CellLaw, Stream, level_record, locate
 from .errors import InternalError, ParameterDomainError
 
 
@@ -178,12 +180,7 @@ def shift_and_round(
 
 
 def _products(cells: CellLaw, keys: list, b: int, end: int, level: int, lo: int, hi: int):
-    """The records of B T_1, B T_2, ... along the keys from index b to ``end`` at ``level``, for B in [lo, hi].
-
-    Past its last key it yields its product once more. Sent True at a key that
-    departs, it yields the precision, that record (A's growth) and B T_L p,
-    the record times p / (1 - p), rounded outward; then the next B.
-    """
+    """The records of B T_1, B T_2, ... along the keys from index b to ``end`` at ``level``, for B in [lo, hi]."""
     p, memo = cells.ratio_records(level)
     one = 1 << p
     for i in range(b, end):
@@ -195,46 +192,37 @@ def _products(cells: CellLaw, keys: list, b: int, end: int, level: int, lo: int,
         # Since 0 <= a_lo <= a_hi <= one, 0 <= lo <= hi <= one holds with no clipping.
         lo = lo * (one - a_hi) >> p
         hi = -(-hi * (one - a_lo) >> p)
-        if (yield p, lo, hi, p - (hi - lo).bit_length()):
-            # p / (1 - p) grows with p. a_lo < one, as p < 1 rounds down; a_hi is one once 1 - p is below the precision.
-            lo, hi = yield p, lo, hi, lo * a_lo // (one - a_lo), -(-hi * a_hi // max(one - a_hi, 1))
-            yield
-    yield p, lo, hi, p - (hi - lo).bit_length()
+        yield p, lo, hi, p - (hi - lo).bit_length()
 
 
-def _departed(level: int, a_lo: int, a_hi: int, b_lo: int, b_hi: int, cells: CellLaw, keys: list, b: int, i: int):
-    """A and B at ``level`` across a run from key b whose key i departed: a :meth:`Stream.carry` entry."""
-    run = _products(cells, keys, b, i + 1, level, b_lo, b_hi)
-    for _ in range(b, i + 1):
-        next(run)
-    _, t_lo, t_hi, b_lo, b_hi = run.send(True)
-    return a_lo + t_lo, a_hi + t_hi, b_lo, b_hi
+def _run(cells: CellLaw, keys: list, b: int, end: int, stay=None):
+    """The thresholds of a run from key b to ``end``, as ``bounds(j, level)`` for :func:`locate`.
 
-
-def _stayed(
-    level: int, a_lo: int, a_hi: int, b_lo: int, b_hi: int, cells: CellLaw, keys: list, b: int, e: int, f: int, a: int,
-    below: int,
-):
-    """A and B at ``level`` across a run from key b whose block [e, f) stayed home: a :meth:`Stream.carry` entry.
-
-    With T the run's product before e, L = (1 - p(a))^(f - e) and P the
-    block's product, u went into [A, A + B T L) ``below`` the coarse key,
-    else into [A + B T L, A + B T P).
+    T_j = prod_{b <= i <= j} (1 - p_i), unscaled, or (T_j - L) / (1 - L), L =
+    ``stay(level)``'s record, in a block whose coarse key u is past. Each
+    level walks its products forward and starts over when a replay
+    (:meth:`~frugaldp.core_samplers.Stream.level`) asks for a key behind it.
     """
-    *_, t = _products(cells, keys, b, e, level, b_lo, b_hi)
-    _, x_lo, x_hi, _ = _below(t, cells.all_stay(a, f - e, level))
-    if below:
-        return a_lo, a_hi, x_lo, x_hi
-    *_, (_, y_lo, y_hi, _) = _products(cells, keys, e, f, level, t[1], t[2])
-    return a_lo + x_lo, a_hi + x_hi, max(y_lo - x_hi, 0), y_hi - x_lo
+    walks = {}  # per level: the last key read, its record, the level's products
 
+    def bounds(j: int, level: int) -> tuple[int, int, int, int]:
+        i, rec, run = walks.get(level, (end, None, None))
+        if j < i:  # a first read at this level, or a replay behind its walk: start over
+            one = 1 << cells.ratio_records(level)[0]
+            i, run = b - 1, _products(cells, keys, b, end, level, one, one)
+        while i < j:
+            i += 1
+            rec = next(run)
+        walks[level] = i, rec, run
+        if stay is None:
+            return rec
+        p, lo, hi, _ = rec
+        _, l_lo, l_hi, _ = stay(level)
+        one = 1 << p
+        lo, hi = ((lo - l_hi) << p) // max(one - l_lo, 1), -(-((hi - l_lo) << p) // max(one - l_hi, 1))
+        return level_record(p, lo, hi)
 
-def _below(rec: tuple, stay: tuple) -> tuple[int, int, int, int]:
-    """The record ``rec`` times the record ``stay``, at ``rec``'s precision, rounded outward."""
-    p, lo, hi = rec[:3]
-    w, s_lo, s_hi, _ = stay
-    lo, hi = lo * s_lo >> w, -(-hi * s_hi >> w)
-    return p, lo, hi, p - (hi - lo).bit_length()
+    return bounds
 
 
 def draw_runs(stream: Stream, cells: CellLaw, grid: int, queued: list, keys: list, values: list, blocks=()):
@@ -244,85 +232,55 @@ def draw_runs(stream: Stream, cells: CellLaw, grid: int, queued: list, keys: lis
     an edge k = ``keys[i]`` above the centre (k > 0) or k <= 0 from it, and
     leaves with p = ``cells.departure(k')``, k' = k or 1 - k. From a run start
     b, the count L that stay home has upper tails T_j = prod_{b <= i < b + j}
-    (1 - p_i): :func:`locate` draws L over the level-0 records of a
-    :func:`_products`, and u is carried into [A + B T_(L+1), A + B T_L) of
-    b + L, which crosses the edge at k, or under a law with tails lands in
-    the cell one more locate over ``cells.beyond`` draws. The keys before the
-    first of ``blocks`` are drawn so. A block, (e, a), spans the n keys from
-    e to the next block or the end, all of one bin
-    (:attr:`~frugaldp.core_samplers.CellLaw.bins`) and none keyed below a
-    (a silent key counts as keyed at the half-width), so each leaves with p
-    at most p(a); one locate first compares u with its coarse key, the run's
-    product so far, B T, times L = ``cells.all_stay(a, n)`` = (1 - p(a))^n.
-    Below it every key of the block stays home, and u is carried into
-    [A, A + B T L) (:func:`_stayed`); otherwise the block's keys run on from
-    B T, and a carry lands in [A + B T L, A + B T P), P their product, or in a
-    departure's interval. Either way the next block's run starts afresh from
-    the carried B. The queue's end, a release's last draw, carries nothing.
-    The departed are returned as coordinates, ``queued[i]``, in the order drawn.
+    (1 - p_i): one :func:`locate` draws L over the level-0 records of B T_j
+    (:func:`_products`, from the stream's B), and carries u into
+    [A + B T_(L+1), A + B T_L) of b + L, which crosses the edge at k, or under
+    a law with tails lands in the cell one more locate over ``cells.beyond``
+    draws; the next run starts from the carried B. The keys before the first
+    of ``blocks`` are drawn so. A block, (e, a), spans the n keys from e to
+    the next block or the end, all of one bin
+    (:attr:`~frugaldp.core_samplers.CellLaw.bins`) and none keyed below a (a
+    silent key counts as keyed at the half-width), so each leaves with p at
+    most p(a). Its coarse key is a draw of its own: one locate over the one
+    threshold L = ``cells.all_stay(a, n)`` = (1 - p(a))^n. Below it every
+    key of the block stays home, and u is carried into [A, A + B L);
+    otherwise u is carried into [A + B L, A + B), and the block's keys run
+    over (T_j - L) / (1 - L). Every draw carries, the queue's last too, and
+    only locate moves A and B. The departed are returned as coordinates,
+    ``queued[i]``, in the order drawn.
     """
-
-    def bounds(j: int, level: int) -> tuple[int, int, int, int]:
-        """B T_(j - b + 1) at ``level`` >= 1 (B at j = b - 1), from that level's generator advanced to key j."""
-        if level > len(refined):  # locate asks for the levels of a key in order
-            _, _, lo, hi = stream.level(level)
-            start = cells.ratio_records(level)[0], lo, hi
-            refined.append([b - 1, start, _products(cells, keys, b, end, level, lo, hi)])
-        entry = refined[level - 1]
-        while entry[0] < j:
-            entry[0] += 1
-            entry[1] = next(entry[2])
-        return entry[1]
-
-    def coarse(j: int, level: int) -> tuple[int, int, int, int]:
-        """The coarse key of the block from key j at ``level`` >= 1: the product before j times (1 - p(a))^n."""
-        return _below(bounds(j - 1, level), cells.all_stay(a, f - j, level))
-
-    refined: list[list] = []  # per level >= 1: [last key read, its record, the level's generator]
-    tails = cells.tails
-    end = len(keys)
-    departed = []
-    b, g, stop = 0, 0, blocks[0][0] if blocks else end  # the run's start, the next block, the exact keys' end
-    run = _products(cells, keys, 0, stop, 0, stream.b_lo, stream.b_hi)
+    tails, end, departed = cells.tails, len(keys), []
+    b, g, stop = 0, 0, blocks[0][0] if blocks else end  # the run's start, the next block, the run's end
     while True:
-        i = b + locate(stream, bounds, range(b, stop), run) if b < stop else b
-        if i == stop:  # every key of the run stayed home: on to the next block, if any
+        if b < stop:
+            run = _products(cells, keys, b, stop, 0, stream.b_lo, stream.b_hi)
+            i = b + locate(stream, _run(cells, keys, b, stop), range(b, stop), run)
+        else:
+            i = b
+        while i == stop:  # every key of the run stayed home: on to the next block, if any
             if stop == end:
-                break
-            e, a = blocks[g]
+                return departed
+            b, a = blocks[g]
             g += 1
-            f = blocks[g][0] if g < len(blocks) else end
-            rec = next(run) if b < stop else (cells.ratio_records(0)[0], stream.b_lo, stream.b_hi)  # B T so far
-            low = _below(rec, cells.all_stay(a, f - e, 0))
-            below = locate(stream, coarse, (e,), iter((low,)))
-            if not below:  # the block's exact records, on from B T
-                run = _products(cells, keys, e, f, 0, rec[1], rec[2])
-                i = e + locate(stream, bounds, range(e, f), run)
-            if below or i == f:  # every key of the block stayed home
-                if f == end:
-                    break
-                x_lo, x_hi, (_, y_lo, y_hi, _) = (0, 0, low) if below else (low[1], low[2], next(run))
-                stream.carry(
-                    stream.a_lo + x_lo, stream.a_hi + x_hi, max(y_lo - x_hi, 0), y_hi - x_lo,
-                    (_stayed, cells, keys, b, e, f, a, below),
-                )
-                refined.clear()
-                b = stop = f
+            stop = blocks[g][0] if g < len(blocks) else end
+            coarse, b_lo, b_hi = partial(cells.all_stay, a), stream.b_lo, stream.b_hi
+            if locate(stream, coarse, (stop - b,)):  # u is below L: every key of the block stays home
+                i = stop
                 continue
-            stop = f
+            # u is past L. At level 0 the block's records are B T_j - B L, from the B before the
+            # coarse draw, unless its carry started u afresh: then locate reads (T_j - L) / (1 - L).
+            stay, run = partial(coarse, stop - b), None
+            if stream.history:
+                p, l_lo, l_hi, _ = stay(0)
+                x_lo, x_hi = b_lo * l_lo >> p, -(-b_hi * l_hi >> p)
+                products = _products(cells, keys, b, stop, 0, b_lo, b_hi)
+                run = (level_record(q, lo - x_hi, hi - x_lo) for q, lo, hi, _ in products)
+            i = b + locate(stream, _run(cells, keys, b, stop, stay), range(b, stop), run)
         departed.append(queued[i])
-        refined.clear()
-        if tails or i + 1 < end:
-            _, t_lo, t_hi, b_lo, b_hi = run.send(True)
-            stream.carry(stream.a_lo + t_lo, stream.a_hi + t_hi, b_lo, b_hi, (_departed, cells, keys, b, i))
         k = keys[i]
         if tails:  # c // 2 + 1 cells out, past the edge at k (c even) or the other (c odd)
             c = locate(stream, cells.beyond, cells.beyond_keys(k if k > 0 else 1 - k))
             values[queued[i]] += grid * (c // 2 + 1) if (k > 0) == (c % 2 == 0) else -grid * (c // 2 + 1)
         else:
             values[queued[i]] += grid if k > 0 else -grid
-        if i + 1 == end:
-            break
-        run.send((stream.b_lo, stream.b_hi))
         b = i + 1
-    return departed

@@ -466,48 +466,61 @@ def mech_pure_reference(
     return MechanismResult(tuple(values), _report(tape, start, counts.d, attempts))
 
 
-def draw_runs(tape: BitTape, tail_ratio, grid: int, queued: list, keys: list, values: list, seen=None) -> None:
+def draw_runs(tape: BitTape, tail_ratio, grid: int, queued: list, keys: list, values: list, seen=None) -> tuple:
     """:func:`frugaldp.release.draw_runs` on a fresh stream, with every level read through one closure.
 
-    The package streams a run's level-0 running product into ``locate`` and
-    carries the level-0 map (A, B) as runs depart; here each run sets A and
-    B at level 0 afresh, and ``bounds`` rebuilds them at each finer level it
-    is asked for, over every key since the last fresh start, then extends
-    one running product per level, level 0 included, calling ``tail_ratio``
-    for every key it reads. Both must draw the same cells with the same
-    bits. The closure only walks forward, so its own level-0 records reach
-    ``locate`` as a stream too: that keeps the keys in order, and a search
-    over the key index never asks for an earlier key than one already read.
-    ``seen``, a Counter, counts the fresh starts ("fresh"), those after a
-    departure whose p rounds to 0 at level 0 ("p below level 0"), and the
-    refinements of a carried u ("carried refinement").
+    The package carries A and B in ``locate``, from draw to draw, and
+    replays its draws to rebuild them at finer levels; here each run sets A
+    and B afresh at every level it reads, by a walk over every key since the
+    last fresh start, calling ``tail_ratio`` for every key it reads. A run's
+    thresholds are T_j = prod (1 - p_i) over its keys so far, chained from
+    the run's B at level 0 and from 1 at finer levels, which ``locate``
+    scales by B. A departure at the run's c-th key sets A += x and
+    B = (max(y_lo - x_hi, 0), y_hi - x_lo), x = B T_(c+1) and y = B T_c; a
+    queue whose keys all stay sets B to its last record. Both must draw the
+    same cells with the same bits, and leave the same A and B at level 0,
+    which this returns. The closure only walks forward, so its level-0
+    records reach ``locate`` as a stream: that keeps the keys in order, and
+    a search over the key index never asks for an earlier key than one
+    already read. ``seen``, a Counter, counts the fresh starts ("fresh"),
+    those after a departure whose p rounds to 0 at level 0 ("p below level
+    0"), and the refinements of a carried u ("carried refinement").
     """
 
     def ratio(i: int, level: int):
         k = keys[i]
         return tail_ratio(k if k > 0 else 1 - k, level)
 
-    def walk(level: int) -> tuple[int, int, int, int]:
-        """A's bounds and B's at ``level``: each key since the last fresh start narrows [A, A + B)."""
-        p = ratio(start, level)[0]
+    def walk(level: int, last: int) -> tuple[int, int, int, int]:
+        """A's bounds and B's at ``level`` after the keys from the last fresh start to ``last``."""
+        p = tail_ratio(1, level)[0]
         one = 1 << p
+
+        def scaled(t: tuple[int, int]) -> tuple[int, int]:  # B T: chained from B at level 0, as Stream.scaled above
+            return t if not level else (b_lo * t[0] >> p, -(-b_hi * t[1] >> p))
+
         a_lo = a_hi = 0
         b_lo = b_hi = one
-        for i in range(fresh, start):
+        t = (one, one)  # the run's product so far: B T at level 0, T above it (B = 1 here)
+        for i in range(fresh, last):
             _, r_lo, r_hi, _ = ratio(i, level)
-            stay = b_lo * (one - r_hi) >> p, -(-b_hi * (one - r_lo) >> p)
-            if i in departed:  # u went above the stay part, the rest of [A, A + B)
-                a_lo, a_hi = a_lo + stay[0], a_hi + stay[1]
-                b_lo, b_hi = stay[0] * r_lo // (one - r_lo), -(-stay[1] * r_hi // (one - r_hi))
+            stay = t[0] * (one - r_hi) >> p, -(-t[1] * (one - r_lo) >> p)
+            if i in departed:  # u went into [A + B T_(c+1), A + B T_c), and the next run starts from there
+                (x_lo, x_hi), (y_lo, y_hi) = scaled(stay), scaled(t)
+                a_lo, a_hi, b_lo, b_hi = a_lo + x_lo, a_hi + x_hi, max(y_lo - x_hi, 0), y_hi - x_lo
+                t = (b_lo, b_hi) if not level else (one, one)
             else:
-                b_lo, b_hi = stay
+                t = stay
+        if last == end and last - 1 not in departed:  # the queue's last run stayed home
+            b_lo, b_hi = scaled(t)
         return a_lo, a_hi, b_lo, b_hi
 
     levels: list[tuple[int, tuple[int, int, int, int]]] = []  # per level: last key read, its record
 
     def open_level(level: int) -> None:
-        a_lo, a_hi, b_lo, b_hi = walk(level)
-        levels.append((start - 1, (None, b_lo, b_hi, None)))
+        a_lo, a_hi, b_lo, b_hi = walk(level, start)
+        one = 1 << tail_ratio(1, level)[0]
+        levels.append((start - 1, (None, *((b_lo, b_hi) if not level else (one, one)), None)))
         if level:
             stream.levels.append((a_lo, a_hi, b_lo, b_hi))
             if seen is not None and departed:
@@ -527,6 +540,11 @@ def draw_runs(tape: BitTape, tail_ratio, grid: int, queued: list, keys: list, va
         levels[level] = i, rec
         return rec
 
+    def fresh_start() -> bool:
+        """Whether the draws so far leave B at most 2**-_CARRY_BITS at level 0."""
+        p = tail_ratio(1, 0)[0]
+        return walk(0, start)[2] <= 1 << p >> _CARRY_BITS
+
     stream = Stream(tape)
     fresh, departed = 0, set()
     start, end = 0, len(keys)
@@ -535,19 +553,19 @@ def draw_runs(tape: BitTape, tail_ratio, grid: int, queued: list, keys: list, va
         stream.levels = []
         open_level(0)
         start += locate(stream, bounds, range(start, end), (bounds(j, 0) for j in range(start, end)))
-        if start < end:
-            values[queued[start]] += grid if keys[start] > 0 else -grid
-            departed.add(start)
-            start += 1
-            if start == end:
-                break
-            p, r_lo = ratio(start - 1, 0)[:2]
-            if walk(0)[2] <= 1 << p >> _CARRY_BITS:
-                fresh, departed = start, set()
-                stream.restart()
-                if seen is not None:
-                    seen["fresh"] += 1
-                    seen["p below level 0"] += not r_lo
+        if start == end:
+            break
+        values[queued[start]] += grid if keys[start] > 0 else -grid
+        departed.add(start)
+        start += 1
+        if start < end and fresh_start():
+            fresh, departed = start, set()
+            stream.restart()
+            if seen is not None:
+                seen["fresh"] += 1
+                seen["p below level 0"] += not ratio(start - 1, 0)[1]
+    one = 1 << tail_ratio(1, 0)[0]
+    return (0, 0, one, one) if fresh_start() else walk(0, end)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,9 @@ releases at desk scale, with d <= 3 and s in 1..4, with the shift drawn and
 at each forced shift, one whose queues end in blocks behind keys drawn
 exactly, also at 8-bit levels, where a block's coarse key refines, and one
 at d = 6 where a middle block of two keys usually passes its coarse key and
-a later block departs.
+a later block departs, also with a 6-bit carry horizon, where a failed
+coarse key's carry starts u afresh; and two approx desk releases on one
+stream, at the shifts r and 2 r, against the product of their forced laws.
 
 The same enumeration on the desk and its replace-one neighbour (18, 50, 93)
 shows why the command line publishes the values and no report field: the
@@ -40,9 +42,10 @@ from frugaldp import release as release_module
 from frugaldp.approx_mech import derive_approx_params, mech_approx_efficient
 from frugaldp.audit_harness import _approx_noise, _joint_dist, _pure_noise, _shift_laws, oracle_joint_dist
 from frugaldp.bit_tape import BitTape
+from frugaldp.core_samplers import Stream
 from frugaldp.precise_math import exp_pos
 from frugaldp.pure_mech import derive_pure_params, mech_pure_efficient
-from frugaldp.release import CountVector, draw_runs
+from frugaldp.release import CountVector, draw_runs, shift_and_round
 
 ETA = Fraction(1, 10**9)
 
@@ -286,28 +289,57 @@ def test_approx_desk_with_two_blocks_is_certified(monkeypatch):
     assert homes[:5] + (homes[5] - params.grid,) in outcomes
 
 
+def test_a_coarse_carry_that_starts_afresh_is_certified(monkeypatch):
+    # The d = 6 desk above with a carry horizon of 6 bits: u past a block's
+    # coarse key, (1 - p(a))^n, leaves B below 2**-6 (B (1 - L) is about
+    # 2**-7 after the middle block's 1 - (1 - p(18))^2 = 0.0126), so that
+    # carry starts u afresh, and the block's keys are read at
+    # (T_j - L) / (1 - L) on a fresh u, not from the B before the draw.
+    # Records built from that B instead give dozens of certified failures.
+    monkeypatch.setattr(core_samplers, "_CARRY_BITS", 6)
+    params = derive_approx_params(Fraction(1), Fraction(1, 4), 6, 2)
+    counts = CountVector(6, 100, (17, 18, 20, 42, 43, 46))
+    restarts = Counter()
+    locate = release_module.locate
+
+    def spy(stream, bounds, keys, level0=None):
+        count = locate(stream, bounds, keys, level0)
+        if getattr(getattr(bounds, "func", None), "__name__", None) == "all_stay" and not count:
+            restarts[not stream.history] += 1
+        return count
+
+    monkeypatch.setattr(release_module, "locate", spy)
+    noise = _approx_noise(params, 64)
+    for v in (1, 2):
+        release = lambda tape: mech_approx_efficient(counts, params, tape, v * params.r).values
+        outcomes, open_mass, _, _ = enumerate_release(release, Fraction(1, 10**6))
+        assert certified_failures(outcomes, open_mass, _forced_oracle(counts, params, noise, 64, v)) == []
+    assert restarts[True] > 0
+
+
 def test_approx_blocks_with_16_bit_levels_are_certified(monkeypatch):
     # d = 4, s = 2 at levels of 16, 32, 64 and 128 bits: r = 20 and K = 16.
     # At the shift r the counts 15, 5, 6, 4 key their edges 5, 15, 14 and 16
     # from the centre: one key drawn exactly, a block of two behind
     # (1 - p(14))^2, and one of one behind 1 - p(16). Draws after a block's
-    # carry refine, so A and B are rebuilt at finer levels across both kinds
-    # of block carry: u below the coarse key, and u past it with every key
-    # of the block home.
+    # coarse key refine, so A and B are rebuilt at finer levels across both
+    # of its outcomes (core_samplers._narrow replays the coarse draw): u
+    # below it, every key of the block home, and u past it.
     monkeypatch.setattr(core_samplers, "_LEVEL_START", 16)
     params = derive_approx_params(Fraction(1), Fraction(1, 4), 4, 2)
     assert (params.r, params.cells.quiet) == (20, 16)
     counts = CountVector(4, 100, (15, 5, 6, 4))
     rebuilt = Counter()
-    stayed = release_module._stayed
+    narrow = core_samplers._narrow
 
-    def spy(level, *args):
-        rebuilt[bool(args[-1])] += 1
-        return stayed(level, *args)
+    def spy(level, a_lo, a_hi, b_lo, b_hi, bounds, keys, count):
+        if level and getattr(getattr(bounds, "func", None), "__name__", None) == "all_stay":
+            rebuilt[count] += 1
+        return narrow(level, a_lo, a_hi, b_lo, b_hi, bounds, keys, count)
 
-    monkeypatch.setattr(release_module, "_stayed", spy)
+    monkeypatch.setattr(core_samplers, "_narrow", spy)
     _certify_approx(counts, params)
-    assert rebuilt[True] > 0 and rebuilt[False] > 0
+    assert rebuilt[1] > 0 and rebuilt[0] > 0
 
 
 def test_approx_quiet_desk_with_8_bit_levels_is_certified(monkeypatch):
@@ -329,6 +361,24 @@ def test_approx_quiet_desk_with_8_bit_levels_is_certified(monkeypatch):
     monkeypatch.setattr(core_samplers.CellLaw, "all_stay", spy)
     _certify_approx(counts, params)
     assert levels == {0, 1, 2, 3}
+
+
+def test_two_releases_on_one_stream_are_certified():
+    # Two approx desk releases (d = 3, s = 2, counts 17, 50, 93) on one
+    # Stream, at the shifts r and 2 r: the second draws on the u the first
+    # carried on, so the six cells follow the product of the two forced laws
+    # only if every draw of the first carried, its last too.
+    params = derive_approx_params(Fraction(1), Fraction(1, 4), 3, 2)
+
+    def release(tape):
+        stream = Stream(tape)
+        first = shift_and_round(tape, stream, _DESK, params.cells, params.r)[0].values
+        return first + shift_and_round(tape, stream, _DESK, params.cells, 2 * params.r)[0].values
+
+    outcomes, open_mass, _, _ = enumerate_release(release, Fraction(1, 10**6))
+    laws, scale = _shift_laws(_DESK.sums, params, _approx_noise(params, 64), 64)
+    oracle = _joint_dist([laws[0] + laws[1]], scale, 1, 64, Fraction(0))
+    assert certified_failures(outcomes, open_mass, oracle) == []
 
 
 def desk_neighbour_slacks(release, epsilon: Fraction) -> tuple[Fraction, Fraction]:

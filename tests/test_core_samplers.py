@@ -710,9 +710,11 @@ class TestRecordMemo:
             assert (law.departure(key, 0) if key > 0 else law.beyond(key, 0)) == rec
 
 
-def _on_stream(tape, *args) -> None:
-    """The package's draw_runs on a fresh stream from ``tape``."""
-    draw_runs(cs.Stream(tape), *args)
+def _on_stream(tape, *args) -> tuple[int, int, int, int]:
+    """The package's draw_runs on a fresh stream from ``tape``; the level-0 bounds of A and B it leaves."""
+    stream = cs.Stream(tape)
+    draw_runs(stream, *args)
+    return stream.a_lo, stream.a_hi, stream.b_lo, stream.b_hi
 
 
 class _NearerCells(LaplaceCells):
@@ -751,8 +753,8 @@ class TestRunStream:
                 tape = BitTape(seed=case)
                 values = [0] * 2 * len(keys)
                 tape.charge("noise")
-                draw(tape, source[0], grid, queued, keys, values, *source[1:])
-                out.append((values, tape.bits_consumed, tape.draw_log))
+                carried = draw(tape, source[0], grid, queued, keys, values, *source[1:])
+                out.append((values, tape.bits_consumed, tape.draw_log, carried))
             assert out[0] == out[1]
         assert (len(law._levels) > 1) == coarse
         assert seen["fresh"] > 0
@@ -781,8 +783,8 @@ class TestRunStream:
         closure_law = GaussianCells(Fraction(1, 2), 24, 2, 1)
         for draw, *source in ((_on_stream, law), (reference.draw_runs, closure_law.tail_ratio, seen)):
             tape, values = Ones(), [0] * len(keys)
-            draw(tape, source[0], law.grid, list(range(len(keys))), keys, values, *source[1:])
-            out.append((values, tape.bits_consumed))
+            carried = draw(tape, source[0], law.grid, list(range(len(keys))), keys, values, *source[1:])
+            out.append((values, tape.bits_consumed, carried))
         assert out[0] == out[1]
         assert out[0][0] == [law.grid if k > 0 else -law.grid for k in keys]
         assert seen["p below level 0"] == seen["fresh"] == 4
@@ -843,24 +845,32 @@ class TestCarriedStream:
 
     @pytest.mark.parametrize("mode", ["pure", "approx"])
     def test_level_zero_carry_replays_its_history(self, mode):
-        # The carry a draw makes at level 0, from the records that settled
-        # its count, is the map Stream.level replays at finer levels: folding
-        # the history since the last fresh start through it at level 0 gives
-        # the stream's own A and B.
+        # Every draw carries u in locate, from the level-0 records that
+        # settled its count; Stream.level replays the same draws through
+        # _narrow at finer levels. Folding the history since the last fresh
+        # start through _narrow at level 0 must then enclose the same A and B
+        # as the stream's own: a run's live records are chained from its B,
+        # the replay scales the run's unscaled product by B, so the two
+        # roundings differ by a few units, but both hold the exact values.
         params, sums = (_pure_desk if mode == "pure" else _approx_windows)()
         counts = CountVector(len(sums), 100, sums)
         one = 1 << cs._LEVEL_START
-        kinds = Counter()
+        kinds, folds = Counter(), Counter()
         for seed in range(400):
             tape = BitTape(seed=seed)
             stream = cs.Stream(tape)
             shift_and_round(tape, stream, counts, params.cells)
             ab = 0, 0, one, one
-            for narrow, *args in stream.history:
-                ab = narrow(0, *ab, *args)
-                kinds[narrow.__name__] += 1
-            assert ab == (stream.a_lo, stream.a_hi, stream.b_lo, stream.b_hi)
-        assert kinds["_narrow"] > 400 and kinds["_departed"] > 10
+            for bounds, keys, count in stream.history:
+                ab = cs._narrow(0, *ab, bounds, keys, count)
+                name = getattr(bounds, "__name__", "")
+                kinds[name if name != "bounds" else "departed" if count < len(keys) else "stayed"] += 1
+            live = stream.a_lo, stream.a_hi, stream.b_lo, stream.b_hi
+            assert ab[0] <= live[1] and live[0] <= ab[1] and ab[2] <= live[3] and live[2] <= ab[3], (seed, ab, live)
+            folds[ab == live] += 1
+        # Each departure draws its cell (both laws have tails here); most folds are equal.
+        assert kinds["departed"] > 100 and kinds["beyond"] == kinds["departed"] and kinds["stayed"] > 100
+        assert folds[True] > folds[False]
 
 
 def _threshold_bounds(thresholds):
@@ -906,10 +916,11 @@ class TestSearch:
         # A stream that already holds bits of u, and an offset A at every
         # level, hands its box from the in-order head to the probes. Forced
         # into order by a level-0 stream of the same records, the draw reads
-        # the same bits and leaves the stream the same u; without one, the
-        # draw also carries u on past its count, which moves A but not u. Up
-        # to _LEVEL_START + 36 bits held are more than level 0 can compare
-        # at, so some draws refine before their first key.
+        # the same bits and leaves the stream the same u, A and B: either way
+        # it carries u into its count's interval from the level-0 records
+        # that settled the count. Up to _LEVEL_START + 36 bits held are more
+        # than level 0 can compare at, so some draws refine before their
+        # first key.
         rng = random.Random(kind.__name__)
         levels = range((cs._LEVEL_MAX // cs._LEVEL_START).bit_length())
         counts, levels_read = [], set()
@@ -941,7 +952,8 @@ class TestSearch:
                 maps = [(*rational_enclose(offset, p), 1 << p, 1 << p) for p in (cs._LEVEL_START << j for j in levels)]
                 (stream.a_lo, stream.a_hi, stream.b_lo, stream.b_hi), stream.levels = maps[0], maps[1:]
                 count = locate(stream, bounds, keys, level0)
-                out.append((count, tape.bits_consumed, stream.u, stream.n))
+                carried = stream.a_lo, stream.a_hi, stream.b_lo, stream.b_hi
+                out.append((count, tape.bits_consumed, stream.u, stream.n, carried))
             assert out[0] == out[1]
             assert out[0][3] == held + out[0][1]
             counts.append(out[0][0])
